@@ -48,7 +48,6 @@ from .ratpatch import (
     RationalPatch,
     Sharpness,
     convergence_constants,
-    make_rational,
     rational_patch,
 )
 from .certify import (

@@ -135,10 +135,16 @@ class CertificateReport:
 
 
 def cert_predicate(f: RationalPatch) -> bool:
-    """All ratios nonnegative and every vertex ratio strictly positive."""
-    if any(r < 0 for r in f.ratios):
+    """All ratios nonnegative and every vertex ratio strictly positive.
+
+    The denominator coefficients and both scales are positive, so each ratio
+    has the sign of its numerator coefficient: the test reads integer signs
+    and builds no ratio.
+    """
+    nums = f.num.nums
+    if min(nums) < 0:
         return False
-    return all(r > 0 for r in f.vertex_ratios())
+    return all(nums[p] > 0 for p in f.num.index_set.vertex_positions())
 
 
 def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:

@@ -32,7 +32,7 @@ from .certify import (
     certify_negative,
     certify_sharpness,
 )
-from .errors import BernboundError, BudgetExhausted
+from .errors import BernboundError, BudgetExhausted, DegreeTooLow
 from .geometry import Simplex
 from .optimize import minimize
 from .polypatch import to_bernstein_standard
@@ -76,6 +76,16 @@ def _rational_field(data, key):
     try:
         return parse_rational(data[key])
     except ValueError as exc:
+        raise UsageError(f"spec field {key!r}: {exc}") from exc
+
+
+def _int_field(data, key):
+    value = data[key]
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"not an integer: {value!r}")
+        return int(value)
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"spec field {key!r}: {exc}") from exc
 
 
@@ -124,11 +134,11 @@ def parse_problem(data: dict) -> ProblemSpec:
         )
     spec = ProblemSpec(numerator, denominator, domain)
     if "degree" in data:
-        spec.degree = int(data["degree"])
+        spec.degree = _int_field(data, "degree")
     if "k_max" in data:
-        spec.k_max = int(data["k_max"])
+        spec.k_max = _int_field(data, "k_max")
     if "n_max" in data:
-        spec.n_max = int(data["n_max"])
+        spec.n_max = _int_field(data, "n_max")
     if "eps" in data:
         spec.eps = _rational_field(data, "eps")
     if "shrink" in data:
@@ -202,7 +212,10 @@ def _format_interval(interval) -> str:
 
 def cmd_bounds(spec: ProblemSpec, args) -> int:
     degree = args.degree if args.degree is not None else spec.degree
-    f = rational_patch(spec.numerator, spec.denominator, spec.domain, degree)
+    try:
+        f = rational_patch(spec.numerator, spec.denominator, spec.domain, degree)
+    except DegreeTooLow as exc:
+        raise UsageError(str(exc)) from exc
     constants = convergence_constants(spec.numerator, spec.denominator,
                                       spec.domain, f.degree)
     sharp = f.sharpness()
@@ -316,18 +329,22 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     k_max = args.kmax if args.kmax is not None else (spec.k_max or 30)
     n_max = args.nmax if args.nmax is not None else (spec.n_max or 10)
     shrink = _parse_shrink(args, spec)
-    if args.mode == "sharpness":
-        f = rational_patch(spec.numerator, spec.denominator, spec.domain)
-        report = certify_sharpness(f)
-    elif args.mode == "global":
-        report = certify_global(spec.numerator, spec.denominator, spec.domain, k_max)
-    elif args.mode == "local":
-        report = certify_local(spec.numerator, spec.denominator, spec.domain,
-                               n_max, shrink)
-    else:
-        report = certify_negative(spec.numerator, spec.denominator, spec.domain,
-                                  via=args.via, k_max=k_max, n_max=n_max,
-                                  shrink=shrink)
+    try:
+        if args.mode == "sharpness":
+            f = rational_patch(spec.numerator, spec.denominator, spec.domain)
+            report = certify_sharpness(f)
+        elif args.mode == "global":
+            report = certify_global(spec.numerator, spec.denominator, spec.domain, k_max)
+        elif args.mode == "local":
+            report = certify_local(spec.numerator, spec.denominator, spec.domain,
+                                   n_max, shrink)
+        else:
+            report = certify_negative(spec.numerator, spec.denominator, spec.domain,
+                                      via=args.via, k_max=k_max, n_max=n_max,
+                                      shrink=shrink)
+    except DegreeTooLow as exc:
+        # The only degree set here is k_max, from --kmax or the spec file.
+        raise UsageError(str(exc)) from exc
     apriori = _apriori_info(spec)
     if apriori is not None:
         report = CertificateReport(

@@ -4,10 +4,15 @@ A multi-index ``alpha = (alpha_0, ..., alpha_n)`` addresses one Bernstein
 coefficient of degree ``k = |alpha|`` over an ``n``-simplex.  The truncation
 dropping the 0th entry, written ``alpha_hat``, addresses power-basis
 exponents.  Everything here is exact integer arithmetic.
+
+The index-move tables for degree elevation and edge splitting live here too,
+next to the index order they encode; they are built once per degree and
+dimension and stored as flat integer arrays.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence, Tuple
@@ -110,7 +115,7 @@ class IndexSet:
             for hat in _hat_indices(grade, dimension):
                 indices.append(MultiIndex((degree - grade,) + hat))
         self.indices = tuple(indices)
-        self._positions = {tuple(ix): pos for pos, ix in enumerate(indices)}
+        self._positions = {ix: pos for pos, ix in enumerate(self.indices)}
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -140,3 +145,45 @@ class IndexSet:
 def enumerate_indices(degree: int, dimension: int) -> IndexSet:
     """The canonical IndexSet of all |alpha| = degree indices (cached)."""
     return IndexSet(degree, dimension)
+
+
+@lru_cache(maxsize=None)
+def elevation_moves(degree: int, dimension: int) -> Tuple[Tuple[array, array], ...]:
+    """Gather table for elevating a degree-``degree`` coefficient list by one.
+
+    One (weights, sources) pair of flat arrays per slot i = 0..n, each
+    indexed by position in the degree + 1 index set: for beta with
+    beta_i > 0 the weight is beta_i and the source is the position of
+    beta - e_i at ``degree``, otherwise both are 0.  The elevated coefficient
+    at beta is sum_i weights_i[beta] * c[sources_i[beta]] / (degree + 1).
+    """
+    source = enumerate_indices(degree, dimension)
+    target = enumerate_indices(degree + 1, dimension)
+    moves = []
+    for i in range(dimension + 1):
+        weights = array("I", [0]) * len(target)
+        sources = array("I", [0]) * len(target)
+        for pos, beta in enumerate(target):
+            if beta[i]:
+                lowered = list(beta)
+                lowered[i] -= 1
+                weights[pos] = beta[i]
+                sources[pos] = source.position(lowered)
+        moves.append((weights, sources))
+    return tuple(moves)
+
+
+@lru_cache(maxsize=None)
+def edge_lines(degree: int, dimension: int, i: int, j: int) -> Tuple[array, ...]:
+    """The index set cut into lines along the edge direction (i, j).
+
+    A line holds the positions of the indices that agree everywhere except
+    in alpha_i and alpha_j, ordered by alpha_j = 0, 1, ..., alpha_i + alpha_j.
+    Univariate de Casteljau along each line splits the patch at the midpoint
+    of edge (v_i, v_j).
+    """
+    lines = {}
+    for pos, alpha in enumerate(enumerate_indices(degree, dimension)):
+        rest = alpha[:i] + alpha[i + 1:j] + alpha[j + 1:]
+        lines.setdefault(rest, []).append((alpha[j], pos))
+    return tuple(array("I", (pos for _, pos in sorted(line))) for line in lines.values())

@@ -7,33 +7,35 @@ elevation tightens the enclosure monotonically; edge splitting propagates
 coefficients to subsimplices without reconversion.
 
 Coefficients are exact rationals throughout: positivity verdicts downstream
-hinge on coefficient signs, so no floating arithmetic enters here.
+hinge on coefficient signs, so no floating arithmetic enters here.  A patch
+stores them as integer numerators ``nums`` over one shared positive integer
+denominator ``scale``, so elevation and edge splitting are integer
+multiply-adds with no gcd per operation; ``coeffs`` is the exact
+``Fraction`` view, built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, Mapping, Sequence, Tuple
+from math import lcm
+from operator import add, mul
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow
 from .geometry import Simplex, affine_pullback, barycentric, bisect_edge, standard_simplex
-from .indexing import IndexSet, binom_graded, binom_multi, enumerate_indices
+from .indexing import (
+    IndexSet,
+    binom_graded,
+    binom_multi,
+    edge_lines,
+    elevation_moves,
+    enumerate_indices,
+)
 from .powerpoly import PowerPoly
 from .rationals import Interval, Rational, format_rational, parse_rational
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
-
-
-def _multinomial(k: int, alpha: Sequence[int]) -> int:
-    """k! / (alpha_0! ... alpha_n!) for |alpha| = k, exactly."""
-    result = 1
-    remaining = k
-    for a in alpha:
-        result *= comb(remaining, a)
-        remaining -= a
-    return result
 
 
 @dataclass(frozen=True)
@@ -52,23 +54,64 @@ class SecondDifferences:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
 class BernsteinPatch:
-    """Bernstein coefficients of one polynomial of one degree over a simplex."""
+    """Bernstein coefficients of one polynomial of one degree over a simplex.
 
-    simplex: Simplex
-    degree: int
-    coeffs: Tuple[Fraction, ...]
+    The coefficient at position p is ``nums[p] / scale`` with ``scale > 0``.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(parse_rational(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        expected = len(self.index_set)
-        if len(coeffs) != expected:
+    __slots__ = ("simplex", "degree", "nums", "scale", "_coeffs")
+
+    def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
+        values = tuple(parse_rational(c) for c in coeffs)
+        expected = len(enumerate_indices(degree, simplex.dimension))
+        if len(values) != expected:
             raise ValueError(
-                f"degree-{self.degree} patch over a {self.dimension}-simplex "
-                f"needs {expected} coefficients, got {len(coeffs)}"
+                f"degree-{degree} patch over a {simplex.dimension}-simplex "
+                f"needs {expected} coefficients, got {len(values)}"
             )
+        scale = lcm(*(v.denominator for v in values))
+        self.simplex = simplex
+        self.degree = degree
+        self.nums = tuple(v.numerator * (scale // v.denominator) for v in values)
+        self.scale = scale
+        self._coeffs = values
+
+    @classmethod
+    def _from_ints(cls, simplex: Simplex, degree: int, nums: Tuple[int, ...],
+                   scale: int) -> "BernsteinPatch":
+        """A patch straight from numerators over a positive scale, unchecked."""
+        patch = cls.__new__(cls)
+        patch.simplex = simplex
+        patch.degree = degree
+        patch.nums = nums
+        patch.scale = scale
+        patch._coeffs = None
+        return patch
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The exact coefficients, in canonical index order."""
+        if self._coeffs is None:
+            scale = self.scale
+            self._coeffs = tuple(Fraction(a, scale) for a in self.nums)
+        return self._coeffs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BernsteinPatch):
+            return NotImplemented
+        s, t = self.scale, other.scale
+        return (
+            self.simplex == other.simplex
+            and self.degree == other.degree
+            and all(a * t == b * s for a, b in zip(self.nums, other.nums))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.simplex, self.degree, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"BernsteinPatch({self.simplex!r}, {self.degree!r}, {self.coeffs!r})"
 
     @property
     def dimension(self) -> int:
@@ -98,29 +141,27 @@ class BernsteinPatch:
         lam = barycentric(self.simplex, point)
         k = self.degree
         total = Fraction(0)
-        for alpha, coeff in zip(self.index_set, self.coeffs):
-            if not coeff:
+        for alpha, num in zip(self.index_set, self.nums):
+            if not num:
                 continue
-            weight = Fraction(_multinomial(k, alpha))
+            weight = Fraction(binom_graded(k, alpha[1:]))
             for l_i, a_i in zip(lam, alpha):
                 if a_i:
                     weight *= l_i ** a_i
-            total += coeff * weight
-        return total
+            total += num * weight
+        return total / self.scale
 
     def elevate(self) -> "BernsteinPatch":
         """Same polynomial one degree higher; the enclosure never widens."""
-        k, n = self.degree, self.dimension
-        src = self.index_set
-        out = []
-        for beta in enumerate_indices(k + 1, n):
-            total = Fraction(0)
-            for i, bi in enumerate(beta):
-                if bi:
-                    lowered = beta[:i] + (bi - 1,) + beta[i + 1:]
-                    total += bi * self.coeffs[src.position(lowered)]
-            out.append(total / (k + 1))
-        return BernsteinPatch(self.simplex, k + 1, tuple(out))
+        k = self.degree
+        fetch = self.nums.__getitem__
+        terms = [list(map(mul, weights, map(fetch, sources)))
+                 for weights, sources in elevation_moves(k, self.dimension)]
+        nums = terms[0]
+        for column in terms[1:]:
+            nums = list(map(add, nums, column))
+        return BernsteinPatch._from_ints(self.simplex, k + 1, tuple(nums),
+                                         self.scale * (k + 1))
 
     def second_differences(self) -> SecondDifferences:
         """All entries b[g+e_i+e_{j-1}] + b[g+e_{i-1}+e_j] - b[g+e_{i-1}+e_{j-1}]
@@ -154,36 +195,40 @@ class BernsteinPatch:
                         sup = abs(value)
         return SecondDifferences(tuple(items), sup)
 
-    def split_edge(self, i: int, j: int) -> Tuple["BernsteinPatch", "BernsteinPatch"]:
+    def split_edge(
+        self,
+        i: int,
+        j: int,
+        children: Optional[Tuple[Simplex, Simplex]] = None,
+    ) -> Tuple["BernsteinPatch", "BernsteinPatch"]:
         """Coefficient patches over the two midpoint children of edge (i, j).
 
         Univariate midpoint de Casteljau applied along the (i, j) barycentric
         direction; exactly equal to reconverting the polynomial on each child.
         Children are ordered as in ``bisect_edge``: the first keeps vertex v_i.
+        ``children`` passes that bisection in when the caller already has it.
+
+        The de Casteljau rows are pairwise sums instead of midpoints: level s
+        of a line carries a factor 2^s, which a left shift by k - s lifts to
+        the common factor 2^k of the children's scale.
         """
-        child_i, child_j = bisect_edge(self.simplex, i, j)
-        pos = self.index_set.position
-        left = []
-        right = []
-        for alpha in self.index_set:
-            ai, aj = alpha[i], alpha[j]
-            acc = Fraction(0)
-            for t in range(aj + 1):
-                moved = list(alpha)
-                moved[i] += t
-                moved[j] -= t
-                acc += comb(aj, t) * self.coeffs[pos(moved)]
-            left.append(acc / 2 ** aj)
-            acc = Fraction(0)
-            for u in range(ai + 1):
-                moved = list(alpha)
-                moved[i] -= u
-                moved[j] += u
-                acc += comb(ai, u) * self.coeffs[pos(moved)]
-            right.append(acc / 2 ** ai)
+        if children is None:
+            children = bisect_edge(self.simplex, i, j)
+        k = self.degree
+        nums = self.nums
+        left = [0] * len(nums)
+        right = [0] * len(nums)
+        for line in edge_lines(k, self.dimension, i, j):
+            row = [nums[p] for p in line]
+            top = len(row) - 1
+            for level in range(top + 1):
+                left[line[level]] = row[0] << (k - level)
+                right[line[top - level]] = row[-1] << (k - level)
+                row = list(map(add, row, row[1:]))
+        scale = self.scale << k
         return (
-            BernsteinPatch(child_i, self.degree, tuple(left)),
-            BernsteinPatch(child_j, self.degree, tuple(right)),
+            BernsteinPatch._from_ints(children[0], k, tuple(left), scale),
+            BernsteinPatch._from_ints(children[1], k, tuple(right), scale),
         )
 
     def to_json(self) -> dict:
@@ -230,7 +275,9 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     base = to_bernstein_standard(pulled, degree)
     if simplex == base.simplex:
         return base
-    return BernsteinPatch(simplex, degree, base.coeffs)
+    patch = BernsteinPatch._from_ints(simplex, degree, base.nums, base.scale)
+    patch._coeffs = base._coeffs
+    return patch
 
 
 def discretization_bound(patch: BernsteinPatch, degree: int) -> Fraction:

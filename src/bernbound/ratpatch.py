@@ -2,16 +2,20 @@
 and the convergence constants driving degree and subdivision bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
-same degree over the same simplex and stores the per-index ratios.  All
-denominator coefficients must be strictly positive; that is the standing
-assumption of the method, and its failure is reported as such rather than as
-a claim about the function's sign.
+same degree over the same simplex.  All denominator coefficients must be
+strictly positive; that is the standing assumption of the method, and its
+failure is reported as such rather than as a claim about the function's sign.
+
+Both patches hold integer numerators over a positive shared scale each (see
+``polypatch``), so a ratio's sign is its numerator coefficient's sign.  The
+per-index ratios are an exact ``Fraction`` view, built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -19,7 +23,7 @@ from .errors import (
     DenominatorNotPositive,
     SimplexMismatch,
 )
-from .geometry import Simplex, affine_pullback, longest_edge
+from .geometry import Simplex, affine_pullback, bisect_edge, longest_edge
 from .polypatch import BernsteinPatch, to_bernstein, to_bernstein_standard
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
@@ -36,11 +40,10 @@ class Sharpness(NamedTuple):
 
 @dataclass(frozen=True)
 class RationalPatch:
-    """Paired numerator/denominator patches plus per-index ratios."""
+    """Paired numerator/denominator patches; ``ratios`` is built on demand."""
 
     num: BernsteinPatch
     den: BernsteinPatch
-    ratios: Tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         if self.num.simplex != self.den.simplex:
@@ -50,19 +53,24 @@ class RationalPatch:
                 f"numerator degree {self.num.degree} != denominator degree "
                 f"{self.den.degree}; elevate the lower-degree patch first"
             )
-        offenders = [
-            tuple(alpha)
-            for alpha, c in zip(self.den.index_set, self.den.coeffs)
-            if c <= 0
-        ]
-        if offenders:
+        if min(self.den.nums) <= 0:
+            offenders = [
+                tuple(alpha)
+                for alpha, c in zip(self.den.index_set, self.den.nums)
+                if c <= 0
+            ]
             raise DenominatorNotPositive(
                 f"denominator patch has non-positive coefficients at {offenders}",
                 indices=offenders,
                 simplex=self.den.simplex,
             )
-        ratios = tuple(p / q for p, q in zip(self.num.coeffs, self.den.coeffs))
-        object.__setattr__(self, "ratios", ratios)
+
+    @cached_property
+    def ratios(self) -> Tuple[Fraction, ...]:
+        """Per-index ratios num/den, exactly, in canonical index order."""
+        t, s = self.den.scale, self.num.scale
+        return tuple([Fraction(a * t, b * s)
+                      for a, b in zip(self.num.nums, self.den.nums)])
 
     @property
     def degree(self) -> int:
@@ -103,8 +111,10 @@ class RationalPatch:
                          min_vertex, max_vertex)
 
     def split_edge(self, i: int, j: int) -> Tuple["RationalPatch", "RationalPatch"]:
-        num_i, num_j = self.num.split_edge(i, j)
-        den_i, den_j = self.den.split_edge(i, j)
+        """Both patches split at the midpoint of edge (i, j), bisecting once."""
+        children = bisect_edge(self.simplex, i, j)
+        num_i, num_j = self.num.split_edge(i, j, children)
+        den_i, den_j = self.den.split_edge(i, j, children)
         return RationalPatch(num_i, den_i), RationalPatch(num_j, den_j)
 
     def split_round(self) -> List["RationalPatch"]:
@@ -141,11 +151,6 @@ class RationalPatch:
         }
 
 
-def make_rational(num: BernsteinPatch, den: BernsteinPatch) -> RationalPatch:
-    """Pair two same-degree, same-simplex patches into a rational patch."""
-    return RationalPatch(num, den)
-
-
 def rational_patch(
     pnum: PowerPoly,
     pden: PowerPoly,
@@ -163,7 +168,7 @@ def rational_patch(
         )
     base = max(pnum.degree, pden.degree)
     k = base if degree is None else degree
-    return make_rational(
+    return RationalPatch(
         to_bernstein(pnum, k, simplex),
         to_bernstein(pden, k, simplex),
     )
@@ -207,7 +212,7 @@ def convergence_constants(
     working = base if degree is None else degree
     num_patch = to_bernstein_standard(p_std, base)
     den_patch = to_bernstein_standard(q_std, base)
-    f_patch = make_rational(num_patch, den_patch)
+    f_patch = RationalPatch(num_patch, den_patch)
     min_den = min(den_patch.coeffs)
     lo, hi = f_patch.enclosure()
     zeta = max(abs(lo), abs(hi))

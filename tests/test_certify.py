@@ -12,6 +12,7 @@ from bernbound import (
     ClaimedMinimum,
     ConvergenceConstants,
     PowerPoly,
+    RationalPatch,
     Simplex,
     Verdict,
     apriori_degree_combined,
@@ -24,7 +25,6 @@ from bernbound import (
     certify_negative,
     certify_sharpness,
     convergence_constants,
-    make_rational,
     minimize,
     rational_patch,
     to_bernstein_standard,
@@ -45,7 +45,7 @@ def _ratio_patch(coeffs, simplex=UNIT):
     degree = len(coeffs) - 1
     num = BernsteinPatch(simplex, degree, tuple(F(c) for c in coeffs))
     den = BernsteinPatch(simplex, degree, tuple(F(1) for _ in coeffs))
-    return make_rational(num, den)
+    return RationalPatch(num, den)
 
 
 class TestCertPredicate:

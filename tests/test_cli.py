@@ -217,6 +217,28 @@ class TestUsageAndErrors:
     def test_bad_threads(self, dip_spec):
         assert main(["bounds", dip_spec, "--threads", "0"]) == 64
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("degree", "two", "invalid literal for int()"),
+        ("degree", 2.5, "not an integer"),
+        ("k_max", "3/2", "invalid literal for int()"),
+        ("n_max", "ten", "invalid literal for int()"),
+    ])
+    def test_non_integer_spec_field(self, tmp_path, capsys, field, value, message):
+        spec = _write(tmp_path, "field.json", {**DIP_SPEC, field: value})
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert f"spec field '{field}'" in err
+        assert message in err
+
+    def test_degree_below_polynomial_degree(self, dip_spec, capsys):
+        assert main(["bounds", dip_spec, "--degree", "1"]) == 64
+        assert "Bernstein degree 1 below polynomial degree 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["global", "negative"])
+    def test_kmax_below_function_degree(self, dip_spec, capsys, mode):
+        assert main(["certify", dip_spec, "--mode", mode, "--kmax", "1"]) == 64
+        assert "k_max 1 below the function degree 2" in capsys.readouterr().err
+
     def test_denominator_not_positive_is_internal(self, tmp_path, capsys):
         spec = _write(tmp_path, "badden.json", {
             "numerator": {"dimension": 1, "terms": [{"exponents": [0], "coeff": "1"}]},

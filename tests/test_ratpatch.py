@@ -9,9 +9,9 @@ import pytest
 from bernbound import (
     BernsteinPatch,
     PowerPoly,
+    RationalPatch,
     Simplex,
     convergence_constants,
-    make_rational,
     rational_patch,
     split_round,
     to_bernstein_standard,
@@ -41,7 +41,7 @@ class TestMakeRational:
 
     def test_identical_patches_give_ones(self):
         patch = to_bernstein_standard(PowerPoly.univariate([1, 1, 1]), 2)
-        f = make_rational(patch, patch)
+        f = RationalPatch(patch, patch)
         assert all(r == 1 for r in f.ratios)
 
     def test_ratio_identity(self):
@@ -55,19 +55,19 @@ class TestMakeRational:
         num = _patch(unit, 1, (1, 1))
         den = _patch(unit, 1, (1, 0))
         with pytest.raises(DenominatorNotPositive) as info:
-            make_rational(num, den)
+            RationalPatch(num, den)
         assert info.value.indices == ((0, 1),)
 
     def test_degree_mismatch(self):
         unit = Simplex.from_interval(0, 1)
         with pytest.raises(DegreeMismatch):
-            make_rational(_patch(unit, 1, (1, 1)), _patch(unit, 2, (1, 1, 1)))
+            RationalPatch(_patch(unit, 1, (1, 1)), _patch(unit, 2, (1, 1, 1)))
 
     def test_simplex_mismatch(self):
         a = Simplex.from_interval(0, 1)
         b = Simplex.from_interval(0, 2)
         with pytest.raises(SimplexMismatch):
-            make_rational(_patch(a, 1, (1, 1)), _patch(b, 1, (1, 1)))
+            RationalPatch(_patch(a, 1, (1, 1)), _patch(b, 1, (1, 1)))
 
 
 class TestEnclosure:
