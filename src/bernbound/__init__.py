@@ -25,7 +25,6 @@ from .indexing import IndexSet, MultiIndex, binom_graded, binom_multi, enumerate
 from .powerpoly import PowerPoly
 from .geometry import (
     Simplex,
-    SubdivisionPlan,
     affine_pullback,
     barycentric,
     bisect_edge,
@@ -33,7 +32,6 @@ from .geometry import (
     grid_point,
     longest_edge,
     round_length,
-    split_round,
     standard_simplex,
 )
 from .polypatch import (

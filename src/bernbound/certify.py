@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import DegreeTooLow, NonPositiveClaim
-from .geometry import Simplex, diameter_sq
+from .geometry import Simplex
 from .polypatch import BernsteinPatch
 from .powerpoly import PowerPoly
 from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch
@@ -223,20 +223,6 @@ def certify_global(
         k += 1
 
 
-def _refine_to(leaf: RationalPatch, threshold_sq: Fraction) -> Sequence[RationalPatch]:
-    """At least one shrink round, then more until diameter^2 <= threshold."""
-    pieces = leaf.split_round()
-    while any(diameter_sq(p.simplex) > threshold_sq for p in pieces):
-        refined = []
-        for piece in pieces:
-            if diameter_sq(piece.simplex) > threshold_sq:
-                refined.extend(piece.split_round())
-            else:
-                refined.append(piece)
-        pieces = refined
-    return pieces
-
-
 def certify_local(
     pnum: PowerPoly,
     pden: PowerPoly,
@@ -281,7 +267,7 @@ def certify_local(
         threshold_sq = shrink ** (2 * depth)
         next_pending = []
         for leaf in pending:
-            for piece in _refine_to(leaf, threshold_sq):
+            for piece in leaf.refine(threshold_sq):
                 refute = _refuting_vertex(piece)
                 if refute is not None:
                     log.append(LeafRecord(depth, piece.simplex, piece.ratios, False))
@@ -334,15 +320,26 @@ def certify_negative(
     )
 
 
+def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:
+    """D1 = omega / fmin + 1."""
+    return constants.omega / fmin.value + 1
+
+
+def apriori_d2(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> Fraction:
+    """D2 = l(l-1)/2 * max|b| / pmin over the numerator's own-degree patch."""
+    degree = num_patch.degree
+    peak = max(abs(c) for c in num_patch.coeffs)
+    return Fraction(degree * (degree - 1), 2) * peak / pmin.value
+
+
 def apriori_degree_omega(
     constants: ConvergenceConstants,
     fmin: ClaimedMinimum,
 ) -> int:
-    """Smallest degree strictly above omega / fmin + 1 (and at least the
-    function degree); sufficient for the global certificate when fmin truly
-    bounds the function from below."""
-    bound = constants.omega / fmin.value + 1
-    return max(constants.base_degree, floor(bound) + 1)
+    """Smallest degree strictly above D1 (and at least the function degree);
+    sufficient for the global certificate when fmin truly bounds the
+    function from below."""
+    return max(constants.base_degree, floor(apriori_d1(constants, fmin)) + 1)
 
 
 def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
@@ -350,15 +347,13 @@ def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
 
     Takes the numerator's own-degree patch over the standard simplex and a
     positive lower bound for the numerator; returns the smallest admissible
-    degree above l(l-1)/2 * max|coefficient| / pmin.  For degree <= 1 the
-    bound is vacuous and the function degree itself suffices.
+    degree above D2.  For degree <= 1 the bound is vacuous and the function
+    degree itself suffices.
     """
     degree = num_patch.degree
     if degree <= 1:
         return degree
-    peak = max(abs(c) for c in num_patch.coeffs)
-    bound = Fraction(degree * (degree - 1), 2) * peak / pmin.value
-    return max(degree, floor(bound) + 1)
+    return max(degree, floor(apriori_d2(num_patch, pmin)) + 1)
 
 
 @dataclass(frozen=True)
@@ -376,12 +371,9 @@ def apriori_degree_combined(
     num_patch: BernsteinPatch,
     pmin: ClaimedMinimum,
 ) -> CombinedDegrees:
-    """D1 = omega/fmin + 1, D2 = l(l-1)/2 * max|b|/pmin, and the smallest
-    integer degree strictly above max(D1, D2)."""
-    d1 = constants.omega / fmin.value + 1
-    degree = num_patch.degree
-    peak = max(abs(c) for c in num_patch.coeffs)
-    d2 = Fraction(degree * (degree - 1), 2) * peak / pmin.value
+    """D1, D2 and the smallest integer degree strictly above max(D1, D2)."""
+    d1 = apriori_d1(constants, fmin)
+    d2 = apriori_d2(num_patch, pmin)
     return CombinedDegrees(d1, d2, floor(max(d1, d2)) + 1)
 
 

@@ -24,8 +24,9 @@ from .certify import (
     ClaimedMinimum,
     Mode,
     Verdict,
+    apriori_d1,
+    apriori_d2,
     apriori_degree_omega,
-    apriori_degree_pr,
     apriori_depth,
     certify_global,
     certify_local,
@@ -35,7 +36,7 @@ from .certify import (
 from .errors import BernboundError, BudgetExhausted, DegreeTooLow
 from .geometry import Simplex
 from .optimize import minimize
-from .polypatch import to_bernstein_standard
+from .polypatch import to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import convergence_constants, rational_patch
 from .rationals import float_str, format_rational, parse_rational
@@ -64,8 +65,8 @@ class ProblemSpec:
     denominator: PowerPoly
     domain: Simplex
     degree: Optional[int] = None
-    k_max: Optional[int] = None
-    n_max: Optional[int] = None
+    k_max: int = 30
+    n_max: int = 10
     eps: Optional[Fraction] = None
     shrink: Fraction = Fraction(1, 2)
     claimed_min: Optional[Fraction] = None
@@ -178,8 +179,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("spec", help="problem file path, or - for stdin")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (results are deterministic regardless)")
 
     p_bounds = sub.add_parser("bounds", help="coefficients, enclosure, sharpness, constants")
     common(p_bounds)
@@ -193,14 +192,13 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--nmax", type=int, help="depth budget for local mode")
     p_cert.add_argument("--via", choices=["sharpness", "global", "local"], default="global",
                         help="underlying mode for --mode negative")
-    p_cert.add_argument("--shrink", help="shrink factor per round (default 1/2)")
+    p_cert.add_argument("--shrink", help="diameter factor per local-mode depth (default 1/2)")
 
     p_min = sub.add_parser("minimize", help="bracket the minimum within a gap")
     common(p_min)
     p_min.add_argument("--eps", help="target gap (exact rational, e.g. 1/1000)")
     p_min.add_argument("--budget", type=int, help="subdivision round budget")
     p_min.add_argument("--strategy", choices=["best-first", "uniform"], default="best-first")
-    p_min.add_argument("--shrink", help="shrink factor per round (default 1/2)")
     return parser
 
 
@@ -211,13 +209,16 @@ def _format_interval(interval) -> str:
 
 
 def cmd_bounds(spec: ProblemSpec, args) -> int:
+    base = rational_patch(spec.numerator, spec.denominator, spec.domain)
     degree = args.degree if args.degree is not None else spec.degree
-    try:
-        f = rational_patch(spec.numerator, spec.denominator, spec.domain, degree)
-    except DegreeTooLow as exc:
-        raise UsageError(str(exc)) from exc
-    constants = convergence_constants(spec.numerator, spec.denominator,
-                                      spec.domain, f.degree)
+    if degree is not None and degree < base.degree:
+        raise UsageError(
+            f"Bernstein degree {degree} below polynomial degree {base.degree}"
+        )
+    f = base
+    while degree is not None and f.degree < degree:
+        f = f.elevate()
+    constants = convergence_constants(base, f.degree)
     sharp = f.sharpness()
     if args.json:
         report = {
@@ -258,27 +259,22 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     return EXIT_CERTIFIED
 
 
-def _apriori_info(spec: ProblemSpec) -> Optional[AprioriInfo]:
+def _apriori_info(spec: ProblemSpec, shrink: Fraction) -> Optional[AprioriInfo]:
     """A-priori bounds when the spec carries validated claims."""
     if spec.claimed_min is None:
         return None
     fmin = ClaimedMinimum(spec.claimed_min)
-    constants = convergence_constants(spec.numerator, spec.denominator, spec.domain)
-    degree_bound = apriori_degree_omega(constants, fmin)
-    depth_bound = apriori_depth(constants, fmin, spec.shrink)
+    root = rational_patch(spec.numerator, spec.denominator, spec.domain)
+    constants = convergence_constants(root)
     d2 = None
     if spec.claimed_numerator_min is not None:
-        from .geometry import affine_pullback
-
-        pulled = affine_pullback(spec.domain, spec.numerator)
-        patch = to_bernstein_standard(pulled, pulled.degree)
-        pr = apriori_degree_pr(patch, ClaimedMinimum(spec.claimed_numerator_min))
-        d2 = Fraction(pr)
+        num_patch = to_bernstein(spec.numerator, spec.numerator.degree, spec.domain)
+        d2 = apriori_d2(num_patch, ClaimedMinimum(spec.claimed_numerator_min))
     return AprioriInfo(
-        d1=constants.omega / fmin.value + 1,
+        d1=apriori_d1(constants, fmin),
         d2=d2,
-        degree_bound=degree_bound,
-        depth_bound=depth_bound,
+        degree_bound=apriori_degree_omega(constants, fmin),
+        depth_bound=apriori_depth(constants, fmin, shrink),
     )
 
 
@@ -326,8 +322,10 @@ def _parse_shrink(args, spec: ProblemSpec) -> Fraction:
 
 
 def cmd_certify(spec: ProblemSpec, args) -> int:
-    k_max = args.kmax if args.kmax is not None else (spec.k_max or 30)
-    n_max = args.nmax if args.nmax is not None else (spec.n_max or 10)
+    k_max = args.kmax if args.kmax is not None else spec.k_max
+    n_max = args.nmax if args.nmax is not None else spec.n_max
+    if n_max < 0:
+        raise UsageError(f"n_max must be nonnegative, got {n_max}")
     shrink = _parse_shrink(args, spec)
     try:
         if args.mode == "sharpness":
@@ -345,7 +343,7 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     except DegreeTooLow as exc:
         # The only degree set here is k_max, from --kmax or the spec file.
         raise UsageError(str(exc)) from exc
-    apriori = _apriori_info(spec)
+    apriori = _apriori_info(spec, shrink)
     if apriori is not None:
         report = CertificateReport(
             report.verdict, report.mode, report.degree_used, report.depth_used,
@@ -364,11 +362,12 @@ def cmd_minimize(spec: ProblemSpec, args) -> int:
         raise UsageError("minimize needs --eps (or an 'eps' spec field)")
     if eps <= 0:
         raise UsageError(f"--eps must be positive, got {format_rational(eps)}")
-    shrink = _parse_shrink(args, spec)
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     exhausted = False
     try:
         result = minimize(spec.numerator, spec.denominator, spec.domain, eps,
-                          budget=args.budget, mode=args.strategy, shrink=shrink)
+                          budget=args.budget, mode=args.strategy)
     except BudgetExhausted as exc:
         result = exc.partial
         exhausted = True
@@ -392,8 +391,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UsageError("--threads must be at least 1")
         spec = load_problem(args.spec)
         if args.command == "bounds":
             return cmd_bounds(spec, args)

@@ -1,6 +1,6 @@
 """Simplices with exact rational vertices: barycentric coordinates, grid
-points, diameters, affine pullback to the standard simplex, and binary
-edge-splitting subdivision.
+points, diameters, affine pullback to the standard simplex, and edge
+bisection.
 
 All geometry is kept in exact rationals.  The only irrational quantity, the
 diameter, is never materialized: comparisons go through ``diameter_sq``.
@@ -42,7 +42,7 @@ class Simplex:
                 f"{n + 1} vertices must each have {n} coordinates"
             )
         object.__setattr__(self, "vertices", pts)
-        if _rank(self.edge_vectors()) != n:
+        if not _gauss_jordan(self.edge_vectors()):
             raise DegenerateSimplex(f"vertices are affinely dependent: {pts}")
 
     @property
@@ -90,46 +90,23 @@ def standard_simplex(n: int) -> Simplex:
     return Simplex(vertices)
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination (rows are consumed)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
-
-
-def _solve(matrix: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
-    """Solve a square exact system; raises DegenerateSimplex if singular."""
-    size = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+def _gauss_jordan(rows: List[List[Fraction]]) -> bool:
+    """Exact Gauss-Jordan elimination in place on the square left block of
+    ``rows`` (columns beyond it ride along); False if that block is singular.
+    """
+    size = len(rows)
     for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
-            raise DegenerateSimplex("singular barycentric system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
         for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return True
 
 
 def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, ...]:
@@ -138,11 +115,12 @@ def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, 
     x = _as_point(point)
     if len(x) != n:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {n}")
-    matrix = [[Fraction(1)] * (n + 1)]
+    rows = [[Fraction(1)] * (n + 1) + [Fraction(1)]]
     for c in range(n):
-        matrix.append([v[c] for v in simplex.vertices])
-    rhs = [Fraction(1)] + list(x)
-    return tuple(_solve(matrix, rhs))
+        rows.append([v[c] for v in simplex.vertices] + [x[c]])
+    if not _gauss_jordan(rows):
+        raise DegenerateSimplex("singular barycentric system")
+    return tuple(row[-1] for row in rows)
 
 
 def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
@@ -164,30 +142,28 @@ def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
     return tuple(coords)
 
 
-def diameter_sq(simplex: Simplex) -> Fraction:
-    """Max squared Euclidean distance over vertex pairs, exactly."""
-    best = Fraction(0)
+def _longest(simplex: Simplex) -> Tuple[Fraction, int, int]:
+    """Squared length and (i, j) of the longest edge; lowest (i, j) breaks
+    ties."""
     verts = simplex.vertices
+    best = (Fraction(-1), 0, 0)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             d = sum((a - b) ** 2 for a, b in zip(verts[i], verts[j]))
-            if d > best:
-                best = d
+            if d > best[0]:
+                best = (d, i, j)
     return best
+
+
+def diameter_sq(simplex: Simplex) -> Fraction:
+    """Max squared Euclidean distance over vertex pairs, exactly."""
+    return _longest(simplex)[0]
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
     """The (i, j) pair of the longest edge; lowest (i, j) breaks ties."""
-    verts = simplex.vertices
-    best = None
-    best_len = Fraction(-1)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            d = sum((a - b) ** 2 for a, b in zip(verts[i], verts[j]))
-            if d > best_len:
-                best_len = d
-                best = (i, j)
-    return best
+    _, i, j = _longest(simplex)
+    return i, j
 
 
 def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
@@ -232,52 +208,3 @@ def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
 def round_length(n: int) -> int:
     """Number of binary splits in one shrink round: n(n+1)/2."""
     return n * (n + 1) // 2
-
-
-def split_round(simplex: Simplex) -> List[Simplex]:
-    """One full shrink round of longest-edge bisection.
-
-    Applies n(n+1)/2 levels of longest-edge binary splitting exhaustively
-    breadth-first, then keeps splitting any child whose squared diameter
-    still exceeds a quarter of the parent's (a safety net; not observed for
-    the tested dimensions).  Every returned child has diameter at most half
-    the parent's.
-    """
-    n = simplex.dimension
-    pieces = [simplex]
-    for _ in range(round_length(n)):
-        pieces = [child for piece in pieces for child in bisect_edge(piece, *longest_edge(piece))]
-    target = diameter_sq(simplex) / 4
-    guard = 4 * round_length(n) + 4
-    while any(diameter_sq(p) > target for p in pieces):
-        guard -= 1
-        if guard < 0:
-            raise DegenerateSimplex("edge bisection failed to halve the diameter")
-        refined = []
-        for piece in pieces:
-            if diameter_sq(piece) > target:
-                refined.extend(bisect_edge(piece, *longest_edge(piece)))
-            else:
-                refined.append(piece)
-        pieces = refined
-    return pieces
-
-
-@dataclass(frozen=True)
-class SubdivisionPlan:
-    """Bookkeeping for a subdivision run: scheme, shrink factor, step count."""
-
-    scheme: str = "longest-edge-bisection"
-    shrink_factor: Fraction = Fraction(1, 2)
-    steps: int = 0
-    round_length: int = 1
-
-    def __post_init__(self):
-        if not (0 < self.shrink_factor < 1):
-            raise ValueError("shrink factor must lie strictly between 0 and 1")
-
-    @classmethod
-    def for_dimension(cls, n: int, steps: int = 0,
-                      shrink_factor: Fraction = Fraction(1, 2)) -> "SubdivisionPlan":
-        return cls(shrink_factor=shrink_factor, steps=steps,
-                   round_length=round_length(n))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .certify import ClaimedMinimum
+from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, NonPositiveEpsilon, NotPositive
 from .geometry import Simplex, grid_point
 from .powerpoly import PowerPoly
@@ -95,23 +95,16 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     return m, delta, witness
 
 
-def apriori_steps(
-    constants,
-    epsilon: Rational,
-    shrink: Rational = Fraction(1, 2),
-) -> int:
-    """Smallest round count N with shrink^(2N) * 2*omega_prime < epsilon."""
+def apriori_steps(constants, epsilon: Rational) -> int:
+    """Smallest round count N with (1/2)^(2N) * 2*omega_prime < epsilon.
+
+    Every round halves the diameter, so this is ``apriori_depth`` with the
+    gap target in place of the claimed minimum.
+    """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
-    shrink = parse_rational(shrink)
-    if not (0 < shrink < 1):
-        raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
-    factor = 2 * constants.omega_prime
-    steps = 0
-    while shrink ** (2 * steps) * factor >= epsilon:
-        steps += 1
-    return steps
+    return apriori_depth(constants, ClaimedMinimum(epsilon))
 
 
 def minimize(
@@ -121,7 +114,6 @@ def minimize(
     epsilon: Rational,
     budget: Optional[int] = None,
     mode: str = "best-first",
-    shrink: Rational = Fraction(1, 2),
 ) -> MinimizationResult:
     """Bracket the minimum of pnum/pden over a simplex within epsilon.
 
@@ -139,8 +131,7 @@ def minimize(
     if mode not in ("best-first", "uniform"):
         raise ValueError(f"unknown mode: {mode!r}")
     root = rational_patch(pnum, pden, simplex)
-    constants = convergence_constants(pnum, pden, simplex)
-    planned = apriori_steps(constants, epsilon, shrink)
+    planned = apriori_steps(convergence_constants(root), epsilon)
     if mode == "uniform":
         return _minimize_uniform(root, epsilon, budget, planned)
     return _minimize_best_first(root, epsilon, budget, planned)

@@ -1,5 +1,6 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
-and the convergence constants driving degree and subdivision bounds.
+split rounds, and the convergence constants driving degree and subdivision
+bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -19,12 +20,13 @@ from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
+    DegenerateSimplex,
     DegreeMismatch,
     DenominatorNotPositive,
     SimplexMismatch,
 )
-from .geometry import Simplex, affine_pullback, bisect_edge, longest_edge
-from .polypatch import BernsteinPatch, to_bernstein, to_bernstein_standard
+from .geometry import Simplex, bisect_edge, diameter_sq, longest_edge, round_length
+from .polypatch import BernsteinPatch, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
 
@@ -118,29 +120,34 @@ class RationalPatch:
         return RationalPatch(num_i, den_i), RationalPatch(num_j, den_j)
 
     def split_round(self) -> List["RationalPatch"]:
-        """One shrink round of longest-edge bisection on the patch level.
+        """One shrink round of longest-edge bisection.
 
-        Mirrors ``geometry.split_round``: n(n+1)/2 exhaustive levels, then a
-        safety top-up until every child's diameter has halved.
+        Applies n(n+1)/2 levels of longest-edge splitting exhaustively
+        breadth-first, then keeps splitting any child whose squared diameter
+        still exceeds a quarter of the parent's (a safety net; not observed
+        for the tested dimensions).  Every returned child has diameter at
+        most half the parent's.
         """
-        from .geometry import diameter_sq, round_length
-
+        n = self.dimension
         pieces = [self]
-        for _ in range(round_length(self.dimension)):
-            pieces = [
-                child
-                for piece in pieces
-                for child in piece.split_edge(*longest_edge(piece.simplex))
-            ]
+        for _ in range(round_length(n)):
+            pieces = [child for piece in pieces for child in _bisect_longest(piece)]
         target = diameter_sq(self.simplex) / 4
-        while any(diameter_sq(p.simplex) > target for p in pieces):
-            refined = []
-            for piece in pieces:
-                if diameter_sq(piece.simplex) > target:
-                    refined.extend(piece.split_edge(*longest_edge(piece.simplex)))
-                else:
-                    refined.append(piece)
-            pieces = refined
+        guard = 4 * round_length(n) + 4
+        while (wider := _split_wide(pieces, target, _bisect_longest)) is not None:
+            guard -= 1
+            if guard < 0:
+                raise DegenerateSimplex("edge bisection failed to halve the diameter")
+            pieces = wider
+        return pieces
+
+    def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
+        """At least one shrink round, then more on every piece whose squared
+        diameter still exceeds ``threshold_sq``."""
+        pieces = self.split_round()
+        split = RationalPatch.split_round
+        while (wider := _split_wide(pieces, threshold_sq, split)) is not None:
+            pieces = wider
         return pieces
 
     def to_json(self) -> dict:
@@ -149,6 +156,20 @@ class RationalPatch:
             "den": self.den.to_json(),
             "ratios": [format_rational(r) for r in self.ratios],
         }
+
+
+def _bisect_longest(piece: RationalPatch) -> Tuple[RationalPatch, RationalPatch]:
+    return piece.split_edge(*longest_edge(piece.simplex))
+
+
+def _split_wide(pieces, threshold_sq, split) -> Optional[List[RationalPatch]]:
+    """Pieces in order, each one whose squared diameter exceeds threshold_sq
+    replaced by its ``split`` children; None when no piece exceeds it."""
+    wide = [diameter_sq(piece.simplex) > threshold_sq for piece in pieces]
+    if not any(wide):
+        return None
+    return [child for piece, w in zip(pieces, wide)
+            for child in (split(piece) if w else (piece,))]
 
 
 def rational_patch(
@@ -194,27 +215,23 @@ class ConvergenceConstants:
 
 
 def convergence_constants(
-    pnum: PowerPoly,
-    pden: PowerPoly,
-    simplex: Simplex,
+    f: RationalPatch,
     degree: Optional[int] = None,
 ) -> ConvergenceConstants:
-    """Compute zeta, omega and omega_prime for pnum/pden over a simplex.
+    """Compute zeta, omega and omega_prime from a base-degree rational patch.
 
-    All quantities are taken from the base-degree patches over the standard
-    simplex after affine pullback; ``degree`` is the working degree entering
-    omega_prime (defaults to the base degree, the fixed-degree setting).
+    ``f`` is the patch at the function's own degree (``rational_patch``'s
+    default); its coefficients are those of the affinely pulled-back
+    polynomials over the standard simplex.  ``degree`` is the working degree
+    entering omega_prime (defaults to the base degree, the fixed-degree
+    setting).
     """
-    n = pnum.dimension
-    p_std = affine_pullback(simplex, pnum)
-    q_std = affine_pullback(simplex, pden)
-    base = max(p_std.degree, q_std.degree)
+    n = f.dimension
+    base = f.degree
     working = base if degree is None else degree
-    num_patch = to_bernstein_standard(p_std, base)
-    den_patch = to_bernstein_standard(q_std, base)
-    f_patch = RationalPatch(num_patch, den_patch)
+    num_patch, den_patch = f.num, f.den
     min_den = min(den_patch.coeffs)
-    lo, hi = f_patch.enclosure()
+    lo, hi = f.enclosure()
     zeta = max(abs(lo), abs(hi))
     if base >= 2:
         norm_p = num_patch.second_differences().sup_norm

@@ -174,7 +174,7 @@ def test_06_linear_convergence_rate_bound():
     assert len(corpus) == 20
     violations = 0
     for case in corpus:
-        constants = convergence_constants(case.num, case.den, case.domain)
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         base = constants.base_degree
         for k in range(base + 1, base + 21):
             f = rational_patch(case.num, case.den, case.domain, k)
@@ -193,7 +193,7 @@ def test_07_quadratic_convergence_under_subdivision():
     start = time.perf_counter()
     violations = 0
     for case in pinned_corpus():
-        constants = convergence_constants(case.num, case.den, case.domain)
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         pieces = [rational_patch(case.num, case.den, case.domain)]
         for level in range(0, 9):
             if level > 0:
@@ -256,7 +256,7 @@ def test_10_minimization_gap_guarantee():
     corpus = pinned_corpus()
     sample_grid = [F(i, 400) for i in range(401)]
     for case in corpus:
-        constants = convergence_constants(case.num, case.den, case.domain)
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         for eps in (F(1, 10), F(1, 100), F(1, 1000)):
             rounds = apriori_steps(constants, eps)
             uniform = minimize(case.num, case.den, case.domain, eps,
@@ -286,7 +286,7 @@ def test_11_apriori_bounds_dominate_observed_work():
     assert len(corpus) == 20
     violations = 0
     for case in corpus:
-        constants = convergence_constants(case.num, case.den, case.domain)
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         # optimizer-validated claims for the function and its numerator
         claim = validated_lower_bound(
             minimize(case.num, case.den, case.domain, F(1, 100))

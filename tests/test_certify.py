@@ -250,7 +250,7 @@ class TestAprioriDegrees:
         num, den, domain = fn_dip()
         result = minimize(num, den, domain, F(1, 1000))
         claim = validated_lower_bound(result)
-        constants = convergence_constants(num, den, domain)
+        constants = convergence_constants(rational_patch(num, den, domain))
         bound = apriori_degree_omega(constants, claim)
         report = certify_global(num, den, domain, k_max=bound)
         assert report.verdict is Verdict.CERTIFIED
@@ -323,12 +323,24 @@ class TestAprioriDepth:
 
     def test_depth_bounds_observed_depth(self):
         for case in pinned_corpus()[:6]:
-            constants = convergence_constants(case.num, case.den, case.domain)
+            constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
             depth = apriori_depth(constants, ClaimedMinimum(case.fmin))
             report = certify_local(case.num, case.den, case.domain,
                                    n_max=max(depth, 1))
             assert report.verdict is Verdict.CERTIFIED
             assert report.depth_used <= max(depth, 0)
+
+    def test_quarter_shrink_bounds_observed_depth(self):
+        case = pinned_corpus()[3]
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
+        fmin = ClaimedMinimum(case.fmin)
+        depth = apriori_depth(constants, fmin, F(1, 4))
+        assert depth == 1 < apriori_depth(constants, fmin)
+        report = certify_local(case.num, case.den, case.domain, depth, F(1, 4))
+        assert report.verdict is Verdict.CERTIFIED
+        assert report.depth_used <= depth
+        # depth 1 at shrink 1/4 needs diameter <= 1/4: two halving rounds
+        assert report.leaves == 4
 
 
 class TestVerdictSoundness:

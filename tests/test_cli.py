@@ -137,6 +137,33 @@ class TestCertify:
         assert data["apriori"] is not None
         assert "degree_bound" in data["apriori"]
 
+    def test_apriori_depth_bound_uses_shrink_flag(self, tmp_path, capsys):
+        spec = _write(tmp_path, "claimed.json", {**DIP_SPEC, "claimed_min": "1/100"})
+        assert main(["certify", spec, "--mode", "local", "--shrink", "1/4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["apriori"]["depth_bound"] == 3
+        assert main(["certify", spec, "--mode", "local", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["apriori"]["depth_bound"] == 5
+
+    def test_apriori_reports_raw_d2(self, tmp_path, capsys):
+        # numerator coefficients over [-1, 1] are (13, -6, 3):
+        # D2 = 2*1/2 * 13 / (1/100) = 1300
+        spec = _write(tmp_path, "claimed.json", {
+            **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
+        assert main(["certify", spec, "--json"]) == 2
+        apriori = json.loads(capsys.readouterr().out)["apriori"]
+        assert apriori["D2"] == "1300"
+        assert apriori["D1"] == "418/3"
+
+    def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):
+        spec = _write(tmp_path, "n0.json", {**DIP_SPEC, "n_max": 0})
+        assert main(["certify", spec, "--mode", "local"]) == 2
+        assert "inconclusive at depth 0" in capsys.readouterr().out
+
+    def test_spec_k_max_zero_is_kept(self, tmp_path, capsys):
+        spec = _write(tmp_path, "k0.json", {**DIP_SPEC, "k_max": 0})
+        assert main(["certify", spec, "--mode", "global"]) == 64
+        assert "k_max 0 below the function degree 2" in capsys.readouterr().err
+
 
 class TestMinimize:
     def test_dip_gap(self, dip_spec, capsys):
@@ -180,6 +207,9 @@ class TestMinimize:
         data = json.loads(capsys.readouterr().out)
         assert data["converged"] is True
 
+    def test_shrink_is_certify_only(self, dip_spec):
+        assert main(["minimize", dip_spec, "--eps", "1/100", "--shrink", "1/10"]) == 64
+
 
 class TestUsageAndErrors:
     def test_bad_json_reports_location(self, tmp_path, capsys):
@@ -214,8 +244,25 @@ class TestUsageAndErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate", "spec.json"]) == 64
 
-    def test_bad_threads(self, dip_spec):
-        assert main(["bounds", dip_spec, "--threads", "0"]) == 64
+    def test_bad_threads(self, dip_spec, capsys):
+        assert main(["bounds", dip_spec, "--threads", "1"]) == 64
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "SPEC", "--mode", "local", "--nmax", "-1"],
+         "n_max must be nonnegative, got -1"),
+        (["minimize", "SPEC", "--eps", "1/100", "--budget", "-1"],
+         "--budget must be nonnegative, got -1"),
+    ])
+    def test_negative_budget_flags(self, dip_spec, capsys, argv, message):
+        argv = [dip_spec if a == "SPEC" else a for a in argv]
+        assert main(argv) == 64
+        assert message in capsys.readouterr().err
+
+    def test_negative_spec_n_max(self, tmp_path, capsys):
+        spec = _write(tmp_path, "neg.json", {**DIP_SPEC, "n_max": -1})
+        assert main(["certify", spec, "--mode", "local"]) == 64
+        assert "n_max must be nonnegative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
         ("degree", "two", "invalid literal for int()"),

@@ -8,15 +8,14 @@ import pytest
 from bernbound import (
     PowerPoly,
     Simplex,
-    SubdivisionPlan,
     affine_pullback,
     barycentric,
     bisect_edge,
     diameter_sq,
     grid_point,
     longest_edge,
+    rational_patch,
     round_length,
-    split_round,
     standard_simplex,
 )
 from bernbound.errors import (
@@ -190,6 +189,12 @@ class TestBisectEdge:
             bisect_edge(tri, 0, 3)
 
 
+def split_round(simplex):
+    """The child simplices of one ``RationalPatch.split_round`` of a constant."""
+    one = PowerPoly.constant(simplex.dimension, 1)
+    return [piece.simplex for piece in rational_patch(one, one, simplex).split_round()]
+
+
 class TestSplitRound:
     def test_interval_round_is_one_split(self):
         kids = split_round(Simplex.from_interval(-1, 1))
@@ -231,10 +236,3 @@ class TestSubdivisionPlan:
         assert round_length(1) == 1
         assert round_length(2) == 3
         assert round_length(4) == 10
-
-    def test_plan_validation(self):
-        plan = SubdivisionPlan.for_dimension(2, steps=3)
-        assert plan.round_length == 3
-        assert plan.shrink_factor == F(1, 2)
-        with pytest.raises(ValueError):
-            SubdivisionPlan(shrink_factor=F(3, 2))

@@ -115,7 +115,7 @@ class TestMinimize:
 
     def test_gap_guarantee_at_apriori_rounds(self):
         case = pinned_corpus()[9]
-        constants = convergence_constants(case.num, case.den, case.domain)
+        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         eps = F(1, 100)
         rounds = apriori_steps(constants, eps)
         result = minimize(case.num, case.den, case.domain, eps,

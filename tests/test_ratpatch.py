@@ -13,7 +13,6 @@ from bernbound import (
     Simplex,
     convergence_constants,
     rational_patch,
-    split_round,
     to_bernstein_standard,
 )
 from bernbound.errors import (
@@ -200,7 +199,10 @@ class TestSplitRound:
         num, den, domain = fn_dip()
         f = rational_patch(num, den, domain)
         pieces = f.split_round()
-        assert [p.simplex for p in pieces] == split_round(domain)
+        assert [p.simplex for p in pieces] == [
+            Simplex.from_interval(-1, 0),
+            Simplex.from_interval(0, 1),
+        ]
 
     def test_matches_reconversion(self):
         num, den, domain = fn_dip()
@@ -215,7 +217,17 @@ class TestSplitRound:
         )[0]
         f = rational_patch(pnum, pden, simplex, degree)
         pieces = f.split_round()
-        assert [p.simplex for p in pieces] == split_round(simplex)
+        h, q = F(1, 2), F(1, 4)
+        assert [p.simplex for p in pieces] == [
+            Simplex([[0, 0], [h, 0], [q, q]]),
+            Simplex([[q, q], [h, 0], [h, h]]),
+            Simplex([[h, 0], [1, 0], [3 * q, q]]),
+            Simplex([[h, 0], [3 * q, q], [h, h]]),
+            Simplex([[0, 0], [q, q], [0, h]]),
+            Simplex([[q, q], [h, h], [0, h]]),
+            Simplex([[0, h], [h, h], [q, 3 * q]]),
+            Simplex([[0, h], [q, 3 * q], [0, 1]]),
+        ]
         for piece in pieces:
             assert piece.ratios == rational_patch(
                 pnum, pden, piece.simplex, degree
@@ -231,23 +243,23 @@ class TestSplitRound:
 
 class TestConvergenceConstants:
     def test_linear_gives_zero_omega(self):
-        c = convergence_constants(
+        c = convergence_constants(rational_patch(
             PowerPoly.univariate([1, 1]),
             PowerPoly.univariate([2, 1]),
             Simplex.from_interval(0, 1),
-        )
+        ))
         assert c.omega == 0 and c.omega_prime == 0
 
     def test_dip_zeta(self):
         num, den, domain = fn_dip()
-        c = convergence_constants(num, den, domain)
+        c = convergence_constants(rational_patch(num, den, domain))
         assert c.zeta == F(13, 10)
 
     def test_dip_omega_frozen(self):
         # pulled back: second differences 28 (num) and 4 (den), min den 6;
         # omega = (1*3*2*1/24) / 6 * (28 + 13/10 * 4) = 83/60
         num, den, domain = fn_dip()
-        c = convergence_constants(num, den, domain)
+        c = convergence_constants(rational_patch(num, den, domain))
         assert c.omega == F(1, 24) * (28 + F(13, 10) * 4)
         assert c.omega == F(83, 60)
         assert c.min_den == 6
@@ -256,24 +268,24 @@ class TestConvergenceConstants:
 
     def test_working_degree_scales_omega_prime(self):
         num, den, domain = fn_dip()
-        base = convergence_constants(num, den, domain, degree=2)
-        doubled = convergence_constants(num, den, domain, degree=4)
+        base = convergence_constants(rational_patch(num, den, domain), degree=2)
+        doubled = convergence_constants(rational_patch(num, den, domain), degree=4)
         assert doubled.omega_prime == 2 * base.omega_prime
         assert doubled.omega == base.omega
 
     def test_denominator_not_positive(self):
         with pytest.raises(DenominatorNotPositive):
-            convergence_constants(
+            convergence_constants(rational_patch(
                 PowerPoly.univariate([1, 0, 1]),
                 PowerPoly.univariate([0, 1]),
                 Simplex.from_interval(0, 1),
-            )
+            ))
 
 
 class TestLinearConvergenceRate:
     def test_both_sides_on_pinned_case(self):
         case = pinned_corpus()[0]
-        c = convergence_constants(case.num, case.den, case.domain)
+        c = convergence_constants(rational_patch(case.num, case.den, case.domain))
         for k in range(3, 13):
             f = rational_patch(case.num, case.den, case.domain, k)
             lo, hi = f.enclosure()
@@ -295,7 +307,7 @@ class TestLinearConvergenceRate:
         domain = Simplex([[0, 0], [1, 0], [0, 1]])
         fmin = F(1, 2)
         assert num.eval([F(1, 4), F(1, 4)]) / den.eval([F(1, 4), F(1, 4)]) == fmin
-        c = convergence_constants(num, den, domain)
+        c = convergence_constants(rational_patch(num, den, domain))
         # max side has no closed form here: bound the sampling error by the
         # library's own certified upper enclosure at a high degree
         sampled_max = max(
