@@ -38,7 +38,7 @@ from .geometry import Simplex
 from .optimize import minimize
 from .polypatch import to_bernstein
 from .powerpoly import PowerPoly
-from .ratpatch import convergence_constants, rational_patch
+from .ratpatch import RationalPatch, convergence_constants, rational_patch
 from .rationals import float_str, format_rational, parse_rational
 
 EXIT_CERTIFIED = 0
@@ -97,12 +97,12 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise UsageError("spec field 'numerator' is required")
     try:
         numerator = PowerPoly.from_json(data["numerator"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'numerator': {exc}") from exc
     if "denominator" in data and data["denominator"] is not None:
         try:
             denominator = PowerPoly.from_json(data["denominator"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, BernboundError) as exc:
             raise UsageError(f"spec field 'denominator': {exc}") from exc
     else:
         denominator = PowerPoly.constant(numerator.dimension, 1)
@@ -259,12 +259,18 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     return EXIT_CERTIFIED
 
 
-def _apriori_info(spec: ProblemSpec, shrink: Fraction) -> Optional[AprioriInfo]:
-    """A-priori bounds when the spec carries validated claims."""
+def _apriori_info(spec: ProblemSpec, shrink: Fraction,
+                  root: Optional[RationalPatch]) -> Optional[AprioriInfo]:
+    """A-priori bounds when the spec carries validated claims.
+
+    ``root`` is the base-degree patch of the spec's function when the caller
+    already built it, else None and it is built here.
+    """
     if spec.claimed_min is None:
         return None
     fmin = ClaimedMinimum(spec.claimed_min)
-    root = rational_patch(spec.numerator, spec.denominator, spec.domain)
+    if root is None:
+        root = rational_patch(spec.numerator, spec.denominator, spec.domain)
     constants = convergence_constants(root)
     d2 = None
     if spec.claimed_numerator_min is not None:
@@ -327,10 +333,11 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     if n_max < 0:
         raise UsageError(f"n_max must be nonnegative, got {n_max}")
     shrink = _parse_shrink(args, spec)
+    root = None
     try:
         if args.mode == "sharpness":
-            f = rational_patch(spec.numerator, spec.denominator, spec.domain)
-            report = certify_sharpness(f)
+            root = rational_patch(spec.numerator, spec.denominator, spec.domain)
+            report = certify_sharpness(root)
         elif args.mode == "global":
             report = certify_global(spec.numerator, spec.denominator, spec.domain, k_max)
         elif args.mode == "local":
@@ -343,7 +350,7 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     except DegreeTooLow as exc:
         # The only degree set here is k_max, from --kmax or the spec file.
         raise UsageError(str(exc)) from exc
-    apriori = _apriori_info(spec, shrink)
+    apriori = _apriori_info(spec, shrink, root)
     if apriori is not None:
         report = CertificateReport(
             report.verdict, report.mode, report.degree_used, report.depth_used,

@@ -5,9 +5,9 @@ coefficient of degree ``k = |alpha|`` over an ``n``-simplex.  The truncation
 dropping the 0th entry, written ``alpha_hat``, addresses power-basis
 exponents.  Everything here is exact integer arithmetic.
 
-The index-move tables for degree elevation and edge splitting live here too,
-next to the index order they encode; they are built once per degree and
-dimension and stored as flat integer arrays.
+The index-move tables for degree elevation, edge splitting and second
+differences live here too, next to the index order they encode; they are
+built once per degree and dimension and stored as flat integer arrays.
 """
 
 from __future__ import annotations
@@ -171,6 +171,41 @@ def elevation_moves(degree: int, dimension: int) -> Tuple[Tuple[array, array], .
                 sources[pos] = source.position(lowered)
         moves.append((weights, sources))
     return tuple(moves)
+
+
+@lru_cache(maxsize=None)
+def second_difference_moves(
+    degree: int, dimension: int,
+) -> Tuple[Tuple[Tuple[Tuple[int, ...], int, int], ...], Tuple[array, ...]]:
+    """Position table for the second differences of a degree-``degree``
+    coefficient list (``degree >= 2``).
+
+    Returns the keys (gamma, i, j), one per |gamma| = degree - 2 and
+    0 <= i < j <= dimension in that order, and four flat position arrays
+    (plus_a, plus_b, minus_a, minus_b) parallel to the keys: the entry is
+    c[plus_a] + c[plus_b] - c[minus_a] - c[minus_b] with the positions of
+    gamma + e_i + e_{j-1}, gamma + e_{i-1} + e_j, gamma + e_{i-1} + e_{j-1}
+    and gamma + e_i + e_j, where e_{-1} means e_dimension.
+    """
+    pos = enumerate_indices(degree, dimension).position
+    keys = []
+    columns = tuple(array("I") for _ in range(4))
+
+    def shifted(gamma, a, b):
+        out = list(gamma)
+        out[a] += 1
+        out[b] += 1
+        return pos(out)
+
+    for gamma in enumerate_indices(degree - 2, dimension):
+        for i in range(dimension + 1):
+            prev_i = (i - 1) % (dimension + 1)
+            for j in range(i + 1, dimension + 1):
+                keys.append((tuple(gamma), i, j))
+                for column, (a, b) in zip(columns, ((i, j - 1), (prev_i, j),
+                                                    (prev_i, j - 1), (i, j))):
+                    column.append(shifted(gamma, a, b))
+    return tuple(keys), columns
 
 
 @lru_cache(maxsize=None)

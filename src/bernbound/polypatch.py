@@ -11,15 +11,17 @@ hinge on coefficient signs, so no floating arithmetic enters here.  A patch
 stores them as integer numerators ``nums`` over one shared positive integer
 denominator ``scale``, so elevation and edge splitting are integer
 multiply-adds with no gcd per operation; ``coeffs`` is the exact
-``Fraction`` view, built on first use.
+``Fraction`` view, built on first use.  Conversion from the power basis is
+integer too (a binomial transform of an integer grid, then one gcd), and so
+are second differences, which build a ``Fraction`` only per returned entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from math import factorial, gcd, lcm
+from operator import add, mul, sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow
@@ -27,10 +29,10 @@ from .geometry import Simplex, affine_pullback, barycentric, bisect_edge, standa
 from .indexing import (
     IndexSet,
     binom_graded,
-    binom_multi,
     edge_lines,
     elevation_moves,
     enumerate_indices,
+    second_difference_moves,
 )
 from .powerpoly import PowerPoly
 from .rationals import Interval, Rational, format_rational, parse_rational
@@ -166,34 +168,17 @@ class BernsteinPatch:
     def second_differences(self) -> SecondDifferences:
         """All entries b[g+e_i+e_{j-1}] + b[g+e_{i-1}+e_j] - b[g+e_{i-1}+e_{j-1}]
         - b[g+e_i+e_j] for |g| = k-2, i < j, with e_{-1} meaning e_n."""
-        k, n = self.degree, self.dimension
+        k = self.degree
         if k < 2:
             raise DegreeTooLow(f"second differences need degree >= 2, got {k}")
-        pos = self.index_set.position
-
-        def shifted(gamma, a, b):
-            out = list(gamma)
-            out[a] += 1
-            out[b] += 1
-            return self.coeffs[pos(out)]
-
-        items = []
-        sup = Fraction(0)
-        for gamma in enumerate_indices(k - 2, n):
-            for i in range(n + 1):
-                prev_i = (i - 1) % (n + 1)
-                for j in range(i + 1, n + 1):
-                    prev_j = j - 1
-                    value = (
-                        shifted(gamma, i, prev_j)
-                        + shifted(gamma, prev_i, j)
-                        - shifted(gamma, prev_i, prev_j)
-                        - shifted(gamma, i, j)
-                    )
-                    items.append(((tuple(gamma), i, j), value))
-                    if abs(value) > sup:
-                        sup = abs(value)
-        return SecondDifferences(tuple(items), sup)
+        keys, (plus_a, plus_b, minus_a, minus_b) = second_difference_moves(
+            k, self.dimension)
+        fetch = self.nums.__getitem__
+        values = list(map(sub, map(add, map(fetch, plus_a), map(fetch, plus_b)),
+                          map(add, map(fetch, minus_a), map(fetch, minus_b))))
+        scale = self.scale
+        items = tuple(zip(keys, (Fraction(v, scale) for v in values)))
+        return SecondDifferences(items, Fraction(max(map(abs, values)), scale))
 
     def split_edge(
         self,
@@ -250,23 +235,45 @@ class BernsteinPatch:
 def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     """Bernstein coefficients of poly at the given degree over the standard
     simplex:  b_alpha = sum over beta <= alpha_hat of
-    C(alpha_hat, beta) / C(degree, beta) * a_beta, exactly."""
+    C(alpha_hat, beta) / C(degree, beta) * a_beta, exactly.
+
+    With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
+    a binomial transform, one axis at a time, of the integers
+    A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S over the
+    lcm S of the coefficient denominators; b_alpha is the result over
+    S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b) is
+    the first entry of the x-th pairwise-sum row, as in ``split_edge``.
+    """
     if degree < poly.degree:
         raise DegreeTooLow(
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
         )
     n = poly.dimension
     terms = list(poly.iter_terms())
-    weights = [(bhat, coeff, binom_graded(degree, bhat)) for bhat, coeff in terms]
-    out = []
-    for alpha in enumerate_indices(degree, n):
-        ahat = alpha.hat
-        total = Fraction(0)
-        for bhat, coeff, denom in weights:
-            if all(b <= a for b, a in zip(bhat, ahat)):
-                total += Fraction(binom_multi(ahat, bhat), denom) * coeff
-        out.append(total)
-    return BernsteinPatch(standard_simplex(n), degree, tuple(out))
+    lcd = lcm(*(coeff.denominator for _, coeff in terms))
+    fact = [factorial(i) for i in range(degree + 1)]
+    index = enumerate_indices(degree, n)
+    grid = [0] * len(index)
+    for bhat, coeff in terms:
+        rest = degree - sum(bhat)
+        weight = fact[rest]
+        for b in bhat:
+            weight *= fact[b]
+        grid[index.position((rest,) + bhat)] = (
+            coeff.numerator * (lcd // coeff.denominator) * weight)
+    for axis in range(1, n + 1):
+        for line in edge_lines(degree, n, 0, axis):
+            row = [grid[p] for p in line]
+            if not any(row):
+                continue
+            for p in line:
+                grid[p] = row[0]
+                row = list(map(add, row, row[1:]))
+    scale = lcd * fact[degree]
+    common = gcd(scale, *grid)
+    return BernsteinPatch._from_ints(standard_simplex(n), degree,
+                                     tuple(v // common for v in grid),
+                                     scale // common)
 
 
 def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
@@ -275,9 +282,7 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     base = to_bernstein_standard(pulled, degree)
     if simplex == base.simplex:
         return base
-    patch = BernsteinPatch._from_ints(simplex, degree, base.nums, base.scale)
-    patch._coeffs = base._coeffs
-    return patch
+    return BernsteinPatch._from_ints(simplex, degree, base.nums, base.scale)
 
 
 def discretization_bound(patch: BernsteinPatch, degree: int) -> Fraction:

@@ -2,12 +2,19 @@
 
 The zero polynomial has degree 0 by convention; for every other polynomial
 the stored degree is tight (recomputed from the nonzero terms, never trusted
-from input).
+from input).  Exponents must be integers; bools, floats and strings are
+rejected rather than truncated.
+
+Coefficients are stored as reduced ``Fraction``s; composition with an affine
+map (``substitute_affine``) runs on integers over common denominators and
+divides only at the end.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -15,6 +22,16 @@ from .rationals import Rational, format_rational, parse_rational
 
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, Fraction]
+
+
+def _exponent(value) -> int:
+    """An exponent as given: an integer, never a bool, float or string."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"exponent {value!r} is not an integer")
 
 
 def _term_sort_key(item: Tuple[Exponents, Fraction]):
@@ -32,7 +49,7 @@ class PowerPoly:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         cleaned: TermMap = {}
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(_exponent, exps))
             if len(exps) != dimension:
                 raise DimensionMismatch(
                     f"exponent tuple {exps} does not have {dimension} entries"
@@ -100,32 +117,43 @@ class PowerPoly:
 
         Returns the polynomial in the new variables t, with exact
         coefficients.  The total degree never increases.
+
+        The map's entries are put over one denominator D and the
+        coefficients over one denominator S, so x_i = L_i(t) / D with
+        integer linear forms L_i.  Multivariate Horner on integer term dicts
+        then gives S * D^d * p(L / D) for the degree d, one multiply by an
+        L_i per step; dividing by S * D^d at the end is the only Fraction
+        work.
         """
         if len(origin) != self.dimension:
             raise DimensionMismatch("origin has wrong dimension")
         m = len(directions)
         origin = [parse_rational(c) for c in origin]
-        zero_exp = (0,) * m
-        forms: list[TermMap] = []
-        for i in range(self.dimension):
-            form: TermMap = {}
-            if origin[i]:
-                form[zero_exp] = origin[i]
-            for j, direction in enumerate(directions):
-                c = parse_rational(direction[i])
+        rows = [[parse_rational(direction[i]) for i in range(self.dimension)]
+                for direction in directions]
+        lcd = lcm(*(c.denominator for c in origin),
+                  *(c.denominator for row in rows for c in row))
+        # A monomial t^e is the key sum_j e_j << (width * j): multiplying by
+        # t_j adds 1 << (width * j), and no exponent reaches 1 << width.
+        width = self.degree.bit_length()
+        forms = []
+        for i, value in enumerate(origin):
+            form = [(0, value.numerator * (lcd // value.denominator))] if value else []
+            for j, row in enumerate(rows):
+                c = row[i]
                 if c:
-                    exp = tuple(1 if jj == j else 0 for jj in range(m))
-                    form[exp] = form.get(exp, Fraction(0)) + c
+                    form.append((1 << (width * j), c.numerator * (lcd // c.denominator)))
             forms.append(form)
-        out: TermMap = {}
-        for exps, coeff in self._terms:
-            prod: TermMap = {zero_exp: coeff}
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    prod = _mul_terms(prod, forms[i], m)
-            for exp, c in prod.items():
-                out[exp] = out.get(exp, Fraction(0)) + c
-        return PowerPoly(m, out)
+        common = lcm(*(c.denominator for _, c in self._terms))
+        terms = [(exps, c.numerator * (common // c.denominator))
+                 for exps, c in self._terms]
+        packed = _horner(terms, 0, self.degree, forms, lcd) if terms else {}
+        scale = common * lcd ** self.degree
+        mask = (1 << width) - 1
+        return PowerPoly(m, {
+            tuple((key >> (width * j)) & mask for j in range(m)): Fraction(c, scale)
+            for key, c in packed.items()
+        })
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +169,7 @@ class PowerPoly:
         dimension = int(data["dimension"])
         terms: TermMap = {}
         for term in data.get("terms", []):
-            exps = tuple(int(e) for e in term["exponents"])
+            exps = tuple(map(_exponent, term["exponents"]))
             terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(term["coeff"])
         return cls(dimension, terms)
 
@@ -168,10 +196,31 @@ class PowerPoly:
         return " + ".join(parts)
 
 
-def _mul_terms(a: TermMap, b: TermMap, m: int) -> TermMap:
-    out: TermMap = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            out[exp] = out.get(exp, Fraction(0)) + ca * cb
-    return out
+def _horner(terms, var: int, budget: int, forms, lcd: int) -> Dict[int, int]:
+    """lcd^budget * sum of the integer ``terms`` with x_i = L_i / lcd for
+    i >= var, as packed integer terms; every term has degree <= budget in
+    those variables.
+
+    Grouping by the exponent a of x_var gives sum_a L_var^a * R_a, where
+    R_a carries budget - a; Horner needs one multiply by L_var per a.
+    """
+    if var == len(forms):
+        return {0: terms[0][1] * lcd ** budget}
+    groups: Dict[int, list] = {}
+    for term in terms:
+        groups.setdefault(term[0][var], []).append(term)
+    form = forms[var]
+    acc: Dict[int, int] = {}
+    for a in range(max(groups), -1, -1):
+        if acc:
+            out: Dict[int, int] = {}
+            get = out.get
+            for step, weight in form:
+                for key, c in acc.items():
+                    key += step
+                    out[key] = get(key, 0) + c * weight
+            acc = out
+        if a in groups:
+            for key, c in _horner(groups[a], var + 1, budget - a, forms, lcd).items():
+                acc[key] = acc.get(key, 0) + c
+    return acc

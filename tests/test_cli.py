@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from bernbound import PowerPoly
 from bernbound.cli import main
 
 DIP_SPEC = {
@@ -154,6 +155,22 @@ class TestCertify:
         assert apriori["D2"] == "1300"
         assert apriori["D1"] == "418/3"
 
+    def test_sharpness_apriori_reuses_root_patch(self, tmp_path, capsys, monkeypatch):
+        # [-1, 1] is not the standard simplex, so every conversion of num or
+        # den pulls back once.
+        calls = []
+        original = PowerPoly.substitute_affine
+
+        def counting(self, origin, directions):
+            calls.append(self)
+            return original(self, origin, directions)
+
+        monkeypatch.setattr(PowerPoly, "substitute_affine", counting)
+        spec = _write(tmp_path, "claimed.json", {**DIP_SPEC, "claimed_min": "1/100"})
+        assert main(["certify", spec, "--mode", "sharpness", "--json"]) == 2
+        assert json.loads(capsys.readouterr().out)["apriori"]["D1"] == "418/3"
+        assert len(calls) == 2
+
     def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):
         spec = _write(tmp_path, "n0.json", {**DIP_SPEC, "n_max": 0})
         assert main(["certify", spec, "--mode", "local"]) == 2
@@ -276,6 +293,30 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert f"spec field '{field}'" in err
         assert message in err
+
+    @pytest.mark.parametrize("exponent", [1.5, 1.0, True, "2"])
+    def test_non_integer_exponent(self, tmp_path, capsys, exponent):
+        spec = _write(tmp_path, "exp.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1"},
+                {"exponents": [exponent], "coeff": "1"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert "spec field 'numerator'" in err
+        assert f"exponent {exponent!r} is not an integer" in err
+
+    @pytest.mark.parametrize("field", ["numerator", "denominator"])
+    def test_exponent_length_disagrees_with_dimension(self, tmp_path, capsys, field):
+        spec = _write(tmp_path, "explen.json", {
+            **CERT3_SPEC,
+            field: {"dimension": 1, "terms": [{"exponents": [1, 0], "coeff": "1"}]},
+        })
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert f"spec field '{field}'" in err
+        assert "does not have 1 entries" in err
 
     def test_degree_below_polynomial_degree(self, dip_spec, capsys):
         assert main(["bounds", dip_spec, "--degree", "1"]) == 64

@@ -3,27 +3,34 @@ reference.
 
 The references below are the plain exact formulas, one ``Fraction`` per
 coefficient and a dict lookup per index move.  The kernel under test stores
-integer numerators over one shared scale, elevates through gather tables and
-splits by integer de Casteljau; every result must be exactly equal.
+integer numerators over one shared scale, elevates through gather tables,
+splits by integer de Casteljau, pulls back by integer Horner, converts by an
+integer binomial transform and reads second differences through a position
+table; every result must be exactly equal.
 """
 
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from bernbound import (  # noqa: E402
     BernsteinPatch,
+    PowerPoly,
     RationalPatch,
+    Simplex,
+    binom_graded,
+    binom_multi,
     bisect_edge,
     cert_predicate,
     enumerate_indices,
     standard_simplex,
+    to_bernstein,
 )
-from bernbound.errors import DenominatorNotPositive  # noqa: E402
+from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -73,6 +80,93 @@ def ref_split(coeffs, k, n, i, j):
 def ref_predicate(ratios, k, n):
     vertices = enumerate_indices(k, n).vertex_positions()
     return all(r >= 0 for r in ratios) and all(ratios[p] > 0 for p in vertices)
+
+
+def _mul_terms(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, F(0)) + ca * cb
+    return out
+
+
+def ref_substitute_affine(poly, origin, directions):
+    """Every monomial re-expanded factor by factor."""
+    m = len(directions)
+    zero_exp = (0,) * m
+    forms = []
+    for i in range(poly.dimension):
+        form = {zero_exp: F(origin[i])} if origin[i] else {}
+        for j, direction in enumerate(directions):
+            if direction[i]:
+                form[tuple(int(jj == j) for jj in range(m))] = F(direction[i])
+        forms.append(form)
+    out = {}
+    for exps, coeff in poly.iter_terms():
+        prod = {zero_exp: coeff}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                prod = _mul_terms(prod, forms[i])
+        for exp, c in prod.items():
+            out[exp] = out.get(exp, F(0)) + c
+    return PowerPoly(m, out)
+
+
+def ref_to_bernstein_standard(poly, degree):
+    """b_alpha = sum over beta <= alpha_hat of C(alpha_hat, beta) /
+    C(degree, beta) * a_beta, one Fraction per term."""
+    out = []
+    for alpha in enumerate_indices(degree, poly.dimension):
+        ahat = alpha.hat
+        total = F(0)
+        for bhat, coeff in poly.iter_terms():
+            if all(b <= a for b, a in zip(bhat, ahat)):
+                total += F(binom_multi(ahat, bhat), binom_graded(degree, bhat)) * coeff
+        out.append(total)
+    return tuple(out)
+
+
+def ref_second_differences(coeffs, k, n):
+    pos = enumerate_indices(k, n).position
+
+    def shifted(gamma, a, b):
+        out = list(gamma)
+        out[a] += 1
+        out[b] += 1
+        return coeffs[pos(out)]
+
+    items = []
+    for gamma in enumerate_indices(k - 2, n):
+        for i in range(n + 1):
+            prev_i = (i - 1) % (n + 1)
+            for j in range(i + 1, n + 1):
+                value = (shifted(gamma, i, j - 1) + shifted(gamma, prev_i, j)
+                         - shifted(gamma, prev_i, j - 1) - shifted(gamma, i, j))
+                items.append(((tuple(gamma), i, j), value))
+    return tuple(items), max((abs(v) for _, v in items), default=F(0))
+
+
+@st.composite
+def polys(draw, n, max_degree=8):
+    """A sparse polynomial in n variables of degree at most max_degree."""
+    degree = draw(st.integers(0, max_degree))
+    hats = [alpha.hat for alpha in enumerate_indices(degree, n)]
+    chosen = draw(st.lists(st.sampled_from(hats), max_size=8, unique=True))
+    return PowerPoly(n, {hat: draw(SIGNED) for hat in chosen})
+
+
+@st.composite
+def simplices(draw, n):
+    """The standard n-simplex or a random non-degenerate one."""
+    if draw(st.booleans()):
+        return standard_simplex(n)
+    vertices = draw(st.lists(st.lists(SIGNED, min_size=n, max_size=n),
+                             min_size=n + 1, max_size=n + 1))
+    try:
+        return Simplex(vertices)
+    except DegenerateSimplex:
+        assume(False)
 
 
 @st.composite
@@ -169,3 +263,51 @@ def test_denominator_offenders_match_reference(case):
     with pytest.raises(DenominatorNotPositive) as info:
         RationalPatch(ones, patch)
     assert info.value.indices == offenders
+
+
+@KERNEL
+@given(st.data())
+def test_to_bernstein_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    poly = data.draw(polys(n))
+    degree = data.draw(st.integers(poly.degree, 8))
+    simplex = data.draw(simplices(n))
+    v0 = simplex.vertices[0]
+    pulled = ref_substitute_affine(
+        poly, v0, [[a - b for a, b in zip(v, v0)] for v in simplex.vertices[1:]])
+    want = ref_to_bernstein_standard(pulled, degree)
+    patch = to_bernstein(poly, degree, simplex)
+    scale = lcm(*(c.denominator for c in want))
+    assert patch.simplex == simplex
+    assert patch.degree == degree
+    assert patch.scale == scale
+    assert patch.nums == tuple(c.numerator * (scale // c.denominator) for c in want)
+
+
+@KERNEL
+@given(st.data())
+def test_substitute_affine_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.sampled_from([x for x in (1, 2, 3) if x != n]))
+    poly = data.draw(polys(n))
+    origin = data.draw(st.lists(SIGNED, min_size=n, max_size=n))
+    directions = data.draw(st.lists(st.lists(SIGNED, min_size=n, max_size=n),
+                                    min_size=m, max_size=m))
+    assert (poly.substitute_affine(origin, directions)
+            == ref_substitute_affine(poly, origin, directions))
+
+
+@KERNEL
+@given(patches(), st.booleans())
+def test_second_differences_match_reference(case, elevated):
+    n, k, coeffs = case
+    assume(k >= 2)
+    patch = BernsteinPatch(standard_simplex(n), k, coeffs)
+    if elevated:
+        # An elevated patch's scale is no longer the lcm of its
+        # coefficient denominators.
+        patch, k = patch.elevate(), k + 1
+    items, sup_norm = ref_second_differences(patch.coeffs, k, n)
+    diffs = patch.second_differences()
+    assert diffs.items == items
+    assert diffs.sup_norm == sup_norm
