@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -171,7 +172,10 @@ def load_problem(path: str) -> ProblemSpec:
     return parse_problem(data)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = _Parser(prog="bernbound", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bernbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

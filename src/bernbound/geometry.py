@@ -2,7 +2,10 @@
 points, diameters, affine pullback to the standard simplex, and edge
 bisection.
 
-All geometry is kept in exact rationals.  The only irrational quantity, the
+All geometry is exact.  Vertices are ``Fraction`` tuples; a ``Simplex``
+also puts them over the lcm of their denominators as integers, on which it
+checks affine independence by fraction-free (Bareiss) elimination and
+measures its longest edge once.  The only irrational quantity, the
 diameter, is never materialized: comparisons go through ``diameter_sq``.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DegreeMismatch, DimensionMismatch
@@ -26,7 +30,11 @@ def _as_point(values: Sequence[Rational]) -> Point:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Ordered list of n+1 affinely independent points of R^n."""
+    """Ordered list of n+1 affinely independent points of R^n.
+
+    Every instance is checked; its longest edge is measured at construction
+    and read by ``diameter_sq`` and ``longest_edge``.
+    """
 
     vertices: Tuple[Point, ...]
 
@@ -42,8 +50,13 @@ class Simplex:
                 f"{n + 1} vertices must each have {n} coordinates"
             )
         object.__setattr__(self, "vertices", pts)
-        if not _gauss_jordan(self.edge_vectors()):
+        scale = lcm(*(c.denominator for p in pts for c in p))
+        ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
+        v0 = ints[0]
+        if not _nonsingular([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]):
             raise DegenerateSimplex(f"vertices are affinely dependent: {pts}")
+        d, i, j = _longest(ints)
+        object.__setattr__(self, "_longest_edge", (Fraction(d, scale * scale), i, j))
 
     @property
     def dimension(self) -> int:
@@ -88,6 +101,23 @@ def standard_simplex(n: int) -> Simplex:
         v[i] = Fraction(1)
         vertices.append(v)
     return Simplex(vertices)
+
+
+def _nonsingular(rows: List[List[int]]) -> bool:
+    """Fraction-free (Bareiss) elimination on a square integer matrix; False
+    if it is singular.  Each step moves a pivot row out and leaves the
+    remaining rows one column shorter; every division is exact."""
+    prev = 1
+    while rows:
+        pivot = next((r for r, row in enumerate(rows) if row[0]), None)
+        if pivot is None:
+            return False
+        top = rows.pop(pivot)
+        p = top[0]
+        rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+                for row in rows]
+        prev = p
+    return True
 
 
 def _gauss_jordan(rows: List[List[Fraction]]) -> bool:
@@ -142,14 +172,13 @@ def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
     return tuple(coords)
 
 
-def _longest(simplex: Simplex) -> Tuple[Fraction, int, int]:
-    """Squared length and (i, j) of the longest edge; lowest (i, j) breaks
-    ties."""
-    verts = simplex.vertices
-    best = (Fraction(-1), 0, 0)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            d = sum((a - b) ** 2 for a, b in zip(verts[i], verts[j]))
+def _longest(ints: List[List[int]]) -> Tuple[int, int, int]:
+    """Squared length and (i, j) of the longest edge of integer vertices;
+    lowest (i, j) breaks ties."""
+    best = (-1, 0, 0)
+    for i, vi in enumerate(ints):
+        for j in range(i + 1, len(ints)):
+            d = sum([(a - b) ** 2 for a, b in zip(vi, ints[j])])
             if d > best[0]:
                 best = (d, i, j)
     return best
@@ -157,12 +186,12 @@ def _longest(simplex: Simplex) -> Tuple[Fraction, int, int]:
 
 def diameter_sq(simplex: Simplex) -> Fraction:
     """Max squared Euclidean distance over vertex pairs, exactly."""
-    return _longest(simplex)[0]
+    return simplex._longest_edge[0]
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
     """The (i, j) pair of the longest edge; lowest (i, j) breaks ties."""
-    _, i, j = _longest(simplex)
+    _, i, j = simplex._longest_edge
     return i, j
 
 
@@ -179,12 +208,7 @@ def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
         )
     if simplex == standard_simplex(n):
         return poly
-    v0 = simplex.vertices[0]
-    directions = [
-        [vi[c] - v0[c] for c in range(n)]
-        for vi in simplex.vertices[1:]
-    ]
-    return poly.substitute_affine(v0, directions)
+    return poly.substitute_affine(simplex.vertices[0], simplex.edge_vectors())
 
 
 def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:

@@ -148,6 +148,14 @@ def enumerate_indices(degree: int, dimension: int) -> IndexSet:
 
 
 @lru_cache(maxsize=None)
+def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
+    """The multinomial k! / (alpha_0! ... alpha_n!) of every index, in
+    canonical order (cached)."""
+    return tuple(binom_graded(degree, alpha[1:])
+                 for alpha in enumerate_indices(degree, dimension))
+
+
+@lru_cache(maxsize=None)
 def elevation_moves(degree: int, dimension: int) -> Tuple[Tuple[array, array], ...]:
     """Gather table for elevating a degree-``degree`` coefficient list by one.
 

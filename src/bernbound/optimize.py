@@ -74,24 +74,23 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     """Lower bound, upper bound, and the point attaining the upper bound.
 
     The lower bound is the minimum ratio.  The upper bound is the smallest of
-    the function's value at the grid point of the minimizing index and the
-    vertex ratios (all true function values).  Ties break in canonical index
+    the function's value at the grid point of the minimizing index (taken
+    from its barycentric coordinates alpha / k) and the vertex ratios (all
+    true function values).  Ties break in canonical index
     order, so results are deterministic.
     """
     ratios = f.ratios
     m = min(ratios)
     k = f.degree
-    candidates: List[Tuple[Fraction, Point]] = []
+    delta = witness = None
     if k >= 1:
         argmin = f.num.index_set[ratios.index(m)]
-        point = grid_point(argmin, k, f.simplex)
-        candidates.append((f.eval(point), point))
+        delta = f.grid_value(argmin)
     for i, value in enumerate(f.vertex_ratios()):
-        candidates.append((value, f.simplex.vertex(i)))
-    delta, witness = candidates[0]
-    for value, point in candidates[1:]:
-        if value < delta:
-            delta, witness = value, point
+        if delta is None or value < delta:
+            delta, witness = value, f.simplex.vertex(i)
+    if witness is None:
+        witness = grid_point(argmin, k, f.simplex)
     return m, delta, witness
 
 

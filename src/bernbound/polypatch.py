@@ -13,7 +13,8 @@ denominator ``scale``, so elevation and edge splitting are integer
 multiply-adds with no gcd per operation; ``coeffs`` is the exact
 ``Fraction`` view, built on first use.  Conversion from the power basis is
 integer too (a binomial transform of an integer grid, then one gcd), and so
-are second differences, which build a ``Fraction`` only per returned entry.
+are second differences, which build a ``Fraction`` only per returned entry,
+and the value at a grid point (``grid_sum``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .indexing import (
     edge_lines,
     elevation_moves,
     enumerate_indices,
+    multinomials,
     second_difference_moves,
 )
 from .powerpoly import PowerPoly
@@ -152,6 +154,24 @@ class BernsteinPatch:
                     weight *= l_i ** a_i
             total += num * weight
         return total / self.scale
+
+    def grid_sum(self, alpha: Sequence[int]) -> int:
+        """The integer scale * k^k * p(grid point alpha / k).
+
+        At barycentric coordinates alpha / k the value is
+        sum nums[beta] * multinomial(k; beta) * prod alpha_i^beta_i over
+        scale * k^k, so no coordinates and no linear solve are needed.
+        """
+        powers = [[a ** e for e in range(self.degree + 1)] for a in alpha]
+        total = 0
+        for beta, num, weight in zip(self.index_set, self.nums,
+                                     multinomials(self.degree, self.dimension)):
+            if num:
+                term = num * weight
+                for row, b in zip(powers, beta):
+                    term *= row[b]
+                total += term
+        return total
 
     def elevate(self) -> "BernsteinPatch":
         """Same polynomial one degree higher; the enclosure never widens."""

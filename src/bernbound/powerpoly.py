@@ -2,8 +2,8 @@
 
 The zero polynomial has degree 0 by convention; for every other polynomial
 the stored degree is tight (recomputed from the nonzero terms, never trusted
-from input).  Exponents must be integers; bools, floats and strings are
-rejected rather than truncated.
+from input).  The dimension and the exponents must be integers; bools,
+floats and strings are rejected rather than truncated.
 
 Coefficients are stored as reduced ``Fraction``s; composition with an affine
 map (``substitute_affine``) runs on integers over common denominators and
@@ -24,14 +24,18 @@ Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, Fraction]
 
 
-def _exponent(value) -> int:
-    """An exponent as given: an integer, never a bool, float or string."""
+def _integer(value, what: str) -> int:
+    """An integer as given, never a bool, float or string."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"exponent {value!r} is not an integer")
+    raise TypeError(f"{what} {value!r} is not an integer")
+
+
+def _exponent(value) -> int:
+    return _integer(value, "exponent")
 
 
 def _term_sort_key(item: Tuple[Exponents, Fraction]):
@@ -45,6 +49,7 @@ class PowerPoly:
     __slots__ = ("dimension", "_terms", "degree")
 
     def __init__(self, dimension: int, terms: Mapping[Sequence[int], Rational]):
+        dimension = _integer(dimension, "dimension")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         cleaned: TermMap = {}
@@ -166,12 +171,11 @@ class PowerPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PowerPoly":
-        dimension = int(data["dimension"])
         terms: TermMap = {}
         for term in data.get("terms", []):
             exps = tuple(map(_exponent, term["exponents"]))
             terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(term["coeff"])
-        return cls(dimension, terms)
+        return cls(data["dimension"], terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerPoly):

@@ -99,6 +99,12 @@ class RationalPatch:
         """Exact value num(point) / den(point)."""
         return self.num.eval(point) / self.den.eval(point)
 
+    def grid_value(self, alpha) -> Fraction:
+        """Exact value at the grid point of index alpha (barycentric
+        coordinates alpha / k); the factor k^k of both sums cancels."""
+        return Fraction(self.num.grid_sum(alpha) * self.den.scale,
+                        self.den.grid_sum(alpha) * self.num.scale)
+
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
         return RationalPatch(self.num.elevate(), self.den.elevate())

@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: output, exit codes, JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import bernbound
 from bernbound import PowerPoly
 from bernbound.cli import main
 
@@ -307,6 +312,18 @@ class TestUsageAndErrors:
         assert "spec field 'numerator'" in err
         assert f"exponent {exponent!r} is not an integer" in err
 
+    @pytest.mark.parametrize("dimension", [1.5, "1", True])
+    def test_non_integer_dimension(self, tmp_path, capsys, dimension):
+        spec = _write(tmp_path, "dim.json", {
+            "numerator": {"dimension": dimension, "terms": [
+                {"exponents": [1], "coeff": "1"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert "spec field 'numerator'" in err
+        assert f"dimension {dimension!r} is not an integer" in err
+
     @pytest.mark.parametrize("field", ["numerator", "denominator"])
     def test_exponent_length_disagrees_with_dimension(self, tmp_path, capsys, field):
         spec = _write(tmp_path, "explen.json", {
@@ -342,3 +359,31 @@ class TestUsageAndErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(DIP_SPEC)))
         assert main(["bounds", "-"]) == 0
         assert "13/10" in capsys.readouterr().out
+
+
+def test_successive_calls_match_fresh_processes(dip_spec, cert3_spec, capsys):
+    """One process reuses one parser across calls; every call exits and
+    prints exactly as it does in a process of its own.  Each call leaves out
+    an option the call before it set, so a value kept by the parser shows."""
+    calls = [
+        ["bounds", dip_spec, "--degree", "4", "--json"],
+        ["bounds", dip_spec],
+        ["certify", cert3_spec, "--mode", "local", "--nmax", "3"],
+        ["certify", cert3_spec],
+        ["certify", cert3_spec, "--mode", "bogus"],
+        ["minimize", dip_spec, "--eps", "1/100", "--strategy", "uniform"],
+        ["minimize", dip_spec, "--eps", "1/10"],
+        ["bounds", cert3_spec, "--json"],
+    ]
+    src = str(Path(bernbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = "import sys; from bernbound.cli import main; sys.exit(main(sys.argv[1:]))"
+    codes = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", run, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 64, 0, 0, 0]

@@ -39,6 +39,24 @@ class TestSimplex:
         with pytest.raises(DegenerateSimplex):
             Simplex([[0], [0]])
 
+    def test_degenerate_with_large_coprime_denominators(self):
+        p, q, r = 2**61 - 1, 10**9 + 7, 999_983
+        v0 = (F(1, p), F(2, q), F(3, r))
+        d1 = (F(1, q), F(-1, p), F(5, r))
+        d2 = (F(2, r), F(1, q), F(-1, p))
+
+        def at(a, b):
+            return tuple(x + a * y + b * z for x, y, z in zip(v0, d1, d2))
+
+        with pytest.raises(DegenerateSimplex):
+            Simplex([v0, at(1, 0), at(0, 1), at(F(7, q), F(-3, p))])
+        with pytest.raises(DegenerateSimplex):
+            Simplex([v[:2] for v in (v0, at(1, 0), at(F(5, r), 0))])
+        # The same points, one coordinate off by 1/(pqr), span a simplex.
+        nudged = at(F(7, q), F(-3, p))
+        nudged = nudged[:2] + (nudged[2] + F(1, p * q * r),)
+        assert Simplex([v0, at(1, 0), at(0, 1), nudged]).dimension == 3
+
     def test_shape_validation(self):
         with pytest.raises(DegenerateSimplex):
             Simplex([[0, 0], [1, 0]])  # two vertices cannot span R^2

@@ -6,7 +6,11 @@ coefficient and a dict lookup per index move.  The kernel under test stores
 integer numerators over one shared scale, elevates through gather tables,
 splits by integer de Casteljau, pulls back by integer Horner, converts by an
 integer binomial transform and reads second differences through a position
-table; every result must be exactly equal.
+table; every result must be exactly equal.  The simplex geometry under the
+split layer is checked the same way: the integer rank check against
+Fraction Gauss-Jordan, the longest edge measured on integers against a
+Fraction pair loop, and grid-point values from integer sums against
+evaluation through barycentric coordinates.
 """
 
 from fractions import Fraction as F
@@ -26,11 +30,15 @@ from bernbound import (  # noqa: E402
     binom_multi,
     bisect_edge,
     cert_predicate,
+    diameter_sq,
     enumerate_indices,
+    grid_point,
+    longest_edge,
     standard_simplex,
     to_bernstein,
 )
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
+from bernbound.geometry import _gauss_jordan  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -145,6 +153,19 @@ def ref_second_differences(coeffs, k, n):
                          - shifted(gamma, prev_i, j - 1) - shifted(gamma, i, j))
                 items.append(((tuple(gamma), i, j), value))
     return tuple(items), max((abs(v) for _, v in items), default=F(0))
+
+
+def ref_longest(simplex):
+    """Squared length and (i, j) of the longest edge by a Fraction pair
+    loop; lowest (i, j) breaks ties."""
+    verts = simplex.vertices
+    best = (F(-1), 0, 0)
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            d = sum((a - b) ** 2 for a, b in zip(verts[i], verts[j]))
+            if d > best[0]:
+                best = (d, i, j)
+    return best
 
 
 @st.composite
@@ -311,3 +332,80 @@ def test_second_differences_match_reference(case, elevated):
     diffs = patch.second_differences()
     assert diffs.items == items
     assert diffs.sup_norm == sup_norm
+
+
+# Denominators up to 12 and large coprime ones, so vertices of one simplex
+# rarely share a denominator.
+MIXED = st.one_of(
+    SIGNED,
+    st.builds(F, st.integers(-10**6, 10**6),
+              st.sampled_from((999_983, 1_000_003, 2**31 - 1, 2**61 - 1))),
+)
+
+
+@st.composite
+def vertex_sets(draw, n):
+    """n + 1 points of R^n; in most draws one of them, put in a random slot,
+    depends on others: a repeat, or a point on the line (for n = 3, also the
+    plane) through others."""
+    points = draw(st.lists(st.lists(MIXED, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("free", "repeat", "line", "plane")[:n + 1]))
+    a, b, c = points[0], points[min(1, n - 1)], points[min(2, n - 1)]
+    s, t = draw(MIXED), draw(MIXED)
+    if kind == "free":
+        extra = draw(st.lists(MIXED, min_size=n, max_size=n))
+    elif kind == "repeat":
+        extra = list(a)
+    elif kind == "line":
+        extra = [x + s * (y - x) for x, y in zip(a, b)]
+    else:
+        extra = [x + s * (y - x) + t * (z - x) for x, y, z in zip(a, b, c)]
+    points.insert(draw(st.integers(0, n)), extra)
+    return points
+
+
+@KERNEL
+@given(st.data())
+def test_rank_check_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    points = data.draw(vertex_sets(n))
+    v0 = points[0]
+    edges = [[F(x) - F(y) for x, y in zip(v, v0)] for v in points[1:]]
+    if _gauss_jordan(edges):
+        assert Simplex(points).vertices == tuple(tuple(p) for p in points)
+    else:
+        with pytest.raises(DegenerateSimplex):
+            Simplex(points)
+
+
+@KERNEL
+@given(st.data())
+def test_longest_edge_matches_reference(data):
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(simplices(n))
+    # Bisection children reach every tie pattern the split layer meets:
+    # the standard simplex and its halves have several longest edges.
+    for _ in range(4):
+        d, i, j = ref_longest(simplex)
+        assert diameter_sq(simplex) == d
+        assert longest_edge(simplex) == (i, j)
+        edge = data.draw(st.sampled_from(((i, j), (0, n))))
+        simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
+
+
+@KERNEL
+@given(st.data())
+def test_grid_value_matches_eval(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 5))
+    simplex = data.draw(simplices(n))
+    size = len(enumerate_indices(k, n))
+    num = data.draw(st.lists(SIGNED, min_size=size, max_size=size))
+    den = data.draw(st.lists(POSITIVE, min_size=size, max_size=size))
+    f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
+    i, j = _edge(data.draw, n)
+    for piece in (f, *f.split_edge(i, j)):
+        for alpha in enumerate_indices(k, n):
+            point = grid_point(alpha, k, piece.simplex)
+            assert piece.grid_value(alpha) == piece.eval(point)

@@ -11,6 +11,7 @@ from bernbound import (
     Simplex,
     apriori_steps,
     convergence_constants,
+    grid_point,
     local_bounds,
     minimize,
     rational_patch,
@@ -22,7 +23,26 @@ from conftest import fn_cert3, fn_dip, pinned_corpus
 UNIT = Simplex.from_interval(0, 1)
 
 
+def _fraction_local_bounds(f):
+    """``local_bounds`` with the grid value taken by evaluating at the grid
+    point through its barycentric coordinates."""
+    ratios = f.ratios
+    m = min(ratios)
+    point = grid_point(f.num.index_set[ratios.index(m)], f.degree, f.simplex)
+    delta, witness = f.eval(point), point
+    for i, value in enumerate(f.vertex_ratios()):
+        if value < delta:
+            delta, witness = value, f.simplex.vertex(i)
+    return m, delta, witness
+
+
 class TestLocalBounds:
+    def test_matches_fraction_path_on_pinned_corpus(self):
+        for case in pinned_corpus():
+            root = rational_patch(case.num, case.den, case.domain)
+            for f in (root, root.elevate().elevate(), *root.split_round()):
+                assert local_bounds(f) == _fraction_local_bounds(f)
+
     def test_dip_function(self):
         num, den, domain = fn_dip()
         f = rational_patch(num, den, domain)
