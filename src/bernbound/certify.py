@@ -96,12 +96,22 @@ class AprioriInfo:
 
 @dataclass(frozen=True)
 class LeafRecord:
-    """One visited subsimplex during local certification."""
+    """One visited subsimplex during local certification.
+
+    It holds the leaf's patch; ``simplex`` and ``ratios`` are read from it
+    on access, so a run builds no ratio tuple that nobody reads."""
 
     depth: int
-    simplex: Simplex
-    ratios: Tuple[Fraction, ...]
+    patch: RationalPatch
     certified: bool
+
+    @property
+    def simplex(self) -> Simplex:
+        return self.patch.simplex
+
+    @property
+    def ratios(self) -> Tuple[Fraction, ...]:
+        return self.patch.ratios
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,14 @@ def cert_predicate(f: RationalPatch) -> bool:
 
 
 def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
-    """First vertex whose ratio (a true function value) is non-positive."""
-    for i, value in enumerate(f.vertex_ratios()):
-        if value <= 0:
-            return Witness(f.simplex.vertex(i), value, "vertex")
+    """First vertex whose ratio (a true function value) is non-positive.
+
+    The ratio has its numerator coefficient's sign, so only the witness's
+    value is built."""
+    nums = f.num.nums
+    for i, p in enumerate(f.num.index_set.vertex_positions()):
+        if nums[p] <= 0:
+            return Witness(f.simplex.vertex(i), f.ratio(p), "vertex")
     return None
 
 
@@ -255,12 +269,12 @@ def certify_local(
     refute = _refuting_vertex(root)
     if refute is not None:
         return report(Verdict.REFUTED, 0, witness=refute,
-                      log=[LeafRecord(0, root.simplex, root.ratios, False)])
+                      log=[LeafRecord(0, root, False)])
     log = []
     if cert_predicate(root):
-        log.append(LeafRecord(0, root.simplex, root.ratios, True))
+        log.append(LeafRecord(0, root, True))
         return report(Verdict.CERTIFIED, 0, leaves=1, log=log)
-    log.append(LeafRecord(0, root.simplex, root.ratios, False))
+    log.append(LeafRecord(0, root, False))
     pending = [root]
     certified = 0
     for depth in range(1, n_max + 1):
@@ -270,15 +284,15 @@ def certify_local(
             for piece in leaf.refine(threshold_sq):
                 refute = _refuting_vertex(piece)
                 if refute is not None:
-                    log.append(LeafRecord(depth, piece.simplex, piece.ratios, False))
+                    log.append(LeafRecord(depth, piece, False))
                     return report(Verdict.REFUTED, depth, witness=refute,
                                   leaves=certified, log=log)
                 if cert_predicate(piece):
                     certified += 1
-                    log.append(LeafRecord(depth, piece.simplex, piece.ratios, True))
+                    log.append(LeafRecord(depth, piece, True))
                 else:
                     next_pending.append(piece)
-                    log.append(LeafRecord(depth, piece.simplex, piece.ratios, False))
+                    log.append(LeafRecord(depth, piece, False))
         pending = next_pending
         if not pending:
             return report(Verdict.CERTIFIED, depth, leaves=certified, log=log)

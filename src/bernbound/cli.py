@@ -84,7 +84,8 @@ def _rational_field(data, key):
 def _int_field(data, key):
     value = data[key]
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+                isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"not an integer: {value!r}")
         return int(value)
     except (TypeError, ValueError) as exc:

@@ -2,16 +2,18 @@
 points, diameters, affine pullback to the standard simplex, and edge
 bisection.
 
-All geometry is exact.  Vertices are ``Fraction`` tuples; a ``Simplex``
-also puts them over the lcm of their denominators as integers, on which it
-checks affine independence by fraction-free (Bareiss) elimination and
-measures its longest edge once.  The only irrational quantity, the
-diameter, is never materialized: comparisons go through ``diameter_sq``.
+All geometry is exact.  A ``Simplex`` stores its vertices as integer
+coordinates over one positive denominator, reduced so that equal simplices
+store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
+built on first use.  On the integers it checks affine independence by
+fraction-free (Bareiss) elimination and measures its longest edge once, and
+``bisect_edge`` forms each midpoint from the parent's integers over at most
+twice its denominator.  The only irrational quantity, the diameter, is
+never materialized: comparisons go through ``diameter_sq``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -28,15 +30,17 @@ def _as_point(values: Sequence[Rational]) -> Point:
     return tuple(parse_rational(v) for v in values)
 
 
-@dataclass(frozen=True)
 class Simplex:
     """Ordered list of n+1 affinely independent points of R^n.
 
-    Every instance is checked; its longest edge is measured at construction
-    and read by ``diameter_sq`` and ``longest_edge``.
+    The vertices are stored as integer coordinates ``ints`` over one positive
+    denominator ``denom``, reduced so that equal simplices store equal
+    integers.  Every instance is checked; its longest edge is measured at
+    construction and read by ``diameter_sq`` and ``longest_edge``.
+    Instances are immutable and hashable.
     """
 
-    vertices: Tuple[Point, ...]
+    __slots__ = ("ints", "denom", "_longest_edge", "_vertices")
 
     def __init__(self, vertices: Sequence[Sequence[Rational]]):
         pts = tuple(_as_point(v) for v in vertices)
@@ -49,29 +53,49 @@ class Simplex:
             raise DegenerateSimplex(
                 f"{n + 1} vertices must each have {n} coordinates"
             )
-        object.__setattr__(self, "vertices", pts)
-        scale = lcm(*(c.denominator for p in pts for c in p))
-        ints = [[c.numerator * (scale // c.denominator) for c in p] for p in pts]
-        v0 = ints[0]
-        if not _nonsingular([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]):
-            raise DegenerateSimplex(f"vertices are affinely dependent: {pts}")
-        d, i, j = _longest(ints)
-        object.__setattr__(self, "_longest_edge", (Fraction(d, scale * scale), i, j))
+        denom = lcm(*(c.denominator for p in pts for c in p))
+        ints = tuple(tuple([c.numerator * (denom // c.denominator) for c in p])
+                     for p in pts)
+        _setup(self, ints, denom, pts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Simplex is immutable; cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Simplex):
+            return NotImplemented
+        return self is other or (self.denom == other.denom and self.ints == other.ints)
+
+    def __hash__(self) -> int:
+        return hash((self.denom, self.ints))
+
+    def __repr__(self) -> str:
+        return f"Simplex(vertices={self.vertices!r})"
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        """The vertices as ``Fraction`` tuples, built on first use."""
+        if self._vertices is None:
+            object.__setattr__(self, "_vertices",
+                               tuple(map(self._point, self.ints)))
+        return self._vertices
+
+    def _point(self, row: Sequence[int]) -> Point:
+        denom = self.denom
+        return tuple([Fraction(x, denom) for x in row])
 
     @property
     def dimension(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.ints) - 1
 
     def vertex(self, i: int) -> Point:
-        return self.vertices[i]
+        return self._point(self.ints[i])
 
     def edge_vectors(self) -> List[List[Fraction]]:
         """The n vectors v_i - v_0 as rows."""
-        v0 = self.vertices[0]
-        return [
-            [vi[c] - v0[c] for c in range(self.dimension)]
-            for vi in self.vertices[1:]
-        ]
+        v0, denom = self.ints[0], self.denom
+        return [[Fraction(a - b, denom) for a, b in zip(vi, v0)]
+                for vi in self.ints[1:]]
 
     def signature(self):
         """Deterministic sort key over simplices (nested vertex tuples)."""
@@ -90,6 +114,23 @@ class Simplex:
     def from_interval(cls, a: Rational, b: Rational) -> "Simplex":
         """The 1-simplex [a], [b]."""
         return cls([[a], [b]])
+
+
+def _setup(simplex: Simplex, ints, denom: int, pts=None) -> None:
+    """Check that the integer vertices ``ints`` over ``denom`` span a
+    simplex (Bareiss elimination), measure the longest edge once and fill in
+    ``simplex``.  Every ``Simplex``, given or made by bisection, passes
+    through here; ``pts`` is the Fraction view when the caller already has
+    it."""
+    put = object.__setattr__
+    put(simplex, "ints", ints)
+    put(simplex, "denom", denom)
+    put(simplex, "_vertices", pts)
+    v0 = ints[0]
+    if not _nonsingular([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]):
+        raise DegenerateSimplex(f"vertices are affinely dependent: {simplex.vertices}")
+    d, i, j = _longest(ints)
+    put(simplex, "_longest_edge", (Fraction(d, denom * denom), i, j))
 
 
 @lru_cache(maxsize=None)
@@ -162,17 +203,15 @@ def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
     n = simplex.dimension
     if len(alpha) != n + 1:
         raise DegreeMismatch(f"index {tuple(alpha)} does not fit dimension {n}")
-    coords = []
-    for c in range(n):
-        total = Fraction(0)
-        for a, v in zip(alpha, simplex.vertices):
-            if a:
-                total += a * v[c]
-        coords.append(total / k)
-    return tuple(coords)
+    denom = k * simplex.denom
+    coords = [0] * n
+    for a, row in zip(alpha, simplex.ints):
+        if a:
+            coords = [x + a * y for x, y in zip(coords, row)]
+    return tuple([Fraction(x, denom) for x in coords])
 
 
-def _longest(ints: List[List[int]]) -> Tuple[int, int, int]:
+def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     """Squared length and (i, j) of the longest edge of integer vertices;
     lowest (i, j) breaks ties."""
     best = (-1, 0, 0)
@@ -208,7 +247,7 @@ def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
         )
     if simplex == standard_simplex(n):
         return poly
-    return poly.substitute_affine(simplex.vertices[0], simplex.edge_vectors())
+    return poly.substitute_affine(simplex.vertex(0), simplex.edge_vectors())
 
 
 def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
@@ -220,13 +259,28 @@ def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
     n = simplex.dimension
     if not (0 <= i < j <= n):
         raise BadEdge(f"edge ({i}, {j}) invalid for dimension {n}")
-    vi, vj = simplex.vertices[i], simplex.vertices[j]
-    mid = tuple((a + b) / 2 for a, b in zip(vi, vj))
-    keep_i = list(simplex.vertices)
+    rows, denom = simplex.ints, simplex.denom
+    mid = [a + b for a, b in zip(rows[i], rows[j])]
+    if any(x & 1 for x in mid):
+        # The midpoint needs twice the parent's denominator; the odd entry
+        # keeps the result reduced.
+        rows = [tuple([2 * x for x in row]) for row in rows]
+        denom *= 2
+        mid = tuple(mid)
+    else:
+        mid = tuple([x >> 1 for x in mid])
+    keep_i = list(rows)
     keep_i[j] = mid
-    keep_j = list(simplex.vertices)
+    keep_j = list(rows)
     keep_j[i] = mid
-    return Simplex(keep_i), Simplex(keep_j)
+    return _bisected(tuple(keep_i), denom), _bisected(tuple(keep_j), denom)
+
+
+def _bisected(ints, denom: int) -> Simplex:
+    """A bisection child; checked by ``_setup`` like every other simplex."""
+    child = Simplex.__new__(Simplex)
+    _setup(child, ints, denom)
+    return child
 
 
 def round_length(n: int) -> int:

@@ -79,12 +79,12 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     true function values).  Ties break in canonical index
     order, so results are deterministic.
     """
-    ratios = f.ratios
-    m = min(ratios)
+    position = f.min_position()
+    m = f.ratio(position)
     k = f.degree
     delta = witness = None
     if k >= 1:
-        argmin = f.num.index_set[ratios.index(m)]
+        argmin = f.num.index_set[position]
         delta = f.grid_value(argmin)
     for i, value in enumerate(f.vertex_ratios()):
         if delta is None or value < delta:

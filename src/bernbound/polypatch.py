@@ -259,9 +259,9 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
 
     With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
     a binomial transform, one axis at a time, of the integers
-    A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S over the
-    lcm S of the coefficient denominators; b_alpha is the result over
-    S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b) is
+    A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S are the
+    polynomial's own integer terms over its scale S; b_alpha is the result
+    over S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b) is
     the first entry of the x-th pairwise-sum row, as in ``split_edge``.
     """
     if degree < poly.degree:
@@ -269,18 +269,16 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
         )
     n = poly.dimension
-    terms = list(poly.iter_terms())
-    lcd = lcm(*(coeff.denominator for _, coeff in terms))
+    lcd = poly.scale
     fact = [factorial(i) for i in range(degree + 1)]
     index = enumerate_indices(degree, n)
     grid = [0] * len(index)
-    for bhat, coeff in terms:
+    for bhat, coeff in poly.int_terms:
         rest = degree - sum(bhat)
         weight = fact[rest]
         for b in bhat:
             weight *= fact[b]
-        grid[index.position((rest,) + bhat)] = (
-            coeff.numerator * (lcd // coeff.denominator) * weight)
+        grid[index.position((rest,) + bhat)] = coeff * weight
     for axis in range(1, n + 1):
         for line in edge_lines(degree, n, 0, axis):
             row = [grid[p] for p in line]

@@ -5,16 +5,21 @@ the stored degree is tight (recomputed from the nonzero terms, never trusted
 from input).  The dimension and the exponents must be integers; bools,
 floats and strings are rejected rather than truncated.
 
-Coefficients are stored as reduced ``Fraction``s; composition with an affine
-map (``substitute_affine``) runs on integers over common denominators and
-divides only at the end.
+Coefficients are stored as integers over one positive scale, reduced so that
+equal polynomials store equal integers; the ``Fraction`` terms are a view
+built on first use.  User input is validated in full by the constructor
+(and so by ``from_json``).  Composition with an affine map
+(``substitute_affine``) runs on integers over common denominators and hands
+its integer terms on as they are, with no ``Fraction`` per term and no
+re-check of the exponents it made; ``polypatch.to_bernstein_standard``
+reads those integers directly.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch
@@ -44,9 +49,15 @@ def _term_sort_key(item: Tuple[Exponents, Fraction]):
 
 
 class PowerPoly:
-    """Polynomial sum of ``coeff * x^exponents`` terms over n variables."""
+    """Polynomial sum of ``coeff * x^exponents`` terms over n variables.
 
-    __slots__ = ("dimension", "_terms", "degree")
+    The coefficient of ``exps`` is ``c / scale`` for each ``(exps, c)`` in
+    ``int_terms``; the scale is positive and shares no factor with every
+    ``c``, so equal polynomials store equal integers.  Terms are sorted by
+    degree, then exponents, and none is zero.
+    """
+
+    __slots__ = ("dimension", "degree", "int_terms", "scale", "_terms")
 
     def __init__(self, dimension: int, terms: Mapping[Sequence[int], Rational]):
         dimension = _integer(dimension, "dimension")
@@ -64,10 +75,26 @@ class PowerPoly:
             value = parse_rational(coeff) if not isinstance(coeff, Fraction) else coeff
             if value:
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + value
-        cleaned = {e: c for e, c in cleaned.items() if c}
+        items = sorted(((e, c) for e, c in cleaned.items() if c), key=_term_sort_key)
+        scale = lcm(*(c.denominator for _, c in items))
         self.dimension = dimension
-        self._terms = tuple(sorted(cleaned.items(), key=_term_sort_key))
-        self.degree = max((sum(e) for e in cleaned), default=0)
+        self.degree = sum(items[-1][0]) if items else 0
+        self.int_terms = tuple([(e, c.numerator * (scale // c.denominator))
+                                for e, c in items])
+        self.scale = scale
+        self._terms = tuple(items)
+
+    @classmethod
+    def _from_ints(cls, dimension: int, int_terms, scale: int) -> "PowerPoly":
+        """A polynomial straight from library-made integer terms, already
+        sorted, nonzero and reduced against a positive scale; unchecked."""
+        poly = cls.__new__(cls)
+        poly.dimension = dimension
+        poly.degree = sum(int_terms[-1][0]) if int_terms else 0
+        poly.int_terms = int_terms
+        poly.scale = scale
+        poly._terms = None
+        return poly
 
     @classmethod
     def zero(cls, dimension: int) -> "PowerPoly":
@@ -82,15 +109,23 @@ class PowerPoly:
         """Build from ascending coefficients [a0, a1, ...] of a0 + a1*x + ..."""
         return cls(1, {(i,): parse_rational(c) for i, c in enumerate(coeffs)})
 
+    def _fractions(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
+        """The terms with exact ``Fraction`` coefficients, built on first
+        use."""
+        if self._terms is None:
+            scale = self.scale
+            self._terms = tuple([(e, Fraction(c, scale)) for e, c in self.int_terms])
+        return self._terms
+
     @property
     def terms(self) -> TermMap:
-        return dict(self._terms)
+        return dict(self._fractions())
 
     def iter_terms(self) -> Iterable[Tuple[Exponents, Fraction]]:
-        return iter(self._terms)
+        return iter(self._fractions())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.int_terms
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
         """Exact value at a rational point."""
@@ -100,7 +135,7 @@ class PowerPoly:
             )
         coords = [parse_rational(c) for c in point]
         total = Fraction(0)
-        for exps, coeff in self._terms:
+        for exps, coeff in self._fractions():
             value = coeff
             for x, e in zip(coords, exps):
                 if e:
@@ -111,7 +146,8 @@ class PowerPoly:
     __call__ = eval
 
     def negate(self) -> "PowerPoly":
-        return PowerPoly(self.dimension, {e: -c for e, c in self._terms})
+        return PowerPoly._from_ints(
+            self.dimension, tuple([(e, -c) for e, c in self.int_terms]), self.scale)
 
     def substitute_affine(
         self,
@@ -127,8 +163,9 @@ class PowerPoly:
         coefficients over one denominator S, so x_i = L_i(t) / D with
         integer linear forms L_i.  Multivariate Horner on integer term dicts
         then gives S * D^d * p(L / D) for the degree d, one multiply by an
-        L_i per step; dividing by S * D^d at the end is the only Fraction
-        work.
+        L_i per step.  The result keeps those integers over S * D^d, reduced
+        by their gcd; it builds no ``Fraction`` per term and does not re-check
+        the exponents it made.
         """
         if len(origin) != self.dimension:
             raise DimensionMismatch("origin has wrong dimension")
@@ -149,23 +186,25 @@ class PowerPoly:
                 if c:
                     form.append((1 << (width * j), c.numerator * (lcd // c.denominator)))
             forms.append(form)
-        common = lcm(*(c.denominator for _, c in self._terms))
-        terms = [(exps, c.numerator * (common // c.denominator))
-                 for exps, c in self._terms]
+        terms = self.int_terms
         packed = _horner(terms, 0, self.degree, forms, lcd) if terms else {}
-        scale = common * lcd ** self.degree
         mask = (1 << width) - 1
-        return PowerPoly(m, {
-            tuple((key >> (width * j)) & mask for j in range(m)): Fraction(c, scale)
-            for key, c in packed.items()
-        })
+        items = sorted(
+            [(tuple([(key >> (width * j)) & mask for j in range(m)]), c)
+             for key, c in packed.items() if c],
+            key=_term_sort_key)
+        scale = self.scale * lcd ** self.degree
+        common = gcd(scale, *(c for _, c in items))
+        if common > 1:
+            items = [(e, c // common) for e, c in items]
+        return PowerPoly._from_ints(m, tuple(items), scale // common)
 
     def to_json(self) -> dict:
         return {
             "dimension": self.dimension,
             "terms": [
                 {"exponents": list(exps), "coeff": format_rational(coeff)}
-                for exps, coeff in self._terms
+                for exps, coeff in self._fractions()
             ],
         }
 
@@ -180,16 +219,17 @@ class PowerPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerPoly):
             return NotImplemented
-        return self.dimension == other.dimension and self._terms == other._terms
+        return (self.dimension == other.dimension and self.scale == other.scale
+                and self.int_terms == other.int_terms)
 
     def __hash__(self) -> int:
-        return hash((self.dimension, self._terms))
+        return hash((self.dimension, self.scale, self.int_terms))
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self.int_terms:
             return f"PowerPoly.zero({self.dimension})"
         parts = []
-        for exps, coeff in self._terms:
+        for exps, coeff in self._fractions():
             mono = "*".join(
                 f"x{i}^{e}" if e > 1 else f"x{i}"
                 for i, e in enumerate(exps)

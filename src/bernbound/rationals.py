@@ -9,10 +9,12 @@ Rational = Union[Fraction, int, str]
 
 
 def parse_rational(value: Rational) -> Fraction:
-    """Parse ``"p/q"``, decimal strings like ``"1.3"``, or ints, exactly."""
+    """Parse ``"p/q"``, decimal strings like ``"1.3"``, or ints, exactly.
+
+    Bools are rejected: a JSON ``true`` is not the number 1."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

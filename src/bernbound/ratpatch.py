@@ -8,8 +8,13 @@ strictly positive; that is the standing assumption of the method, and its
 failure is reported as such rather than as a claim about the function's sign.
 
 Both patches hold integer numerators over a positive shared scale each (see
-``polypatch``), so a ratio's sign is its numerator coefficient's sign.  The
-per-index ratios are an exact ``Fraction`` view, built on first use.
+``polypatch``), so a ratio's sign is its numerator coefficient's sign and
+two ratios compare by cross-multiplying their numerators.  The leaf tests
+read only that: the certificate predicate and the refuting-vertex search
+read signs, ``min_position`` finds the smallest ratio, and a ``Fraction`` is
+built only for a value that is returned (``ratio``, ``vertex_ratios``).  The
+full per-index ``ratios`` tuple is the output view for enclosures and JSON,
+built on first use.
 """
 
 from __future__ import annotations
@@ -86,10 +91,26 @@ class RationalPatch:
     def dimension(self) -> int:
         return self.num.dimension
 
+    def ratio(self, p: int) -> Fraction:
+        """The ratio at position p, exactly, without building the others."""
+        return Fraction(self.num.nums[p] * self.den.scale,
+                        self.den.nums[p] * self.num.scale)
+
     def vertex_ratios(self) -> Tuple[Fraction, ...]:
         """Per-vertex ratios; these are true function values f(v_i)."""
-        positions = self.num.index_set.vertex_positions()
-        return tuple(self.ratios[p] for p in positions)
+        return tuple(map(self.ratio, self.num.index_set.vertex_positions()))
+
+    def min_position(self) -> int:
+        """First position of the smallest ratio.  Both scales are shared and
+        the denominators positive, so a/b < c/d is a*d < c*b on the
+        numerators: no ratio is built."""
+        nums, dens = self.num.nums, self.den.nums
+        best, a, b = 0, nums[0], dens[0]
+        for p in range(1, len(nums)):
+            c, d = nums[p], dens[p]
+            if c * b < a * d:
+                best, a, b = p, c, d
+        return best
 
     def enclosure(self) -> Interval:
         """[min ratio, max ratio]; contains the function's range over |V|."""

@@ -235,6 +235,58 @@ def pinned_corpus():
 
 
 # ---------------------------------------------------------------------------
+# Multivariate problems with a closed-form minimum
+# ---------------------------------------------------------------------------
+
+def closed_form(m, s, weights, slopes, offset):
+    """f = m + s * |x - a|^2 / q over the standard n-simplex shifted by
+    ``offset``, with n = len(slopes).
+
+    q = 1 + sum slopes_i * (x_i - offset_i) with nonnegative slopes is at
+    least 1 at every vertex, so its Bernstein coefficients are positive; the
+    point a (barycentric ``weights``, all positive) lies strictly inside, so
+    the exact minimum is m, attained at a.  Returns (num, den, simplex, a).
+    """
+    n = len(slopes)
+    total = sum(weights)
+    a = tuple(o + F(w, total) for o, w in zip(offset, weights[1:]))
+    zero = (0,) * n
+
+    def unit(i, power):
+        return tuple(power if c == i else 0 for c in range(n))
+
+    den = {zero: 1 - sum(c * o for c, o in zip(slopes, offset))}
+    for i, c in enumerate(slopes):
+        den[unit(i, 1)] = c
+    num = {e: m * c for e, c in den.items()}
+    num[zero] += s * sum(x * x for x in a)
+    for i, x in enumerate(a):
+        num[unit(i, 1)] -= 2 * s * x
+        num[unit(i, 2)] = s
+    vertices = [list(offset)] + [
+        [o + (c == i) for c, o in enumerate(offset)] for i in range(n)]
+    return PowerPoly(n, num), PowerPoly(n, den), Simplex(vertices), a
+
+
+def dense_sample(simplex, steps):
+    """Every point sum beta_i v_i / steps with |beta| = steps, exactly."""
+    verts = simplex.vertices
+    n = len(verts) - 1
+
+    def weights(left, parts):
+        if parts == 1:
+            yield (left,)
+            return
+        for first in range(left + 1):
+            for rest in weights(left - first, parts - 1):
+                yield (first,) + rest
+
+    for beta in weights(steps, n + 1):
+        yield tuple(sum(b * v[c] for b, v in zip(beta, verts)) / steps
+                    for c in range(n))
+
+
+# ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
 

@@ -291,6 +291,8 @@ class TestUsageAndErrors:
         ("degree", 2.5, "not an integer"),
         ("k_max", "3/2", "invalid literal for int()"),
         ("n_max", "ten", "invalid literal for int()"),
+        ("degree", True, "not an integer: True"),
+        ("n_max", True, "not an integer: True"),
     ])
     def test_non_integer_spec_field(self, tmp_path, capsys, field, value, message):
         spec = _write(tmp_path, "field.json", {**DIP_SPEC, field: value})
@@ -298,6 +300,24 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert f"spec field '{field}'" in err
         assert message in err
+
+    @pytest.mark.parametrize("field, change, value", [
+        ("numerator", {"numerator": {"dimension": 1, "terms": [
+            {"exponents": [0], "coeff": True}]}}, True),
+        ("domain", {"domain": {"vertices": [[True], ["2"]]}}, True),
+        ("domain", {"domain": {"interval": [False, True]}}, False),
+        ("claimed_min", {"claimed_min": True}, True),
+        ("claimed_numerator_min", {"claimed_numerator_min": True}, True),
+        ("eps", {"eps": True}, True),
+        ("shrink", {"shrink": False}, False),
+    ])
+    def test_boolean_rational_field(self, tmp_path, capsys, field, change, value):
+        # JSON true/false are not the numbers 1 and 0.
+        spec = _write(tmp_path, "bool.json", {**DIP_SPEC, **change})
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert f"spec field '{field}'" in err
+        assert f"not a rational number: {value!r}" in err
 
     @pytest.mark.parametrize("exponent", [1.5, 1.0, True, "2"])
     def test_non_integer_exponent(self, tmp_path, capsys, exponent):

@@ -18,6 +18,7 @@ from bernbound import (
     round_length,
     standard_simplex,
 )
+from bernbound import geometry
 from bernbound.errors import (
     BadEdge,
     DegenerateSimplex,
@@ -205,6 +206,19 @@ class TestBisectEdge:
             bisect_edge(tri, 1, 1)
         with pytest.raises(BadEdge):
             bisect_edge(tri, 0, 3)
+
+    def test_every_simplex_is_checked(self, monkeypatch):
+        # Bisection children are built from the parent's integers, not
+        # through Simplex.__init__; they must still pass the rank check.
+        one = PowerPoly.constant(2, 1)
+        patch = rational_patch(one, one, standard_simplex(2))
+        monkeypatch.setattr(geometry, "_nonsingular", lambda rows: False)
+        with pytest.raises(DegenerateSimplex):
+            bisect_edge(standard_simplex(2), 0, 1)
+        with pytest.raises(DegenerateSimplex):
+            patch.split_round()
+        with pytest.raises(DegenerateSimplex):
+            Simplex([[0, 0], [1, 0], [0, 1]])
 
 
 def split_round(simplex):

@@ -10,7 +10,11 @@ table; every result must be exactly equal.  The simplex geometry under the
 split layer is checked the same way: the integer rank check against
 Fraction Gauss-Jordan, the longest edge measured on integers against a
 Fraction pair loop, and grid-point values from integer sums against
-evaluation through barycentric coordinates.
+evaluation through barycentric coordinates.  Integer vertices are checked
+against Fraction midpoints along bisection chains, the integer leaf tests
+(smallest ratio, vertex ratios, refuting vertex) against the full ratio
+tuple, and the integer pullback result against the ``PowerPoly`` built from
+the Fraction reference.
 """
 
 from fractions import Fraction as F
@@ -37,8 +41,10 @@ from bernbound import (  # noqa: E402
     standard_simplex,
     to_bernstein,
 )
+from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
 from bernbound.geometry import _gauss_jordan  # noqa: E402
+from bernbound.optimize import local_bounds  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -314,8 +320,31 @@ def test_substitute_affine_matches_reference(data):
     origin = data.draw(st.lists(SIGNED, min_size=n, max_size=n))
     directions = data.draw(st.lists(st.lists(SIGNED, min_size=n, max_size=n),
                                     min_size=m, max_size=m))
-    assert (poly.substitute_affine(origin, directions)
-            == ref_substitute_affine(poly, origin, directions))
+    got = poly.substitute_affine(origin, directions)
+    want = ref_substitute_affine(poly, origin, directions)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.degree == want.degree
+    assert tuple(got.iter_terms()) == tuple(want.iter_terms())
+    degree = data.draw(st.integers(want.degree, 8))
+    patch = to_bernstein(got, degree, standard_simplex(m))
+    reference = to_bernstein(want, degree, standard_simplex(m))
+    assert (patch.nums, patch.scale) == (reference.nums, reference.scale)
+
+
+def test_substitute_affine_drops_cancelled_terms():
+    # On the line x0 = x1 = t, x0^2 - x1^2 cancels: random draws almost
+    # never hit an exact cancellation.
+    poly = PowerPoly(2, {(2, 0): 1, (0, 2): -1, (1, 0): F(1, 2)})
+    got = poly.substitute_affine([0, 0], [[1, 1]])
+    want = PowerPoly(1, {(1,): F(1, 2)})
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.degree == 1
+    zero = PowerPoly(2, {(1, 0): 3, (0, 1): -3}).substitute_affine([1, 1], [[2, 2]])
+    assert zero.is_zero()
+    assert zero.degree == 0
+    assert zero == PowerPoly.zero(1)
 
 
 @KERNEL
@@ -409,3 +438,69 @@ def test_grid_value_matches_eval(data):
         for alpha in enumerate_indices(k, n):
             point = grid_point(alpha, k, piece.simplex)
             assert piece.grid_value(alpha) == piece.eval(point)
+
+
+@KERNEL
+@given(st.data())
+def test_bisection_chain_matches_fraction_midpoints(data):
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(simplices(n))
+    verts = list(simplex.vertices)
+    for _ in range(5):
+        i, j = _edge(data.draw, n)
+        mid = tuple((a + b) / 2 for a, b in zip(verts[i], verts[j]))
+        keep_i, keep_j = list(verts), list(verts)
+        keep_i[j] = mid
+        keep_j[i] = mid
+        left, right = bisect_edge(simplex, i, j)
+        assert [left.vertex(p) for p in range(n + 1)] == keep_i
+        assert left.vertices == tuple(keep_i)
+        assert right.vertices == tuple(keep_j)
+        simplex, verts = data.draw(st.sampled_from(((left, keep_i), (right, keep_j))))
+
+
+@KERNEL
+@given(st.data())
+def test_child_equals_simplex_built_from_its_vertices(data):
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(simplices(n))
+    for _ in range(4):
+        edge = data.draw(st.sampled_from((longest_edge(simplex), _edge(data.draw, n))))
+        simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
+        # The same vertices, each coordinate written over a non-reduced
+        # denominator.
+        factor = data.draw(st.integers(2, 6))
+        written = [[f"{c.numerator * factor}/{c.denominator * factor}" for c in v]
+                   for v in simplex.vertices]
+        for again in (Simplex(simplex.vertices), Simplex(written)):
+            assert again == simplex
+            assert hash(again) == hash(simplex)
+            assert (again.ints, again.denom) == (simplex.ints, simplex.denom)
+            assert diameter_sq(again) == diameter_sq(simplex)
+
+
+@KERNEL
+@given(rational_patches(), st.data())
+def test_leaf_tests_match_full_ratios(case, data):
+    n, k, num, den = case
+    simplex = data.draw(simplices(n))
+    f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
+    if data.draw(st.booleans()):
+        # A split child's scale is no longer the lcm of its denominators.
+        i, j = _edge(data.draw, n)
+        num = ref_split(num, k, n, i, j)[1]
+        den = ref_split(den, k, n, i, j)[1]
+        f = f.split_edge(i, j)[1]
+    ratios = tuple(p / q for p, q in zip(num, den))
+    m = min(ratios)
+    assert f.min_position() == ratios.index(m)
+    assert local_bounds(f)[0] == m
+    vertices = enumerate_indices(k, n).vertex_positions()
+    assert f.vertex_ratios() == tuple(ratios[p] for p in vertices)
+    refute = _refuting_vertex(f)
+    first = next((i for i, p in enumerate(vertices) if ratios[p] <= 0), None)
+    if first is None:
+        assert refute is None
+    else:
+        assert refute.point == f.simplex.vertices[first]
+        assert refute.value == ratios[vertices[first]]

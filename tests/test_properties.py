@@ -1,0 +1,75 @@
+"""Property tests on closed-form problems in two and three variables.
+
+Each problem is f = m + s * |x - a|^2 / q with a strictly inside the domain
+and q Bernstein-positive there (``conftest.closed_form``), so its exact
+minimum is m.  Global and local certification must agree whenever both
+conclude, and each verdict must match the sign of m; both ``minimize``
+strategies must bracket m and a dense-sample minimum.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from bernbound import Verdict, certify_global, certify_local, minimize  # noqa: E402
+from conftest import closed_form, dense_sample  # noqa: E402
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+VERDICTS = settings(PROPERTY, max_examples=50)
+
+
+@st.composite
+def problems(draw):
+    """(num, den, simplex, a, m) with n in {2, 3}; a third of the minima are
+    negative, one in six is zero."""
+    n = draw(st.sampled_from((2, 3)))
+    m = draw(st.sampled_from((F(-1, 2), F(-1, 20), F(0), F(1, 20), F(1, 4), F(1))))
+    s = draw(st.sampled_from((F(1, 4), F(1), F(3))))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
+    slopes = draw(st.lists(st.sampled_from((F(0), F(1, 2), F(2))),
+                           min_size=n, max_size=n))
+    offset = draw(st.lists(st.sampled_from((F(0), F(-1, 2), F(1, 3))),
+                           min_size=n, max_size=n))
+    return (*closed_form(m, s, weights, slopes, offset), m)
+
+
+def _value(num, den, point):
+    return num.eval(point) / den.eval(point)
+
+
+@VERDICTS
+@given(problems())
+def test_global_and_local_verdicts_agree(problem):
+    num, den, simplex, _, m = problem
+    n_max = 3 if simplex.dimension == 2 else 2
+    reports = (certify_global(num, den, simplex, k_max=14),
+               certify_local(num, den, simplex, n_max))
+    concluded = {r.verdict for r in reports} - {Verdict.INCONCLUSIVE}
+    assert len(concluded) <= 1
+    for report in reports:
+        if report.verdict is Verdict.CERTIFIED:
+            assert m > 0
+        elif report.verdict is Verdict.REFUTED:
+            witness = report.witness
+            assert m <= 0
+            assert witness.value <= 0
+            assert witness.value == _value(num, den, witness.point)
+
+
+@PROPERTY
+@given(problems(), st.sampled_from(("best-first", "uniform")))
+def test_minimize_brackets_contain_sampled_minimum(problem, mode):
+    num, den, simplex, a, m = problem
+    eps = F(1, 20)
+    result = minimize(num, den, simplex, eps, mode=mode)
+    assert result.converged
+    assert result.gap < eps
+    assert result.lower <= m <= result.upper
+    assert result.upper == _value(num, den, result.argmin_candidate)
+    steps = 12 if simplex.dimension == 2 else 8
+    sampled = min(_value(num, den, p) for p in dense_sample(simplex, steps))
+    assert _value(num, den, a) == m <= sampled
+    assert result.lower <= sampled < result.upper + eps
