@@ -3,10 +3,14 @@
 The core predicate accepts a coefficient list when every rational Bernstein
 coefficient is nonnegative and every vertex coefficient is strictly positive
 (vertex coefficients are true function values, so a non-positive one refutes
-positivity outright).  Certification proceeds either globally by degree
-elevation or locally by subdivision at fixed degree, each with an a-priori
-bound on the work needed when a positive lower bound for the function is
-known.
+positivity outright).  The denominator's coefficients are positive, so each
+ratio has its numerator coefficient's sign and the predicate reads the
+numerator alone (``numerator_certifies``).  Certification proceeds either
+globally by degree elevation or locally by subdivision at fixed degree, each
+with an a-priori bound on the work needed when a positive lower bound for the
+function is known.  Elevation keeps a positive denominator positive (every
+new coefficient is a positive-weight mean of old ones), so the global scan
+elevates the numerator only.
 
 Outcomes are three-valued: a budget is mandatory because a function that
 merely touches zero admits no finite certificate, so loops must be allowed
@@ -144,17 +148,24 @@ class CertificateReport:
         return out
 
 
+def numerator_certifies(num: BernsteinPatch) -> bool:
+    """Every coefficient nonnegative and every vertex coefficient strictly
+    positive, read from the integer numerators: the scale is positive, so
+    no coefficient is built."""
+    nums = num.nums
+    if min(nums) < 0:
+        return False
+    return all(nums[p] > 0 for p in num.index_set.vertex_positions())
+
+
 def cert_predicate(f: RationalPatch) -> bool:
     """All ratios nonnegative and every vertex ratio strictly positive.
 
     The denominator coefficients and both scales are positive, so each ratio
-    has the sign of its numerator coefficient: the test reads integer signs
-    and builds no ratio.
+    has the sign of its numerator coefficient: this is
+    ``numerator_certifies`` on the numerator, and builds no ratio.
     """
-    nums = f.num.nums
-    if min(nums) < 0:
-        return False
-    return all(nums[p] > 0 for p in f.num.index_set.vertex_positions())
+    return numerator_certifies(f.num)
 
 
 def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
@@ -206,9 +217,14 @@ def certify_global(
 ) -> CertificateReport:
     """Elevate the rational form until the certificate predicate holds.
 
-    Starts at the common polynomial degree and elevates one degree at a time.
+    Builds the rational patch at the common polynomial degree, which checks
+    that every denominator coefficient is positive; a non-positive vertex
+    value refutes immediately and is exact.  Elevation keeps those
+    coefficients positive, so every ratio keeps its numerator coefficient's
+    sign and the scan elevates the numerator alone, one degree at a time,
+    until ``numerator_certifies`` holds or the degree reaches k_max.
     Termination before k_max is guaranteed only for strictly positive
-    functions; a non-positive vertex value refutes immediately and is exact.
+    functions.
     """
     start = time.perf_counter()
     base = max(pnum.degree, pden.degree)
@@ -221,20 +237,18 @@ def certify_global(
             Verdict.REFUTED, Mode.GLOBAL_ELEVATION, degree_used=base,
             witness=refute, wall_clock=time.perf_counter() - start,
         )
-    k = base
-    while True:
-        if cert_predicate(f):
-            return CertificateReport(
-                Verdict.CERTIFIED, Mode.GLOBAL_ELEVATION, degree_used=k,
-                leaves=1, wall_clock=time.perf_counter() - start,
-            )
-        if k == k_max:
+    num = f.num
+    while not numerator_certifies(num):
+        if num.degree == k_max:
             return CertificateReport(
                 Verdict.INCONCLUSIVE, Mode.GLOBAL_ELEVATION, degree_used=k_max,
                 wall_clock=time.perf_counter() - start,
             )
-        f = f.elevate()
-        k += 1
+        num = num.elevate()
+    return CertificateReport(
+        Verdict.CERTIFIED, Mode.GLOBAL_ELEVATION, degree_used=num.degree,
+        leaves=1, wall_clock=time.perf_counter() - start,
+    )
 
 
 def certify_local(

@@ -101,7 +101,7 @@ class IndexSet:
     deterministic, and the contract for every coefficient list in the package.
     """
 
-    __slots__ = ("degree", "dimension", "indices", "_positions")
+    __slots__ = ("degree", "dimension", "indices", "_positions", "_vertex_positions")
 
     def __init__(self, degree: int, dimension: int):
         if degree < 0:
@@ -116,6 +116,7 @@ class IndexSet:
                 indices.append(MultiIndex((degree - grade,) + hat))
         self.indices = tuple(indices)
         self._positions = {ix: pos for pos, ix in enumerate(self.indices)}
+        self._vertex_positions = None
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -131,14 +132,14 @@ class IndexSet:
         return self._positions[tuple(alpha)]
 
     def vertex_positions(self) -> Tuple[int, ...]:
-        """Positions of the vertex indices k*e_i for i = 0..n."""
-        k, n = self.degree, self.dimension
-        out = []
-        for i in range(n + 1):
-            alpha = [0] * (n + 1)
-            alpha[i] = k
-            out.append(self.position(alpha))
-        return tuple(out)
+        """Positions of the vertex indices k*e_i for i = 0..n (built on
+        first use)."""
+        if self._vertex_positions is None:
+            k, n = self.degree, self.dimension
+            self._vertex_positions = tuple(
+                self.position(tuple(k if c == i else 0 for c in range(n + 1)))
+                for i in range(n + 1))
+        return self._vertex_positions
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ from .indexing import (
     multinomials,
     second_difference_moves,
 )
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _integer
 from .rationals import Interval, Rational, format_rational, parse_rational
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
@@ -247,7 +247,7 @@ class BernsteinPatch:
     def from_json(cls, data: Mapping) -> "BernsteinPatch":
         return cls(
             Simplex.from_json(data["simplex"]),
-            int(data["degree"]),
+            _integer(data["degree"], "degree"),
             tuple(parse_rational(c) for c in data["coeffs"]),
         )
 

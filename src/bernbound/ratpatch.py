@@ -112,9 +112,14 @@ class RationalPatch:
                 best, a, b = p, c, d
         return best
 
-    def enclosure(self) -> Interval:
-        """[min ratio, max ratio]; contains the function's range over |V|."""
+    @cached_property
+    def _enclosure(self) -> Interval:
         return Interval(min(self.ratios), max(self.ratios))
+
+    def enclosure(self) -> Interval:
+        """[min ratio, max ratio]; contains the function's range over |V|.
+        Computed on first use, like ``ratios``."""
+        return self._enclosure
 
     def eval(self, point) -> Fraction:
         """Exact value num(point) / den(point)."""

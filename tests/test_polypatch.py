@@ -348,3 +348,11 @@ class TestPatchJson:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             BernsteinPatch(Simplex.from_interval(0, 1), 2, (F(1), F(2)))
+
+    @pytest.mark.parametrize("degree", [1.5, True, "1", 1.0])
+    def test_non_integer_degree_rejected(self, degree):
+        # int() would truncate each of these to degree 1 and load a patch.
+        data = to_bernstein_standard(PowerPoly.univariate([1, -3]), 1).to_json()
+        data["degree"] = degree
+        with pytest.raises(TypeError, match="degree"):
+            BernsteinPatch.from_json(data)
