@@ -20,7 +20,7 @@ from .errors import (
     OrderExceedsDegree,
     SimplexMismatch,
 )
-from .rationals import Interval, interval_distance, parse_rational, format_rational
+from .rationals import Interval, parse_rational, format_rational
 from .indexing import IndexSet, MultiIndex, binom_graded, binom_multi, enumerate_indices
 from .powerpoly import PowerPoly
 from .geometry import (

@@ -12,6 +12,14 @@ function is known.  Elevation keeps a positive denominator positive (every
 new coefficient is a positive-weight mean of old ones), so the global scan
 elevates the numerator only.
 
+The global scan runs on homogeneous coefficients c_alpha = b_alpha *
+multinomial(k; alpha), kept as integers over the base patch's scale.  They
+elevate by plain sums, c'_beta = sum over i with beta_i > 0 of
+c_{beta - e_i}: no weights, no new scale, and each step grows the largest
+integer by at most a factor n + 1.  Multinomials are positive, so every c
+has its Bernstein coefficient's sign, and the vertex entries are the vertex
+coefficients themselves; the same sign rule decides.
+
 Outcomes are three-valued: a budget is mandatory because a function that
 merely touches zero admits no finite certificate, so loops must be allowed
 to give up honestly.
@@ -24,10 +32,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Optional, Tuple
+from operator import add, mul
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, NonPositiveClaim
 from .geometry import Simplex
+from .indexing import elevation_sums, multinomials
 from .polypatch import BernsteinPatch
 from .powerpoly import PowerPoly
 from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch
@@ -148,14 +158,47 @@ class CertificateReport:
         return out
 
 
+def _signs_certify(values: Sequence[int], vertices: Sequence[int]) -> bool:
+    """The certificate's sign rule on integers that carry the coefficients'
+    signs: none negative, and every vertex entry strictly positive."""
+    if min(values) < 0:
+        return False
+    return all(values[p] > 0 for p in vertices)
+
+
 def numerator_certifies(num: BernsteinPatch) -> bool:
     """Every coefficient nonnegative and every vertex coefficient strictly
     positive, read from the integer numerators: the scale is positive, so
     no coefficient is built."""
-    nums = num.nums
-    if min(nums) < 0:
-        return False
-    return all(nums[p] > 0 for p in num.index_set.vertex_positions())
+    return _signs_certify(num.nums, num.index_set.vertex_positions())
+
+
+def _homogeneous(num: BernsteinPatch) -> List[int]:
+    """The integers nums_alpha * multinomial(k; alpha), then a zero sentinel.
+
+    Over ``num.scale`` they are the homogeneous coefficients of ``num``."""
+    return [*map(mul, num.nums, multinomials(num.degree, num.dimension)), 0]
+
+
+def _elevate_homogeneous(
+    c: List[int], degree: int, dimension: int,
+) -> Tuple[List[int], Tuple[int, ...]]:
+    """Homogeneous coefficients one degree up, and their vertex positions.
+
+    ``c`` holds the degree-``degree`` integers followed by the zero
+    sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
+    i with beta_i > 0, the sentinel standing in where beta_i = 0.  For
+    n = 1 that is one Pascal row, c'_j = c_{j-1} + c_j, read off ``c``
+    without a table.
+    """
+    if dimension == 1:
+        return [c[0], *map(add, c, c[1:]), 0], (0, degree + 1)
+    sources, vertices = elevation_sums(degree, dimension)
+    fetch = c.__getitem__
+    summed = map(fetch, sources[0])
+    for column in sources[1:]:
+        summed = map(add, summed, map(fetch, column))
+    return [*summed, 0], vertices
 
 
 def cert_predicate(f: RationalPatch) -> bool:
@@ -222,33 +265,49 @@ def certify_global(
     value refutes immediately and is exact.  Elevation keeps those
     coefficients positive, so every ratio keeps its numerator coefficient's
     sign and the scan elevates the numerator alone, one degree at a time,
-    until ``numerator_certifies`` holds or the degree reaches k_max.
-    Termination before k_max is guaranteed only for strictly positive
-    functions.
+    until its coefficients pass ``numerator_certifies``' sign rule or the
+    degree reaches k_max.  The scan holds the numerator's homogeneous
+    coefficients b_alpha * multinomial(k; alpha) as integers over the base
+    scale; they have the coefficients' signs and elevate by integer sums
+    alone, so no patch is built per degree.  Termination before k_max is
+    guaranteed only for strictly positive functions.
     """
+    return _certify_global(pnum, pden, simplex, k_max)[0]
+
+
+def _certify_global(
+    pnum: PowerPoly,
+    pden: PowerPoly,
+    simplex: Simplex,
+    k_max: int,
+) -> Tuple[CertificateReport, RationalPatch]:
+    """``certify_global``'s report, plus the base-degree root it built."""
     start = time.perf_counter()
     base = max(pnum.degree, pden.degree)
     if k_max < base:
         raise DegreeTooLow(f"k_max {k_max} below the function degree {base}")
-    f = rational_patch(pnum, pden, simplex, base)
-    refute = _refuting_vertex(f)
-    if refute is not None:
+    root = rational_patch(pnum, pden, simplex, base)
+
+    def report(verdict, degree, witness=None):
         return CertificateReport(
-            Verdict.REFUTED, Mode.GLOBAL_ELEVATION, degree_used=base,
-            witness=refute, wall_clock=time.perf_counter() - start,
-        )
-    num = f.num
-    while not numerator_certifies(num):
-        if num.degree == k_max:
-            return CertificateReport(
-                Verdict.INCONCLUSIVE, Mode.GLOBAL_ELEVATION, degree_used=k_max,
-                wall_clock=time.perf_counter() - start,
-            )
-        num = num.elevate()
-    return CertificateReport(
-        Verdict.CERTIFIED, Mode.GLOBAL_ELEVATION, degree_used=num.degree,
-        leaves=1, wall_clock=time.perf_counter() - start,
-    )
+            verdict, Mode.GLOBAL_ELEVATION, degree_used=degree, witness=witness,
+            leaves=int(verdict is Verdict.CERTIFIED),
+            wall_clock=time.perf_counter() - start,
+        ), root
+
+    refute = _refuting_vertex(root)
+    if refute is not None:
+        return report(Verdict.REFUTED, base, refute)
+    dimension = simplex.dimension
+    c = _homogeneous(root.num)
+    vertices = root.num.index_set.vertex_positions()
+    degree = base
+    while not _signs_certify(c, vertices):
+        if degree == k_max:
+            return report(Verdict.INCONCLUSIVE, k_max)
+        c, vertices = _elevate_homogeneous(c, degree, dimension)
+        degree += 1
+    return report(Verdict.CERTIFIED, degree)
 
 
 def certify_local(

@@ -25,11 +25,11 @@ from .certify import (
     ClaimedMinimum,
     Mode,
     Verdict,
+    _certify_global,
     apriori_d1,
     apriori_d2,
     apriori_degree_omega,
     apriori_depth,
-    certify_global,
     certify_local,
     certify_negative,
     certify_sharpness,
@@ -269,7 +269,9 @@ def _apriori_info(spec: ProblemSpec, shrink: Fraction,
     """A-priori bounds when the spec carries validated claims.
 
     ``root`` is the base-degree patch of the spec's function when the caller
-    already built it, else None and it is built here.
+    already built it, else None and it is built here.  When the numerator's
+    degree is the root's, ``root.num`` is the numerator's own-degree patch
+    that D2 reads.
     """
     if spec.claimed_min is None:
         return None
@@ -279,7 +281,11 @@ def _apriori_info(spec: ProblemSpec, shrink: Fraction,
     constants = convergence_constants(root)
     d2 = None
     if spec.claimed_numerator_min is not None:
-        num_patch = to_bernstein(spec.numerator, spec.numerator.degree, spec.domain)
+        if spec.numerator.degree == root.degree:
+            num_patch = root.num
+        else:
+            num_patch = to_bernstein(spec.numerator, spec.numerator.degree,
+                                     spec.domain)
         d2 = apriori_d2(num_patch, ClaimedMinimum(spec.claimed_numerator_min))
     return AprioriInfo(
         d1=apriori_d1(constants, fmin),
@@ -344,7 +350,8 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
             root = rational_patch(spec.numerator, spec.denominator, spec.domain)
             report = certify_sharpness(root)
         elif args.mode == "global":
-            report = certify_global(spec.numerator, spec.denominator, spec.domain, k_max)
+            report, root = _certify_global(spec.numerator, spec.denominator,
+                                           spec.domain, k_max)
         elif args.mode == "local":
             report = certify_local(spec.numerator, spec.denominator, spec.domain,
                                    n_max, shrink)

@@ -156,30 +156,63 @@ def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
                  for alpha in enumerate_indices(degree, dimension))
 
 
+def _lowered(degree: int, dimension: int, missing: int) -> Tuple[Tuple[array, array], ...]:
+    """One (weights, sources) pair of flat arrays per slot i = 0..n, each
+    indexed by position in the degree + 1 index set: for beta with
+    beta_i > 0 the weight is beta_i and the source is the position of
+    beta - e_i at ``degree``, otherwise the weight is 0 and the source is
+    ``missing``.
+
+    A hat's position does not depend on the degree (the order is graded on
+    the hat), so one hat-to-position map of the source degree serves every
+    slot, and no ``IndexSet`` is built.
+    """
+    hats = [hat for grade in range(degree + 2)
+            for hat in _hat_indices(grade, dimension)]
+    position = {hat: pos for pos, hat in enumerate(hats) if sum(hat) <= degree}
+    size = len(hats)
+    moves = []
+    for i in range(dimension + 1):
+        weights = array("I", [0]) * size
+        sources = array("I", [missing]) * size
+        for pos, hat in enumerate(hats):
+            if i == 0:
+                entry, lowered = degree + 1 - sum(hat), hat
+            else:
+                entry = hat[i - 1]
+                lowered = hat[:i - 1] + (entry - 1,) + hat[i:]
+            if entry:
+                weights[pos] = entry
+                sources[pos] = position[lowered]
+        moves.append((weights, sources))
+    return tuple(moves)
+
+
 @lru_cache(maxsize=None)
 def elevation_moves(degree: int, dimension: int) -> Tuple[Tuple[array, array], ...]:
     """Gather table for elevating a degree-``degree`` coefficient list by one.
 
-    One (weights, sources) pair of flat arrays per slot i = 0..n, each
-    indexed by position in the degree + 1 index set: for beta with
-    beta_i > 0 the weight is beta_i and the source is the position of
-    beta - e_i at ``degree``, otherwise both are 0.  The elevated coefficient
-    at beta is sum_i weights_i[beta] * c[sources_i[beta]] / (degree + 1).
+    One (weights, sources) pair per slot i = 0..n, as in ``_lowered`` with
+    source 0 where beta_i = 0.  The elevated coefficient at beta is
+    sum_i weights_i[beta] * c[sources_i[beta]] / (degree + 1).
     """
-    source = enumerate_indices(degree, dimension)
-    target = enumerate_indices(degree + 1, dimension)
-    moves = []
-    for i in range(dimension + 1):
-        weights = array("I", [0]) * len(target)
-        sources = array("I", [0]) * len(target)
-        for pos, beta in enumerate(target):
-            if beta[i]:
-                lowered = list(beta)
-                lowered[i] -= 1
-                weights[pos] = beta[i]
-                sources[pos] = source.position(lowered)
-        moves.append((weights, sources))
-    return tuple(moves)
+    return _lowered(degree, dimension, 0)
+
+
+@lru_cache(maxsize=None)
+def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tuple[int, ...]]:
+    """Gather table for elevating homogeneous coefficients by plain sums.
+
+    Homogeneous coefficients are c_alpha = b_alpha * multinomial(k; alpha);
+    elevation maps them to c'_beta = sum over i with beta_i > 0 of
+    c_{beta - e_i}.  Returns one source array per slot i = 0..n, indexed by
+    position at degree + 1, from the same table as ``elevation_moves``, with
+    the zero sentinel position len(c) = C(degree + n, n) where beta_i = 0,
+    and the vertex positions (degree + 1) * e_i at degree + 1.
+    """
+    moves = _lowered(degree, dimension, comb(degree + dimension, dimension))
+    vertices = tuple(weights.index(degree + 1) for weights, _ in moves)
+    return tuple(sources for _, sources in moves), vertices
 
 
 @lru_cache(maxsize=None)

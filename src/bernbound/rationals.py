@@ -58,7 +58,3 @@ class Interval(NamedTuple):
             raise ValueError("hull of empty collection")
         return Interval(min(vals), max(vals))
 
-
-def interval_distance(a: Interval, b: Interval) -> Fraction:
-    """max(|a.lo - b.lo|, |a.hi - b.hi|), the endpoint distance of intervals."""
-    return max(abs(a.lo - b.lo), abs(a.hi - b.hi))

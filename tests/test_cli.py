@@ -160,9 +160,22 @@ class TestCertify:
         assert apriori["D2"] == "1300"
         assert apriori["D1"] == "418/3"
 
-    def test_sharpness_apriori_reuses_root_patch(self, tmp_path, capsys, monkeypatch):
+    def test_apriori_d2_at_the_numerator_degree(self, tmp_path, capsys):
+        # The root has the denominator's degree 2; D2 reads the numerator's
+        # own degree-1 patch, where l(l-1)/2 = 0.
+        spec = _write(tmp_path, "linear.json", {
+            **DIP_SPEC, "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "2"}, {"exponents": [1], "coeff": "1"}]},
+            "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
+        assert main(["certify", spec, "--mode", "global", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["apriori"]["D2"] == "0"
+
+    @pytest.mark.parametrize("mode", ["sharpness", "global"])
+    def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
+                                                 monkeypatch):
         # [-1, 1] is not the standard simplex, so every conversion of num or
-        # den pulls back once.
+        # den pulls back once.  The root converts num and den; the a-priori
+        # bounds read it, and D2 reads its numerator (both have degree 2).
         calls = []
         original = PowerPoly.substitute_affine
 
@@ -171,9 +184,11 @@ class TestCertify:
             return original(self, origin, directions)
 
         monkeypatch.setattr(PowerPoly, "substitute_affine", counting)
-        spec = _write(tmp_path, "claimed.json", {**DIP_SPEC, "claimed_min": "1/100"})
-        assert main(["certify", spec, "--mode", "sharpness", "--json"]) == 2
-        assert json.loads(capsys.readouterr().out)["apriori"]["D1"] == "418/3"
+        spec = _write(tmp_path, "claimed.json", {
+            **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
+        assert main(["certify", spec, "--mode", mode, "--json"]) == 2
+        apriori = json.loads(capsys.readouterr().out)["apriori"]
+        assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
         assert len(calls) == 2
 
     def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):

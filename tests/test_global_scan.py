@@ -3,9 +3,11 @@
 ``certify_global`` checks the base-degree rational patch (positive
 denominator coefficients, vertex values), then elevates the numerator alone:
 a positive denominator stays positive under elevation, so each ratio keeps
-its numerator coefficient's sign.  The reference below is the earlier loop,
-which elevates the whole ``RationalPatch`` and tests every degree with
-``cert_predicate``.  Verdict, degree and witness must agree, for
+its numerator coefficient's sign.  The scan holds the numerator's
+homogeneous coefficients b_alpha * multinomial(k; alpha), which have the
+coefficients' signs and elevate by integer sums.  The reference below is
+the earlier loop, which elevates the whole ``RationalPatch`` and tests every
+degree with ``cert_predicate``.  Verdict, degree and witness must agree, for
 ``certify_global`` and for ``certify_negative(via="global")``.
 
 Problems live on the standard n-simplex shifted by an offset, n in {1, 2, 3}.
@@ -169,6 +171,11 @@ NEGATIVE_VERTEX = (PowerPoly.univariate([F(-1, 2), 1]),
 # ((x - 1/2)^2 + 1/20) / (1 + x) first certifies at degree 5, here k_max.
 CERTIFIED_AT_K_MAX = (PowerPoly.univariate([F(3, 10), -1, 1]),
                       PowerPoly.univariate([1, 1]), UNIT, 5)
+# ((x - 1/3)^2 + (y - 1/3)^2 + 1/5) / (1 + x) first certifies at degree 4.
+TRIANGLE = (PowerPoly(2, {(0, 0): F(19, 45), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                          (2, 0): 1, (0, 2): 1}),
+            PowerPoly(2, {(0, 0): 1, (1, 0): 1}),
+            Simplex([[0, 0], [1, 0], [0, 1]]), 6)
 
 
 def _outcome(report):
@@ -228,12 +235,17 @@ def test_elevation_keeps_positive_patch_positive(n, k, steps, data):
 
 
 def test_scan_elevates_the_numerator_only(monkeypatch):
-    num, den, simplex, k_max = CERTIFIED_AT_K_MAX
-    calls = []
-    original = BernsteinPatch.elevate
-    monkeypatch.setattr(BernsteinPatch, "elevate",
-                        lambda self: calls.append(self.degree) or original(self))
-    monkeypatch.setattr(RationalPatch, "elevate", None)
-    report = certify_global(num, den, simplex, k_max)
-    assert (report.verdict, report.degree_used) == (Verdict.CERTIFIED, 5)
-    assert calls == [2, 3, 4]
+    # The scan elevates the numerator's homogeneous integers by plain sums:
+    # no patch, polynomial or rational, is elevated, in either of the
+    # scan's paths (n = 1 and n >= 2).
+    def elevate(self):
+        raise AssertionError(f"the scan elevated a {type(self).__name__}")
+
+    want = [ref_certify_global(*problem)[:2]
+            for problem in (CERTIFIED_AT_K_MAX, TRIANGLE)]
+    assert want == [(Verdict.CERTIFIED, 5), (Verdict.CERTIFIED, 4)]
+    monkeypatch.setattr(BernsteinPatch, "elevate", elevate)
+    monkeypatch.setattr(RationalPatch, "elevate", elevate)
+    for problem, outcome in zip((CERTIFIED_AT_K_MAX, TRIANGLE), want):
+        report = certify_global(*problem)
+        assert (report.verdict, report.degree_used) == outcome

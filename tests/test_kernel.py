@@ -3,8 +3,9 @@ reference.
 
 The references below are the plain exact formulas, one ``Fraction`` per
 coefficient and a dict lookup per index move.  The kernel under test stores
-integer numerators over one shared scale, elevates through gather tables,
-splits by integer de Casteljau, pulls back by integer Horner, converts by an
+integer numerators over one shared scale, elevates through gather tables
+(and, in the global scan, as homogeneous integers by plain sums), splits by
+integer de Casteljau, pulls back by integer Horner, converts by an
 integer binomial transform and reads second differences through a position
 table; every result must be exactly equal.  The simplex geometry under the
 split layer is checked the same way: the integer rank check against
@@ -41,9 +42,16 @@ from bernbound import (  # noqa: E402
     standard_simplex,
     to_bernstein,
 )
-from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.certify import (  # noqa: E402
+    _elevate_homogeneous,
+    _homogeneous,
+    _refuting_vertex,
+    _signs_certify,
+    numerator_certifies,
+)
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
 from bernbound.geometry import _gauss_jordan  # noqa: E402
+from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -234,6 +242,30 @@ def test_elevate_matches_reference(case, steps):
         patch = patch.elevate()
         assert patch.degree == k + step + 1
         assert patch.coeffs == coeffs
+
+
+@KERNEL
+@given(patches(), st.integers(1, 12))
+def test_homogeneous_elevation_matches_patch_elevation(case, steps):
+    # c_k * scale_k == nums_k * multinomial_k * scale_base at every degree,
+    # the sign rule reads the same verdict from both, and no step grows the
+    # largest integer by more than a factor n + 1.
+    n, k, coeffs = case
+    patch = BernsteinPatch(standard_simplex(n), k, coeffs)
+    base_scale = patch.scale
+    c = _homogeneous(patch)
+    vertices = patch.index_set.vertex_positions()
+    for _ in range(steps):
+        assert _signs_certify(c, vertices) == numerator_certifies(patch)
+        peak = max(map(abs, c))
+        c, vertices = _elevate_homogeneous(c, patch.degree, n)
+        patch = patch.elevate()
+        assert c[-1] == 0 and len(c) == len(patch.nums) + 1
+        assert all(a * patch.scale == b * w * base_scale for a, b, w in
+                   zip(c, patch.nums, multinomials(patch.degree, n)))
+        assert vertices == patch.index_set.vertex_positions()
+        assert max(map(abs, c)) <= (n + 1) * peak
+    assert _signs_certify(c, vertices) == numerator_certifies(patch)
 
 
 @KERNEL
