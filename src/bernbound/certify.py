@@ -325,6 +325,17 @@ def certify_local(
     pruned, a non-positive vertex value on any leaf refutes exactly, and the
     run gives up at depth n_max.
     """
+    return _certify_local(pnum, pden, simplex, n_max, shrink)[0]
+
+
+def _certify_local(
+    pnum: PowerPoly,
+    pden: PowerPoly,
+    simplex: Simplex,
+    n_max: int,
+    shrink: Rational = Fraction(1, 2),
+) -> Tuple[CertificateReport, RationalPatch]:
+    """``certify_local``'s report, plus the base-degree root it built."""
     start = time.perf_counter()
     shrink = parse_rational(shrink)
     if not (0 < shrink < 1):
@@ -337,7 +348,7 @@ def certify_local(
             verdict, Mode.LOCAL_SUBDIVISION, degree_used=base, depth_used=depth,
             witness=witness, leaves=leaves, leaf_log=tuple(log),
             wall_clock=time.perf_counter() - start,
-        )
+        ), root
 
     refute = _refuting_vertex(root)
     if refute is not None:

@@ -26,11 +26,11 @@ from .certify import (
     Mode,
     Verdict,
     _certify_global,
+    _certify_local,
     apriori_d1,
     apriori_d2,
     apriori_degree_omega,
     apriori_depth,
-    certify_local,
     certify_negative,
     certify_sharpness,
 )
@@ -353,8 +353,8 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
             report, root = _certify_global(spec.numerator, spec.denominator,
                                            spec.domain, k_max)
         elif args.mode == "local":
-            report = certify_local(spec.numerator, spec.denominator, spec.domain,
-                                   n_max, shrink)
+            report, root = _certify_local(spec.numerator, spec.denominator,
+                                          spec.domain, n_max, shrink)
         else:
             report = certify_negative(spec.numerator, spec.denominator, spec.domain,
                                       via=args.via, k_max=k_max, n_max=n_max,

@@ -6,10 +6,14 @@ All geometry is exact.  A ``Simplex`` stores its vertices as integer
 coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
 built on first use.  On the integers it checks affine independence by
-fraction-free (Bareiss) elimination and measures its longest edge once, and
-``bisect_edge`` forms each midpoint from the parent's integers over at most
-twice its denominator.  The only irrational quantity, the diameter, is
-never materialized: comparisons go through ``diameter_sq``.
+fraction-free (Bareiss) elimination and measures its longest edge once, as
+the integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
+rule: it forms each midpoint from the parent's integers over at most twice
+its denominator, for ``bisect_edge`` and for the split round, which keeps its
+intermediate pieces as plain rows and checks only its leaves.  The only
+irrational quantity, the diameter, is never materialized: ``diameter_sq``
+builds its ``Fraction`` on demand, and ``wider_than`` compares it with a
+bound by cross-multiplying integers.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ class Simplex:
     The vertices are stored as integer coordinates ``ints`` over one positive
     denominator ``denom``, reduced so that equal simplices store equal
     integers.  Every instance is checked; its longest edge is measured at
-    construction and read by ``diameter_sq`` and ``longest_edge``.
+    construction, as the integer squared length over denom**2 and its
+    (i, j), and read by ``diameter_sq``, ``wider_than`` and ``longest_edge``.
     Instances are immutable and hashable.
     """
 
@@ -129,8 +134,7 @@ def _setup(simplex: Simplex, ints, denom: int, pts=None) -> None:
     v0 = ints[0]
     if not _nonsingular([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]):
         raise DegenerateSimplex(f"vertices are affinely dependent: {simplex.vertices}")
-    d, i, j = _longest(ints)
-    put(simplex, "_longest_edge", (Fraction(d, denom * denom), i, j))
+    put(simplex, "_longest_edge", _longest(ints))
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +229,15 @@ def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
 
 def diameter_sq(simplex: Simplex) -> Fraction:
     """Max squared Euclidean distance over vertex pairs, exactly."""
-    return simplex._longest_edge[0]
+    return Fraction(simplex._longest_edge[0], simplex.denom ** 2)
+
+
+def wider_than(simplex: Simplex, bound_sq: Fraction) -> bool:
+    """Whether ``diameter_sq(simplex) > bound_sq``, by cross-multiplying the
+    integer squared length over denom**2 with ``bound_sq``; no ``Fraction``
+    is built."""
+    return (simplex._longest_edge[0] * bound_sq.denominator
+            > bound_sq.numerator * simplex.denom ** 2)
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
@@ -259,11 +271,22 @@ def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
     n = simplex.dimension
     if not (0 <= i < j <= n):
         raise BadEdge(f"edge ({i}, {j}) invalid for dimension {n}")
-    rows, denom = simplex.ints, simplex.denom
+    keep_i, keep_j, denom = _bisect_rows(simplex.ints, simplex.denom, i, j)
+    return _checked_simplex(keep_i, denom), _checked_simplex(keep_j, denom)
+
+
+def _bisect_rows(rows, denom: int, i: int, j: int):
+    """The midpoint rule on integer vertex rows over ``denom``.
+
+    Returns the rows of the child that keeps v_i, the rows of the child that
+    keeps v_j (each with the midpoint in place of the other end) and their
+    common denominator: the parent's, or twice it when a midpoint entry is
+    odd.  The odd entry keeps reduced rows reduced.  Nothing is checked
+    here; ``bisect_edge`` and the split round check the simplices they
+    return.
+    """
     mid = [a + b for a, b in zip(rows[i], rows[j])]
     if any(x & 1 for x in mid):
-        # The midpoint needs twice the parent's denominator; the odd entry
-        # keeps the result reduced.
         rows = [tuple([2 * x for x in row]) for row in rows]
         denom *= 2
         mid = tuple(mid)
@@ -273,14 +296,15 @@ def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
     keep_i[j] = mid
     keep_j = list(rows)
     keep_j[i] = mid
-    return _bisected(tuple(keep_i), denom), _bisected(tuple(keep_j), denom)
+    return tuple(keep_i), tuple(keep_j), denom
 
 
-def _bisected(ints, denom: int) -> Simplex:
-    """A bisection child; checked by ``_setup`` like every other simplex."""
-    child = Simplex.__new__(Simplex)
-    _setup(child, ints, denom)
-    return child
+def _checked_simplex(ints, denom: int) -> Simplex:
+    """A simplex from reduced integer rows over ``denom``, checked by
+    ``_setup`` like every other simplex."""
+    simplex = Simplex.__new__(Simplex)
+    _setup(simplex, ints, denom)
+    return simplex
 
 
 def round_length(n: int) -> int:

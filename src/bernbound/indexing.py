@@ -7,7 +7,8 @@ exponents.  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation, edge splitting and second
 differences live here too, next to the index order they encode; they are
-built once per degree and dimension and stored as flat integer arrays.
+built once per degree and dimension (and edge, for splitting) and stored as
+flat integer arrays.
 """
 
 from __future__ import annotations
@@ -216,6 +217,52 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tupl
 
 
 @lru_cache(maxsize=None)
+def split_table(
+    degree: int, dimension: int, i: int, j: int,
+) -> Tuple[Tuple[Tuple[array, array], ...], Tuple[array, array], Tuple[array, array]]:
+    """Gather table for midpoint de Casteljau along edge (i, j).
+
+    The rule runs on a growing triangle list whose first entries are the
+    degree-``degree`` coefficients.  Along each line of ``edge_lines`` every
+    de Casteljau level holds the pairwise sums of the level below it, so the
+    s-th level of a line carries a factor 2^s.  Returns:
+
+    - ``levels``: one (firsts, seconds) pair of flat position arrays per
+      level s = 1..degree; level s appends, in order, the entries
+      triangle[firsts[t]] + triangle[seconds[t]], which read only entries
+      of lower levels.
+    - ``left`` and ``right``: for the child that keeps v_i and the child
+      that keeps v_j, an (entries, shifts) pair indexed by position: the
+      child's coefficient at a position is triangle[entry] << shift, over
+      2^degree times the parent's scale.  At alpha with alpha_j = s the
+      left child reads the first entry of level s of alpha's line; at
+      alpha_i = s the right child reads its last entry; both shift by
+      degree - s.
+    """
+    size = comb(degree + dimension, dimension)
+    left_entries, left_shifts = array("I", [0]) * size, array("I", [0]) * size
+    right_entries, right_shifts = array("I", [0]) * size, array("I", [0]) * size
+    lines = [(line, line) for line in edge_lines(degree, dimension, i, j)]
+    levels = []
+    top = size
+    for s in range(degree + 1):
+        if s:
+            firsts, seconds = array("I"), array("I")
+            lines = [(line, row) for line, row in lines if len(row) > 1]
+            for t, (line, row) in enumerate(lines):
+                firsts.extend(row[:-1])
+                seconds.extend(row[1:])
+                lines[t] = (line, range(top, top + len(row) - 1))
+                top += len(row) - 1
+            levels.append((firsts, seconds))
+        for line, row in lines:
+            left_entries[line[s]], left_shifts[line[s]] = row[0], degree - s
+            right_entries[line[-1 - s]], right_shifts[line[-1 - s]] = row[-1], degree - s
+    return (tuple(levels), (left_entries, left_shifts),
+            (right_entries, right_shifts))
+
+
+@lru_cache(maxsize=None)
 def second_difference_moves(
     degree: int, dimension: int,
 ) -> Tuple[Tuple[Tuple[Tuple[int, ...], int, int], ...], Tuple[array, ...]]:
@@ -256,8 +303,9 @@ def edge_lines(degree: int, dimension: int, i: int, j: int) -> Tuple[array, ...]
 
     A line holds the positions of the indices that agree everywhere except
     in alpha_i and alpha_j, ordered by alpha_j = 0, 1, ..., alpha_i + alpha_j.
-    Univariate de Casteljau along each line splits the patch at the midpoint
-    of edge (v_i, v_j).
+    ``split_table`` builds its de Casteljau levels along these lines, and
+    the power-to-Bernstein conversion runs its binomial transform along the
+    lines of the edges (0, axis).
     """
     lines = {}
     for pos, alpha in enumerate(enumerate_indices(degree, dimension)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow
@@ -35,6 +35,7 @@ from .indexing import (
     enumerate_indices,
     multinomials,
     second_difference_moves,
+    split_table,
 )
 from .powerpoly import PowerPoly, _integer
 from .rationals import Interval, Rational, format_rational, parse_rational
@@ -213,27 +214,17 @@ class BernsteinPatch:
         Children are ordered as in ``bisect_edge``: the first keeps vertex v_i.
         ``children`` passes that bisection in when the caller already has it.
 
-        The de Casteljau rows are pairwise sums instead of midpoints: level s
-        of a line carries a factor 2^s, which a left shift by k - s lifts to
-        the common factor 2^k of the children's scale.
+        The coefficients split as integers through ``split_nums``, over the
+        parent's scale shifted left by the degree.
         """
         if children is None:
             children = bisect_edge(self.simplex, i, j)
         k = self.degree
-        nums = self.nums
-        left = [0] * len(nums)
-        right = [0] * len(nums)
-        for line in edge_lines(k, self.dimension, i, j):
-            row = [nums[p] for p in line]
-            top = len(row) - 1
-            for level in range(top + 1):
-                left[line[level]] = row[0] << (k - level)
-                right[line[top - level]] = row[-1] << (k - level)
-                row = list(map(add, row, row[1:]))
+        left, right = split_nums(self.nums, split_table(k, self.dimension, i, j))
         scale = self.scale << k
         return (
-            BernsteinPatch._from_ints(children[0], k, tuple(left), scale),
-            BernsteinPatch._from_ints(children[1], k, tuple(right), scale),
+            BernsteinPatch._from_ints(children[0], k, left, scale),
+            BernsteinPatch._from_ints(children[1], k, right, scale),
         )
 
     def to_json(self) -> dict:
@@ -252,6 +243,24 @@ class BernsteinPatch:
         )
 
 
+def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Midpoint de Casteljau on integer numerators through an
+    ``indexing.split_table``: the two children's numerators, over 2^k times
+    the parent's scale.
+
+    The de Casteljau rows are pairwise sums instead of midpoints: level s
+    carries a factor 2^s, which a left shift by k - s lifts to the common
+    factor 2^k.  Each level is one gather over the triangle list.
+    """
+    levels, (left, left_shifts), (right, right_shifts) = table
+    triangle = list(nums)
+    fetch = triangle.__getitem__
+    for firsts, seconds in levels:
+        triangle.extend(map(add, map(fetch, firsts), map(fetch, seconds)))
+    return (tuple(map(lshift, map(fetch, left), left_shifts)),
+            tuple(map(lshift, map(fetch, right), right_shifts)))
+
+
 def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     """Bernstein coefficients of poly at the given degree over the standard
     simplex:  b_alpha = sum over beta <= alpha_hat of
@@ -262,7 +271,9 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S are the
     polynomial's own integer terms over its scale S; b_alpha is the result
     over S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b) is
-    the first entry of the x-th pairwise-sum row, as in ``split_edge``.
+    the first entry of the x-th pairwise-sum row, the rows that
+    ``split_nums`` builds for the child keeping v_0; lines of zeros are
+    skipped.
     """
     if degree < poly.degree:
         raise DegreeTooLow(

@@ -30,8 +30,19 @@ from .errors import (
     DenominatorNotPositive,
     SimplexMismatch,
 )
-from .geometry import Simplex, bisect_edge, diameter_sq, longest_edge, round_length
-from .polypatch import BernsteinPatch, to_bernstein
+from .geometry import (
+    Simplex,
+    _bisect_rows,
+    _checked_simplex,
+    _longest,
+    bisect_edge,
+    diameter_sq,
+    longest_edge,
+    round_length,
+    wider_than,
+)
+from .indexing import split_table
+from .polypatch import BernsteinPatch, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
 
@@ -159,19 +170,49 @@ class RationalPatch:
         still exceeds a quarter of the parent's (a safety net; not observed
         for the tested dimensions).  Every returned child has diameter at
         most half the parent's.
+
+        The levels run as one integer kernel on plain data: each piece is
+        its integer vertex rows, their denominator and the numerator lists
+        of num and den.  A piece's longest edge comes from the rows, its
+        children from ``geometry._bisect_rows`` (the rule ``bisect_edge``
+        uses) and ``polypatch.split_nums`` (the rule ``split_edge`` uses).
+        Only the leaves become ``Simplex`` objects, through the rank check,
+        and ``RationalPatch`` objects, whose scales are the parent's shifted
+        left by k per level.  A bisection child lies in its parent's affine
+        hull, so a singular piece would leave singular leaves, which the
+        check rejects.  The result equals repeated ``split_edge`` on the
+        longest edge: same leaves, same order, same integers.
         """
-        n = self.dimension
-        pieces = [self]
-        for _ in range(round_length(n)):
-            pieces = [child for piece in pieces for child in _bisect_longest(piece)]
-        target = diameter_sq(self.simplex) / 4
-        guard = 4 * round_length(n) + 4
-        while (wider := _split_wide(pieces, target, _bisect_longest)) is not None:
+        n, k = self.dimension, self.degree
+        simplex = self.simplex
+        levels = round_length(n)
+        pieces = [(simplex.ints, simplex.denom, self.num.nums, self.den.nums)]
+        for _ in range(levels):
+            children = []
+            for rows, denom, num, den in pieces:
+                _, i, j = _longest(rows)
+                rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
+                table = split_table(k, n, i, j)
+                num_i, num_j = split_nums(num, table)
+                den_i, den_j = split_nums(den, table)
+                children.append((rows_i, denom, num_i, den_i))
+                children.append((rows_j, denom, num_j, den_j))
+            pieces = children
+        shift = k * levels
+        num_scale, den_scale = self.num.scale << shift, self.den.scale << shift
+        leaves = []
+        for rows, denom, num, den in pieces:
+            leaf = _checked_simplex(rows, denom)
+            leaves.append(RationalPatch(BernsteinPatch._from_ints(leaf, k, num, num_scale),
+                                        BernsteinPatch._from_ints(leaf, k, den, den_scale)))
+        target = diameter_sq(simplex) / 4
+        guard = 4 * levels + 4
+        while (wider := _split_wide(leaves, target, _bisect_longest)) is not None:
             guard -= 1
             if guard < 0:
                 raise DegenerateSimplex("edge bisection failed to halve the diameter")
-            pieces = wider
-        return pieces
+            leaves = wider
+        return leaves
 
     def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
         """At least one shrink round, then more on every piece whose squared
@@ -197,7 +238,7 @@ def _bisect_longest(piece: RationalPatch) -> Tuple[RationalPatch, RationalPatch]
 def _split_wide(pieces, threshold_sq, split) -> Optional[List[RationalPatch]]:
     """Pieces in order, each one whose squared diameter exceeds threshold_sq
     replaced by its ``split`` children; None when no piece exceeds it."""
-    wide = [diameter_sq(piece.simplex) > threshold_sq for piece in pieces]
+    wide = [wider_than(piece.simplex, threshold_sq) for piece in pieces]
     if not any(wide):
         return None
     return [child for piece, w in zip(pieces, wide)

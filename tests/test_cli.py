@@ -170,7 +170,7 @@ class TestCertify:
         assert main(["certify", spec, "--mode", "global", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["apriori"]["D2"] == "0"
 
-    @pytest.mark.parametrize("mode", ["sharpness", "global"])
+    @pytest.mark.parametrize("mode", ["sharpness", "global", "local"])
     def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
                                                  monkeypatch):
         # [-1, 1] is not the standard simplex, so every conversion of num or
@@ -186,7 +186,8 @@ class TestCertify:
         monkeypatch.setattr(PowerPoly, "substitute_affine", counting)
         spec = _write(tmp_path, "claimed.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
-        assert main(["certify", spec, "--mode", mode, "--json"]) == 2
+        expected = {"sharpness": 2, "global": 2, "local": 0}[mode]
+        assert main(["certify", spec, "--mode", mode, "--json"]) == expected
         apriori = json.loads(capsys.readouterr().out)["apriori"]
         assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
         assert len(calls) == 2

@@ -15,7 +15,9 @@ evaluation through barycentric coordinates.  Integer vertices are checked
 against Fraction midpoints along bisection chains, the integer leaf tests
 (smallest ratio, vertex ratios, refuting vertex) against the full ratio
 tuple, and the integer pullback result against the ``PowerPoly`` built from
-the Fraction reference.
+the Fraction reference.  One split round, run as an integer kernel on
+plain data, is checked against the chain of single edge splits it replaces
+and against reconversion on every leaf.
 """
 
 from fractions import Fraction as F
@@ -39,6 +41,8 @@ from bernbound import (  # noqa: E402
     enumerate_indices,
     grid_point,
     longest_edge,
+    rational_patch,
+    round_length,
     standard_simplex,
     to_bernstein,
 )
@@ -50,7 +54,7 @@ from bernbound.certify import (  # noqa: E402
     numerator_certifies,
 )
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
-from bernbound.geometry import _gauss_jordan  # noqa: E402
+from bernbound.geometry import _gauss_jordan, wider_than  # noqa: E402
 from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 
@@ -451,6 +455,8 @@ def test_longest_edge_matches_reference(data):
         d, i, j = ref_longest(simplex)
         assert diameter_sq(simplex) == d
         assert longest_edge(simplex) == (i, j)
+        for bound in (d, d / 4, data.draw(NONNEGATIVE)):
+            assert wider_than(simplex, bound) == (d > bound)
         edge = data.draw(st.sampled_from(((i, j), (0, n))))
         simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
 
@@ -536,3 +542,49 @@ def test_leaf_tests_match_full_ratios(case, data):
     else:
         assert refute.point == f.simplex.vertices[first]
         assert refute.value == ratios[vertices[first]]
+
+
+@st.composite
+def rational_problems(draw):
+    """(pnum, pden, simplex, k) with n in {1, 2, 3}, k in 1..4, a random
+    simplex other than the standard one, a signed numerator and a
+    denominator whose Bernstein coefficients on the simplex are positive: a
+    constant added to a polynomial adds it to every coefficient."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    vertices = draw(st.lists(st.lists(SIGNED, min_size=n, max_size=n),
+                             min_size=n + 1, max_size=n + 1))
+    try:
+        simplex = Simplex(vertices)
+    except DegenerateSimplex:
+        assume(False)
+    assume(simplex != standard_simplex(n))
+    pnum = draw(polys(n, k))
+    pden = draw(polys(n, k))
+    low = min(to_bernstein(pden, k, simplex).coeffs)
+    terms = dict(pden.iter_terms())
+    origin = (0,) * n
+    terms[origin] = terms.get(origin, F(0)) + 1 - min(low, 0)
+    return pnum, PowerPoly(n, terms), simplex, k
+
+
+@KERNEL
+@given(rational_problems())
+def test_split_round_matches_bisection_chain(case):
+    # The round's intermediate levels are plain integer data; the leaves
+    # must be those of single longest-edge splits, breadth-first, with the
+    # same integers, and each must equal reconversion on its simplex.
+    pnum, pden, simplex, k = case
+    f = rational_patch(pnum, pden, simplex, k)
+    want = [f]
+    for _ in range(round_length(simplex.dimension)):
+        want = [child for piece in want
+                for child in piece.split_edge(*longest_edge(piece.simplex))]
+    got = f.split_round()
+    assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
+    for leaf, ref in zip(got, want):
+        assert (leaf.simplex.ints, leaf.simplex.denom) == (ref.simplex.ints,
+                                                           ref.simplex.denom)
+        for mine, theirs in ((leaf.num, ref.num), (leaf.den, ref.den)):
+            assert (mine.nums, mine.scale) == (theirs.nums, theirs.scale)
+        assert leaf.ratios == rational_patch(pnum, pden, leaf.simplex, k).ratios
