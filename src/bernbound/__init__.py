@@ -69,7 +69,6 @@ from .certify import (
 )
 from .optimize import (
     MinimizationResult,
-    WorkItem,
     apriori_steps,
     local_bounds,
     minimize,

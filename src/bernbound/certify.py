@@ -28,19 +28,19 @@ to give up honestly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
 from operator import add, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, NonPositiveClaim
 from .geometry import Simplex
 from .indexing import elevation_sums, multinomials
 from .polypatch import BernsteinPatch
 from .powerpoly import PowerPoly
-from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch
+from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch, subdivide
 from .rationals import Rational, float_str, format_rational, parse_rational
 
 
@@ -158,6 +158,9 @@ class CertificateReport:
         return out
 
 
+Certifier = Callable[[RationalPatch], CertificateReport]
+
+
 def _signs_certify(values: Sequence[int], vertices: Sequence[int]) -> bool:
     """The certificate's sign rule on integers that carry the coefficients'
     signs: none negative, and every vertex entry strictly positive."""
@@ -231,25 +234,22 @@ def certify_sharpness(f: RationalPatch) -> CertificateReport:
     minimum attained only at interior indices decides nothing.
     """
     start = time.perf_counter()
+
+    def report(verdict, witness=None):
+        return CertificateReport(
+            verdict, Mode.SHARPNESS, degree_used=f.degree, witness=witness,
+            leaves=int(verdict is Verdict.CERTIFIED),
+            wall_clock=time.perf_counter() - start,
+        )
+
     refute = _refuting_vertex(f)
     if refute is not None:
-        return CertificateReport(
-            Verdict.REFUTED, Mode.SHARPNESS, degree_used=f.degree,
-            witness=refute, wall_clock=time.perf_counter() - start,
-        )
-    lo = min(f.ratios)
+        return report(Verdict.REFUTED, refute)
     sharp = f.sharpness()
     if sharp.min_sharp:
-        i = sharp.min_vertex
-        witness = Witness(f.simplex.vertex(i), lo, "vertex")
-        return CertificateReport(
-            Verdict.CERTIFIED, Mode.SHARPNESS, degree_used=f.degree,
-            witness=witness, leaves=1, wall_clock=time.perf_counter() - start,
-        )
-    return CertificateReport(
-        Verdict.INCONCLUSIVE, Mode.SHARPNESS, degree_used=f.degree,
-        wall_clock=time.perf_counter() - start,
-    )
+        vertex = f.simplex.vertex(sharp.min_vertex)
+        return report(Verdict.CERTIFIED, Witness(vertex, min(f.ratios), "vertex"))
+    return report(Verdict.INCONCLUSIVE)
 
 
 def certify_global(
@@ -272,40 +272,31 @@ def certify_global(
     alone, so no patch is built per degree.  Termination before k_max is
     guaranteed only for strictly positive functions.
     """
-    return _certify_global(pnum, pden, simplex, k_max)[0]
+    run = _certifier("global", max(pnum.degree, pden.degree), k_max=k_max)
+    return run(rational_patch(pnum, pden, simplex))
 
 
-def _certify_global(
-    pnum: PowerPoly,
-    pden: PowerPoly,
-    simplex: Simplex,
-    k_max: int,
-) -> Tuple[CertificateReport, RationalPatch]:
-    """``certify_global``'s report, plus the base-degree root it built."""
+def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
+    """``certify_global`` on its base-degree root patch."""
     start = time.perf_counter()
-    base = max(pnum.degree, pden.degree)
-    if k_max < base:
-        raise DegreeTooLow(f"k_max {k_max} below the function degree {base}")
-    root = rational_patch(pnum, pden, simplex, base)
 
     def report(verdict, degree, witness=None):
         return CertificateReport(
             verdict, Mode.GLOBAL_ELEVATION, degree_used=degree, witness=witness,
             leaves=int(verdict is Verdict.CERTIFIED),
             wall_clock=time.perf_counter() - start,
-        ), root
+        )
 
     refute = _refuting_vertex(root)
     if refute is not None:
-        return report(Verdict.REFUTED, base, refute)
-    dimension = simplex.dimension
+        return report(Verdict.REFUTED, root.degree, refute)
     c = _homogeneous(root.num)
     vertices = root.num.index_set.vertex_positions()
-    degree = base
+    degree = root.degree
     while not _signs_certify(c, vertices):
         if degree == k_max:
             return report(Verdict.INCONCLUSIVE, k_max)
-        c, vertices = _elevate_homogeneous(c, degree, dimension)
+        c, vertices = _elevate_homogeneous(c, degree, root.dimension)
         degree += 1
     return report(Verdict.CERTIFIED, degree)
 
@@ -321,66 +312,58 @@ def certify_local(
 
     The degree never changes.  Depth d means every unresolved leaf has been
     refined to diameter at most shrink**d (in the domain's own coordinates),
-    with at least one bisection round per depth step; certified leaves are
-    pruned, a non-positive vertex value on any leaf refutes exactly, and the
-    run gives up at depth n_max.
+    with at least one bisection round per depth step.  It runs
+    ``ratpatch.subdivide`` keyed by depth, one level per step: certified
+    leaves are pruned, a non-positive vertex value on any leaf refutes
+    exactly (no later piece is tested), and the run gives up when the
+    unresolved leaves reach depth n_max, which must be nonnegative.
     """
-    return _certify_local(pnum, pden, simplex, n_max, shrink)[0]
+    run = _certifier("local", max(pnum.degree, pden.degree), n_max=n_max,
+                     shrink=shrink)
+    return run(rational_patch(pnum, pden, simplex))
 
 
-def _certify_local(
-    pnum: PowerPoly,
-    pden: PowerPoly,
-    simplex: Simplex,
-    n_max: int,
-    shrink: Rational = Fraction(1, 2),
-) -> Tuple[CertificateReport, RationalPatch]:
-    """``certify_local``'s report, plus the base-degree root it built."""
+def _certify_local(root: RationalPatch, n_max: int,
+                   shrink: Fraction) -> CertificateReport:
+    """``certify_local`` on its base-degree root patch."""
     start = time.perf_counter()
-    shrink = parse_rational(shrink)
-    if not (0 < shrink < 1):
-        raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
-    base = max(pnum.degree, pden.degree)
-    root = rational_patch(pnum, pden, simplex, base)
+    log: List[LeafRecord] = []
+    certified = last = 0
+    refuted = None  # (depth, witness) of the refuting piece
 
-    def report(verdict, depth, witness=None, leaves=0, log=()):
+    def report(verdict, depth, witness=None):
         return CertificateReport(
-            verdict, Mode.LOCAL_SUBDIVISION, degree_used=base, depth_used=depth,
-            witness=witness, leaves=leaves, leaf_log=tuple(log),
-            wall_clock=time.perf_counter() - start,
-        ), root
+            verdict, Mode.LOCAL_SUBDIVISION, degree_used=root.degree,
+            depth_used=depth, witness=witness, leaves=certified,
+            leaf_log=tuple(log), wall_clock=time.perf_counter() - start,
+        )
 
-    refute = _refuting_vertex(root)
-    if refute is not None:
-        return report(Verdict.REFUTED, 0, witness=refute,
-                      log=[LeafRecord(0, root, False)])
-    log = []
-    if cert_predicate(root):
-        log.append(LeafRecord(0, root, True))
-        return report(Verdict.CERTIFIED, 0, leaves=1, log=log)
-    log.append(LeafRecord(0, root, False))
-    pending = [root]
-    certified = 0
-    for depth in range(1, n_max + 1):
-        threshold_sq = shrink ** (2 * depth)
-        next_pending = []
-        for leaf in pending:
-            for piece in leaf.refine(threshold_sq):
-                refute = _refuting_vertex(piece)
-                if refute is not None:
-                    log.append(LeafRecord(depth, piece, False))
-                    return report(Verdict.REFUTED, depth, witness=refute,
-                                  leaves=certified, log=log)
-                if cert_predicate(piece):
-                    certified += 1
-                    log.append(LeafRecord(depth, piece, True))
-                else:
-                    next_pending.append(piece)
-                    log.append(LeafRecord(depth, piece, False))
-        pending = next_pending
-        if not pending:
-            return report(Verdict.CERTIFIED, depth, leaves=certified, log=log)
-    return report(Verdict.INCONCLUSIVE, n_max, leaves=certified, log=log)
+    def split(leaf, depth, key):
+        return () if refuted else leaf.refine(shrink ** (2 * (depth + 1)))
+
+    def visit(piece, depth):
+        nonlocal certified, last, refuted
+        if refuted:
+            return None
+        last = depth
+        refute = _refuting_vertex(piece)
+        ok = refute is None and cert_predicate(piece)
+        log.append(LeafRecord(depth, piece, ok))
+        certified += ok
+        if refute is not None:
+            refuted = (depth, refute)
+        return None if refuted or ok else depth
+
+    def stop(frontier):
+        if refuted:
+            return report(Verdict.REFUTED, *refuted)
+        if not frontier:
+            return report(Verdict.CERTIFIED, last)
+        if frontier[0][2] == n_max:
+            return report(Verdict.INCONCLUSIVE, n_max)
+        return None
+
+    return subdivide(root, split, visit, stop)
 
 
 def certify_negative(
@@ -398,24 +381,45 @@ def certify_negative(
     original function's sign (a refuting witness is a point where the
     function is >= 0).
     """
-    negated_num = pnum.negate()
+    run = _certifier(via, max(pnum.degree, pden.degree), k_max, n_max, shrink)
+    return _negated(run)(rational_patch(pnum, pden, simplex))
+
+
+def _certifier(via: str, degree: int, k_max: int = 30, n_max: int = 10,
+               shrink: Rational = Fraction(1, 2)) -> Certifier:
+    """The certificate named ``via`` as a function of the root patch.
+
+    ``degree`` is the function's.  The budget ``via`` reads is checked here,
+    before any conversion, so a budget error is reported ahead of a
+    denominator that is not Bernstein-positive.
+    """
+    if via == "sharpness":
+        return certify_sharpness
     if via == "global":
-        inner = certify_global(negated_num, pden, simplex, k_max)
-    elif via == "local":
-        inner = certify_local(negated_num, pden, simplex, n_max, shrink)
-    elif via == "sharpness":
-        inner = certify_sharpness(rational_patch(negated_num, pden, simplex))
-    else:
-        raise ValueError(f"unknown certification mode: {via!r}")
-    witness = inner.witness
-    if witness is not None:
-        witness = Witness(witness.point, -witness.value, witness.kind)
-    return CertificateReport(
-        inner.verdict, inner.mode, degree_used=inner.degree_used,
-        depth_used=inner.depth_used, witness=witness, leaves=inner.leaves,
-        apriori=inner.apriori, negated=True, leaf_log=inner.leaf_log,
-        wall_clock=inner.wall_clock,
-    )
+        if k_max < degree:
+            raise DegreeTooLow(f"k_max {k_max} below the function degree {degree}")
+        return lambda root: _certify_global(root, k_max)
+    if via == "local":
+        if n_max < 0:
+            raise ValueError(f"n_max must be nonnegative, got {n_max}")
+        shrink = parse_rational(shrink)
+        if not (0 < shrink < 1):
+            raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
+        return lambda root: _certify_local(root, n_max, shrink)
+    raise ValueError(f"unknown certification mode: {via!r}")
+
+
+def _negated(certify: Certifier) -> Certifier:
+    """``certify`` run on the root with its numerator negated, reported as a
+    negativity certificate.  The conversion reduces by a sign-blind gcd, so
+    the negated patch has the integers a conversion of -pnum would give."""
+
+    def run(root: RationalPatch) -> CertificateReport:
+        inner = certify(RationalPatch(root.num.negate(), root.den))
+        w = inner.witness
+        return replace(inner, witness=w and replace(w, value=-w.value), negated=True)
+
+    return run
 
 
 def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -25,14 +25,12 @@ from .certify import (
     ClaimedMinimum,
     Mode,
     Verdict,
-    _certify_global,
-    _certify_local,
+    _certifier,
+    _negated,
     apriori_d1,
     apriori_d2,
     apriori_degree_omega,
     apriori_depth,
-    certify_negative,
-    certify_sharpness,
 )
 from .errors import BernboundError, BudgetExhausted, DegreeTooLow
 from .geometry import Simplex
@@ -265,19 +263,17 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
 
 
 def _apriori_info(spec: ProblemSpec, shrink: Fraction,
-                  root: Optional[RationalPatch]) -> Optional[AprioriInfo]:
+                  root: RationalPatch) -> Optional[AprioriInfo]:
     """A-priori bounds when the spec carries validated claims.
 
-    ``root`` is the base-degree patch of the spec's function when the caller
-    already built it, else None and it is built here.  When the numerator's
-    degree is the root's, ``root.num`` is the numerator's own-degree patch
-    that D2 reads.
+    ``root`` is the base-degree patch of the spec's function, the one the
+    certifier ran on (before any negation).  When the numerator's degree is
+    the root's, ``root.num`` is the numerator's own-degree patch that D2
+    reads.
     """
     if spec.claimed_min is None:
         return None
     fmin = ClaimedMinimum(spec.claimed_min)
-    if root is None:
-        root = rational_patch(spec.numerator, spec.denominator, spec.domain)
     constants = convergence_constants(root)
     d2 = None
     if spec.claimed_numerator_min is not None:
@@ -344,31 +340,19 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     if n_max < 0:
         raise UsageError(f"n_max must be nonnegative, got {n_max}")
     shrink = _parse_shrink(args, spec)
-    root = None
+    negative = args.mode == "negative"
     try:
-        if args.mode == "sharpness":
-            root = rational_patch(spec.numerator, spec.denominator, spec.domain)
-            report = certify_sharpness(root)
-        elif args.mode == "global":
-            report, root = _certify_global(spec.numerator, spec.denominator,
-                                           spec.domain, k_max)
-        elif args.mode == "local":
-            report, root = _certify_local(spec.numerator, spec.denominator,
-                                          spec.domain, n_max, shrink)
-        else:
-            report = certify_negative(spec.numerator, spec.denominator, spec.domain,
-                                      via=args.via, k_max=k_max, n_max=n_max,
-                                      shrink=shrink)
+        run = _certifier(args.via if negative else args.mode,
+                         max(spec.numerator.degree, spec.denominator.degree),
+                         k_max, n_max, shrink)
     except DegreeTooLow as exc:
         # The only degree set here is k_max, from --kmax or the spec file.
         raise UsageError(str(exc)) from exc
+    root = rational_patch(spec.numerator, spec.denominator, spec.domain)
+    report = (_negated(run) if negative else run)(root)
     apriori = _apriori_info(spec, shrink, root)
     if apriori is not None:
-        report = CertificateReport(
-            report.verdict, report.mode, report.degree_used, report.depth_used,
-            report.witness, report.leaves, apriori, report.negated,
-            report.leaf_log, report.wall_clock,
-        )
+        report = replace(report, apriori=apriori)
     return _print_certificate(report, args.json)
 
 

@@ -7,20 +7,27 @@ function there; evaluating the function at the minimizing grid point or at a
 vertex yields a true function value and hence an upper bound.  Subdividing
 shrinks the gap between the two; the bounds sandwich the true minimum at all
 times, and an a-priori round count suffices for any requested gap.
+
+The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``.
+``uniform`` keys a leaf by its depth, so a step splits a whole level, and
+stops at a level boundary on the level's smallest lower bound.
+``best-first`` keys a leaf by (lower bound, simplex), so a step splits one
+leaf; it drops leaves that cannot beat the incumbent, parks those at the
+depth budget, and stops on the least of the incumbent, the frontier's head
+and the parked bounds.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, NonPositiveEpsilon, NotPositive
 from .geometry import Simplex, grid_point
 from .powerpoly import PowerPoly
-from .ratpatch import RationalPatch, convergence_constants, rational_patch
+from .ratpatch import RationalPatch, convergence_constants, rational_patch, subdivide
 from .rationals import Rational, float_str, format_rational, parse_rational
 
 Point = Tuple[Fraction, ...]
@@ -59,15 +66,6 @@ class MinimizationResult:
             "converged": self.converged,
             "apriori_rounds": self.apriori_rounds,
         }
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One branch-and-bound node: a patch, its lower bound, its depth."""
-
-    patch: RationalPatch
-    local_m: Fraction
-    depth: int
 
 
 def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
@@ -116,106 +114,80 @@ def minimize(
 ) -> MinimizationResult:
     """Bracket the minimum of pnum/pden over a simplex within epsilon.
 
-    ``best-first`` repeatedly splits the leaf with the smallest lower bound
-    and prunes leaves that cannot contain a better value; ``uniform`` splits
-    every leaf each round with no pruning.  Both stop as soon as the bracket
-    is narrower than epsilon.  ``budget`` caps subdivision rounds (node depth
-    for best-first); exceeding it raises BudgetExhausted carrying the partial
-    result.  Results are deterministic: ties in the best-first queue break on
-    the lexicographically smallest simplex.
+    ``uniform`` splits every leaf each round; ``best-first`` splits the leaf
+    with the smallest lower bound (see the module docstring).  Both stop as
+    soon as the bracket is narrower than epsilon.  ``budget``, if given, is a
+    nonnegative cap on rounds (node depth for best-first); reaching it first
+    raises BudgetExhausted carrying the partial result.  Ties in the
+    best-first queue break on the lexicographically smallest simplex.
     """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     if mode not in ("best-first", "uniform"):
         raise ValueError(f"unknown mode: {mode!r}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
+    delta = witness = None
+    history = []
+    lowest = {}  # uniform: the smallest lower bound at each depth
+    parked = []  # best-first: the bounds of leaves held at the budget depth
+    deepest = 0  # best-first: the depth of the deepest split piece
+
+    def bounds(piece):
+        nonlocal delta, witness
+        m, d, w = local_bounds(piece)
+        if delta is None or d < delta:
+            delta, witness = d, w
+        return m
+
+    def settle(lower, steps, leaves, exhausted):
+        history.append((lower, delta))
+        converged = delta - lower < epsilon
+        if not (converged or exhausted):
+            return None
+        result = MinimizationResult(lower, delta, witness, epsilon, steps, leaves,
+                                    converged, planned, tuple(history))
+        if converged:
+            return result
+        raise BudgetExhausted(f"gap {float_str(delta - lower)} at budget {budget}",
+                              partial=result)
+
+    def visit_uniform(piece, depth):
+        m = bounds(piece)
+        lowest[depth] = min(lowest.get(depth, m), m)
+        return depth
+
+    def stop_uniform(frontier):
+        rounds = frontier[0][2]
+        return settle(lowest[rounds], rounds, len(frontier),
+                      budget is not None and rounds >= budget)
+
+    def visit_best(piece, depth):
+        m = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root
+        return None if depth and m >= delta else (m, piece.simplex.signature())
+
+    def split_best(patch, depth, key):
+        nonlocal deepest
+        if key[0] >= delta:
+            return ()
+        if budget is not None and depth >= budget:
+            parked.append(key[0])
+            return ()
+        deepest = max(deepest, depth + 1)
+        return patch.split_round()
+
+    def stop_best(frontier):
+        head = (frontier[0][0][0],) if frontier else ()
+        return settle(min((delta, *head, *parked)), deepest,
+                      len(frontier) + len(parked), not frontier)
+
     if mode == "uniform":
-        return _minimize_uniform(root, epsilon, budget, planned)
-    return _minimize_best_first(root, epsilon, budget, planned)
-
-
-def _minimize_uniform(root, epsilon, budget, planned) -> MinimizationResult:
-    m, delta, witness = local_bounds(root)
-    active = [WorkItem(root, m, 0)]
-    history = [(m, delta)]
-    rounds = 0
-    while delta - m >= epsilon:
-        if budget is not None and rounds >= budget:
-            partial = MinimizationResult(
-                m, delta, witness, epsilon, rounds, len(active), False,
-                planned, tuple(history),
-            )
-            raise BudgetExhausted(
-                f"gap {float_str(delta - m)} after {rounds} rounds", partial=partial
-            )
-        rounds += 1
-        refined = []
-        for item in active:
-            for piece in item.patch.split_round():
-                child_m, child_delta, child_witness = local_bounds(piece)
-                if child_delta < delta:
-                    delta, witness = child_delta, child_witness
-                refined.append(WorkItem(piece, child_m, rounds))
-        active = refined
-        m = min(item.local_m for item in active)
-        history.append((m, delta))
-    return MinimizationResult(
-        m, delta, witness, epsilon, rounds, len(active), True,
-        planned, tuple(history),
-    )
-
-
-def _minimize_best_first(root, epsilon, budget, planned) -> MinimizationResult:
-    m, delta, witness = local_bounds(root)
-    heap: list = []
-    heapq.heappush(heap, (m, root.simplex.signature(), WorkItem(root, m, 0)))
-    parked: List[WorkItem] = []
-    history = [(m, delta)]
-    max_depth = 0
-
-    def current_lower():
-        best = delta
-        if heap:
-            best = min(best, heap[0][0])
-        if parked:
-            best = min(best, min(item.local_m for item in parked))
-        return best
-
-    while True:
-        m = current_lower()
-        history.append((m, delta))
-        if delta - m < epsilon:
-            return MinimizationResult(
-                m, delta, witness, epsilon, max_depth,
-                len(heap) + len(parked), True, planned, tuple(history),
-            )
-        if not heap:
-            partial = MinimizationResult(
-                m, delta, witness, epsilon, max_depth,
-                len(parked), False, planned, tuple(history),
-            )
-            raise BudgetExhausted(
-                f"gap {float_str(delta - m)} at budget {budget}", partial=partial
-            )
-        _, _, item = heapq.heappop(heap)
-        if item.local_m >= delta:
-            continue  # cannot improve on the incumbent
-        if budget is not None and item.depth >= budget:
-            parked.append(item)
-            continue
-        for piece in item.patch.split_round():
-            child_m, child_delta, child_witness = local_bounds(piece)
-            if child_delta < delta:
-                delta, witness = child_delta, child_witness
-            if child_m >= delta:
-                continue
-            heapq.heappush(
-                heap,
-                (child_m, piece.simplex.signature(), WorkItem(piece, child_m, item.depth + 1)),
-            )
-        max_depth = max(max_depth, item.depth + 1)
+        return subdivide(root, lambda patch, depth, key: patch.split_round(),
+                         visit_uniform, stop_uniform)
+    return subdivide(root, split_best, visit_best, stop_best)
 
 
 def validated_lower_bound(result: MinimizationResult) -> ClaimedMinimum:

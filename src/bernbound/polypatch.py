@@ -186,6 +186,11 @@ class BernsteinPatch:
         return BernsteinPatch._from_ints(self.simplex, k + 1, tuple(nums),
                                          self.scale * (k + 1))
 
+    def negate(self) -> "BernsteinPatch":
+        """The patch of -p: every numerator negated, over the same scale."""
+        return BernsteinPatch._from_ints(self.simplex, self.degree,
+                                         tuple([-a for a in self.nums]), self.scale)
+
     def second_differences(self) -> SecondDifferences:
         """All entries b[g+e_i+e_{j-1}] + b[g+e_{i-1}+e_j] - b[g+e_{i-1}+e_{j-1}]
         - b[g+e_i+e_j] for |g| = k-2, i < j, with e_{-1} meaning e_n."""

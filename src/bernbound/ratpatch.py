@@ -1,6 +1,6 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
-split rounds, and the convergence constants driving degree and subdivision
-bounds.
+split rounds, the subdivision loop over them, and the convergence constants
+driving degree and subdivision bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
+from itertools import count
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -229,6 +231,39 @@ class RationalPatch:
             "den": self.den.to_json(),
             "ratios": [format_rational(r) for r in self.ratios],
         }
+
+
+def subdivide(root: RationalPatch, split, visit, stop):
+    """The subdivision loop behind ``certify_local`` and both ``minimize``
+    strategies, which differ only in the four callbacks.
+
+    The frontier is a heap of (key, seq, depth, patch); seq keeps tied keys
+    in insertion order.  ``visit(patch, depth)`` sees the root at depth 0 and
+    every piece after it, and returns the patch's key, or None to drop it.
+    Between steps ``stop(frontier)`` returns the result, or None to go on; it
+    must end the run on an empty frontier.  A step pops every entry tied for
+    the smallest key, then visits, at depth + 1, the pieces of each one's
+    ``split(patch, depth, key)``.  With key = depth a step is one level;
+    with unique keys it is one leaf.
+    """
+    frontier: list = []
+    seq = count()
+
+    def offer(patch, depth):
+        key = visit(patch, depth)
+        if key is not None:
+            heappush(frontier, (key, next(seq), depth, patch))
+
+    offer(root, 0)
+    while (result := stop(frontier)) is None:
+        head = frontier[0][0]
+        step = [heappop(frontier)]
+        while frontier and frontier[0][0] == head:
+            step.append(heappop(frontier))
+        for key, _, depth, patch in step:
+            for piece in split(patch, depth, key):
+                offer(piece, depth + 1)
+    return result
 
 
 def _bisect_longest(piece: RationalPatch) -> Tuple[RationalPatch, RationalPatch]:

@@ -268,6 +268,16 @@ def closed_form(m, s, weights, slopes, offset):
     return PowerPoly(n, num), PowerPoly(n, den), Simplex(vertices), a
 
 
+def mul_terms(a, b):
+    """Product of two polynomials given as {exponents: coefficient} dicts."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            out[exp] = out.get(exp, F(0)) + ca * cb
+    return out
+
+
 def dense_sample(simplex, steps):
     """Every point sum beta_i v_i / steps with |beta| = steps, exactly."""
     verts = simplex.vertices

@@ -170,12 +170,13 @@ class TestCertify:
         assert main(["certify", spec, "--mode", "global", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["apriori"]["D2"] == "0"
 
-    @pytest.mark.parametrize("mode", ["sharpness", "global", "local"])
+    @pytest.mark.parametrize("mode", ["sharpness", "global", "local", "negative"])
     def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
                                                  monkeypatch):
         # [-1, 1] is not the standard simplex, so every conversion of num or
         # den pulls back once.  The root converts num and den; the a-priori
         # bounds read it, and D2 reads its numerator (both have degree 2).
+        # Negative mode certifies on the root with its numerator negated.
         calls = []
         original = PowerPoly.substitute_affine
 
@@ -186,7 +187,7 @@ class TestCertify:
         monkeypatch.setattr(PowerPoly, "substitute_affine", counting)
         spec = _write(tmp_path, "claimed.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
-        expected = {"sharpness": 2, "global": 2, "local": 0}[mode]
+        expected = {"sharpness": 2, "global": 2, "local": 0, "negative": 1}[mode]
         assert main(["certify", spec, "--mode", mode, "--json"]) == expected
         apriori = json.loads(capsys.readouterr().out)["apriori"]
         assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
@@ -379,6 +380,22 @@ class TestUsageAndErrors:
     def test_kmax_below_function_degree(self, dip_spec, capsys, mode):
         assert main(["certify", dip_spec, "--mode", mode, "--kmax", "1"]) == 64
         assert "k_max 1 below the function degree 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["global", "negative"])
+    def test_kmax_checked_before_the_denominator(self, tmp_path, capsys, mode):
+        # 1/(3x^2 - 3x + 1) is positive on [0, 1], but its middle Bernstein
+        # coefficient is -1/2: the k_max usage error is reported first.
+        spec = _write(tmp_path, "notbp.json", {
+            "numerator": {"dimension": 1, "terms": [{"exponents": [0], "coeff": "1"}]},
+            "denominator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1"}, {"exponents": [1], "coeff": "-3"},
+                {"exponents": [2], "coeff": "3"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["certify", spec, "--mode", mode, "--kmax", "1"]) == 64
+        assert "k_max 1 below the function degree 2" in capsys.readouterr().err
+        assert main(["certify", spec, "--mode", mode, "--kmax", "2"]) == 70
+        assert "non-positive" in capsys.readouterr().err
 
     def test_denominator_not_positive_is_internal(self, tmp_path, capsys):
         spec = _write(tmp_path, "badden.json", {

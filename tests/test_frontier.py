@@ -1,0 +1,283 @@
+"""The one subdivision loop against the three loops it replaced.
+
+``certify_local`` and both ``minimize`` strategies run ``ratpatch.subdivide``
+with their own key, split, visit and stop callbacks.  The references below
+are the separate loops that came before it, each with its own frontier, split
+call, leaf test and stop rule, run on the same root patch through the same
+public leaf tests (``cert_predicate``, ``local_bounds``).  Every observable
+result must agree: the local certificate's verdict, depth, certified-leaf
+count, witness and leaf log, and each bracket's bounds, witness, rounds,
+leaves, convergence flag, a-priori rounds and history, for a converged run
+and for the partial result of ``BudgetExhausted``.  The one allowed
+difference: the best-first reference recorded the root's bracket twice, the
+loop records it once.
+
+Problems live on the standard n-simplex shifted by an offset, n in {1, 2, 3}.
+Three in four are ``conftest.closed_form``'s m + s * |x - a|^2 / q with a
+strictly inside (exact minimum m, negative, zero or positive), num and den
+raised to degree 3 or 4 by zero to two affine factors 1 + sum c_i (x_i -
+offset_i), c_i >= 0, which are at least 1 at every vertex.  The rest are m
+plus a nonnegative linear form over the denominator 1 (degree 0 or 1,
+minimum m at v_0).
+"""
+
+import heapq
+from fractions import Fraction as F
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from bernbound import (  # noqa: E402
+    LeafRecord,
+    PowerPoly,
+    Simplex,
+    Verdict,
+    Witness,
+    cert_predicate,
+    certify_local,
+    certify_negative,
+    minimize,
+    rational_patch,
+)
+from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.errors import BudgetExhausted  # noqa: E402
+from bernbound.optimize import apriori_steps, local_bounds  # noqa: E402
+from bernbound.ratpatch import convergence_constants  # noqa: E402
+from conftest import closed_form, mul_terms  # noqa: E402
+
+FRONTIER = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+# Deepest local certificate and uniform round count per dimension: a round
+# makes 2, 8 or 64 pieces for n = 1, 2, 3, so depth 3 in three variables
+# would hold 262,144 leaves.
+DEPTH_CAP = {1: 3, 2: 3, 3: 1}
+
+
+# ---------------------------------------------------------------------------
+# Reference loops
+# ---------------------------------------------------------------------------
+
+def ref_certify_local(root, n_max, shrink=F(1, 2)):
+    """(verdict, depth, leaves, witness, log) from the level-by-level loop."""
+    log = []
+    refute = _refuting_vertex(root)
+    if refute is not None:
+        return Verdict.REFUTED, 0, 0, refute, [LeafRecord(0, root, False)]
+    if cert_predicate(root):
+        return Verdict.CERTIFIED, 0, 1, None, [LeafRecord(0, root, True)]
+    log.append(LeafRecord(0, root, False))
+    pending = [root]
+    certified = 0
+    for depth in range(1, n_max + 1):
+        next_pending = []
+        for leaf in pending:
+            for piece in leaf.refine(shrink ** (2 * depth)):
+                refute = _refuting_vertex(piece)
+                if refute is not None:
+                    log.append(LeafRecord(depth, piece, False))
+                    return Verdict.REFUTED, depth, certified, refute, log
+                if cert_predicate(piece):
+                    certified += 1
+                    log.append(LeafRecord(depth, piece, True))
+                else:
+                    next_pending.append(piece)
+                    log.append(LeafRecord(depth, piece, False))
+        pending = next_pending
+        if not pending:
+            return Verdict.CERTIFIED, depth, certified, None, log
+    return Verdict.INCONCLUSIVE, n_max, certified, None, log
+
+
+def _bracket(m, delta, witness, rounds, leaves, converged, planned, history):
+    return dict(lower=m, upper=delta, witness=witness, steps=rounds,
+                leaves=leaves, converged=converged, apriori_rounds=planned,
+                history=tuple(history))
+
+
+def ref_minimize_uniform(root, epsilon, budget, planned):
+    """(bracket, exhausted) from the round-by-round loop."""
+    m, delta, witness = local_bounds(root)
+    active = [(root, m)]
+    history = [(m, delta)]
+    rounds = 0
+    while delta - m >= epsilon:
+        if budget is not None and rounds >= budget:
+            return _bracket(m, delta, witness, rounds, len(active), False,
+                            planned, history), True
+        rounds += 1
+        refined = []
+        for patch, _ in active:
+            for piece in patch.split_round():
+                child_m, child_delta, child_witness = local_bounds(piece)
+                if child_delta < delta:
+                    delta, witness = child_delta, child_witness
+                refined.append((piece, child_m))
+        active = refined
+        m = min(child_m for _, child_m in active)
+        history.append((m, delta))
+    return _bracket(m, delta, witness, rounds, len(active), True,
+                    planned, history), False
+
+
+def ref_minimize_best_first(root, epsilon, budget, planned):
+    """(bracket, exhausted) from the heap loop, root bracket recorded twice."""
+    m, delta, witness = local_bounds(root)
+    heap = [(m, root.simplex.signature(), 0, root)]
+    parked = []
+    history = [(m, delta)]
+    max_depth = 0
+    while True:
+        m = min([delta] + ([heap[0][0]] if heap else []) + parked)
+        history.append((m, delta))
+        if delta - m < epsilon:
+            return _bracket(m, delta, witness, max_depth, len(heap) + len(parked),
+                            True, planned, history), False
+        if not heap:
+            return _bracket(m, delta, witness, max_depth, len(parked), False,
+                            planned, history), True
+        local_m, _, depth, patch = heapq.heappop(heap)
+        if local_m >= delta:
+            continue
+        if budget is not None and depth >= budget:
+            parked.append(local_m)
+            continue
+        for piece in patch.split_round():
+            child_m, child_delta, child_witness = local_bounds(piece)
+            if child_delta < delta:
+                delta, witness = child_delta, child_witness
+            if child_m >= delta:
+                continue
+            heapq.heappush(heap, (child_m, piece.simplex.signature(), depth + 1, piece))
+        max_depth = max(max_depth, depth + 1)
+
+
+# ---------------------------------------------------------------------------
+# Problems
+# ---------------------------------------------------------------------------
+
+def _affine(n, offset, slopes):
+    """1 + sum slopes_i * (x_i - offset_i): 1 at v_0, 1 + slopes_i at v_i."""
+    form = {(0,) * n: 1 - sum(c * o for c, o in zip(slopes, offset))}
+    for i, c in enumerate(slopes):
+        if c:
+            form[tuple(int(j == i) for j in range(n))] = c
+    return form
+
+
+SLOPES = st.sampled_from((F(0), F(1, 2), F(2)))
+
+
+@st.composite
+def problems(draw):
+    """(num, den, simplex, m) with n in {1, 2, 3} and degree 0 to 4."""
+    n = draw(st.integers(1, 3))
+    offset = draw(st.lists(st.sampled_from((F(0), F(-1, 2), F(1, 3))),
+                           min_size=n, max_size=n))
+    slopes = draw(st.lists(SLOPES, min_size=n, max_size=n))
+    m = draw(st.sampled_from((F(1, 20), F(0), F(-1, 20), F(1, 4), F(-1, 2))))
+    if draw(st.sampled_from((True, True, True, False))):
+        s = draw(st.sampled_from((F(3), F(1), F(1, 4))))
+        weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
+        num, den, simplex, _ = closed_form(m, s, weights, slopes, offset)
+        num, den = num.terms, den.terms
+        for _ in range(draw(st.integers(0, 2))):
+            factor = _affine(n, offset, draw(
+                st.lists(SLOPES, min_size=n, max_size=n).filter(any)))
+            num, den = mul_terms(num, factor), mul_terms(den, factor)
+        return PowerPoly(n, num), PowerPoly(n, den), simplex, m
+    num = _affine(n, offset, slopes)
+    num[(0,) * n] += m - 1
+    vertices = [list(offset)] + [
+        [o + (c == i) for c, o in enumerate(offset)] for i in range(n)]
+    return PowerPoly(n, num), PowerPoly.constant(n, 1), Simplex(vertices), m
+
+
+UNIT = Simplex.from_interval(0, 1)
+ONE = PowerPoly.univariate([1])
+# Constant 3/7: the root's bounds meet, so the bracket closes with one leaf.
+CONSTANT = (PowerPoly.univariate([F(3, 7)]), ONE, UNIT, F(3, 7))
+# x - 1/3 on [0, 1]: refuted at the root's vertex 0.
+ROOT_REFUTED = (PowerPoly.univariate([F(-1, 3), 1]), ONE, UNIT, F(-1, 3))
+# (x - 1/3)^2 + 1/20 on [0, 1]: certified after subdividing.
+DIP = (PowerPoly.univariate([F(1, 9) + F(1, 20), F(-2, 3), 1]), ONE, UNIT, F(1, 20))
+# (x - 1/3)^2 on [0, 1]: the zero at 1/3 is never a dyadic vertex.
+TOUCH = (PowerPoly.univariate([F(1, 9), F(-2, 3), 1]), ONE, UNIT, F(0))
+
+
+def _log(records):
+    return [(r.depth, r.simplex, r.certified) for r in records]
+
+
+def _local_outcome(report):
+    return (report.verdict, report.depth_used, report.leaves, report.witness,
+            _log(report.leaf_log))
+
+
+@FRONTIER
+@given(problems(), st.sampled_from((3, 2, 1, 0)))
+@example(CONSTANT, 2)
+@example(ROOT_REFUTED, 2)
+@example(DIP, 0)
+@example(DIP, 3)
+@example(TOUCH, 3)
+def test_certify_local_matches_reference(problem, n_max):
+    num, den, simplex, _ = problem
+    n_max = min(n_max, DEPTH_CAP[simplex.dimension])
+    root = rational_patch(num, den, simplex)
+    verdict, depth, leaves, witness, log = ref_certify_local(root, n_max)
+    report = certify_local(num, den, simplex, n_max)
+    assert _local_outcome(report) == (verdict, depth, leaves, witness, _log(log))
+    negative = certify_negative(num.negate(), den, simplex, via="local",
+                                n_max=n_max)
+    if witness is not None:
+        witness = Witness(witness.point, -witness.value, witness.kind)
+    assert negative.negated
+    assert _local_outcome(negative) == (verdict, depth, leaves, witness, _log(log))
+
+
+EPSILONS = st.sampled_from((F(1, 400), F(1, 40), F(1, 4000), F(1, 8), F(1, 2)))
+
+
+@FRONTIER
+@given(problems(), EPSILONS, st.sampled_from((None, 3, 2, 1, 0)),
+       st.sampled_from(("uniform", "best-first")))
+@example(CONSTANT, F(1, 8), 0, "uniform")
+@example(CONSTANT, F(1, 8), 0, "best-first")
+@example(ROOT_REFUTED, F(1, 8), None, "best-first")
+@example(TOUCH, F(1, 40), 2, "best-first")
+@example(TOUCH, F(1, 40), 2, "uniform")
+@example(DIP, F(1, 1000), None, "best-first")
+def test_minimize_matches_reference(problem, epsilon, budget, mode):
+    num, den, simplex, _ = problem
+    root = rational_patch(num, den, simplex)
+    planned = apriori_steps(convergence_constants(root), epsilon)
+    cap = DEPTH_CAP[simplex.dimension]
+    if mode == "uniform" and (budget is not None or planned > cap):
+        # Unbounded only when the a-priori round count keeps it small.
+        budget = min(cap if budget is None else budget, cap)
+    ref = ref_minimize_uniform if mode == "uniform" else ref_minimize_best_first
+    want, exhausted = ref(root, epsilon, budget, planned)
+    if mode == "best-first":
+        want["history"] = want["history"][1:]
+    try:
+        result = minimize(num, den, simplex, epsilon, budget=budget, mode=mode)
+        assert not exhausted
+    except BudgetExhausted as exc:
+        assert exhausted
+        result = exc.partial
+    got = {key: getattr(result, key) for key in want if key != "witness"}
+    assert {**got, "witness": result.argmin_candidate} == want
+    assert result.epsilon == epsilon
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: certify_local(*p[:3], n_max=-1),
+    lambda p: certify_negative(*p[:3], via="local", n_max=-2),
+    lambda p: minimize(*p[:3], F(1, 8), budget=-1),
+    lambda p: minimize(*p[:3], F(1, 8), budget=-1, mode="uniform"),
+], ids=["certify_local", "certify_negative", "best-first", "uniform"])
+def test_negative_budgets_are_rejected(call):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        call(DIP)

@@ -41,6 +41,7 @@ from bernbound import (  # noqa: E402
 )
 from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.ratpatch import rational_patch  # noqa: E402
+from conftest import mul_terms  # noqa: E402
 
 SCAN = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -82,15 +83,6 @@ def ref_certify_global(pnum, pden, simplex, k_max):
         k += 1
 
 
-def _mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            out[exp] = out.get(exp, F(0)) + ca * cb
-    return out
-
-
 def _unit(n, i, power=1):
     return tuple(power if c == i else 0 for c in range(n))
 
@@ -119,7 +111,7 @@ def problems(draw):
         for i, c in enumerate(slopes):
             if c:
                 factor[_unit(n, i)] = c
-        den = _mul(den, factor)
+        den = mul_terms(den, factor)
     kind = draw(st.sampled_from(("closed", "barycentric", "sparse")))
     if kind == "closed":
         m = draw(st.sampled_from((F(1, 10), F(1, 4), F(1, 20), F(0), F(-1, 20))))
@@ -150,7 +142,7 @@ def problems(draw):
             term = {zero: weight}
             for i, a in enumerate(alpha):
                 for _ in range(a):
-                    term = _mul(term, lam[i])
+                    term = mul_terms(term, lam[i])
             for exp, c in term.items():
                 num[exp] = num.get(exp, F(0)) + c
     else:
