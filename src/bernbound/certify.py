@@ -14,7 +14,8 @@ elevates the numerator only.
 
 The global scan runs on homogeneous coefficients c_alpha = b_alpha *
 multinomial(k; alpha), kept as integers over the base patch's scale.  They
-elevate by plain sums, c'_beta = sum over i with beta_i > 0 of
+elevate by plain sums (``polypatch._elevate_homogeneous``, the step
+``BernsteinPatch.elevate`` takes too), c'_beta = sum over i with beta_i > 0 of
 c_{beta - e_i}: no weights, no new scale, and each step grows the largest
 integer by at most a factor n + 1.  Multinomials are positive, so every c
 has its Bernstein coefficient's sign, and the vertex entries are the vertex
@@ -32,13 +33,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from operator import add, mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, NonPositiveClaim
 from .geometry import Simplex
-from .indexing import elevation_sums, multinomials
-from .polypatch import BernsteinPatch
+from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous
 from .powerpoly import PowerPoly
 from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch, subdivide
 from .rationals import Rational, float_str, format_rational, parse_rational
@@ -174,34 +173,6 @@ def numerator_certifies(num: BernsteinPatch) -> bool:
     positive, read from the integer numerators: the scale is positive, so
     no coefficient is built."""
     return _signs_certify(num.nums, num.index_set.vertex_positions())
-
-
-def _homogeneous(num: BernsteinPatch) -> List[int]:
-    """The integers nums_alpha * multinomial(k; alpha), then a zero sentinel.
-
-    Over ``num.scale`` they are the homogeneous coefficients of ``num``."""
-    return [*map(mul, num.nums, multinomials(num.degree, num.dimension)), 0]
-
-
-def _elevate_homogeneous(
-    c: List[int], degree: int, dimension: int,
-) -> Tuple[List[int], Tuple[int, ...]]:
-    """Homogeneous coefficients one degree up, and their vertex positions.
-
-    ``c`` holds the degree-``degree`` integers followed by the zero
-    sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
-    i with beta_i > 0, the sentinel standing in where beta_i = 0.  For
-    n = 1 that is one Pascal row, c'_j = c_{j-1} + c_j, read off ``c``
-    without a table.
-    """
-    if dimension == 1:
-        return [c[0], *map(add, c, c[1:]), 0], (0, degree + 1)
-    sources, vertices = elevation_sums(degree, dimension)
-    fetch = c.__getitem__
-    summed = map(fetch, sources[0])
-    for column in sources[1:]:
-        summed = map(add, summed, map(fetch, column))
-    return [*summed, 0], vertices
 
 
 def cert_predicate(f: RationalPatch) -> bool:

@@ -36,7 +36,7 @@ from .errors import BernboundError, BudgetExhausted, DegreeTooLow
 from .geometry import Simplex
 from .optimize import minimize
 from .polypatch import to_bernstein
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _integer
 from .ratpatch import RationalPatch, convergence_constants, rational_patch
 from .rationals import float_str, format_rational, parse_rational
 
@@ -79,15 +79,20 @@ def _rational_field(data, key):
         raise UsageError(f"spec field {key!r}: {exc}") from exc
 
 
+def _positive_field(data, key):
+    value = _rational_field(data, key)
+    if value <= 0:
+        raise UsageError(f"spec field {key!r}: must be positive, got "
+                         f"{format_rational(value)}")
+    return value
+
+
 def _int_field(data, key):
     value = data[key]
     try:
-        if isinstance(value, bool) or (
-                isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"not an integer: {value!r}")
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"spec field {key!r}: {exc}") from exc
+        return _integer(value, key)
+    except TypeError:
+        raise UsageError(f"spec field {key!r}: not an integer: {value!r}") from None
 
 
 def parse_problem(data: dict) -> ProblemSpec:
@@ -145,9 +150,9 @@ def parse_problem(data: dict) -> ProblemSpec:
     if "shrink" in data:
         spec.shrink = _rational_field(data, "shrink")
     if "claimed_min" in data:
-        spec.claimed_min = _rational_field(data, "claimed_min")
+        spec.claimed_min = _positive_field(data, "claimed_min")
     if "claimed_numerator_min" in data:
-        spec.claimed_numerator_min = _rational_field(data, "claimed_numerator_min")
+        spec.claimed_numerator_min = _positive_field(data, "claimed_numerator_min")
     return spec
 
 

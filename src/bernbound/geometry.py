@@ -5,15 +5,15 @@ bisection.
 All geometry is exact.  A ``Simplex`` stores its vertices as integer
 coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
-built on first use.  On the integers it checks affine independence by
-fraction-free (Bareiss) elimination and measures its longest edge once, as
-the integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
+built on first use.  One fraction-free (Bareiss) elimination,
+``_bareiss``, checks affine independence on the integers and solves for
+barycentric coordinates.  A simplex measures its longest edge once, as the
+integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
 rule: it forms each midpoint from the parent's integers over at most twice
-its denominator, for ``bisect_edge`` and for the split round, which keeps its
-intermediate pieces as plain rows and checks only its leaves.  The only
-irrational quantity, the diameter, is never materialized: ``diameter_sq``
-builds its ``Fraction`` on demand, and ``wider_than`` compares it with a
-bound by cross-multiplying integers.
+its denominator, for ``bisect_edge`` and for ``RationalPatch.refine``, which
+keeps its intermediate pieces as plain rows and checks only its leaves.  The
+only irrational quantity, the diameter, is never materialized:
+``diameter_sq`` builds its ``Fraction`` on demand.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DegreeMismatch, DimensionMismatch
 from .powerpoly import PowerPoly
@@ -41,7 +41,7 @@ class Simplex:
     denominator ``denom``, reduced so that equal simplices store equal
     integers.  Every instance is checked; its longest edge is measured at
     construction, as the integer squared length over denom**2 and its
-    (i, j), and read by ``diameter_sq``, ``wider_than`` and ``longest_edge``.
+    (i, j), and read by ``diameter_sq`` and ``longest_edge``.
     Instances are immutable and hashable.
     """
 
@@ -121,20 +121,20 @@ class Simplex:
         return cls([[a], [b]])
 
 
-def _setup(simplex: Simplex, ints, denom: int, pts=None) -> None:
+def _setup(simplex: Simplex, ints, denom: int, pts=None, longest=None) -> None:
     """Check that the integer vertices ``ints`` over ``denom`` span a
     simplex (Bareiss elimination), measure the longest edge once and fill in
     ``simplex``.  Every ``Simplex``, given or made by bisection, passes
-    through here; ``pts`` is the Fraction view when the caller already has
-    it."""
+    through here; ``pts`` is the Fraction view and ``longest`` the
+    ``_longest`` measure when the caller already has them."""
     put = object.__setattr__
     put(simplex, "ints", ints)
     put(simplex, "denom", denom)
     put(simplex, "_vertices", pts)
     v0 = ints[0]
-    if not _nonsingular([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]):
+    if _bareiss([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]) is None:
         raise DegenerateSimplex(f"vertices are affinely dependent: {simplex.vertices}")
-    put(simplex, "_longest_edge", _longest(ints))
+    put(simplex, "_longest_edge", longest or _longest(ints))
 
 
 @lru_cache(maxsize=None)
@@ -148,54 +148,58 @@ def standard_simplex(n: int) -> Simplex:
     return Simplex(vertices)
 
 
-def _nonsingular(rows: List[List[int]]) -> bool:
-    """Fraction-free (Bareiss) elimination on a square integer matrix; False
-    if it is singular.  Each step moves a pivot row out and leaves the
-    remaining rows one column shorter; every division is exact."""
+def _bareiss(rows: List[List[int]]) -> Optional[List[List[int]]]:
+    """Fraction-free (Bareiss) elimination on the square left block of
+    integer ``rows`` (columns beyond it ride along); None if the block is
+    singular.
+
+    Each step moves a pivot row out and leaves the remaining rows one column
+    shorter; every division is exact.  Returns the pivot rows in order, an
+    upper triangular system whose last pivot is the block's determinant up
+    to sign.
+    """
     prev = 1
+    pivots = []
     while rows:
         pivot = next((r for r, row in enumerate(rows) if row[0]), None)
         if pivot is None:
-            return False
+            return None
         top = rows.pop(pivot)
+        pivots.append(top)
         p = top[0]
         rows = [[(p * x - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
                 for row in rows]
         prev = p
-    return True
-
-
-def _gauss_jordan(rows: List[List[Fraction]]) -> bool:
-    """Exact Gauss-Jordan elimination in place on the square left block of
-    ``rows`` (columns beyond it ride along); False if that block is singular.
-    """
-    size = len(rows)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col]), None)
-        if pivot is None:
-            return False
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return True
+    return pivots
 
 
 def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, ...]:
-    """Exact coordinates lam with sum(lam) = 1 and sum(lam_i v_i) = point."""
+    """Exact coordinates lam with sum(lam) = 1 and sum(lam_i v_i) = point.
+
+    The system is solved on integers: each coordinate row is the vertices'
+    integers and the point's coordinate times ``denom``, scaled by the
+    point's common denominator.  Bareiss elimination leaves a triangular
+    system with determinant ``det``; by Cramer's rule every det * lam_i is
+    an integer, and back substitution finds them with exact divisions.
+    """
     n = simplex.dimension
     x = _as_point(point)
     if len(x) != n:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {n}")
-    rows = [[Fraction(1)] * (n + 1) + [Fraction(1)]]
+    scale = lcm(*(c.denominator for c in x))
+    rhs = [c.numerator * (scale // c.denominator) * simplex.denom for c in x]
+    rows = [[1] * (n + 2)]
     for c in range(n):
-        rows.append([v[c] for v in simplex.vertices] + [x[c]])
-    if not _gauss_jordan(rows):
+        rows.append([scale * v[c] for v in simplex.ints] + [rhs[c]])
+    pivots = _bareiss(rows)
+    if pivots is None:
         raise DegenerateSimplex("singular barycentric system")
-    return tuple(row[-1] for row in rows)
+    det = pivots[-1][0]
+    lam = []
+    for top in reversed(pivots):
+        known = sum(a * b for a, b in zip(top[1:-1], lam))
+        lam.insert(0, (top[-1] * det - known) // top[0])
+    return tuple([Fraction(v, det) for v in lam])
 
 
 def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
@@ -230,14 +234,6 @@ def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
 def diameter_sq(simplex: Simplex) -> Fraction:
     """Max squared Euclidean distance over vertex pairs, exactly."""
     return Fraction(simplex._longest_edge[0], simplex.denom ** 2)
-
-
-def wider_than(simplex: Simplex, bound_sq: Fraction) -> bool:
-    """Whether ``diameter_sq(simplex) > bound_sq``, by cross-multiplying the
-    integer squared length over denom**2 with ``bound_sq``; no ``Fraction``
-    is built."""
-    return (simplex._longest_edge[0] * bound_sq.denominator
-            > bound_sq.numerator * simplex.denom ** 2)
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
@@ -299,11 +295,12 @@ def _bisect_rows(rows, denom: int, i: int, j: int):
     return tuple(keep_i), tuple(keep_j), denom
 
 
-def _checked_simplex(ints, denom: int) -> Simplex:
+def _checked_simplex(ints, denom: int, longest=None) -> Simplex:
     """A simplex from reduced integer rows over ``denom``, checked by
-    ``_setup`` like every other simplex."""
+    ``_setup`` like every other simplex; ``longest`` is its ``_longest``
+    measure when the caller already has it."""
     simplex = Simplex.__new__(Simplex)
-    _setup(simplex, ints, denom)
+    _setup(simplex, ints, denom, None, longest)
     return simplex
 
 

@@ -5,10 +5,10 @@ coefficient of degree ``k = |alpha|`` over an ``n``-simplex.  The truncation
 dropping the 0th entry, written ``alpha_hat``, addresses power-basis
 exponents.  Everything here is exact integer arithmetic.
 
-The index-move tables for degree elevation, edge splitting and second
-differences live here too, next to the index order they encode; they are
-built once per degree and dimension (and edge, for splitting) and stored as
-flat integer arrays.
+The index-move tables for degree elevation (by homogeneous sums), edge
+splitting and second differences live here too, next to the index order
+they encode; they are built once per degree and dimension (and edge, for
+splitting) and stored as flat integer arrays.
 """
 
 from __future__ import annotations
@@ -157,63 +157,40 @@ def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
                  for alpha in enumerate_indices(degree, dimension))
 
 
-def _lowered(degree: int, dimension: int, missing: int) -> Tuple[Tuple[array, array], ...]:
-    """One (weights, sources) pair of flat arrays per slot i = 0..n, each
-    indexed by position in the degree + 1 index set: for beta with
-    beta_i > 0 the weight is beta_i and the source is the position of
-    beta - e_i at ``degree``, otherwise the weight is 0 and the source is
-    ``missing``.
-
-    A hat's position does not depend on the degree (the order is graded on
-    the hat), so one hat-to-position map of the source degree serves every
-    slot, and no ``IndexSet`` is built.
-    """
-    hats = [hat for grade in range(degree + 2)
-            for hat in _hat_indices(grade, dimension)]
-    position = {hat: pos for pos, hat in enumerate(hats) if sum(hat) <= degree}
-    size = len(hats)
-    moves = []
-    for i in range(dimension + 1):
-        weights = array("I", [0]) * size
-        sources = array("I", [missing]) * size
-        for pos, hat in enumerate(hats):
-            if i == 0:
-                entry, lowered = degree + 1 - sum(hat), hat
-            else:
-                entry = hat[i - 1]
-                lowered = hat[:i - 1] + (entry - 1,) + hat[i:]
-            if entry:
-                weights[pos] = entry
-                sources[pos] = position[lowered]
-        moves.append((weights, sources))
-    return tuple(moves)
-
-
-@lru_cache(maxsize=None)
-def elevation_moves(degree: int, dimension: int) -> Tuple[Tuple[array, array], ...]:
-    """Gather table for elevating a degree-``degree`` coefficient list by one.
-
-    One (weights, sources) pair per slot i = 0..n, as in ``_lowered`` with
-    source 0 where beta_i = 0.  The elevated coefficient at beta is
-    sum_i weights_i[beta] * c[sources_i[beta]] / (degree + 1).
-    """
-    return _lowered(degree, dimension, 0)
-
-
 @lru_cache(maxsize=None)
 def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tuple[int, ...]]:
     """Gather table for elevating homogeneous coefficients by plain sums.
 
     Homogeneous coefficients are c_alpha = b_alpha * multinomial(k; alpha);
     elevation maps them to c'_beta = sum over i with beta_i > 0 of
-    c_{beta - e_i}.  Returns one source array per slot i = 0..n, indexed by
-    position at degree + 1, from the same table as ``elevation_moves``, with
-    the zero sentinel position len(c) = C(degree + n, n) where beta_i = 0,
-    and the vertex positions (degree + 1) * e_i at degree + 1.
+    c_{beta - e_i}.  Returns one flat source array per slot i = 0..n,
+    indexed by position at degree + 1: the position of beta - e_i at
+    ``degree``, or the zero sentinel position len(c) = C(degree + n, n)
+    where beta_i = 0; and the vertex positions (degree + 1) * e_i at
+    degree + 1.
+
+    A hat's position does not depend on the degree (the order is graded on
+    the hat), so one hat-to-position map serves both degrees, and no
+    ``IndexSet`` is built.
     """
-    moves = _lowered(degree, dimension, comb(degree + dimension, dimension))
-    vertices = tuple(weights.index(degree + 1) for weights, _ in moves)
-    return tuple(sources for _, sources in moves), vertices
+    hats = [hat for grade in range(degree + 2)
+            for hat in _hat_indices(grade, dimension)]
+    position = {hat: pos for pos, hat in enumerate(hats)}
+    missing = comb(degree + dimension, dimension)
+    columns = []
+    for i in range(dimension + 1):
+        sources = array("I", [missing]) * len(hats)
+        for pos, hat in enumerate(hats):
+            if i == 0:
+                if sum(hat) <= degree:
+                    sources[pos] = pos
+            elif hat[i - 1]:
+                sources[pos] = position[hat[:i - 1] + (hat[i - 1] - 1,) + hat[i:]]
+        columns.append(sources)
+    vertices = (0, *(position[tuple(degree + 1 if c == i else 0
+                                    for c in range(dimension))]
+                     for i in range(dimension)))
+    return tuple(columns), vertices
 
 
 @lru_cache(maxsize=None)

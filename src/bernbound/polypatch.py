@@ -10,11 +10,14 @@ Coefficients are exact rationals throughout: positivity verdicts downstream
 hinge on coefficient signs, so no floating arithmetic enters here.  A patch
 stores them as integer numerators ``nums`` over one shared positive integer
 denominator ``scale``, so elevation and edge splitting are integer
-multiply-adds with no gcd per operation; ``coeffs`` is the exact
-``Fraction`` view, built on first use.  Conversion from the power basis is
-integer too (a binomial transform of an integer grid, then one gcd), and so
-are second differences, which build a ``Fraction`` only per returned entry,
-and the value at a grid point (``grid_sum``).
+arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
+view, built on first use.  Elevation has one rule, the homogeneous sum step
+(``_elevate_homogeneous``) that the global certificate scan runs on its own
+integers; ``elevate`` divides its result back to Bernstein numerators.
+Conversion from the power basis is integer too (a binomial transform of an
+integer grid, then one gcd), and so are second differences, which build a
+``Fraction`` only per returned entry, and the value at a grid point
+(``grid_sum``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, lshift, mul, sub
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow
 from .geometry import Simplex, affine_pullback, barycentric, bisect_edge, standard_simplex
@@ -31,7 +34,7 @@ from .indexing import (
     IndexSet,
     binom_graded,
     edge_lines,
-    elevation_moves,
+    elevation_sums,
     enumerate_indices,
     multinomials,
     second_difference_moves,
@@ -175,16 +178,19 @@ class BernsteinPatch:
         return total
 
     def elevate(self) -> "BernsteinPatch":
-        """Same polynomial one degree higher; the enclosure never widens."""
-        k = self.degree
-        fetch = self.nums.__getitem__
-        terms = [list(map(mul, weights, map(fetch, sources)))
-                 for weights, sources in elevation_moves(k, self.dimension)]
-        nums = terms[0]
-        for column in terms[1:]:
-            nums = list(map(add, nums, column))
-        return BernsteinPatch._from_ints(self.simplex, k + 1, tuple(nums),
-                                         self.scale * (k + 1))
+        """Same polynomial one degree higher; the enclosure never widens.
+
+        One homogeneous sum step, then back to Bernstein numerators: with
+        multinomial(k; beta - e_i) = multinomial(k + 1; beta) * beta_i /
+        (k + 1), the elevated numerator c'_beta * (k + 1) /
+        multinomial(k + 1; beta) is sum_i beta_i * nums_{beta - e_i}, over
+        scale * (k + 1), and the division is exact.
+        """
+        k, n = self.degree, self.dimension
+        c, _ = _elevate_homogeneous(_homogeneous(self), k, n)
+        up = k + 1
+        nums = tuple([a * up // w for a, w in zip(c, multinomials(up, n))])
+        return BernsteinPatch._from_ints(self.simplex, up, nums, self.scale * up)
 
     def negate(self) -> "BernsteinPatch":
         """The patch of -p: every numerator negated, over the same scale."""
@@ -246,6 +252,34 @@ class BernsteinPatch:
             _integer(data["degree"], "degree"),
             tuple(parse_rational(c) for c in data["coeffs"]),
         )
+
+
+def _homogeneous(patch: BernsteinPatch) -> List[int]:
+    """The integers nums_alpha * multinomial(k; alpha), then a zero sentinel.
+
+    Over ``patch.scale`` they are the homogeneous coefficients of ``patch``."""
+    return [*map(mul, patch.nums, multinomials(patch.degree, patch.dimension)), 0]
+
+
+def _elevate_homogeneous(
+    c: List[int], degree: int, dimension: int,
+) -> Tuple[List[int], Tuple[int, ...]]:
+    """Homogeneous coefficients one degree up, and their vertex positions.
+
+    ``c`` holds the degree-``degree`` integers followed by the zero
+    sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
+    i with beta_i > 0, the sentinel standing in where beta_i = 0.  For
+    n = 1 that is one Pascal row, c'_j = c_{j-1} + c_j, read off ``c``
+    without a table.
+    """
+    if dimension == 1:
+        return [c[0], *map(add, c, c[1:]), 0], (0, degree + 1)
+    sources, vertices = elevation_sums(degree, dimension)
+    fetch = c.__getitem__
+    summed = map(fetch, sources[0])
+    for column in sources[1:]:
+        summed = map(add, summed, map(fetch, column))
+    return [*summed, 0], vertices
 
 
 def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

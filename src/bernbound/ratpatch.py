@@ -1,6 +1,7 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
-split rounds, the subdivision loop over them, and the convergence constants
-driving degree and subdivision bounds.
+split rounds (all run by one integer driver, ``RationalPatch.refine``), the
+subdivision loop over them, and the convergence constants driving degree
+and subdivision bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -39,9 +40,7 @@ from .geometry import (
     _longest,
     bisect_edge,
     diameter_sq,
-    longest_edge,
     round_length,
-    wider_than,
 )
 from .indexing import split_table
 from .polypatch import BernsteinPatch, split_nums, to_bernstein
@@ -165,65 +164,68 @@ class RationalPatch:
         return RationalPatch(num_i, den_i), RationalPatch(num_j, den_j)
 
     def split_round(self) -> List["RationalPatch"]:
-        """One shrink round of longest-edge bisection.
-
-        Applies n(n+1)/2 levels of longest-edge splitting exhaustively
-        breadth-first, then keeps splitting any child whose squared diameter
-        still exceeds a quarter of the parent's (a safety net; not observed
-        for the tested dimensions).  Every returned child has diameter at
-        most half the parent's.
-
-        The levels run as one integer kernel on plain data: each piece is
-        its integer vertex rows, their denominator and the numerator lists
-        of num and den.  A piece's longest edge comes from the rows, its
-        children from ``geometry._bisect_rows`` (the rule ``bisect_edge``
-        uses) and ``polypatch.split_nums`` (the rule ``split_edge`` uses).
-        Only the leaves become ``Simplex`` objects, through the rank check,
-        and ``RationalPatch`` objects, whose scales are the parent's shifted
-        left by k per level.  A bisection child lies in its parent's affine
-        hull, so a singular piece would leave singular leaves, which the
-        check rejects.  The result equals repeated ``split_edge`` on the
-        longest edge: same leaves, same order, same integers.
-        """
-        n, k = self.dimension, self.degree
-        simplex = self.simplex
-        levels = round_length(n)
-        pieces = [(simplex.ints, simplex.denom, self.num.nums, self.den.nums)]
-        for _ in range(levels):
-            children = []
-            for rows, denom, num, den in pieces:
-                _, i, j = _longest(rows)
-                rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
-                table = split_table(k, n, i, j)
-                num_i, num_j = split_nums(num, table)
-                den_i, den_j = split_nums(den, table)
-                children.append((rows_i, denom, num_i, den_i))
-                children.append((rows_j, denom, num_j, den_j))
-            pieces = children
-        shift = k * levels
-        num_scale, den_scale = self.num.scale << shift, self.den.scale << shift
-        leaves = []
-        for rows, denom, num, den in pieces:
-            leaf = _checked_simplex(rows, denom)
-            leaves.append(RationalPatch(BernsteinPatch._from_ints(leaf, k, num, num_scale),
-                                        BernsteinPatch._from_ints(leaf, k, den, den_scale)))
-        target = diameter_sq(simplex) / 4
-        guard = 4 * levels + 4
-        while (wider := _split_wide(leaves, target, _bisect_longest)) is not None:
-            guard -= 1
-            if guard < 0:
-                raise DegenerateSimplex("edge bisection failed to halve the diameter")
-            leaves = wider
-        return leaves
+        """One shrink round of longest-edge bisection: ``refine`` at a
+        quarter of the patch's own squared diameter.  Every returned child
+        has diameter at most half the parent's."""
+        return self.refine(diameter_sq(self.simplex) / 4)
 
     def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
         """At least one shrink round, then more on every piece whose squared
-        diameter still exceeds ``threshold_sq``."""
-        pieces = self.split_round()
-        split = RationalPatch.split_round
-        while (wider := _split_wide(pieces, threshold_sq, split)) is not None:
-            pieces = wider
-        return pieces
+        diameter still exceeds ``threshold_sq``.
+
+        A round applies n(n+1)/2 levels of longest-edge bisection, then
+        keeps bisecting any piece whose squared diameter still exceeds a
+        quarter of the round root's (a safety net; not observed for the
+        tested dimensions).  A piece that is still too wide after 4 times
+        the levels plus 4 such extra halvings raises ``DegenerateSimplex``.
+
+        Every round runs as one integer kernel on plain data: a piece is its
+        integer vertex rows, their denominator, the numerator lists of num
+        and den, its bisection count and its longest edge, measured once.
+        Its children come from ``geometry._bisect_rows`` (the rule
+        ``bisect_edge`` uses) and ``polypatch.split_nums`` (the rule
+        ``split_edge`` uses).  Only the leaves become ``Simplex`` objects,
+        through the rank check, and ``RationalPatch`` objects, whose scales
+        are the root's shifted left by k per bisection.  A bisection child
+        lies in its parent's affine hull, so a singular piece would leave
+        singular leaves, which the check rejects.  Pieces are split left
+        child first, so the leaves come in the order of replacing each piece
+        by its children in place: the result equals repeated ``split_edge``
+        on the longest edge, with the same leaves, order and integers.
+        """
+        n, k = self.dimension, self.degree
+        levels = round_length(n)
+        budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
+        threshold = threshold_sq.numerator, threshold_sq.denominator
+        simplex = self.simplex
+        rows, denom, longest = simplex.ints, simplex.denom, simplex._longest_edge
+        # (rows, denom, num, den, longest edge, cuts, cuts in the round, the
+        # round's target squared diameter); the root opens the first round.
+        stack = [(rows, denom, self.num.nums, self.den.nums, longest, 0, 0,
+                  _quarter(longest, denom))]
+        leaves = []
+        while stack:
+            rows, denom, num, den, longest, cuts, depth, target = stack.pop()
+            if depth >= levels and not _wider(longest, denom, target):
+                if not _wider(longest, denom, threshold):
+                    leaf = _checked_simplex(rows, denom, longest)
+                    shift = k * cuts
+                    leaves.append(RationalPatch(
+                        BernsteinPatch._from_ints(leaf, k, num, self.num.scale << shift),
+                        BernsteinPatch._from_ints(leaf, k, den, self.den.scale << shift)))
+                    continue
+                target, depth = _quarter(longest, denom), 0
+            elif depth == budget:
+                raise DegenerateSimplex("edge bisection failed to halve the diameter")
+            _, i, j = longest
+            rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
+            table = split_table(k, n, i, j)
+            num_i, num_j = split_nums(num, table)
+            den_i, den_j = split_nums(den, table)
+            cuts, depth = cuts + 1, depth + 1
+            stack.append((rows_j, denom, num_j, den_j, _longest(rows_j), cuts, depth, target))
+            stack.append((rows_i, denom, num_i, den_i, _longest(rows_i), cuts, depth, target))
+        return leaves
 
     def to_json(self) -> dict:
         return {
@@ -266,18 +268,17 @@ def subdivide(root: RationalPatch, split, visit, stop):
     return result
 
 
-def _bisect_longest(piece: RationalPatch) -> Tuple[RationalPatch, RationalPatch]:
-    return piece.split_edge(*longest_edge(piece.simplex))
+def _quarter(longest, denom: int) -> Tuple[int, int]:
+    """A quarter of a piece's squared diameter, ``longest[0]`` over denom**2,
+    as a (numerator, denominator) pair."""
+    return longest[0], 4 * denom * denom
 
 
-def _split_wide(pieces, threshold_sq, split) -> Optional[List[RationalPatch]]:
-    """Pieces in order, each one whose squared diameter exceeds threshold_sq
-    replaced by its ``split`` children; None when no piece exceeds it."""
-    wide = [wider_than(piece.simplex, threshold_sq) for piece in pieces]
-    if not any(wide):
-        return None
-    return [child for piece, w in zip(pieces, wide)
-            for child in (split(piece) if w else (piece,))]
+def _wider(longest, denom: int, bound: Tuple[int, int]) -> bool:
+    """Whether a piece's squared diameter, ``longest[0]`` over denom**2,
+    exceeds the fraction ``bound`` = (numerator, denominator), by
+    cross-multiplying integers."""
+    return longest[0] * bound[1] > bound[0] * denom * denom
 
 
 def rational_patch(

@@ -11,6 +11,7 @@ import pytest
 
 import bernbound
 from bernbound import PowerPoly
+from bernbound import cli
 from bernbound.cli import main
 
 DIP_SPEC = {
@@ -304,12 +305,17 @@ class TestUsageAndErrors:
         assert "n_max must be nonnegative, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
-        ("degree", "two", "invalid literal for int()"),
+        ("degree", "two", "not an integer: 'two'"),
         ("degree", 2.5, "not an integer"),
-        ("k_max", "3/2", "invalid literal for int()"),
-        ("n_max", "ten", "invalid literal for int()"),
+        ("k_max", "3/2", "not an integer: '3/2'"),
+        ("n_max", "ten", "not an integer: 'ten'"),
         ("degree", True, "not an integer: True"),
         ("n_max", True, "not an integer: True"),
+        # Integer-valued strings and floats are rejected too, as they are
+        # for exponents and the dimension.
+        ("degree", "3", "not an integer: '3'"),
+        ("k_max", 3.0, "not an integer: 3.0"),
+        ("n_max", "2", "not an integer: '2'"),
     ])
     def test_non_integer_spec_field(self, tmp_path, capsys, field, value, message):
         spec = _write(tmp_path, "field.json", {**DIP_SPEC, field: value})
@@ -317,6 +323,26 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert f"spec field '{field}'" in err
         assert message in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("claimed_min", "0"),
+        ("claimed_min", "-1/2"),
+        ("claimed_numerator_min", "0"),
+        ("claimed_numerator_min", "-3"),
+    ])
+    def test_non_positive_claim(self, tmp_path, capsys, monkeypatch, field, value):
+        # Rejected while the spec is read, before any certificate runs.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the certificate ran")
+
+        monkeypatch.setattr(cli, "_certifier", unreachable)
+        spec = _write(tmp_path, "claim.json", {
+            **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100",
+            field: value})
+        for argv in (["certify", spec, "--mode", "global"], ["bounds", spec]):
+            assert main(argv) == 64
+            err = capsys.readouterr().err
+            assert f"spec field '{field}': must be positive, got {value}" in err
 
     @pytest.mark.parametrize("field, change, value", [
         ("numerator", {"numerator": {"dimension": 1, "terms": [

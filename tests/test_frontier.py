@@ -12,6 +12,11 @@ and for the partial result of ``BudgetExhausted``.  The one allowed
 difference: the best-first reference recorded the root's bracket twice, the
 loop records it once.
 
+``RationalPatch.refine``, the one integer subdivision driver under all three,
+is checked the same way against rounds of patch objects: each round single
+longest-edge ``split_edge`` calls plus the halving guard, and another round
+on every piece still wider than the threshold.
+
 Problems live on the standard n-simplex shifted by an offset, n in {1, 2, 3}.
 Three in four are ``conftest.closed_form``'s m + s * |x - a|^2 / q with a
 strictly inside (exact minimum m, negative, zero or positive), num and den
@@ -43,6 +48,7 @@ from bernbound import (  # noqa: E402
 )
 from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import BudgetExhausted  # noqa: E402
+from bernbound.geometry import diameter_sq, longest_edge, round_length  # noqa: E402
 from bernbound.optimize import apriori_steps, local_bounds  # noqa: E402
 from bernbound.ratpatch import convergence_constants  # noqa: E402
 from conftest import closed_form, mul_terms  # noqa: E402
@@ -88,6 +94,45 @@ def ref_certify_local(root, n_max, shrink=F(1, 2)):
         if not pending:
             return Verdict.CERTIFIED, depth, certified, None, log
     return Verdict.INCONCLUSIVE, n_max, certified, None, log
+
+
+def _split_wide(pieces, threshold_sq, split):
+    """Pieces in order, each one whose squared diameter exceeds threshold_sq
+    replaced by its ``split`` children; None when no piece exceeds it."""
+    wide = [diameter_sq(piece.simplex) > threshold_sq for piece in pieces]
+    if not any(wide):
+        return None
+    return [child for piece, w in zip(pieces, wide)
+            for child in (split(piece) if w else (piece,))]
+
+
+def _bisect_longest(piece):
+    return piece.split_edge(*longest_edge(piece.simplex))
+
+
+def ref_split_round(patch):
+    """One shrink round on patch objects: n(n+1)/2 levels of longest-edge
+    ``split_edge``, then the halving guard on every piece still wider than
+    a quarter of the patch's squared diameter."""
+    pieces = [patch]
+    for _ in range(round_length(patch.dimension)):
+        pieces = [child for piece in pieces for child in _bisect_longest(piece)]
+    target = diameter_sq(patch.simplex) / 4
+    guard = 4 * round_length(patch.dimension) + 4
+    while (wider := _split_wide(pieces, target, _bisect_longest)) is not None:
+        guard -= 1
+        assert guard >= 0
+        pieces = wider
+    return pieces
+
+
+def ref_refine(patch, threshold_sq):
+    """A round, then another on every piece still wider than threshold_sq,
+    each piece replaced by its round in place, until none is."""
+    pieces = ref_split_round(patch)
+    while (wider := _split_wide(pieces, threshold_sq, ref_split_round)) is not None:
+        pieces = wider
+    return pieces
 
 
 def _bracket(m, delta, witness, rounds, leaves, converged, planned, history):
@@ -235,6 +280,32 @@ def test_certify_local_matches_reference(problem, n_max):
         witness = Witness(witness.point, -witness.value, witness.kind)
     assert negative.negated
     assert _local_outcome(negative) == (verdict, depth, leaves, witness, _log(log))
+
+
+# Thresholds as fractions of the widest piece's squared diameter after one
+# round: each asks for a second round on that piece at least, the smaller
+# ones for a third.  A round makes 64 pieces in three variables.
+REFINE_DIVISORS = {1: (2, 5, 20), 2: (2, 5, 20), 3: (2,)}
+
+
+@settings(FRONTIER, max_examples=50)
+@given(problems(), st.integers(0, 2))
+def test_refine_matches_reference(problem, pick):
+    # The integer driver against rounds of patch objects: the same leaves in
+    # the same order, with the same integers and scales.
+    num, den, simplex, _ = problem
+    root = rational_patch(num, den, simplex)
+    divisors = REFINE_DIVISORS[simplex.dimension]
+    first = root.split_round()
+    widest = max(diameter_sq(piece.simplex) for piece in first)
+    threshold = widest / divisors[pick % len(divisors)]
+    got = root.refine(threshold)
+    want = ref_refine(root, threshold)
+    assert len(got) > len(first)
+    assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
+    for leaf, ref in zip(got, want):
+        for mine, theirs in ((leaf.num, ref.num), (leaf.den, ref.den)):
+            assert (mine.nums, mine.scale) == (theirs.nums, theirs.scale)
 
 
 EPSILONS = st.sampled_from((F(1, 400), F(1, 40), F(1, 4000), F(1, 8), F(1, 2)))

@@ -212,7 +212,7 @@ class TestBisectEdge:
         # through Simplex.__init__; they must still pass the rank check.
         one = PowerPoly.constant(2, 1)
         patch = rational_patch(one, one, standard_simplex(2))
-        monkeypatch.setattr(geometry, "_nonsingular", lambda rows: False)
+        monkeypatch.setattr(geometry, "_bareiss", lambda rows: None)
         with pytest.raises(DegenerateSimplex):
             bisect_edge(standard_simplex(2), 0, 1)
         with pytest.raises(DegenerateSimplex):

@@ -8,8 +8,8 @@ integer numerators over one shared scale, elevates through gather tables
 integer de Casteljau, pulls back by integer Horner, converts by an
 integer binomial transform and reads second differences through a position
 table; every result must be exactly equal.  The simplex geometry under the
-split layer is checked the same way: the integer rank check against
-Fraction Gauss-Jordan, the longest edge measured on integers against a
+split layer is checked the same way: the integer rank check and the
+integer barycentric solve against Fraction Gauss-Jordan, the longest edge measured on integers against a
 Fraction pair loop, and grid-point values from integer sums against
 evaluation through barycentric coordinates.  Integer vertices are checked
 against Fraction midpoints along bisection chains, the integer leaf tests
@@ -17,7 +17,8 @@ against Fraction midpoints along bisection chains, the integer leaf tests
 tuple, and the integer pullback result against the ``PowerPoly`` built from
 the Fraction reference.  One split round, run as an integer kernel on
 plain data, is checked against the chain of single edge splits it replaces
-and against reconversion on every leaf.
+and against reconversion on every leaf, and so is its halving guard, on
+rounds cut short so that the guard must act.
 """
 
 from fractions import Fraction as F
@@ -46,17 +47,18 @@ from bernbound import (  # noqa: E402
     standard_simplex,
     to_bernstein,
 )
+from bernbound import ratpatch  # noqa: E402
 from bernbound.certify import (  # noqa: E402
-    _elevate_homogeneous,
-    _homogeneous,
     _refuting_vertex,
     _signs_certify,
     numerator_certifies,
 )
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
-from bernbound.geometry import _gauss_jordan, wider_than  # noqa: E402
+from bernbound.geometry import barycentric  # noqa: E402
 from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
+from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
+from bernbound.ratpatch import _wider  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -78,6 +80,16 @@ def ref_elevate(coeffs, k, n):
                 lowered = beta[:i] + (bi - 1,) + beta[i + 1:]
                 total += bi * coeffs[src.position(lowered)]
         out.append(total / (k + 1))
+    return tuple(out)
+
+
+def ref_elevate_nums(nums, k, n):
+    """Integer elevation: sum_i beta_i * nums_{beta - e_i}, over scale * (k + 1)."""
+    pos = enumerate_indices(k, n).position
+    out = []
+    for beta in enumerate_indices(k + 1, n):
+        out.append(sum(bi * nums[pos(beta[:i] + (bi - 1,) + beta[i + 1:])]
+                       for i, bi in enumerate(beta) if bi))
     return tuple(out)
 
 
@@ -186,6 +198,25 @@ def ref_longest(simplex):
     return best
 
 
+def ref_gauss_jordan(rows):
+    """Exact Gauss-Jordan elimination in place on the square left block of
+    ``rows`` (columns beyond it ride along); False if that block is singular.
+    """
+    size = len(rows)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return False
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return True
+
+
 @st.composite
 def polys(draw, n, max_degree=8):
     """A sparse polynomial in n variables of degree at most max_degree."""
@@ -243,9 +274,14 @@ def test_elevate_matches_reference(case, steps):
     patch = BernsteinPatch(standard_simplex(n), k, coeffs)
     for step in range(steps):
         coeffs = ref_elevate(coeffs, k + step, n)
-        patch = patch.elevate()
-        assert patch.degree == k + step + 1
-        assert patch.coeffs == coeffs
+        up = patch.elevate()
+        assert up.degree == k + step + 1
+        assert up.coeffs == coeffs
+        # The homogeneous sum step divided back by multinomial(k + 1; beta)
+        # gives the weighted rule's integers, over the same scale.
+        assert up.nums == ref_elevate_nums(patch.nums, patch.degree, n)
+        assert up.scale == patch.scale * (patch.degree + 1)
+        patch = up
 
 
 @KERNEL
@@ -437,11 +473,26 @@ def test_rank_check_matches_reference(data):
     points = data.draw(vertex_sets(n))
     v0 = points[0]
     edges = [[F(x) - F(y) for x, y in zip(v, v0)] for v in points[1:]]
-    if _gauss_jordan(edges):
+    if ref_gauss_jordan(edges):
         assert Simplex(points).vertices == tuple(tuple(p) for p in points)
     else:
         with pytest.raises(DegenerateSimplex):
             Simplex(points)
+
+
+@KERNEL
+@given(st.data())
+def test_barycentric_matches_reference(data):
+    # Integer Bareiss elimination and back substitution against Fraction
+    # Gauss-Jordan on the same system.
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(simplices(n))
+    point = data.draw(st.lists(MIXED, min_size=n, max_size=n))
+    rows = [[F(1)] * (n + 2)]
+    for c in range(n):
+        rows.append([v[c] for v in simplex.vertices] + [point[c]])
+    assert ref_gauss_jordan(rows)
+    assert barycentric(simplex, point) == tuple(row[-1] for row in rows)
 
 
 @KERNEL
@@ -456,7 +507,8 @@ def test_longest_edge_matches_reference(data):
         assert diameter_sq(simplex) == d
         assert longest_edge(simplex) == (i, j)
         for bound in (d, d / 4, data.draw(NONNEGATIVE)):
-            assert wider_than(simplex, bound) == (d > bound)
+            assert _wider(simplex._longest_edge, simplex.denom,
+                          (bound.numerator, bound.denominator)) == (d > bound)
         edge = data.draw(st.sampled_from(((i, j), (0, n))))
         simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
 
@@ -568,6 +620,23 @@ def rational_problems(draw):
     return pnum, PowerPoly(n, terms), simplex, k
 
 
+def _assert_same_leaves(got, want):
+    assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
+    for leaf, ref in zip(got, want):
+        assert (leaf.simplex.ints, leaf.simplex.denom) == (ref.simplex.ints,
+                                                           ref.simplex.denom)
+        for mine, theirs in ((leaf.num, ref.num), (leaf.den, ref.den)):
+            assert (mine.nums, mine.scale) == (theirs.nums, theirs.scale)
+
+
+def _split_longest(pieces, wide=lambda piece: True):
+    """Pieces in order, each one ``wide`` selects replaced by the two
+    children of ``split_edge`` on its longest edge."""
+    return [child for piece in pieces
+            for child in (piece.split_edge(*longest_edge(piece.simplex))
+                          if wide(piece) else (piece,))]
+
+
 @KERNEL
 @given(rational_problems())
 def test_split_round_matches_bisection_chain(case):
@@ -578,13 +647,51 @@ def test_split_round_matches_bisection_chain(case):
     f = rational_patch(pnum, pden, simplex, k)
     want = [f]
     for _ in range(round_length(simplex.dimension)):
-        want = [child for piece in want
-                for child in piece.split_edge(*longest_edge(piece.simplex))]
+        want = _split_longest(want)
     got = f.split_round()
-    assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
-    for leaf, ref in zip(got, want):
-        assert (leaf.simplex.ints, leaf.simplex.denom) == (ref.simplex.ints,
-                                                           ref.simplex.denom)
-        for mine, theirs in ((leaf.num, ref.num), (leaf.den, ref.den)):
-            assert (mine.nums, mine.scale) == (theirs.nums, theirs.scale)
+    _assert_same_leaves(got, want)
+    for leaf in got:
         assert leaf.ratios == rational_patch(pnum, pden, leaf.simplex, k).ratios
+
+
+@KERNEL
+@given(rational_problems())
+def test_halving_guard_matches_bisection_chain(case):
+    # With a round cut to fewer levels than halving needs (one, or none in
+    # one variable), some piece is still wider than half the root's
+    # diameter, so the halving guard must bisect.  Its leaves must
+    # halve and be those of single longest-edge splits on every piece still
+    # too wide, in place, with the same integers.
+    pnum, pden, simplex, k = case
+    f = rational_patch(pnum, pden, simplex, k)
+    short = min(simplex.dimension - 1, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratpatch, "round_length", lambda n: short)
+        got = f.split_round()
+    target = diameter_sq(simplex) / 4
+    want = [f]
+    for _ in range(short):
+        want = _split_longest(want)
+    while any(diameter_sq(piece.simplex) > target for piece in want):
+        want = _split_longest(want, lambda piece: diameter_sq(piece.simplex) > target)
+    assert len(got) > 2 ** short
+    assert max(diameter_sq(leaf.simplex) for leaf in got) <= target
+    _assert_same_leaves(got, want)
+
+
+def test_halving_guard_gives_up_on_a_non_shrinking_bisection(monkeypatch):
+    one = PowerPoly.constant(2, 1)
+    f = rational_patch(one, one, standard_simplex(2))
+    calls = []
+
+    def stuck(rows, denom, i, j):
+        # Without the guard's budget the driver would bisect forever.
+        calls.append(1)
+        assert len(calls) < 1000, "the halving guard never gave up"
+        return rows, rows, denom
+
+    monkeypatch.setattr(ratpatch, "_bisect_rows", stuck)
+    with pytest.raises(DegenerateSimplex, match="failed to halve"):
+        f.split_round()
+    with pytest.raises(DegenerateSimplex, match="failed to halve"):
+        f.refine(F(1, 100))
