@@ -53,7 +53,6 @@ from .certify import (
     CertificateReport,
     ClaimedMinimum,
     CombinedDegrees,
-    LeafRecord,
     Mode,
     Verdict,
     Witness,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, NonPositiveClaim
 from .geometry import Simplex
@@ -108,28 +108,10 @@ class AprioriInfo:
 
 
 @dataclass(frozen=True)
-class LeafRecord:
-    """One visited subsimplex during local certification.
-
-    It holds the leaf's patch; ``simplex`` and ``ratios`` are read from it
-    on access, so a run builds no ratio tuple that nobody reads."""
-
-    depth: int
-    patch: RationalPatch
-    certified: bool
-
-    @property
-    def simplex(self) -> Simplex:
-        return self.patch.simplex
-
-    @property
-    def ratios(self) -> Tuple[Fraction, ...]:
-        return self.patch.ratios
-
-
-@dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of a certification run."""
+    """Outcome of a certification run: the verdict, the work it took and at
+    most one witness.  It keeps no visited piece, so a finished run holds no
+    patch."""
 
     verdict: Verdict
     mode: Mode
@@ -139,7 +121,6 @@ class CertificateReport:
     leaves: int = 0
     apriori: Optional[AprioriInfo] = None
     negated: bool = False
-    leaf_log: Tuple[LeafRecord, ...] = ()
     wall_clock: float = 0.0
 
     def to_json(self) -> dict:
@@ -287,7 +268,9 @@ def certify_local(
     ``ratpatch.subdivide`` keyed by depth, one level per step: certified
     leaves are pruned, a non-positive vertex value on any leaf refutes
     exactly (no later piece is tested), and the run gives up when the
-    unresolved leaves reach depth n_max, which must be nonnegative.
+    unresolved leaves reach depth n_max, which must be nonnegative.  A piece
+    lives only until it is decided or split: the report counts certified
+    leaves and keeps none.
     """
     run = _certifier("local", max(pnum.degree, pden.degree), n_max=n_max,
                      shrink=shrink)
@@ -298,7 +281,6 @@ def _certify_local(root: RationalPatch, n_max: int,
                    shrink: Fraction) -> CertificateReport:
     """``certify_local`` on its base-degree root patch."""
     start = time.perf_counter()
-    log: List[LeafRecord] = []
     certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 
@@ -306,7 +288,7 @@ def _certify_local(root: RationalPatch, n_max: int,
         return CertificateReport(
             verdict, Mode.LOCAL_SUBDIVISION, degree_used=root.degree,
             depth_used=depth, witness=witness, leaves=certified,
-            leaf_log=tuple(log), wall_clock=time.perf_counter() - start,
+            wall_clock=time.perf_counter() - start,
         )
 
     def split(leaf, depth, key):
@@ -319,7 +301,6 @@ def _certify_local(root: RationalPatch, n_max: int,
         last = depth
         refute = _refuting_vertex(piece)
         ok = refute is None and cert_predicate(piece)
-        log.append(LeafRecord(depth, piece, ok))
         certified += ok
         if refute is not None:
             refuted = (depth, refute)

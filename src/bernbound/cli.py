@@ -5,13 +5,15 @@ A problem file is JSON with a numerator polynomial, an optional denominator
 Rational numbers are strings like "13/10" or "1.3" and are parsed exactly;
 floats in the output are renderings only.  Exit codes: 0 success/certified,
 1 refuted, 2 inconclusive or budget exhausted, 64 usage error, 70 internal
-error.
+error, 141 standard output closed by its reader (128 + SIGPIPE, as a shell
+reports a process that signal ended; nothing is written to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,6 +47,7 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -269,31 +272,34 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
 
 def _apriori_info(spec: ProblemSpec, shrink: Fraction,
                   root: RationalPatch) -> Optional[AprioriInfo]:
-    """A-priori bounds when the spec carries validated claims.
+    """A-priori bounds for the claims the spec carries, or None without one.
 
-    ``root`` is the base-degree patch of the spec's function, the one the
-    certifier ran on (before any negation).  When the numerator's degree is
-    the root's, ``root.num`` is the numerator's own-degree patch that D2
-    reads.
+    D1 and the degree and depth bounds read ``claimed_min`` alone, D2 reads
+    ``claimed_numerator_min`` alone.  ``root`` is the base-degree patch of
+    the spec's function, the one the certifier ran on (before any
+    negation).  When the numerator's degree is the root's, ``root.num`` is
+    the numerator's own-degree patch that D2 reads.
     """
-    if spec.claimed_min is None:
+    if spec.claimed_min is None and spec.claimed_numerator_min is None:
         return None
-    fmin = ClaimedMinimum(spec.claimed_min)
-    constants = convergence_constants(root)
-    d2 = None
+    info = AprioriInfo()
+    if spec.claimed_min is not None:
+        fmin = ClaimedMinimum(spec.claimed_min)
+        constants = convergence_constants(root)
+        info = AprioriInfo(
+            d1=apriori_d1(constants, fmin),
+            degree_bound=apriori_degree_omega(constants, fmin),
+            depth_bound=apriori_depth(constants, fmin, shrink),
+        )
     if spec.claimed_numerator_min is not None:
         if spec.numerator.degree == root.degree:
             num_patch = root.num
         else:
             num_patch = to_bernstein(spec.numerator, spec.numerator.degree,
                                      spec.domain)
-        d2 = apriori_d2(num_patch, ClaimedMinimum(spec.claimed_numerator_min))
-    return AprioriInfo(
-        d1=apriori_d1(constants, fmin),
-        d2=d2,
-        degree_bound=apriori_degree_omega(constants, fmin),
-        depth_bound=apriori_depth(constants, fmin, shrink),
-    )
+        info = replace(info, d2=apriori_d2(
+            num_patch, ClaimedMinimum(spec.claimed_numerator_min)))
+    return info
 
 
 def _print_certificate(report: CertificateReport, as_json: bool) -> int:
@@ -400,11 +406,19 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         spec = load_problem(args.spec)
-        if args.command == "bounds":
-            return cmd_bounds(spec, args)
-        if args.command == "certify":
-            return cmd_certify(spec, args)
-        return cmd_minimize(spec, args)
+        command = {"bounds": cmd_bounds, "certify": cmd_certify,
+                   "minimize": cmd_minimize}[args.command]
+        code = command(spec, args)
+        # A reader that closed the pipe shows here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to the null device, so the flush at
+        # exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

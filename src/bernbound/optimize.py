@@ -14,7 +14,8 @@ stops at a level boundary on the level's smallest lower bound.
 ``best-first`` keys a leaf by (lower bound, simplex), so a step splits one
 leaf; it drops leaves that cannot beat the incumbent, parks those at the
 depth budget, and stops on the least of the incumbent, the frontier's head
-and the parked bounds.
+and the parked bounds.  Neither keeps a per-step record: a piece lives until
+it is dropped, parked (its bound alone is kept) or split.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ Point = Tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class MinimizationResult:
-    """Certified bracket around the minimum of a rational function."""
+    """Certified bracket around the minimum of a rational function.
+
+    It holds the final bracket only.  The bracket a run reaches within a
+    budget is that budget's result: the partial result of
+    ``BudgetExhausted``, or the converged one."""
 
     lower: Fraction
     upper: Fraction
@@ -45,7 +50,6 @@ class MinimizationResult:
     leaves: int
     converged: bool
     apriori_rounds: Optional[int] = None
-    history: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
     @property
     def gap(self) -> Fraction:
@@ -131,7 +135,6 @@ def minimize(
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
     delta = witness = None
-    history = []
     lowest = {}  # uniform: the smallest lower bound at each depth
     parked = []  # best-first: the bounds of leaves held at the budget depth
     deepest = 0  # best-first: the depth of the deepest split piece
@@ -144,12 +147,11 @@ def minimize(
         return m
 
     def settle(lower, steps, leaves, exhausted):
-        history.append((lower, delta))
         converged = delta - lower < epsilon
         if not (converged or exhausted):
             return None
         result = MinimizationResult(lower, delta, witness, epsilon, steps, leaves,
-                                    converged, planned, tuple(history))
+                                    converged, planned)
         if converged:
             return result
         raise BudgetExhausted(f"gap {float_str(delta - lower)} at budget {budget}",

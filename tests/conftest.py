@@ -6,10 +6,12 @@ coefficients come from interpolation at grid points, and extrema of corpus
 functions are closed-form by construction.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 import random
+from typing import NamedTuple, Tuple
 
 from bernbound import (
     PowerPoly,
@@ -18,6 +20,8 @@ from bernbound import (
     standard_simplex,
     to_bernstein,
 )
+from bernbound import certify
+from bernbound.certify import _refuting_vertex
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
 from bernbound.ratpatch import rational_patch
 
@@ -294,6 +298,68 @@ def dense_sample(simplex, steps):
     for beta in weights(steps, n + 1):
         yield tuple(sum(b * v[c] for b, v in zip(beta, verts)) / steps
                     for c in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Watching the subdivision loop
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def watch_subdivide(module, watch):
+    """Run ``module.subdivide``, the name a caller of the loop looks up, with
+    ``watch(piece, depth, key)`` called after every ``visit`` with the key
+    it returned.  Fails if the loop never ran under the spy, so a spy on the
+    wrong name cannot pass with nothing watched."""
+    real = module.subdivide
+    calls = 0
+
+    def spy(root, split, visit, stop):
+        nonlocal calls
+        calls += 1
+
+        def watched(piece, depth):
+            key = visit(piece, depth)
+            watch(piece, depth, key)
+            return key
+
+        return real(root, split, watched, stop)
+
+    module.subdivide = spy
+    try:
+        yield
+    finally:
+        module.subdivide = real
+    assert calls, f"{module.__name__}.subdivide never ran"
+
+
+class Leaf(NamedTuple):
+    """One piece the local certificate tested."""
+
+    depth: int
+    simplex: Simplex
+    ratios: Tuple[Fraction, ...]
+    certified: bool
+
+
+@contextmanager
+def leaf_log():
+    """The pieces one ``certify_local`` run inside the block tests, as
+    ``Leaf`` records in visit order, up to and including the first piece
+    with a refuting vertex.  A piece is certified when its visit drops it
+    and no vertex refutes it."""
+    log = []
+    refuted = False
+
+    def record(piece, depth, key):
+        nonlocal refuted
+        if refuted:
+            return
+        refuted = _refuting_vertex(piece) is not None
+        log.append(Leaf(depth, piece.simplex, piece.ratios,
+                        key is None and not refuted))
+
+    with watch_subdivide(certify, record):
+        yield log
 
 
 # ---------------------------------------------------------------------------

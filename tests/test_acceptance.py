@@ -43,6 +43,7 @@ from bernbound import (
 from conftest import (
     fn_cert3,
     fn_dip,
+    leaf_log,
     pinned_corpus,
     random_point_in,
     random_poly,
@@ -88,7 +89,8 @@ def test_02_degree_three_certificate_regression():
 def test_03_local_certificate_subdivision_regression():
     start = time.perf_counter()
     num, den, domain = fn_dip()
-    report = certify_local(num, den, domain, n_max=3)
+    with leaf_log() as log:
+        report = certify_local(num, den, domain, n_max=3)
     assert report.verdict is Verdict.CERTIFIED
     assert report.depth_used == 2
     assert report.leaves == 5
@@ -101,7 +103,7 @@ def test_03_local_certificate_subdivision_regression():
         Simplex.from_interval(F(0), F(1, 2)): (F("0.14"), F("-0.03"), F("0.04")),
         Simplex.from_interval(F(1, 2), F(1)): (F("0.04"), F("0.12"), F("0.5")),
     }
-    depth1 = {rec.simplex: rec for rec in report.leaf_log if rec.depth == 1}
+    depth1 = {rec.simplex: rec for rec in log if rec.depth == 1}
     assert set(depth1) == set(printed)
     for simplex, truncated in printed.items():
         rec = depth1[simplex]
@@ -109,7 +111,7 @@ def test_03_local_certificate_subdivision_regression():
     assert not depth1[Simplex.from_interval(F(0), F(1, 2))].certified
     assert sum(1 for rec in depth1.values() if rec.certified) == 3
 
-    depth2 = {rec.simplex: rec for rec in report.leaf_log if rec.depth == 2}
+    depth2 = {rec.simplex: rec for rec in log if rec.depth == 2}
     assert set(depth2) == {
         Simplex.from_interval(F(0), F(1, 4)),
         Simplex.from_interval(F(1, 4), F(1, 2)),

@@ -35,7 +35,7 @@ from bernbound.errors import (
     DenominatorNotPositive,
     NonPositiveClaim,
 )
-from conftest import fn_cert3, fn_dip, pinned_corpus
+from conftest import fn_cert3, fn_dip, leaf_log, pinned_corpus
 
 UNIT = Simplex.from_interval(0, 1)
 
@@ -126,14 +126,13 @@ class TestCertifyLocal:
         # coefficient triples; only [0, 1/2] fails; its depth-2 halves
         # certify, so the verdict arrives at depth 2 with 5 leaves.
         num, den, domain = fn_dip()
-        report = certify_local(num, den, domain, n_max=3)
+        with leaf_log() as log:
+            report = certify_local(num, den, domain, n_max=3)
         assert report.verdict is Verdict.CERTIFIED
         assert report.depth_used == 2
         assert report.leaves == 5
 
-        by_simplex = {
-            rec.simplex: rec for rec in report.leaf_log if rec.depth > 0
-        }
+        by_simplex = {rec.simplex: rec for rec in log if rec.depth > 0}
         expected = {
             Simplex.from_interval(F(-1), F(-1, 2)):
                 ((F(13, 10), F(11, 12), F(7, 11)), True, 1),
@@ -180,15 +179,17 @@ class TestCertifyLocal:
 
     def test_fixed_degree_throughout(self):
         num, den, domain = fn_dip()
-        report = certify_local(num, den, domain, n_max=3)
+        with leaf_log() as log:
+            report = certify_local(num, den, domain, n_max=3)
         base = max(num.degree, den.degree)
         assert report.degree_used == base
-        assert all(len(rec.ratios) == base + 1 for rec in report.leaf_log)
+        assert all(len(rec.ratios) == base + 1 for rec in log)
 
     def test_soundness_certified_leaves_positive(self):
         num, den, domain = fn_dip()
-        report = certify_local(num, den, domain, n_max=3)
-        for rec in report.leaf_log:
+        with leaf_log() as log:
+            certify_local(num, den, domain, n_max=3)
+        for rec in log:
             if rec.certified:
                 a = rec.simplex.vertex(0)[0]
                 b = rec.simplex.vertex(1)[0]
@@ -370,9 +371,10 @@ class TestVerdictSoundness:
         from conftest import rational_instances
 
         for pnum, pden, simplex, _ in rational_instances(12, seed=7171, max_n=2):
-            report = certify_local(pnum, pden, simplex, n_max=3)
+            with leaf_log() as log:
+                report = certify_local(pnum, pden, simplex, n_max=3)
             if report.verdict is Verdict.CERTIFIED:
-                for rec in report.leaf_log:
+                for rec in log:
                     if rec.certified:
                         for x in self._sample_leaf(rec.simplex, 25):
                             assert pnum.eval(x) / pden.eval(x) > 0

@@ -171,6 +171,17 @@ class TestCertify:
         assert main(["certify", spec, "--mode", "global", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["apriori"]["D2"] == "0"
 
+    def test_apriori_numerator_claim_alone(self, tmp_path, capsys):
+        # 2 - 3x + 2x^2 on [0, 1] has coefficients (2, 1/2, 1):
+        # D2 = 2*1/2 * 2 / (7/8) = 16/7, with no claim on f to give D1.
+        spec = _write(tmp_path, "numerator.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "2"}, {"exponents": [1], "coeff": "-3"},
+                {"exponents": [2], "coeff": "2"}]},
+            "domain": {"interval": ["0", "1"]}, "claimed_numerator_min": "7/8"})
+        assert main(["certify", spec, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["apriori"] == {"D2": "16/7"}
+
     @pytest.mark.parametrize("mode", ["sharpness", "global", "local", "negative"])
     def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
                                                  monkeypatch):
@@ -466,3 +477,27 @@ def test_successive_calls_match_fresh_processes(dip_spec, cert3_spec, capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [0, 0, 0, 0, 64, 0, 0, 0]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141(unbuffered):
+    """A reader that closes standard output before any is written, as
+    ``| head -c 0`` does, ends the run with 128 + SIGPIPE and a silent
+    stderr, whether the write fails in a ``print`` (unbuffered) or in the
+    final flush."""
+    src = str(Path(bernbound.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    spec = {"numerator": {"dimension": 1, "terms": [
+        {"exponents": [0], "coeff": "1"}, {"exponents": [1], "coeff": "-1/2"}]},
+        "domain": {"interval": ["0", "1"]}}
+    with subprocess.Popen(
+            [sys.executable, "-m", "bernbound.cli", "bounds", "-", "--degree", "8",
+             "--json"], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(json.dumps(spec).encode(), timeout=120)
+    assert (proc.returncode, err) == (141, b"")

@@ -6,11 +6,12 @@ are the separate loops that came before it, each with its own frontier, split
 call, leaf test and stop rule, run on the same root patch through the same
 public leaf tests (``cert_predicate``, ``local_bounds``).  Every observable
 result must agree: the local certificate's verdict, depth, certified-leaf
-count, witness and leaf log, and each bracket's bounds, witness, rounds,
-leaves, convergence flag, a-priori rounds and history, for a converged run
-and for the partial result of ``BudgetExhausted``.  The one allowed
-difference: the best-first reference recorded the root's bracket twice, the
-loop records it once.
+count and witness, and each bracket's bounds, witness, rounds, leaves,
+convergence flag and a-priori rounds, for a converged run and for the
+partial result of ``BudgetExhausted``.  The pieces the local certificate
+tests, which no run keeps, are watched from outside the loop
+(``conftest.leaf_log``) and must match the reference's in order.  A finished
+run holds none of the pieces it visited.
 
 ``RationalPatch.refine``, the one integer subdivision driver under all three,
 is checked the same way against rounds of patch objects: each round single
@@ -26,7 +27,9 @@ plus a nonnegative linear form over the denominator 1 (degree 0 or 1,
 minimum m at v_0).
 """
 
+import gc
 import heapq
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -35,7 +38,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bernbound import (  # noqa: E402
-    LeafRecord,
     PowerPoly,
     Simplex,
     Verdict,
@@ -46,12 +48,19 @@ from bernbound import (  # noqa: E402
     minimize,
     rational_patch,
 )
+from bernbound import certify, optimize  # noqa: E402
 from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import BudgetExhausted  # noqa: E402
 from bernbound.geometry import diameter_sq, longest_edge, round_length  # noqa: E402
 from bernbound.optimize import apriori_steps, local_bounds  # noqa: E402
 from bernbound.ratpatch import convergence_constants  # noqa: E402
-from conftest import closed_form, mul_terms  # noqa: E402
+from conftest import (  # noqa: E402
+    closed_form,
+    fn_dip,
+    leaf_log,
+    mul_terms,
+    watch_subdivide,
+)
 
 FRONTIER = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -66,14 +75,15 @@ DEPTH_CAP = {1: 3, 2: 3, 3: 1}
 # ---------------------------------------------------------------------------
 
 def ref_certify_local(root, n_max, shrink=F(1, 2)):
-    """(verdict, depth, leaves, witness, log) from the level-by-level loop."""
+    """(verdict, depth, leaves, witness, log) from the level-by-level loop;
+    the log holds (depth, simplex, certified) for every piece tested."""
     log = []
     refute = _refuting_vertex(root)
     if refute is not None:
-        return Verdict.REFUTED, 0, 0, refute, [LeafRecord(0, root, False)]
+        return Verdict.REFUTED, 0, 0, refute, [(0, root.simplex, False)]
     if cert_predicate(root):
-        return Verdict.CERTIFIED, 0, 1, None, [LeafRecord(0, root, True)]
-    log.append(LeafRecord(0, root, False))
+        return Verdict.CERTIFIED, 0, 1, None, [(0, root.simplex, True)]
+    log.append((0, root.simplex, False))
     pending = [root]
     certified = 0
     for depth in range(1, n_max + 1):
@@ -82,14 +92,14 @@ def ref_certify_local(root, n_max, shrink=F(1, 2)):
             for piece in leaf.refine(shrink ** (2 * depth)):
                 refute = _refuting_vertex(piece)
                 if refute is not None:
-                    log.append(LeafRecord(depth, piece, False))
+                    log.append((depth, piece.simplex, False))
                     return Verdict.REFUTED, depth, certified, refute, log
                 if cert_predicate(piece):
                     certified += 1
-                    log.append(LeafRecord(depth, piece, True))
+                    log.append((depth, piece.simplex, True))
                 else:
                     next_pending.append(piece)
-                    log.append(LeafRecord(depth, piece, False))
+                    log.append((depth, piece.simplex, False))
         pending = next_pending
         if not pending:
             return Verdict.CERTIFIED, depth, certified, None, log
@@ -135,22 +145,20 @@ def ref_refine(patch, threshold_sq):
     return pieces
 
 
-def _bracket(m, delta, witness, rounds, leaves, converged, planned, history):
+def _bracket(m, delta, witness, rounds, leaves, converged, planned):
     return dict(lower=m, upper=delta, witness=witness, steps=rounds,
-                leaves=leaves, converged=converged, apriori_rounds=planned,
-                history=tuple(history))
+                leaves=leaves, converged=converged, apriori_rounds=planned)
 
 
 def ref_minimize_uniform(root, epsilon, budget, planned):
     """(bracket, exhausted) from the round-by-round loop."""
     m, delta, witness = local_bounds(root)
     active = [(root, m)]
-    history = [(m, delta)]
     rounds = 0
     while delta - m >= epsilon:
         if budget is not None and rounds >= budget:
             return _bracket(m, delta, witness, rounds, len(active), False,
-                            planned, history), True
+                            planned), True
         rounds += 1
         refined = []
         for patch, _ in active:
@@ -161,27 +169,24 @@ def ref_minimize_uniform(root, epsilon, budget, planned):
                 refined.append((piece, child_m))
         active = refined
         m = min(child_m for _, child_m in active)
-        history.append((m, delta))
     return _bracket(m, delta, witness, rounds, len(active), True,
-                    planned, history), False
+                    planned), False
 
 
 def ref_minimize_best_first(root, epsilon, budget, planned):
-    """(bracket, exhausted) from the heap loop, root bracket recorded twice."""
+    """(bracket, exhausted) from the heap loop."""
     m, delta, witness = local_bounds(root)
     heap = [(m, root.simplex.signature(), 0, root)]
     parked = []
-    history = [(m, delta)]
     max_depth = 0
     while True:
         m = min([delta] + ([heap[0][0]] if heap else []) + parked)
-        history.append((m, delta))
         if delta - m < epsilon:
             return _bracket(m, delta, witness, max_depth, len(heap) + len(parked),
-                            True, planned, history), False
+                            True, planned), False
         if not heap:
             return _bracket(m, delta, witness, max_depth, len(parked), False,
-                            planned, history), True
+                            planned), True
         local_m, _, depth, patch = heapq.heappop(heap)
         if local_m >= delta:
             continue
@@ -251,13 +256,14 @@ DIP = (PowerPoly.univariate([F(1, 9) + F(1, 20), F(-2, 3), 1]), ONE, UNIT, F(1, 
 TOUCH = (PowerPoly.univariate([F(1, 9), F(-2, 3), 1]), ONE, UNIT, F(0))
 
 
-def _log(records):
-    return [(r.depth, r.simplex, r.certified) for r in records]
-
-
-def _local_outcome(report):
+def _local_outcome(run):
+    """(verdict, depth, leaves, witness, log) of ``run()``, a local
+    certificate, with the (depth, simplex, certified) of each piece it
+    tested."""
+    with leaf_log() as log:
+        report = run()
     return (report.verdict, report.depth_used, report.leaves, report.witness,
-            _log(report.leaf_log))
+            [(r.depth, r.simplex, r.certified) for r in log]), report
 
 
 @FRONTIER
@@ -272,14 +278,14 @@ def test_certify_local_matches_reference(problem, n_max):
     n_max = min(n_max, DEPTH_CAP[simplex.dimension])
     root = rational_patch(num, den, simplex)
     verdict, depth, leaves, witness, log = ref_certify_local(root, n_max)
-    report = certify_local(num, den, simplex, n_max)
-    assert _local_outcome(report) == (verdict, depth, leaves, witness, _log(log))
-    negative = certify_negative(num.negate(), den, simplex, via="local",
-                                n_max=n_max)
+    got, _ = _local_outcome(lambda: certify_local(num, den, simplex, n_max))
+    assert got == (verdict, depth, leaves, witness, log)
+    got, negative = _local_outcome(lambda: certify_negative(
+        num.negate(), den, simplex, via="local", n_max=n_max))
     if witness is not None:
         witness = Witness(witness.point, -witness.value, witness.kind)
     assert negative.negated
-    assert _local_outcome(negative) == (verdict, depth, leaves, witness, _log(log))
+    assert got == (verdict, depth, leaves, witness, log)
 
 
 # Thresholds as fractions of the widest piece's squared diameter after one
@@ -330,8 +336,6 @@ def test_minimize_matches_reference(problem, epsilon, budget, mode):
         budget = min(cap if budget is None else budget, cap)
     ref = ref_minimize_uniform if mode == "uniform" else ref_minimize_best_first
     want, exhausted = ref(root, epsilon, budget, planned)
-    if mode == "best-first":
-        want["history"] = want["history"][1:]
     try:
         result = minimize(num, den, simplex, epsilon, budget=budget, mode=mode)
         assert not exhausted
@@ -341,6 +345,24 @@ def test_minimize_matches_reference(problem, epsilon, budget, mode):
     got = {key: getattr(result, key) for key in want if key != "witness"}
     assert {**got, "witness": result.argmin_candidate} == want
     assert result.epsilon == epsilon
+
+
+@pytest.mark.parametrize("module, run", [
+    (certify, lambda: certify_local(*fn_dip(), n_max=3)),
+    (certify, lambda: certify_local(*TOUCH[:3], n_max=3)),
+    (optimize, lambda: minimize(*DIP[:3], F(1, 1000), mode="uniform")),
+    (optimize, lambda: minimize(*DIP[:3], F(1, 1000))),
+], ids=["certify_local-dip", "certify_local-touch", "uniform", "best-first"])
+def test_finished_run_retains_no_piece(module, run):
+    # Only weak references to the visited pieces are taken, so once the run
+    # returns nothing but its result can keep one alive.
+    pieces = []
+    with watch_subdivide(module, lambda piece, depth, key:
+                         pieces.append(weakref.ref(piece))):
+        result = run()
+    gc.collect()
+    assert result is not None and len(pieces) > 1
+    assert sum(ref() is not None for ref in pieces) == 0
 
 
 @pytest.mark.parametrize("call", [

@@ -1,6 +1,7 @@
 """Branch-and-bound minimization: bounds, sandwich, progress, guarantees."""
 
 from fractions import Fraction as F
+from itertools import count
 
 import pytest
 
@@ -34,6 +35,22 @@ def _fraction_local_bounds(f):
         if value < delta:
             delta, witness = value, f.simplex.vertex(i)
     return m, delta, witness
+
+
+def _brackets(num, den, domain, epsilon, mode):
+    """(lower, upper) of ``minimize`` at budget 0, 1, ... up to the first
+    budget whose run converges, read from ``BudgetExhausted.partial`` until
+    then.  For ``uniform`` the budget counts rounds, so these are the
+    brackets after each round."""
+    out = []
+    for budget in count():
+        try:
+            result = minimize(num, den, domain, epsilon, budget=budget, mode=mode)
+        except BudgetExhausted as exc:
+            result = exc.partial
+        out.append((result.lower, result.upper))
+        if result.converged:
+            return out
 
 
 class TestLocalBounds:
@@ -110,9 +127,10 @@ class TestMinimize:
 
     def test_monotone_progress(self):
         num, den, domain = fn_dip()
-        result = minimize(num, den, domain, F(1, 1000), mode="uniform")
-        lowers = [m for m, _ in result.history]
-        uppers = [d for _, d in result.history]
+        brackets = _brackets(num, den, domain, F(1, 1000), "uniform")
+        assert len(brackets) > 2
+        lowers = [m for m, _ in brackets]
+        uppers = [d for _, d in brackets]
         assert all(a <= b for a, b in zip(lowers, lowers[1:]))
         assert all(a >= b for a, b in zip(uppers, uppers[1:]))
 
@@ -174,16 +192,16 @@ class TestMinimize:
 
     def test_sandwich_every_iteration_univariate(self):
         # dyadic sample grid contains every witness the search can produce
-        # on [0, 1], so the sampled minimum sits inside each recorded bracket
+        # on [0, 1], so the sampled minimum sits inside every bracket a
+        # budget stops at
         grid = [F(i, 4096) for i in range(4097)]
         for case in pinned_corpus()[:3]:
             sampled = min(
                 case.num.eval([x]) / case.den.eval([x]) for x in grid
             )
             for mode in ("uniform", "best-first"):
-                result = minimize(case.num, case.den, case.domain, F(1, 50),
-                                  mode=mode)
-                for lower, upper in result.history:
+                for lower, upper in _brackets(case.num, case.den, case.domain,
+                                              F(1, 50), mode):
                     assert lower <= sampled <= upper
 
     def test_sandwich_every_iteration_bivariate(self):
@@ -195,8 +213,7 @@ class TestMinimize:
             for i in range(65)
             for j in range(65 - i)
         )
-        result = minimize(num, den, domain, F(1, 20), mode="uniform")
-        for lower, upper in result.history:
+        for lower, upper in _brackets(num, den, domain, F(1, 20), "uniform"):
             assert lower <= sampled <= upper
 
 
