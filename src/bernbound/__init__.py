@@ -8,7 +8,6 @@ from .errors import (
     BadEdge,
     BernboundError,
     BudgetExhausted,
-    ComponentExceeds,
     DegenerateSimplex,
     DegreeMismatch,
     DegreeTooLow,
@@ -21,7 +20,7 @@ from .errors import (
     SimplexMismatch,
 )
 from .rationals import Interval, parse_rational, format_rational
-from .indexing import IndexSet, MultiIndex, binom_graded, binom_multi, enumerate_indices
+from .indexing import IndexSet, binom_graded, enumerate_indices
 from .powerpoly import PowerPoly
 from .geometry import (
     Simplex,
@@ -52,11 +51,9 @@ from .certify import (
     AprioriInfo,
     CertificateReport,
     ClaimedMinimum,
-    CombinedDegrees,
     Mode,
     Verdict,
     Witness,
-    apriori_degree_combined,
     apriori_degree_omega,
     apriori_degree_pr,
     apriori_depth,

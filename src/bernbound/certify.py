@@ -410,27 +410,6 @@ def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
     return max(degree, floor(apriori_d2(num_patch, pmin)) + 1)
 
 
-@dataclass(frozen=True)
-class CombinedDegrees:
-    """Both a-priori degree bounds and the degree exceeding their maximum."""
-
-    d1: Fraction
-    d2: Fraction
-    degree: int
-
-
-def apriori_degree_combined(
-    constants: ConvergenceConstants,
-    fmin: ClaimedMinimum,
-    num_patch: BernsteinPatch,
-    pmin: ClaimedMinimum,
-) -> CombinedDegrees:
-    """D1, D2 and the smallest integer degree strictly above max(D1, D2)."""
-    d1 = apriori_d1(constants, fmin)
-    d2 = apriori_d2(num_patch, pmin)
-    return CombinedDegrees(d1, d2, floor(max(d1, d2)) + 1)
-
-
 def apriori_depth(
     constants: ConvergenceConstants,
     fmin: ClaimedMinimum,

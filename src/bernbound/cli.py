@@ -112,6 +112,8 @@ def parse_problem(data: dict) -> ProblemSpec:
             denominator = PowerPoly.from_json(data["denominator"])
         except (KeyError, ValueError, TypeError, BernboundError) as exc:
             raise UsageError(f"spec field 'denominator': {exc}") from exc
+        if denominator.is_zero():
+            raise UsageError("spec field 'denominator': the zero polynomial")
     else:
         denominator = PowerPoly.constant(numerator.dimension, 1)
     if "domain" not in data:
@@ -337,7 +339,7 @@ def _print_certificate(report: CertificateReport, as_json: bool) -> int:
 
 def _parse_shrink(args, spec: ProblemSpec) -> Fraction:
     try:
-        shrink = parse_rational(args.shrink) if args.shrink else spec.shrink
+        shrink = parse_rational(args.shrink) if args.shrink is not None else spec.shrink
     except ValueError as exc:
         raise UsageError(f"--shrink: {exc}") from exc
     if not (0 < shrink < 1):
@@ -369,7 +371,7 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
 
 def cmd_minimize(spec: ProblemSpec, args) -> int:
     try:
-        eps = parse_rational(args.eps) if args.eps else spec.eps
+        eps = parse_rational(args.eps) if args.eps is not None else spec.eps
     except ValueError as exc:
         raise UsageError(f"--eps: {exc}") from exc
     if eps is None:

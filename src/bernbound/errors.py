@@ -5,10 +5,6 @@ class BernboundError(Exception):
     """Base class for all bernbound errors."""
 
 
-class ComponentExceeds(BernboundError):
-    """A componentwise binomial C(a_i, b_i) was requested with b_i > a_i."""
-
-
 class OrderExceedsDegree(BernboundError):
     """A graded multinomial was requested with |beta| exceeding the degree."""
 

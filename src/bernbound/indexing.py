@@ -1,8 +1,9 @@
 """Multi-index arithmetic and enumeration for Bernstein coefficient grids.
 
-A multi-index ``alpha = (alpha_0, ..., alpha_n)`` addresses one Bernstein
-coefficient of degree ``k = |alpha|`` over an ``n``-simplex.  The truncation
-dropping the 0th entry, written ``alpha_hat``, addresses power-basis
+A multi-index ``alpha = (alpha_0, ..., alpha_n)``, a plain tuple of
+nonnegative integers, addresses one Bernstein coefficient of degree
+``k = |alpha|`` over an ``n``-simplex.  The truncation dropping the 0th
+entry, ``alpha[1:]`` (written ``alpha_hat``), addresses power-basis
 exponents.  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation (by homogeneous sums), edge
@@ -18,52 +19,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence, Tuple
 
-from .errors import ComponentExceeds, OrderExceedsDegree
-
-
-class MultiIndex(tuple):
-    """An (n+1)-tuple of nonnegative integers addressing one coefficient."""
-
-    __slots__ = ()
-
-    def __new__(cls, entries: Sequence[int]) -> "MultiIndex":
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be nonnegative: {entries}")
-        return super().__new__(cls, entries)
-
-    @property
-    def entries(self) -> Tuple[int, ...]:
-        return tuple(self)
-
-    @property
-    def order(self) -> int:
-        return sum(self)
-
-    @property
-    def hat(self) -> Tuple[int, ...]:
-        """The view dropping the 0th entry."""
-        return tuple(self[1:])
-
-    def vertex_slot(self) -> int | None:
-        """Return i if this index is k*e_i (a vertex index), else None."""
-        k = self.order
-        for i, e in enumerate(self):
-            if e == k:
-                return i
-        return None
-
-
-def binom_multi(a: Sequence[int], b: Sequence[int]) -> int:
-    """Product of componentwise binomials, prod_i C(a_i, b_i), exactly."""
-    if len(a) != len(b):
-        raise ComponentExceeds(f"length mismatch: {tuple(a)} vs {tuple(b)}")
-    result = 1
-    for ai, bi in zip(a, b):
-        if bi > ai:
-            raise ComponentExceeds(f"component {bi} exceeds {ai} in C({tuple(a)}, {tuple(b)})")
-        result *= comb(ai, bi)
-    return result
+from .errors import OrderExceedsDegree
 
 
 def binom_graded(k: int, bhat: Sequence[int]) -> int:
@@ -96,8 +52,9 @@ def _hat_indices(total: int, length: int) -> Iterator[Tuple[int, ...]]:
 class IndexSet:
     """All multi-indices of one degree over one simplex dimension.
 
-    The order is graded lexicographic on the truncation (alpha_1, ..., alpha_n)
-    with alpha_0 = k - |alpha_hat| implicit: indices are sorted by |alpha_hat|
+    Each index is a plain tuple (k - |alpha_hat|,) + alpha_hat.  The order
+    is graded lexicographic on the truncation (alpha_1, ..., alpha_n) with
+    alpha_0 = k - |alpha_hat| implicit: indices are sorted by |alpha_hat|
     first and lexicographically within each grade.  The order is total,
     deterministic, and the contract for every coefficient list in the package.
     """
@@ -114,7 +71,7 @@ class IndexSet:
         indices = []
         for grade in range(degree + 1):
             for hat in _hat_indices(grade, dimension):
-                indices.append(MultiIndex((degree - grade,) + hat))
+                indices.append((degree - grade,) + hat)
         self.indices = tuple(indices)
         self._positions = {ix: pos for pos, ix in enumerate(self.indices)}
         self._vertex_positions = None
@@ -122,10 +79,10 @@ class IndexSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __iter__(self) -> Iterator[MultiIndex]:
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self.indices)
 
-    def __getitem__(self, pos: int) -> MultiIndex:
+    def __getitem__(self, pos: int) -> Tuple[int, ...]:
         return self.indices[pos]
 
     def position(self, alpha: Sequence[int]) -> int:

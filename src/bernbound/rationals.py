@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -50,11 +50,4 @@ class Interval(NamedTuple):
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @staticmethod
-    def hull(values: Iterable[Fraction]) -> "Interval":
-        vals = list(values)
-        if not vals:
-            raise ValueError("hull of empty collection")
-        return Interval(min(vals), max(vals))
 

@@ -31,6 +31,7 @@ from .errors import (
     DegenerateSimplex,
     DegreeMismatch,
     DenominatorNotPositive,
+    DimensionMismatch,
     SimplexMismatch,
 )
 from .geometry import (
@@ -293,7 +294,7 @@ def rational_patch(
     by default), so no elevation mismatch can arise.
     """
     if pnum.dimension != pden.dimension:
-        raise DegreeMismatch(
+        raise DimensionMismatch(
             f"numerator has {pnum.dimension} variables, denominator {pden.dimension}"
         )
     base = max(pnum.degree, pden.degree)

@@ -15,7 +15,6 @@ from bernbound import (
     RationalPatch,
     Simplex,
     Verdict,
-    apriori_degree_combined,
     apriori_degree_omega,
     apriori_degree_pr,
     apriori_depth,
@@ -269,32 +268,6 @@ class TestAprioriDegrees:
         # coefficients (13, -6, 3): l(l-1)/2 * 13 / (3/28) = 364/3 -> 122
         patch = BernsteinPatch(UNIT, 2, (F(13), F(-6), F(3)))
         assert apriori_degree_pr(patch, ClaimedMinimum(F(3, 28))) == 122
-
-    def test_combined(self):
-        c = self._constants(0, base=1)
-        patch = to_bernstein_standard(PowerPoly.univariate([1, 1]), 1)
-        combined = apriori_degree_combined(
-            c, ClaimedMinimum(F(1)), patch, ClaimedMinimum(F(1))
-        )
-        assert combined.d1 == 1 and combined.d2 == 0 and combined.degree == 2
-
-    def test_combined_arithmetic(self):
-        c = self._constants(F(39, 2))  # D1 = 39/2 / (1/2) + 1 = 40
-        patch = BernsteinPatch(UNIT, 2, (F(26), F(0), F(1)))
-        combined = apriori_degree_combined(
-            c, ClaimedMinimum(F(1, 2)), patch, ClaimedMinimum(F(1))
-        )
-        assert combined.d1 == 40 and combined.d2 == 26
-        assert combined.degree == 41
-
-    def test_combined_strictness_on_tie(self):
-        c = self._constants(F(26))  # D1 = 26/1 + 1 = 27
-        patch = BernsteinPatch(UNIT, 2, (F(27), F(0), F(1)))
-        combined = apriori_degree_combined(
-            c, ClaimedMinimum(F(1)), patch, ClaimedMinimum(F(1))
-        )
-        assert combined.d1 == combined.d2 == 27
-        assert combined.degree == 28
 
     def test_claim_must_be_positive(self):
         with pytest.raises(NonPositiveClaim):

@@ -205,6 +205,11 @@ class TestCertify:
         assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
         assert len(calls) == 2
 
+    def test_empty_shrink_flag_is_not_the_spec_value(self, tmp_path, capsys):
+        spec = _write(tmp_path, "withshrink.json", {**DIP_SPEC, "shrink": "1/3"})
+        assert main(["certify", spec, "--mode", "local", "--shrink="]) == 64
+        assert "--shrink: not a rational number: ''" in capsys.readouterr().err
+
     def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):
         spec = _write(tmp_path, "n0.json", {**DIP_SPEC, "n_max": 0})
         assert main(["certify", spec, "--mode", "local"]) == 2
@@ -257,6 +262,11 @@ class TestMinimize:
                      "--strategy", "uniform", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["converged"] is True
+
+    def test_empty_epsilon_flag_is_not_the_spec_value(self, tmp_path, capsys):
+        spec = _write(tmp_path, "witheps.json", {**DIP_SPEC, "eps": "1/10"})
+        assert main(["minimize", spec, "--eps="]) == 64
+        assert "--eps: not a rational number: ''" in capsys.readouterr().err
 
     def test_shrink_is_certify_only(self, dip_spec):
         assert main(["minimize", dip_spec, "--eps", "1/100", "--shrink", "1/10"]) == 64
@@ -442,6 +452,14 @@ class TestUsageAndErrors:
         })
         assert main(["bounds", spec]) == 70
         assert "non-positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bounds"], ["certify"],
+                                      ["minimize", "--eps", "1/10"]])
+    def test_zero_denominator(self, tmp_path, capsys, argv):
+        spec = _write(tmp_path, "zeroden.json", {
+            **CERT3_SPEC, "denominator": {"dimension": 1, "terms": []}})
+        assert main([argv[0], spec, *argv[1:]]) == 64
+        assert "spec field 'denominator': the zero polynomial" in capsys.readouterr().err
 
     def test_stdin_input(self, capsys, monkeypatch):
         import io

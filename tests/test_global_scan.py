@@ -136,7 +136,7 @@ def problems(draw):
         first = (F(1), F(3), F(0), F(-1))
         num = {}
         for alpha in enumerate_indices(draw(st.integers(1, 3)), n):
-            slot = alpha.vertex_slot()
+            slot = next((i for i, a in enumerate(alpha) if a == sum(alpha)), None)
             weight = draw(st.sampled_from(
                 inner if slot is None else first if slot == 0 else (F(1), F(3))))
             term = {zero: weight}
@@ -146,7 +146,7 @@ def problems(draw):
             for exp, c in term.items():
                 num[exp] = num.get(exp, F(0)) + c
     else:
-        hats = [alpha.hat for alpha in enumerate_indices(draw(st.integers(0, 4)), n)]
+        hats = [alpha[1:] for alpha in enumerate_indices(draw(st.integers(0, 4)), n)]
         chosen = draw(st.lists(st.sampled_from(hats), max_size=6, unique=True))
         num = {hat: draw(SIGNED) for hat in chosen}
         shift = draw(st.sampled_from((F(0), F(20), F(100), F(-20))))

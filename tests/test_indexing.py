@@ -5,30 +5,8 @@ from math import comb, factorial
 
 import pytest
 
-from bernbound import (
-    IndexSet,
-    MultiIndex,
-    binom_graded,
-    binom_multi,
-    enumerate_indices,
-)
-from bernbound.errors import ComponentExceeds, OrderExceedsDegree
-
-
-class TestBinomMulti:
-    def test_componentwise_product(self):
-        assert binom_multi((2, 0), (1, 0)) == 2
-
-    def test_empty_choice(self):
-        assert binom_multi((3, 2), (0, 0)) == 1
-
-    def test_mixed(self):
-        # C(4,2) * C(3,1) = 6 * 3
-        assert binom_multi((4, 3), (2, 1)) == 18
-
-    def test_component_exceeds(self):
-        with pytest.raises(ComponentExceeds):
-            binom_multi((2, 1), (1, 2))
+from bernbound import IndexSet, binom_graded, enumerate_indices
+from bernbound.errors import OrderExceedsDegree
 
 
 class TestBinomGraded:
@@ -77,7 +55,6 @@ class TestEnumerate:
 
     def test_orders_sum_to_degree(self):
         for alpha in enumerate_indices(5, 3):
-            assert alpha.order == 5
             assert sum(alpha) == 5
 
     def test_canonical_order_frozen(self):
@@ -114,19 +91,3 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             IndexSet(2, 0)
 
-
-class TestMultiIndex:
-    def test_invariants(self):
-        alpha = MultiIndex((2, 1, 0))
-        assert alpha.order == 3
-        assert alpha.hat == (1, 0)
-        assert alpha.entries == (2, 1, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
-
-    def test_vertex_slot(self):
-        assert MultiIndex((3, 0, 0)).vertex_slot() == 0
-        assert MultiIndex((0, 0, 3)).vertex_slot() == 2
-        assert MultiIndex((2, 1, 0)).vertex_slot() is None

@@ -18,6 +18,7 @@ from bernbound import (
 from bernbound.errors import (
     DegreeMismatch,
     DenominatorNotPositive,
+    DimensionMismatch,
     SimplexMismatch,
 )
 from conftest import fn_cert3, fn_dip, pinned_corpus, rational_instances
@@ -61,6 +62,11 @@ class TestMakeRational:
         unit = Simplex.from_interval(0, 1)
         with pytest.raises(DegreeMismatch):
             RationalPatch(_patch(unit, 1, (1, 1)), _patch(unit, 2, (1, 1, 1)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            rational_patch(PowerPoly.univariate([1, 1]), PowerPoly.constant(2, 1),
+                           Simplex.from_interval(0, 1))
 
     def test_simplex_mismatch(self):
         a = Simplex.from_interval(0, 1)
