@@ -13,6 +13,7 @@ from .errors import (
     DegreeTooLow,
     DenominatorNotPositive,
     DimensionMismatch,
+    InvalidArgument,
     NonPositiveClaim,
     NonPositiveEpsilon,
     NotPositive,

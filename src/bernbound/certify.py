@@ -29,13 +29,14 @@ to give up honestly.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DegreeTooLow, NonPositiveClaim
+from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
 from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous
 from .powerpoly import PowerPoly
@@ -341,10 +342,13 @@ def _certifier(via: str, degree: int, k_max: int = 30, n_max: int = 10,
                shrink: Rational = Fraction(1, 2)) -> Certifier:
     """The certificate named ``via`` as a function of the root patch.
 
-    ``degree`` is the function's.  The budget ``via`` reads is checked here,
-    before any conversion, so a budget error is reported ahead of a
-    denominator that is not Bernstein-positive.
+    ``degree`` is the function's.  The arguments are checked here, before
+    any conversion, so their errors are reported ahead of a denominator that
+    is not Bernstein-positive; ``k_max`` is checked for global only.
     """
+    if n_max < 0:
+        raise InvalidArgument(f"n_max must be nonnegative, got {n_max}")
+    shrink = _shrink_factor(shrink)
     if via == "sharpness":
         return certify_sharpness
     if via == "global":
@@ -352,13 +356,16 @@ def _certifier(via: str, degree: int, k_max: int = 30, n_max: int = 10,
             raise DegreeTooLow(f"k_max {k_max} below the function degree {degree}")
         return lambda root: _certify_global(root, k_max)
     if via == "local":
-        if n_max < 0:
-            raise ValueError(f"n_max must be nonnegative, got {n_max}")
-        shrink = parse_rational(shrink)
-        if not (0 < shrink < 1):
-            raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
         return lambda root: _certify_local(root, n_max, shrink)
-    raise ValueError(f"unknown certification mode: {via!r}")
+    raise InvalidArgument(f"unknown certification mode: {via!r}")
+
+
+def _shrink_factor(shrink: Rational) -> Fraction:
+    """``shrink`` as a Fraction strictly between 0 and 1."""
+    shrink = parse_rational(shrink)
+    if not 0 < shrink.numerator < shrink.denominator:
+        raise InvalidArgument(f"shrink factor must lie in (0, 1), got {shrink}")
+    return shrink
 
 
 def _negated(certify: Certifier) -> Certifier:
@@ -419,12 +426,16 @@ def apriori_depth(
 
     Uses the squared form of the sufficiency condition so no irrational
     square roots enter; sufficient for the local certificate at that depth.
+    The condition holds from N on, so N is found by doubling and bisection
+    in O(log N) exact tests.
     """
-    shrink = parse_rational(shrink)
-    if not (0 < shrink < 1):
-        raise ValueError(f"shrink factor must lie in (0, 1), got {shrink}")
+    shrink = _shrink_factor(shrink)
     factor = 2 * constants.omega_prime
-    depth = 0
-    while shrink ** (2 * depth) * factor >= fmin.value:
-        depth += 1
-    return depth
+
+    def holds(depth):
+        return shrink ** (2 * depth) * factor < fmin.value
+
+    high = 1
+    while not holds(high):
+        high *= 2
+    return bisect_left(range(high), True, key=holds)

@@ -4,9 +4,10 @@ A problem file is JSON with a numerator polynomial, an optional denominator
 (default 1), and a domain given either as a simplex or as an interval.
 Rational numbers are strings like "13/10" or "1.3" and are parsed exactly;
 floats in the output are renderings only.  Exit codes: 0 success/certified,
-1 refuted, 2 inconclusive or budget exhausted, 64 usage error, 70 internal
-error, 141 standard output closed by its reader (128 + SIGPIPE, as a shell
-reports a process that signal ended; nothing is written to stderr).
+1 refuted, 2 inconclusive or budget exhausted, 64 usage error (including a
+value the library rejects as ``InvalidArgument``), 70 internal error, 141
+standard output closed by its reader (128 + SIGPIPE, as a shell reports a
+process that signal ended; nothing is written to stderr).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .certify import (
     apriori_degree_omega,
     apriori_depth,
 )
-from .errors import BernboundError, BudgetExhausted, DegreeTooLow
+from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
 from .optimize import minimize
 from .polypatch import to_bernstein
@@ -133,16 +134,6 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'domain': {exc}") from exc
-    if numerator.dimension != denominator.dimension:
-        raise UsageError(
-            f"numerator has {numerator.dimension} variables but denominator "
-            f"has {denominator.dimension}"
-        )
-    if numerator.dimension != domain.dimension:
-        raise UsageError(
-            f"polynomials have {numerator.dimension} variables but the domain "
-            f"is a {domain.dimension}-simplex"
-        )
     spec = ProblemSpec(numerator, denominator, domain)
     if "degree" in data:
         spec.degree = _int_field(data, "degree")
@@ -162,16 +153,17 @@ def parse_problem(data: dict) -> ProblemSpec:
 
 
 def load_problem(path: str) -> ProblemSpec:
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        try:
+    source = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc}") from exc
-        source = path
+    except OSError as exc:
+        raise UsageError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{source}: not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -224,13 +216,8 @@ def _format_interval(interval) -> str:
 def cmd_bounds(spec: ProblemSpec, args) -> int:
     base = rational_patch(spec.numerator, spec.denominator, spec.domain)
     degree = args.degree if args.degree is not None else spec.degree
-    if degree is not None and degree < base.degree:
-        raise UsageError(
-            f"Bernstein degree {degree} below polynomial degree {base.degree}"
-        )
-    f = base
-    while degree is not None and f.degree < degree:
-        f = f.elevate()
+    f = base if degree is None else rational_patch(
+        spec.numerator, spec.denominator, spec.domain, degree)
     constants = convergence_constants(base, f.degree)
     sharp = f.sharpness()
     if args.json:
@@ -280,7 +267,8 @@ def _apriori_info(spec: ProblemSpec, shrink: Fraction,
     ``claimed_numerator_min`` alone.  ``root`` is the base-degree patch of
     the spec's function, the one the certifier ran on (before any
     negation).  When the numerator's degree is the root's, ``root.num`` is
-    the numerator's own-degree patch that D2 reads.
+    the numerator's own-degree patch that D2 reads, up to a sign that D2
+    does not see.
     """
     if spec.claimed_min is None and spec.claimed_numerator_min is None:
         return None
@@ -337,30 +325,17 @@ def _print_certificate(report: CertificateReport, as_json: bool) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _parse_shrink(args, spec: ProblemSpec) -> Fraction:
+def cmd_certify(spec: ProblemSpec, args) -> int:
+    k_max = args.kmax if args.kmax is not None else spec.k_max
+    n_max = args.nmax if args.nmax is not None else spec.n_max
     try:
         shrink = parse_rational(args.shrink) if args.shrink is not None else spec.shrink
     except ValueError as exc:
         raise UsageError(f"--shrink: {exc}") from exc
-    if not (0 < shrink < 1):
-        raise UsageError(f"--shrink must lie strictly between 0 and 1, got {shrink}")
-    return shrink
-
-
-def cmd_certify(spec: ProblemSpec, args) -> int:
-    k_max = args.kmax if args.kmax is not None else spec.k_max
-    n_max = args.nmax if args.nmax is not None else spec.n_max
-    if n_max < 0:
-        raise UsageError(f"n_max must be nonnegative, got {n_max}")
-    shrink = _parse_shrink(args, spec)
     negative = args.mode == "negative"
-    try:
-        run = _certifier(args.via if negative else args.mode,
-                         max(spec.numerator.degree, spec.denominator.degree),
-                         k_max, n_max, shrink)
-    except DegreeTooLow as exc:
-        # The only degree set here is k_max, from --kmax or the spec file.
-        raise UsageError(str(exc)) from exc
+    run = _certifier(args.via if negative else args.mode,
+                     max(spec.numerator.degree, spec.denominator.degree),
+                     k_max, n_max, shrink)
     root = rational_patch(spec.numerator, spec.denominator, spec.domain)
     report = (_negated(run) if negative else run)(root)
     apriori = _apriori_info(spec, shrink, root)
@@ -376,10 +351,6 @@ def cmd_minimize(spec: ProblemSpec, args) -> int:
         raise UsageError(f"--eps: {exc}") from exc
     if eps is None:
         raise UsageError("minimize needs --eps (or an 'eps' spec field)")
-    if eps <= 0:
-        raise UsageError(f"--eps must be positive, got {format_rational(eps)}")
-    if args.budget is not None and args.budget < 0:
-        raise UsageError(f"--budget must be nonnegative, got {args.budget}")
     exhausted = False
     try:
         result = minimize(spec.numerator, spec.denominator, spec.domain, eps,
@@ -421,7 +392,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
+    except (UsageError, InvalidArgument) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BernboundError as exc:

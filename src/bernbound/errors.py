@@ -5,6 +5,10 @@ class BernboundError(Exception):
     """Base class for all bernbound errors."""
 
 
+class InvalidArgument(BernboundError, ValueError):
+    """The caller chose a value that the method does not accept."""
+
+
 class OrderExceedsDegree(BernboundError):
     """A graded multinomial was requested with |beta| exceeding the degree."""
 
@@ -13,11 +17,11 @@ class DegreeMismatch(BernboundError):
     """Two objects that must share a degree do not."""
 
 
-class DegreeTooLow(BernboundError):
+class DegreeTooLow(InvalidArgument):
     """The requested Bernstein degree is below the polynomial degree."""
 
 
-class DimensionMismatch(BernboundError):
+class DimensionMismatch(InvalidArgument):
     """A point or polynomial has the wrong number of variables."""
 
 
@@ -46,11 +50,11 @@ class DenominatorNotPositive(BernboundError):
         self.simplex = simplex
 
 
-class NonPositiveClaim(BernboundError):
+class NonPositiveClaim(InvalidArgument):
     """A claimed minimum that must be positive is not."""
 
 
-class NonPositiveEpsilon(BernboundError):
+class NonPositiveEpsilon(InvalidArgument):
     """A requested accuracy must be strictly positive."""
 
 

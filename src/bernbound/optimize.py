@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .certify import ClaimedMinimum, apriori_depth
-from .errors import BudgetExhausted, NonPositiveEpsilon, NotPositive
+from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon, NotPositive
 from .geometry import Simplex, grid_point
 from .powerpoly import PowerPoly
 from .ratpatch import RationalPatch, convergence_constants, rational_patch, subdivide
@@ -129,9 +129,9 @@ def minimize(
     if epsilon <= 0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     if mode not in ("best-first", "uniform"):
-        raise ValueError(f"unknown mode: {mode!r}")
+        raise InvalidArgument(f"unknown mode: {mode!r}")
     if budget is not None and budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+        raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
     delta = witness = None

@@ -291,7 +291,9 @@ def rational_patch(
     """Build the rational patch of pnum/pden over a simplex.
 
     Both polynomials are converted at the common degree (their maximum degree
-    by default), so no elevation mismatch can arise.
+    by default), so no elevation mismatch can arise.  When every denominator
+    coefficient is negative, both patches are negated: f = (-pnum)/(-pden)
+    is then in the positive-denominator form.
     """
     if pnum.dimension != pden.dimension:
         raise DimensionMismatch(
@@ -299,10 +301,10 @@ def rational_patch(
         )
     base = max(pnum.degree, pden.degree)
     k = base if degree is None else degree
-    return RationalPatch(
-        to_bernstein(pnum, k, simplex),
-        to_bernstein(pden, k, simplex),
-    )
+    num, den = to_bernstein(pnum, k, simplex), to_bernstein(pden, k, simplex)
+    if max(den.nums) < 0:
+        num, den = num.negate(), den.negate()
+    return RationalPatch(num, den)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ bounds, and negativity by sign flip."""
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -32,9 +33,10 @@ from bernbound import (
 from bernbound.errors import (
     DegreeTooLow,
     DenominatorNotPositive,
+    InvalidArgument,
     NonPositiveClaim,
 )
-from conftest import fn_cert3, fn_dip, leaf_log, pinned_corpus
+from conftest import fn_cert3, fn_dip, leaf_log, pinned_corpus, rational_instances
 
 UNIT = Simplex.from_interval(0, 1)
 
@@ -228,6 +230,18 @@ class TestCertifyNegative:
         assert report.verdict is Verdict.CERTIFIED
         assert report.depth_used == 2
 
+    @pytest.mark.parametrize("via", ["sharpness", "global", "local"])
+    @pytest.mark.parametrize("bad", [{"n_max": -1}, {"shrink": 1}, {"shrink": F(0)}])
+    def test_every_route_checks_n_max_and_shrink(self, via, bad):
+        num, den, domain = fn_cert3()
+        with pytest.raises(InvalidArgument):
+            certify_negative(num.negate(), den, domain, via=via, **bad)
+
+    def test_unknown_route(self):
+        num, den, domain = fn_cert3()
+        with pytest.raises(InvalidArgument, match="unknown certification mode"):
+            certify_negative(num, den, domain, via="bogus")
+
 
 class TestAprioriDegrees:
     def _constants(self, omega, base=2):
@@ -304,6 +318,44 @@ class TestAprioriDepth:
             assert report.verdict is Verdict.CERTIFIED
             assert report.depth_used <= max(depth, 0)
 
+    @staticmethod
+    def _linear_scan(constants, fmin, shrink):
+        """The defining search, one depth at a time (quadratic in the depth)."""
+        factor = 2 * constants.omega_prime
+        depth = 0
+        while shrink ** (2 * depth) * factor >= fmin.value:
+            depth += 1
+        return depth
+
+    @pytest.mark.parametrize("shrink, claims", [
+        (F(1, 2), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(1, 3), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(99, 100), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(999, 1000), (F(1, 3), F(1), F(2), F(10))),
+    ])
+    def test_matches_linear_scan(self, shrink, claims):
+        num, den, domain = fn_dip()
+        constants = convergence_constants(rational_patch(num, den, domain))
+        for claim in claims:
+            fmin = ClaimedMinimum(claim)
+            assert (apriori_depth(constants, fmin, shrink)
+                    == self._linear_scan(constants, fmin, shrink))
+
+    def test_deep_shrink_is_the_smallest_depth(self):
+        num, den, domain = fn_dip()
+        constants = convergence_constants(rational_patch(num, den, domain))
+        shrink, fmin = F(3999, 4000), F(1, 100)
+        depth = apriori_depth(constants, ClaimedMinimum(fmin), shrink)
+        factor = 2 * constants.omega_prime
+        assert depth == 11245
+        assert shrink ** (2 * (depth - 1)) * factor >= fmin
+        assert shrink ** (2 * depth) * factor < fmin
+
+    @pytest.mark.parametrize("shrink", [F(0), F(1), F(3, 2), F(-1, 2)])
+    def test_shrink_outside_the_unit_interval(self, shrink):
+        with pytest.raises(InvalidArgument, match="shrink factor"):
+            apriori_depth(self._constants(F(1)), ClaimedMinimum(F(1)), shrink)
+
     def test_quarter_shrink_bounds_observed_depth(self):
         case = pinned_corpus()[3]
         constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
@@ -355,6 +407,33 @@ class TestVerdictSoundness:
                 w = report.witness
                 assert pnum.eval(w.point) / pden.eval(w.point) == w.value
                 assert w.value <= 0
+
+
+class TestNegatedDenominator:
+    """f = (-p)/(-q) is built as p/q: a denominator whose Bernstein
+    coefficients are all negative is negated together with the numerator."""
+
+    def test_same_ratios_verdicts_and_brackets(self):
+        # The random instances mostly refute; the pinned ones certify.
+        cases = [case[:3] for case in rational_instances(10, seed=7272, max_n=2, max_l=3)]
+        cases += [(case.num, case.den, case.domain) for case in pinned_corpus()[:4]]
+        for pnum, pden, simplex in cases:
+            neg = (pnum.negate(), pden.negate(), simplex)
+            for degree in (None, max(pnum.degree, pden.degree) + 2):
+                assert (rational_patch(*neg, degree).to_json()
+                        == rational_patch(pnum, pden, simplex, degree).to_json())
+            for run in (lambda *p: certify_global(*p, k_max=8),
+                        lambda *p: certify_local(*p, n_max=3)):
+                a, b = run(*neg), run(pnum, pden, simplex)
+                assert replace(a, wall_clock=0) == replace(b, wall_clock=0)
+            eps = F(1, 1000)
+            assert minimize(*neg, eps) == minimize(pnum, pden, simplex, eps)
+
+    def test_mixed_sign_denominator_still_raises(self):
+        # x - 1/2 changes sign on [0, 1]: no negation puts it in the form.
+        with pytest.raises(DenominatorNotPositive):
+            rational_patch(PowerPoly.constant(1, 1), PowerPoly.univariate([F(-1, 2), 1]),
+                           UNIT)
 
 
 class TestCertPersistence:

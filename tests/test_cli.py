@@ -313,7 +313,7 @@ class TestUsageAndErrors:
         (["certify", "SPEC", "--mode", "local", "--nmax", "-1"],
          "n_max must be nonnegative, got -1"),
         (["minimize", "SPEC", "--eps", "1/100", "--budget", "-1"],
-         "--budget must be nonnegative, got -1"),
+         "budget must be nonnegative, got -1"),
     ])
     def test_negative_budget_flags(self, dip_spec, capsys, argv, message):
         argv = [dip_spec if a == "SPEC" else a for a in argv]
@@ -467,6 +467,62 @@ class TestUsageAndErrors:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(DIP_SPEC)))
         assert main(["bounds", "-"]) == 0
         assert "13/10" in capsys.readouterr().out
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        spec = tmp_path / "bin.json"
+        spec.write_bytes(b"\xff\xfe\x00garbage")
+        assert main(["bounds", str(spec)]) == 64
+        assert f"{spec}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00garbage"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["bounds", "-"]) == 64
+        assert "<stdin>: not UTF-8 text" in capsys.readouterr().err
+
+    def test_negative_denominator_is_negated(self, tmp_path, capsys):
+        # x / -1: every denominator coefficient is negative, so the patch is
+        # built as (-x) / 1.
+        spec = _write(tmp_path, "negden.json", {
+            "numerator": {"dimension": 1, "terms": [{"exponents": [1], "coeff": "1"}]},
+            "denominator": {"dimension": 1, "terms": [{"exponents": [0], "coeff": "-1"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["bounds", spec]) == 0
+        assert "coefficients: 0, -1" in capsys.readouterr().out
+        assert main(["minimize", spec, "--eps", "1/10", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["lower"], data["upper"]) == ("-1", "-1")
+
+    # One case per argument rule the library owns: each exits 64 with
+    # exactly the library's message.
+    @pytest.mark.parametrize("change, argv, message", [
+        ({"denominator": {"dimension": 2, "terms": [
+            {"exponents": [0, 0], "coeff": "1"}]}}, ["bounds"],
+         "numerator has 1 variables, denominator 2"),
+        ({"numerator": {"dimension": 2, "terms": [
+            {"exponents": [1, 0], "coeff": "1"}]}, "denominator": None}, ["bounds"],
+         "polynomial has 2 variables, simplex has 1"),
+        ({}, ["bounds", "--degree", "1"], "Bernstein degree 1 below polynomial degree 2"),
+        ({}, ["certify", "--mode", "global", "--nmax", "-1"],
+         "n_max must be nonnegative, got -1"),
+        ({}, ["certify", "--mode", "local", "--shrink", "3/2"],
+         "shrink factor must lie in (0, 1), got 3/2"),
+        ({}, ["certify", "--mode", "negative", "--kmax", "1"],
+         "k_max 1 below the function degree 2"),
+        ({}, ["minimize", "--eps", "0"], "epsilon must be positive, got 0"),
+        ({}, ["minimize", "--eps", "1/100", "--budget", "-1"],
+         "budget must be nonnegative, got -1"),
+    ], ids=["dimensions", "domain", "degree", "n_max", "shrink", "k_max", "eps",
+            "budget"])
+    def test_library_argument_rules(self, tmp_path, capsys, change, argv, message):
+        spec = _write(tmp_path, "rule.json", {**DIP_SPEC, **change})
+        assert main([argv[0], spec, *argv[1:]]) == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert issubclass(bernbound.InvalidArgument, ValueError)
+        assert issubclass(bernbound.InvalidArgument, bernbound.BernboundError)
 
 
 def test_successive_calls_match_fresh_processes(dip_spec, cert3_spec, capsys):

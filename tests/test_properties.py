@@ -4,18 +4,34 @@ Each problem is f = m + s * |x - a|^2 / q with a strictly inside the domain
 and q Bernstein-positive there (``conftest.closed_form``), so its exact
 minimum is m.  Global and local certification must agree whenever both
 conclude, and each verdict must match the sign of m; both ``minimize``
-strategies must bracket m and a dense-sample minimum.
+strategies must bracket m and a dense-sample minimum.  Conversion at a
+degree must give the patch that elevation reaches, in one to three variables.
 """
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from bernbound import Verdict, certify_global, certify_local, minimize  # noqa: E402
-from conftest import closed_form, dense_sample  # noqa: E402
+from bernbound import (  # noqa: E402
+    Verdict,
+    certify_global,
+    certify_local,
+    minimize,
+    rational_patch,
+    standard_simplex,
+)
+from bernbound.errors import DenominatorNotPositive  # noqa: E402
+from conftest import (  # noqa: E402
+    closed_form,
+    dense_sample,
+    positive_denominator,
+    random_poly,
+    random_simplex,
+)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 VERDICTS = settings(PROPERTY, max_examples=50)
@@ -73,3 +89,23 @@ def test_minimize_brackets_contain_sampled_minimum(problem, mode):
     sampled = min(_value(num, den, p) for p in dense_sample(simplex, steps))
     assert _value(num, den, a) == m <= sampled
     assert result.lower <= sampled < result.upper + eps
+
+
+@PROPERTY
+@given(st.sampled_from((1, 2, 3)), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_conversion_at_a_degree_is_the_elevated_patch(n, lift, rng):
+    """``bounds --degree k`` converts at degree k: the degree-k rational
+    Bernstein coefficients are unique, so they are the ones that repeated
+    elevation from the base degree reaches."""
+    simplex = standard_simplex(n) if rng.random() < 0.5 else random_simplex(rng, n)
+    degree = rng.randint(1, 3)
+    num = random_poly(rng, n, degree)
+    den = positive_denominator(rng, n, rng.randint(0, degree), simplex)
+    try:
+        elevated = rational_patch(num, den, simplex)
+    except DenominatorNotPositive:
+        assume(False)
+    for _ in range(lift):
+        elevated = elevated.elevate()
+    direct = rational_patch(num, den, simplex, elevated.degree)
+    assert json.dumps(direct.to_json()) == json.dumps(elevated.to_json())
