@@ -8,9 +8,12 @@ ratio has its numerator coefficient's sign and the predicate reads the
 numerator alone (``numerator_certifies``).  Certification proceeds either
 globally by degree elevation or locally by subdivision at fixed degree, each
 with an a-priori bound on the work needed when a positive lower bound for the
-function is known.  Elevation keeps a positive denominator positive (every
-new coefficient is a positive-weight mean of old ones), so the global scan
-elevates the numerator only.
+function is known.  Elevation and de Casteljau splitting keep a positive
+denominator positive (every new coefficient is a positive-weight mean of old
+ones), so once the root's denominator is checked, the global scan elevates
+the numerator only and the local certificate splits the numerator only.  A
+refuting vertex's value divides its numerator coefficient by the root
+denominator evaluated at that vertex.
 
 The global scan runs on homogeneous coefficients c_alpha = b_alpha *
 multinomial(k; alpha), kept as integers over the base patch's scale.  They
@@ -40,7 +43,13 @@ from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
 from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous
 from .powerpoly import PowerPoly
-from .ratpatch import ConvergenceConstants, RationalPatch, rational_patch, subdivide
+from .ratpatch import (
+    ConvergenceConstants,
+    RationalPatch,
+    _refine_numerator,
+    rational_patch,
+    subdivide,
+)
 from .rationals import Rational, float_str, format_rational, parse_rational
 
 
@@ -167,16 +176,26 @@ def cert_predicate(f: RationalPatch) -> bool:
     return numerator_certifies(f.num)
 
 
+def _refuting_index(num: BernsteinPatch) -> Optional[int]:
+    """The first vertex whose numerator coefficient, num(v_i), is
+    non-positive: under a positive denominator, a non-positive value."""
+    nums = num.nums
+    for i, p in enumerate(num.index_set.vertex_positions()):
+        if nums[p] <= 0:
+            return i
+    return None
+
+
 def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
     """First vertex whose ratio (a true function value) is non-positive.
 
     The ratio has its numerator coefficient's sign, so only the witness's
     value is built."""
-    nums = f.num.nums
-    for i, p in enumerate(f.num.index_set.vertex_positions()):
-        if nums[p] <= 0:
-            return Witness(f.simplex.vertex(i), f.ratio(p), "vertex")
-    return None
+    i = _refuting_index(f.num)
+    if i is None:
+        return None
+    p = f.num.index_set.vertex_positions()[i]
+    return Witness(f.simplex.vertex(i), f.ratio(p), "vertex")
 
 
 def certify_sharpness(f: RationalPatch) -> CertificateReport:
@@ -269,9 +288,11 @@ def certify_local(
     ``ratpatch.subdivide`` keyed by depth, one level per step: certified
     leaves are pruned, a non-positive vertex value on any leaf refutes
     exactly (no later piece is tested), and the run gives up when the
-    unresolved leaves reach depth n_max, which must be nonnegative.  A piece
-    lives only until it is decided or split: the report counts certified
-    leaves and keeps none.
+    unresolved leaves reach depth n_max, which must be nonnegative.  Only
+    the root is a rational patch, which checks the denominator; below it
+    the pieces are numerator patches, whose signs are the function's.  A
+    piece lives only until it is decided or split: the report counts
+    certified leaves and keeps none.
     """
     run = _certifier("local", max(pnum.degree, pden.degree), n_max=n_max,
                      shrink=shrink)
@@ -293,19 +314,20 @@ def _certify_local(root: RationalPatch, n_max: int,
         )
 
     def split(leaf, depth, key):
-        return () if refuted else leaf.refine(shrink ** (2 * (depth + 1)))
+        return () if refuted else _refine_numerator(leaf, shrink ** (2 * (depth + 1)))
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
         if refuted:
             return None
         last = depth
-        refute = _refuting_vertex(piece)
-        ok = refute is None and cert_predicate(piece)
+        i = _refuting_index(piece)
+        if i is not None:
+            refuted = (depth, _vertex_witness(piece, i, root.den))
+            return None
+        ok = numerator_certifies(piece)
         certified += ok
-        if refute is not None:
-            refuted = (depth, refute)
-        return None if refuted or ok else depth
+        return None if ok else depth
 
     def stop(frontier):
         if refuted:
@@ -316,7 +338,15 @@ def _certify_local(root: RationalPatch, n_max: int,
             return report(Verdict.INCONCLUSIVE, n_max)
         return None
 
-    return subdivide(root, split, visit, stop)
+    return subdivide(root.num, split, visit, stop)
+
+
+def _vertex_witness(num: BernsteinPatch, i: int, den: BernsteinPatch) -> Witness:
+    """The witness at vertex i of a numerator piece: num(v_i) over
+    den(v_i), the root's denominator evaluated there once."""
+    vertex = num.simplex.vertex(i)
+    p = num.index_set.vertex_positions()[i]
+    return Witness(vertex, Fraction(num.nums[p], num.scale) / den.eval(vertex), "vertex")
 
 
 def certify_negative(

@@ -10,8 +10,9 @@ built on first use.  One fraction-free (Bareiss) elimination,
 barycentric coordinates.  A simplex measures its longest edge once, as the
 integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
 rule: it forms each midpoint from the parent's integers over at most twice
-its denominator, for ``bisect_edge`` and for ``RationalPatch.refine``, which
-keeps its intermediate pieces as plain rows and checks only its leaves.  The
+its denominator, for ``bisect_edge`` and for the refinement driver
+(``ratpatch._refine_ints``), which keeps its intermediate pieces as plain
+rows and checks only its leaves.  The
 only irrational quantity, the diameter, is never materialized:
 ``diameter_sq`` builds its ``Fraction`` on demand.
 """

@@ -4,7 +4,10 @@ Every node carries the rational patch of the function over its subsimplex at
 the function's own degree (the degree never changes during minimization).
 The minimum coefficient of a node is a certified lower bound for the
 function there; evaluating the function at the minimizing grid point or at a
-vertex yields a true function value and hence an upper bound.  Subdividing
+vertex yields a true function value and hence an upper bound.  A node's
+lower bound is read first: when it already reaches the incumbent upper
+bound, no value on the node can lower the incumbent, so the node gets no
+grid or vertex value (``local_bounds`` runs only below it).  Subdividing
 shrinks the gap between the two; the bounds sandwich the true minimum at all
 times, and an a-priori round count suffices for any requested gap.
 
@@ -140,10 +143,14 @@ def minimize(
     deepest = 0  # best-first: the depth of the deepest split piece
 
     def bounds(piece):
+        # The lower bound first: at m >= delta every value on the piece is
+        # at least delta, so its upper bound could not lower delta.
         nonlocal delta, witness
-        m, d, w = local_bounds(piece)
-        if delta is None or d < delta:
-            delta, witness = d, w
+        m = piece.ratio(piece.min_position())
+        if delta is None or m < delta:
+            _, d, w = local_bounds(piece)
+            if delta is None or d < delta:
+                delta, witness = d, w
         return m
 
     def settle(lower, steps, leaves, exhausted):

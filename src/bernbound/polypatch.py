@@ -68,7 +68,7 @@ class BernsteinPatch:
     The coefficient at position p is ``nums[p] / scale`` with ``scale > 0``.
     """
 
-    __slots__ = ("simplex", "degree", "nums", "scale", "_coeffs")
+    __slots__ = ("simplex", "degree", "nums", "scale", "_coeffs", "__weakref__")
 
     def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
         values = tuple(parse_rational(c) for c in coeffs)
@@ -200,14 +200,7 @@ class BernsteinPatch:
     def second_differences(self) -> SecondDifferences:
         """All entries b[g+e_i+e_{j-1}] + b[g+e_{i-1}+e_j] - b[g+e_{i-1}+e_{j-1}]
         - b[g+e_i+e_j] for |g| = k-2, i < j, with e_{-1} meaning e_n."""
-        k = self.degree
-        if k < 2:
-            raise DegreeTooLow(f"second differences need degree >= 2, got {k}")
-        keys, (plus_a, plus_b, minus_a, minus_b) = second_difference_moves(
-            k, self.dimension)
-        fetch = self.nums.__getitem__
-        values = list(map(sub, map(add, map(fetch, plus_a), map(fetch, plus_b)),
-                          map(add, map(fetch, minus_a), map(fetch, minus_b))))
+        keys, values = _second_difference_ints(self)
         scale = self.scale
         items = tuple(zip(keys, (Fraction(v, scale) for v in values)))
         return SecondDifferences(items, Fraction(max(map(abs, values)), scale))
@@ -252,6 +245,28 @@ class BernsteinPatch:
             _integer(data["degree"], "degree"),
             tuple(parse_rational(c) for c in data["coeffs"]),
         )
+
+
+def _second_difference_ints(patch: BernsteinPatch) -> Tuple[tuple, List[int]]:
+    """The keys of ``second_differences`` and its entries' numerators over
+    ``patch.scale``, as integers."""
+    k = patch.degree
+    if k < 2:
+        raise DegreeTooLow(f"second differences need degree >= 2, got {k}")
+    keys, (plus_a, plus_b, minus_a, minus_b) = second_difference_moves(
+        k, patch.dimension)
+    fetch = patch.nums.__getitem__
+    return keys, list(map(sub, map(add, map(fetch, plus_a), map(fetch, plus_b)),
+                          map(add, map(fetch, minus_a), map(fetch, minus_b))))
+
+
+def _second_difference_sup(patch: BernsteinPatch) -> Fraction:
+    """The sup norm of ``second_differences``, and 0 below degree 2, with
+    one ``Fraction`` built."""
+    if patch.degree < 2:
+        return Fraction(0)
+    _, values = _second_difference_ints(patch)
+    return Fraction(max(map(abs, values)), patch.scale)
 
 
 def _homogeneous(patch: BernsteinPatch) -> List[int]:
@@ -368,6 +383,5 @@ def discretization_bound(patch: BernsteinPatch, degree: int) -> Fraction:
     if l < 2:
         return Fraction(0)
     n = patch.dimension
-    sup = patch.second_differences().sup_norm
-    t_const = Fraction(n * (n + 2) * l * (l - 1), 24) * sup
+    t_const = Fraction(n * (n + 2) * l * (l - 1), 24) * _second_difference_sup(patch)
     return t_const / (degree - 1)

@@ -1,5 +1,6 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
-split rounds (all run by one integer driver, ``RationalPatch.refine``), the
+split rounds (all run by one integer driver, ``_refine_ints``, under
+``RationalPatch.refine`` and the numerator-only ``_refine_numerator``), the
 subdivision loop over them, and the convergence constants driving degree
 and subdivision bounds.
 
@@ -15,7 +16,14 @@ read only that: the certificate predicate and the refuting-vertex search
 read signs, ``min_position`` finds the smallest ratio, and a ``Fraction`` is
 built only for a value that is returned (``ratio``, ``vertex_ratios``).  The
 full per-index ``ratios`` tuple is the output view for enclosures and JSON,
-built on first use.
+built on first use.  The convergence constants read the same integers: a
+``Fraction`` per constant, none per coefficient.
+
+A de Casteljau child's coefficients are positive-weight means of its
+parent's, so a denominator that is positive at a root stays positive on
+every piece split from it.  The local certificate, which reads numerator
+signs only, therefore checks the denominator once at its root and splits
+the numerator alone (``_refine_numerator``).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import List, NamedTuple, Optional, Tuple
 from .errors import (
     DegenerateSimplex,
     DegreeMismatch,
+    DegreeTooLow,
     DenominatorNotPositive,
     DimensionMismatch,
     SimplexMismatch,
@@ -44,7 +53,7 @@ from .geometry import (
     round_length,
 )
 from .indexing import split_table
-from .polypatch import BernsteinPatch, split_nums, to_bernstein
+from .polypatch import BernsteinPatch, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
 
@@ -116,7 +125,13 @@ class RationalPatch:
     def min_position(self) -> int:
         """First position of the smallest ratio.  Both scales are shared and
         the denominators positive, so a/b < c/d is a*d < c*b on the
-        numerators: no ratio is built."""
+        numerators: no ratio is built.  Found on first use and kept, so a
+        caller that reads the lower bound before ``local_bounds`` scans
+        once."""
+        return self._min_position
+
+    @cached_property
+    def _min_position(self) -> int:
         nums, dens = self.num.nums, self.den.nums
         best, a, b = 0, nums[0], dens[0]
         for p in range(1, len(nums)):
@@ -172,61 +187,20 @@ class RationalPatch:
 
     def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
         """At least one shrink round, then more on every piece whose squared
-        diameter still exceeds ``threshold_sq``.
-
-        A round applies n(n+1)/2 levels of longest-edge bisection, then
-        keeps bisecting any piece whose squared diameter still exceeds a
-        quarter of the round root's (a safety net; not observed for the
-        tested dimensions).  A piece that is still too wide after 4 times
-        the levels plus 4 such extra halvings raises ``DegenerateSimplex``.
-
-        Every round runs as one integer kernel on plain data: a piece is its
-        integer vertex rows, their denominator, the numerator lists of num
-        and den, its bisection count and its longest edge, measured once.
-        Its children come from ``geometry._bisect_rows`` (the rule
-        ``bisect_edge`` uses) and ``polypatch.split_nums`` (the rule
-        ``split_edge`` uses).  Only the leaves become ``Simplex`` objects,
-        through the rank check, and ``RationalPatch`` objects, whose scales
-        are the root's shifted left by k per bisection.  A bisection child
-        lies in its parent's affine hull, so a singular piece would leave
-        singular leaves, which the check rejects.  Pieces are split left
-        child first, so the leaves come in the order of replacing each piece
-        by its children in place: the result equals repeated ``split_edge``
-        on the longest edge, with the same leaves, order and integers.
-        """
-        n, k = self.dimension, self.degree
-        levels = round_length(n)
-        budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
-        threshold = threshold_sq.numerator, threshold_sq.denominator
-        simplex = self.simplex
-        rows, denom, longest = simplex.ints, simplex.denom, simplex._longest_edge
-        # (rows, denom, num, den, longest edge, cuts, cuts in the round, the
-        # round's target squared diameter); the root opens the first round.
-        stack = [(rows, denom, self.num.nums, self.den.nums, longest, 0, 0,
-                  _quarter(longest, denom))]
-        leaves = []
-        while stack:
-            rows, denom, num, den, longest, cuts, depth, target = stack.pop()
-            if depth >= levels and not _wider(longest, denom, target):
-                if not _wider(longest, denom, threshold):
-                    leaf = _checked_simplex(rows, denom, longest)
-                    shift = k * cuts
-                    leaves.append(RationalPatch(
-                        BernsteinPatch._from_ints(leaf, k, num, self.num.scale << shift),
-                        BernsteinPatch._from_ints(leaf, k, den, self.den.scale << shift)))
-                    continue
-                target, depth = _quarter(longest, denom), 0
-            elif depth == budget:
-                raise DegenerateSimplex("edge bisection failed to halve the diameter")
-            _, i, j = longest
-            rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
-            table = split_table(k, n, i, j)
-            num_i, num_j = split_nums(num, table)
-            den_i, den_j = split_nums(den, table)
-            cuts, depth = cuts + 1, depth + 1
-            stack.append((rows_j, denom, num_j, den_j, _longest(rows_j), cuts, depth, target))
-            stack.append((rows_i, denom, num_i, den_i, _longest(rows_i), cuts, depth, target))
-        return leaves
+        diameter still exceeds ``threshold_sq``: ``_refine_ints`` on the
+        numerator and denominator lists together.  Each leaf is a checked
+        ``RationalPatch`` whose scales are the root's shifted left by k per
+        bisection, so it equals repeated ``split_edge`` on the longest edge,
+        with the same leaves, order and integers."""
+        k = self.degree
+        num_scale, den_scale = self.num.scale, self.den.scale
+        return [
+            RationalPatch(
+                BernsteinPatch._from_ints(leaf, k, num, num_scale << shift),
+                BernsteinPatch._from_ints(leaf, k, den, den_scale << shift))
+            for leaf, shift, (num, den) in _refine_ints(
+                self.simplex, k, (self.num.nums, self.den.nums), threshold_sq)
+        ]
 
     def to_json(self) -> dict:
         return {
@@ -236,9 +210,78 @@ class RationalPatch:
         }
 
 
-def subdivide(root: RationalPatch, split, visit, stop):
+def _refine_numerator(patch: BernsteinPatch,
+                     threshold_sq: Fraction) -> List[BernsteinPatch]:
+    """``RationalPatch.refine`` on one polynomial patch: the same leaves, in
+    the same order, with the numerator integers and scales a rational
+    patch's refinement would give it.  The local certificate splits its
+    numerator alone this way, since a denominator positive at the root stays
+    positive on every de Casteljau child and so never changes a sign."""
+    k, scale = patch.degree, patch.scale
+    return [BernsteinPatch._from_ints(leaf, k, nums, scale << shift)
+            for leaf, shift, (nums,) in _refine_ints(
+                patch.simplex, k, (patch.nums,), threshold_sq)]
+
+
+def _refine_ints(simplex: Simplex, k: int, lists: Tuple[Tuple[int, ...], ...],
+                 threshold_sq: Fraction) -> List[tuple]:
+    """The integer subdivision driver: at least one shrink round of
+    ``simplex``, then more on every piece whose squared diameter still
+    exceeds ``threshold_sq``, splitting each degree-``k`` numerator list in
+    ``lists`` along.  Returns (leaf simplex, scale shift, lists) per leaf; a
+    leaf's lists are over the parent's scales shifted left by the shift,
+    k per bisection.
+
+    A round applies n(n+1)/2 levels of longest-edge bisection, then keeps
+    bisecting any piece whose squared diameter still exceeds a quarter of
+    the round root's (a safety net; not observed for the tested
+    dimensions).  A piece that is still too wide after 4 times the levels
+    plus 4 such extra halvings raises ``DegenerateSimplex``.
+
+    Every round runs on plain data: a piece is its integer vertex rows,
+    their denominator, its numerator lists, its bisection count and its
+    longest edge, measured once.  Its children come from
+    ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
+    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
+    Only the leaves become ``Simplex`` objects, through the rank check.  A
+    bisection child lies in its parent's affine hull, so a singular piece
+    would leave singular leaves, which the check rejects.  Pieces are split
+    left child first, so the leaves come in the order of replacing each
+    piece by its children in place.
+    """
+    n = simplex.dimension
+    levels = round_length(n)
+    budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
+    threshold = threshold_sq.numerator, threshold_sq.denominator
+    rows, denom, longest = simplex.ints, simplex.denom, simplex._longest_edge
+    # (rows, denom, lists, longest edge, cuts, cuts in the round, the
+    # round's target squared diameter); the root opens the first round.
+    stack = [(rows, denom, lists, longest, 0, 0, _quarter(longest, denom))]
+    leaves = []
+    while stack:
+        rows, denom, lists, longest, cuts, depth, target = stack.pop()
+        if depth >= levels and not _wider(longest, denom, target):
+            if not _wider(longest, denom, threshold):
+                leaves.append((_checked_simplex(rows, denom, longest), k * cuts, lists))
+                continue
+            target, depth = _quarter(longest, denom), 0
+        elif depth == budget:
+            raise DegenerateSimplex("edge bisection failed to halve the diameter")
+        _, i, j = longest
+        rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
+        table = split_table(k, n, i, j)
+        lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
+        cuts, depth = cuts + 1, depth + 1
+        stack.append((rows_j, denom, lists_j, _longest(rows_j), cuts, depth, target))
+        stack.append((rows_i, denom, lists_i, _longest(rows_i), cuts, depth, target))
+    return leaves
+
+
+def subdivide(root, split, visit, stop):
     """The subdivision loop behind ``certify_local`` and both ``minimize``
-    strategies, which differ only in the four callbacks.
+    strategies, which differ only in the four callbacks.  A patch here is
+    whatever ``split`` makes: a ``RationalPatch`` for ``minimize``, a
+    numerator ``BernsteinPatch`` for the local certificate.
 
     The frontier is a heap of (key, seq, depth, patch); seq keeps tied keys
     in insertion order.  ``visit(patch, depth)`` sees the root at depth 0 and
@@ -300,6 +343,8 @@ def rational_patch(
             f"numerator has {pnum.dimension} variables, denominator {pden.dimension}"
         )
     base = max(pnum.degree, pden.degree)
+    if degree is not None and degree < base:
+        raise DegreeTooLow(f"Bernstein degree {degree} below polynomial degree {base}")
     k = base if degree is None else degree
     num, den = to_bernstein(pnum, k, simplex), to_bernstein(pden, k, simplex)
     if max(den.nums) < 0:
@@ -341,17 +386,15 @@ def convergence_constants(
     n = f.dimension
     base = f.degree
     working = base if degree is None else degree
-    num_patch, den_patch = f.num, f.den
-    min_den = min(den_patch.coeffs)
-    lo, hi = f.enclosure()
-    zeta = max(abs(lo), abs(hi))
-    if base >= 2:
-        norm_p = num_patch.second_differences().sup_norm
-        norm_q = den_patch.second_differences().sup_norm
-    else:
-        norm_p = Fraction(0)
-        norm_q = Fraction(0)
-    mixed = norm_p + zeta * norm_q
+    num, den = f.num, f.den
+    min_den = Fraction(min(den.nums), den.scale)
+    # The largest |ratio|: |a|/b > |c|/d is |a|*d > |c|*b on the numerators.
+    top, bottom = 0, 1
+    for a, b in zip(num.nums, den.nums):
+        if abs(a) * bottom > top * b:
+            top, bottom = abs(a), b
+    zeta = Fraction(top * den.scale, bottom * num.scale)
+    mixed = _second_difference_sup(num) + zeta * _second_difference_sup(den)
     omega = Fraction(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
     omega_prime = (
         working

@@ -21,7 +21,6 @@ from bernbound import (
     to_bernstein,
 )
 from bernbound import certify
-from bernbound.certify import _refuting_vertex
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
 from bernbound.ratpatch import rational_patch
 
@@ -342,11 +341,17 @@ class Leaf(NamedTuple):
 
 
 @contextmanager
-def leaf_log():
+def leaf_log(den):
     """The pieces one ``certify_local`` run inside the block tests, as
     ``Leaf`` records in visit order, up to and including the first piece
     with a refuting vertex.  A piece is certified when its visit drops it
-    and no vertex refutes it."""
+    and no vertex refutes it.
+
+    The run splits its numerator alone, so each record's ratios divide the
+    piece's numerator coefficients by an independent conversion of ``den``
+    on the piece's simplex.  A denominator whose coefficients are all
+    negative was negated with the numerator at the root, so its conversion
+    is negated too."""
     log = []
     refuted = False
 
@@ -354,9 +359,12 @@ def leaf_log():
         nonlocal refuted
         if refuted:
             return
-        refuted = _refuting_vertex(piece) is not None
-        log.append(Leaf(depth, piece.simplex, piece.ratios,
-                        key is None and not refuted))
+        q = to_bernstein(den, piece.degree, piece.simplex).coeffs
+        if max(q) < 0:
+            q = [-c for c in q]
+        ratios = tuple(c / d for c, d in zip(piece.coeffs, q))
+        refuted = any(ratios[p] <= 0 for p in piece.index_set.vertex_positions())
+        log.append(Leaf(depth, piece.simplex, ratios, key is None and not refuted))
 
     with watch_subdivide(certify, record):
         yield log

@@ -89,7 +89,7 @@ def test_02_degree_three_certificate_regression():
 def test_03_local_certificate_subdivision_regression():
     start = time.perf_counter()
     num, den, domain = fn_dip()
-    with leaf_log() as log:
+    with leaf_log(den) as log:
         report = certify_local(num, den, domain, n_max=3)
     assert report.verdict is Verdict.CERTIFIED
     assert report.depth_used == 2

@@ -127,7 +127,7 @@ class TestCertifyLocal:
         # coefficient triples; only [0, 1/2] fails; its depth-2 halves
         # certify, so the verdict arrives at depth 2 with 5 leaves.
         num, den, domain = fn_dip()
-        with leaf_log() as log:
+        with leaf_log(den) as log:
             report = certify_local(num, den, domain, n_max=3)
         assert report.verdict is Verdict.CERTIFIED
         assert report.depth_used == 2
@@ -180,7 +180,7 @@ class TestCertifyLocal:
 
     def test_fixed_degree_throughout(self):
         num, den, domain = fn_dip()
-        with leaf_log() as log:
+        with leaf_log(den) as log:
             report = certify_local(num, den, domain, n_max=3)
         base = max(num.degree, den.degree)
         assert report.degree_used == base
@@ -188,7 +188,7 @@ class TestCertifyLocal:
 
     def test_soundness_certified_leaves_positive(self):
         num, den, domain = fn_dip()
-        with leaf_log() as log:
+        with leaf_log(den) as log:
             certify_local(num, den, domain, n_max=3)
         for rec in log:
             if rec.certified:
@@ -396,7 +396,7 @@ class TestVerdictSoundness:
         from conftest import rational_instances
 
         for pnum, pden, simplex, _ in rational_instances(12, seed=7171, max_n=2):
-            with leaf_log() as log:
+            with leaf_log(pden) as log:
                 report = certify_local(pnum, pden, simplex, n_max=3)
             if report.verdict is Verdict.CERTIFIED:
                 for rec in log:

@@ -423,6 +423,20 @@ class TestUsageAndErrors:
         assert main(["bounds", dip_spec, "--degree", "1"]) == 64
         assert "Bernstein degree 1 below polynomial degree 2" in capsys.readouterr().err
 
+    def test_degree_below_names_the_function_degree(self, tmp_path, capsys):
+        # (x^2 + 1) / (x^3 + 1) has degree 3, the denominator's, though the
+        # numerator is the first polynomial converted.
+        spec = _write(tmp_path, "cubic.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1"}, {"exponents": [2], "coeff": "1"}]},
+            "denominator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1"}, {"exponents": [3], "coeff": "1"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["bounds", spec, "--degree", "1"]) == 64
+        assert capsys.readouterr().err == (
+            "error: Bernstein degree 1 below polynomial degree 3\n")
+
     @pytest.mark.parametrize("mode", ["global", "negative"])
     def test_kmax_below_function_degree(self, dip_spec, capsys, mode):
         assert main(["certify", dip_spec, "--mode", mode, "--kmax", "1"]) == 64

@@ -11,7 +11,10 @@ convergence flag and a-priori rounds, for a converged run and for the
 partial result of ``BudgetExhausted``.  The pieces the local certificate
 tests, which no run keeps, are watched from outside the loop
 (``conftest.leaf_log``) and must match the reference's in order.  A finished
-run holds none of the pieces it visited.
+run holds none of the pieces it visited.  Spies check that a run does only
+the work its answer reads: ``minimize`` values a piece only when its lower
+bound is below the incumbent, and each bisection splits one numerator list
+in the local certificate and two in ``minimize``.
 
 ``RationalPatch.refine``, the one integer subdivision driver under all three,
 is checked the same way against rounds of patch objects: each round single
@@ -48,7 +51,7 @@ from bernbound import (  # noqa: E402
     minimize,
     rational_patch,
 )
-from bernbound import certify, optimize  # noqa: E402
+from bernbound import certify, optimize, ratpatch  # noqa: E402
 from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import BudgetExhausted  # noqa: E402
 from bernbound.geometry import diameter_sq, longest_edge, round_length  # noqa: E402
@@ -254,13 +257,16 @@ ROOT_REFUTED = (PowerPoly.univariate([F(-1, 3), 1]), ONE, UNIT, F(-1, 3))
 DIP = (PowerPoly.univariate([F(1, 9) + F(1, 20), F(-2, 3), 1]), ONE, UNIT, F(1, 20))
 # (x - 1/3)^2 on [0, 1]: the zero at 1/3 is never a dyadic vertex.
 TOUCH = (PowerPoly.univariate([F(1, 9), F(-2, 3), 1]), ONE, UNIT, F(0))
+# (x - 1/2)^2 on [0, 1]: the root's grid value f(1/2) = 0 is the incumbent,
+# and the lower bound of each half ties it exactly.
+HALF_TOUCH = (PowerPoly.univariate([F(1, 4), -1, 1]), ONE, UNIT, F(0))
 
 
-def _local_outcome(run):
+def _local_outcome(den, run):
     """(verdict, depth, leaves, witness, log) of ``run()``, a local
-    certificate, with the (depth, simplex, certified) of each piece it
-    tested."""
-    with leaf_log() as log:
+    certificate of a function over ``den``, with the (depth, simplex,
+    certified) of each piece it tested."""
+    with leaf_log(den) as log:
         report = run()
     return (report.verdict, report.depth_used, report.leaves, report.witness,
             [(r.depth, r.simplex, r.certified) for r in log]), report
@@ -278,9 +284,9 @@ def test_certify_local_matches_reference(problem, n_max):
     n_max = min(n_max, DEPTH_CAP[simplex.dimension])
     root = rational_patch(num, den, simplex)
     verdict, depth, leaves, witness, log = ref_certify_local(root, n_max)
-    got, _ = _local_outcome(lambda: certify_local(num, den, simplex, n_max))
+    got, _ = _local_outcome(den, lambda: certify_local(num, den, simplex, n_max))
     assert got == (verdict, depth, leaves, witness, log)
-    got, negative = _local_outcome(lambda: certify_negative(
+    got, negative = _local_outcome(den, lambda: certify_negative(
         num.negate(), den, simplex, via="local", n_max=n_max))
     if witness is not None:
         witness = Witness(witness.point, -witness.value, witness.kind)
@@ -326,6 +332,8 @@ EPSILONS = st.sampled_from((F(1, 400), F(1, 40), F(1, 4000), F(1, 8), F(1, 2)))
 @example(TOUCH, F(1, 40), 2, "best-first")
 @example(TOUCH, F(1, 40), 2, "uniform")
 @example(DIP, F(1, 1000), None, "best-first")
+@example(HALF_TOUCH, F(1, 8), None, "best-first")
+@example(HALF_TOUCH, F(1, 8), None, "uniform")
 def test_minimize_matches_reference(problem, epsilon, budget, mode):
     num, den, simplex, _ = problem
     root = rational_patch(num, den, simplex)
@@ -345,6 +353,53 @@ def test_minimize_matches_reference(problem, epsilon, budget, mode):
     got = {key: getattr(result, key) for key in want if key != "witness"}
     assert {**got, "witness": result.argmin_candidate} == want
     assert result.epsilon == epsilon
+
+
+@pytest.mark.parametrize("mode", ["best-first", "uniform"])
+@pytest.mark.parametrize("problem", [HALF_TOUCH, DIP, TOUCH],
+                         ids=["half-touch", "dip", "touch"])
+def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, mode):
+    # A piece whose lower bound reaches the incumbent cannot lower it, so
+    # only the pieces below it go through ``local_bounds`` (a grid value and
+    # the vertex values).  Replaying the visits gives the incumbent before
+    # each one; on HALF_TOUCH the two halves tie it and are not valued.
+    real = local_bounds
+    valued, visited = [], []
+    monkeypatch.setattr(optimize, "local_bounds", lambda f: valued.append(f) or real(f))
+    with watch_subdivide(optimize, lambda piece, depth, key: visited.append(piece)):
+        try:
+            minimize(*problem[:3], F(1, 1000), budget=3, mode=mode)
+        except BudgetExhausted:
+            pass
+    delta, want = None, []
+    for piece in visited:
+        m, d, _ = real(piece)
+        if delta is None or m < delta:
+            want.append(piece)
+            delta = d if delta is None else min(delta, d)
+    assert len(valued) == len(want) < len(visited)
+    assert all(a is b for a, b in zip(valued, want))
+
+
+@pytest.mark.parametrize("run, lists", [
+    (lambda: certify_local(*fn_dip(), n_max=3), 1),
+    (lambda: certify_local(*closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0],
+                                        [0, 0])[:3], n_max=2), 1),
+    (lambda: minimize(*DIP[:3], F(1, 1000)), 2),
+    (lambda: minimize(*DIP[:3], F(1, 1000), mode="uniform"), 2),
+], ids=["certify_local-dip", "certify_local-2d", "best-first", "uniform"])
+def test_one_split_per_list_per_bisection(monkeypatch, run, lists):
+    # The local certificate splits the numerator alone below its root;
+    # minimize splits numerator and denominator.
+    calls = {"split_nums": 0, "_bisect_rows": 0}
+    for name in calls:
+        def counted(*args, real=getattr(ratpatch, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ratpatch, name, counted)
+    run()
+    assert calls["_bisect_rows"] > 0
+    assert calls["split_nums"] == lists * calls["_bisect_rows"]
 
 
 @pytest.mark.parametrize("module, run", [

@@ -184,6 +184,24 @@ def ref_second_differences(coeffs, k, n):
     return tuple(items), max((abs(v) for _, v in items), default=F(0))
 
 
+def ref_convergence_constants(f, degree):
+    """(zeta, omega, omega_prime, min_den) by the plain formula: one
+    ``Fraction`` per coefficient and per second difference."""
+    n, base = f.dimension, f.degree
+    min_den = min(f.den.coeffs)
+    zeta = max(abs(r) for r in f.ratios)
+    if base >= 2:
+        norm_p = ref_second_differences(f.num.coeffs, base, n)[1]
+        norm_q = ref_second_differences(f.den.coeffs, base, n)[1]
+    else:
+        norm_p = norm_q = F(0)
+    mixed = norm_p + zeta * norm_q
+    omega = F(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
+    omega_prime = (degree * F(n * n * (n + 1) * (n + 2) ** 2 * (n + 3), 576)
+                   / min_den * mixed)
+    return zeta, omega, omega_prime, min_den
+
+
 def ref_longest(simplex):
     """Squared length and (i, j) of the longest edge by a Fraction pair
     loop; lowest (i, j) breaks ties."""
@@ -694,3 +712,40 @@ def test_halving_guard_gives_up_on_a_non_shrinking_bisection(monkeypatch):
         f.split_round()
     with pytest.raises(DegenerateSimplex, match="failed to halve"):
         f.refine(F(1, 100))
+
+
+@KERNEL
+@given(rational_problems(), st.integers(0, 3), st.booleans())
+def test_convergence_constants_match_reference(case, lift, split):
+    # The constants read integers: the smallest denominator numerator, the
+    # largest |ratio| by cross-multiplying and each second-difference sup
+    # norm over its scale.  A split child's scale is no longer the lcm of
+    # its coefficient denominators.
+    pnum, pden, simplex, k = case
+    f = rational_patch(pnum, pden, simplex, k)
+    if split:
+        f = f.split_edge(*longest_edge(simplex))[1]
+    c = ratpatch.convergence_constants(f, k + lift)
+    assert (c.zeta, c.omega, c.omega_prime, c.min_den) == ref_convergence_constants(
+        f, k + lift)
+    assert (c.base_degree, c.working_degree) == (k, k + lift)
+
+
+@KERNEL
+@given(rational_problems(), st.sampled_from((4, 16)))
+def test_numerator_refinement_matches_rational_refinement(case, divisor):
+    # The local certificate's numerator-only split: the numerators of the
+    # rational refinement, with the same leaves, order, integers and scales.
+    # A divisor of 16 asks for two rounds, except in three variables, where
+    # a round makes 64 pieces.
+    pnum, pden, simplex, k = case
+    f = rational_patch(pnum, pden, simplex, k)
+    if simplex.dimension == 3:
+        divisor = 4
+    threshold = diameter_sq(simplex) / divisor
+    got = ratpatch._refine_numerator(f.num, threshold)
+    want = [leaf.num for leaf in f.refine(threshold)]
+    assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
+    for mine, theirs in zip(got, want):
+        assert (mine.degree, mine.nums, mine.scale) == (
+            theirs.degree, theirs.nums, theirs.scale)

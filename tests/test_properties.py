@@ -4,8 +4,11 @@ Each problem is f = m + s * |x - a|^2 / q with a strictly inside the domain
 and q Bernstein-positive there (``conftest.closed_form``), so its exact
 minimum is m.  Global and local certification must agree whenever both
 conclude, and each verdict must match the sign of m; both ``minimize``
-strategies must bracket m and a dense-sample minimum.  Conversion at a
-degree must give the patch that elevation reaches, in one to three variables.
+strategies must bracket m and a dense-sample minimum.  The local
+certificate splits its numerator alone, so on every piece it tests the
+denominator must stay positive and the numerator must be the conversion on
+that piece, in one to three variables.  Conversion at a degree must give
+the patch that elevation reaches, in one to three variables.
 """
 
 import json
@@ -23,7 +26,9 @@ from bernbound import (  # noqa: E402
     minimize,
     rational_patch,
     standard_simplex,
+    to_bernstein,
 )
+from bernbound import certify  # noqa: E402
 from bernbound.errors import DenominatorNotPositive  # noqa: E402
 from conftest import (  # noqa: E402
     closed_form,
@@ -31,6 +36,7 @@ from conftest import (  # noqa: E402
     positive_denominator,
     random_poly,
     random_simplex,
+    watch_subdivide,
 )
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -38,10 +44,10 @@ VERDICTS = settings(PROPERTY, max_examples=50)
 
 
 @st.composite
-def problems(draw):
-    """(num, den, simplex, a, m) with n in {2, 3}; a third of the minima are
-    negative, one in six is zero."""
-    n = draw(st.sampled_from((2, 3)))
+def problems(draw, dimensions=(2, 3)):
+    """(num, den, simplex, a, m) with n in ``dimensions``; a third of the
+    minima are negative, one in six is zero."""
+    n = draw(st.sampled_from(dimensions))
     m = draw(st.sampled_from((F(-1, 2), F(-1, 20), F(0), F(1, 20), F(1, 4), F(1))))
     s = draw(st.sampled_from((F(1, 4), F(1), F(3))))
     weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
@@ -89,6 +95,23 @@ def test_minimize_brackets_contain_sampled_minimum(problem, mode):
     sampled = min(_value(num, den, p) for p in dense_sample(simplex, steps))
     assert _value(num, den, a) == m <= sampled
     assert result.lower <= sampled < result.upper + eps
+
+
+@PROPERTY
+@given(problems((1, 2, 3)))
+def test_local_pieces_keep_a_positive_denominator(problem):
+    # Below its root the local certificate splits the numerator alone and
+    # reads its signs as the function's.  On every piece it tests, an
+    # independent conversion of the denominator must be positive, and the
+    # kernel's numerator must be the conversion of the numerator.
+    num, den, simplex, _, _ = problem
+    k = max(num.degree, den.degree)
+    pieces = []
+    with watch_subdivide(certify, lambda piece, depth, key: pieces.append(piece)):
+        certify_local(num, den, simplex, {1: 3, 2: 2, 3: 1}[simplex.dimension])
+    for piece in pieces:
+        assert min(to_bernstein(den, k, piece.simplex).nums) > 0
+        assert piece == to_bernstein(num, k, piece.simplex)
 
 
 @PROPERTY
