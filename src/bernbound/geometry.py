@@ -203,6 +203,13 @@ def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, 
     return tuple([Fraction(v, det) for v in lam])
 
 
+def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[int]:
+    """``barycentric`` over its common denominator W: integers summing to W."""
+    lam = barycentric(simplex, point)
+    common = lcm(*(c.denominator for c in lam))
+    return [c.numerator * (common // c.denominator) for c in lam]
+
+
 def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
     """The point (alpha_0 v_0 + ... + alpha_n v_n) / k, exactly."""
     if k < 1:

@@ -9,7 +9,8 @@ exponents.  Everything here is exact integer arithmetic.
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
 they encode; they are built once per degree and dimension (and edge, for
-splitting) and stored as flat integer arrays.
+splitting) and stored as flat integer arrays.  The power-to-Bernstein
+conversion reuses the edge-splitting table of each edge (0, axis).
 """
 
 from __future__ import annotations
@@ -156,10 +157,13 @@ def split_table(
 ) -> Tuple[Tuple[Tuple[array, array], ...], Tuple[array, array], Tuple[array, array]]:
     """Gather table for midpoint de Casteljau along edge (i, j).
 
-    The rule runs on a growing triangle list whose first entries are the
-    degree-``degree`` coefficients.  Along each line of ``edge_lines`` every
-    de Casteljau level holds the pairwise sums of the level below it, so the
-    s-th level of a line carries a factor 2^s.  Returns:
+    The index set is cut into lines along the edge direction: a line holds
+    the positions of the indices that agree everywhere except in alpha_i
+    and alpha_j, ordered by alpha_j = 0, 1, ..., alpha_i + alpha_j.  The
+    rule runs on a growing triangle list whose first entries are the
+    degree-``degree`` coefficients.  Along each line every de Casteljau
+    level holds the pairwise sums of the level below it, so the s-th level
+    of a line carries a factor 2^s.  Returns:
 
     - ``levels``: one (firsts, seconds) pair of flat position arrays per
       level s = 1..degree; level s appends, in order, the entries
@@ -176,7 +180,11 @@ def split_table(
     size = comb(degree + dimension, dimension)
     left_entries, left_shifts = array("I", [0]) * size, array("I", [0]) * size
     right_entries, right_shifts = array("I", [0]) * size, array("I", [0]) * size
-    lines = [(line, line) for line in edge_lines(degree, dimension, i, j)]
+    by_rest = {}
+    for pos, alpha in enumerate(enumerate_indices(degree, dimension)):
+        rest = alpha[:i] + alpha[i + 1:j] + alpha[j + 1:]
+        by_rest.setdefault(rest, []).append((alpha[j], pos))
+    lines = [(array("I", [pos for _, pos in sorted(line)]),) * 2 for line in by_rest.values()]
     levels = []
     top = size
     for s in range(degree + 1):
@@ -229,20 +237,3 @@ def second_difference_moves(
                                                     (prev_i, j - 1), (i, j))):
                     column.append(shifted(gamma, a, b))
     return tuple(keys), columns
-
-
-@lru_cache(maxsize=None)
-def edge_lines(degree: int, dimension: int, i: int, j: int) -> Tuple[array, ...]:
-    """The index set cut into lines along the edge direction (i, j).
-
-    A line holds the positions of the indices that agree everywhere except
-    in alpha_i and alpha_j, ordered by alpha_j = 0, 1, ..., alpha_i + alpha_j.
-    ``split_table`` builds its de Casteljau levels along these lines, and
-    the power-to-Bernstein conversion runs its binomial transform along the
-    lines of the edges (0, axis).
-    """
-    lines = {}
-    for pos, alpha in enumerate(enumerate_indices(degree, dimension)):
-        rest = alpha[:i] + alpha[i + 1:j] + alpha[j + 1:]
-        lines.setdefault(rest, []).append((alpha[j], pos))
-    return tuple(array("I", (pos for _, pos in sorted(line))) for line in lines.values())

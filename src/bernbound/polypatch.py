@@ -14,10 +14,10 @@ arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
 view, built on first use.  Elevation has one rule, the homogeneous sum step
 (``_elevate_homogeneous``) that the global certificate scan runs on its own
 integers; ``elevate`` divides its result back to Bernstein numerators.
-Conversion from the power basis is integer too (a binomial transform of an
-integer grid, then one gcd), and so are second differences, which build a
-``Fraction`` only per returned entry, and the value at a grid point
-(``grid_sum``).
+Conversion from the power basis gathers from the edge split's de Casteljau
+triangle (``_triangle``), then divides by one gcd; second differences are
+integer too, building a ``Fraction`` only per returned entry, and ``eval``
+is one integer weighted sum (``grid_sum``).
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from operator import add, lshift, mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow
-from .geometry import Simplex, affine_pullback, barycentric, bisect_edge, standard_simplex
+from .geometry import Simplex, _barycentric_weights, affine_pullback, bisect_edge, standard_simplex
 from .indexing import (
     IndexSet,
-    binom_graded,
-    edge_lines,
     elevation_sums,
     enumerate_indices,
     multinomials,
@@ -141,32 +139,22 @@ class BernsteinPatch:
         return Interval(min(self.coeffs), max(self.coeffs))
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
-        """Exact value of the represented polynomial at a point.
+        """Exact value of the represented polynomial at a rational point,
+        inside the simplex or not: ``grid_sum`` at the point's integer
+        barycentric weights w, over scale * (sum w)^k."""
+        weights = _barycentric_weights(self.simplex, point)
+        return Fraction(self.grid_sum(weights), self.scale * sum(weights) ** self.degree)
 
-        Sums coefficient * multinomial * lambda^alpha over the barycentric
-        coordinates of the point; exact for rational points.
+    def grid_sum(self, weights: Sequence[int]) -> int:
+        """The integer scale * W^k * p(weights / W) for integer barycentric
+        weights with W = sum(weights) != 0.
+
+        At barycentric coordinates w / W the value is
+        sum nums[beta] * multinomial(k; beta) * prod w_i^beta_i over
+        scale * W^k, as |beta| = k.  Grid points are the case w = alpha,
+        W = k, which needs no coordinates and no linear solve.
         """
-        lam = barycentric(self.simplex, point)
-        k = self.degree
-        total = Fraction(0)
-        for alpha, num in zip(self.index_set, self.nums):
-            if not num:
-                continue
-            weight = Fraction(binom_graded(k, alpha[1:]))
-            for l_i, a_i in zip(lam, alpha):
-                if a_i:
-                    weight *= l_i ** a_i
-            total += num * weight
-        return total / self.scale
-
-    def grid_sum(self, alpha: Sequence[int]) -> int:
-        """The integer scale * k^k * p(grid point alpha / k).
-
-        At barycentric coordinates alpha / k the value is
-        sum nums[beta] * multinomial(k; beta) * prod alpha_i^beta_i over
-        scale * k^k, so no coordinates and no linear solve are needed.
-        """
-        powers = [[a ** e for e in range(self.degree + 1)] for a in alpha]
+        powers = [[a ** e for e in range(self.degree + 1)] for a in weights]
         total = 0
         for beta, num, weight in zip(self.index_set, self.nums,
                                      multinomials(self.degree, self.dimension)):
@@ -297,6 +285,17 @@ def _elevate_homogeneous(
     return [*summed, 0], vertices
 
 
+def _triangle(nums: Sequence[int], levels) -> List[int]:
+    """The de Casteljau triangle of an ``indexing.split_table``'s levels:
+    ``nums`` followed by every level of pairwise sums, one gather per
+    level."""
+    triangle = list(nums)
+    fetch = triangle.__getitem__
+    for firsts, seconds in levels:
+        triangle.extend(map(add, map(fetch, firsts), map(fetch, seconds)))
+    return triangle
+
+
 def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Midpoint de Casteljau on integer numerators through an
     ``indexing.split_table``: the two children's numerators, over 2^k times
@@ -304,13 +303,10 @@ def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, 
 
     The de Casteljau rows are pairwise sums instead of midpoints: level s
     carries a factor 2^s, which a left shift by k - s lifts to the common
-    factor 2^k.  Each level is one gather over the triangle list.
+    factor 2^k.  Both children are gathered from one ``_triangle``.
     """
     levels, (left, left_shifts), (right, right_shifts) = table
-    triangle = list(nums)
-    fetch = triangle.__getitem__
-    for firsts, seconds in levels:
-        triangle.extend(map(add, map(fetch, firsts), map(fetch, seconds)))
+    fetch = _triangle(nums, levels).__getitem__
     return (tuple(map(lshift, map(fetch, left), left_shifts)),
             tuple(map(lshift, map(fetch, right), right_shifts)))
 
@@ -324,10 +320,10 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     a binomial transform, one axis at a time, of the integers
     A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S are the
     polynomial's own integer terms over its scale S; b_alpha is the result
-    over S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b) is
-    the first entry of the x-th pairwise-sum row, the rows that
-    ``split_nums`` builds for the child keeping v_0; lines of zeros are
-    skipped.
+    over S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b)
+    is the first entry of the x-th level of the de Casteljau triangle of
+    the edge (0, axis): the grid becomes the unshifted entries that
+    ``split_nums`` gathers for the child keeping v_0.
     """
     if degree < poly.degree:
         raise DegreeTooLow(
@@ -345,13 +341,8 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
             weight *= fact[b]
         grid[index.position((rest,) + bhat)] = coeff * weight
     for axis in range(1, n + 1):
-        for line in edge_lines(degree, n, 0, axis):
-            row = [grid[p] for p in line]
-            if not any(row):
-                continue
-            for p in line:
-                grid[p] = row[0]
-                row = list(map(add, row, row[1:]))
+        levels, (left, _), _ = split_table(degree, n, 0, axis)
+        grid = [*map(_triangle(grid, levels).__getitem__, left)]
     scale = lcd * fact[degree]
     common = gcd(scale, *grid)
     return BernsteinPatch._from_ints(standard_simplex(n), degree,

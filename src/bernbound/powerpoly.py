@@ -7,8 +7,8 @@ floats and strings are rejected rather than truncated.
 
 Coefficients are stored as integers over one positive scale, reduced so that
 equal polynomials store equal integers; the ``Fraction`` terms are a view
-built on first use.  User input is validated in full by the constructor
-(and so by ``from_json``).  Composition with an affine map
+built on first use.  The constructor alone validates, parses and sums user
+terms (``from_json`` passes them on as given).  Composition with an affine map
 (``substitute_affine``) runs on integers over common denominators and hands
 its integer terms on as they are, with no ``Fraction`` per term and no
 re-check of the exponents it made; ``polypatch.to_bernstein_standard``
@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch
 from .rationals import Rational, format_rational, parse_rational
@@ -54,17 +54,19 @@ class PowerPoly:
     The coefficient of ``exps`` is ``c / scale`` for each ``(exps, c)`` in
     ``int_terms``; the scale is positive and shares no factor with every
     ``c``, so equal polynomials store equal integers.  Terms are sorted by
-    degree, then exponents, and none is zero.
+    degree, then exponents, and none is zero.  The constructor takes a
+    mapping or (exponents, coeff) pairs; a repeated tuple's coefficients add.
     """
 
     __slots__ = ("dimension", "degree", "int_terms", "scale", "_terms")
 
-    def __init__(self, dimension: int, terms: Mapping[Sequence[int], Rational]):
+    def __init__(self, dimension: int, terms: Union[
+            Mapping[Sequence[int], Rational], Iterable[Tuple[Sequence[int], Rational]]]):
         dimension = _integer(dimension, "dimension")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         cleaned: TermMap = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(map(_exponent, exps))
             if len(exps) != dimension:
                 raise DimensionMismatch(
@@ -72,9 +74,9 @@ class PowerPoly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            value = parse_rational(coeff) if not isinstance(coeff, Fraction) else coeff
+            value = parse_rational(coeff)
             if value:
-                cleaned[exps] = cleaned.get(exps, Fraction(0)) + value
+                cleaned[exps] = cleaned[exps] + value if exps in cleaned else value
         items = sorted(((e, c) for e, c in cleaned.items() if c), key=_term_sort_key)
         scale = lcm(*(c.denominator for _, c in items))
         self.dimension = dimension
@@ -210,11 +212,8 @@ class PowerPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PowerPoly":
-        terms: TermMap = {}
-        for term in data.get("terms", []):
-            exps = tuple(map(_exponent, term["exponents"]))
-            terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(term["coeff"])
-        return cls(data["dimension"], terms)
+        return cls(data["dimension"],
+                   [(t["exponents"], t["coeff"]) for t in data.get("terms", [])])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerPoly):

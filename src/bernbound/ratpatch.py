@@ -45,6 +45,7 @@ from .errors import (
 )
 from .geometry import (
     Simplex,
+    _barycentric_weights,
     _bisect_rows,
     _checked_simplex,
     _longest,
@@ -150,14 +151,16 @@ class RationalPatch:
         return self._enclosure
 
     def eval(self, point) -> Fraction:
-        """Exact value num(point) / den(point)."""
-        return self.num.eval(point) / self.den.eval(point)
+        """Exact value num(point) / den(point): ``grid_value`` at the
+        point's integer barycentric weights, from one linear solve."""
+        return self.grid_value(_barycentric_weights(self.simplex, point))
 
-    def grid_value(self, alpha) -> Fraction:
-        """Exact value at the grid point of index alpha (barycentric
-        coordinates alpha / k); the factor k^k of both sums cancels."""
-        return Fraction(self.num.grid_sum(alpha) * self.den.scale,
-                        self.den.grid_sum(alpha) * self.num.scale)
+    def grid_value(self, weights) -> Fraction:
+        """Exact value at integer barycentric weights w (coordinates w / W
+        for W = sum w); the grid point of index alpha is w = alpha.  Both
+        patches have degree k, so the factor W^k of both sums cancels."""
+        return Fraction(self.num.grid_sum(weights) * self.den.scale,
+                        self.den.grid_sum(weights) * self.num.scale)
 
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""

@@ -383,6 +383,21 @@ class TestUsageAndErrors:
         assert f"spec field '{field}'" in err
         assert f"not a rational number: {value!r}" in err
 
+    @pytest.mark.parametrize("coeff", ["1e5000", "1e-5000"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_exponent_past_the_digit_limit(self, tmp_path, capsys, coeff, json_flag):
+        # Refused while the spec is read: nothing is computed or printed.
+        spec = _write(tmp_path, "big.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [1], "coeff": coeff}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main(["bounds", spec, *json_flag]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "spec field 'numerator'" in err
+        assert f"not a rational number: {coeff!r}" in err
+
     @pytest.mark.parametrize("exponent", [1.5, 1.0, True, "2"])
     def test_non_integer_exponent(self, tmp_path, capsys, exponent):
         spec = _write(tmp_path, "exp.json", {

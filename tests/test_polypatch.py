@@ -1,6 +1,7 @@
 """Power form, Bernstein conversion, elevation, enclosure, differences,
 the control-net deviation bound, and de Casteljau edge splitting."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -14,6 +15,8 @@ from bernbound import (
     discretization_bound,
     enumerate_indices,
     grid_point,
+    parse_rational,
+    rational_patch,
     standard_simplex,
     to_bernstein,
     to_bernstein_standard,
@@ -21,6 +24,7 @@ from bernbound import (
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch
 from conftest import (
     bernstein_by_interpolation,
+    random_fraction,
     random_point_in,
     random_poly,
     random_simplex,
@@ -53,6 +57,23 @@ class TestPowerPoly:
         q = PowerPoly(1, {(1,): F(4, 2)})
         assert p == q
 
+    def test_from_json_adds_repeated_exponents(self):
+        def from_terms(dimension, *terms):
+            return PowerPoly.from_json({"dimension": dimension, "terms": [
+                {"exponents": e, "coeff": c} for e, c in terms]})
+
+        assert from_terms(1, ([1], "1/2"), ([0], "2"), ([1], "1/2")) == \
+            PowerPoly(1, {(1,): 1, (0,): 2})
+        cancelled = from_terms(2, ([0, 0], "1"), ([2, 1], "3/4"), ([2, 1], "-3/4"))
+        assert cancelled == PowerPoly.constant(2, 1)
+        assert cancelled.degree == 0
+        assert cancelled.terms == {(0, 0): 1}
+        for exponent in (1.5, True):
+            with pytest.raises(TypeError, match="is not an integer"):
+                from_terms(1, ([0], "1"), ([exponent], "1"))
+        with pytest.raises(DimensionMismatch):
+            from_terms(2, ([0, 1], "1"), ([1], "1"))
+
     def test_negate(self):
         p = PowerPoly.univariate([1, -5, 7])
         assert p.negate().eval([2]) == -p.eval([2])
@@ -68,6 +89,15 @@ class TestPowerPoly:
             {"dimension": 1, "terms": [{"exponents": [0], "coeff": "1.3"}]}
         )
         assert p.eval([0]) == F(13, 10)
+        assert parse_rational("1.3e-2") == F(13, 1000)
+        assert parse_rational("2e3") == 2000
+
+    @pytest.mark.parametrize("text", ["1e5000", "1e-5000"])
+    def test_exponent_past_the_digit_limit(self, text):
+        # The limit is the interpreter's own (4300 digits by default); the
+        # value is refused before it is expanded.
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
 
 
 class TestToBernsteinStandard:
@@ -138,13 +168,25 @@ class TestToBernstein:
 
     def test_patch_eval_matches_poly(self):
         rng = random.Random(61)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             simplex = random_simplex(rng, n)
-            p = random_poly(rng, n, 3)
-            patch = to_bernstein(p, 4, simplex)
-            for _ in range(20):
-                x = random_point_in(rng, simplex)
-                assert patch.eval(x) == p.eval(x)
+            # Swapping two vertices flips the sign of the determinant.
+            first, second, *rest = simplex.vertices
+            swapped = Simplex([second, first, *rest])
+            den = PowerPoly(n, {(0,) * n: 3, (2,) + (0,) * (n - 1): 1})
+            for p in (random_poly(rng, n, 3), random_poly(rng, n, 0)):
+                # Points of the simplex, then points that are mostly outside it.
+                points = [random_point_in(rng, simplex) for _ in range(10)]
+                points += [tuple(random_fraction(rng, 20, 7) for _ in range(n))
+                           for _ in range(10)]
+                for s, k in itertools.product((simplex, swapped),
+                                              (p.degree, p.degree + 2)):
+                    patch = to_bernstein(p, k, s)
+                    ratio = rational_patch(p, den, s, k) if k >= den.degree else None
+                    for x in points:
+                        assert patch.eval(x) == p.eval(x)
+                        if ratio is not None:
+                            assert ratio.eval(x) == p.eval(x) / den.eval(x)
 
 
 class TestEnclosureAndSoundness:
