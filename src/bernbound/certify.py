@@ -15,6 +15,10 @@ the numerator only and the local certificate splits the numerator only.  A
 refuting vertex's value divides its numerator coefficient by the root
 denominator evaluated at that vertex.
 
+Each public ``certify_*`` function, like the command line's ``certify``, is
+one call into ``_certify``, the one run that checks the budgets, converts,
+certifies and attaches the a-priori bounds of any claims.
+
 The global scan runs on homogeneous coefficients c_alpha = b_alpha *
 multinomial(k; alpha), kept as integers over the base patch's scale.  They
 elevate by plain sums (``polypatch._elevate_homogeneous``, the step
@@ -37,20 +41,25 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
-from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous
+from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous, to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import (
     ConvergenceConstants,
     RationalPatch,
     _refine_numerator,
+    convergence_constants,
     rational_patch,
     subdivide,
 )
 from .rationals import Rational, float_str, format_rational, parse_rational
+
+# Default budgets: the global degree, the local depth, and the diameter
+# factor per local depth step.
+K_MAX, N_MAX, SHRINK = 30, 10, Fraction(1, 2)
 
 
 class Verdict(str, Enum):
@@ -148,9 +157,6 @@ class CertificateReport:
         return out
 
 
-Certifier = Callable[[RationalPatch], CertificateReport]
-
-
 def _signs_certify(values: Sequence[int], vertices: Sequence[int]) -> bool:
     """The certificate's sign rule on integers that carry the coefficients'
     signs: none negative, and every vertex entry strictly positive."""
@@ -244,8 +250,7 @@ def certify_global(
     alone, so no patch is built per degree.  Termination before k_max is
     guaranteed only for strictly positive functions.
     """
-    run = _certifier("global", max(pnum.degree, pden.degree), k_max=k_max)
-    return run(rational_patch(pnum, pden, simplex))
+    return _certify(pnum, pden, simplex, "global", k_max=k_max)
 
 
 def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
@@ -278,7 +283,7 @@ def certify_local(
     pden: PowerPoly,
     simplex: Simplex,
     n_max: int,
-    shrink: Rational = Fraction(1, 2),
+    shrink: Rational = SHRINK,
 ) -> CertificateReport:
     """Subdivide at fixed degree until every leaf certifies.
 
@@ -294,9 +299,7 @@ def certify_local(
     piece lives only until it is decided or split: the report counts
     certified leaves and keeps none.
     """
-    run = _certifier("local", max(pnum.degree, pden.degree), n_max=n_max,
-                     shrink=shrink)
-    return run(rational_patch(pnum, pden, simplex))
+    return _certify(pnum, pden, simplex, "local", n_max=n_max, shrink=shrink)
 
 
 def _certify_local(root: RationalPatch, n_max: int,
@@ -354,9 +357,9 @@ def certify_negative(
     pden: PowerPoly,
     simplex: Simplex,
     via: str = "global",
-    k_max: int = 30,
-    n_max: int = 10,
-    shrink: Rational = Fraction(1, 2),
+    k_max: int = K_MAX,
+    n_max: int = N_MAX,
+    shrink: Rational = SHRINK,
 ) -> CertificateReport:
     """Certify negativity by certifying positivity of the negated numerator.
 
@@ -364,30 +367,60 @@ def certify_negative(
     original function's sign (a refuting witness is a point where the
     function is >= 0).
     """
-    run = _certifier(via, max(pnum.degree, pden.degree), k_max, n_max, shrink)
-    return _negated(run)(rational_patch(pnum, pden, simplex))
+    return _certify(pnum, pden, simplex, via, k_max, n_max, shrink, negate=True)
 
 
-def _certifier(via: str, degree: int, k_max: int = 30, n_max: int = 10,
-               shrink: Rational = Fraction(1, 2)) -> Certifier:
-    """The certificate named ``via`` as a function of the root patch.
+def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
+             k_max: int = K_MAX, n_max: int = N_MAX, shrink: Rational = SHRINK,
+             negate: bool = False, claimed_min: Optional[Rational] = None,
+             claimed_numerator_min: Optional[Rational] = None) -> CertificateReport:
+    """The one certification run: convert, certify, report.
 
-    ``degree`` is the function's.  The arguments are checked here, before
-    any conversion, so their errors are reported ahead of a denominator that
-    is not Bernstein-positive; ``k_max`` is checked for global only.
+    The arguments are checked before any conversion, so their errors come
+    ahead of a denominator that is not Bernstein-positive: ``n_max``,
+    ``shrink``, ``k_max`` against the function degree (global only), then
+    ``via``.  With ``negate`` the certificate runs on the root with its
+    numerator negated (the conversion's gcd is sign-blind, so these are the
+    integers of -pnum) and the witness value gets the function's sign back.
+    Claims add a-priori bounds read from the un-negated root: D1, degree and
+    depth from ``claimed_min``; D2 from ``claimed_numerator_min`` over the
+    numerator's own-degree patch, which is ``root.num`` (up to a sign D2
+    does not see) when the numerator has the root's degree.
     """
     if n_max < 0:
         raise InvalidArgument(f"n_max must be nonnegative, got {n_max}")
     shrink = _shrink_factor(shrink)
+    degree = max(pnum.degree, pden.degree)
+    if via == "global" and k_max < degree:
+        raise DegreeTooLow(f"k_max {k_max} below the function degree {degree}")
+    if via not in ("sharpness", "global", "local"):
+        raise InvalidArgument(f"unknown certification mode: {via!r}")
+    root = rational_patch(pnum, pden, simplex)
+    f = RationalPatch(root.num.negate(), root.den) if negate else root
     if via == "sharpness":
-        return certify_sharpness
-    if via == "global":
-        if k_max < degree:
-            raise DegreeTooLow(f"k_max {k_max} below the function degree {degree}")
-        return lambda root: _certify_global(root, k_max)
-    if via == "local":
-        return lambda root: _certify_local(root, n_max, shrink)
-    raise InvalidArgument(f"unknown certification mode: {via!r}")
+        report = certify_sharpness(f)
+    elif via == "global":
+        report = _certify_global(f, k_max)
+    else:
+        report = _certify_local(f, n_max, shrink)
+    if negate:
+        w = report.witness
+        report = replace(report, witness=w and replace(w, value=-w.value), negated=True)
+    if claimed_min is None and claimed_numerator_min is None:
+        return report
+    apriori = AprioriInfo()
+    if claimed_min is not None:
+        fmin = ClaimedMinimum(claimed_min)
+        constants = convergence_constants(root)
+        apriori = AprioriInfo(d1=apriori_d1(constants, fmin),
+                              degree_bound=apriori_degree_omega(constants, fmin),
+                              depth_bound=apriori_depth(constants, fmin, shrink))
+    if claimed_numerator_min is not None:
+        num = root.num if pnum.degree == root.degree else to_bernstein(
+            pnum, pnum.degree, simplex)
+        pmin = ClaimedMinimum(claimed_numerator_min)
+        apriori = replace(apriori, d2=apriori_d2(num, pmin))
+    return replace(report, apriori=apriori)
 
 
 def _shrink_factor(shrink: Rational) -> Fraction:
@@ -396,19 +429,6 @@ def _shrink_factor(shrink: Rational) -> Fraction:
     if not 0 < shrink.numerator < shrink.denominator:
         raise InvalidArgument(f"shrink factor must lie in (0, 1), got {shrink}")
     return shrink
-
-
-def _negated(certify: Certifier) -> Certifier:
-    """``certify`` run on the root with its numerator negated, reported as a
-    negativity certificate.  The conversion reduces by a sign-blind gcd, so
-    the negated patch has the integers a conversion of -pnum would give."""
-
-    def run(root: RationalPatch) -> CertificateReport:
-        inner = certify(RationalPatch(root.num.negate(), root.den))
-        w = inner.witness
-        return replace(inner, witness=w and replace(w, value=-w.value), negated=True)
-
-    return run
 
 
 def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:
@@ -450,7 +470,7 @@ def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
 def apriori_depth(
     constants: ConvergenceConstants,
     fmin: ClaimedMinimum,
-    shrink: Rational = Fraction(1, 2),
+    shrink: Rational = SHRINK,
 ) -> int:
     """Smallest depth N with shrink^(2N) * 2*omega_prime < fmin.
 

@@ -3,11 +3,13 @@
 A problem file is JSON with a numerator polynomial, an optional denominator
 (default 1), and a domain given either as a simplex or as an interval.
 Rational numbers are strings like "13/10" or "1.3" and are parsed exactly;
-floats in the output are renderings only.  Exit codes: 0 success/certified,
-1 refuted, 2 inconclusive or budget exhausted, 64 usage error (including a
-value the library rejects as ``InvalidArgument``), 70 internal error, 141
-standard output closed by its reader (128 + SIGPIPE, as a shell reports a
-process that signal ended; nothing is written to stderr).
+floats in the output are renderings only.  Each value comes from its flag,
+else its spec field, else the library's default, and the library checks
+it: the command line keeps no rule of the method.  Exit codes: 0
+success/certified, 1 refuted, 2 inconclusive or budget exhausted, 64 usage
+error (including a value the library rejects as ``InvalidArgument``), 70
+internal error, 141 standard output closed by its reader (128 + SIGPIPE, as
+a shell reports a process that signal ended; nothing is written to stderr).
 """
 
 from __future__ import annotations
@@ -16,31 +18,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from . import __version__
-from .certify import (
-    AprioriInfo,
-    CertificateReport,
-    ClaimedMinimum,
-    Mode,
-    Verdict,
-    _certifier,
-    _negated,
-    apriori_d1,
-    apriori_d2,
-    apriori_degree_omega,
-    apriori_depth,
-)
+from .certify import K_MAX, N_MAX, SHRINK, CertificateReport, Mode, Verdict, _certify
 from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
 from .optimize import minimize
-from .polypatch import to_bernstein
 from .powerpoly import PowerPoly, _integer
-from .ratpatch import RationalPatch, convergence_constants, rational_patch
+from .ratpatch import convergence_constants, rational_patch
 from .rationals import float_str, format_rational, parse_rational
 
 EXIT_CERTIFIED = 0
@@ -68,10 +57,10 @@ class ProblemSpec:
     denominator: PowerPoly
     domain: Simplex
     degree: Optional[int] = None
-    k_max: int = 30
-    n_max: int = 10
+    k_max: int = K_MAX
+    n_max: int = N_MAX
     eps: Optional[Fraction] = None
-    shrink: Fraction = Fraction(1, 2)
+    shrink: Fraction = SHRINK
     claimed_min: Optional[Fraction] = None
     claimed_numerator_min: Optional[Fraction] = None
 
@@ -170,6 +159,8 @@ def load_problem(path: str) -> ProblemSpec:
         raise UsageError(
             f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise UsageError(f"{source}: {exc}") from exc
     return parse_problem(data)
 
 
@@ -197,7 +188,7 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--nmax", type=int, help="depth budget for local mode")
     p_cert.add_argument("--via", choices=["sharpness", "global", "local"], default="global",
                         help="underlying mode for --mode negative")
-    p_cert.add_argument("--shrink", help="diameter factor per local-mode depth (default 1/2)")
+    p_cert.add_argument("--shrink", help=f"diameter factor per local-mode depth (default {SHRINK})")
 
     p_min = sub.add_parser("minimize", help="bracket the minimum within a gap")
     common(p_min)
@@ -259,39 +250,6 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     return EXIT_CERTIFIED
 
 
-def _apriori_info(spec: ProblemSpec, shrink: Fraction,
-                  root: RationalPatch) -> Optional[AprioriInfo]:
-    """A-priori bounds for the claims the spec carries, or None without one.
-
-    D1 and the degree and depth bounds read ``claimed_min`` alone, D2 reads
-    ``claimed_numerator_min`` alone.  ``root`` is the base-degree patch of
-    the spec's function, the one the certifier ran on (before any
-    negation).  When the numerator's degree is the root's, ``root.num`` is
-    the numerator's own-degree patch that D2 reads, up to a sign that D2
-    does not see.
-    """
-    if spec.claimed_min is None and spec.claimed_numerator_min is None:
-        return None
-    info = AprioriInfo()
-    if spec.claimed_min is not None:
-        fmin = ClaimedMinimum(spec.claimed_min)
-        constants = convergence_constants(root)
-        info = AprioriInfo(
-            d1=apriori_d1(constants, fmin),
-            degree_bound=apriori_degree_omega(constants, fmin),
-            depth_bound=apriori_depth(constants, fmin, shrink),
-        )
-    if spec.claimed_numerator_min is not None:
-        if spec.numerator.degree == root.degree:
-            num_patch = root.num
-        else:
-            num_patch = to_bernstein(spec.numerator, spec.numerator.degree,
-                                     spec.domain)
-        info = replace(info, d2=apriori_d2(
-            num_patch, ClaimedMinimum(spec.claimed_numerator_min)))
-    return info
-
-
 def _print_certificate(report: CertificateReport, as_json: bool) -> int:
     if as_json:
         print(json.dumps(report.to_json(), indent=2))
@@ -326,21 +284,16 @@ def _print_certificate(report: CertificateReport, as_json: bool) -> int:
 
 
 def cmd_certify(spec: ProblemSpec, args) -> int:
-    k_max = args.kmax if args.kmax is not None else spec.k_max
-    n_max = args.nmax if args.nmax is not None else spec.n_max
     try:
         shrink = parse_rational(args.shrink) if args.shrink is not None else spec.shrink
     except ValueError as exc:
         raise UsageError(f"--shrink: {exc}") from exc
     negative = args.mode == "negative"
-    run = _certifier(args.via if negative else args.mode,
-                     max(spec.numerator.degree, spec.denominator.degree),
-                     k_max, n_max, shrink)
-    root = rational_patch(spec.numerator, spec.denominator, spec.domain)
-    report = (_negated(run) if negative else run)(root)
-    apriori = _apriori_info(spec, shrink, root)
-    if apriori is not None:
-        report = replace(report, apriori=apriori)
+    report = _certify(spec.numerator, spec.denominator, spec.domain,
+                      args.via if negative else args.mode,
+                      spec.k_max if args.kmax is None else args.kmax,
+                      spec.n_max if args.nmax is None else args.nmax,
+                      shrink, negative, spec.claimed_min, spec.claimed_numerator_min)
     return _print_certificate(report, args.json)
 
 

@@ -127,9 +127,6 @@ class BernsteinPatch:
     def index_set(self) -> IndexSet:
         return enumerate_indices(self.degree, self.dimension)
 
-    def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self.coeffs[self.index_set.position(alpha)]
-
     def vertex_values(self) -> Tuple[Fraction, ...]:
         """Coefficients at the vertex indices; these equal p(v_i)."""
         return tuple(self.coeffs[p] for p in self.index_set.vertex_positions())
@@ -320,10 +317,12 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     a binomial transform, one axis at a time, of the integers
     A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S are the
     polynomial's own integer terms over its scale S; b_alpha is the result
-    over S * degree!.  Along each axis the transform g(x) = sum_b C(x, b) f(b)
-    is the first entry of the x-th level of the de Casteljau triangle of
-    the edge (0, axis): the grid becomes the unshifted entries that
-    ``split_nums`` gathers for the child keeping v_0.
+    over S * degree!.  The weight beta! (degree - |beta|)! is degree! over
+    the multinomial of the index (degree - |beta|, beta), read from the
+    cached ``multinomials`` table.  Along each axis the transform
+    g(x) = sum_b C(x, b) f(b) is the first entry of the x-th level of the de
+    Casteljau triangle of the edge (0, axis): the grid becomes the unshifted
+    entries that ``split_nums`` gathers for the child keeping v_0.
     """
     if degree < poly.degree:
         raise DegreeTooLow(
@@ -331,19 +330,17 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
         )
     n = poly.dimension
     lcd = poly.scale
-    fact = [factorial(i) for i in range(degree + 1)]
+    total = factorial(degree)
     index = enumerate_indices(degree, n)
+    weights = multinomials(degree, n)
     grid = [0] * len(index)
     for bhat, coeff in poly.int_terms:
-        rest = degree - sum(bhat)
-        weight = fact[rest]
-        for b in bhat:
-            weight *= fact[b]
-        grid[index.position((rest,) + bhat)] = coeff * weight
+        p = index.position((degree - sum(bhat),) + bhat)
+        grid[p] = coeff * (total // weights[p])
     for axis in range(1, n + 1):
         levels, (left, _), _ = split_table(degree, n, 0, axis)
         grid = [*map(_triangle(grid, levels).__getitem__, left)]
-    scale = lcd * fact[degree]
+    scale = lcd * total
     common = gcd(scale, *grid)
     return BernsteinPatch._from_ints(standard_simplex(n), degree,
                                      tuple(v // common for v in grid),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import floor, log10
 from typing import NamedTuple, Union
 
 Rational = Union[Fraction, int, str]
@@ -12,9 +13,11 @@ Rational = Union[Fraction, int, str]
 def parse_rational(value: Rational) -> Fraction:
     """Parse ``"p/q"``, decimal strings like ``"1.3"``, or ints, exactly.
 
-    Bools are rejected: a JSON ``true`` is not the number 1.  So is an
-    exponent e with 10^|e| past ``sys.get_int_max_str_digits()`` (if any),
-    before ``Fraction`` expands it: such a number could never be printed."""
+    Bools are rejected: a JSON ``true`` is not the number 1.  So is a string
+    whose reduced numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` (if there is a limit), since it could
+    never be printed; an exponent e with 10^|e| past the limit is refused
+    before ``Fraction`` expands it."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -25,7 +28,12 @@ def parse_rational(value: Rational) -> Fraction:
             limit = getattr(sys, "get_int_max_str_digits", int)()
             if marker and limit and abs(int(exponent)) >= limit:
                 raise ValueError(f"10^|exponent| has more than {limit} digits")
-            return Fraction(value.strip())
+            parsed = Fraction(value.strip())
+            # Below 8^limit, so below 10^limit, whenever within 3 * limit bits.
+            big = max(abs(parsed.numerator), parsed.denominator)
+            if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+                raise ValueError(f"more than {limit} digits")
+            return parsed
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"not a rational number: {value!r}")
@@ -39,8 +47,25 @@ def format_rational(value: Fraction) -> str:
 
 
 def float_str(value: Fraction) -> str:
-    """Six-significant-digit float rendering, for display only."""
-    return f"{float(value):.6g}"
+    """Six-significant-digit float rendering, for display only.  A value
+    beyond the float range is rounded exactly, half to even, to the same
+    form: ``1e+309``, ``-1.3e+309``."""
+    try:
+        return f"{float(value):.6g}"
+    except OverflowError:
+        return _large_str(Fraction(value))
+
+
+def _large_str(value: Fraction) -> str:
+    """``.6g`` of a value of magnitude at least 2^1024, rounded exactly; its
+    decimal exponent is above 300, so the form is always exponential."""
+    num, den = abs(value.numerator), value.denominator
+    # Start one below the decimal exponent, which log10 may miss by one.
+    exponent = floor(log10(num) - log10(den)) - 1
+    while (digits := round(Fraction(num, den * 10 ** (exponent - 5)))) >= 10 ** 6:
+        exponent += 1
+    head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
+    return f"{'-' if value < 0 else ''}{head}{'.' * bool(tail)}{tail}e+{exponent}"
 
 
 class Interval(NamedTuple):
@@ -49,12 +74,6 @@ class Interval(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 

@@ -4,15 +4,31 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import bernbound
-from bernbound import PowerPoly
+from bernbound import (
+    AprioriInfo,
+    ClaimedMinimum,
+    PowerPoly,
+    apriori_degree_omega,
+    apriori_depth,
+    certify_global,
+    certify_local,
+    certify_negative,
+    certify_sharpness,
+    convergence_constants,
+    rational_patch,
+    to_bernstein,
+)
 from bernbound import cli
+from bernbound.certify import apriori_d1, apriori_d2
 from bernbound.cli import main
+from conftest import fn_cert3, fn_dip, rational_instances
 
 DIP_SPEC = {
     "numerator": {"dimension": 1, "terms": [
@@ -356,7 +372,7 @@ class TestUsageAndErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("the certificate ran")
 
-        monkeypatch.setattr(cli, "_certifier", unreachable)
+        monkeypatch.setattr(cli, "_certify", unreachable)
         spec = _write(tmp_path, "claim.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100",
             field: value})
@@ -397,6 +413,39 @@ class TestUsageAndErrors:
         assert out == ""
         assert "spec field 'numerator'" in err
         assert f"not a rational number: {coeff!r}" in err
+
+    @pytest.mark.parametrize("coeff", [
+        '"12e4299"',  # the exponent passes, the value has 4,301 digits
+        '"1' + "0" * 3000 + "." + "0" * 3000 + '1"',  # each digit run passes
+        "1" + "0" * 5000,  # a bare JSON integer: json.loads refuses it
+    ], ids=["exponent", "digit-runs", "json-integer"])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_value_past_the_digit_limit(self, tmp_path, capsys, coeff, json_flag):
+        spec = _write(tmp_path, "big.json", '{"numerator": {"dimension": 1, '
+                      '"terms": [{"exponents": [1], "coeff": %s}]}, '
+                      '"domain": {"interval": ["0", "1"]}}' % coeff)
+        assert main(["bounds", spec, *json_flag]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        if coeff.startswith('"'):
+            assert "spec field 'numerator': not a rational number" in err
+        else:
+            assert f"error: {spec}: " in err
+
+    @pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--json"],
+                                      ["minimize", "--eps", "1"],
+                                      ["minimize", "--eps", "1", "--json"]])
+    def test_value_beyond_float_range(self, tmp_path, capsys, argv):
+        # The exact value is rendered in the float style it overflows.
+        spec = _write(tmp_path, "huge.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1e309"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main([argv[0], spec, *argv[1:]]) == 0
+        out = capsys.readouterr().out
+        assert "1e+309" in out
 
     @pytest.mark.parametrize("exponent", [1.5, 1.0, True, "2"])
     def test_non_integer_exponent(self, tmp_path, capsys, exponent):
@@ -604,3 +653,57 @@ def test_closed_stdout_exits_141(unbuffered):
         proc.stdout.close()
         _, err = proc.communicate(json.dumps(spec).encode(), timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("claims", [{}, {"claimed_min": "1/100"},
+                                    {"claimed_numerator_min": "1/50"},
+                                    {"claimed_min": "1/100", "claimed_numerator_min": "1/50"}],
+                         ids=["no-claim", "fmin", "pmin", "both"])
+@pytest.mark.parametrize("mode", ["sharpness", "global", "local", "negative"])
+def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
+    """``certify --json`` reports what the public ``certify_*`` functions
+    report, with the a-priori bounds built by hand from the public
+    ``apriori_*`` functions; only the wall clock differs."""
+    k_max, n_max = 12, 3
+    unit, one = bernbound.Simplex.from_interval(0, 1), PowerPoly.constant(1, 1)
+    cases = [case[:3] for case in rational_instances(8, seed=1717, max_n=2, max_l=3)]
+    cases += [fn_dip(), fn_cert3(),
+              (PowerPoly.univariate([F(1, 4), -1, 1]), one, unit),  # touches zero
+              (one, PowerPoly.univariate([F(13, 50), -1, 1]), unit)]  # mixed-sign den
+    for i, (pnum, pden, simplex) in enumerate(cases):
+        spec = _write(tmp_path, f"agree{i}.json", {
+            "numerator": pnum.to_json(), "denominator": pden.to_json(),
+            "domain": simplex.to_json(), **claims})
+        code = main(["certify", spec, "--mode", mode, "--kmax", str(k_max),
+                     "--nmax", str(n_max), "--json"])
+        out, err = capsys.readouterr()
+        try:
+            report = {
+                "sharpness": lambda: certify_sharpness(rational_patch(pnum, pden, simplex)),
+                "global": lambda: certify_global(pnum, pden, simplex, k_max),
+                "local": lambda: certify_local(pnum, pden, simplex, n_max),
+                "negative": lambda: certify_negative(pnum, pden, simplex, "global",
+                                                     k_max, n_max),
+            }[mode]()
+        except bernbound.BernboundError as exc:
+            # A denominator that is not Bernstein-positive at the base degree.
+            assert (code, out, err) == (70, "", f"error: {exc}\n")
+            continue
+        if claims:
+            apriori = AprioriInfo()
+            if "claimed_min" in claims:
+                fmin = ClaimedMinimum(claims["claimed_min"])
+                constants = convergence_constants(rational_patch(pnum, pden, simplex))
+                apriori = AprioriInfo(d1=apriori_d1(constants, fmin),
+                                      degree_bound=apriori_degree_omega(constants, fmin),
+                                      depth_bound=apriori_depth(constants, fmin))
+            if "claimed_numerator_min" in claims:
+                apriori = replace(apriori, d2=apriori_d2(
+                    to_bernstein(pnum, pnum.degree, simplex),
+                    ClaimedMinimum(claims["claimed_numerator_min"])))
+            report = replace(report, apriori=apriori)
+        expected = json.loads(json.dumps(report.to_json()))
+        got = json.loads(out)
+        del expected["wall_clock"], got["wall_clock"]
+        assert got == expected
+        assert code == {"certified": 0, "refuted": 1, "inconclusive": 2}[got["verdict"]]

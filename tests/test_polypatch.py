@@ -22,6 +22,7 @@ from bernbound import (
     to_bernstein_standard,
 )
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch
+from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,
     random_fraction,
@@ -98,6 +99,45 @@ class TestPowerPoly:
         # value is refused before it is expanded.
         with pytest.raises(ValueError, match="not a rational number"):
             parse_rational(text)
+
+    @pytest.mark.parametrize("text", [
+        "12e4299",  # the exponent passes, the value has 4,301 digits
+        "1" + "0" * 3000 + "." + "0" * 3000 + "1",  # each digit run passes
+    ], ids=["exponent", "digit-runs"])
+    def test_value_past_the_digit_limit(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+
+    def test_value_at_the_digit_limit(self):
+        assert parse_rational("9" * 4300) == 10 ** 4300 - 1
+        assert parse_rational("1e-4299") == F(1, 10 ** 4299)
+
+
+class TestFloatStr:
+    @pytest.mark.parametrize("value, text", [
+        (F(10) ** 309, "1e+309"),
+        (-F(10) ** 309, "-1e+309"),
+        (13 * F(10) ** 308, "1.3e+309"),
+        (F(10 ** 400, 3), "3.33333e+399"),
+        # Rounded exactly, half to even, carrying into the exponent.
+        (F(1234565) * F(10) ** 303, "1.23456e+309"),
+        (F(9999995) * F(10) ** 303, "1e+310"),
+        (F(2 ** 1024), "1.79769e+308"),
+    ])
+    def test_beyond_float_range(self, value, text):
+        with pytest.raises(OverflowError):
+            float(value)
+        assert float_str(value) == text
+
+    @pytest.mark.parametrize("value, text", [
+        (F(0), "0"),
+        (F(13, 10), "1.3"),
+        (F(-1, 3), "-0.333333"),
+        (F(10) ** 300, "1e+300"),
+        (F(1, 10 ** 400), "0"),  # underflow renders as the float does
+    ])
+    def test_within_float_range(self, value, text):
+        assert float_str(value) == text
 
 
 class TestToBernsteinStandard:
