@@ -2,6 +2,9 @@
 points, diameters, affine pullback to the standard simplex, and edge
 bisection.
 
+The pullback (``_pulled_back``) hands the integer rows, v_0 and v_i - v_0
+over ``denom``, to the one Horner rule ``powerpoly._pullback``.
+
 All geometry is exact.  A ``Simplex`` stores its vertices as integer
 coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
@@ -22,10 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DegreeMismatch, DimensionMismatch
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _pullback
 from .rationals import Rational, format_rational, parse_rational
 
 Point = Tuple[Fraction, ...]
@@ -96,12 +99,6 @@ class Simplex:
 
     def vertex(self, i: int) -> Point:
         return self._point(self.ints[i])
-
-    def edge_vectors(self) -> List[List[Fraction]]:
-        """The n vectors v_i - v_0 as rows."""
-        v0, denom = self.ints[0], self.denom
-        return [[Fraction(a - b, denom) for a, b in zip(vi, v0)]
-                for vi in self.ints[1:]]
 
     def signature(self):
         """Deterministic sort key over simplices (nested vertex tuples)."""
@@ -254,7 +251,8 @@ def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
     """Compose poly with the map t -> v_0 + sum_i t_i (v_i - v_0).
 
     The result represents poly on |simplex| in standard-simplex coordinates;
-    coefficients stay exact and the degree is preserved.
+    coefficients stay exact and the degree is preserved.  The map is read
+    from the simplex's integer rows (``_pulled_back``).
     """
     n = simplex.dimension
     if poly.dimension != n:
@@ -263,7 +261,18 @@ def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
         )
     if simplex == standard_simplex(n):
         return poly
-    return poly.substitute_affine(simplex.vertex(0), simplex.edge_vectors())
+    width = poly.degree.bit_length()
+    return PowerPoly._from_packed(n, width, *_pulled_back(simplex, poly, width))
+
+
+def _pulled_back(simplex: Simplex, poly: PowerPoly,
+                 width: int) -> Tuple[Dict[int, int], int]:
+    """``powerpoly._pullback`` of poly on the map t -> v_0 + sum_i t_i
+    (v_i - v_0), straight from the integer rows over ``simplex.denom``: the
+    origin row v_0 and the direction rows v_i - v_0."""
+    v0 = simplex.ints[0]
+    return _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)] for vi in simplex.ints[1:]],
+                     simplex.denom, width)
 
 
 def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:

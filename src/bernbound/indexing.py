@@ -10,15 +10,16 @@ The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
 they encode; they are built once per degree and dimension (and edge, for
 splitting) and stored as flat integer arrays.  The power-to-Bernstein
-conversion reuses the edge-splitting table of each edge (0, axis).
+conversion scatters its terms through ``conversion_table`` and reuses the
+edge-splitting table of each edge (0, axis).
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from math import comb
-from typing import Iterator, Sequence, Tuple
+from math import comb, factorial
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .errors import OrderExceedsDegree
 
@@ -113,6 +114,26 @@ def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
     canonical order (cached)."""
     return tuple(binom_graded(degree, alpha[1:])
                  for alpha in enumerate_indices(degree, dimension))
+
+
+@lru_cache(maxsize=None)
+def conversion_table(degree: int, dimension: int) -> Tuple[int, Dict[int, Tuple[int, int]]]:
+    """Scatter table for power-to-Bernstein conversion at ``degree``.
+
+    Returns the key width w = degree.bit_length() and a map from the packed
+    key sum_j beta_j << (w * j) of every power-basis exponent beta with
+    |beta| <= degree to (position, factor): the canonical position of the
+    index (degree - |beta|,) + beta and the factor
+    beta! (degree - |beta|)! = degree! / multinomial(degree; index).
+    """
+    width = degree.bit_length()
+    total = factorial(degree)
+    table = {}
+    for pos, (alpha, weight) in enumerate(zip(enumerate_indices(degree, dimension),
+                                              multinomials(degree, dimension))):
+        key = sum(e << (width * j) for j, e in enumerate(alpha[1:]))
+        table[key] = (pos, total // weight)
+    return width, table
 
 
 @lru_cache(maxsize=None)

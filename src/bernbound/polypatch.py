@@ -14,8 +14,10 @@ arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
 view, built on first use.  Elevation has one rule, the homogeneous sum step
 (``_elevate_homogeneous``) that the global certificate scan runs on its own
 integers; ``elevate`` divides its result back to Bernstein numerators.
-Conversion from the power basis gathers from the edge split's de Casteljau
-triangle (``_triangle``), then divides by one gcd; second differences are
+Conversion from the power basis is one kernel, ``to_bernstein``: integer
+Horner pullback from the simplex's rows (skipped on the standard simplex),
+a table scatter into the grid, the edge split's de Casteljau triangle
+(``_triangle``) along each axis, and one gcd; second differences are
 integer too, building a ``Fraction`` only per returned entry, and ``eval``
 is one integer weighted sum (``grid_sum``).
 """
@@ -28,10 +30,11 @@ from math import factorial, gcd, lcm
 from operator import add, lshift, mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DegreeTooLow
-from .geometry import Simplex, _barycentric_weights, affine_pullback, bisect_edge, standard_simplex
+from .errors import DegreeTooLow, DimensionMismatch
+from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
 from .indexing import (
     IndexSet,
+    conversion_table,
     elevation_sums,
     enumerate_indices,
     multinomials,
@@ -310,50 +313,61 @@ def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, 
 
 def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     """Bernstein coefficients of poly at the given degree over the standard
-    simplex:  b_alpha = sum over beta <= alpha_hat of
-    C(alpha_hat, beta) / C(degree, beta) * a_beta, exactly.
+    simplex: ``to_bernstein`` on ``standard_simplex(poly.dimension)``."""
+    return to_bernstein(poly, degree, standard_simplex(poly.dimension))
+
+
+def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
+    """Bernstein patch of poly at the given degree over a simplex, exactly.
+
+    One integer kernel.  The pullback to standard-simplex coordinates t is
+    ``geometry._pulled_back``: Horner on the integer linear forms read from
+    the simplex's rows, with no ``Fraction`` and no intermediate
+    ``PowerPoly``; on the standard simplex itself the polynomial's own terms
+    are the pulled-back terms.  Either way the terms A_beta over a scale S
+    give a_beta = A_beta / S, and over the standard simplex
+    b_alpha = sum over beta <= alpha_hat of
+    C(alpha_hat, beta) / C(degree, beta) * a_beta.
 
     With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
     a binomial transform, one axis at a time, of the integers
-    A_beta * beta! * (degree - |beta|)!, where a_beta = A_beta / S are the
-    polynomial's own integer terms over its scale S; b_alpha is the result
-    over S * degree!.  The weight beta! (degree - |beta|)! is degree! over
-    the multinomial of the index (degree - |beta|, beta), read from the
-    cached ``multinomials`` table.  Along each axis the transform
-    g(x) = sum_b C(x, b) f(b) is the first entry of the x-th level of the de
-    Casteljau triangle of the edge (0, axis): the grid becomes the unshifted
-    entries that ``split_nums`` gathers for the child keeping v_0.
+    A_beta * beta! * (degree - |beta|)!, scattered into the grid through
+    ``indexing.conversion_table``; b_alpha is the result over S * degree!.
+    Along each axis the transform g(x) = sum_b C(x, b) f(b) is the first
+    entry of the x-th level of the de Casteljau triangle of the edge
+    (0, axis): the grid becomes the unshifted entries that ``split_nums``
+    gathers for the child keeping v_0.  One gcd reduces the result, so the
+    numerators and scale are canonical.
     """
+    n = simplex.dimension
+    if poly.dimension != n:
+        raise DimensionMismatch(
+            f"polynomial has {poly.dimension} variables, simplex has {n}"
+        )
     if degree < poly.degree:
         raise DegreeTooLow(
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
         )
-    n = poly.dimension
-    lcd = poly.scale
-    total = factorial(degree)
-    index = enumerate_indices(degree, n)
-    weights = multinomials(degree, n)
-    grid = [0] * len(index)
-    for bhat, coeff in poly.int_terms:
-        p = index.position((degree - sum(bhat),) + bhat)
-        grid[p] = coeff * (total // weights[p])
+    width, table = conversion_table(degree, n)
+    if simplex == standard_simplex(n):
+        terms = [(sum(e << (width * j) for j, e in enumerate(exps)), c)
+                 for exps, c in poly.int_terms]
+        scale = poly.scale
+    else:
+        packed, scale = _pulled_back(simplex, poly, width)
+        terms = packed.items()
+    scale *= factorial(degree)
+    grid = [0] * len(table)
+    for key, c in terms:
+        p, factor = table[key]
+        grid[p] = c * factor
     for axis in range(1, n + 1):
         levels, (left, _), _ = split_table(degree, n, 0, axis)
         grid = [*map(_triangle(grid, levels).__getitem__, left)]
-    scale = lcd * total
     common = gcd(scale, *grid)
-    return BernsteinPatch._from_ints(standard_simplex(n), degree,
-                                     tuple(v // common for v in grid),
+    return BernsteinPatch._from_ints(simplex, degree,
+                                     tuple([v // common for v in grid]),
                                      scale // common)
-
-
-def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
-    """Bernstein patch of poly over an arbitrary simplex, via affine pullback."""
-    pulled = affine_pullback(simplex, poly)
-    base = to_bernstein_standard(pulled, degree)
-    if simplex == base.simplex:
-        return base
-    return BernsteinPatch._from_ints(simplex, degree, base.nums, base.scale)
 
 
 def discretization_bound(patch: BernsteinPatch, degree: int) -> Fraction:

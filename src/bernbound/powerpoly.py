@@ -9,10 +9,12 @@ Coefficients are stored as integers over one positive scale, reduced so that
 equal polynomials store equal integers; the ``Fraction`` terms are a view
 built on first use.  The constructor alone validates, parses and sums user
 terms (``from_json`` passes them on as given).  Composition with an affine map
-(``substitute_affine``) runs on integers over common denominators and hands
-its integer terms on as they are, with no ``Fraction`` per term and no
-re-check of the exponents it made; ``polypatch.to_bernstein_standard``
-reads those integers directly.
+has one rule, ``_pullback``: multivariate Horner on integer linear forms
+over one denominator, giving packed integer terms with no ``Fraction`` per
+term.  ``polypatch.to_bernstein`` scatters those packed terms straight into
+its Bernstein grid; ``substitute_affine`` (rational arguments put over one
+denominator) and ``geometry.affine_pullback`` decode them into a
+``PowerPoly`` with ``_from_packed``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .rationals import Rational, format_rational, parse_rational
 
 Exponents = Tuple[int, ...]
@@ -158,48 +160,50 @@ class PowerPoly:
     ) -> "PowerPoly":
         """Compose with the affine map t -> origin + sum_j t_j * directions[j].
 
-        Returns the polynomial in the new variables t, with exact
-        coefficients.  The total degree never increases.
+        Returns the polynomial in the new variables t, one per direction,
+        with exact coefficients.  The total degree never increases.
 
-        The map's entries are put over one denominator D and the
-        coefficients over one denominator S, so x_i = L_i(t) / D with
-        integer linear forms L_i.  Multivariate Horner on integer term dicts
-        then gives S * D^d * p(L / D) for the degree d, one multiply by an
-        L_i per step.  The result keeps those integers over S * D^d, reduced
-        by their gcd; it builds no ``Fraction`` per term and does not re-check
-        the exponents it made.
+        The map's entries are put over one denominator D, so x_i = L_i(t) / D
+        with integer linear forms L_i, and ``_pullback`` runs the one
+        pullback rule on them; the packed result is decoded by
+        ``_from_packed``.
         """
-        if len(origin) != self.dimension:
-            raise DimensionMismatch("origin has wrong dimension")
-        m = len(directions)
-        origin = [parse_rational(c) for c in origin]
-        rows = [[parse_rational(direction[i]) for i in range(self.dimension)]
-                for direction in directions]
-        lcd = lcm(*(c.denominator for c in origin),
+        n = self.dimension
+        if len(origin) != n:
+            raise DimensionMismatch(f"origin has {len(origin)} entries, expected {n}")
+        if not directions:
+            raise InvalidArgument("substitute_affine needs at least one direction")
+        for direction in directions:
+            if len(direction) != n:
+                raise DimensionMismatch(
+                    f"direction has {len(direction)} entries, expected {n}")
+        values = [parse_rational(c) for c in origin]
+        rows = [[parse_rational(c) for c in direction] for direction in directions]
+        lcd = lcm(*(c.denominator for c in values),
                   *(c.denominator for row in rows for c in row))
-        # A monomial t^e is the key sum_j e_j << (width * j): multiplying by
-        # t_j adds 1 << (width * j), and no exponent reaches 1 << width.
+
+        def lift(row):
+            return [c.numerator * (lcd // c.denominator) for c in row]
+
         width = self.degree.bit_length()
-        forms = []
-        for i, value in enumerate(origin):
-            form = [(0, value.numerator * (lcd // value.denominator))] if value else []
-            for j, row in enumerate(rows):
-                c = row[i]
-                if c:
-                    form.append((1 << (width * j), c.numerator * (lcd // c.denominator)))
-            forms.append(form)
-        terms = self.int_terms
-        packed = _horner(terms, 0, self.degree, forms, lcd) if terms else {}
+        return PowerPoly._from_packed(
+            len(rows), width, *_pullback(self, lift(values), [lift(row) for row in rows],
+                                         lcd, width))
+
+    @classmethod
+    def _from_packed(cls, dimension: int, width: int, packed: Dict[int, int],
+                     scale: int) -> "PowerPoly":
+        """The polynomial of ``_pullback``'s packed integer terms over
+        ``scale``, sorted and reduced by their gcd."""
         mask = (1 << width) - 1
         items = sorted(
-            [(tuple([(key >> (width * j)) & mask for j in range(m)]), c)
+            [(tuple([(key >> (width * j)) & mask for j in range(dimension)]), c)
              for key, c in packed.items() if c],
             key=_term_sort_key)
-        scale = self.scale * lcd ** self.degree
         common = gcd(scale, *(c for _, c in items))
         if common > 1:
             items = [(e, c // common) for e, c in items]
-        return PowerPoly._from_ints(m, tuple(items), scale // common)
+        return cls._from_ints(dimension, tuple(items), scale // common)
 
     def to_json(self) -> dict:
         return {
@@ -239,20 +243,47 @@ class PowerPoly:
         return " + ".join(parts)
 
 
+def _pullback(poly: PowerPoly, origin: Sequence[int],
+              directions: Sequence[Sequence[int]], denom: int,
+              width: int) -> Tuple[Dict[int, int], int]:
+    """The one pullback rule: p(x) at x = (origin + sum_j t_j *
+    directions[j]) / denom, as packed integer terms over the returned
+    denominator scale * denom^d, for the degree d and the integer terms over
+    ``scale`` of ``poly``.
+
+    A monomial t^e is the key sum_j e_j << (width * j): multiplying by t_j
+    adds 1 << (width * j), so ``width`` must leave room for every exponent
+    (``d.bit_length()`` does).  Multivariate Horner on the integer linear
+    forms L_i = origin_i + sum_j t_j * directions[j][i] needs one multiply
+    by an L_i per step and builds no ``Fraction``.
+    """
+    forms = []
+    for i, value in enumerate(origin):
+        form = [(0, value)] if value else []
+        for j, row in enumerate(directions):
+            if row[i]:
+                form.append((1 << (width * j), row[i]))
+        forms.append(form)
+    terms = poly.int_terms
+    packed = _horner(terms, 0, poly.degree, forms, denom) if terms else {}
+    return packed, poly.scale * denom ** poly.degree
+
+
 def _horner(terms, var: int, budget: int, forms, lcd: int) -> Dict[int, int]:
     """lcd^budget * sum of the integer ``terms`` with x_i = L_i / lcd for
     i >= var, as packed integer terms; every term has degree <= budget in
     those variables.
 
     Grouping by the exponent a of x_var gives sum_a L_var^a * R_a, where
-    R_a carries budget - a; Horner needs one multiply by L_var per a.
+    R_a carries budget - a; Horner needs one multiply by L_var per a.  At
+    the last variable each group is one term and R_a the constant
+    c * lcd^(budget - a), added without a recursive call.
     """
-    if var == len(forms):
-        return {0: terms[0][1] * lcd ** budget}
     groups: Dict[int, list] = {}
     for term in terms:
         groups.setdefault(term[0][var], []).append(term)
     form = forms[var]
+    last = var + 1 == len(forms)
     acc: Dict[int, int] = {}
     for a in range(max(groups), -1, -1):
         if acc:
@@ -263,7 +294,11 @@ def _horner(terms, var: int, budget: int, forms, lcd: int) -> Dict[int, int]:
                     key += step
                     out[key] = get(key, 0) + c * weight
             acc = out
-        if a in groups:
-            for key, c in _horner(groups[a], var + 1, budget - a, forms, lcd).items():
-                acc[key] = acc.get(key, 0) + c
+        if a not in groups:
+            continue
+        if last:
+            acc[0] = acc.get(0, 0) + groups[a][0][1] * lcd ** (budget - a)
+            continue
+        for key, c in _horner(groups[a], var + 1, budget - a, forms, lcd).items():
+            acc[key] = acc.get(key, 0) + c
     return acc

@@ -25,7 +25,7 @@ from bernbound import (
     rational_patch,
     to_bernstein,
 )
-from bernbound import cli
+from bernbound import cli, polypatch
 from bernbound.certify import apriori_d1, apriori_d2
 from bernbound.cli import main
 from conftest import fn_cert3, fn_dip, rational_instances
@@ -202,17 +202,18 @@ class TestCertify:
     def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
                                                  monkeypatch):
         # [-1, 1] is not the standard simplex, so every conversion of num or
-        # den pulls back once.  The root converts num and den; the a-priori
-        # bounds read it, and D2 reads its numerator (both have degree 2).
-        # Negative mode certifies on the root with its numerator negated.
+        # den pulls back once, through the conversion kernel's integer
+        # pullback.  The root converts num and den; the a-priori bounds read
+        # it, and D2 reads its numerator (both have degree 2).  Negative
+        # mode certifies on the root with its numerator negated.
         calls = []
-        original = PowerPoly.substitute_affine
+        original = polypatch._pulled_back
 
-        def counting(self, origin, directions):
-            calls.append(self)
-            return original(self, origin, directions)
+        def counting(simplex, poly, width):
+            calls.append(poly)
+            return original(simplex, poly, width)
 
-        monkeypatch.setattr(PowerPoly, "substitute_affine", counting)
+        monkeypatch.setattr(polypatch, "_pulled_back", counting)
         spec = _write(tmp_path, "claimed.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
         expected = {"sharpness": 2, "global": 2, "local": 0, "negative": 1}[mode]

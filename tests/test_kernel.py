@@ -6,8 +6,9 @@ coefficient and a dict lookup per index move.  The kernel under test stores
 integer numerators over one shared scale, elevates through gather tables
 (and, in the global scan, as homogeneous integers by plain sums), splits by
 integer de Casteljau, pulls back by integer Horner, converts by an
-integer binomial transform and reads second differences through a position
-table; every result must be exactly equal.  The simplex geometry under the
+integer binomial transform (pullback and conversion fused in one kernel,
+checked against the two-stage Fraction path) and reads second differences
+through a position table; every result must be exactly equal.  The simplex geometry under the
 split layer is checked the same way: the integer rank check and the
 integer barycentric solve against Fraction Gauss-Jordan, the longest edge measured on integers against a
 Fraction pair loop, and grid-point values from integer sums against
@@ -34,6 +35,7 @@ from bernbound import (  # noqa: E402
     PowerPoly,
     RationalPatch,
     Simplex,
+    affine_pullback,
     binom_graded,
     bisect_edge,
     cert_predicate,
@@ -52,7 +54,12 @@ from bernbound.certify import (  # noqa: E402
     _signs_certify,
     numerator_certifies,
 )
-from bernbound.errors import DegenerateSimplex, DenominatorNotPositive  # noqa: E402
+from bernbound.errors import (  # noqa: E402
+    DegenerateSimplex,
+    DenominatorNotPositive,
+    DimensionMismatch,
+    InvalidArgument,
+)
 from bernbound.geometry import barycentric  # noqa: E402
 from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
@@ -66,6 +73,7 @@ SIGNED = st.one_of(
     st.builds(F, st.integers(-99, 99), st.integers(1, 12)),
 )
 POSITIVE = st.builds(F, st.integers(1, 99), st.integers(1, 12))
+NONZERO = st.one_of(POSITIVE, st.builds(F, st.integers(-99, -1), st.integers(1, 12)))
 NONNEGATIVE = st.one_of(st.just(F(0)), POSITIVE)
 
 
@@ -235,11 +243,13 @@ def ref_gauss_jordan(rows):
 
 
 @st.composite
-def polys(draw, n, max_degree=8):
-    """A sparse polynomial in n variables of degree at most max_degree."""
+def polys(draw, n, max_degree=8, min_terms=0):
+    """A sparse polynomial in n variables of degree at most max_degree,
+    drawn with at least min_terms terms (a zero coefficient drops one)."""
     degree = draw(st.integers(0, max_degree))
     hats = [alpha[1:] for alpha in enumerate_indices(degree, n)]
-    chosen = draw(st.lists(st.sampled_from(hats), max_size=8, unique=True))
+    chosen = draw(st.lists(st.sampled_from(hats), min_size=min(min_terms, len(hats)),
+                           max_size=8, unique=True))
     return PowerPoly(n, {hat: draw(SIGNED) for hat in chosen})
 
 
@@ -381,16 +391,39 @@ def test_denominator_offenders_match_reference(case):
     assert info.value.indices == offenders
 
 
-@KERNEL
+@settings(KERNEL, max_examples=100)
 @given(st.data())
 def test_to_bernstein_matches_reference(data):
-    n = data.draw(st.integers(1, 3))
-    poly = data.draw(polys(n))
-    degree = data.draw(st.integers(poly.degree, 8))
-    simplex = data.draw(simplices(n))
+    # The fused kernel against the two-stage Fraction path: pull back, then
+    # convert.  Zero and constant polynomials, n = 4, target degrees above
+    # the polynomial's, and the standard simplex both as the cached object
+    # and built from its vertices (both take the kernel's no-pullback path).
+    n = data.draw(st.integers(1, 4))
+    shape = data.draw(st.sampled_from(("sparse", "sparse", "zero", "constant")))
+    if shape == "sparse":
+        poly = data.draw(polys(n, 8 if n < 4 else 4, min_terms=2))
+    elif shape == "zero":
+        poly = PowerPoly.zero(n)
+    else:
+        poly = PowerPoly.constant(n, data.draw(SIGNED))
+    degree = poly.degree + data.draw(st.integers(0, 3))
+    where = data.draw(st.sampled_from(("random", "random", "cached", "built")))
+    if where == "cached":
+        simplex = standard_simplex(n)
+    elif where == "built":
+        simplex = Simplex([[int(i == j) for j in range(n)] for i in range(-1, n)])
+    else:
+        rows = data.draw(st.lists(st.lists(NONZERO, min_size=n, max_size=n),
+                                  min_size=n + 1, max_size=n + 1))
+        try:
+            simplex = Simplex(rows)
+        except DegenerateSimplex:
+            assume(False)
     v0 = simplex.vertices[0]
-    pulled = ref_substitute_affine(
-        poly, v0, [[a - b for a, b in zip(v, v0)] for v in simplex.vertices[1:]])
+    edges = [[a - b for a, b in zip(v, v0)] for v in simplex.vertices[1:]]
+    pulled = ref_substitute_affine(poly, v0, edges)
+    assert affine_pullback(simplex, poly) == pulled
+    assert poly.substitute_affine(v0, edges) == pulled
     want = ref_to_bernstein_standard(pulled, degree)
     patch = to_bernstein(poly, degree, simplex)
     scale = lcm(*(c.denominator for c in want))
@@ -434,6 +467,22 @@ def test_substitute_affine_drops_cancelled_terms():
     assert zero.is_zero()
     assert zero.degree == 0
     assert zero == PowerPoly.zero(1)
+
+
+@pytest.mark.parametrize("directions, error", [
+    ([[1, 0, 9], [0, 1]], DimensionMismatch),  # a direction too long
+    ([[1, 0], [0]], DimensionMismatch),  # a direction too short
+    ([], InvalidArgument),  # no direction: no variable to return
+])
+def test_substitute_affine_checks_directions(directions, error):
+    poly = PowerPoly(2, {(1, 0): 1, (0, 1): 2})
+    with pytest.raises(error):
+        poly.substitute_affine([1, 1], directions)
+
+
+def test_substitute_affine_checks_origin():
+    with pytest.raises(DimensionMismatch):
+        PowerPoly(2, {(1, 0): 1}).substitute_affine([1, 1, 1], [[1, 0], [0, 1]])
 
 
 @KERNEL
