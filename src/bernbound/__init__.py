@@ -16,7 +16,6 @@ from .errors import (
     InvalidArgument,
     NonPositiveClaim,
     NonPositiveEpsilon,
-    NotPositive,
     OrderExceedsDegree,
     SimplexMismatch,
 )
@@ -69,5 +68,4 @@ from .optimize import (
     apriori_steps,
     local_bounds,
     minimize,
-    validated_lower_bound,
 )

@@ -1,23 +1,32 @@
 """Positivity certificates for rational functions over simplices.
 
-The core predicate accepts a coefficient list when every rational Bernstein
-coefficient is nonnegative and every vertex coefficient is strictly positive
-(vertex coefficients are true function values, so a non-positive one refutes
-positivity outright).  The denominator's coefficients are positive, so each
-ratio has its numerator coefficient's sign and the predicate reads the
-numerator alone (``numerator_certifies``).  Certification proceeds either
-globally by degree elevation or locally by subdivision at fixed degree, each
-with an a-priori bound on the work needed when a positive lower bound for the
-function is known.  Elevation and de Casteljau splitting keep a positive
-denominator positive (every new coefficient is a positive-weight mean of old
-ones), so once the root's denominator is checked, the global scan elevates
-the numerator only and the local certificate splits the numerator only.  A
+The certificate at degree k has two parts: every rational Bernstein
+coefficient is nonnegative, and every vertex coefficient is strictly
+positive (vertex coefficients are true function values, so a non-positive
+one refutes positivity outright).  The denominator's coefficients are
+positive, so each ratio has its numerator coefficient's sign and the
+predicate reads the numerator alone (``numerator_certifies``, the oracle
+that applies both parts).  Certification proceeds either globally by degree
+elevation or locally by subdivision at fixed degree, each with an a-priori
+bound on the work needed when a positive lower bound for the function is
+known.  Elevation and de Casteljau splitting keep a positive denominator
+positive (every new coefficient is a positive-weight mean of old ones), so
+once the root's denominator is checked, the global scan elevates the
+numerator only and the local certificate splits the numerator only.  A
 refuting vertex's value divides its numerator coefficient by the root
 denominator evaluated at that vertex.
 
+The vertex part is decided once per patch it concerns.  Each subdivision
+piece has its vertex coefficients scanned once (``_refuting_index``); a
+piece that survives certifies iff its smallest coefficient is nonnegative.
+The global scan checks the root's vertices once: elevation never changes a
+vertex coefficient (it is the function's value there), so after that check
+each degree only asks whether its smallest entry is negative.
+
 Each public ``certify_*`` function, like the command line's ``certify``, is
 one call into ``_certify``, the one run that checks the budgets, converts,
-certifies and attaches the a-priori bounds of any claims.
+certifies and attaches the a-priori bounds of any claims.  Every report is
+built by ``_report``, which times the kernel that asked for it.
 
 The global scan runs on homogeneous coefficients c_alpha = b_alpha *
 multinomial(k; alpha), kept as integers over the base patch's scale.  They
@@ -26,7 +35,8 @@ elevate by plain sums (``polypatch._elevate_homogeneous``, the step
 c_{beta - e_i}: no weights, no new scale, and each step grows the largest
 integer by at most a factor n + 1.  Multinomials are positive, so every c
 has its Bernstein coefficient's sign, and the vertex entries are the vertex
-coefficients themselves; the same sign rule decides.
+coefficients themselves, c_{k e_i} = c_{(k+1) e_i} (Polya's multiplication
+by (x_0 + ... + x_n)^N in homogeneous form).
 
 Outcomes are three-valued: a budget is mandatory because a function that
 merely touches zero admits no finite certificate, so loops must be allowed
@@ -41,7 +51,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
@@ -50,7 +60,7 @@ from .powerpoly import PowerPoly
 from .ratpatch import (
     ConvergenceConstants,
     RationalPatch,
-    _refine_numerator,
+    _refine_ints,
     convergence_constants,
     rational_patch,
     subdivide,
@@ -157,19 +167,12 @@ class CertificateReport:
         return out
 
 
-def _signs_certify(values: Sequence[int], vertices: Sequence[int]) -> bool:
-    """The certificate's sign rule on integers that carry the coefficients'
-    signs: none negative, and every vertex entry strictly positive."""
-    if min(values) < 0:
-        return False
-    return all(values[p] > 0 for p in vertices)
-
-
 def numerator_certifies(num: BernsteinPatch) -> bool:
     """Every coefficient nonnegative and every vertex coefficient strictly
     positive, read from the integer numerators: the scale is positive, so
     no coefficient is built."""
-    return _signs_certify(num.nums, num.index_set.vertex_positions())
+    nums = num.nums
+    return min(nums) >= 0 and all(nums[p] > 0 for p in num.index_set.vertex_positions())
 
 
 def cert_predicate(f: RationalPatch) -> bool:
@@ -204,6 +207,18 @@ def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
     return Witness(f.simplex.vertex(i), f.ratio(p), "vertex")
 
 
+def _report(mode: Mode, start: float, verdict: Verdict, degree: int,
+            witness: Optional[Witness] = None, depth: Optional[int] = None,
+            leaves: Optional[int] = None) -> CertificateReport:
+    """The report of a kernel whose clock started at ``start``.  Unless
+    ``leaves`` is given, a certified run counts its one patch as a leaf."""
+    if leaves is None:
+        leaves = int(verdict is Verdict.CERTIFIED)
+    return CertificateReport(verdict, mode, degree_used=degree, depth_used=depth,
+                             witness=witness, leaves=leaves,
+                             wall_clock=time.perf_counter() - start)
+
+
 def certify_sharpness(f: RationalPatch) -> CertificateReport:
     """Certify when the minimum coefficient sits at a vertex index.
 
@@ -212,22 +227,15 @@ def certify_sharpness(f: RationalPatch) -> CertificateReport:
     minimum attained only at interior indices decides nothing.
     """
     start = time.perf_counter()
-
-    def report(verdict, witness=None):
-        return CertificateReport(
-            verdict, Mode.SHARPNESS, degree_used=f.degree, witness=witness,
-            leaves=int(verdict is Verdict.CERTIFIED),
-            wall_clock=time.perf_counter() - start,
-        )
-
     refute = _refuting_vertex(f)
     if refute is not None:
-        return report(Verdict.REFUTED, refute)
+        return _report(Mode.SHARPNESS, start, Verdict.REFUTED, f.degree, refute)
     sharp = f.sharpness()
     if sharp.min_sharp:
         vertex = f.simplex.vertex(sharp.min_vertex)
-        return report(Verdict.CERTIFIED, Witness(vertex, min(f.ratios), "vertex"))
-    return report(Verdict.INCONCLUSIVE)
+        return _report(Mode.SHARPNESS, start, Verdict.CERTIFIED, f.degree,
+                       Witness(vertex, min(f.ratios), "vertex"))
+    return _report(Mode.SHARPNESS, start, Verdict.INCONCLUSIVE, f.degree)
 
 
 def certify_global(
@@ -243,12 +251,14 @@ def certify_global(
     value refutes immediately and is exact.  Elevation keeps those
     coefficients positive, so every ratio keeps its numerator coefficient's
     sign and the scan elevates the numerator alone, one degree at a time,
-    until its coefficients pass ``numerator_certifies``' sign rule or the
-    degree reaches k_max.  The scan holds the numerator's homogeneous
-    coefficients b_alpha * multinomial(k; alpha) as integers over the base
-    scale; they have the coefficients' signs and elevate by integer sums
-    alone, so no patch is built per degree.  Termination before k_max is
-    guaranteed only for strictly positive functions.
+    until none of its coefficients is negative or the degree reaches k_max.
+    The vertex coefficients, checked positive at the root, are function
+    values and never change under elevation, so no later degree tests them.
+    The scan holds the numerator's homogeneous coefficients b_alpha *
+    multinomial(k; alpha) as integers over the base scale; they have the
+    coefficients' signs and elevate by integer sums alone, so no patch is
+    built per degree.  Termination before k_max is guaranteed only for
+    strictly positive functions.
     """
     return _certify(pnum, pden, simplex, "global", k_max=k_max)
 
@@ -256,26 +266,18 @@ def certify_global(
 def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
     """``certify_global`` on its base-degree root patch."""
     start = time.perf_counter()
-
-    def report(verdict, degree, witness=None):
-        return CertificateReport(
-            verdict, Mode.GLOBAL_ELEVATION, degree_used=degree, witness=witness,
-            leaves=int(verdict is Verdict.CERTIFIED),
-            wall_clock=time.perf_counter() - start,
-        )
-
+    mode = Mode.GLOBAL_ELEVATION
     refute = _refuting_vertex(root)
     if refute is not None:
-        return report(Verdict.REFUTED, root.degree, refute)
+        return _report(mode, start, Verdict.REFUTED, root.degree, refute)
     c = _homogeneous(root.num)
-    vertices = root.num.index_set.vertex_positions()
     degree = root.degree
-    while not _signs_certify(c, vertices):
+    while min(c) < 0:
         if degree == k_max:
-            return report(Verdict.INCONCLUSIVE, k_max)
-        c, vertices = _elevate_homogeneous(c, degree, root.dimension)
+            return _report(mode, start, Verdict.INCONCLUSIVE, k_max)
+        c = _elevate_homogeneous(c, degree, root.dimension)
         degree += 1
-    return report(Verdict.CERTIFIED, degree)
+    return _report(mode, start, Verdict.CERTIFIED, degree)
 
 
 def certify_local(
@@ -290,14 +292,15 @@ def certify_local(
     The degree never changes.  Depth d means every unresolved leaf has been
     refined to diameter at most shrink**d (in the domain's own coordinates),
     with at least one bisection round per depth step.  It runs
-    ``ratpatch.subdivide`` keyed by depth, one level per step: certified
-    leaves are pruned, a non-positive vertex value on any leaf refutes
-    exactly (no later piece is tested), and the run gives up when the
-    unresolved leaves reach depth n_max, which must be nonnegative.  Only
-    the root is a rational patch, which checks the denominator; below it
-    the pieces are numerator patches, whose signs are the function's.  A
-    piece lives only until it is decided or split: the report counts
-    certified leaves and keeps none.
+    ``ratpatch.subdivide`` keyed by depth, one level per step: a piece's
+    vertex coefficients are scanned once, and a non-positive one refutes
+    exactly (no later piece is tested); a piece that survives that scan is
+    a certified leaf, and pruned, when its smallest coefficient is
+    nonnegative.  The run gives up when the unresolved leaves reach depth
+    n_max, which must be nonnegative.  Only the root is a rational patch,
+    which checks the denominator; below it the pieces are numerator
+    patches, whose signs are the function's.  A piece lives only until it
+    is decided or split: the report counts certified leaves and keeps none.
     """
     return _certify(pnum, pden, simplex, "local", n_max=n_max, shrink=shrink)
 
@@ -309,15 +312,10 @@ def _certify_local(root: RationalPatch, n_max: int,
     certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 
-    def report(verdict, depth, witness=None):
-        return CertificateReport(
-            verdict, Mode.LOCAL_SUBDIVISION, degree_used=root.degree,
-            depth_used=depth, witness=witness, leaves=certified,
-            wall_clock=time.perf_counter() - start,
-        )
-
     def split(leaf, depth, key):
-        return () if refuted else _refine_numerator(leaf, shrink ** (2 * (depth + 1)))
+        if refuted:
+            return ()
+        return [piece for (piece,) in _refine_ints((leaf,), shrink ** (2 * (depth + 1)))]
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
@@ -328,18 +326,21 @@ def _certify_local(root: RationalPatch, n_max: int,
         if i is not None:
             refuted = (depth, _vertex_witness(piece, i, root.den))
             return None
-        ok = numerator_certifies(piece)
+        ok = min(piece.nums) >= 0
         certified += ok
         return None if ok else depth
 
     def stop(frontier):
         if refuted:
-            return report(Verdict.REFUTED, *refuted)
-        if not frontier:
-            return report(Verdict.CERTIFIED, last)
-        if frontier[0][2] == n_max:
-            return report(Verdict.INCONCLUSIVE, n_max)
-        return None
+            verdict, (depth, witness) = Verdict.REFUTED, refuted
+        elif not frontier:
+            verdict, depth, witness = Verdict.CERTIFIED, last, None
+        elif frontier[0][2] == n_max:
+            verdict, depth, witness = Verdict.INCONCLUSIVE, n_max, None
+        else:
+            return None
+        return _report(Mode.LOCAL_SUBDIVISION, start, verdict, root.degree,
+                       witness, depth, certified)
 
     return subdivide(root.num, split, visit, stop)
 

@@ -88,20 +88,34 @@ def _int_field(data, key):
         raise UsageError(f"spec field {key!r}: not an integer: {value!r}") from None
 
 
+def _poly_field(data, key):
+    try:
+        return PowerPoly.from_json(data[key])
+    except (KeyError, ValueError, TypeError, BernboundError) as exc:
+        raise UsageError(f"spec field {key!r}: {exc}") from exc
+
+
+# The optional mode parameters: each spec field, named as its ProblemSpec
+# attribute, and its reader.
+_OPTIONAL_FIELDS = (
+    ("degree", _int_field),
+    ("k_max", _int_field),
+    ("n_max", _int_field),
+    ("eps", _rational_field),
+    ("shrink", _rational_field),
+    ("claimed_min", _positive_field),
+    ("claimed_numerator_min", _positive_field),
+)
+
+
 def parse_problem(data: dict) -> ProblemSpec:
     if not isinstance(data, dict):
         raise UsageError("problem spec must be a JSON object")
     if "numerator" not in data:
         raise UsageError("spec field 'numerator' is required")
-    try:
-        numerator = PowerPoly.from_json(data["numerator"])
-    except (KeyError, ValueError, TypeError, BernboundError) as exc:
-        raise UsageError(f"spec field 'numerator': {exc}") from exc
+    numerator = _poly_field(data, "numerator")
     if "denominator" in data and data["denominator"] is not None:
-        try:
-            denominator = PowerPoly.from_json(data["denominator"])
-        except (KeyError, ValueError, TypeError, BernboundError) as exc:
-            raise UsageError(f"spec field 'denominator': {exc}") from exc
+        denominator = _poly_field(data, "denominator")
         if denominator.is_zero():
             raise UsageError("spec field 'denominator': the zero polynomial")
     else:
@@ -123,22 +137,9 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'domain': {exc}") from exc
-    spec = ProblemSpec(numerator, denominator, domain)
-    if "degree" in data:
-        spec.degree = _int_field(data, "degree")
-    if "k_max" in data:
-        spec.k_max = _int_field(data, "k_max")
-    if "n_max" in data:
-        spec.n_max = _int_field(data, "n_max")
-    if "eps" in data:
-        spec.eps = _rational_field(data, "eps")
-    if "shrink" in data:
-        spec.shrink = _rational_field(data, "shrink")
-    if "claimed_min" in data:
-        spec.claimed_min = _positive_field(data, "claimed_min")
-    if "claimed_numerator_min" in data:
-        spec.claimed_numerator_min = _positive_field(data, "claimed_numerator_min")
-    return spec
+    return ProblemSpec(numerator, denominator, domain,
+                       **{key: read(data, key) for key, read in _OPTIONAL_FIELDS
+                          if key in data})
 
 
 def load_problem(path: str) -> ProblemSpec:

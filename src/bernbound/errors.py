@@ -58,10 +58,6 @@ class NonPositiveEpsilon(InvalidArgument):
     """A requested accuracy must be strictly positive."""
 
 
-class NotPositive(BernboundError):
-    """A computed lower bound is not positive."""
-
-
 class BudgetExhausted(BernboundError):
     """A subdivision budget ran out before the target gap was reached.
 

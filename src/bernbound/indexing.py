@@ -9,9 +9,12 @@ exponents.  Everything here is exact integer arithmetic.
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
 they encode; they are built once per degree and dimension (and edge, for
-splitting) and stored as flat integer arrays.  The power-to-Bernstein
-conversion scatters its terms through ``conversion_table`` and reuses the
-edge-splitting table of each edge (0, axis).
+splitting) and stored as flat integer arrays.  The elevation table holds
+source positions only: elevation keeps every vertex entry's value, so the
+certificate decides the vertex part once at the root and reads no vertex
+position per degree.  The power-to-Bernstein conversion scatters its terms
+through ``conversion_table`` and reuses the edge-splitting table of each
+edge (0, axis).
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ def conversion_table(degree: int, dimension: int) -> Tuple[int, Dict[int, Tuple[
 
 
 @lru_cache(maxsize=None)
-def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tuple[int, ...]]:
+def elevation_sums(degree: int, dimension: int) -> Tuple[array, ...]:
     """Gather table for elevating homogeneous coefficients by plain sums.
 
     Homogeneous coefficients are c_alpha = b_alpha * multinomial(k; alpha);
@@ -145,8 +148,8 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tupl
     c_{beta - e_i}.  Returns one flat source array per slot i = 0..n,
     indexed by position at degree + 1: the position of beta - e_i at
     ``degree``, or the zero sentinel position len(c) = C(degree + n, n)
-    where beta_i = 0; and the vertex positions (degree + 1) * e_i at
-    degree + 1.
+    where beta_i = 0.  The table carries no vertex positions: a vertex
+    entry keeps its value under elevation, so no caller looks for it.
 
     A hat's position does not depend on the degree (the order is graded on
     the hat), so one hat-to-position map serves both degrees, and no
@@ -166,10 +169,7 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[Tuple[array, ...], Tupl
             elif hat[i - 1]:
                 sources[pos] = position[hat[:i - 1] + (hat[i - 1] - 1,) + hat[i:]]
         columns.append(sources)
-    vertices = (0, *(position[tuple(degree + 1 if c == i else 0
-                                    for c in range(dimension))]
-                     for i in range(dimension)))
-    return tuple(columns), vertices
+    return tuple(columns)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .certify import ClaimedMinimum, apriori_depth
-from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon, NotPositive
+from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Simplex, grid_point
 from .powerpoly import PowerPoly
 from .ratpatch import RationalPatch, convergence_constants, rational_patch, subdivide
@@ -198,13 +198,3 @@ def minimize(
                          visit_uniform, stop_uniform)
     return subdivide(root, split_best, visit_best, stop_best)
 
-
-def validated_lower_bound(result: MinimizationResult) -> ClaimedMinimum:
-    """Promote the optimizer's lower bound to a positivity claim.
-
-    The bound is sound on every leaf by the enclosure property; fails if it
-    is not positive.
-    """
-    if result.lower <= 0:
-        raise NotPositive(f"lower bound {result.lower} is not positive")
-    return ClaimedMinimum(result.lower)

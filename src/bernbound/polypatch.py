@@ -13,7 +13,10 @@ denominator ``scale``, so elevation and edge splitting are integer
 arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
 view, built on first use.  Elevation has one rule, the homogeneous sum step
 (``_elevate_homogeneous``) that the global certificate scan runs on its own
-integers; ``elevate`` divides its result back to Bernstein numerators.
+integers; ``elevate`` divides its result back to Bernstein numerators.  The
+step returns the elevated list alone: a vertex entry is a function value
+and keeps its value, so the scan decides the vertex part of the
+certificate once, at the root, and the step carries no vertex positions.
 Conversion from the power basis is one kernel, ``to_bernstein``: integer
 Horner pullback from the simplex's rows (skipped on the standard simplex),
 a table scatter into the grid, the edge split's de Casteljau triangle
@@ -175,7 +178,7 @@ class BernsteinPatch:
         scale * (k + 1), and the division is exact.
         """
         k, n = self.degree, self.dimension
-        c, _ = _elevate_homogeneous(_homogeneous(self), k, n)
+        c = _elevate_homogeneous(_homogeneous(self), k, n)
         up = k + 1
         nums = tuple([a * up // w for a, w in zip(c, multinomials(up, n))])
         return BernsteinPatch._from_ints(self.simplex, up, nums, self.scale * up)
@@ -264,25 +267,23 @@ def _homogeneous(patch: BernsteinPatch) -> List[int]:
     return [*map(mul, patch.nums, multinomials(patch.degree, patch.dimension)), 0]
 
 
-def _elevate_homogeneous(
-    c: List[int], degree: int, dimension: int,
-) -> Tuple[List[int], Tuple[int, ...]]:
-    """Homogeneous coefficients one degree up, and their vertex positions.
+def _elevate_homogeneous(c: List[int], degree: int, dimension: int) -> List[int]:
+    """Homogeneous coefficients one degree up.
 
     ``c`` holds the degree-``degree`` integers followed by the zero
     sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
-    i with beta_i > 0, the sentinel standing in where beta_i = 0.  For
-    n = 1 that is one Pascal row, c'_j = c_{j-1} + c_j, read off ``c``
-    without a table.
+    i with beta_i > 0, the sentinel standing in where beta_i = 0.  A vertex
+    entry keeps its value, c'_{(k+1) e_i} = c_{k e_i}.  For n = 1 that is
+    one Pascal row, c'_j = c_{j-1} + c_j, read off ``c`` without a table.
     """
     if dimension == 1:
-        return [c[0], *map(add, c, c[1:]), 0], (0, degree + 1)
-    sources, vertices = elevation_sums(degree, dimension)
+        return [c[0], *map(add, c, c[1:]), 0]
+    sources = elevation_sums(degree, dimension)
     fetch = c.__getitem__
     summed = map(fetch, sources[0])
     for column in sources[1:]:
         summed = map(add, summed, map(fetch, column))
-    return [*summed, 0], vertices
+    return [*summed, 0]
 
 
 def _triangle(nums: Sequence[int], levels) -> List[int]:

@@ -1,8 +1,8 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
 split rounds (all run by one integer driver, ``_refine_ints``, under
-``RationalPatch.refine`` and the numerator-only ``_refine_numerator``), the
-subdivision loop over them, and the convergence constants driving degree
-and subdivision bounds.
+``RationalPatch.refine`` and the local certificate), the subdivision loop
+over them, and the convergence constants driving degree and subdivision
+bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -23,7 +23,7 @@ A de Casteljau child's coefficients are positive-weight means of its
 parent's, so a denominator that is positive at a root stays positive on
 every piece split from it.  The local certificate, which reads numerator
 signs only, therefore checks the denominator once at its root and splits
-the numerator alone (``_refine_numerator``).
+the numerator alone (``_refine_ints`` on that one patch).
 """
 
 from __future__ import annotations
@@ -191,19 +191,11 @@ class RationalPatch:
     def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
         """At least one shrink round, then more on every piece whose squared
         diameter still exceeds ``threshold_sq``: ``_refine_ints`` on the
-        numerator and denominator lists together.  Each leaf is a checked
-        ``RationalPatch`` whose scales are the root's shifted left by k per
-        bisection, so it equals repeated ``split_edge`` on the longest edge,
-        with the same leaves, order and integers."""
-        k = self.degree
-        num_scale, den_scale = self.num.scale, self.den.scale
-        return [
-            RationalPatch(
-                BernsteinPatch._from_ints(leaf, k, num, num_scale << shift),
-                BernsteinPatch._from_ints(leaf, k, den, den_scale << shift))
-            for leaf, shift, (num, den) in _refine_ints(
-                self.simplex, k, (self.num.nums, self.den.nums), threshold_sq)
-        ]
+        numerator and denominator together, each leaf's pair checked as a
+        ``RationalPatch``.  It equals repeated ``split_edge`` on the longest
+        edge, with the same leaves, order and integers."""
+        return [RationalPatch(num, den)
+                for num, den in _refine_ints((self.num, self.den), threshold_sq)]
 
     def to_json(self) -> dict:
         return {
@@ -213,27 +205,14 @@ class RationalPatch:
         }
 
 
-def _refine_numerator(patch: BernsteinPatch,
-                     threshold_sq: Fraction) -> List[BernsteinPatch]:
-    """``RationalPatch.refine`` on one polynomial patch: the same leaves, in
-    the same order, with the numerator integers and scales a rational
-    patch's refinement would give it.  The local certificate splits its
-    numerator alone this way, since a denominator positive at the root stays
-    positive on every de Casteljau child and so never changes a sign."""
-    k, scale = patch.degree, patch.scale
-    return [BernsteinPatch._from_ints(leaf, k, nums, scale << shift)
-            for leaf, shift, (nums,) in _refine_ints(
-                patch.simplex, k, (patch.nums,), threshold_sq)]
-
-
-def _refine_ints(simplex: Simplex, k: int, lists: Tuple[Tuple[int, ...], ...],
-                 threshold_sq: Fraction) -> List[tuple]:
-    """The integer subdivision driver: at least one shrink round of
-    ``simplex``, then more on every piece whose squared diameter still
-    exceeds ``threshold_sq``, splitting each degree-``k`` numerator list in
-    ``lists`` along.  Returns (leaf simplex, scale shift, lists) per leaf; a
-    leaf's lists are over the parent's scales shifted left by the shift,
-    k per bisection.
+def _refine_ints(patches: Tuple[BernsteinPatch, ...],
+                 threshold_sq: Fraction) -> List[Tuple[BernsteinPatch, ...]]:
+    """The integer subdivision driver: at least one shrink round of the
+    simplex that ``patches`` share, then more on every piece whose squared
+    diameter still exceeds ``threshold_sq``, splitting the numerator list of
+    every patch (all of one degree k) along.  Returns, per leaf, one
+    ``BernsteinPatch`` per input patch, over that patch's scale shifted left
+    by k per bisection.
 
     A round applies n(n+1)/2 levels of longest-edge bisection, then keeps
     bisecting any piece whose squared diameter still exceeds a quarter of
@@ -246,12 +225,14 @@ def _refine_ints(simplex: Simplex, k: int, lists: Tuple[Tuple[int, ...], ...],
     longest edge, measured once.  Its children come from
     ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
     ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
-    Only the leaves become ``Simplex`` objects, through the rank check.  A
-    bisection child lies in its parent's affine hull, so a singular piece
-    would leave singular leaves, which the check rejects.  Pieces are split
-    left child first, so the leaves come in the order of replacing each
-    piece by its children in place.
+    Only the leaves become ``Simplex`` objects (through the rank check) and
+    patches.  A bisection child lies in its parent's affine hull, so a
+    singular piece would leave singular leaves, which the check rejects.
+    Pieces are split left child first, so the leaves come in the order of
+    replacing each piece by its children in place.
     """
+    simplex, k = patches[0].simplex, patches[0].degree
+    lists = tuple(patch.nums for patch in patches)
     n = simplex.dimension
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
@@ -265,7 +246,10 @@ def _refine_ints(simplex: Simplex, k: int, lists: Tuple[Tuple[int, ...], ...],
         rows, denom, lists, longest, cuts, depth, target = stack.pop()
         if depth >= levels and not _wider(longest, denom, target):
             if not _wider(longest, denom, threshold):
-                leaves.append((_checked_simplex(rows, denom, longest), k * cuts, lists))
+                leaf = _checked_simplex(rows, denom, longest)
+                leaves.append(tuple(
+                    BernsteinPatch._from_ints(leaf, k, nums, patch.scale << k * cuts)
+                    for nums, patch in zip(lists, patches)))
                 continue
             target, depth = _quarter(longest, denom), 0
         elif depth == budget:

@@ -21,6 +21,7 @@ import time
 from fractions import Fraction as F
 
 from bernbound import (
+    ClaimedMinimum,
     PowerPoly,
     Simplex,
     Verdict,
@@ -38,7 +39,6 @@ from bernbound import (
     rational_patch,
     to_bernstein,
     to_bernstein_standard,
-    validated_lower_bound,
 )
 from conftest import (
     fn_cert3,
@@ -288,11 +288,11 @@ def test_11_apriori_bounds_dominate_observed_work():
     for case in corpus:
         constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
         # optimizer-validated claims for the function and its numerator
-        claim = validated_lower_bound(
-            minimize(case.num, case.den, case.domain, F(1, 100))
+        claim = ClaimedMinimum(
+            minimize(case.num, case.den, case.domain, F(1, 100)).lower
         )
-        num_claim = validated_lower_bound(
-            minimize(case.num, PowerPoly.constant(1, 1), case.domain, F(1, 100))
+        num_claim = ClaimedMinimum(
+            minimize(case.num, PowerPoly.constant(1, 1), case.domain, F(1, 100)).lower
         )
         assert claim.value <= case.fmin
         assert num_claim.value <= case.num_min

@@ -28,7 +28,6 @@ from bernbound import (
     minimize,
     rational_patch,
     to_bernstein_standard,
-    validated_lower_bound,
 )
 from bernbound.errors import (
     DegreeTooLow,
@@ -243,6 +242,48 @@ class TestCertifyNegative:
             certify_negative(num, den, domain, via="bogus")
 
 
+# Problems whose root has a non-positive vertex value, with the first such
+# vertex: every mode refutes there, at the root, before any elevation or split.
+ROOT_REFUTED = {
+    "linear over linear": (PowerPoly.univariate([F(-1, 4), 1]),
+                           PowerPoly.univariate([2, 1]), UNIT, (F(0),)),
+    "zero at a vertex": (PowerPoly.univariate([1, 0, -1]),
+                         PowerPoly.univariate([1, 1]), UNIT, (F(1),)),
+    "third vertex, quadratic denominator": (
+        PowerPoly(2, {(0, 0): F(1, 10), (0, 1): -1, (2, 0): 1}),
+        PowerPoly(2, {(0, 0): 1, (1, 0): 1, (0, 2): 1}),
+        Simplex([[0, 0], [1, 0], [0, 1]]), (F(0), F(1))),
+    "fractional triangle": (
+        PowerPoly(2, {(0, 0): -1, (1, 0): 1, (0, 1): 1}),
+        PowerPoly(2, {(0, 0): 2, (1, 0): F(1, 2), (0, 1): F(1, 3)}),
+        Simplex([[F(1, 2), F(-1, 3)], [F(5, 2), F(1, 4)], [F(-2, 3), F(3, 2)]]),
+        (F(1, 2), F(-1, 3))),
+}
+
+
+class TestCrossModeRefutation:
+    @pytest.mark.parametrize("name", ROOT_REFUTED)
+    def test_every_mode_reports_the_same_vertex(self, name):
+        num, den, domain, point = ROOT_REFUTED[name]
+        value = num.eval(point) / den.eval(point)
+        assert value <= 0
+        reports = {
+            "sharpness": certify_sharpness(rational_patch(num, den, domain)),
+            "global": certify_global(num, den, domain, k_max=10),
+            "local": certify_local(num, den, domain, n_max=3),
+        }
+        for via, report in reports.items():
+            assert report.verdict is Verdict.REFUTED, via
+            assert (report.witness.point, report.witness.value) == (point, value), via
+            assert report.witness.kind == "vertex"
+            negated = certify_negative(num.negate(), den, domain, via=via)
+            assert negated.verdict is Verdict.REFUTED, via
+            assert negated.negated
+            assert (negated.witness.point, negated.witness.value) == (point, -value), via
+        assert reports["local"].depth_used == 0
+        assert reports["global"].degree_used == max(num.degree, den.degree)
+
+
 class TestAprioriDegrees:
     def _constants(self, omega, base=2):
         return ConvergenceConstants(
@@ -263,7 +304,7 @@ class TestAprioriDegrees:
     def test_omega_end_to_end(self):
         num, den, domain = fn_dip()
         result = minimize(num, den, domain, F(1, 1000))
-        claim = validated_lower_bound(result)
+        claim = ClaimedMinimum(result.lower)
         constants = convergence_constants(rational_patch(num, den, domain))
         bound = apriori_degree_omega(constants, claim)
         report = certify_global(num, den, domain, k_max=bound)

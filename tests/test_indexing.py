@@ -7,6 +7,7 @@ import pytest
 
 from bernbound import IndexSet, binom_graded, enumerate_indices
 from bernbound.errors import OrderExceedsDegree
+from bernbound.indexing import elevation_sums
 
 
 class TestBinomGraded:
@@ -91,3 +92,19 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             IndexSet(2, 0)
 
+
+class TestElevationSums:
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("degree", range(9))
+    def test_columns_match_reference(self, n, degree):
+        # Column i at the position of beta (|beta| = degree + 1) holds the
+        # position of beta - e_i at ``degree``, or the sentinel
+        # C(degree + n, n) where beta_i = 0; the table holds nothing else.
+        columns = elevation_sums(degree, n)
+        below, above = enumerate_indices(degree, n), enumerate_indices(degree + 1, n)
+        sentinel = comb(degree + n, n)
+        assert len(columns) == n + 1
+        for i, column in enumerate(columns):
+            want = [below.position(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
+                    if beta[i] else sentinel for beta in above]
+            assert list(column) == want

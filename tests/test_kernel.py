@@ -51,7 +51,6 @@ from bernbound import (  # noqa: E402
 from bernbound import ratpatch  # noqa: E402
 from bernbound.certify import (  # noqa: E402
     _refuting_vertex,
-    _signs_certify,
     numerator_certifies,
 )
 from bernbound.errors import (  # noqa: E402
@@ -314,25 +313,28 @@ def test_elevate_matches_reference(case, steps):
 @KERNEL
 @given(patches(), st.integers(1, 12))
 def test_homogeneous_elevation_matches_patch_elevation(case, steps):
-    # c_k * scale_k == nums_k * multinomial_k * scale_base at every degree,
-    # the sign rule reads the same verdict from both, and no step grows the
-    # largest integer by more than a factor n + 1.
+    # c_k * scale_k == nums_k * multinomial_k * scale_base at every degree;
+    # the vertex entries keep the root's values, so the scan's rule (root
+    # vertices positive, then no entry negative) reads the full predicate's
+    # verdict at every degree; and no step grows the largest integer by
+    # more than a factor n + 1.
     n, k, coeffs = case
     patch = BernsteinPatch(standard_simplex(n), k, coeffs)
     base_scale = patch.scale
     c = _homogeneous(patch)
-    vertices = patch.index_set.vertex_positions()
+    root_vertices = [c[p] for p in patch.index_set.vertex_positions()]
+    vertices_pass = min(root_vertices) > 0
     for _ in range(steps):
-        assert _signs_certify(c, vertices) == numerator_certifies(patch)
+        assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
         peak = max(map(abs, c))
-        c, vertices = _elevate_homogeneous(c, patch.degree, n)
+        c = _elevate_homogeneous(c, patch.degree, n)
         patch = patch.elevate()
         assert c[-1] == 0 and len(c) == len(patch.nums) + 1
         assert all(a * patch.scale == b * w * base_scale for a, b, w in
                    zip(c, patch.nums, multinomials(patch.degree, n)))
-        assert vertices == patch.index_set.vertex_positions()
+        assert [c[p] for p in patch.index_set.vertex_positions()] == root_vertices
         assert max(map(abs, c)) <= (n + 1) * peak
-    assert _signs_certify(c, vertices) == numerator_certifies(patch)
+    assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
 
 
 @KERNEL
@@ -792,7 +794,7 @@ def test_numerator_refinement_matches_rational_refinement(case, divisor):
     if simplex.dimension == 3:
         divisor = 4
     threshold = diameter_sq(simplex) / divisor
-    got = ratpatch._refine_numerator(f.num, threshold)
+    got = [leaf for (leaf,) in ratpatch._refine_ints((f.num,), threshold)]
     want = [leaf.num for leaf in f.refine(threshold)]
     assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
     for mine, theirs in zip(got, want):

@@ -16,9 +16,8 @@ from bernbound import (
     local_bounds,
     minimize,
     rational_patch,
-    validated_lower_bound,
 )
-from bernbound.errors import BudgetExhausted, NonPositiveEpsilon, NotPositive
+from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
 from conftest import fn_cert3, fn_dip, pinned_corpus
 
 UNIT = Simplex.from_interval(0, 1)
@@ -240,24 +239,24 @@ class TestAprioriSteps:
 
 
 class TestValidatedLowerBound:
+    # A positive minimize lower bound is a proof, so it is a claim as it is.
     def test_positive_result_promotes(self):
         num, den, domain = fn_cert3()
         result = minimize(num, den, domain, F(1, 100))
-        claim = validated_lower_bound(result)
-        assert isinstance(claim, ClaimedMinimum)
+        claim = ClaimedMinimum(result.lower)
         assert claim.value == result.lower
 
     def test_dip_function_promotes(self):
         num, den, domain = fn_dip()
-        claim = validated_lower_bound(minimize(num, den, domain, F(1, 1000)))
+        claim = ClaimedMinimum(minimize(num, den, domain, F(1, 1000)).lower)
         assert claim.value > 0
 
     def test_negative_fails(self):
         result = minimize(
             PowerPoly.constant(1, -1), PowerPoly.constant(1, 1), UNIT, F(1, 10)
         )
-        with pytest.raises(NotPositive):
-            validated_lower_bound(result)
+        with pytest.raises(NonPositiveClaim):
+            ClaimedMinimum(result.lower)
 
 
 class TestResultJson:
