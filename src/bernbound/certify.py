@@ -46,7 +46,6 @@ to give up honestly.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -67,9 +66,8 @@ from .ratpatch import (
 )
 from .rationals import Rational, float_str, format_rational, parse_rational
 
-# Default budgets: the global degree, the local depth, and the diameter
-# factor per local depth step.
-K_MAX, N_MAX, SHRINK = 30, 10, Fraction(1, 2)
+# Default budgets: the global degree and the local depth.
+K_MAX, N_MAX = 30, 10
 
 
 class Verdict(str, Enum):
@@ -285,13 +283,13 @@ def certify_local(
     pden: PowerPoly,
     simplex: Simplex,
     n_max: int,
-    shrink: Rational = SHRINK,
 ) -> CertificateReport:
     """Subdivide at fixed degree until every leaf certifies.
 
     The degree never changes.  Depth d means every unresolved leaf has been
-    refined to diameter at most shrink**d (in the domain's own coordinates),
-    with at least one bisection round per depth step.  It runs
+    refined to diameter at most 2**-d in the domain's own coordinates, as in
+    the paper's table, with at least one bisection round per depth step: a
+    domain wider than 1 pays extra rounds to reach depth 1.  It runs
     ``ratpatch.subdivide`` keyed by depth, one level per step: a piece's
     vertex coefficients are scanned once, and a non-positive one refutes
     exactly (no later piece is tested); a piece that survives that scan is
@@ -302,11 +300,10 @@ def certify_local(
     patches, whose signs are the function's.  A piece lives only until it
     is decided or split: the report counts certified leaves and keeps none.
     """
-    return _certify(pnum, pden, simplex, "local", n_max=n_max, shrink=shrink)
+    return _certify(pnum, pden, simplex, "local", n_max=n_max)
 
 
-def _certify_local(root: RationalPatch, n_max: int,
-                   shrink: Fraction) -> CertificateReport:
+def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     """``certify_local`` on its base-degree root patch."""
     start = time.perf_counter()
     certified = last = 0
@@ -315,7 +312,7 @@ def _certify_local(root: RationalPatch, n_max: int,
     def split(leaf, depth, key):
         if refuted:
             return ()
-        return [piece for (piece,) in _refine_ints((leaf,), shrink ** (2 * (depth + 1)))]
+        return [piece for (piece,) in _refine_ints((leaf,), Fraction(1, 4 ** (depth + 1)))]
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
@@ -360,7 +357,6 @@ def certify_negative(
     via: str = "global",
     k_max: int = K_MAX,
     n_max: int = N_MAX,
-    shrink: Rational = SHRINK,
 ) -> CertificateReport:
     """Certify negativity by certifying positivity of the negated numerator.
 
@@ -368,34 +364,36 @@ def certify_negative(
     original function's sign (a refuting witness is a point where the
     function is >= 0).
     """
-    return _certify(pnum, pden, simplex, via, k_max, n_max, shrink, negate=True)
+    return _certify(pnum, pden, simplex, via, k_max, n_max, negate=True)
 
 
 def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
-             k_max: int = K_MAX, n_max: int = N_MAX, shrink: Rational = SHRINK,
-             negate: bool = False, claimed_min: Optional[Rational] = None,
+             k_max: int = K_MAX, n_max: int = N_MAX, negate: bool = False,
+             claimed_min: Optional[Rational] = None,
              claimed_numerator_min: Optional[Rational] = None) -> CertificateReport:
     """The one certification run: convert, certify, report.
 
     The arguments are checked before any conversion, so their errors come
     ahead of a denominator that is not Bernstein-positive: ``n_max``,
-    ``shrink``, ``k_max`` against the function degree (global only), then
-    ``via``.  With ``negate`` the certificate runs on the root with its
-    numerator negated (the conversion's gcd is sign-blind, so these are the
-    integers of -pnum) and the witness value gets the function's sign back.
-    Claims add a-priori bounds read from the un-negated root: D1, degree and
-    depth from ``claimed_min``; D2 from ``claimed_numerator_min`` over the
-    numerator's own-degree patch, which is ``root.num`` (up to a sign D2
-    does not see) when the numerator has the root's degree.
+    ``k_max`` against the function degree (global only), ``via``, then the
+    claims, each of which must be positive.  With ``negate`` the certificate
+    runs on the root with its numerator negated (the conversion's gcd is
+    sign-blind, so these are the integers of -pnum) and the witness value
+    gets the function's sign back.  Claims add a-priori bounds read from the
+    un-negated root: D1, degree and depth from ``claimed_min``; D2 from
+    ``claimed_numerator_min`` over the numerator's own-degree patch, which
+    is ``root.num`` (up to a sign D2 does not see) when the numerator has
+    the root's degree.
     """
     if n_max < 0:
         raise InvalidArgument(f"n_max must be nonnegative, got {n_max}")
-    shrink = _shrink_factor(shrink)
     degree = max(pnum.degree, pden.degree)
     if via == "global" and k_max < degree:
         raise DegreeTooLow(f"k_max {k_max} below the function degree {degree}")
     if via not in ("sharpness", "global", "local"):
         raise InvalidArgument(f"unknown certification mode: {via!r}")
+    fmin = None if claimed_min is None else ClaimedMinimum(claimed_min)
+    pmin = None if claimed_numerator_min is None else ClaimedMinimum(claimed_numerator_min)
     root = rational_patch(pnum, pden, simplex)
     f = RationalPatch(root.num.negate(), root.den) if negate else root
     if via == "sharpness":
@@ -403,33 +401,23 @@ def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
     elif via == "global":
         report = _certify_global(f, k_max)
     else:
-        report = _certify_local(f, n_max, shrink)
+        report = _certify_local(f, n_max)
     if negate:
         w = report.witness
         report = replace(report, witness=w and replace(w, value=-w.value), negated=True)
-    if claimed_min is None and claimed_numerator_min is None:
+    if fmin is None and pmin is None:
         return report
     apriori = AprioriInfo()
-    if claimed_min is not None:
-        fmin = ClaimedMinimum(claimed_min)
+    if fmin is not None:
         constants = convergence_constants(root)
         apriori = AprioriInfo(d1=apriori_d1(constants, fmin),
                               degree_bound=apriori_degree_omega(constants, fmin),
-                              depth_bound=apriori_depth(constants, fmin, shrink))
-    if claimed_numerator_min is not None:
+                              depth_bound=apriori_depth(constants, fmin))
+    if pmin is not None:
         num = root.num if pnum.degree == root.degree else to_bernstein(
             pnum, pnum.degree, simplex)
-        pmin = ClaimedMinimum(claimed_numerator_min)
         apriori = replace(apriori, d2=apriori_d2(num, pmin))
     return replace(report, apriori=apriori)
-
-
-def _shrink_factor(shrink: Rational) -> Fraction:
-    """``shrink`` as a Fraction strictly between 0 and 1."""
-    shrink = parse_rational(shrink)
-    if not 0 < shrink.numerator < shrink.denominator:
-        raise InvalidArgument(f"shrink factor must lie in (0, 1), got {shrink}")
-    return shrink
 
 
 def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:
@@ -468,25 +456,20 @@ def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
     return max(degree, floor(apriori_d2(num_patch, pmin)) + 1)
 
 
-def apriori_depth(
-    constants: ConvergenceConstants,
-    fmin: ClaimedMinimum,
-    shrink: Rational = SHRINK,
-) -> int:
-    """Smallest depth N with shrink^(2N) * 2*omega_prime < fmin.
+def apriori_depth(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> int:
+    """Smallest depth N with 2*omega_prime < fmin * 4^N.
 
-    Uses the squared form of the sufficiency condition so no irrational
-    square roots enter; sufficient for the local certificate at that depth.
-    The condition holds from N on, so N is found by doubling and bisection
-    in O(log N) exact tests.
+    Depth N leaves pieces of diameter h <= 2^-N, so this is 2*omega_prime *
+    h^2 < fmin at the widest such h, a squared form in which no irrational
+    square root enters; sufficient for the local certificate at that depth.
+    With 2*omega_prime / fmin = p/q in lowest terms and e = bit_length(p) -
+    bit_length(q), a positive p/q lies strictly between 2^(e-1) and
+    2^(e+1), so N is ceil(e/2) or one more: the search starts there and
+    takes at most two exact tests.
     """
-    shrink = _shrink_factor(shrink)
-    factor = 2 * constants.omega_prime
-
-    def holds(depth):
-        return shrink ** (2 * depth) * factor < fmin.value
-
-    high = 1
-    while not holds(high):
-        high *= 2
-    return bisect_left(range(high), True, key=holds)
+    ratio = 2 * constants.omega_prime / fmin.value
+    p, q = ratio.numerator, ratio.denominator
+    depth = max(0, (p.bit_length() - q.bit_length() + 1) // 2)
+    while p >= q << (2 * depth):
+        depth += 1
+    return depth

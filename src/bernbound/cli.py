@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from . import __version__
-from .certify import K_MAX, N_MAX, SHRINK, CertificateReport, Mode, Verdict, _certify
+from .certify import K_MAX, N_MAX, CertificateReport, Mode, Verdict, _certify
 from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
 from .optimize import minimize
@@ -60,7 +60,6 @@ class ProblemSpec:
     k_max: int = K_MAX
     n_max: int = N_MAX
     eps: Optional[Fraction] = None
-    shrink: Fraction = SHRINK
     claimed_min: Optional[Fraction] = None
     claimed_numerator_min: Optional[Fraction] = None
 
@@ -102,7 +101,6 @@ _OPTIONAL_FIELDS = (
     ("k_max", _int_field),
     ("n_max", _int_field),
     ("eps", _rational_field),
-    ("shrink", _rational_field),
     ("claimed_min", _positive_field),
     ("claimed_numerator_min", _positive_field),
 )
@@ -189,7 +187,6 @@ def _build_parser() -> _Parser:
     p_cert.add_argument("--nmax", type=int, help="depth budget for local mode")
     p_cert.add_argument("--via", choices=["sharpness", "global", "local"], default="global",
                         help="underlying mode for --mode negative")
-    p_cert.add_argument("--shrink", help=f"diameter factor per local-mode depth (default {SHRINK})")
 
     p_min = sub.add_parser("minimize", help="bracket the minimum within a gap")
     common(p_min)
@@ -285,16 +282,12 @@ def _print_certificate(report: CertificateReport, as_json: bool) -> int:
 
 
 def cmd_certify(spec: ProblemSpec, args) -> int:
-    try:
-        shrink = parse_rational(args.shrink) if args.shrink is not None else spec.shrink
-    except ValueError as exc:
-        raise UsageError(f"--shrink: {exc}") from exc
     negative = args.mode == "negative"
     report = _certify(spec.numerator, spec.denominator, spec.domain,
                       args.via if negative else args.mode,
                       spec.k_max if args.kmax is None else args.kmax,
                       spec.n_max if args.nmax is None else args.nmax,
-                      shrink, negative, spec.claimed_min, spec.claimed_numerator_min)
+                      negative, spec.claimed_min, spec.claimed_numerator_min)
     return _print_certificate(report, args.json)
 
 

@@ -100,10 +100,11 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
 
 
 def apriori_steps(constants, epsilon: Rational) -> int:
-    """Smallest round count N with (1/2)^(2N) * 2*omega_prime < epsilon.
+    """Smallest round count N with 2*omega_prime < epsilon * 4^N.
 
-    Every round halves the diameter, so this is ``apriori_depth`` with the
-    gap target in place of the claimed minimum.
+    Every round halves the diameter, as every depth step of the local
+    certificate does, so this is ``apriori_depth`` with the gap target in
+    place of the claimed minimum.
     """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:

@@ -29,6 +29,7 @@ from bernbound import (
     rational_patch,
     to_bernstein_standard,
 )
+from bernbound import certify
 from bernbound.errors import (
     DegreeTooLow,
     DenominatorNotPositive,
@@ -230,16 +231,42 @@ class TestCertifyNegative:
         assert report.depth_used == 2
 
     @pytest.mark.parametrize("via", ["sharpness", "global", "local"])
-    @pytest.mark.parametrize("bad", [{"n_max": -1}, {"shrink": 1}, {"shrink": F(0)}])
-    def test_every_route_checks_n_max_and_shrink(self, via, bad):
+    def test_every_route_checks_n_max(self, via):
         num, den, domain = fn_cert3()
-        with pytest.raises(InvalidArgument):
-            certify_negative(num.negate(), den, domain, via=via, **bad)
+        with pytest.raises(InvalidArgument, match="n_max must be nonnegative"):
+            certify_negative(num.negate(), den, domain, via=via, n_max=-1)
 
     def test_unknown_route(self):
         num, den, domain = fn_cert3()
         with pytest.raises(InvalidArgument, match="unknown certification mode"):
             certify_negative(num, den, domain, via="bogus")
+
+
+class TestClaimsCheckedFirst:
+    """``_certify`` checks a claim before it converts anything, so a
+    non-positive claim is ``NonPositiveClaim`` (a usage error) whatever the
+    certificate or the denominator would have done."""
+
+    @pytest.mark.parametrize("claim", ["claimed_min", "claimed_numerator_min"])
+    @pytest.mark.parametrize("via", ["sharpness", "global", "local"])
+    def test_no_conversion_before_the_claim(self, monkeypatch, via, claim):
+        def unreachable(*args):
+            raise AssertionError("converted before the claim was checked")
+
+        monkeypatch.setattr(certify, "rational_patch", unreachable)
+        num, den, domain = fn_dip()
+        with pytest.raises(NonPositiveClaim):
+            certify._certify(num, den, domain, via, n_max=6, **{claim: 0})
+
+    @pytest.mark.parametrize("claim", ["claimed_min", "claimed_numerator_min"])
+    def test_claim_comes_ahead_of_a_mixed_sign_denominator(self, claim):
+        # 3x^2 - 3x + 1 is positive on [0, 1], but its Bernstein
+        # coefficients are (1, -1/2, 1).
+        num, den = PowerPoly.constant(1, 1), PowerPoly.univariate([1, -3, 3])
+        with pytest.raises(DenominatorNotPositive):
+            certify._certify(num, den, UNIT, "global", claimed_min=1)
+        with pytest.raises(NonPositiveClaim):
+            certify._certify(num, den, UNIT, "global", **{claim: 0})
 
 
 # Problems whose root has a non-positive vertex value, with the first such
@@ -359,55 +386,42 @@ class TestAprioriDepth:
             assert report.verdict is Verdict.CERTIFIED
             assert report.depth_used <= max(depth, 0)
 
+    def test_zero_omega_prime(self):
+        assert apriori_depth(self._constants(F(0)), ClaimedMinimum(F(1, 100))) == 0
+
     @staticmethod
-    def _linear_scan(constants, fmin, shrink):
+    def _linear_scan(constants, fmin):
         """The defining search, one depth at a time (quadratic in the depth)."""
         factor = 2 * constants.omega_prime
         depth = 0
-        while shrink ** (2 * depth) * factor >= fmin.value:
+        while F(1, 4) ** depth * factor >= fmin.value:
             depth += 1
         return depth
 
-    @pytest.mark.parametrize("shrink, claims", [
-        (F(1, 2), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
-        (F(1, 3), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
-        (F(99, 100), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
-        (F(999, 1000), (F(1, 3), F(1), F(2), F(10))),
-    ])
-    def test_matches_linear_scan(self, shrink, claims):
+    def test_matches_linear_scan(self):
         num, den, domain = fn_dip()
-        constants = convergence_constants(rational_patch(num, den, domain))
-        for claim in claims:
-            fmin = ClaimedMinimum(claim)
-            assert (apriori_depth(constants, fmin, shrink)
-                    == self._linear_scan(constants, fmin, shrink))
+        constants = [convergence_constants(rational_patch(num, den, domain))]
+        # 2w' at, just below and just above powers of 4, and far from them
+        constants += [self._constants(F(4 ** e + d, 2))
+                      for e in range(6) for d in (F(-1, 7), 0, F(1, 7))]
+        constants += [self._constants(w) for w in (F(1, 3), F(5), F(1000, 7))]
+        for c in constants:
+            for claim in (F(1, 100), F(1, 3), F(1, 2), F(1), F(2), F(10), F(64)):
+                fmin = ClaimedMinimum(claim)
+                assert apriori_depth(c, fmin) == self._linear_scan(c, fmin)
 
-    def test_deep_shrink_is_the_smallest_depth(self):
+    @pytest.mark.parametrize("digits", [2, 3, 10, 100, 1000, 4299])
+    def test_smallest_depth_down_to_the_parse_limit(self, digits):
+        # Claims from 1/100 down to 10^-4299, the smallest one a spec can
+        # write: N - 1 fails the condition and N meets it.
         num, den, domain = fn_dip()
         constants = convergence_constants(rational_patch(num, den, domain))
-        shrink, fmin = F(3999, 4000), F(1, 100)
-        depth = apriori_depth(constants, ClaimedMinimum(fmin), shrink)
+        fmin = ClaimedMinimum(f"1e-{digits}")
+        assert fmin.value == F(1, 10 ** digits)
+        depth = apriori_depth(constants, fmin)
         factor = 2 * constants.omega_prime
-        assert depth == 11245
-        assert shrink ** (2 * (depth - 1)) * factor >= fmin
-        assert shrink ** (2 * depth) * factor < fmin
-
-    @pytest.mark.parametrize("shrink", [F(0), F(1), F(3, 2), F(-1, 2)])
-    def test_shrink_outside_the_unit_interval(self, shrink):
-        with pytest.raises(InvalidArgument, match="shrink factor"):
-            apriori_depth(self._constants(F(1)), ClaimedMinimum(F(1)), shrink)
-
-    def test_quarter_shrink_bounds_observed_depth(self):
-        case = pinned_corpus()[3]
-        constants = convergence_constants(rational_patch(case.num, case.den, case.domain))
-        fmin = ClaimedMinimum(case.fmin)
-        depth = apriori_depth(constants, fmin, F(1, 4))
-        assert depth == 1 < apriori_depth(constants, fmin)
-        report = certify_local(case.num, case.den, case.domain, depth, F(1, 4))
-        assert report.verdict is Verdict.CERTIFIED
-        assert report.depth_used <= depth
-        # depth 1 at shrink 1/4 needs diameter <= 1/4: two halving rounds
-        assert report.leaves == 4
+        assert F(1, 4) ** (depth - 1) * factor >= fmin.value
+        assert F(1, 4) ** depth * factor < fmin.value
 
 
 class TestVerdictSoundness:

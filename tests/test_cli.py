@@ -160,13 +160,6 @@ class TestCertify:
         assert data["apriori"] is not None
         assert "degree_bound" in data["apriori"]
 
-    def test_apriori_depth_bound_uses_shrink_flag(self, tmp_path, capsys):
-        spec = _write(tmp_path, "claimed.json", {**DIP_SPEC, "claimed_min": "1/100"})
-        assert main(["certify", spec, "--mode", "local", "--shrink", "1/4", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["apriori"]["depth_bound"] == 3
-        assert main(["certify", spec, "--mode", "local", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["apriori"]["depth_bound"] == 5
-
     def test_apriori_reports_raw_d2(self, tmp_path, capsys):
         # numerator coefficients over [-1, 1] are (13, -6, 3):
         # D2 = 2*1/2 * 13 / (1/100) = 1300
@@ -221,11 +214,6 @@ class TestCertify:
         apriori = json.loads(capsys.readouterr().out)["apriori"]
         assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
         assert len(calls) == 2
-
-    def test_empty_shrink_flag_is_not_the_spec_value(self, tmp_path, capsys):
-        spec = _write(tmp_path, "withshrink.json", {**DIP_SPEC, "shrink": "1/3"})
-        assert main(["certify", spec, "--mode", "local", "--shrink="]) == 64
-        assert "--shrink: not a rational number: ''" in capsys.readouterr().err
 
     def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):
         spec = _write(tmp_path, "n0.json", {**DIP_SPEC, "n_max": 0})
@@ -284,9 +272,6 @@ class TestMinimize:
         spec = _write(tmp_path, "witheps.json", {**DIP_SPEC, "eps": "1/10"})
         assert main(["minimize", spec, "--eps="]) == 64
         assert "--eps: not a rational number: ''" in capsys.readouterr().err
-
-    def test_shrink_is_certify_only(self, dip_spec):
-        assert main(["minimize", dip_spec, "--eps", "1/100", "--shrink", "1/10"]) == 64
 
 
 class TestUsageAndErrors:
@@ -390,7 +375,6 @@ class TestUsageAndErrors:
         ("claimed_min", {"claimed_min": True}, True),
         ("claimed_numerator_min", {"claimed_numerator_min": True}, True),
         ("eps", {"eps": True}, True),
-        ("shrink", {"shrink": False}, False),
     ])
     def test_boolean_rational_field(self, tmp_path, capsys, field, change, value):
         # JSON true/false are not the numbers 1 and 0.
@@ -399,6 +383,19 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert f"spec field '{field}'" in err
         assert f"not a rational number: {value!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"], ["certify", "--mode", "local"], ["minimize", "--eps", "1/100"]],
+        ids=["bounds", "certify", "minimize"])
+    def test_no_shrink_flag(self, dip_spec, capsys, argv):
+        # Local depth d means pieces of diameter <= 2^-d; no flag changes it.
+        assert main([argv[0], dip_spec, *argv[1:], "--shrink", "1/4"]) == 64
+        assert "unrecognized arguments: --shrink 1/4" in capsys.readouterr().err
+
+    def test_spec_shrink_key_is_ignored(self, tmp_path, capsys):
+        spec = _write(tmp_path, "withshrink.json", {**DIP_SPEC, "shrink": False})
+        assert main(["certify", spec, "--mode", "local", "--nmax", "5"]) == 0
+        assert capsys.readouterr().out == "certified positivity at depth 2, 5 leaves\n"
 
     @pytest.mark.parametrize("coeff", ["1e5000", "1e-5000"])
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
@@ -587,14 +584,12 @@ class TestUsageAndErrors:
         ({}, ["bounds", "--degree", "1"], "Bernstein degree 1 below polynomial degree 2"),
         ({}, ["certify", "--mode", "global", "--nmax", "-1"],
          "n_max must be nonnegative, got -1"),
-        ({}, ["certify", "--mode", "local", "--shrink", "3/2"],
-         "shrink factor must lie in (0, 1), got 3/2"),
         ({}, ["certify", "--mode", "negative", "--kmax", "1"],
          "k_max 1 below the function degree 2"),
         ({}, ["minimize", "--eps", "0"], "epsilon must be positive, got 0"),
         ({}, ["minimize", "--eps", "1/100", "--budget", "-1"],
          "budget must be nonnegative, got -1"),
-    ], ids=["dimensions", "domain", "degree", "n_max", "shrink", "k_max", "eps",
+    ], ids=["dimensions", "domain", "degree", "n_max", "k_max", "eps",
             "budget"])
     def test_library_argument_rules(self, tmp_path, capsys, change, argv, message):
         spec = _write(tmp_path, "rule.json", {**DIP_SPEC, **change})

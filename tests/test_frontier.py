@@ -77,7 +77,7 @@ DEPTH_CAP = {1: 3, 2: 3, 3: 1}
 # Reference loops
 # ---------------------------------------------------------------------------
 
-def ref_certify_local(root, n_max, shrink=F(1, 2)):
+def ref_certify_local(root, n_max):
     """(verdict, depth, leaves, witness, log) from the level-by-level loop;
     the log holds (depth, simplex, certified) for every piece tested."""
     log = []
@@ -92,7 +92,7 @@ def ref_certify_local(root, n_max, shrink=F(1, 2)):
     for depth in range(1, n_max + 1):
         next_pending = []
         for leaf in pending:
-            for piece in leaf.refine(shrink ** (2 * depth)):
+            for piece in leaf.refine(F(1, 4 ** depth)):
                 refute = _refuting_vertex(piece)
                 if refute is not None:
                     log.append((depth, piece.simplex, False))

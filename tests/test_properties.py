@@ -8,7 +8,9 @@ strategies must bracket m and a dense-sample minimum.  The local
 certificate splits its numerator alone, so on every piece it tests the
 denominator must stay positive and the numerator must be the conversion on
 that piece, in one to three variables.  Conversion at a degree must give
-the patch that elevation reaches, in one to three variables.
+the patch that elevation reaches, in one to three variables.  Given the
+true minimum as a claim, each a-priori bound must suffice on domains scaled
+from 1/16 to 16 times the standard simplex, in one to three variables.
 """
 
 import json
@@ -17,12 +19,20 @@ from fractions import Fraction as F
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from bernbound import (  # noqa: E402
+    ClaimedMinimum,
+    PowerPoly,
+    Simplex,
     Verdict,
+    apriori_degree_omega,
+    apriori_degree_pr,
+    apriori_depth,
+    apriori_steps,
     certify_global,
     certify_local,
+    convergence_constants,
     minimize,
     rational_patch,
     standard_simplex,
@@ -30,6 +40,7 @@ from bernbound import (  # noqa: E402
 )
 from bernbound import certify  # noqa: E402
 from bernbound.errors import DenominatorNotPositive  # noqa: E402
+from bernbound.geometry import diameter_sq  # noqa: E402
 from conftest import (  # noqa: E402
     closed_form,
     dense_sample,
@@ -43,12 +54,16 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 VERDICTS = settings(PROPERTY, max_examples=50)
 
 
+MINIMA = (F(-1, 2), F(-1, 20), F(0), F(1, 20), F(1, 4), F(1))
+
+
 @st.composite
-def problems(draw, dimensions=(2, 3)):
-    """(num, den, simplex, a, m) with n in ``dimensions``; a third of the
-    minima are negative, one in six is zero."""
+def problems(draw, dimensions=(2, 3), minima=MINIMA):
+    """(num, den, simplex, a, m) with n in ``dimensions`` and m in
+    ``minima``; of the default minima a third are negative, one in six is
+    zero."""
     n = draw(st.sampled_from(dimensions))
-    m = draw(st.sampled_from((F(-1, 2), F(-1, 20), F(0), F(1, 20), F(1, 4), F(1))))
+    m = draw(st.sampled_from(minima))
     s = draw(st.sampled_from((F(1, 4), F(1), F(3))))
     weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
     slopes = draw(st.lists(st.sampled_from((F(0), F(1, 2), F(2))),
@@ -132,3 +147,65 @@ def test_conversion_at_a_degree_is_the_elevated_patch(n, lift, rng):
         elevated = elevated.elevate()
     direct = rational_patch(num, den, simplex, elevated.degree)
     assert json.dumps(direct.to_json()) == json.dumps(elevated.to_json())
+
+
+def _scaled(poly, scale):
+    """x -> poly(x / scale): the same function on the domain scaled by
+    ``scale``."""
+    return PowerPoly(poly.dimension,
+                     {e: c / scale ** sum(e) for e, c in poly.iter_terms()})
+
+
+def _local_rounds(depth, simplex):
+    """The most split rounds a local run to ``depth`` makes: one per depth
+    step, each halving every piece's diameter, plus the halvings that bring
+    the domain's diameter to 1 (depth d means diameter <= 2^-d)."""
+    extra, d2 = 0, diameter_sq(simplex)
+    while d2 > 4 ** extra:
+        extra += 1
+    return depth + extra
+
+
+# A run of r rounds in n variables may make (2^n)^r pieces; the checks below
+# run only where that is at most 2^12, and the global scan to degree 60.
+PIECE_BITS, DEGREE_CAP = 12, 60
+
+
+@settings(PROPERTY, max_examples=80)
+@given(problems((1, 2, 3), (F(1, 100), F(1, 20), F(1, 4), F(1))),
+       st.sampled_from((F(1, 16), F(1, 4), F(1), F(4), F(16))))
+# 1/100 + (16x - 2/3)^2 / 4 on [0, 1/16]: a depth counting diameters 4^-d
+# would claim depth 1, where one round leaves halves of the domain, and
+# certify nothing there; at 2^-d the bound is depth 2.
+@example((*closed_form(F(1, 100), F(1, 4), [1, 2], [F(0)], [F(0)]), F(1, 100)), F(1, 16))
+def test_apriori_bounds_suffice_on_scaled_domains(problem, scale):
+    # With the true minimum m as the claim on f, the local certificate
+    # certifies at ``apriori_depth``, the global scan at
+    # ``apriori_degree_omega``, and uniform ``minimize`` to a gap of m
+    # converges within ``apriori_steps`` rounds.  Each denominator is at
+    # least 1 on its simplex, so num >= m * den >= m and m is also a true
+    # numerator claim: the global scan certifies at ``apriori_degree_pr``,
+    # raised to the function degree.  Scaling moves the domain, not the
+    # Bernstein coefficients, so the bounds are those of the unit problem
+    # while the local certificate's depth counts absolute diameters.
+    num, den, simplex, _, m = problem
+    num, den = _scaled(num, scale), _scaled(den, scale)
+    simplex = Simplex([[scale * c for c in v] for v in simplex.vertices])
+    n = simplex.dimension
+    root = rational_patch(num, den, simplex)
+    constants = convergence_constants(root)
+    fmin = ClaimedMinimum(m)
+    depth = apriori_depth(constants, fmin)
+    if n * _local_rounds(depth, simplex) <= PIECE_BITS:
+        report = certify_local(num, den, simplex, depth)
+        assert report.verdict is Verdict.CERTIFIED
+    numerator_patch = to_bernstein(num, num.degree, simplex)
+    for degree in (apriori_degree_omega(constants, fmin),
+                   max(root.degree, apriori_degree_pr(numerator_patch, fmin))):
+        if degree <= DEGREE_CAP:
+            report = certify_global(num, den, simplex, degree)
+            assert report.verdict is Verdict.CERTIFIED
+    rounds = apriori_steps(constants, m)
+    if n * rounds <= PIECE_BITS:
+        result = minimize(num, den, simplex, m, budget=rounds, mode="uniform")
+        assert result.converged and result.apriori_rounds == rounds
