@@ -398,7 +398,22 @@ class TestAprioriDepth:
             depth += 1
         return depth
 
-    def test_matches_linear_scan(self):
+    @pytest.mark.parametrize("shrink, claims", [
+        (F(1, 2), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(1, 3), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(99, 100), (F(1, 100), F(1, 3), F(1), F(2), F(10))),
+        (F(999, 1000), (F(1, 3), F(1), F(2), F(10))),
+    ])
+    def test_matches_linear_scan(self, shrink, claims):
+        # fn_dip on its domain [-1, 1] shrunk to [-shrink, shrink]
+        num, den, _ = fn_dip()
+        domain = Simplex.from_interval(-shrink, shrink)
+        constants = convergence_constants(rational_patch(num, den, domain))
+        for claim in claims:
+            fmin = ClaimedMinimum(claim)
+            assert apriori_depth(constants, fmin) == self._linear_scan(constants, fmin)
+
+    def test_matches_linear_scan_near_powers_of_four(self):
         num, den, domain = fn_dip()
         constants = [convergence_constants(rational_patch(num, den, domain))]
         # 2w' at, just below and just above powers of 4, and far from them
