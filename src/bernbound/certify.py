@@ -16,6 +16,11 @@ numerator only and the local certificate splits the numerator only.  A
 refuting vertex's value divides its numerator coefficient by the root
 denominator evaluated at that vertex.
 
+The local certificate runs on ``ratpatch.Piece`` records below its root:
+integer vertex rows and the numerator's integer list, read for signs and
+the smallest entry.  No piece becomes a ``Simplex`` or a patch; a refuting
+piece's vertex is read from its rows.
+
 The vertex part is decided once per patch it concerns.  Each subdivision
 piece has its vertex coefficients scanned once (``_refuting_index``); a
 piece that survives certifies iff its smallest coefficient is nonnegative.
@@ -58,6 +63,7 @@ from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous, to_be
 from .powerpoly import PowerPoly
 from .ratpatch import (
     ConvergenceConstants,
+    Piece,
     RationalPatch,
     _refine_ints,
     convergence_constants,
@@ -183,11 +189,11 @@ def cert_predicate(f: RationalPatch) -> bool:
     return numerator_certifies(f.num)
 
 
-def _refuting_index(num: BernsteinPatch) -> Optional[int]:
+def _refuting_index(nums, vertices) -> Optional[int]:
     """The first vertex whose numerator coefficient, num(v_i), is
-    non-positive: under a positive denominator, a non-positive value."""
-    nums = num.nums
-    for i, p in enumerate(num.index_set.vertex_positions()):
+    non-positive: under a positive denominator, a non-positive value.
+    ``vertices`` are the vertex positions in ``nums``."""
+    for i, p in enumerate(vertices):
         if nums[p] <= 0:
             return i
     return None
@@ -198,11 +204,11 @@ def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
 
     The ratio has its numerator coefficient's sign, so only the witness's
     value is built."""
-    i = _refuting_index(f.num)
+    vertices = f.num.index_set.vertex_positions()
+    i = _refuting_index(f.num.nums, vertices)
     if i is None:
         return None
-    p = f.num.index_set.vertex_positions()[i]
-    return Witness(f.simplex.vertex(i), f.ratio(p), "vertex")
+    return Witness(f.simplex.vertex(i), f.ratio(vertices[i]), "vertex")
 
 
 def _report(mode: Mode, start: float, verdict: Verdict, degree: int,
@@ -296,9 +302,10 @@ def certify_local(
     a certified leaf, and pruned, when its smallest coefficient is
     nonnegative.  The run gives up when the unresolved leaves reach depth
     n_max, which must be nonnegative.  Only the root is a rational patch,
-    which checks the denominator; below it the pieces are numerator
-    patches, whose signs are the function's.  A piece lives only until it
-    is decided or split: the report counts certified leaves and keeps none.
+    which checks the denominator; below it the pieces are plain records of
+    the numerator's integers, whose signs are the function's.  A piece
+    lives only until it is decided or split: the report counts certified
+    leaves and keeps none.
     """
     return _certify(pnum, pden, simplex, "local", n_max=n_max)
 
@@ -306,24 +313,27 @@ def certify_local(
 def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     """``certify_local`` on its base-degree root patch."""
     start = time.perf_counter()
+    k = root.degree
+    vertices = root.num.index_set.vertex_positions()
     certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 
     def split(leaf, depth, key):
         if refuted:
             return ()
-        return [piece for (piece,) in _refine_ints((leaf,), Fraction(1, 4 ** (depth + 1)))]
+        return _refine_ints(leaf, k, (1, 4 ** (depth + 1)))
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
         if refuted:
             return None
         last = depth
-        i = _refuting_index(piece)
+        nums, = piece.lists
+        i = _refuting_index(nums, vertices)
         if i is not None:
-            refuted = (depth, _vertex_witness(piece, i, root.den))
+            refuted = (depth, _vertex_witness(piece, vertices[i], i, root))
             return None
-        ok = min(piece.nums) >= 0
+        ok = min(nums) >= 0
         certified += ok
         return None if ok else depth
 
@@ -339,15 +349,18 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         return _report(Mode.LOCAL_SUBDIVISION, start, verdict, root.degree,
                        witness, depth, certified)
 
-    return subdivide(root.num, split, visit, stop)
+    return subdivide(Piece.of((root.num,)), split, visit, stop)
 
 
-def _vertex_witness(num: BernsteinPatch, i: int, den: BernsteinPatch) -> Witness:
-    """The witness at vertex i of a numerator piece: num(v_i) over
-    den(v_i), the root's denominator evaluated there once."""
-    vertex = num.simplex.vertex(i)
-    p = num.index_set.vertex_positions()[i]
-    return Witness(vertex, Fraction(num.nums[p], num.scale) / den.eval(vertex), "vertex")
+def _vertex_witness(piece: Piece, p: int, i: int, root: RationalPatch) -> Witness:
+    """The witness at vertex i, position p, of a numerator piece split from
+    ``root``: num(v_i), over the root's numerator scale shifted by the
+    piece's cuts, over den(v_i), the root's denominator evaluated there
+    once."""
+    vertex = piece.vertex(i)
+    scale = root.num.scale << root.degree * piece.cuts
+    return Witness(vertex, Fraction(piece.lists[0][p], scale) / root.den.eval(vertex),
+                   "vertex")
 
 
 def certify_negative(

@@ -14,10 +14,13 @@ barycentric coordinates.  A simplex measures its longest edge once, as the
 integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
 rule: it forms each midpoint from the parent's integers over at most twice
 its denominator, for ``bisect_edge`` and for the refinement driver
-(``ratpatch._refine_ints``), which keeps its intermediate pieces as plain
-rows and checks only its leaves.  The
-only irrational quantity, the diameter, is never materialized:
-``diameter_sq`` builds its ``Fraction`` on demand.
+(``ratpatch._refine_ints``), which keeps every piece below a checked root as
+plain rows: a bisection child of a simplex is a simplex of half its volume,
+so no piece is checked again.  ``_point`` and ``_grid_point`` read a vertex
+or a grid point straight from such rows, and a ``Simplex`` is built from
+them (``_checked_simplex``, through the same rank check) only where one is
+asked for.  The only irrational quantity, the diameter, is never
+materialized: ``diameter_sq`` builds its ``Fraction`` on demand.
 """
 
 from __future__ import annotations
@@ -90,8 +93,7 @@ class Simplex:
         return self._vertices
 
     def _point(self, row: Sequence[int]) -> Point:
-        denom = self.denom
-        return tuple([Fraction(x, denom) for x in row])
+        return _point(row, self.denom)
 
     @property
     def dimension(self) -> int:
@@ -131,7 +133,9 @@ def _setup(simplex: Simplex, ints, denom: int, pts=None, longest=None) -> None:
     put(simplex, "_vertices", pts)
     v0 = ints[0]
     if _bareiss([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]) is None:
-        raise DegenerateSimplex(f"vertices are affinely dependent: {simplex.vertices}")
+        points = ", ".join(f"({', '.join(map(format_rational, v))})"
+                           for v in simplex.vertices)
+        raise DegenerateSimplex(f"vertices are affinely dependent: ({points})")
     put(simplex, "_longest_edge", longest or _longest(ints))
 
 
@@ -216,12 +220,21 @@ def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
     n = simplex.dimension
     if len(alpha) != n + 1:
         raise DegreeMismatch(f"index {tuple(alpha)} does not fit dimension {n}")
-    denom = k * simplex.denom
-    coords = [0] * n
-    for a, row in zip(alpha, simplex.ints):
+    return _grid_point(alpha, k, simplex.ints, simplex.denom)
+
+
+def _point(row: Sequence[int], denom: int) -> Point:
+    """The point of an integer row over ``denom``."""
+    return tuple([Fraction(x, denom) for x in row])
+
+
+def _grid_point(alpha: Sequence[int], k: int, rows, denom: int) -> Point:
+    """``grid_point`` of integer vertex rows over ``denom``, unchecked."""
+    coords = [0] * (len(rows) - 1)
+    for a, row in zip(alpha, rows):
         if a:
             coords = [x + a * y for x, y in zip(coords, row)]
-    return tuple([Fraction(x, denom) for x in coords])
+    return _point(coords, k * denom)
 
 
 def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
@@ -295,8 +308,8 @@ def _bisect_rows(rows, denom: int, i: int, j: int):
     keeps v_j (each with the midpoint in place of the other end) and their
     common denominator: the parent's, or twice it when a midpoint entry is
     odd.  The odd entry keeps reduced rows reduced.  Nothing is checked
-    here; ``bisect_edge`` and the split round check the simplices they
-    return.
+    here; ``bisect_edge`` checks the simplices it returns, and the
+    refinement driver needs no check (see ``ratpatch._refine_ints``).
     """
     mid = [a + b for a, b in zip(rows[i], rows[j])]
     if any(x & 1 for x in mid):
@@ -315,7 +328,8 @@ def _bisect_rows(rows, denom: int, i: int, j: int):
 def _checked_simplex(ints, denom: int, longest=None) -> Simplex:
     """A simplex from reduced integer rows over ``denom``, checked by
     ``_setup`` like every other simplex; ``longest`` is its ``_longest``
-    measure when the caller already has it."""
+    measure when the caller already has it.  A subdivision piece becomes a
+    ``Simplex`` only through here, and only on demand."""
     simplex = Simplex.__new__(Simplex)
     _setup(simplex, ints, denom, None, longest)
     return simplex

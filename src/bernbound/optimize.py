@@ -1,13 +1,19 @@
 """Branch-and-bound minimization of a rational function over a simplex.
 
-Every node carries the rational patch of the function over its subsimplex at
-the function's own degree (the degree never changes during minimization).
+Every node carries the rational Bernstein coefficients of the function over
+its subsimplex at the function's own degree (the degree never changes
+during minimization), as a ``ratpatch.Piece``: the numerator and
+denominator integer lists and the integer vertex rows.
 The minimum coefficient of a node is a certified lower bound for the
 function there; evaluating the function at the minimizing grid point or at a
 vertex yields a true function value and hence an upper bound.  A node's
 lower bound is read first: when it already reaches the incumbent upper
 bound, no value on the node can lower the incumbent, so the node gets no
-grid or vertex value (``local_bounds`` runs only below it).  Subdividing
+grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
+read from the lists by one rule each: ``ratpatch._min_position`` and
+``_ratio`` for the lower bound, ``_upper_bound`` for the upper bound and its
+point; ``local_bounds`` runs the same rules on a ``RationalPatch``.
+Subdividing
 shrinks the gap between the two; the bounds sandwich the true minimum at all
 times, and an a-priori round count suffices for any requested gap.
 
@@ -17,7 +23,9 @@ stops at a level boundary on the level's smallest lower bound.
 ``best-first`` keys a leaf by (lower bound, simplex), so a step splits one
 leaf; it drops leaves that cannot beat the incumbent, parks those at the
 depth budget, and stops on the least of the incumbent, the frontier's head
-and the parked bounds.  Neither keeps a per-step record: a piece lives until
+and the parked bounds.  Only the root is a ``RationalPatch``; no piece
+below it becomes a ``Simplex`` or a patch, and a witness is read from its
+rows.  Neither keeps a per-step record: a piece lives until
 it is dropped, parked (its bound alone is kept) or split.
 """
 
@@ -29,9 +37,20 @@ from typing import Optional, Tuple
 
 from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
-from .geometry import Simplex, grid_point
+from .geometry import Simplex, _grid_point
+from .indexing import enumerate_indices
+from .polypatch import _grid_sum
 from .powerpoly import PowerPoly
-from .ratpatch import RationalPatch, convergence_constants, rational_patch, subdivide
+from .ratpatch import (
+    Piece,
+    RationalPatch,
+    _min_position,
+    _ratio,
+    _split_round,
+    convergence_constants,
+    rational_patch,
+    subdivide,
+)
 from .rationals import Rational, float_str, format_rational, parse_rational
 
 Point = Tuple[Fraction, ...]
@@ -85,18 +104,33 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     order, so results are deterministic.
     """
     position = f.min_position()
-    m = f.ratio(position)
-    k = f.degree
+    return (f.ratio(position), *_upper_bound(
+        Piece.of((f.num, f.den)), f.degree, (f.num.scale, f.den.scale), position))
+
+
+def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int],
+                 position: int) -> Tuple[Fraction, Point]:
+    """The upper bound of ``local_bounds`` and its point, for a degree-k
+    piece whose numerator and denominator lists are over ``scales`` times a
+    common factor, ``position`` being the first position of its smallest
+    ratio.  The grid value is ``grid_sum`` of both lists at that position's
+    index, and the point is read from the piece's rows."""
+    nums, dens = piece.lists
+    s, t = scales
+    n = len(piece.rows) - 1
+    indices = enumerate_indices(k, n)
     delta = witness = None
     if k >= 1:
-        argmin = f.num.index_set[position]
-        delta = f.grid_value(argmin)
-    for i, value in enumerate(f.vertex_ratios()):
+        argmin = indices[position]
+        delta = Fraction(_grid_sum(nums, k, n, argmin) * t,
+                         _grid_sum(dens, k, n, argmin) * s)
+    for i, p in enumerate(indices.vertex_positions()):
+        value = _ratio(piece.lists, scales, p)
         if delta is None or value < delta:
-            delta, witness = value, f.simplex.vertex(i)
+            delta, witness = value, piece.vertex(i)
     if witness is None:
-        witness = grid_point(argmin, k, f.simplex)
-    return m, delta, witness
+        witness = _grid_point(argmin, k, piece.rows, piece.denom)
+    return delta, witness
 
 
 def apriori_steps(constants, epsilon: Rational) -> int:
@@ -138,6 +172,7 @@ def minimize(
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
+    k, scales = root.degree, (root.num.scale, root.den.scale)
     delta = witness = None
     lowest = {}  # uniform: the smallest lower bound at each depth
     parked = []  # best-first: the bounds of leaves held at the budget depth
@@ -147,9 +182,10 @@ def minimize(
         # The lower bound first: at m >= delta every value on the piece is
         # at least delta, so its upper bound could not lower delta.
         nonlocal delta, witness
-        m = piece.ratio(piece.min_position())
+        position = _min_position(*piece.lists)
+        m = _ratio(piece.lists, scales, position)
         if delta is None or m < delta:
-            _, d, w = local_bounds(piece)
+            d, w = _upper_bound(piece, k, scales, position)
             if delta is None or d < delta:
                 delta, witness = d, w
         return m
@@ -177,9 +213,9 @@ def minimize(
 
     def visit_best(piece, depth):
         m = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root
-        return None if depth and m >= delta else (m, piece.simplex.signature())
+        return None if depth and m >= delta else (m, piece.signature())
 
-    def split_best(patch, depth, key):
+    def split_best(piece, depth, key):
         nonlocal deepest
         if key[0] >= delta:
             return ()
@@ -187,15 +223,16 @@ def minimize(
             parked.append(key[0])
             return ()
         deepest = max(deepest, depth + 1)
-        return patch.split_round()
+        return _split_round(piece, k)
 
     def stop_best(frontier):
         head = (frontier[0][0][0],) if frontier else ()
         return settle(min((delta, *head, *parked)), deepest,
                       len(frontier) + len(parked), not frontier)
 
+    top = Piece.of((root.num, root.den))
     if mode == "uniform":
-        return subdivide(root, lambda patch, depth, key: patch.split_round(),
+        return subdivide(top, lambda piece, depth, key: _split_round(piece, k),
                          visit_uniform, stop_uniform)
-    return subdivide(root, split_best, visit_best, stop_best)
+    return subdivide(top, split_best, visit_best, stop_best)
 

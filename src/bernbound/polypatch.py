@@ -157,16 +157,7 @@ class BernsteinPatch:
         scale * W^k, as |beta| = k.  Grid points are the case w = alpha,
         W = k, which needs no coordinates and no linear solve.
         """
-        powers = [[a ** e for e in range(self.degree + 1)] for a in weights]
-        total = 0
-        for beta, num, weight in zip(self.index_set, self.nums,
-                                     multinomials(self.degree, self.dimension)):
-            if num:
-                term = num * weight
-                for row, b in zip(powers, beta):
-                    term *= row[b]
-                total += term
-        return total
+        return _grid_sum(self.nums, self.degree, self.dimension, weights)
 
     def elevate(self) -> "BernsteinPatch":
         """Same polynomial one degree higher; the enclosure never widens.
@@ -236,6 +227,22 @@ class BernsteinPatch:
             _integer(data["degree"], "degree"),
             tuple(parse_rational(c) for c in data["coeffs"]),
         )
+
+
+def _grid_sum(nums: Sequence[int], degree: int, dimension: int,
+              weights: Sequence[int]) -> int:
+    """``BernsteinPatch.grid_sum`` of the numerators ``nums`` of a
+    degree-``degree`` patch over a ``dimension``-simplex."""
+    powers = [[a ** e for e in range(degree + 1)] for a in weights]
+    total = 0
+    for beta, num, weight in zip(enumerate_indices(degree, dimension), nums,
+                                 multinomials(degree, dimension)):
+        if num:
+            term = num * weight
+            for row, b in zip(powers, beta):
+                term *= row[b]
+            total += term
+    return total
 
 
 def _second_difference_ints(patch: BernsteinPatch) -> Tuple[tuple, List[int]]:

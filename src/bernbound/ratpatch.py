@@ -1,8 +1,7 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
-split rounds (all run by one integer driver, ``_refine_ints``, under
-``RationalPatch.refine`` and the local certificate), the subdivision loop
-over them, and the convergence constants driving degree and subdivision
-bounds.
+split rounds (all run by one integer driver, ``_refine_ints``, on plain
+``Piece`` records), the subdivision loop over them, and the convergence
+constants driving degree and subdivision bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -13,17 +12,22 @@ Both patches hold integer numerators over a positive shared scale each (see
 ``polypatch``), so a ratio's sign is its numerator coefficient's sign and
 two ratios compare by cross-multiplying their numerators.  The leaf tests
 read only that: the certificate predicate and the refuting-vertex search
-read signs, ``min_position`` finds the smallest ratio, and a ``Fraction`` is
-built only for a value that is returned (``ratio``, ``vertex_ratios``).  The
-full per-index ``ratios`` tuple is the output view for enclosures and JSON,
-built on first use.  The convergence constants read the same integers: a
-``Fraction`` per constant, none per coefficient.
+read signs, ``_min_position`` finds the smallest ratio, and a ``Fraction``
+is built only for a value that is returned (``ratio``, ``vertex_ratios``).
+The full per-index ``ratios`` tuple is the output view for enclosures and
+JSON, built on first use.  The convergence constants read the same
+integers: a ``Fraction`` per constant, none per coefficient.
 
-A de Casteljau child's coefficients are positive-weight means of its
-parent's, so a denominator that is positive at a root stays positive on
-every piece split from it.  The local certificate, which reads numerator
-signs only, therefore checks the denominator once at its root and splits
-the numerator alone (``_refine_ints`` on that one patch).
+Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
+integer vertex rows and one integer list per patch, with no ``Simplex`` and
+no patch object.  A bisection child of a simplex is a simplex (the identity
+in ``_refine_ints``), and a de Casteljau child's coefficients are
+positive-weight means of its parent's, so a denominator that is positive at
+the root stays positive on every piece.  So the root's rank check and
+denominator check cover every piece, and neither runs again.  The local
+certificate, which reads numerator signs only, splits the numerator alone.
+``RationalPatch.refine`` and ``split_round`` turn the pieces back into
+checked patches, for callers that want objects.
 """
 
 from __future__ import annotations
@@ -44,11 +48,13 @@ from .errors import (
     SimplexMismatch,
 )
 from .geometry import (
+    Point,
     Simplex,
     _barycentric_weights,
     _bisect_rows,
     _checked_simplex,
     _longest,
+    _point,
     bisect_edge,
     diameter_sq,
     round_length,
@@ -116,8 +122,7 @@ class RationalPatch:
 
     def ratio(self, p: int) -> Fraction:
         """The ratio at position p, exactly, without building the others."""
-        return Fraction(self.num.nums[p] * self.den.scale,
-                        self.den.nums[p] * self.num.scale)
+        return _ratio((self.num.nums, self.den.nums), (self.num.scale, self.den.scale), p)
 
     def vertex_ratios(self) -> Tuple[Fraction, ...]:
         """Per-vertex ratios; these are true function values f(v_i)."""
@@ -133,13 +138,7 @@ class RationalPatch:
 
     @cached_property
     def _min_position(self) -> int:
-        nums, dens = self.num.nums, self.den.nums
-        best, a, b = 0, nums[0], dens[0]
-        for p in range(1, len(nums)):
-            c, d = nums[p], dens[p]
-            if c * b < a * d:
-                best, a, b = p, c, d
-        return best
+        return _min_position(self.num.nums, self.den.nums)
 
     @cached_property
     def _enclosure(self) -> Interval:
@@ -191,11 +190,13 @@ class RationalPatch:
     def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
         """At least one shrink round, then more on every piece whose squared
         diameter still exceeds ``threshold_sq``: ``_refine_ints`` on the
-        numerator and denominator together, each leaf's pair checked as a
-        ``RationalPatch``.  It equals repeated ``split_edge`` on the longest
-        edge, with the same leaves, order and integers."""
-        return [RationalPatch(num, den)
-                for num, den in _refine_ints((self.num, self.den), threshold_sq)]
+        numerator and denominator together, each leaf turned back into a
+        checked ``RationalPatch``.  It equals repeated ``split_edge`` on the
+        longest edge, with the same leaves, order and integers."""
+        roots = (self.num, self.den)
+        threshold = threshold_sq.numerator, threshold_sq.denominator
+        return [RationalPatch(*piece.patches(roots))
+                for piece in _refine_ints(Piece.of(roots), self.degree, threshold)]
 
     def to_json(self) -> dict:
         return {
@@ -205,51 +206,93 @@ class RationalPatch:
         }
 
 
-def _refine_ints(patches: Tuple[BernsteinPatch, ...],
-                 threshold_sq: Fraction) -> List[Tuple[BernsteinPatch, ...]]:
-    """The integer subdivision driver: at least one shrink round of the
-    simplex that ``patches`` share, then more on every piece whose squared
-    diameter still exceeds ``threshold_sq``, splitting the numerator list of
-    every patch (all of one degree k) along.  Returns, per leaf, one
-    ``BernsteinPatch`` per input patch, over that patch's scale shifted left
-    by k per bisection.
+class Piece:
+    """One piece of a subdivision, as plain data.
+
+    ``rows`` are its reduced integer vertex rows over ``denom``, ``lists``
+    one integer numerator list per subdivided patch, ``cuts`` its bisections
+    since the run's root and ``longest`` the ``geometry._longest`` measure of
+    its rows.  All patches have one degree k, and list l is over the root
+    patch l's scale shifted left by k * cuts.  The constructor checks
+    nothing: below a checked root every piece is a simplex (see
+    ``_refine_ints``).  ``patches`` builds checked objects, for a caller
+    that wants them; a run reads the rows and lists.
+    """
+
+    __slots__ = ("rows", "denom", "lists", "cuts", "longest", "__weakref__")
+
+    def __init__(self, rows, denom: int, lists, cuts: int, longest):
+        self.rows = rows
+        self.denom = denom
+        self.lists = lists
+        self.cuts = cuts
+        self.longest = longest
+
+    @classmethod
+    def of(cls, patches: Tuple[BernsteinPatch, ...]) -> "Piece":
+        """The root piece of patches over one (checked) simplex."""
+        simplex = patches[0].simplex
+        return cls(simplex.ints, simplex.denom, tuple(p.nums for p in patches), 0,
+                   simplex._longest_edge)
+
+    def vertex(self, i: int) -> Point:
+        return _point(self.rows[i], self.denom)
+
+    def signature(self) -> Tuple[Point, ...]:
+        """``Simplex.signature`` of the piece, read from its rows."""
+        denom = self.denom
+        return tuple([_point(row, denom) for row in self.rows])
+
+    def patches(self, roots: Tuple[BernsteinPatch, ...]) -> Tuple[BernsteinPatch, ...]:
+        """The piece's lists as patches over its simplex, rank-checked like
+        every ``Simplex``, ``roots`` being the root patches they were split
+        from."""
+        simplex = _checked_simplex(self.rows, self.denom, self.longest)
+        k = roots[0].degree
+        return tuple(BernsteinPatch._from_ints(simplex, k, nums, root.scale << k * self.cuts)
+                     for nums, root in zip(self.lists, roots))
+
+
+def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece]:
+    """The integer subdivision driver: at least one shrink round of
+    ``piece``, then more on every piece whose squared diameter still exceeds
+    the fraction ``threshold`` = (numerator, denominator), splitting each of
+    its degree-k lists along.  Returns the leaves as ``Piece`` records.
 
     A round applies n(n+1)/2 levels of longest-edge bisection, then keeps
     bisecting any piece whose squared diameter still exceeds a quarter of
     the round root's (a safety net; not observed for the tested
     dimensions).  A piece that is still too wide after 4 times the levels
-    plus 4 such extra halvings raises ``DegenerateSimplex``.
+    plus 4 such extra halvings raises ``DegenerateSimplex``.  Children come
+    from ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
+    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list;
+    each piece's longest edge is measured once.  Pieces are split left child
+    first, so the leaves come in the order of replacing each piece by its
+    children in place.
 
-    Every round runs on plain data: a piece is its integer vertex rows,
-    their denominator, its numerator lists, its bisection count and its
-    longest edge, measured once.  Its children come from
-    ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
-    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
-    Only the leaves become ``Simplex`` objects (through the rank check) and
-    patches.  A bisection child lies in its parent's affine hull, so a
-    singular piece would leave singular leaves, which the check rejects.
-    Pieces are split left child first, so the leaves come in the order of
-    replacing each piece by its children in place.
+    No piece is rank-checked, because bisection keeps a simplex a simplex.
+    Write E_i for the matrix of edge vectors v_l - v_i (l != i) of a
+    simplex; |det E_i| is n! times its volume, the same for every i.  The
+    child that keeps v_i has v_j replaced by the midpoint m, so among its
+    edge vectors from v_i only v_j - v_i changes, to m - v_i =
+    (v_j - v_i)/2: one row of E_i is halved, and |det| halves exactly.  The
+    child that keeps v_j is the same with i and j swapped.  So a piece cut
+    c times from a root has |det| = |det(root)| / 2^c, which is nonzero
+    when the root's is: the root's rank check covers every piece.
     """
-    simplex, k = patches[0].simplex, patches[0].degree
-    lists = tuple(patch.nums for patch in patches)
-    n = simplex.dimension
+    n = len(piece.rows) - 1
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
-    threshold = threshold_sq.numerator, threshold_sq.denominator
-    rows, denom, longest = simplex.ints, simplex.denom, simplex._longest_edge
+    rows, denom, longest = piece.rows, piece.denom, piece.longest
     # (rows, denom, lists, longest edge, cuts, cuts in the round, the
-    # round's target squared diameter); the root opens the first round.
-    stack = [(rows, denom, lists, longest, 0, 0, _quarter(longest, denom))]
+    # round's target squared diameter); the piece opens the first round.
+    stack = [(rows, denom, piece.lists, longest, piece.cuts, 0, _quarter(longest, denom))]
     leaves = []
     while stack:
         rows, denom, lists, longest, cuts, depth, target = stack.pop()
         if depth >= levels and not _wider(longest, denom, target):
             if not _wider(longest, denom, threshold):
-                leaf = _checked_simplex(rows, denom, longest)
-                leaves.append(tuple(
-                    BernsteinPatch._from_ints(leaf, k, nums, patch.scale << k * cuts)
-                    for nums, patch in zip(lists, patches)))
+                leaves.append(Piece(rows, denom, lists, cuts, longest))
                 continue
             target, depth = _quarter(longest, denom), 0
         elif depth == budget:
@@ -264,28 +307,55 @@ def _refine_ints(patches: Tuple[BernsteinPatch, ...],
     return leaves
 
 
+def _split_round(piece: Piece, k: int) -> List[Piece]:
+    """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
+    squared diameter, the rule of ``RationalPatch.split_round``."""
+    return _refine_ints(piece, k, _quarter(piece.longest, piece.denom))
+
+
+def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
+    """The ratio at position p of numerator and denominator ``lists`` over
+    ``scales`` times one common factor, which cancels."""
+    nums, dens = lists
+    s, t = scales
+    return Fraction(nums[p] * t, dens[p] * s)
+
+
+def _min_position(nums, dens) -> int:
+    """First position of the smallest ratio nums[p] / dens[p], the lists
+    being over positive scales and the denominators positive: a/b < c/d is
+    a*d < c*b, so no ratio is built."""
+    best, a, b = 0, nums[0], dens[0]
+    for p in range(1, len(nums)):
+        c, d = nums[p], dens[p]
+        if c * b < a * d:
+            best, a, b = p, c, d
+    return best
+
+
 def subdivide(root, split, visit, stop):
     """The subdivision loop behind ``certify_local`` and both ``minimize``
-    strategies, which differ only in the four callbacks.  A patch here is
-    whatever ``split`` makes: a ``RationalPatch`` for ``minimize``, a
-    numerator ``BernsteinPatch`` for the local certificate.
+    strategies, which differ only in the four callbacks.  A piece here is a
+    ``Piece`` from ``_refine_ints``: one list, the numerator's, for the
+    local certificate, and two, numerator and denominator, for
+    ``minimize``.
 
-    The frontier is a heap of (key, seq, depth, patch); seq keeps tied keys
-    in insertion order.  ``visit(patch, depth)`` sees the root at depth 0 and
-    every piece after it, and returns the patch's key, or None to drop it.
+    The frontier is a heap of (key, seq, depth, piece); seq keeps tied keys
+    in insertion order.  ``visit(piece, depth)`` sees the root at depth 0 and
+    every piece after it, and returns the piece's key, or None to drop it.
     Between steps ``stop(frontier)`` returns the result, or None to go on; it
     must end the run on an empty frontier.  A step pops every entry tied for
     the smallest key, then visits, at depth + 1, the pieces of each one's
-    ``split(patch, depth, key)``.  With key = depth a step is one level;
+    ``split(piece, depth, key)``.  With key = depth a step is one level;
     with unique keys it is one leaf.
     """
     frontier: list = []
     seq = count()
 
-    def offer(patch, depth):
-        key = visit(patch, depth)
+    def offer(piece, depth):
+        key = visit(piece, depth)
         if key is not None:
-            heappush(frontier, (key, next(seq), depth, patch))
+            heappush(frontier, (key, next(seq), depth, piece))
 
     offer(root, 0)
     while (result := stop(frontier)) is None:
@@ -293,8 +363,8 @@ def subdivide(root, split, visit, stop):
         step = [heappop(frontier)]
         while frontier and frontier[0][0] == head:
             step.append(heappop(frontier))
-        for key, _, depth, patch in step:
-            for piece in split(patch, depth, key):
+        for key, _, depth, parent in step:
+            for piece in split(parent, depth, key):
                 offer(piece, depth + 1)
     return result
 

@@ -243,22 +243,37 @@ def pinned_corpus():
 
 def closed_form(m, s, weights, slopes, offset):
     """f = m + s * |x - a|^2 / q over the standard n-simplex shifted by
-    ``offset``, with n = len(slopes).
+    ``offset``, with n = len(slopes): ``closed_form_on`` that simplex, so
+    q = 1 + sum slopes_i * (x_i - offset_i).  Returns (num, den, simplex,
+    a)."""
+    n = len(slopes)
+    vertices = [list(offset)] + [
+        [o + (c == i) for c, o in enumerate(offset)] for i in range(n)]
+    return closed_form_on(m, s, weights, slopes, vertices)
 
-    q = 1 + sum slopes_i * (x_i - offset_i) with nonnegative slopes is at
-    least 1 at every vertex, so its Bernstein coefficients are positive; the
-    point a (barycentric ``weights``, all positive) lies strictly inside, so
-    the exact minimum is m, attained at a.  Returns (num, den, simplex, a).
+
+def closed_form_on(m, s, weights, slopes, vertices):
+    """f = m + s * |x - a|^2 / q over the simplex of ``vertices``, with
+    n = len(slopes).
+
+    q = 1 + sum slopes_i * (x_i - low_i), where low_i is the smallest i-th
+    vertex coordinate, with nonnegative slopes is at least 1 at every
+    vertex, so its Bernstein coefficients are positive; the point a
+    (barycentric ``weights``, all positive) lies strictly inside, so the
+    exact minimum is m, attained at a.  Returns (num, den, simplex, a).
     """
     n = len(slopes)
+    vertices = [[F(c) for c in v] for v in vertices]
     total = sum(weights)
-    a = tuple(o + F(w, total) for o, w in zip(offset, weights[1:]))
+    a = tuple(sum(w * v[c] for w, v in zip(weights, vertices)) / total
+              for c in range(n))
+    low = [min(v[c] for v in vertices) for c in range(n)]
     zero = (0,) * n
 
     def unit(i, power):
         return tuple(power if c == i else 0 for c in range(n))
 
-    den = {zero: 1 - sum(c * o for c, o in zip(slopes, offset))}
+    den = {zero: 1 - sum(c * o for c, o in zip(slopes, low))}
     for i, c in enumerate(slopes):
         den[unit(i, 1)] = c
     num = {e: m * c for e, c in den.items()}
@@ -266,8 +281,6 @@ def closed_form(m, s, weights, slopes, offset):
     for i, x in enumerate(a):
         num[unit(i, 1)] -= 2 * s * x
         num[unit(i, 2)] = s
-    vertices = [list(offset)] + [
-        [o + (c == i) for c, o in enumerate(offset)] for i in range(n)]
     return PowerPoly(n, num), PowerPoly(n, den), Simplex(vertices), a
 
 
@@ -347,27 +360,40 @@ def leaf_log(den):
     with a refuting vertex.  A piece is certified when its visit drops it
     and no vertex refutes it.
 
-    The run splits its numerator alone, so each record's ratios divide the
-    piece's numerator coefficients by an independent conversion of ``den``
-    on the piece's simplex.  A denominator whose coefficients are all
-    negative was negated with the numerator at the root, so its conversion
-    is negated too."""
+    The run splits its numerator alone, as plain pieces below its root
+    rational patch, which the log catches from ``certify._certify_local``.
+    Each record turns its piece back into the numerator patch on a checked
+    simplex (``Piece.patches`` over the root's numerator) and divides its
+    coefficients by an independent conversion of ``den`` on that simplex.
+    A denominator whose coefficients are all negative was negated with the
+    numerator at the root, so its conversion is negated too."""
     log = []
     refuted = False
+    roots = []
+    real = certify._certify_local
+
+    def caught(root, n_max):
+        roots.append(root.num)
+        return real(root, n_max)
 
     def record(piece, depth, key):
         nonlocal refuted
         if refuted:
             return
-        q = to_bernstein(den, piece.degree, piece.simplex).coeffs
+        num, = piece.patches(roots[-1:])
+        q = to_bernstein(den, num.degree, num.simplex).coeffs
         if max(q) < 0:
             q = [-c for c in q]
-        ratios = tuple(c / d for c, d in zip(piece.coeffs, q))
-        refuted = any(ratios[p] <= 0 for p in piece.index_set.vertex_positions())
-        log.append(Leaf(depth, piece.simplex, ratios, key is None and not refuted))
+        ratios = tuple(c / d for c, d in zip(num.coeffs, q))
+        refuted = any(ratios[p] <= 0 for p in num.index_set.vertex_positions())
+        log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted))
 
-    with watch_subdivide(certify, record):
-        yield log
+    certify._certify_local = caught
+    try:
+        with watch_subdivide(certify, record):
+            yield log
+    finally:
+        certify._certify_local = real
 
 
 # ---------------------------------------------------------------------------

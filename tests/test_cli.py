@@ -294,6 +294,16 @@ class TestUsageAndErrors:
         assert main(["bounds", spec]) == 64
         assert "variables" in capsys.readouterr().err
 
+    def test_collinear_vertices_are_printed_as_rationals(self, tmp_path, capsys):
+        spec = _write(tmp_path, "flat.json", {
+            "numerator": {"dimension": 2, "terms": [{"exponents": [0, 0], "coeff": "1"}]},
+            "domain": {"vertices": [["0", "0"], ["1/2", "1"], ["1", "2"]]},
+        })
+        assert main(["bounds", spec]) == 64
+        err = capsys.readouterr().err
+        assert "vertices are affinely dependent: ((0, 0), (1/2, 1), (1, 2))" in err
+        assert "Fraction" not in err
+
     def test_reversed_interval(self, tmp_path, capsys):
         spec = _write(tmp_path, "rev.json", {
             "numerator": {"dimension": 1, "terms": [{"exponents": [0], "coeff": "1"}]},

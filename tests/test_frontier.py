@@ -21,13 +21,20 @@ is checked the same way against rounds of patch objects: each round single
 longest-edge ``split_edge`` calls plus the halving guard, and another round
 on every piece still wider than the threshold.
 
-Problems live on the standard n-simplex shifted by an offset, n in {1, 2, 3}.
-Three in four are ``conftest.closed_form``'s m + s * |x - a|^2 / q with a
-strictly inside (exact minimum m, negative, zero or positive), num and den
-raised to degree 3 or 4 by zero to two affine factors 1 + sum c_i (x_i -
-offset_i), c_i >= 0, which are at least 1 at every vertex.  The rest are m
-plus a nonnegative linear form over the denominator 1 (degree 0 or 1,
-minimum m at v_0).
+Problems live on the standard n-simplex, n in {1, 2, 3}, shifted by an
+offset and scaled by 1, 1/4 or 4, and on the skewed triangle ``TRI``, whose
+vertices are fractional and whose edges lie on no axis.  So the pieces'
+rows meet odd midpoints, doubled denominators and tie-break signatures away
+from the unit grid, and the witnesses are points of such pieces.  Three in
+four are ``conftest.closed_form_on``'s m + s * |x - a|^2 / q with a strictly
+inside (exact minimum m, negative, zero or positive), num and den raised to
+degree 3 or 4 by zero to two affine factors 1 + sum c_i (x_i - low_i),
+c_i >= 0, low_i the smallest i-th vertex coordinate, which are at least 1 at
+every vertex.  The rest are m plus such a factor minus 1 over the
+denominator 1 (degree 0 or 1), whose minimum is at a vertex.
+
+Below the root no piece passes the rank check again, and no run builds a
+``Simplex`` for one: a spy on ``geometry._setup`` sees no call.
 """
 
 import gc
@@ -51,14 +58,20 @@ from bernbound import (  # noqa: E402
     minimize,
     rational_patch,
 )
-from bernbound import certify, optimize, ratpatch  # noqa: E402
+from bernbound import certify, geometry, optimize, ratpatch  # noqa: E402
 from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import BudgetExhausted  # noqa: E402
-from bernbound.geometry import diameter_sq, longest_edge, round_length  # noqa: E402
+from bernbound.geometry import (  # noqa: E402
+    diameter_sq,
+    longest_edge,
+    round_length,
+    standard_simplex,
+)
 from bernbound.optimize import apriori_steps, local_bounds  # noqa: E402
 from bernbound.ratpatch import convergence_constants  # noqa: E402
 from conftest import (  # noqa: E402
     closed_form,
+    closed_form_on,
     fn_dip,
     leaf_log,
     mul_terms,
@@ -71,6 +84,16 @@ FRONTIER = settings(max_examples=120, deadline=None, derandomize=True, database=
 # makes 2, 8 or 64 pieces for n = 1, 2, 3, so depth 3 in three variables
 # would hold 262,144 leaves.
 DEPTH_CAP = {1: 3, 2: 3, 3: 1}
+
+
+def local_cap(simplex):
+    """The deepest local certificate to run: ``DEPTH_CAP``, but the root
+    alone on a three-variable domain wider than the standard one, where
+    depth d is 2^-d in absolute size and depth 1 takes 32,768 leaves."""
+    n = simplex.dimension
+    if n == 3 and diameter_sq(simplex) > diameter_sq(standard_simplex(n)):
+        return 0
+    return DEPTH_CAP[n]
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +233,10 @@ def ref_minimize_best_first(root, epsilon, budget, planned):
 # Problems
 # ---------------------------------------------------------------------------
 
-def _affine(n, offset, slopes):
-    """1 + sum slopes_i * (x_i - offset_i): 1 at v_0, 1 + slopes_i at v_i."""
-    form = {(0,) * n: 1 - sum(c * o for c, o in zip(slopes, offset))}
+def _affine(low, slopes):
+    """1 + sum slopes_i * (x_i - low_i): at least 1 where every x_i >= low_i."""
+    n = len(low)
+    form = {(0,) * n: 1 - sum(c * o for c, o in zip(slopes, low))}
     for i, c in enumerate(slopes):
         if c:
             form[tuple(int(j == i) for j in range(n))] = c
@@ -220,31 +244,47 @@ def _affine(n, offset, slopes):
 
 
 SLOPES = st.sampled_from((F(0), F(1, 2), F(2)))
+# The triangle of the console-script check: fractional vertices, no edge on
+# an axis, and a longest edge whose midpoint has odd numerators.
+TRI = ((F(1, 2), F(-1, 3)), (F(5, 2), F(1, 4)), (F(-2, 3), F(3, 2)))
+
+
+@st.composite
+def domains(draw, n):
+    """Vertices of the standard n-simplex shifted by an offset and scaled
+    by 1 (half the draws), 1/4 or 4, or, in two variables, one draw in
+    four, ``TRI``."""
+    if n == 2 and draw(st.integers(0, 3)) == 0:
+        return TRI
+    offset = draw(st.lists(st.sampled_from((F(0), F(-1, 2), F(1, 3))),
+                           min_size=n, max_size=n))
+    size = draw(st.sampled_from((F(1), F(1), F(1, 4), F(4))))
+    return [tuple(offset)] + [
+        tuple(o + size * (c == i) for c, o in enumerate(offset)) for i in range(n)]
 
 
 @st.composite
 def problems(draw):
     """(num, den, simplex, m) with n in {1, 2, 3} and degree 0 to 4."""
     n = draw(st.integers(1, 3))
-    offset = draw(st.lists(st.sampled_from((F(0), F(-1, 2), F(1, 3))),
-                           min_size=n, max_size=n))
+    vertices = draw(domains(n))
+    low = [min(v[c] for v in vertices) for c in range(n)]
     slopes = draw(st.lists(SLOPES, min_size=n, max_size=n))
     m = draw(st.sampled_from((F(1, 20), F(0), F(-1, 20), F(1, 4), F(-1, 2))))
     if draw(st.sampled_from((True, True, True, False))):
         s = draw(st.sampled_from((F(3), F(1), F(1, 4))))
         weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
-        num, den, simplex, _ = closed_form(m, s, weights, slopes, offset)
+        num, den, simplex, _ = closed_form_on(m, s, weights, slopes, vertices)
         num, den = num.terms, den.terms
         for _ in range(draw(st.integers(0, 2))):
-            factor = _affine(n, offset, draw(
+            factor = _affine(low, draw(
                 st.lists(SLOPES, min_size=n, max_size=n).filter(any)))
             num, den = mul_terms(num, factor), mul_terms(den, factor)
         return PowerPoly(n, num), PowerPoly(n, den), simplex, m
-    num = _affine(n, offset, slopes)
+    num = _affine(low, slopes)
     num[(0,) * n] += m - 1
-    vertices = [list(offset)] + [
-        [o + (c == i) for c, o in enumerate(offset)] for i in range(n)]
-    return PowerPoly(n, num), PowerPoly.constant(n, 1), Simplex(vertices), m
+    num = PowerPoly(n, num)
+    return num, PowerPoly.constant(n, 1), Simplex(vertices), min(map(num.eval, vertices))
 
 
 UNIT = Simplex.from_interval(0, 1)
@@ -281,7 +321,7 @@ def _local_outcome(den, run):
 @example(TOUCH, 3)
 def test_certify_local_matches_reference(problem, n_max):
     num, den, simplex, _ = problem
-    n_max = min(n_max, DEPTH_CAP[simplex.dimension])
+    n_max = min(n_max, local_cap(simplex))
     root = rational_patch(num, den, simplex)
     verdict, depth, leaves, witness, log = ref_certify_local(root, n_max)
     got, _ = _local_outcome(den, lambda: certify_local(num, den, simplex, n_max))
@@ -360,20 +400,25 @@ def test_minimize_matches_reference(problem, epsilon, budget, mode):
                          ids=["half-touch", "dip", "touch"])
 def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, mode):
     # A piece whose lower bound reaches the incumbent cannot lower it, so
-    # only the pieces below it go through ``local_bounds`` (a grid value and
+    # only the pieces below it go through ``_upper_bound`` (a grid value and
     # the vertex values).  Replaying the visits gives the incumbent before
     # each one; on HALF_TOUCH the two halves tie it and are not valued.
-    real = local_bounds
+    real = optimize._upper_bound
     valued, visited = [], []
-    monkeypatch.setattr(optimize, "local_bounds", lambda f: valued.append(f) or real(f))
+    monkeypatch.setattr(optimize, "_upper_bound",
+                        lambda piece, *rest: valued.append(piece) or real(piece, *rest))
     with watch_subdivide(optimize, lambda piece, depth, key: visited.append(piece)):
         try:
             minimize(*problem[:3], F(1, 1000), budget=3, mode=mode)
         except BudgetExhausted:
             pass
+    root = rational_patch(*problem[:3])
+    scales = root.num.scale, root.den.scale
     delta, want = None, []
     for piece in visited:
-        m, d, _ = real(piece)
+        position = ratpatch._min_position(*piece.lists)
+        m = ratpatch._ratio(piece.lists, scales, position)
+        d, _ = real(piece, root.degree, scales, position)
         if delta is None or m < delta:
             want.append(piece)
             delta = d if delta is None else min(delta, d)
@@ -400,6 +445,37 @@ def test_one_split_per_list_per_bisection(monkeypatch, run, lists):
     run()
     assert calls["_bisect_rows"] > 0
     assert calls["split_nums"] == lists * calls["_bisect_rows"]
+
+
+DIP_DOMAIN = fn_dip()
+# A two-variable closed form that every run below subdivides.
+CLOSED_2D = closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0], [0, 0])[:3]
+
+
+@pytest.mark.parametrize("module, run", [
+    (certify, lambda: certify_local(*DIP_DOMAIN, n_max=3)),
+    (certify, lambda: certify_local(*CLOSED_2D, n_max=2)),
+    (optimize, lambda: minimize(*DIP_DOMAIN, F(1, 1000))),
+    (optimize, lambda: minimize(*DIP_DOMAIN, F(1, 1000), mode="uniform")),
+    (optimize, lambda: minimize(*CLOSED_2D, F(1, 1000))),
+    (optimize, lambda: minimize(*CLOSED_2D, F(1, 100), mode="uniform")),
+], ids=["certify_local-dip", "certify_local-2d", "best-first-dip", "uniform-dip",
+        "best-first-2d", "uniform-2d"])
+def test_no_piece_below_the_root_is_rank_checked(monkeypatch, module, run):
+    # Every problem's domain is built before the spy goes in, and the
+    # standard simplex the conversion compares against is cached, so any
+    # ``_setup`` call during the run would be a piece's rank check.
+    for n in (1, 2):
+        standard_simplex(n)
+    real = geometry._setup
+    checked, visited = [], []
+    monkeypatch.setattr(geometry, "_setup",
+                        lambda simplex, ints, *rest: checked.append(ints)
+                        or real(simplex, ints, *rest))
+    with watch_subdivide(module, lambda piece, depth, key: visited.append(depth)):
+        run()
+    assert max(visited) > 0
+    assert checked == []
 
 
 @pytest.mark.parametrize("module, run", [

@@ -19,7 +19,10 @@ tuple, and the integer pullback result against the ``PowerPoly`` built from
 the Fraction reference.  One split round, run as an integer kernel on
 plain data, is checked against the chain of single edge splits it replaces
 and against reconversion on every leaf, and so is its halving guard, on
-rounds cut short so that the guard must act.
+rounds cut short so that the guard must act.  The identity that lets
+pieces below a checked root go unchecked, that bisection halves
+|det(v_l - v_0)| exactly, is checked along bisection chains and on
+refinement leaves against a Fraction cofactor determinant.
 """
 
 from fractions import Fraction as F
@@ -48,7 +51,7 @@ from bernbound import (  # noqa: E402
     standard_simplex,
     to_bernstein,
 )
-from bernbound import ratpatch  # noqa: E402
+from bernbound import geometry, ratpatch  # noqa: E402
 from bernbound.certify import (  # noqa: E402
     _refuting_vertex,
     numerator_certifies,
@@ -64,6 +67,7 @@ from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
+from conftest import det  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -794,9 +798,59 @@ def test_numerator_refinement_matches_rational_refinement(case, divisor):
     if simplex.dimension == 3:
         divisor = 4
     threshold = diameter_sq(simplex) / divisor
-    got = [leaf for (leaf,) in ratpatch._refine_ints((f.num,), threshold)]
+    pieces = ratpatch._refine_ints(ratpatch.Piece.of((f.num,)), k,
+                                   (threshold.numerator, threshold.denominator))
+    got = [piece.patches((f.num,))[0] for piece in pieces]
     want = [leaf.num for leaf in f.refine(threshold)]
     assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
     for mine, theirs in zip(got, want):
         assert (mine.degree, mine.nums, mine.scale) == (
             theirs.degree, theirs.nums, theirs.scale)
+
+
+# Skewed roots with fractional vertices and no edge on an axis; the
+# triangle is the console-script check's.
+SKEWED = {
+    1: Simplex.from_interval(F(-2, 3), F(5, 7)),
+    2: Simplex([[F(1, 2), F(-1, 3)], [F(5, 2), F(1, 4)], [F(-2, 3), F(3, 2)]]),
+    3: Simplex([[F(1, 3), 0, F(-1, 2)], [F(7, 4), F(1, 5), 0],
+                [F(-1, 6), F(9, 4), F(1, 3)], [0, F(-2, 7), F(5, 3)]]),
+}
+
+
+@KERNEL
+@given(st.data())
+def test_bisection_halves_the_edge_determinant(data):
+    # The identity that lets pieces below a checked root go unchecked
+    # (``ratpatch._refine_ints``): a bisection child's |det(v_l - v_0)| is
+    # exactly half its parent's.  Along a chain of bisections on random
+    # edges, and on every leaf of a refinement, each piece's integer edges
+    # pass the rank check, and |det| over denom^n is the root's over
+    # 2^cuts, by a Fraction cofactor determinant.
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(st.one_of(simplices(n), st.just(SKEWED[n])))
+
+    def volume(rows, denom):
+        edges = [[F(a - b, denom) for a, b in zip(row, rows[0])] for row in rows[1:]]
+        return abs(det(edges))
+
+    def check(rows, denom, cuts):
+        assert geometry._bareiss([[a - b for a, b in zip(row, rows[0])]
+                                  for row in rows[1:]]) is not None
+        assert volume(rows, denom) == root_volume / 2 ** cuts
+
+    root_volume = volume(simplex.ints, simplex.denom)
+    assert root_volume > 0
+    rows, denom = simplex.ints, simplex.denom
+    for cuts in range(1, 9):
+        i, j = _edge(data.draw, n)
+        keep_i, keep_j, denom = geometry._bisect_rows(rows, denom, i, j)
+        rows = data.draw(st.sampled_from((keep_i, keep_j)))
+        check(rows, denom, cuts)
+    one = to_bernstein(PowerPoly.constant(n, 1), 1, simplex)
+    threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
+    leaves = ratpatch._refine_ints(ratpatch.Piece.of((one,)), 1,
+                                   (threshold.numerator, threshold.denominator))
+    for piece in leaves:
+        check(piece.rows, piece.denom, piece.cuts)
+    assert sum(F(1, 2 ** piece.cuts) for piece in leaves) == 1

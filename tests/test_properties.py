@@ -121,12 +121,14 @@ def test_local_pieces_keep_a_positive_denominator(problem):
     # kernel's numerator must be the conversion of the numerator.
     num, den, simplex, _, _ = problem
     k = max(num.degree, den.degree)
+    root = rational_patch(num, den, simplex).num
     pieces = []
     with watch_subdivide(certify, lambda piece, depth, key: pieces.append(piece)):
         certify_local(num, den, simplex, {1: 3, 2: 2, 3: 1}[simplex.dimension])
     for piece in pieces:
-        assert min(to_bernstein(den, k, piece.simplex).nums) > 0
-        assert piece == to_bernstein(num, k, piece.simplex)
+        patch, = piece.patches((root,))
+        assert min(to_bernstein(den, k, patch.simplex).nums) > 0
+        assert patch == to_bernstein(num, k, patch.simplex)
 
 
 @PROPERTY
