@@ -1,71 +1,95 @@
 """Guaranteed range bounds, positivity certificates, and global minimization
 for polynomials and rational functions over simplices, via the simplicial
-Bernstein form with exact rational arithmetic."""
+Bernstein form with exact rational arithmetic.
+
+Importing the package loads none of its modules.  Each exported name, and
+each submodule, is imported on first use (PEP 562), so a command-line run
+loads only the modules its command needs."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BadEdge,
-    BernboundError,
-    BudgetExhausted,
-    DegenerateSimplex,
-    DegreeMismatch,
-    DegreeTooLow,
-    DenominatorNotPositive,
-    DimensionMismatch,
-    InvalidArgument,
-    NonPositiveClaim,
-    NonPositiveEpsilon,
-    OrderExceedsDegree,
-    SimplexMismatch,
-)
-from .rationals import Interval, parse_rational, format_rational
-from .indexing import IndexSet, binom_graded, enumerate_indices
-from .powerpoly import PowerPoly
-from .geometry import (
-    Simplex,
-    affine_pullback,
-    barycentric,
-    bisect_edge,
-    diameter_sq,
-    grid_point,
-    longest_edge,
-    round_length,
-    standard_simplex,
-)
-from .polypatch import (
-    BernsteinPatch,
-    SecondDifferences,
-    discretization_bound,
-    to_bernstein,
-    to_bernstein_standard,
-)
-from .ratpatch import (
-    ConvergenceConstants,
-    RationalPatch,
-    Sharpness,
-    convergence_constants,
-    rational_patch,
-)
-from .certify import (
-    AprioriInfo,
-    CertificateReport,
-    ClaimedMinimum,
-    Mode,
-    Verdict,
-    Witness,
-    apriori_degree_omega,
-    apriori_degree_pr,
-    apriori_depth,
-    cert_predicate,
-    certify_global,
-    certify_local,
-    certify_negative,
-    certify_sharpness,
-)
-from .optimize import (
-    MinimizationResult,
-    apriori_steps,
-    local_bounds,
-    minimize,
-)
+# Each exported name, listed under the module that defines it.
+_EXPORTS = {
+    "errors": (
+        "BadEdge",
+        "BernboundError",
+        "BudgetExhausted",
+        "DegenerateSimplex",
+        "DegreeMismatch",
+        "DegreeTooLow",
+        "DenominatorNotPositive",
+        "DimensionMismatch",
+        "InvalidArgument",
+        "NonPositiveClaim",
+        "NonPositiveEpsilon",
+        "OrderExceedsDegree",
+        "SimplexMismatch",
+    ),
+    "rationals": ("Interval", "parse_rational", "format_rational"),
+    "indexing": ("IndexSet", "binom_graded", "enumerate_indices"),
+    "powerpoly": ("PowerPoly",),
+    "geometry": (
+        "Simplex",
+        "affine_pullback",
+        "barycentric",
+        "bisect_edge",
+        "diameter_sq",
+        "grid_point",
+        "longest_edge",
+        "round_length",
+        "standard_simplex",
+    ),
+    "polypatch": (
+        "BernsteinPatch",
+        "SecondDifferences",
+        "discretization_bound",
+        "to_bernstein",
+        "to_bernstein_standard",
+    ),
+    "ratpatch": (
+        "ConvergenceConstants",
+        "RationalPatch",
+        "Sharpness",
+        "convergence_constants",
+        "rational_patch",
+    ),
+    "certify": (
+        "AprioriInfo",
+        "CertificateReport",
+        "ClaimedMinimum",
+        "Mode",
+        "Verdict",
+        "Witness",
+        "apriori_degree_omega",
+        "apriori_degree_pr",
+        "apriori_depth",
+        "cert_predicate",
+        "certify_global",
+        "certify_local",
+        "certify_negative",
+        "certify_sharpness",
+    ),
+    "optimize": ("MinimizationResult", "apriori_steps", "local_bounds", "minimize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    """An exported name, or a submodule, imported on first use."""
+    from importlib import import_module
+
+    if name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # ``cli`` exports nothing; it is listed once imported, as a global.
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -51,11 +51,10 @@ to give up honestly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import floor
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
@@ -88,21 +87,36 @@ class Mode(str, Enum):
     LOCAL_SUBDIVISION = "local-subdivision"
 
 
-@dataclass(frozen=True)
 class ClaimedMinimum:
-    """A positive lower bound for a function, supplied or optimizer-produced."""
+    """A positive lower bound for a function, supplied or optimizer-produced.
 
-    value: Fraction
+    Read-only: setting or deleting ``value`` raises ``AttributeError``."""
 
-    def __post_init__(self):
-        value = parse_rational(self.value)
-        object.__setattr__(self, "value", value)
+    def __init__(self, value: Rational):
+        value = parse_rational(value)
         if value <= 0:
             raise NonPositiveClaim(f"claimed minimum must be positive, got {value}")
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClaimedMinimum is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ClaimedMinimum is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"ClaimedMinimum(value={self.value!r})"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A point with its exact function value, plus how it arose."""
 
     point: Tuple[Fraction, ...]
@@ -118,8 +132,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class AprioriInfo:
+class AprioriInfo(NamedTuple):
     """A-priori sufficiency bounds attached to a report when claims exist."""
 
     d1: Optional[Fraction] = None
@@ -140,8 +153,7 @@ class AprioriInfo:
         return out
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of a certification run: the verdict, the work it took and at
     most one witness.  It keeps no visited piece, so a finished run holds no
     patch."""
@@ -417,7 +429,7 @@ def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
         report = _certify_local(f, n_max)
     if negate:
         w = report.witness
-        report = replace(report, witness=w and replace(w, value=-w.value), negated=True)
+        report = report._replace(witness=w and w._replace(value=-w.value), negated=True)
     if fmin is None and pmin is None:
         return report
     apriori = AprioriInfo()
@@ -429,8 +441,8 @@ def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
     if pmin is not None:
         num = root.num if pnum.degree == root.degree else to_bernstein(
             pnum, pnum.degree, simplex)
-        apriori = replace(apriori, d2=apriori_d2(num, pmin))
-    return replace(report, apriori=apriori)
+        apriori = apriori._replace(d2=apriori_d2(num, pmin))
+    return report._replace(apriori=apriori)
 
 
 def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:

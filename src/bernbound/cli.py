@@ -10,6 +10,9 @@ success/certified, 1 refuted, 2 inconclusive or budget exhausted, 64 usage
 error (including a value the library rejects as ``InvalidArgument``), 70
 internal error, 141 standard output closed by its reader (128 + SIGPIPE, as
 a shell reports a process that signal ended; nothing is written to stderr).
+
+A command imports only the modules it runs: ``bounds`` loads neither
+``certify`` nor ``optimize``, and ``certify`` does not load ``optimize``.
 """
 
 from __future__ import annotations
@@ -18,16 +21,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__
-from .certify import K_MAX, N_MAX, CertificateReport, Mode, Verdict, _certify
 from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
-from .optimize import minimize
 from .powerpoly import PowerPoly, _integer
 from .ratpatch import convergence_constants, rational_patch
 from .rationals import float_str, format_rational, parse_rational
@@ -49,16 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class ProblemSpec:
-    """A parsed problem file plus its optional mode parameters."""
+class ProblemSpec(NamedTuple):
+    """A parsed problem file plus its optional mode parameters; a budget
+    left ``None`` takes the library's default."""
 
     numerator: PowerPoly
     denominator: PowerPoly
     domain: Simplex
     degree: Optional[int] = None
-    k_max: int = K_MAX
-    n_max: int = N_MAX
+    k_max: Optional[int] = None
+    n_max: Optional[int] = None
     eps: Optional[Fraction] = None
     claimed_min: Optional[Fraction] = None
     claimed_numerator_min: Optional[Fraction] = None
@@ -248,7 +248,9 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     return EXIT_CERTIFIED
 
 
-def _print_certificate(report: CertificateReport, as_json: bool) -> int:
+def _print_certificate(report, as_json: bool) -> int:
+    from .certify import Mode, Verdict
+
     if as_json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -281,17 +283,32 @@ def _print_certificate(report: CertificateReport, as_json: bool) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def __getattr__(name):
+    """``_certify``, the one certification run, is imported from ``certify``
+    on first use, so that a command that certifies nothing never loads it."""
+    if name == "_certify":
+        from .certify import _certify
+        globals()[name] = _certify
+        return _certify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_certify(spec: ProblemSpec, args) -> int:
     negative = args.mode == "negative"
-    report = _certify(spec.numerator, spec.denominator, spec.domain,
-                      args.via if negative else args.mode,
-                      spec.k_max if args.kmax is None else args.kmax,
-                      spec.n_max if args.nmax is None else args.nmax,
-                      negative, spec.claimed_min, spec.claimed_numerator_min)
+    budgets = {"k_max": spec.k_max if args.kmax is None else args.kmax,
+               "n_max": spec.n_max if args.nmax is None else args.nmax}
+    # Looked up on the module, through ``__getattr__`` unless replaced.
+    report = sys.modules[__name__]._certify(
+        spec.numerator, spec.denominator, spec.domain,
+        args.via if negative else args.mode, negate=negative,
+        claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min,
+        **{key: value for key, value in budgets.items() if value is not None})
     return _print_certificate(report, args.json)
 
 
 def cmd_minimize(spec: ProblemSpec, args) -> int:
+    from .optimize import minimize
+
     try:
         eps = parse_rational(args.eps) if args.eps is not None else spec.eps
     except ValueError as exc:

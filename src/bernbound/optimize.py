@@ -31,9 +31,8 @@ it is dropped, parked (its bound alone is kept) or split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
@@ -56,8 +55,7 @@ from .rationals import Rational, float_str, format_rational, parse_rational
 Point = Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Certified bracket around the minimum of a rational function.
 
     It holds the final bracket only.  The bracket a run reaches within a

@@ -27,11 +27,10 @@ is one integer weighted sum (``grid_sum``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, lshift, mul, sub
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, DimensionMismatch
 from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
@@ -50,8 +49,7 @@ from .rationals import Interval, Rational, format_rational, parse_rational
 DiffKey = Tuple[Tuple[int, ...], int, int]
 
 
-@dataclass(frozen=True)
-class SecondDifferences:
+class SecondDifferences(NamedTuple):
     """Discrete second differences of a coefficient net and their sup norm.
 
     One entry per (gamma, i, j) with |gamma| = k - 2 and 0 <= i < j <= n;

@@ -32,7 +32,6 @@ checked patches, for callers that want objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -74,14 +73,38 @@ class Sharpness(NamedTuple):
     max_vertex: Optional[int]
 
 
-@dataclass(frozen=True)
 class RationalPatch:
-    """Paired numerator/denominator patches; ``ratios`` is built on demand."""
+    """Paired numerator/denominator patches; ``ratios`` is built on demand.
 
-    num: BernsteinPatch
-    den: BernsteinPatch
+    Read-only: setting or deleting an attribute raises ``AttributeError``.
+    It compares and hashes by (num, den).  It has no ``__slots__``, because
+    its cached views live in the instance ``__dict__``."""
+
+    def __init__(self, num: BernsteinPatch, den: BernsteinPatch):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalPatch is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RationalPatch is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalPatch(num={self.num!r}, den={self.den!r})"
 
     def __post_init__(self):
+        """The checks of a new patch: one simplex, one degree and a
+        denominator whose every coefficient is positive."""
         if self.num.simplex != self.den.simplex:
             raise SimplexMismatch("numerator and denominator live on different simplices")
         if self.num.degree != self.den.degree:
@@ -409,8 +432,7 @@ def rational_patch(
     return RationalPatch(num, den)
 
 
-@dataclass(frozen=True)
-class ConvergenceConstants:
+class ConvergenceConstants(NamedTuple):
     """Exact constants controlling enclosure convergence.
 
     zeta bounds the absolute rational coefficients at the base degree;

@@ -3,7 +3,6 @@ bounds, and negativity by sign flip."""
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -495,7 +494,7 @@ class TestNegatedDenominator:
             for run in (lambda *p: certify_global(*p, k_max=8),
                         lambda *p: certify_local(*p, n_max=3)):
                 a, b = run(*neg), run(pnum, pden, simplex)
-                assert replace(a, wall_clock=0) == replace(b, wall_clock=0)
+                assert a._replace(wall_clock=0) == b._replace(wall_clock=0)
             eps = F(1, 1000)
             assert minimize(*neg, eps) == minimize(pnum, pden, simplex, eps)
 
@@ -535,3 +534,46 @@ class TestReportJson:
         data = report.to_json()
         assert data["witness"]["value"] == "-1"
         assert data["witness"]["point"] == ["0"]
+
+
+class TestRecordTypes:
+    """Reports and claims are read-only values; reports are NamedTuples."""
+
+    def test_report_fields_cannot_be_assigned(self):
+        num, den, domain = fn_dip()
+        report = certify_local(num, den, domain, n_max=3)
+        with pytest.raises(AttributeError):
+            report.leaves = 0
+        with pytest.raises(AttributeError):
+            report.witness = None
+        assert report.leaves == 5
+
+    def test_report_field_order(self):
+        assert certify.CertificateReport._fields == (
+            "verdict", "mode", "degree_used", "depth_used", "witness", "leaves",
+            "apriori", "negated", "wall_clock")
+        assert certify.AprioriInfo._fields == ("d1", "d2", "degree_bound", "depth_bound")
+        assert certify.Witness._fields == ("point", "value", "kind")
+
+    def test_replace(self):
+        report = certify_sharpness(_ratio_patch([-1, 2, 3]))
+        negated = report._replace(negated=True, wall_clock=0.0)
+        assert negated.negated and not report.negated
+        assert negated._replace(negated=False) == report._replace(wall_clock=0.0)
+        info = certify.AprioriInfo(d1=F(3))._replace(depth_bound=2)
+        assert info == certify.AprioriInfo(F(3), None, None, 2)
+        assert info.to_json() == {"D1": "3", "depth_bound": 2}
+
+    def test_claimed_minimum(self):
+        with pytest.raises(NonPositiveClaim):
+            ClaimedMinimum(0)
+        claim = ClaimedMinimum("1/2")
+        assert claim.value == F(1, 2)
+        assert claim == ClaimedMinimum(F(1, 2)) and claim != ClaimedMinimum(1)
+        assert hash(claim) == hash(ClaimedMinimum(F(1, 2)))
+        assert repr(claim) == "ClaimedMinimum(value=Fraction(1, 2))"
+        with pytest.raises(AttributeError):
+            claim.value = F(1)
+        with pytest.raises(AttributeError):
+            del claim.value
+        assert claim.value == F(1, 2)

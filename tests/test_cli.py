@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -704,10 +703,10 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
                                       degree_bound=apriori_degree_omega(constants, fmin),
                                       depth_bound=apriori_depth(constants, fmin))
             if "claimed_numerator_min" in claims:
-                apriori = replace(apriori, d2=apriori_d2(
+                apriori = apriori._replace(d2=apriori_d2(
                     to_bernstein(pnum, pnum.degree, simplex),
                     ClaimedMinimum(claims["claimed_numerator_min"])))
-            report = replace(report, apriori=apriori)
+            report = report._replace(apriori=apriori)
         expected = json.loads(json.dumps(report.to_json()))
         got = json.loads(out)
         del expected["wall_clock"], got["wall_clock"]

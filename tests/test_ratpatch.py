@@ -340,3 +340,30 @@ class TestJson:
         assert data["ratios"] == ["13/10", "-1", "1/2"]
         assert BernsteinPatch.from_json(data["num"]) == f.num
         assert BernsteinPatch.from_json(data["den"]) == f.den
+
+
+class TestRecord:
+    """A rational patch is a read-only value, equal and hashed by (num, den)."""
+
+    def test_equality_and_hash_by_fields(self):
+        num, den, domain = fn_dip()
+        f = rational_patch(num, den, domain)
+        g = RationalPatch(f.num, f.den)
+        assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+        assert f != RationalPatch(f.num.negate(), f.den)
+        assert f != (f.num, f.den)
+        assert f != f.elevate()
+        assert repr(f) == f"RationalPatch(num={f.num!r}, den={f.den!r})"
+
+    def test_rejects_assignment(self):
+        num, den, domain = fn_dip()
+        f = rational_patch(num, den, domain)
+        f.ratios  # a cached view is still filled in once
+        for name in ("num", "den", "ratios", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+        for name in ("num", "ratios"):
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.ratios == (F(13, 10), F(-1), F(1, 2))
+        assert f.num.degree == 2
