@@ -42,7 +42,6 @@ _EXPORTS = {
     "polypatch": (
         "BernsteinPatch",
         "SecondDifferences",
-        "discretization_bound",
         "to_bernstein",
         "to_bernstein_standard",
     ),

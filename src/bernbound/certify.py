@@ -308,16 +308,16 @@ def certify_local(
     refined to diameter at most 2**-d in the domain's own coordinates, as in
     the paper's table, with at least one bisection round per depth step: a
     domain wider than 1 pays extra rounds to reach depth 1.  It runs
-    ``ratpatch.subdivide`` keyed by depth, one level per step: a piece's
-    vertex coefficients are scanned once, and a non-positive one refutes
-    exactly (no later piece is tested); a piece that survives that scan is
-    a certified leaf, and pruned, when its smallest coefficient is
-    nonnegative.  The run gives up when the unresolved leaves reach depth
-    n_max, which must be nonnegative.  Only the root is a rational patch,
-    which checks the denominator; below it the pieces are plain records of
-    the numerator's integers, whose signs are the function's.  A piece
-    lives only until it is decided or split: the report counts certified
-    leaves and keeps none.
+    ``ratpatch.subdivide`` keyed by depth, so pieces split level by level,
+    one per step: a piece's vertex coefficients are scanned once, and a
+    non-positive one refutes exactly (no later piece is tested or split); a
+    piece that survives that scan is a certified leaf, and pruned, when its
+    smallest coefficient is nonnegative.  The run gives up when the
+    unresolved leaves reach depth n_max, which must be nonnegative.  Only
+    the root is a rational patch, which checks the denominator; below it
+    the pieces are plain records of the numerator's integers, whose signs
+    are the function's.  A piece lives only until it is decided or split:
+    the report counts certified leaves and keeps none.
     """
     return _certify(pnum, pden, simplex, "local", n_max=n_max)
 
@@ -331,8 +331,6 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     refuted = None  # (depth, witness) of the refuting piece
 
     def split(leaf, depth, key):
-        if refuted:
-            return ()
         return _refine_ints(leaf, k, (1, 4 ** (depth + 1)))
 
     def visit(piece, depth):

@@ -283,22 +283,13 @@ def _print_certificate(report, as_json: bool) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def __getattr__(name):
-    """``_certify``, the one certification run, is imported from ``certify``
-    on first use, so that a command that certifies nothing never loads it."""
-    if name == "_certify":
-        from .certify import _certify
-        globals()[name] = _certify
-        return _certify
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def cmd_certify(spec: ProblemSpec, args) -> int:
+    from .certify import _certify
+
     negative = args.mode == "negative"
     budgets = {"k_max": spec.k_max if args.kmax is None else args.kmax,
                "n_max": spec.n_max if args.nmax is None else args.nmax}
-    # Looked up on the module, through ``__getattr__`` unless replaced.
-    report = sys.modules[__name__]._certify(
+    report = _certify(
         spec.numerator, spec.denominator, spec.domain,
         args.via if negative else args.mode, negate=negative,
         claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min,

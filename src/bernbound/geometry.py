@@ -49,7 +49,8 @@ class Simplex:
     integers.  Every instance is checked; its longest edge is measured at
     construction, as the integer squared length over denom**2 and its
     (i, j), and read by ``diameter_sq`` and ``longest_edge``.
-    Instances are immutable and hashable.
+    Instances are read-only (setting or deleting an attribute raises
+    ``AttributeError``) and hashable; they pickle and copy by their vertices.
     """
 
     __slots__ = ("ints", "denom", "_longest_edge", "_vertices")
@@ -72,6 +73,12 @@ class Simplex:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Simplex is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Simplex is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Simplex, (self.vertices,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Simplex):

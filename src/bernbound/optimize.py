@@ -11,22 +11,24 @@ lower bound is read first: when it already reaches the incumbent upper
 bound, no value on the node can lower the incumbent, so the node gets no
 grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
 read from the lists by one rule each: ``ratpatch._min_position`` and
-``_ratio`` for the lower bound, ``_upper_bound`` for the upper bound and its
-point; ``local_bounds`` runs the same rules on a ``RationalPatch``.
+``_ratio`` for the lower bound, ``_upper_bound`` (with ``_grid_value``) for
+the upper bound and its point; ``local_bounds`` runs the same rules on a
+``RationalPatch``.
 Subdividing
 shrinks the gap between the two; the bounds sandwich the true minimum at all
 times, and an a-priori round count suffices for any requested gap.
 
-The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``.
-``uniform`` keys a leaf by its depth, so a step splits a whole level, and
-stops at a level boundary on the level's smallest lower bound.
-``best-first`` keys a leaf by (lower bound, simplex), so a step splits one
-leaf; it drops leaves that cannot beat the incumbent, parks those at the
-depth budget, and stops on the least of the incumbent, the frontier's head
-and the parked bounds.  Only the root is a ``RationalPatch``; no piece
-below it becomes a ``Simplex`` or a patch, and a witness is read from its
-rows.  Neither keeps a per-step record: a piece lives until
-it is dropped, parked (its bound alone is kept) or split.
+The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``,
+whose every step splits one leaf.  ``uniform`` keys a leaf by its depth, so
+the leaves split level by level; it settles once per level, when the level's
+first piece heads the frontier, on the level's smallest lower bound.
+``best-first`` keys a leaf by (lower bound, simplex); it drops leaves that
+cannot beat the incumbent, parks those at the depth budget, and stops on the
+least of the incumbent, the frontier's head and the parked bounds.  Only the
+root is a ``RationalPatch``; no piece below it becomes a ``Simplex`` or a
+patch, and a witness is read from its rows.  Neither keeps a per-step
+record: a piece lives until it is dropped, parked (its bound alone is kept)
+or split.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Simplex, _grid_point
 from .indexing import enumerate_indices
-from .polypatch import _grid_sum
 from .powerpoly import PowerPoly
 from .ratpatch import (
     Piece,
     RationalPatch,
+    _grid_value,
     _min_position,
     _ratio,
     _split_round,
@@ -101,7 +103,7 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     true function values).  Ties break in canonical index
     order, so results are deterministic.
     """
-    position = f.min_position()
+    position = _min_position(f.num.nums, f.den.nums)
     return (f.ratio(position), *_upper_bound(
         Piece.of((f.num, f.den)), f.degree, (f.num.scale, f.den.scale), position))
 
@@ -111,17 +113,14 @@ def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int],
     """The upper bound of ``local_bounds`` and its point, for a degree-k
     piece whose numerator and denominator lists are over ``scales`` times a
     common factor, ``position`` being the first position of its smallest
-    ratio.  The grid value is ``grid_sum`` of both lists at that position's
-    index, and the point is read from the piece's rows."""
-    nums, dens = piece.lists
-    s, t = scales
+    ratio.  The grid value is ``_grid_value`` of both lists at that
+    position's index, and the point is read from the piece's rows."""
     n = len(piece.rows) - 1
     indices = enumerate_indices(k, n)
     delta = witness = None
     if k >= 1:
         argmin = indices[position]
-        delta = Fraction(_grid_sum(nums, k, n, argmin) * t,
-                         _grid_sum(dens, k, n, argmin) * s)
+        delta = _grid_value(piece.lists, scales, k, n, argmin)
     for i, p in enumerate(indices.vertex_positions()):
         value = _ratio(piece.lists, scales, p)
         if delta is None or value < delta:
@@ -172,7 +171,7 @@ def minimize(
     planned = apriori_steps(convergence_constants(root), epsilon)
     k, scales = root.degree, (root.num.scale, root.den.scale)
     delta = witness = None
-    lowest = {}  # uniform: the smallest lower bound at each depth
+    lowest = {}  # uniform: the smallest lower bound at each depth not yet settled
     parked = []  # best-first: the bounds of leaves held at the budget depth
     deepest = 0  # best-first: the depth of the deepest split piece
 
@@ -206,7 +205,9 @@ def minimize(
 
     def stop_uniform(frontier):
         rounds = frontier[0][2]
-        return settle(lowest[rounds], rounds, len(frontier),
+        if rounds not in lowest:
+            return None
+        return settle(lowest.pop(rounds), rounds, len(frontier),
                       budget is not None and rounds >= budget)
 
     def visit_best(piece, depth):

@@ -22,7 +22,7 @@ Horner pullback from the simplex's rows (skipped on the standard simplex),
 a table scatter into the grid, the edge split's de Casteljau triangle
 (``_triangle``) along each axis, and one gcd; second differences are
 integer too, building a ``Fraction`` only per returned entry, and ``eval``
-is one integer weighted sum (``grid_sum``).
+is one integer weighted sum (``_grid_sum``).
 """
 
 from __future__ import annotations
@@ -141,21 +141,11 @@ class BernsteinPatch:
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
         """Exact value of the represented polynomial at a rational point,
-        inside the simplex or not: ``grid_sum`` at the point's integer
+        inside the simplex or not: ``_grid_sum`` at the point's integer
         barycentric weights w, over scale * (sum w)^k."""
         weights = _barycentric_weights(self.simplex, point)
-        return Fraction(self.grid_sum(weights), self.scale * sum(weights) ** self.degree)
-
-    def grid_sum(self, weights: Sequence[int]) -> int:
-        """The integer scale * W^k * p(weights / W) for integer barycentric
-        weights with W = sum(weights) != 0.
-
-        At barycentric coordinates w / W the value is
-        sum nums[beta] * multinomial(k; beta) * prod w_i^beta_i over
-        scale * W^k, as |beta| = k.  Grid points are the case w = alpha,
-        W = k, which needs no coordinates and no linear solve.
-        """
-        return _grid_sum(self.nums, self.degree, self.dimension, weights)
+        return Fraction(_grid_sum(self.nums, self.degree, self.dimension, weights),
+                        self.scale * sum(weights) ** self.degree)
 
     def elevate(self) -> "BernsteinPatch":
         """Same polynomial one degree higher; the enclosure never widens.
@@ -229,8 +219,15 @@ class BernsteinPatch:
 
 def _grid_sum(nums: Sequence[int], degree: int, dimension: int,
               weights: Sequence[int]) -> int:
-    """``BernsteinPatch.grid_sum`` of the numerators ``nums`` of a
-    degree-``degree`` patch over a ``dimension``-simplex."""
+    """The integer scale * W^k * p(weights / W) of the numerators ``nums``
+    of a degree-k patch (k = ``degree``) over a ``dimension``-simplex, for
+    integer barycentric weights with W = sum(weights) != 0.
+
+    At barycentric coordinates w / W the value is
+    sum nums[beta] * multinomial(k; beta) * prod w_i^beta_i over
+    scale * W^k, as |beta| = k.  Grid points are the case w = alpha,
+    W = k, which needs no coordinates and no linear solve.
+    """
     powers = [[a ** e for e in range(degree + 1)] for a in weights]
     total = 0
     for beta, num, weight in zip(enumerate_indices(degree, dimension), nums,
@@ -374,22 +371,3 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     return BernsteinPatch._from_ints(simplex, degree,
                                      tuple([v // common for v in grid]),
                                      scale // common)
-
-
-def discretization_bound(patch: BernsteinPatch, degree: int) -> Fraction:
-    """Bound on max |p(grid point) - coefficient| for the degree-``degree``
-    patch of the same polynomial.
-
-    ``patch`` is the polynomial's own-degree patch (degree l, second
-    differences taken at that degree); the bound is
-    n(n+2) l(l-1) / 24 * sup|second differences| / (degree - 1) and requires
-    degree > l strictly.
-    """
-    l = patch.degree
-    if degree <= l:
-        raise DegreeTooLow(f"bound needs a target degree above {l}, got {degree}")
-    if l < 2:
-        return Fraction(0)
-    n = patch.dimension
-    t_const = Fraction(n * (n + 2) * l * (l - 1), 24) * _second_difference_sup(patch)
-    return t_const / (degree - 1)

@@ -1,7 +1,7 @@
 """Rational Bernstein form: coefficient ratios, range enclosure, sharpness,
 split rounds (all run by one integer driver, ``_refine_ints``, on plain
-``Piece`` records), the subdivision loop over them, and the convergence
-constants driving degree and subdivision bounds.
+``Piece`` records), the subdivision loop over them, which pops one piece per
+step, and the convergence constants driving degree and subdivision bounds.
 
 A rational patch pairs numerator and denominator coefficient patches of the
 same degree over the same simplex.  All denominator coefficients must be
@@ -12,8 +12,9 @@ Both patches hold integer numerators over a positive shared scale each (see
 ``polypatch``), so a ratio's sign is its numerator coefficient's sign and
 two ratios compare by cross-multiplying their numerators.  The leaf tests
 read only that: the certificate predicate and the refuting-vertex search
-read signs, ``_min_position`` finds the smallest ratio, and a ``Fraction``
-is built only for a value that is returned (``ratio``, ``vertex_ratios``).
+read signs, ``_min_position`` finds the smallest ratio, ``_grid_value`` a
+grid value, and a ``Fraction`` is built only for a value that is returned
+(``ratio``, ``vertex_ratios``).  Patch methods and pieces share each rule.
 The full per-index ``ratios`` tuple is the output view for enclosures and
 JSON, built on first use.  The convergence constants read the same
 integers: a ``Fraction`` per constant, none per coefficient.
@@ -26,8 +27,8 @@ positive-weight means of its parent's, so a denominator that is positive at
 the root stays positive on every piece.  So the root's rank check and
 denominator check cover every piece, and neither runs again.  The local
 certificate, which reads numerator signs only, splits the numerator alone.
-``RationalPatch.refine`` and ``split_round`` turn the pieces back into
-checked patches, for callers that want objects.
+``RationalPatch.split_round`` turns one round's pieces back into checked
+patches, for callers that want objects.
 """
 
 from __future__ import annotations
@@ -55,11 +56,10 @@ from .geometry import (
     _longest,
     _point,
     bisect_edge,
-    diameter_sq,
     round_length,
 )
 from .indexing import split_table
-from .polypatch import BernsteinPatch, _second_difference_sup, split_nums, to_bernstein
+from .polypatch import BernsteinPatch, _grid_sum, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
 
@@ -151,18 +151,6 @@ class RationalPatch:
         """Per-vertex ratios; these are true function values f(v_i)."""
         return tuple(map(self.ratio, self.num.index_set.vertex_positions()))
 
-    def min_position(self) -> int:
-        """First position of the smallest ratio.  Both scales are shared and
-        the denominators positive, so a/b < c/d is a*d < c*b on the
-        numerators: no ratio is built.  Found on first use and kept, so a
-        caller that reads the lower bound before ``local_bounds`` scans
-        once."""
-        return self._min_position
-
-    @cached_property
-    def _min_position(self) -> int:
-        return _min_position(self.num.nums, self.den.nums)
-
     @cached_property
     def _enclosure(self) -> Interval:
         return Interval(min(self.ratios), max(self.ratios))
@@ -173,16 +161,11 @@ class RationalPatch:
         return self._enclosure
 
     def eval(self, point) -> Fraction:
-        """Exact value num(point) / den(point): ``grid_value`` at the
+        """Exact value num(point) / den(point): ``_grid_value`` at the
         point's integer barycentric weights, from one linear solve."""
-        return self.grid_value(_barycentric_weights(self.simplex, point))
-
-    def grid_value(self, weights) -> Fraction:
-        """Exact value at integer barycentric weights w (coordinates w / W
-        for W = sum w); the grid point of index alpha is w = alpha.  Both
-        patches have degree k, so the factor W^k of both sums cancels."""
-        return Fraction(self.num.grid_sum(weights) * self.den.scale,
-                        self.den.grid_sum(weights) * self.num.scale)
+        return _grid_value((self.num.nums, self.den.nums), (self.num.scale, self.den.scale),
+                           self.degree, self.dimension,
+                           _barycentric_weights(self.simplex, point))
 
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
@@ -205,21 +188,14 @@ class RationalPatch:
         return RationalPatch(num_i, den_i), RationalPatch(num_j, den_j)
 
     def split_round(self) -> List["RationalPatch"]:
-        """One shrink round of longest-edge bisection: ``refine`` at a
-        quarter of the patch's own squared diameter.  Every returned child
-        has diameter at most half the parent's."""
-        return self.refine(diameter_sq(self.simplex) / 4)
-
-    def refine(self, threshold_sq: Fraction) -> List["RationalPatch"]:
-        """At least one shrink round, then more on every piece whose squared
-        diameter still exceeds ``threshold_sq``: ``_refine_ints`` on the
-        numerator and denominator together, each leaf turned back into a
-        checked ``RationalPatch``.  It equals repeated ``split_edge`` on the
+        """One shrink round of longest-edge bisection: ``_split_round`` on
+        the numerator and denominator together, each leaf turned back into a
+        checked ``RationalPatch``.  Every returned child has diameter at
+        most half the parent's.  It equals repeated ``split_edge`` on the
         longest edge, with the same leaves, order and integers."""
         roots = (self.num, self.den)
-        threshold = threshold_sq.numerator, threshold_sq.denominator
         return [RationalPatch(*piece.patches(roots))
-                for piece in _refine_ints(Piece.of(roots), self.degree, threshold)]
+                for piece in _split_round(Piece.of(roots), self.degree)]
 
     def to_json(self) -> dict:
         return {
@@ -344,6 +320,17 @@ def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
     return Fraction(nums[p] * t, dens[p] * s)
 
 
+def _grid_value(lists, scales: Tuple[int, int], k: int, n: int, weights) -> Fraction:
+    """The exact ratio at integer barycentric weights w (coordinates w / W
+    for W = sum w) of degree-k numerator and denominator ``lists`` over an
+    n-simplex, over ``scales`` times one common factor; the grid point of
+    index alpha is w = alpha.  Both lists have degree k, so the factor W^k
+    of both ``_grid_sum`` results cancels, and so does the common factor."""
+    nums, dens = lists
+    s, t = scales
+    return Fraction(_grid_sum(nums, k, n, weights) * t, _grid_sum(dens, k, n, weights) * s)
+
+
 def _min_position(nums, dens) -> int:
     """First position of the smallest ratio nums[p] / dens[p], the lists
     being over positive scales and the denominators positive: a/b < c/d is
@@ -367,10 +354,11 @@ def subdivide(root, split, visit, stop):
     in insertion order.  ``visit(piece, depth)`` sees the root at depth 0 and
     every piece after it, and returns the piece's key, or None to drop it.
     Between steps ``stop(frontier)`` returns the result, or None to go on; it
-    must end the run on an empty frontier.  A step pops every entry tied for
-    the smallest key, then visits, at depth + 1, the pieces of each one's
-    ``split(piece, depth, key)``.  With key = depth a step is one level;
-    with unique keys it is one leaf.
+    must end the run on an empty frontier.  A step pops the entry with the
+    smallest key and visits, at depth + 1, the pieces of its
+    ``split(piece, depth, key)``.  Tied keys come out first in, first out,
+    so with key = depth a level is complete, every piece of it visited and
+    none split, when its first piece heads the frontier.
     """
     frontier: list = []
     seq = count()
@@ -382,13 +370,9 @@ def subdivide(root, split, visit, stop):
 
     offer(root, 0)
     while (result := stop(frontier)) is None:
-        head = frontier[0][0]
-        step = [heappop(frontier)]
-        while frontier and frontier[0][0] == head:
-            step.append(heappop(frontier))
-        for key, _, depth, parent in step:
-            for piece in split(parent, depth, key):
-                offer(piece, depth + 1)
+        key, _, depth, parent = heappop(frontier)
+        for piece in split(parent, depth, key):
+            offer(piece, depth + 1)
     return result
 
 

@@ -22,7 +22,7 @@ from bernbound import (
 )
 from bernbound import certify
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
-from bernbound.ratpatch import rational_patch
+from bernbound.ratpatch import Piece, RationalPatch, _refine_ints, rational_patch
 
 F = Fraction
 
@@ -310,6 +310,23 @@ def dense_sample(simplex, steps):
     for beta in weights(steps, n + 1):
         yield tuple(sum(b * v[c] for b, v in zip(beta, verts)) / steps
                     for c in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Subdivision pieces as patches
+# ---------------------------------------------------------------------------
+
+def refine(patch, threshold_sq):
+    """At least one shrink round of a rational patch, then more on every
+    piece whose squared diameter still exceeds ``threshold_sq``: the
+    library's integer driver, ``ratpatch._refine_ints``, on numerator and
+    denominator together, each leaf turned back into a checked
+    ``RationalPatch``.  The tests check it against repeated ``split_edge``
+    on the longest edge."""
+    roots = (patch.num, patch.den)
+    threshold = threshold_sq.numerator, threshold_sq.denominator
+    return [RationalPatch(*piece.patches(roots))
+            for piece in _refine_ints(Piece.of(roots), patch.degree, threshold)]
 
 
 # ---------------------------------------------------------------------------

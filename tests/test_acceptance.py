@@ -33,10 +33,10 @@ from bernbound import (
     certify_global,
     certify_local,
     convergence_constants,
-    discretization_bound,
     grid_point,
     minimize,
     rational_patch,
+    standard_simplex,
     to_bernstein,
     to_bernstein_standard,
 )
@@ -219,9 +219,12 @@ def test_08_control_net_deviation_bound():
     for _ in range(100):
         n = rng.randint(1, 3)
         p = random_poly(rng, n, rng.randint(2, 4 if n < 3 else 3))
-        base = to_bernstein_standard(p, p.degree)
+        # T = n(n+2) l(l-1)/24 * sup|second differences|: omega over the
+        # denominator 1, whose second differences vanish.
+        one = PowerPoly.constant(n, 1)
+        t_const = convergence_constants(rational_patch(p, one, standard_simplex(n))).omega
         for k in range(p.degree + 1, p.degree + 6):
-            bound = discretization_bound(base, k)
+            bound = t_const / (k - 1)
             patch = to_bernstein_standard(p, k)
             deviation = max(
                 abs(p.eval(grid_point(alpha, k, patch.simplex)) - coeff)

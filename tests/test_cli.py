@@ -24,7 +24,7 @@ from bernbound import (
     rational_patch,
     to_bernstein,
 )
-from bernbound import cli, polypatch
+from bernbound import certify, polypatch
 from bernbound.certify import apriori_d1, apriori_d2
 from bernbound.cli import main
 from conftest import fn_cert3, fn_dip, rational_instances
@@ -367,7 +367,7 @@ class TestUsageAndErrors:
         def unreachable(*args, **kwargs):
             raise AssertionError("the certificate ran")
 
-        monkeypatch.setattr(cli, "_certify", unreachable)
+        monkeypatch.setattr(certify, "_certify", unreachable)
         spec = _write(tmp_path, "claim.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100",
             field: value})

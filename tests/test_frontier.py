@@ -16,10 +16,11 @@ the work its answer reads: ``minimize`` values a piece only when its lower
 bound is below the incumbent, and each bisection splits one numerator list
 in the local certificate and two in ``minimize``.
 
-``RationalPatch.refine``, the one integer subdivision driver under all three,
-is checked the same way against rounds of patch objects: each round single
-longest-edge ``split_edge`` calls plus the halving guard, and another round
-on every piece still wider than the threshold.
+``ratpatch._refine_ints``, the one integer subdivision driver under all
+three, is checked the same way through ``conftest.refine``, which turns its
+leaves back into patches, against rounds of patch objects: each round
+single longest-edge ``split_edge`` calls plus the halving guard, and another
+round on every piece still wider than the threshold.
 
 Problems live on the standard n-simplex, n in {1, 2, 3}, shifted by an
 offset and scaled by 1, 1/4 or 4, and on the skewed triangle ``TRI``, whose
@@ -55,6 +56,7 @@ from bernbound import (  # noqa: E402
     cert_predicate,
     certify_local,
     certify_negative,
+    enumerate_indices,
     minimize,
     rational_patch,
 )
@@ -75,6 +77,7 @@ from conftest import (  # noqa: E402
     fn_dip,
     leaf_log,
     mul_terms,
+    refine,
     watch_subdivide,
 )
 
@@ -115,7 +118,7 @@ def ref_certify_local(root, n_max):
     for depth in range(1, n_max + 1):
         next_pending = []
         for leaf in pending:
-            for piece in leaf.refine(F(1, 4 ** depth)):
+            for piece in refine(leaf, F(1, 4 ** depth)):
                 refute = _refuting_vertex(piece)
                 if refute is not None:
                     log.append((depth, piece.simplex, False))
@@ -351,7 +354,7 @@ def test_refine_matches_reference(problem, pick):
     first = root.split_round()
     widest = max(diameter_sq(piece.simplex) for piece in first)
     threshold = widest / divisors[pick % len(divisors)]
-    got = root.refine(threshold)
+    got = refine(root, threshold)
     want = ref_refine(root, threshold)
     assert len(got) > len(first)
     assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
@@ -445,6 +448,29 @@ def test_one_split_per_list_per_bisection(monkeypatch, run, lists):
     run()
     assert calls["_bisect_rows"] > 0
     assert calls["split_nums"] == lists * calls["_bisect_rows"]
+
+
+@pytest.mark.parametrize("problem", [
+    closed_form(F(-1, 50), 1, [1, 2, 3], [F(1, 2), 0], [0, 0])[:3],
+    closed_form(F(-1, 200), 1, [1, 1, 1], [0, 0], [0, 0])[:3],
+], ids=["skewed-dip", "centred-dip"])
+def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, problem):
+    # Each problem refutes at depth 2, on a level whose other depth-1
+    # pieces are still unsplit when the refuting piece is visited: the
+    # loop stops right after the split that produced it.
+    real = certify._refine_ints
+    refuting = []  # per split: whether a piece it made has a non-positive vertex
+
+    def spy(piece, k, threshold):
+        leaves = real(piece, k, threshold)
+        vertices = enumerate_indices(k, len(piece.rows) - 1).vertex_positions()
+        refuting.append(any(leaf.lists[0][p] <= 0 for leaf in leaves for p in vertices))
+        return leaves
+
+    monkeypatch.setattr(certify, "_refine_ints", spy)
+    report = certify_local(*problem, n_max=4)
+    assert (report.verdict, report.depth_used) == (Verdict.REFUTED, 2)
+    assert refuting.index(True) == len(refuting) - 1 > 0
 
 
 DIP_DOMAIN = fn_dip()

@@ -72,6 +72,18 @@ class TestSimplex:
         s = Simplex.from_interval(-1, 1)
         assert s.vertices == ((F(-1),), (F(1),))
 
+    def test_rejects_assignment_and_deletion(self):
+        s = Simplex.from_interval(-1, 1)
+        s.vertices  # the cached view is still filled in once
+        for name in ("ints", "denom", "_vertices", "other"):
+            with pytest.raises(AttributeError, match=f"cannot set {name!r}"):
+                setattr(s, name, None)
+        for name in ("ints", "denom", "_vertices", "_longest_edge"):
+            with pytest.raises(AttributeError, match=f"cannot delete {name!r}"):
+                delattr(s, name)
+        assert (s.ints, s.denom) == (((-1,), (1,)), 1)
+        assert diameter_sq(s) == 4
+
 
 class TestBarycentric:
     def test_origin_of_standard(self):

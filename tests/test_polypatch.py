@@ -12,7 +12,7 @@ from bernbound import (
     BernsteinPatch,
     PowerPoly,
     Simplex,
-    discretization_bound,
+    convergence_constants,
     enumerate_indices,
     grid_point,
     parse_rational,
@@ -332,34 +332,37 @@ class TestSecondDifferences:
         assert len(patch.second_differences().items) == 3 * 3
 
 
+def t_constant(p):
+    """T = n(n+2) l(l-1)/24 * sup|second differences| of p's own-degree
+    patch: omega of ``convergence_constants`` over the denominator 1, whose
+    second differences vanish.  The control-net deviation at degree k > l is
+    at most T / (k - 1)."""
+    one = PowerPoly.constant(p.dimension, 1)
+    return convergence_constants(rational_patch(p, one, standard_simplex(p.dimension))).omega
+
+
 class TestDiscretizationBound:
     def test_linear_is_zero(self):
-        patch = to_bernstein_standard(PowerPoly.univariate([2, 3]), 1)
-        assert discretization_bound(patch, 5) == 0
+        assert t_constant(PowerPoly.univariate([2, 3])) / (5 - 1) == 0
 
     def test_constant_is_zero(self):
-        patch = to_bernstein_standard(PowerPoly.constant(1, F(7)), 0)
-        assert discretization_bound(patch, 1) == 0
+        # Degree 0, so the first degree above it is k = 1 and T itself is
+        # the bound: the grid value of a constant is its coefficient.
+        assert t_constant(PowerPoly.constant(1, F(7))) == 0
 
     def test_quadratic_frozen(self):
         # own-degree patch (1, -3/2, 3): sup second difference 7;
         # bound = (1*3*2*1/24) * 7 / (k-1) = 7/8 at k = 3
-        patch = to_bernstein_standard(PowerPoly.univariate([1, -5, 7]), 2)
-        assert discretization_bound(patch, 3) == F(7, 8)
-
-    def test_degree_too_low(self):
-        patch = to_bernstein_standard(PowerPoly.univariate([1, -5, 7]), 2)
-        with pytest.raises(DegreeTooLow):
-            discretization_bound(patch, 2)
+        assert t_constant(PowerPoly.univariate([1, -5, 7])) / (3 - 1) == F(7, 8)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_deviation_within_bound(self, n):
         rng = random.Random(110 + n)
         for _ in range(12):
             p = random_poly(rng, n, rng.randint(2, 4))
-            base = to_bernstein_standard(p, p.degree)
+            t_const = t_constant(p)
             for k in range(p.degree + 1, p.degree + 6):
-                bound = discretization_bound(base, k)
+                bound = t_const / (k - 1)
                 patch = to_bernstein_standard(p, k)
                 deviation = max(
                     abs(p.eval(grid_point(alpha, k, patch.simplex)) - coeff)

@@ -1,6 +1,8 @@
 """Rational Bernstein form: ratios, enclosure, sharpness, constants."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -8,6 +10,7 @@ import pytest
 
 from bernbound import (
     BernsteinPatch,
+    ClaimedMinimum,
     PowerPoly,
     RationalPatch,
     Simplex,
@@ -15,6 +18,7 @@ from bernbound import (
     rational_patch,
     to_bernstein_standard,
 )
+from bernbound import ratpatch
 from bernbound.errors import (
     DegreeMismatch,
     DenominatorNotPositive,
@@ -367,3 +371,30 @@ class TestRecord:
                 delattr(f, name)
         assert f.ratios == (F(13, 10), F(-1), F(1, 2))
         assert f.num.degree == 2
+
+
+@pytest.mark.parametrize("duplicate", [
+    lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_values_pickle_and_copy(duplicate):
+    # Values are safe to send to a worker: each one survives pickling and
+    # copying unchanged.  The patch is the README's; a ``Piece`` has no
+    # equality, so it is compared by its fields, on a piece of two split
+    # rounds (cut twice, with a doubled denominator).
+    num, den, box = fn_dip()
+    f = rational_patch(num, den, box)
+    f.ratios  # a filled-in view travels too
+    values = [box, Simplex(box.vertices), f.num, f, ClaimedMinimum("1/3")]
+    for value in values:
+        again = duplicate(value)
+        assert again == value and type(again) is type(value)
+        assert hash(again) == hash(value)
+    piece = ratpatch.Piece.of((f.num, f.den))
+    for _ in range(2):
+        piece = ratpatch._split_round(piece, f.degree)[-1]
+    again = duplicate(piece)
+    assert type(again) is ratpatch.Piece
+    fields = ("rows", "denom", "lists", "cuts", "longest")
+    assert [getattr(again, name) for name in fields] == [
+        getattr(piece, name) for name in fields]
+    assert (piece.cuts, piece.denom) == (2, 2)
