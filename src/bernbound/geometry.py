@@ -10,17 +10,22 @@ coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
 built on first use.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, checks affine independence on the integers and solves for
-barycentric coordinates.  A simplex measures its longest edge once, as the
-integer squared length over denom**2.  ``_bisect_rows`` is the midpoint
-rule: it forms each midpoint from the parent's integers over at most twice
-its denominator, for ``bisect_edge`` and for the refinement driver
-(``ratpatch._refine_ints``), which keeps every piece below a checked root as
-plain rows: a bisection child of a simplex is a simplex of half its volume,
-so no piece is checked again.  ``_point`` and ``_grid_point`` read a vertex
-or a grid point straight from such rows, and a ``Simplex`` is built from
-them (``_checked_simplex``, through the same rank check) only where one is
-asked for.  The only irrational quantity, the diameter, is never
-materialized: ``diameter_sq`` builds its ``Fraction`` on demand.
+barycentric coordinates.  One rule measures edges: ``_lengths_at`` gives
+integer squared lengths over denom**2, ``_edge_lengths`` all of a
+simplex's in ``_edge_pairs`` order, and ``_longest`` is their first
+maximum; a simplex measures its longest edge once.  ``_bisect_rows`` is the
+midpoint rule: it forms each midpoint from the parent's integers over at
+most twice its denominator, for ``bisect_edge`` and for the refinement
+driver (``ratpatch._refine_ints``), which keeps every piece below a checked
+root as plain rows: a bisection child of a simplex is a simplex of half its
+volume, so no piece is checked again.  The driver carries each piece's edge
+lengths through bisection and measures only the n edges at the new
+midpoint, in the slots ``_bisection_slots`` gives.  ``_point`` and
+``_grid_point`` read a vertex or a grid point straight from such rows, and a
+``Simplex`` is built from them (``_checked_simplex``, through the same rank
+check) only where one is asked for.  The only irrational quantity, the
+diameter, is never materialized: ``diameter_sq`` builds its ``Fraction`` on
+demand.
 """
 
 from __future__ import annotations
@@ -244,16 +249,58 @@ def _grid_point(alpha: Sequence[int], k: int, rows, denom: int) -> Point:
     return _point(coords, k * denom)
 
 
+def _lengths_at(rows, m: int, others) -> List[int]:
+    """Squared distances from row m to each row of ``others`` (indices), as
+    integers over denom**2: the one rule that measures an edge."""
+    point = rows[m]
+    return [sum([(a - b) ** 2 for a, b in zip(point, rows[l])]) for l in others]
+
+
+def _edge_lengths(rows) -> List[int]:
+    """The squared lengths of every edge of integer vertex rows, in the pair
+    order of ``_edge_pairs``: (0, 1), (0, 2), ..., (n - 1, n)."""
+    size = len(rows)
+    return [d for i in range(size - 1) for d in _lengths_at(rows, i, range(i + 1, size))]
+
+
+@lru_cache(maxsize=None)
+def _edge_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The (i, j), i < j, of an n-simplex's edges in lexicographic order."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _bisection_slots(n: int) -> Tuple[Tuple, ...]:
+    """Per edge, in ``_edge_pairs`` order, the (i, j, sources, slots_i,
+    slots_j) that carry squared edge lengths through its bisection.
+
+    Bisecting edge (i, j) at its midpoint m changes only the n edges at m:
+    the half edge, |v_i - m|**2 = |m - v_j|**2, and |m - v_l|**2 for each
+    other vertex l.  Those are ``_lengths_at(child, j, sources)`` on the
+    rows of the child that keeps v_i (m in row j), with ``sources`` = (i,
+    then every other l in order).  Both children share them: the child that
+    keeps v_i puts them in the slots of (i, j) and of each (j, l), the child
+    that keeps v_j in those of (i, j) and of each (i, l).  Every other edge
+    of either child is its parent's.
+    """
+    pairs = _edge_pairs(n)
+    slot = {pair: e for e, pair in enumerate(pairs)}
+    table = []
+    for i, j in pairs:
+        others = [l for l in range(n + 1) if l != i and l != j]
+        table.append((i, j, (i, *others),
+                      (slot[i, j], *[slot[min(j, l), max(j, l)] for l in others]),
+                      (slot[i, j], *[slot[min(i, l), max(i, l)] for l in others])))
+    return tuple(table)
+
+
 def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Squared length and (i, j) of the longest edge of integer vertices;
-    lowest (i, j) breaks ties."""
-    best = (-1, 0, 0)
-    for i, vi in enumerate(ints):
-        for j in range(i + 1, len(ints)):
-            d = sum([(a - b) ** 2 for a, b in zip(vi, ints[j])])
-            if d > best[0]:
-                best = (d, i, j)
-    return best
+    """Squared length and (i, j) of the longest edge of integer vertices:
+    the first maximum of ``_edge_lengths``, so the lowest (i, j) breaks
+    ties."""
+    lengths = _edge_lengths(ints)
+    c = max(lengths)
+    return (c, *_edge_pairs(len(ints) - 1)[lengths.index(c)])
 
 
 def diameter_sq(simplex: Simplex) -> Fraction:

@@ -52,8 +52,11 @@ from .geometry import (
     Simplex,
     _barycentric_weights,
     _bisect_rows,
+    _bisection_slots,
     _checked_simplex,
-    _longest,
+    _edge_lengths,
+    _edge_pairs,
+    _lengths_at,
     _point,
     bisect_edge,
     round_length,
@@ -264,10 +267,16 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     dimensions).  A piece that is still too wide after 4 times the levels
     plus 4 such extra halvings raises ``DegenerateSimplex``.  Children come
     from ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
-    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list;
-    each piece's longest edge is measured once.  Pieces are split left child
-    first, so the leaves come in the order of replacing each piece by its
-    children in place.
+    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
+    Each piece carries its squared edge lengths over denom**2, in
+    ``geometry._edge_pairs`` order, measured in full only for ``piece``: a
+    bisection measures the n edges at its midpoint, which both children
+    share, and the children copy every other length from their parent
+    (shifted left by 2 when the denominator doubles), as
+    ``geometry._bisection_slots`` lays out.  The longest edge is the first
+    maximum, the lowest (i, j), as ``geometry._longest`` breaks ties.
+    Pieces are split left child first, so the leaves come in the order of
+    replacing each piece by its children in place.
 
     No piece is rank-checked, because bisection keeps a simplex a simplex.
     Write E_i for the matrix of edge vectors v_l - v_i (l != i) of a
@@ -282,34 +291,47 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     n = len(piece.rows) - 1
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
-    rows, denom, longest = piece.rows, piece.denom, piece.longest
-    # (rows, denom, lists, longest edge, cuts, cuts in the round, the
-    # round's target squared diameter); the piece opens the first round.
-    stack = [(rows, denom, piece.lists, longest, piece.cuts, 0, _quarter(longest, denom))]
+    pairs, bisections = _edge_pairs(n), _bisection_slots(n)
+    rows, denom = piece.rows, piece.denom
+    lengths = _edge_lengths(rows)
+    # (rows, denom, lists, squared edge lengths, cuts, cuts in the round,
+    # the round's target squared diameter); the piece opens the first round.
+    stack = [(rows, denom, piece.lists, lengths, piece.cuts, 0, _quarter(max(lengths), denom))]
     leaves = []
     while stack:
-        rows, denom, lists, longest, cuts, depth, target = stack.pop()
-        if depth >= levels and not _wider(longest, denom, target):
-            if not _wider(longest, denom, threshold):
-                leaves.append(Piece(rows, denom, lists, cuts, longest))
+        rows, denom, lists, lengths, cuts, depth, target = stack.pop()
+        c = max(lengths)
+        e = lengths.index(c)
+        if depth >= levels and not _wider(c, denom, target):
+            if not _wider(c, denom, threshold):
+                leaves.append(Piece(rows, denom, lists, cuts, (c, *pairs[e])))
                 continue
-            target, depth = _quarter(longest, denom), 0
+            target, depth = _quarter(c, denom), 0
         elif depth == budget:
             raise DegenerateSimplex("edge bisection failed to halve the diameter")
-        _, i, j = longest
-        rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
+        i, j, sources, slots_i, slots_j = bisections[e]
+        rows_i, rows_j, half = _bisect_rows(rows, denom, i, j)
+        if half != denom:
+            denom = half
+            lengths = [d << 2 for d in lengths]
+        # The parent's list is its own (popped, or just shifted): the child
+        # that keeps v_i takes it over.
+        lengths_i, lengths_j = lengths, lengths[:]
+        for s, t, d in zip(slots_i, slots_j, _lengths_at(rows_i, j, sources)):
+            lengths_i[s] = d
+            lengths_j[t] = d
         table = split_table(k, n, i, j)
         lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
         cuts, depth = cuts + 1, depth + 1
-        stack.append((rows_j, denom, lists_j, _longest(rows_j), cuts, depth, target))
-        stack.append((rows_i, denom, lists_i, _longest(rows_i), cuts, depth, target))
+        stack.append((rows_j, denom, lists_j, lengths_j, cuts, depth, target))
+        stack.append((rows_i, denom, lists_i, lengths_i, cuts, depth, target))
     return leaves
 
 
 def _split_round(piece: Piece, k: int) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
-    return _refine_ints(piece, k, _quarter(piece.longest, piece.denom))
+    return _refine_ints(piece, k, _quarter(piece.longest[0], piece.denom))
 
 
 def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
@@ -376,17 +398,16 @@ def subdivide(root, split, visit, stop):
     return result
 
 
-def _quarter(longest, denom: int) -> Tuple[int, int]:
-    """A quarter of a piece's squared diameter, ``longest[0]`` over denom**2,
-    as a (numerator, denominator) pair."""
-    return longest[0], 4 * denom * denom
+def _quarter(length: int, denom: int) -> Tuple[int, int]:
+    """A quarter of a squared length over denom**2, as a (numerator,
+    denominator) pair."""
+    return length, 4 * denom * denom
 
 
-def _wider(longest, denom: int, bound: Tuple[int, int]) -> bool:
-    """Whether a piece's squared diameter, ``longest[0]`` over denom**2,
-    exceeds the fraction ``bound`` = (numerator, denominator), by
-    cross-multiplying integers."""
-    return longest[0] * bound[1] > bound[0] * denom * denom
+def _wider(length: int, denom: int, bound: Tuple[int, int]) -> bool:
+    """Whether a squared length over denom**2 exceeds the fraction ``bound``
+    = (numerator, denominator), by cross-multiplying integers."""
+    return length * bound[1] > bound[0] * denom * denom
 
 
 def rational_patch(

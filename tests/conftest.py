@@ -2,8 +2,10 @@
 
 Oracles here deliberately avoid the library code paths they are used to
 check: determinants and linear solves are re-implemented, expected Bernstein
-coefficients come from interpolation at grid points, and extrema of corpus
-functions are closed-form by construction.
+coefficients come from interpolation at grid points, extrema of corpus
+functions are closed-form by construction, and the subdivision driver's
+carried edge lengths are checked against a copy of it that measures every
+piece's edges afresh (``ref_refine_ints``).
 """
 
 from contextlib import contextmanager
@@ -22,6 +24,9 @@ from bernbound import (
 )
 from bernbound import certify
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
+from bernbound.geometry import _bisect_rows, round_length
+from bernbound.indexing import split_table
+from bernbound.polypatch import split_nums
 from bernbound.ratpatch import Piece, RationalPatch, _refine_ints, rational_patch
 
 F = Fraction
@@ -327,6 +332,56 @@ def refine(patch, threshold_sq):
     threshold = threshold_sq.numerator, threshold_sq.denominator
     return [RationalPatch(*piece.patches(roots))
             for piece in _refine_ints(Piece.of(roots), patch.degree, threshold)]
+
+
+def ref_longest_ints(rows):
+    """Squared length and (i, j) of the longest edge of integer vertex rows,
+    by a pair loop; lowest (i, j) breaks ties."""
+    best = (-1, 0, 0)
+    for i, vi in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            d = sum((a - b) ** 2 for a, b in zip(vi, rows[j]))
+            if d > best[0]:
+                best = (d, i, j)
+    return best
+
+
+def ref_refine_ints(piece, k, threshold):
+    """``ratpatch._refine_ints`` as it was before it carried edge lengths:
+    every bisection child's edges are all measured afresh
+    (``ref_longest_ints``), and every other step is the driver's.  Returns
+    the leaves as ``Piece`` records."""
+    n = len(piece.rows) - 1
+    levels = round_length(n)
+    budget = 5 * levels + 4
+
+    def wider(longest, denom, bound):
+        return longest[0] * bound[1] > bound[0] * denom * denom
+
+    def quarter(longest, denom):
+        return longest[0], 4 * denom * denom
+
+    rows, denom = piece.rows, piece.denom
+    longest = ref_longest_ints(rows)
+    stack = [(rows, denom, piece.lists, longest, piece.cuts, 0, quarter(longest, denom))]
+    leaves = []
+    while stack:
+        rows, denom, lists, longest, cuts, depth, target = stack.pop()
+        if depth >= levels and not wider(longest, denom, target):
+            if not wider(longest, denom, threshold):
+                leaves.append(Piece(rows, denom, lists, cuts, longest))
+                continue
+            target, depth = quarter(longest, denom), 0
+        elif depth == budget:
+            raise DegenerateSimplex("edge bisection failed to halve the diameter")
+        _, i, j = longest
+        rows_i, rows_j, denom = _bisect_rows(rows, denom, i, j)
+        table = split_table(k, n, i, j)
+        lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
+        cuts, depth = cuts + 1, depth + 1
+        stack.append((rows_j, denom, lists_j, ref_longest_ints(rows_j), cuts, depth, target))
+        stack.append((rows_i, denom, lists_i, ref_longest_ints(rows_i), cuts, depth, target))
+    return leaves
 
 
 # ---------------------------------------------------------------------------

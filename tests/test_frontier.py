@@ -13,8 +13,9 @@ tests, which no run keeps, are watched from outside the loop
 (``conftest.leaf_log``) and must match the reference's in order.  A finished
 run holds none of the pieces it visited.  Spies check that a run does only
 the work its answer reads: ``minimize`` values a piece only when its lower
-bound is below the incumbent, and each bisection splits one numerator list
-in the local certificate and two in ``minimize``.
+bound is below the incumbent, each bisection splits one numerator list
+in the local certificate and two in ``minimize``, and each bisection
+measures n squared edge lengths, the edges at its midpoint.
 
 ``ratpatch._refine_ints``, the one integer subdivision driver under all
 three, is checked the same way through ``conftest.refine``, which turns its
@@ -448,6 +449,56 @@ def test_one_split_per_list_per_bisection(monkeypatch, run, lists):
     run()
     assert calls["_bisect_rows"] > 0
     assert calls["split_nums"] == lists * calls["_bisect_rows"]
+
+
+QUARTER = F(1, 4)
+# A three-variable closed form on the standard tetrahedron scaled by 1/4,
+# certified at depth 1 after one round of 64 pieces.
+CLOSED_3D = closed_form_on(F(1, 200), 1, [1, 2, 3, 4], [F(1, 2), 0, 0],
+                           [[0, 0, 0], [QUARTER, 0, 0], [0, QUARTER, 0],
+                            [0, 0, QUARTER]])[:3]
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: certify_local(*p, n_max=2),
+    lambda p: minimize(*p, F(1, 1000)),
+    lambda p: minimize(*p, F(1, 100), mode="uniform"),
+], ids=["certify_local", "best-first", "uniform"])
+@pytest.mark.parametrize("problem", [
+    closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0], [0, 0])[:3], CLOSED_3D,
+], ids=["n2", "n3"])
+def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
+    # A bisection changes only the n edges at its midpoint, so the driver
+    # measures those n squared lengths and carries the rest: n per
+    # bisection, plus all n(n+1)/2 of the piece it is handed, once per call.
+    # Measuring every child afresh would be n(n+1) per bisection.  Every
+    # length is measured by ``geometry._lengths_at``, looked up in
+    # ``geometry`` (the entry measure) and in ``ratpatch`` (the bisections).
+    n = problem[2].dimension
+    standard_simplex(n)
+    counts = {"lengths": 0, "bisections": 0, "calls": 0}
+
+    def lengths_at(rows, m, others, real=geometry._lengths_at):
+        counts["lengths"] += len(others)
+        return real(rows, m, others)
+
+    def bisect_rows(*args, real=ratpatch._bisect_rows):
+        counts["bisections"] += 1
+        return real(*args)
+
+    def refine_ints(*args, real=ratpatch._refine_ints):
+        counts["calls"] += 1
+        return real(*args)
+
+    for module in (geometry, ratpatch):
+        monkeypatch.setattr(module, "_lengths_at", lengths_at)
+    monkeypatch.setattr(ratpatch, "_bisect_rows", bisect_rows)
+    for module in (certify, ratpatch):
+        monkeypatch.setattr(module, "_refine_ints", refine_ints)
+    run(problem)
+    assert counts["bisections"] > counts["calls"] > 0
+    assert counts["lengths"] == (n * counts["bisections"]
+                                 + round_length(n) * counts["calls"])
 
 
 @pytest.mark.parametrize("problem", [

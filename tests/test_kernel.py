@@ -22,7 +22,10 @@ and against reconversion on every leaf, and so is its halving guard, on
 rounds cut short so that the guard must act.  The identity that lets
 pieces below a checked root go unchecked, that bisection halves
 |det(v_l - v_0)| exactly, is checked along bisection chains and on
-refinement leaves against a Fraction cofactor determinant.
+refinement leaves against a Fraction cofactor determinant.  The squared
+edge lengths the driver carries through bisection, measuring only the n
+edges at each new midpoint, are checked against a copy of the driver that
+measures every child's edges afresh (``conftest.ref_refine_ints``).
 """
 
 from fractions import Fraction as F
@@ -67,7 +70,7 @@ from bernbound.indexing import multinomials  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
-from conftest import det, refine  # noqa: E402
+from conftest import det, ref_refine_ints, refine  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -579,7 +582,7 @@ def test_longest_edge_matches_reference(data):
         assert diameter_sq(simplex) == d
         assert longest_edge(simplex) == (i, j)
         for bound in (d, d / 4, data.draw(NONNEGATIVE)):
-            assert _wider(simplex._longest_edge, simplex.denom,
+            assert _wider(simplex._longest_edge[0], simplex.denom,
                           (bound.numerator, bound.denominator)) == (d > bound)
         edge = data.draw(st.sampled_from(((i, j), (0, n))))
         simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
@@ -856,3 +859,52 @@ def test_bisection_halves_the_edge_determinant(data):
     for piece in leaves:
         check(piece.rows, piece.denom, piece.cuts)
     assert sum(F(1, 2 ** piece.cuts) for piece in leaves) == 1
+
+
+def _leaf_fields(piece):
+    return piece.rows, piece.denom, piece.lists, piece.cuts, piece.longest
+
+
+def _assert_carried_lengths(root, k, threshold):
+    got = ratpatch._refine_ints(root, k, threshold)
+    assert [_leaf_fields(p) for p in got] == [
+        _leaf_fields(p) for p in ref_refine_ints(root, k, threshold)]
+    for piece in got:
+        assert piece.longest == geometry._longest(piece.rows)
+    return got
+
+
+@KERNEL
+@given(st.data())
+def test_carried_edge_lengths_match_measuring_every_child(data):
+    # The driver carries each piece's squared edge lengths through
+    # bisection and measures only the n edges at the new midpoint; the
+    # oracle measures every child's edges afresh.  The leaves must be the
+    # same, integers and longest edges included.  Skewed roots meet odd
+    # midpoints, where the denominator doubles and every carried length is
+    # shifted; the standard simplex and its pieces tie several edges, where
+    # the first maximum must win; the scaling moves the root's denominator.
+    n = data.draw(st.integers(1, 3))
+    simplex = data.draw(st.one_of(simplices(n), st.just(SKEWED[n])))
+    scale = data.draw(st.sampled_from((F(1, 16), F(1, 3), 1, F(5, 2), 16)))
+    simplex = Simplex([[scale * c for c in v] for v in simplex.vertices])
+    k = data.draw(st.integers(1, 3))
+    size = len(enumerate_indices(k, n))
+    lists = tuple(tuple(data.draw(st.lists(st.integers(-50, 50), min_size=size,
+                                           max_size=size)))
+                  for _ in range(data.draw(st.integers(1, 2))))
+    root = ratpatch.Piece(simplex.ints, simplex.denom, lists, 0, simplex._longest_edge)
+    # Two rounds or more below n = 3, where one round makes 64 pieces.
+    threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
+    _assert_carried_lengths(root, k, (threshold.numerator, threshold.denominator))
+
+
+def test_carried_edge_lengths_on_a_round_of_the_standard_4_simplex():
+    # One round in four variables: ten levels of bisection on the most
+    # tied simplex there is.
+    simplex = standard_simplex(4)
+    linear = to_bernstein(PowerPoly(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 1): -3}),
+                          1, simplex)
+    root = ratpatch.Piece.of((linear,))
+    leaves = _assert_carried_lengths(root, 1, ratpatch._quarter(root.longest[0], root.denom))
+    assert len(leaves) == 1024
