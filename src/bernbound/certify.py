@@ -347,12 +347,12 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         certified += ok
         return None if ok else depth
 
-    def stop(frontier):
+    def stop(head, size):
         if refuted:
             verdict, (depth, witness) = Verdict.REFUTED, refuted
-        elif not frontier:
+        elif head is None:
             verdict, depth, witness = Verdict.CERTIFIED, last, None
-        elif frontier[0][2] == n_max:
+        elif head[1] == n_max:
             verdict, depth, witness = Verdict.INCONCLUSIVE, n_max, None
         else:
             return None

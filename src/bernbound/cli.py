@@ -185,8 +185,8 @@ def _build_parser() -> _Parser:
                         default="global")
     p_cert.add_argument("--kmax", type=int, help="degree budget for global mode")
     p_cert.add_argument("--nmax", type=int, help="depth budget for local mode")
-    p_cert.add_argument("--via", choices=["sharpness", "global", "local"], default="global",
-                        help="underlying mode for --mode negative")
+    p_cert.add_argument("--via", choices=["sharpness", "global", "local"],
+                        help="underlying mode for --mode negative (default: global)")
 
     p_min = sub.add_parser("minimize", help="bracket the minimum within a gap")
     common(p_min)
@@ -284,14 +284,16 @@ def _print_certificate(report, as_json: bool) -> int:
 
 
 def cmd_certify(spec: ProblemSpec, args) -> int:
+    negative = args.mode == "negative"
+    if args.via is not None and not negative:
+        raise UsageError(f"--via needs --mode negative, not --mode {args.mode}")
     from .certify import _certify
 
-    negative = args.mode == "negative"
     budgets = {"k_max": spec.k_max if args.kmax is None else args.kmax,
                "n_max": spec.n_max if args.nmax is None else args.nmax}
     report = _certify(
         spec.numerator, spec.denominator, spec.domain,
-        args.via if negative else args.mode, negate=negative,
+        (args.via or "global") if negative else args.mode, negate=negative,
         claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min,
         **{key: value for key, value in budgets.items() if value is not None})
     return _print_certificate(report, args.json)

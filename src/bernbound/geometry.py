@@ -12,20 +12,19 @@ built on first use.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, checks affine independence on the integers and solves for
 barycentric coordinates.  One rule measures edges: ``_lengths_at`` gives
 integer squared lengths over denom**2, ``_edge_lengths`` all of a
-simplex's in ``_edge_pairs`` order, and ``_longest`` is their first
-maximum; a simplex measures its longest edge once.  ``_bisect_rows`` is the
-midpoint rule: it forms each midpoint from the parent's integers over at
-most twice its denominator, for ``bisect_edge`` and for the refinement
-driver (``ratpatch._refine_ints``), which keeps every piece below a checked
-root as plain rows: a bisection child of a simplex is a simplex of half its
-volume, so no piece is checked again.  The driver carries each piece's edge
-lengths through bisection and measures only the n edges at the new
+simplex's in ``_edge_pairs`` order, and ``_longest`` takes their first
+maximum; a ``Simplex`` stores no measure.  ``_bisect_rows`` is the midpoint
+rule: it forms each midpoint from the parent's integers over at most twice
+its denominator, for ``bisect_edge`` and for the refinement driver
+(``ratpatch._refine_ints``), which keeps every piece below a checked root
+as plain rows: a bisection child of a simplex is a simplex of half its
+volume, so no piece is checked again.  A piece carries its edge lengths for
+the whole run, and a bisection measures only the n edges at the new
 midpoint, in the slots ``_bisection_slots`` gives.  ``_point`` and
 ``_grid_point`` read a vertex or a grid point straight from such rows, and a
 ``Simplex`` is built from them (``_checked_simplex``, through the same rank
 check) only where one is asked for.  The only irrational quantity, the
-diameter, is never materialized: ``diameter_sq`` builds its ``Fraction`` on
-demand.
+diameter, is never materialized: ``diameter_sq`` measures on demand.
 """
 
 from __future__ import annotations
@@ -51,14 +50,12 @@ class Simplex:
 
     The vertices are stored as integer coordinates ``ints`` over one positive
     denominator ``denom``, reduced so that equal simplices store equal
-    integers.  Every instance is checked; its longest edge is measured at
-    construction, as the integer squared length over denom**2 and its
-    (i, j), and read by ``diameter_sq`` and ``longest_edge``.
+    integers.  Every instance is checked; it stores no edge measure.
     Instances are read-only (setting or deleting an attribute raises
     ``AttributeError``) and hashable; they pickle and copy by their vertices.
     """
 
-    __slots__ = ("ints", "denom", "_longest_edge", "_vertices")
+    __slots__ = ("ints", "denom", "_vertices")
 
     def __init__(self, vertices: Sequence[Sequence[Rational]]):
         pts = tuple(_as_point(v) for v in vertices)
@@ -133,12 +130,11 @@ class Simplex:
         return cls([[a], [b]])
 
 
-def _setup(simplex: Simplex, ints, denom: int, pts=None, longest=None) -> None:
+def _setup(simplex: Simplex, ints, denom: int, pts=None) -> None:
     """Check that the integer vertices ``ints`` over ``denom`` span a
-    simplex (Bareiss elimination), measure the longest edge once and fill in
-    ``simplex``.  Every ``Simplex``, given or made by bisection, passes
-    through here; ``pts`` is the Fraction view and ``longest`` the
-    ``_longest`` measure when the caller already has them."""
+    simplex (Bareiss elimination) and fill in ``simplex``.  Every
+    ``Simplex``, given or made by bisection, passes through here; ``pts`` is
+    the Fraction view when the caller already has it."""
     put = object.__setattr__
     put(simplex, "ints", ints)
     put(simplex, "denom", denom)
@@ -148,7 +144,6 @@ def _setup(simplex: Simplex, ints, denom: int, pts=None, longest=None) -> None:
         points = ", ".join(f"({', '.join(map(format_rational, v))})"
                            for v in simplex.vertices)
         raise DegenerateSimplex(f"vertices are affinely dependent: ({points})")
-    put(simplex, "_longest_edge", longest or _longest(ints))
 
 
 @lru_cache(maxsize=None)
@@ -294,24 +289,21 @@ def _bisection_slots(n: int) -> Tuple[Tuple, ...]:
     return tuple(table)
 
 
-def _longest(ints: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Squared length and (i, j) of the longest edge of integer vertices:
-    the first maximum of ``_edge_lengths``, so the lowest (i, j) breaks
-    ties."""
-    lengths = _edge_lengths(ints)
+def _longest(lengths: List[int]) -> Tuple[int, int]:
+    """The longest of squared edge lengths in ``_edge_pairs`` order and its
+    slot: the first maximum, so the lowest (i, j) breaks ties."""
     c = max(lengths)
-    return (c, *_edge_pairs(len(ints) - 1)[lengths.index(c)])
+    return c, lengths.index(c)
 
 
 def diameter_sq(simplex: Simplex) -> Fraction:
     """Max squared Euclidean distance over vertex pairs, exactly."""
-    return Fraction(simplex._longest_edge[0], simplex.denom ** 2)
+    return Fraction(_longest(_edge_lengths(simplex.ints))[0], simplex.denom ** 2)
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
     """The (i, j) pair of the longest edge; lowest (i, j) breaks ties."""
-    _, i, j = simplex._longest_edge
-    return i, j
+    return _edge_pairs(simplex.dimension)[_longest(_edge_lengths(simplex.ints))[1]]
 
 
 def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
@@ -379,13 +371,12 @@ def _bisect_rows(rows, denom: int, i: int, j: int):
     return tuple(keep_i), tuple(keep_j), denom
 
 
-def _checked_simplex(ints, denom: int, longest=None) -> Simplex:
+def _checked_simplex(ints, denom: int) -> Simplex:
     """A simplex from reduced integer rows over ``denom``, checked by
-    ``_setup`` like every other simplex; ``longest`` is its ``_longest``
-    measure when the caller already has it.  A subdivision piece becomes a
+    ``_setup`` like every other simplex.  A subdivision piece becomes a
     ``Simplex`` only through here, and only on demand."""
     simplex = Simplex.__new__(Simplex)
-    _setup(simplex, ints, denom, None, longest)
+    _setup(simplex, ints, denom)
     return simplex
 
 

@@ -203,11 +203,11 @@ def minimize(
         lowest[depth] = min(lowest.get(depth, m), m)
         return depth
 
-    def stop_uniform(frontier):
-        rounds = frontier[0][2]
+    def stop_uniform(head, size):
+        rounds = head[1]
         if rounds not in lowest:
             return None
-        return settle(lowest.pop(rounds), rounds, len(frontier),
+        return settle(lowest.pop(rounds), rounds, size,
                       budget is not None and rounds >= budget)
 
     def visit_best(piece, depth):
@@ -224,10 +224,10 @@ def minimize(
         deepest = max(deepest, depth + 1)
         return _split_round(piece, k)
 
-    def stop_best(frontier):
-        head = (frontier[0][0][0],) if frontier else ()
-        return settle(min((delta, *head, *parked)), deepest,
-                      len(frontier) + len(parked), not frontier)
+    def stop_best(head, size):
+        lower = () if head is None else (head[0][0],)
+        return settle(min((delta, *lower, *parked)), deepest,
+                      size + len(parked), head is None)
 
     top = Piece.of((root.num, root.den))
     if mode == "uniform":

@@ -20,9 +20,10 @@ JSON, built on first use.  The convergence constants read the same
 integers: a ``Fraction`` per constant, none per coefficient.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
-integer vertex rows and one integer list per patch, with no ``Simplex`` and
-no patch object.  A bisection child of a simplex is a simplex (the identity
-in ``_refine_ints``), and a de Casteljau child's coefficients are
+integer vertex rows, one integer list per patch and the edge lengths, which
+a run measures once, at the root; no ``Simplex`` and no patch object.  A
+bisection child of a simplex is a simplex (the identity in
+``_refine_ints``), and a de Casteljau child's coefficients are
 positive-weight means of its parent's, so a denominator that is positive at
 the root stays positive on every piece.  So the root's rank check and
 denominator check cover every piece, and neither runs again.  The local
@@ -55,8 +56,8 @@ from .geometry import (
     _bisection_slots,
     _checked_simplex,
     _edge_lengths,
-    _edge_pairs,
     _lengths_at,
+    _longest,
     _point,
     bisect_edge,
     round_length,
@@ -213,29 +214,31 @@ class Piece:
 
     ``rows`` are its reduced integer vertex rows over ``denom``, ``lists``
     one integer numerator list per subdivided patch, ``cuts`` its bisections
-    since the run's root and ``longest`` the ``geometry._longest`` measure of
-    its rows.  All patches have one degree k, and list l is over the root
-    patch l's scale shifted left by k * cuts.  The constructor checks
+    since the run's root and ``lengths`` its squared edge lengths over
+    denom**2 in ``geometry._edge_pairs`` order: measured at a root (``of``),
+    carried by ``_refine_ints`` to every other piece.  All patches have one
+    degree k, and list l is over the root patch l's scale shifted left by
+    k * cuts.  The constructor checks
     nothing: below a checked root every piece is a simplex (see
     ``_refine_ints``).  ``patches`` builds checked objects, for a caller
     that wants them; a run reads the rows and lists.
     """
 
-    __slots__ = ("rows", "denom", "lists", "cuts", "longest", "__weakref__")
+    __slots__ = ("rows", "denom", "lists", "cuts", "lengths", "__weakref__")
 
-    def __init__(self, rows, denom: int, lists, cuts: int, longest):
+    def __init__(self, rows, denom: int, lists, cuts: int, lengths):
         self.rows = rows
         self.denom = denom
         self.lists = lists
         self.cuts = cuts
-        self.longest = longest
+        self.lengths = lengths
 
     @classmethod
     def of(cls, patches: Tuple[BernsteinPatch, ...]) -> "Piece":
         """The root piece of patches over one (checked) simplex."""
         simplex = patches[0].simplex
         return cls(simplex.ints, simplex.denom, tuple(p.nums for p in patches), 0,
-                   simplex._longest_edge)
+                   _edge_lengths(simplex.ints))
 
     def vertex(self, i: int) -> Point:
         return _point(self.rows[i], self.denom)
@@ -249,7 +252,7 @@ class Piece:
         """The piece's lists as patches over its simplex, rank-checked like
         every ``Simplex``, ``roots`` being the root patches they were split
         from."""
-        simplex = _checked_simplex(self.rows, self.denom, self.longest)
+        simplex = _checked_simplex(self.rows, self.denom)
         k = roots[0].degree
         return tuple(BernsteinPatch._from_ints(simplex, k, nums, root.scale << k * self.cuts)
                      for nums, root in zip(self.lists, roots))
@@ -268,13 +271,12 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     plus 4 such extra halvings raises ``DegenerateSimplex``.  Children come
     from ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
     ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
-    Each piece carries its squared edge lengths over denom**2, in
-    ``geometry._edge_pairs`` order, measured in full only for ``piece``: a
-    bisection measures the n edges at its midpoint, which both children
-    share, and the children copy every other length from their parent
-    (shifted left by 2 when the denominator doubles), as
-    ``geometry._bisection_slots`` lays out.  The longest edge is the first
-    maximum, the lowest (i, j), as ``geometry._longest`` breaks ties.
+    The driver starts from one copy of ``piece.lengths`` and never changes
+    ``piece``.  A bisection measures the n edges at its midpoint, which both
+    children share, and the children copy every other length from their
+    parent (shifted left by 2 when the denominator doubles), as
+    ``geometry._bisection_slots`` lays out; each leaf keeps the list it
+    carried.  The longest edge is ``geometry._longest``, the first maximum.
     Pieces are split left child first, so the leaves come in the order of
     replacing each piece by its children in place.
 
@@ -291,20 +293,18 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     n = len(piece.rows) - 1
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
-    pairs, bisections = _edge_pairs(n), _bisection_slots(n)
-    rows, denom = piece.rows, piece.denom
-    lengths = _edge_lengths(rows)
+    bisections = _bisection_slots(n)
     # (rows, denom, lists, squared edge lengths, cuts, cuts in the round,
     # the round's target squared diameter); the piece opens the first round.
-    stack = [(rows, denom, piece.lists, lengths, piece.cuts, 0, _quarter(max(lengths), denom))]
+    stack = [(piece.rows, piece.denom, piece.lists, piece.lengths[:], piece.cuts, 0,
+              _quarter(max(piece.lengths), piece.denom))]
     leaves = []
     while stack:
         rows, denom, lists, lengths, cuts, depth, target = stack.pop()
-        c = max(lengths)
-        e = lengths.index(c)
+        c, e = _longest(lengths)
         if depth >= levels and not _wider(c, denom, target):
             if not _wider(c, denom, threshold):
-                leaves.append(Piece(rows, denom, lists, cuts, (c, *pairs[e])))
+                leaves.append(Piece(rows, denom, lists, cuts, lengths))
                 continue
             target, depth = _quarter(c, denom), 0
         elif depth == budget:
@@ -314,8 +314,8 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
         if half != denom:
             denom = half
             lengths = [d << 2 for d in lengths]
-        # The parent's list is its own (popped, or just shifted): the child
-        # that keeps v_i takes it over.
+        # The parent's list is the driver's own (a copy, popped, or just
+        # shifted): the child that keeps v_i takes it over.
         lengths_i, lengths_j = lengths, lengths[:]
         for s, t, d in zip(slots_i, slots_j, _lengths_at(rows_i, j, sources)):
             lengths_i[s] = d
@@ -331,7 +331,7 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
 def _split_round(piece: Piece, k: int) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
-    return _refine_ints(piece, k, _quarter(piece.longest[0], piece.denom))
+    return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.denom))
 
 
 def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
@@ -372,18 +372,19 @@ def subdivide(root, split, visit, stop):
     local certificate, and two, numerator and denominator, for
     ``minimize``.
 
-    The frontier is a heap of (key, seq, depth, piece); seq keeps tied keys
-    in insertion order.  ``visit(piece, depth)`` sees the root at depth 0 and
-    every piece after it, and returns the piece's key, or None to drop it.
-    Between steps ``stop(frontier)`` returns the result, or None to go on; it
-    must end the run on an empty frontier.  A step pops the entry with the
-    smallest key and visits, at depth + 1, the pieces of its
-    ``split(piece, depth, key)``.  Tied keys come out first in, first out,
-    so with key = depth a level is complete, every piece of it visited and
-    none split, when its first piece heads the frontier.
+    ``visit(piece, depth)`` sees the root at depth 0 and every piece after
+    it, and returns the piece's key, or None to drop it.  Between steps
+    ``stop(head, size)`` returns the result, or None to go on: ``head`` is
+    the (key, depth) of the piece the next step splits, or None when no
+    piece is left, and ``size`` the number of pieces held; it must end the
+    run when ``head`` is None.  A step takes the piece with the smallest key
+    and visits, at depth + 1, the pieces of its ``split(piece, depth,
+    key)``.  Tied keys come out first in, first out, so with key = depth a
+    level is complete, every piece of it visited and none split, when its
+    first piece is the head.
     """
-    frontier: list = []
-    seq = count()
+    frontier: list = []  # a heap of (key, seq, depth, piece)
+    seq = count()  # keeps tied keys in insertion order
 
     def offer(piece, depth):
         key = visit(piece, depth)
@@ -391,7 +392,8 @@ def subdivide(root, split, visit, stop):
             heappush(frontier, (key, next(seq), depth, piece))
 
     offer(root, 0)
-    while (result := stop(frontier)) is None:
+    while (result := stop((frontier[0][0], frontier[0][2]) if frontier else None,
+                          len(frontier))) is None:
         key, _, depth, parent = heappop(frontier)
         for piece in split(parent, depth, key):
             offer(piece, depth + 1)

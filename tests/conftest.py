@@ -334,6 +334,13 @@ def refine(patch, threshold_sq):
             for piece in _refine_ints(Piece.of(roots), patch.degree, threshold)]
 
 
+def ref_edge_lengths(rows):
+    """Squared lengths of every edge (i, j), i < j, of integer vertex rows,
+    by a pair loop in lexicographic order."""
+    return [sum((a - b) ** 2 for a, b in zip(vi, rows[j]))
+            for i, vi in enumerate(rows) for j in range(i + 1, len(rows))]
+
+
 def ref_longest_ints(rows):
     """Squared length and (i, j) of the longest edge of integer vertex rows,
     by a pair loop; lowest (i, j) breaks ties."""
@@ -350,7 +357,8 @@ def ref_refine_ints(piece, k, threshold):
     """``ratpatch._refine_ints`` as it was before it carried edge lengths:
     every bisection child's edges are all measured afresh
     (``ref_longest_ints``), and every other step is the driver's.  Returns
-    the leaves as ``Piece`` records."""
+    the leaves as ``Piece`` records, each with its edges measured in full
+    (``ref_edge_lengths``)."""
     n = len(piece.rows) - 1
     levels = round_length(n)
     budget = 5 * levels + 4
@@ -369,7 +377,7 @@ def ref_refine_ints(piece, k, threshold):
         rows, denom, lists, longest, cuts, depth, target = stack.pop()
         if depth >= levels and not wider(longest, denom, target):
             if not wider(longest, denom, threshold):
-                leaves.append(Piece(rows, denom, lists, cuts, longest))
+                leaves.append(Piece(rows, denom, lists, cuts, ref_edge_lengths(rows)))
                 continue
             target, depth = quarter(longest, denom), 0
         elif depth == budget:

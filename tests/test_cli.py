@@ -77,6 +77,13 @@ def _write(tmp_path, name, data):
     return str(path)
 
 
+def _negated_cert3(tmp_path):
+    negated = json.loads(json.dumps(CERT3_SPEC))
+    for term in negated["numerator"]["terms"]:
+        term["coeff"] = str(-F(term["coeff"]))
+    return _write(tmp_path, "negcert.json", negated)
+
+
 class TestBounds:
     def test_dip_coefficients(self, dip_spec, capsys):
         assert main(["bounds", dip_spec]) == 0
@@ -136,12 +143,31 @@ class TestCertify:
         assert "inconclusive" in capsys.readouterr().out
 
     def test_negative_mode(self, tmp_path, capsys):
-        negated = json.loads(json.dumps(CERT3_SPEC))
-        for term in negated["numerator"]["terms"]:
-            term["coeff"] = str(-F(term["coeff"]))
-        spec = _write(tmp_path, "negcert.json", negated)
+        spec = _negated_cert3(tmp_path)
         assert main(["certify", spec, "--mode", "negative", "--kmax", "5"]) == 0
         assert "certified negativity at k=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("via, code, out", [
+        ("local", 0, "certified negativity at depth 1, 2 leaves\n"),
+        # Global would certify at k=3; sharpness reads the degree-2
+        # coefficients alone, and one of them is positive.
+        ("sharpness", 2, "inconclusive at degree 2\n"),
+    ])
+    def test_negative_mode_via(self, tmp_path, capsys, via, code, out):
+        spec = _negated_cert3(tmp_path)
+        assert main(["certify", spec, "--mode", "negative", "--via", via]) == code
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "global"], ["--mode", "local"],
+                                      ["--mode", "sharpness"]],
+                             ids=["default", "global", "local", "sharpness"])
+    def test_via_needs_negative_mode(self, cert3_spec, capsys, mode):
+        # --via picks the mode a negativity certificate runs; with any other
+        # mode it would be ignored, so it is refused instead.
+        assert main(["certify", cert3_spec, *mode, "--via", "local"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--via needs --mode negative" in captured.err
 
     def test_json_report(self, cert3_spec, capsys):
         assert main(["certify", cert3_spec, "--json", "--kmax", "5"]) == 0

@@ -470,12 +470,13 @@ CLOSED_3D = closed_form_on(F(1, 200), 1, [1, 2, 3, 4], [F(1, 2), 0, 0],
 def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
     # A bisection changes only the n edges at its midpoint, so the driver
     # measures those n squared lengths and carries the rest: n per
-    # bisection, plus all n(n+1)/2 of the piece it is handed, once per call.
-    # Measuring every child afresh would be n(n+1) per bisection.  Every
-    # length is measured by ``geometry._lengths_at``, looked up in
-    # ``geometry`` (the entry measure) and in ``ratpatch`` (the bisections).
+    # bisection, plus all n(n+1)/2 of the root, once per run.  Every piece
+    # carries its lengths from one driver call to the next, so no call
+    # measures the piece it is handed; measuring every child afresh would
+    # be n(n+1) per bisection.  Every length is measured by
+    # ``geometry._lengths_at``, looked up in ``geometry`` (the root measure)
+    # and in ``ratpatch`` (the bisections).
     n = problem[2].dimension
-    standard_simplex(n)
     counts = {"lengths": 0, "bisections": 0, "calls": 0}
 
     def lengths_at(rows, m, others, real=geometry._lengths_at):
@@ -497,8 +498,7 @@ def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
         monkeypatch.setattr(module, "_refine_ints", refine_ints)
     run(problem)
     assert counts["bisections"] > counts["calls"] > 0
-    assert counts["lengths"] == (n * counts["bisections"]
-                                 + round_length(n) * counts["calls"])
+    assert counts["lengths"] == n * counts["bisections"] + round_length(n)
 
 
 @pytest.mark.parametrize("problem", [

@@ -78,7 +78,7 @@ class TestSimplex:
         for name in ("ints", "denom", "_vertices", "other"):
             with pytest.raises(AttributeError, match=f"cannot set {name!r}"):
                 setattr(s, name, None)
-        for name in ("ints", "denom", "_vertices", "_longest_edge"):
+        for name in ("ints", "denom", "_vertices"):
             with pytest.raises(AttributeError, match=f"cannot delete {name!r}"):
                 delattr(s, name)
         assert (s.ints, s.denom) == (((-1,), (1,)), 1)

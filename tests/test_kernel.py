@@ -582,7 +582,7 @@ def test_longest_edge_matches_reference(data):
         assert diameter_sq(simplex) == d
         assert longest_edge(simplex) == (i, j)
         for bound in (d, d / 4, data.draw(NONNEGATIVE)):
-            assert _wider(simplex._longest_edge[0], simplex.denom,
+            assert _wider(max(geometry._edge_lengths(simplex.ints)), simplex.denom,
                           (bound.numerator, bound.denominator)) == (d > bound)
         edge = data.draw(st.sampled_from(((i, j), (0, n))))
         simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
@@ -862,15 +862,18 @@ def test_bisection_halves_the_edge_determinant(data):
 
 
 def _leaf_fields(piece):
-    return piece.rows, piece.denom, piece.lists, piece.cuts, piece.longest
+    return piece.rows, piece.denom, piece.lists, piece.cuts, piece.lengths
 
 
 def _assert_carried_lengths(root, k, threshold):
+    handed = root.lengths[:]
     got = ratpatch._refine_ints(root, k, threshold)
     assert [_leaf_fields(p) for p in got] == [
         _leaf_fields(p) for p in ref_refine_ints(root, k, threshold)]
     for piece in got:
-        assert piece.longest == geometry._longest(piece.rows)
+        assert piece.lengths == geometry._edge_lengths(piece.rows)
+    # The driver works on its own copy: the piece it was handed is as it was.
+    assert root.lengths == handed
     return got
 
 
@@ -893,7 +896,8 @@ def test_carried_edge_lengths_match_measuring_every_child(data):
     lists = tuple(tuple(data.draw(st.lists(st.integers(-50, 50), min_size=size,
                                            max_size=size)))
                   for _ in range(data.draw(st.integers(1, 2))))
-    root = ratpatch.Piece(simplex.ints, simplex.denom, lists, 0, simplex._longest_edge)
+    root = ratpatch.Piece(simplex.ints, simplex.denom, lists, 0,
+                          geometry._edge_lengths(simplex.ints))
     # Two rounds or more below n = 3, where one round makes 64 pieces.
     threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
     _assert_carried_lengths(root, k, (threshold.numerator, threshold.denominator))
@@ -906,5 +910,5 @@ def test_carried_edge_lengths_on_a_round_of_the_standard_4_simplex():
     linear = to_bernstein(PowerPoly(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 1): -3}),
                           1, simplex)
     root = ratpatch.Piece.of((linear,))
-    leaves = _assert_carried_lengths(root, 1, ratpatch._quarter(root.longest[0], root.denom))
+    leaves = _assert_carried_lengths(root, 1, ratpatch._quarter(max(root.lengths), root.denom))
     assert len(leaves) == 1024
