@@ -123,7 +123,11 @@ def parse_problem(data: dict) -> ProblemSpec:
     domain_data = data["domain"]
     try:
         if isinstance(domain_data, dict) and "interval" in domain_data:
-            lo, hi = (parse_rational(v) for v in domain_data["interval"])
+            interval = domain_data["interval"]
+            if not isinstance(interval, list) or len(interval) != 2:
+                raise UsageError("spec field 'domain.interval': need a JSON array"
+                                 f" [a, b], got {interval!r}")
+            lo, hi = map(parse_rational, interval)
             if not lo < hi:
                 raise UsageError(
                     f"spec field 'domain.interval': need a < b, got [{lo}, {hi}]"
@@ -218,12 +222,7 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
                 "lo": format_rational(f.enclosure().lo),
                 "hi": format_rational(f.enclosure().hi),
             },
-            "sharpness": {
-                "min_sharp": sharp.min_sharp,
-                "max_sharp": sharp.max_sharp,
-                "min_vertex": sharp.min_vertex,
-                "max_vertex": sharp.max_vertex,
-            },
+            "sharpness": sharp._asdict(),
             "constants": {
                 "zeta": format_rational(constants.zeta),
                 "omega": format_rational(constants.omega),
@@ -355,8 +354,6 @@ def main(argv=None) -> int:
     except BernboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -42,6 +42,10 @@ Point = Tuple[Fraction, ...]
 
 
 def _as_point(values: Sequence[Rational]) -> Point:
+    """A point from a sequence of rationals.  A string or a JSON object is
+    not one, though it iterates as its characters or its keys."""
+    if isinstance(values, (str, dict)):
+        raise TypeError(f"a point is a sequence of coordinates, not {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 
@@ -98,22 +102,15 @@ class Simplex:
         """The vertices as ``Fraction`` tuples, built on first use."""
         if self._vertices is None:
             object.__setattr__(self, "_vertices",
-                               tuple(map(self._point, self.ints)))
+                               tuple([_point(row, self.denom) for row in self.ints]))
         return self._vertices
-
-    def _point(self, row: Sequence[int]) -> Point:
-        return _point(row, self.denom)
 
     @property
     def dimension(self) -> int:
         return len(self.ints) - 1
 
     def vertex(self, i: int) -> Point:
-        return self._point(self.ints[i])
-
-    def signature(self):
-        """Deterministic sort key over simplices (nested vertex tuples)."""
-        return self.vertices
+        return _point(self.ints[i], self.denom)
 
     def to_json(self) -> dict:
         return {
@@ -183,7 +180,16 @@ def _bareiss(rows: List[List[int]]) -> Optional[List[List[int]]]:
 
 
 def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, ...]:
-    """Exact coordinates lam with sum(lam) = 1 and sum(lam_i v_i) = point.
+    """Exact coordinates lam with sum(lam) = 1 and sum(lam_i v_i) = point:
+    the integers of ``_barycentric_weights`` over their sum."""
+    weights = _barycentric_weights(simplex, point)
+    det = sum(weights)
+    return tuple([Fraction(w, det) for w in weights])
+
+
+def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[int]:
+    """Integers det * lam_i for the barycentric coordinates lam of ``point``;
+    they sum to det, a nonzero integer of either sign.
 
     The system is solved on integers: each coordinate row is the vertices'
     integers and the point's coordinate times ``denom``, scaled by the
@@ -208,14 +214,7 @@ def barycentric(simplex: Simplex, point: Sequence[Rational]) -> Tuple[Fraction, 
     for top in reversed(pivots):
         known = sum(a * b for a, b in zip(top[1:-1], lam))
         lam.insert(0, (top[-1] * det - known) // top[0])
-    return tuple([Fraction(v, det) for v in lam])
-
-
-def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[int]:
-    """``barycentric`` over its common denominator W: integers summing to W."""
-    lam = barycentric(simplex, point)
-    common = lcm(*(c.denominator for c in lam))
-    return [c.numerator * (common // c.denominator) for c in lam]
+    return lam
 
 
 def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
@@ -318,8 +317,6 @@ def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
         raise DimensionMismatch(
             f"polynomial has {poly.dimension} variables, simplex has {n}"
         )
-    if simplex == standard_simplex(n):
-        return poly
     width = poly.degree.bit_length()
     return PowerPoly._from_packed(n, width, *_pulled_back(simplex, poly, width))
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, lshift, mul, sub
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLow, DimensionMismatch
 from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
@@ -58,10 +58,6 @@ class SecondDifferences(NamedTuple):
 
     items: Tuple[Tuple[DiffKey, Fraction], ...]
     sup_norm: Fraction
-
-    @property
-    def entries(self) -> Dict[DiffKey, Fraction]:
-        return dict(self.items)
 
 
 class BernsteinPatch:
@@ -130,10 +126,6 @@ class BernsteinPatch:
     @property
     def index_set(self) -> IndexSet:
         return enumerate_indices(self.degree, self.dimension)
-
-    def vertex_values(self) -> Tuple[Fraction, ...]:
-        """Coefficients at the vertex indices; these equal p(v_i)."""
-        return tuple(self.coeffs[p] for p in self.index_set.vertex_positions())
 
     def enclosure(self) -> Interval:
         """[min coefficient, max coefficient]; contains the range over |V|."""

@@ -121,10 +121,6 @@ class PowerPoly:
             self._terms = tuple([(e, Fraction(c, scale)) for e, c in self.int_terms])
         return self._terms
 
-    @property
-    def terms(self) -> TermMap:
-        return dict(self._fractions())
-
     def iter_terms(self) -> Iterable[Tuple[Exponents, Fraction]]:
         return iter(self._fractions())
 
@@ -146,8 +142,6 @@ class PowerPoly:
                     value *= x ** e
             total += value
         return total
-
-    __call__ = eval
 
     def negate(self) -> "PowerPoly":
         return PowerPoly._from_ints(

@@ -47,25 +47,34 @@ def format_rational(value: Fraction) -> str:
 
 
 def float_str(value: Fraction) -> str:
-    """Six-significant-digit float rendering, for display only.  A value
-    beyond the float range is rounded exactly, half to even, to the same
-    form: ``1e+309``, ``-1.3e+309``."""
+    """Six-significant-digit float rendering, for display only.  A nonzero
+    value outside the normal float range, of magnitude below 2^-1022
+    (``sys.float_info.min``) or rounding beyond the largest float, is
+    rounded exactly, half to even, to the same form: ``1e+309``,
+    ``-1.3e+309``, ``1e-320``, where the float would print ``inf``, ``0`` or
+    a subnormal's few digits.  Zero prints as ``0``."""
     try:
-        return f"{float(value):.6g}"
+        approx = float(value)
     except OverflowError:
-        return _large_str(Fraction(value))
+        return _exact_str(Fraction(value))
+    if abs(approx) <= sys.float_info.min and 0 < abs(value) < sys.float_info.min:
+        return _exact_str(Fraction(value))
+    return f"{approx:.6g}"
 
 
-def _large_str(value: Fraction) -> str:
-    """``.6g`` of a value of magnitude at least 2^1024, rounded exactly; its
-    decimal exponent is above 300, so the form is always exponential."""
+def _exact_str(value: Fraction) -> str:
+    """``.6g`` of a nonzero value too large for a float or of magnitude
+    below 2^-1022, rounded exactly, half to even; its decimal exponent is
+    above 300 or below -300, so the form is always exponential."""
     num, den = abs(value.numerator), value.denominator
     # Start one below the decimal exponent, which log10 may miss by one.
     exponent = floor(log10(num) - log10(den)) - 1
-    while (digits := round(Fraction(num, den * 10 ** (exponent - 5)))) >= 10 ** 6:
+    # The six digits num / den / 10^(exponent - 5), scaled on integers.
+    while (digits := round(Fraction(num * 10 ** max(5 - exponent, 0),
+                                    den * 10 ** max(exponent - 5, 0)))) >= 10 ** 6:
         exponent += 1
     head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
-    return f"{'-' if value < 0 else ''}{head}{'.' * bool(tail)}{tail}e+{exponent}"
+    return f"{'-' if value < 0 else ''}{head}{'.' * bool(tail)}{tail}e{exponent:+d}"
 
 
 class Interval(NamedTuple):
@@ -73,7 +82,4 @@ class Interval(NamedTuple):
 
     lo: Fraction
     hi: Fraction
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 

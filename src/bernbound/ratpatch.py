@@ -244,7 +244,9 @@ class Piece:
         return _point(self.rows[i], self.denom)
 
     def signature(self) -> Tuple[Point, ...]:
-        """``Simplex.signature`` of the piece, read from its rows."""
+        """The piece's vertices as ``Fraction`` tuples, read from its rows:
+        the deterministic tie key of best-first ``minimize``, equal to its
+        simplex's ``vertices``."""
         denom = self.denom
         return tuple([_point(row, denom) for row in self.rows])
 

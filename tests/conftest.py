@@ -480,6 +480,11 @@ def leaf_log(den):
 # Independent oracles
 # ---------------------------------------------------------------------------
 
+def encloses(outer, inner):
+    """Whether the interval ``outer`` contains the interval ``inner``."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 def det(matrix):
     """Fraction determinant by cofactor expansion (small matrices only)."""
     size = len(matrix)

@@ -41,6 +41,7 @@ from bernbound import (
     to_bernstein_standard,
 )
 from conftest import (
+    encloses,
     fn_cert3,
     fn_dip,
     leaf_log,
@@ -161,7 +162,7 @@ def test_05_elevation_nesting_on_corpus():
         for _ in range(6):
             f = f.elevate()
             current = f.enclosure()
-            if not previous.encloses(current):
+            if not encloses(previous, current):
                 violations += 1
             previous = current
     assert violations == 0

@@ -336,11 +336,39 @@ class TestUsageAndErrors:
         })
         assert main(["bounds", spec]) == 64
 
+    @pytest.mark.parametrize("domain", [
+        {"interval": "01"},
+        {"interval": {"0": 1, "1": 2}},
+        {"vertices": "01"},
+        {"vertices": ["0", "1"]},
+        {"vertices": [{"0": "7"}, {"1": "9"}]},
+    ], ids=["interval-string", "interval-object", "vertices-string", "vertex-strings",
+            "vertex-objects"])
+    def test_malformed_domain(self, tmp_path, capsys, domain):
+        # Neither a string nor an object is read one item at a time as
+        # coordinates.
+        spec = _write(tmp_path, "domain.json", {
+            "numerator": {"dimension": 1, "terms": [{"exponents": [1], "coeff": "1"}]},
+            "domain": domain,
+        })
+        assert main(["bounds", spec]) == 64
+        assert "spec field 'domain" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["bounds", "/nonexistent/path.json"]) == 64
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate", "spec.json"]) == 64
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--version", f"bernbound {bernbound.__version__}\n"),
+        ("--help", "usage: bernbound "),
+    ])
+    def test_version_and_help_exit_zero(self, capsys, flag, text):
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag])
+        assert exit_info.value.code == 0
+        assert text in capsys.readouterr().out
 
     def test_bad_threads(self, dip_spec, capsys):
         assert main(["bounds", dip_spec, "--threads", "1"]) == 64

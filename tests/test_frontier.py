@@ -206,7 +206,7 @@ def ref_minimize_uniform(root, epsilon, budget, planned):
 def ref_minimize_best_first(root, epsilon, budget, planned):
     """(bracket, exhausted) from the heap loop."""
     m, delta, witness = local_bounds(root)
-    heap = [(m, root.simplex.signature(), 0, root)]
+    heap = [(m, root.simplex.vertices, 0, root)]
     parked = []
     max_depth = 0
     while True:
@@ -229,7 +229,7 @@ def ref_minimize_best_first(root, epsilon, budget, planned):
                 delta, witness = child_delta, child_witness
             if child_m >= delta:
                 continue
-            heapq.heappush(heap, (child_m, piece.simplex.signature(), depth + 1, piece))
+            heapq.heappush(heap, (child_m, piece.simplex.vertices, depth + 1, piece))
         max_depth = max(max_depth, depth + 1)
 
 
@@ -279,7 +279,7 @@ def problems(draw):
         s = draw(st.sampled_from((F(3), F(1), F(1, 4))))
         weights = draw(st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1))
         num, den, simplex, _ = closed_form_on(m, s, weights, slopes, vertices)
-        num, den = num.terms, den.terms
+        num, den = dict(num.iter_terms()), dict(den.iter_terms())
         for _ in range(draw(st.integers(0, 2))):
             factor = _affine(low, draw(
                 st.lists(SLOPES, min_size=n, max_size=n).filter(any)))

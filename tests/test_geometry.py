@@ -62,6 +62,13 @@ class TestSimplex:
         with pytest.raises(DegenerateSimplex):
             Simplex([[0, 0], [1, 0]])  # two vertices cannot span R^2
 
+    @pytest.mark.parametrize("vertices", [["00", "10", "01"], "01", [{"0": 0}, {"1": 1}]])
+    def test_string_or_object_points_rejected(self, vertices):
+        # A string iterates as its characters and an object as its keys, and
+        # neither is a list of coordinates.
+        with pytest.raises(TypeError):
+            Simplex(vertices)
+
     def test_json_round_trip(self):
         s = Simplex([["-1/2", "1.5"], ["2", "0"], ["0", "1/3"]])
         again = Simplex.from_json(s.to_json())
@@ -100,6 +107,10 @@ class TestBarycentric:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             barycentric(standard_simplex(2), (0,))
+
+    def test_string_point_rejected(self):
+        with pytest.raises(TypeError):
+            barycentric(standard_simplex(2), "01")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_recombination_identity(self, n):

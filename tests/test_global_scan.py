@@ -219,11 +219,11 @@ def test_elevation_keeps_positive_patch_positive(n, k, steps, data):
     size = len(enumerate_indices(k, n))
     patch = BernsteinPatch(simplex, k, data.draw(
         st.lists(POSITIVE, min_size=size, max_size=size)))
-    vertex = patch.vertex_values()
+    vertex = [patch.coeffs[p] for p in patch.index_set.vertex_positions()]
     for _ in range(steps):
         patch = patch.elevate()
         assert all(c > 0 for c in patch.coeffs)
-        assert patch.vertex_values() == vertex
+        assert [patch.coeffs[p] for p in patch.index_set.vertex_positions()] == vertex
 
 
 def test_scan_elevates_the_numerator_only(monkeypatch):

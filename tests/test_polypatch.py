@@ -4,6 +4,7 @@ the control-net deviation bound, and de Casteljau edge splitting."""
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch
 from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,
+    encloses,
     random_fraction,
     random_point_in,
     random_poly,
@@ -40,7 +42,7 @@ class TestPowerPoly:
         assert PowerPoly.univariate([1, -3, 5]).eval([1]) == 3
 
     def test_call(self):
-        assert PowerPoly.univariate([0, 1])([F(1, 3)]) == F(1, 3)
+        assert PowerPoly.univariate([0, 1]).eval([F(1, 3)]) == F(1, 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -68,7 +70,7 @@ class TestPowerPoly:
         cancelled = from_terms(2, ([0, 0], "1"), ([2, 1], "3/4"), ([2, 1], "-3/4"))
         assert cancelled == PowerPoly.constant(2, 1)
         assert cancelled.degree == 0
-        assert cancelled.terms == {(0, 0): 1}
+        assert dict(cancelled.iter_terms()) == {(0, 0): 1}
         for exponent in (1.5, True):
             with pytest.raises(TypeError, match="is not an integer"):
                 from_terms(1, ([0], "1"), ([exponent], "1"))
@@ -123,10 +125,18 @@ class TestFloatStr:
         (F(1234565) * F(10) ** 303, "1.23456e+309"),
         (F(9999995) * F(10) ** 303, "1e+310"),
         (F(2 ** 1024), "1.79769e+308"),
+        # Below 2^-1022 the float is zero or subnormal, with too few digits.
+        (F(1, 10 ** 400), "1e-400"),
+        (F(-3, 10 ** 400), "-3e-400"),
+        (F(1, 10 ** 320), "1e-320"),
     ])
     def test_beyond_float_range(self, value, text):
-        with pytest.raises(OverflowError):
-            float(value)
+        try:
+            approx = float(value)
+        except OverflowError:
+            pass
+        else:
+            assert abs(approx) < sys.float_info.min
         assert float_str(value) == text
 
     @pytest.mark.parametrize("value, text", [
@@ -134,7 +144,6 @@ class TestFloatStr:
         (F(13, 10), "1.3"),
         (F(-1, 3), "-0.333333"),
         (F(10) ** 300, "1e+300"),
-        (F(1, 10 ** 400), "0"),  # underflow renders as the float does
     ])
     def test_within_float_range(self, value, text):
         assert float_str(value) == text
@@ -193,8 +202,8 @@ class TestToBernstein:
             p = random_poly(rng, n, rng.randint(1, 3))
             k = p.degree + rng.randint(0, 2)
             patch = to_bernstein(p, k, simplex)
-            for i, value in enumerate(patch.vertex_values()):
-                assert value == p.eval(simplex.vertex(i))
+            for i, pos in enumerate(patch.index_set.vertex_positions()):
+                assert patch.coeffs[pos] == p.eval(simplex.vertex(i))
 
     def test_coefficient_count(self):
         from math import comb
@@ -300,7 +309,7 @@ class TestElevate:
             for _ in range(5):
                 patch = patch.elevate()
                 current = patch.enclosure()
-                assert previous.encloses(current)
+                assert encloses(previous, current)
                 previous = current
 
 
@@ -309,13 +318,13 @@ class TestSecondDifferences:
         patch = BernsteinPatch(Simplex.from_interval(-1, 1), 2, (F(13), F(-6), F(3)))
         diffs = patch.second_differences()
         assert diffs.sup_norm == 28
-        assert set(diffs.entries.values()) == {F(28)}
+        assert set(dict(diffs.items).values()) == {F(28)}
 
     def test_linear_vanishes(self):
         patch = to_bernstein_standard(PowerPoly(2, {(1, 0): 2, (0, 1): -3}), 3)
         diffs = patch.second_differences()
         assert diffs.sup_norm == 0
-        assert all(v == 0 for v in diffs.entries.values())
+        assert all(v == 0 for v in dict(diffs.items).values())
 
     def test_constant_vanishes(self):
         patch = to_bernstein_standard(PowerPoly.constant(1, F(5)), 2)

@@ -25,7 +25,7 @@ from bernbound.errors import (
     DimensionMismatch,
     SimplexMismatch,
 )
-from conftest import fn_cert3, fn_dip, pinned_corpus, rational_instances
+from conftest import encloses, fn_cert3, fn_dip, pinned_corpus, rational_instances
 
 
 def _patch(simplex, degree, coeffs):
@@ -152,7 +152,7 @@ class TestElevation:
         for _ in range(5):
             f = f.elevate()
             current = f.enclosure()
-            assert previous.encloses(current)
+            assert encloses(previous, current)
             previous = current
 
     def test_nesting_random_corpus(self):
@@ -162,7 +162,7 @@ class TestElevation:
             for _ in range(6):
                 f = f.elevate()
                 current = f.enclosure()
-                assert previous.encloses(current)
+                assert encloses(previous, current)
                 previous = current
 
     def test_degree_mismatch_impossible_after_construction(self):
@@ -248,7 +248,7 @@ class TestSplitRound:
             f = rational_patch(pnum, pden, simplex, degree)
             outer = f.enclosure()
             for piece in f.split_round():
-                assert outer.encloses(piece.enclosure())
+                assert encloses(outer, piece.enclosure())
 
 
 class TestConvergenceConstants:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from bernbound.cli import main
+from conftest import encloses
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -51,7 +52,7 @@ def test_library_block():
     (enclosure, shown), (elevated, wider), (degree, used), (bracket, exact) = commented
     assert repr(enclosure) == shown
     assert wider == "never wider than the previous one"
-    assert enclosure.encloses(elevated)
+    assert encloses(enclosure, elevated)
     assert repr(degree) == used == "57"
     # The bracket is the one the session's minimize run prints.
     assert exact == "exact bracket"
