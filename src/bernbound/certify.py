@@ -17,9 +17,9 @@ refuting vertex's value divides its numerator coefficient by the root
 denominator evaluated at that vertex.
 
 The local certificate runs on ``ratpatch.Piece`` records below its root:
-integer vertex rows and the numerator's integer list, read for signs and
-the smallest entry.  No piece becomes a ``Simplex`` or a patch; a refuting
-piece's vertex is read from its rows.
+the numerator's integer list, read for signs and the smallest entry.  No
+piece becomes a ``Simplex`` or a patch, and only a refuting piece forms its
+vertex rows, replayed from its bisection path, for the witness.
 
 The vertex part is decided once per patch it concerns.  Each subdivision
 piece has its vertex coefficients scanned once (``_refuting_index``); a

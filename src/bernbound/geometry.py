@@ -10,21 +10,23 @@ coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
 built on first use.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, checks affine independence on the integers and solves for
-barycentric coordinates.  One rule measures edges: ``_lengths_at`` gives
-integer squared lengths over denom**2, ``_edge_lengths`` all of a
-simplex's in ``_edge_pairs`` order, and ``_longest`` takes their first
-maximum; a ``Simplex`` stores no measure.  ``_bisect_rows`` is the midpoint
-rule: it forms each midpoint from the parent's integers over at most twice
-its denominator, for ``bisect_edge`` and for the refinement driver
-(``ratpatch._refine_ints``), which keeps every piece below a checked root
-as plain rows: a bisection child of a simplex is a simplex of half its
-volume, so no piece is checked again.  A piece carries its edge lengths for
-the whole run, and a bisection measures only the n edges at the new
-midpoint, in the slots ``_bisection_slots`` gives.  ``_point`` and
-``_grid_point`` read a vertex or a grid point straight from such rows, and a
-``Simplex`` is built from them (``_checked_simplex``, through the same rank
-check) only where one is asked for.  The only irrational quantity, the
-diameter, is never materialized: ``diameter_sq`` measures on demand.
+barycentric coordinates; a point is read by ``rationals.parse_point``.
+One rule measures edges: ``_lengths_at`` gives integer squared lengths over
+denom**2, ``_edge_lengths`` all of a simplex's in ``_edge_pairs`` order, and
+``_longest`` takes their first maximum; a ``Simplex`` stores no measure.
+The refinement driver (``ratpatch._refine_ints``) measures only its root:
+a bisection changes only the n edges at the new midpoint, which it derives
+from the parent's lengths by the median rule, in the slots
+``_bisection_slots`` gives.  ``_bisect_rows`` is the midpoint rule: it forms
+each midpoint from the parent's integers over at most twice its
+denominator, for ``bisect_edge`` and for a subdivision piece that replays
+its bisection path from its root.  Such pieces stay plain rows below a
+checked root: a bisection child of a simplex is a simplex of half its
+volume, so no piece is checked again.  ``_point`` and ``_grid_point`` read
+a vertex or a grid point straight from such rows, and a ``Simplex`` is
+built from them (``_checked_simplex``, through the same rank check) only
+where one is asked for.  The only irrational quantity, the diameter, is
+never materialized: ``diameter_sq`` measures on demand.
 """
 
 from __future__ import annotations
@@ -36,17 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DegreeMismatch, DimensionMismatch
 from .powerpoly import PowerPoly, _pullback
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_point
 
 Point = Tuple[Fraction, ...]
-
-
-def _as_point(values: Sequence[Rational]) -> Point:
-    """A point from a sequence of rationals.  A string or a JSON object is
-    not one, though it iterates as its characters or its keys."""
-    if isinstance(values, (str, dict)):
-        raise TypeError(f"a point is a sequence of coordinates, not {values!r}")
-    return tuple(parse_rational(v) for v in values)
 
 
 class Simplex:
@@ -62,7 +56,7 @@ class Simplex:
     __slots__ = ("ints", "denom", "_vertices")
 
     def __init__(self, vertices: Sequence[Sequence[Rational]]):
-        pts = tuple(_as_point(v) for v in vertices)
+        pts = tuple(parse_point(v) for v in vertices)
         if not pts:
             raise DegenerateSimplex("empty vertex list")
         n = len(pts) - 1
@@ -198,7 +192,7 @@ def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[in
     an integer, and back substitution finds them with exact divisions.
     """
     n = simplex.dimension
-    x = _as_point(point)
+    x = parse_point(point)
     if len(x) != n:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {n}")
     scale = lcm(*(c.denominator for c in x))
@@ -245,7 +239,8 @@ def _grid_point(alpha: Sequence[int], k: int, rows, denom: int) -> Point:
 
 def _lengths_at(rows, m: int, others) -> List[int]:
     """Squared distances from row m to each row of ``others`` (indices), as
-    integers over denom**2: the one rule that measures an edge."""
+    integers over denom**2: the one rule that measures an edge, run on a
+    subdivision's root only."""
     point = rows[m]
     return [sum([(a - b) ** 2 for a, b in zip(point, rows[l])]) for l in others]
 
@@ -265,26 +260,23 @@ def _edge_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _bisection_slots(n: int) -> Tuple[Tuple, ...]:
-    """Per edge, in ``_edge_pairs`` order, the (i, j, sources, slots_i,
-    slots_j) that carry squared edge lengths through its bisection.
+    """Per edge, in ``_edge_pairs`` order, the (i, j, slots_i, slots_j)
+    that carry squared edge lengths through its bisection.
 
     Bisecting edge (i, j) at its midpoint m changes only the n edges at m:
-    the half edge, |v_i - m|**2 = |m - v_j|**2, and |m - v_l|**2 for each
-    other vertex l.  Those are ``_lengths_at(child, j, sources)`` on the
-    rows of the child that keeps v_i (m in row j), with ``sources`` = (i,
-    then every other l in order).  Both children share them: the child that
-    keeps v_i puts them in the slots of (i, j) and of each (j, l), the child
-    that keeps v_j in those of (i, j) and of each (i, l).  Every other edge
-    of either child is its parent's.
+    the half edge, |v_i - m|**2 = |m - v_j|**2, in the slot of (i, j) in
+    both children, and |m - v_l|**2 for each other vertex l, in order.  The
+    child that keeps v_i holds those in the slots of each (j, l),
+    ``slots_i``, the child that keeps v_j in those of each (i, l),
+    ``slots_j``.  Every other edge of either child is its parent's.
     """
     pairs = _edge_pairs(n)
     slot = {pair: e for e, pair in enumerate(pairs)}
     table = []
     for i, j in pairs:
         others = [l for l in range(n + 1) if l != i and l != j]
-        table.append((i, j, (i, *others),
-                      (slot[i, j], *[slot[min(j, l), max(j, l)] for l in others]),
-                      (slot[i, j], *[slot[min(i, l), max(i, l)] for l in others])))
+        table.append((i, j, tuple([slot[min(j, l), max(j, l)] for l in others]),
+                      tuple([slot[min(i, l), max(i, l)] for l in others])))
     return tuple(table)
 
 

@@ -3,32 +3,36 @@
 Every node carries the rational Bernstein coefficients of the function over
 its subsimplex at the function's own degree (the degree never changes
 during minimization), as a ``ratpatch.Piece``: the numerator and
-denominator integer lists and the integer vertex rows.
+denominator integer lists, and a bisection path whose vertex rows are
+formed only for a witness or a tie.
 The minimum coefficient of a node is a certified lower bound for the
 function there; evaluating the function at the minimizing grid point or at a
 vertex yields a true function value and hence an upper bound.  A node's
 lower bound is read first: when it already reaches the incumbent upper
 bound, no value on the node can lower the incumbent, so the node gets no
 grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
-read from the lists by one rule each: ``ratpatch._min_position`` and
-``_ratio`` for the lower bound, ``_upper_bound`` (with ``_grid_value``) for
-the upper bound and its point; ``local_bounds`` runs the same rules on a
+read from the lists by one rule each: ``ratpatch._min_position`` for the
+lower bound, ``_upper_bound`` (with ``_grid_value``) for the upper bound
+and its point; ``local_bounds`` runs the same rules on a
 ``RationalPatch``.
-Subdividing
-shrinks the gap between the two; the bounds sandwich the true minimum at all
-times, and an a-priori round count suffices for any requested gap.
+Bounds stay unreduced integer pairs a / b, b > 0, and compare by
+cross-multiplying, with the incumbent too: a ``Fraction`` is built only for
+a new incumbent and for the bracket a run returns.  Subdividing shrinks
+the gap between the two; the bounds sandwich the true minimum at all times,
+and an a-priori round count suffices for any requested gap.
 
 The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``,
 whose every step splits one leaf.  ``uniform`` keys a leaf by its depth, so
 the leaves split level by level; it settles once per level, when the level's
 first piece heads the frontier, on the level's smallest lower bound.
-``best-first`` keys a leaf by (lower bound, simplex); it drops leaves that
-cannot beat the incumbent, parks those at the depth budget, and stops on the
-least of the incumbent, the frontier's head and the parked bounds.  Only the
-root is a ``RationalPatch``; no piece below it becomes a ``Simplex`` or a
-patch, and a witness is read from its rows.  Neither keeps a per-step
-record: a piece lives until it is dropped, parked (its bound alone is kept)
-or split.
+``best-first`` keys a leaf by its lower bound (``_Key``), which reads the
+leaf's vertices only to break a tie, the order of (lower bound, simplex);
+it drops leaves that cannot beat the incumbent, parks those at the depth
+budget, and stops on the least of the incumbent, the frontier's head and
+the parked bounds.  Only the root is a ``RationalPatch``; no piece below it
+becomes a ``Simplex`` or a patch, and a witness is read from its replayed
+rows.  Neither keeps a per-step record: a piece lives until it is dropped,
+parked (only the least parked bound and their count are kept) or split.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .ratpatch import (
     RationalPatch,
     _grid_value,
     _min_position,
-    _ratio,
     _split_round,
     convergence_constants,
     rational_patch,
@@ -108,26 +111,61 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
         Piece.of((f.num, f.den)), f.degree, (f.num.scale, f.den.scale), position))
 
 
-def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int],
-                 position: int) -> Tuple[Fraction, Point]:
+def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
+                 below: Optional[Tuple[int, int]] = None) -> Optional[Tuple[Fraction, Point]]:
     """The upper bound of ``local_bounds`` and its point, for a degree-k
     piece whose numerator and denominator lists are over ``scales`` times a
     common factor, ``position`` being the first position of its smallest
-    ratio.  The grid value is ``_grid_value`` of both lists at that
-    position's index, and the point is read from the piece's rows."""
-    n = len(piece.rows) - 1
+    ratio; None when it does not lie below the fraction ``below`` = (a, b),
+    b > 0, if given.  The grid value is ``_grid_value`` of both lists at
+    that position's index.  The candidates compare as integer pairs by
+    cross-multiplying, so only the result becomes a ``Fraction``, and its
+    point is read from the piece's rows."""
+    n = len(piece.root[0]) - 1
     indices = enumerate_indices(k, n)
-    delta = witness = None
+    a = b = vertex = None
     if k >= 1:
         argmin = indices[position]
-        delta = _grid_value(piece.lists, scales, k, n, argmin)
+        a, b = _grid_value(piece.lists, scales, k, n, argmin)
+    nums, dens = piece.lists
+    s, t = scales
     for i, p in enumerate(indices.vertex_positions()):
-        value = _ratio(piece.lists, scales, p)
-        if delta is None or value < delta:
-            delta, witness = value, piece.vertex(i)
-    if witness is None:
-        witness = _grid_point(argmin, k, piece.rows, piece.denom)
-    return delta, witness
+        c, d = nums[p] * t, dens[p] * s
+        if a is None or c * b < a * d:
+            a, b, vertex = c, d, i
+    if below is not None and a * below[1] >= below[0] * b:
+        return None
+    if vertex is None:
+        return Fraction(a, b), _grid_point(argmin, k, piece.rows, piece.denom)
+    return Fraction(a, b), piece.vertex(vertex)
+
+
+def _least(*pairs) -> Optional[Tuple[int, int]]:
+    """The first least of fractions a / b, b > 0, given as (a, b) pairs,
+    by cross-multiplying; None stands for no fraction."""
+    least = None
+    for pair in pairs:
+        if pair is not None and (least is None or pair[0] * least[1] < least[0] * pair[1]):
+            least = pair
+    return least
+
+
+class _Key:
+    """A best-first key: the lower bound a / b (b > 0, unreduced) of
+    ``piece``.  Keys order by cross-multiplying, and tied bounds by the
+    pieces' ``signature``, built only then: the order of the (bound,
+    signature) tuple."""
+
+    __slots__ = ("a", "b", "piece")
+
+    def __init__(self, a: int, b: int, piece: Piece):
+        self.a, self.b, self.piece = a, b, piece
+
+    def __lt__(self, other: "_Key") -> bool:
+        left, right = self.a * other.b, other.a * self.b
+        if left != right:
+            return left < right
+        return self.piece.signature() < other.piece.signature()
 
 
 def apriori_steps(constants, epsilon: Rational) -> int:
@@ -170,37 +208,46 @@ def minimize(
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
     k, scales = root.degree, (root.num.scale, root.den.scale)
-    delta = witness = None
-    lowest = {}  # uniform: the smallest lower bound at each depth not yet settled
-    parked = []  # best-first: the bounds of leaves held at the budget depth
+    s, t = scales
+    en, ed = epsilon.numerator, epsilon.denominator
+    # The incumbent upper bound delta = dn / dd and its witness; bounds
+    # compare with it as integers.
+    delta = witness = dn = dd = None
+    lowest = {}  # uniform: the smallest (a, b) lower bound at each depth not yet settled
+    parked = None  # best-first: the smallest (a, b) bound of the leaves held at the budget depth
+    held = 0  # best-first: how many leaves are held there
     deepest = 0  # best-first: the depth of the deepest split piece
 
     def bounds(piece):
-        # The lower bound first: at m >= delta every value on the piece is
-        # at least delta, so its upper bound could not lower delta.
-        nonlocal delta, witness
-        position = _min_position(*piece.lists)
-        m = _ratio(piece.lists, scales, position)
-        if delta is None or m < delta:
-            d, w = _upper_bound(piece, k, scales, position)
-            if delta is None or d < delta:
-                delta, witness = d, w
-        return m
+        # The lower bound a / b first: at a / b >= delta every value on the
+        # piece is at least delta, so its upper bound could not lower delta.
+        nonlocal delta, witness, dn, dd
+        nums, dens = piece.lists
+        position = _min_position(nums, dens)
+        a, b = nums[position] * t, dens[position] * s
+        if delta is None or a * dd < dn * b:
+            found = _upper_bound(piece, k, scales, position,
+                                 None if delta is None else (dn, dd))
+            if found is not None:
+                delta, witness = found
+                dn, dd = delta.numerator, delta.denominator
+        return a, b
 
     def settle(lower, steps, leaves, exhausted):
-        converged = delta - lower < epsilon
+        # Converged when delta - a / b < epsilon, on integers.
+        a, b = lower
+        converged = (dn * b - a * dd) * ed < en * dd * b
         if not (converged or exhausted):
             return None
-        result = MinimizationResult(lower, delta, witness, epsilon, steps, leaves,
+        result = MinimizationResult(Fraction(a, b), delta, witness, epsilon, steps, leaves,
                                     converged, planned)
         if converged:
             return result
-        raise BudgetExhausted(f"gap {float_str(delta - lower)} at budget {budget}",
+        raise BudgetExhausted(f"gap {float_str(delta - result.lower)} at budget {budget}",
                               partial=result)
 
     def visit_uniform(piece, depth):
-        m = bounds(piece)
-        lowest[depth] = min(lowest.get(depth, m), m)
+        lowest[depth] = _least(lowest.get(depth), bounds(piece))
         return depth
 
     def stop_uniform(head, size):
@@ -211,23 +258,22 @@ def minimize(
                       budget is not None and rounds >= budget)
 
     def visit_best(piece, depth):
-        m = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root
-        return None if depth and m >= delta else (m, piece.signature())
+        a, b = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root
+        return None if depth and a * dd >= dn * b else _Key(a, b, piece)
 
     def split_best(piece, depth, key):
-        nonlocal deepest
-        if key[0] >= delta:
+        nonlocal deepest, parked, held
+        if key.a * dd >= dn * key.b:
             return ()
         if budget is not None and depth >= budget:
-            parked.append(key[0])
+            parked, held = _least(parked, (key.a, key.b)), held + 1
             return ()
         deepest = max(deepest, depth + 1)
         return _split_round(piece, k)
 
     def stop_best(head, size):
-        lower = () if head is None else (head[0][0],)
-        return settle(min((delta, *lower, *parked)), deepest,
-                      size + len(parked), head is None)
+        lower = _least((dn, dd), head and (head[0].a, head[0].b), parked)
+        return settle(lower, deepest, size + held, head is None)
 
     top = Piece.of((root.num, root.den))
     if mode == "uniform":

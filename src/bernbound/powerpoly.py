@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, InvalidArgument
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, format_rational, parse_point, parse_rational
 
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, Fraction]
@@ -128,12 +128,12 @@ class PowerPoly:
         return not self.int_terms
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
-        """Exact value at a rational point."""
-        if len(point) != self.dimension:
+        """Exact value at a rational point (``parse_point``)."""
+        coords = parse_point(point)
+        if len(coords) != self.dimension:
             raise DimensionMismatch(
-                f"point has {len(point)} coordinates, polynomial has {self.dimension}"
+                f"point has {len(coords)} coordinates, polynomial has {self.dimension}"
             )
-        coords = [parse_rational(c) for c in point]
         total = Fraction(0)
         for exps, coeff in self._fractions():
             value = coeff

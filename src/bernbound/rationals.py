@@ -1,11 +1,11 @@
-"""Exact rational parsing, formatting and interval helpers."""
+"""Exact rational and point parsing, formatting and interval helpers."""
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
 from math import floor, log10
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 Rational = Union[Fraction, int, str]
 
@@ -37,6 +37,15 @@ def parse_rational(value: Rational) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
     raise ValueError(f"not a rational number: {value!r}")
+
+
+def parse_point(values: Sequence[Rational]) -> Tuple[Fraction, ...]:
+    """A point from a sequence of rationals, each read by
+    ``parse_rational``.  A string or a JSON object is not one, though it
+    iterates as its characters or its keys: each raises ``TypeError``."""
+    if isinstance(values, (str, dict)):
+        raise TypeError(f"a point is a sequence of coordinates, not {values!r}")
+    return tuple([parse_rational(v) for v in values])
 
 
 def format_rational(value: Fraction) -> str:

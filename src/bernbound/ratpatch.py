@@ -13,16 +13,19 @@ Both patches hold integer numerators over a positive shared scale each (see
 two ratios compare by cross-multiplying their numerators.  The leaf tests
 read only that: the certificate predicate and the refuting-vertex search
 read signs, ``_min_position`` finds the smallest ratio, ``_grid_value`` a
-grid value, and a ``Fraction`` is built only for a value that is returned
-(``ratio``, ``vertex_ratios``).  Patch methods and pieces share each rule.
+grid value as an integer pair, and a ``Fraction`` is built only for a value
+that is returned (``ratio``, ``vertex_ratios``, ``eval``).  Patch methods
+and pieces share each rule.
 The full per-index ``ratios`` tuple is the output view for enclosures and
 JSON, built on first use.  The convergence constants read the same
 integers: a ``Fraction`` per constant, none per coefficient.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
-integer vertex rows, one integer list per patch and the edge lengths, which
-a run measures once, at the root; no ``Simplex`` and no patch object.  A
-bisection child of a simplex is a simplex (the identity in
+the root's integer vertex rows, a bisection path from it, one integer list
+per patch and the squared edge lengths, which a run measures once, at the
+root, and carries on integers by the median rule; no ``Simplex``, no patch
+object, and no vertex rows until something reads them, when the path
+replays.  A bisection child of a simplex is a simplex (the identity in
 ``_refine_ints``), and a de Casteljau child's coefficients are
 positive-weight means of its parent's, so a denominator that is positive at
 the root stays positive on every piece.  So the root's rank check and
@@ -56,7 +59,7 @@ from .geometry import (
     _bisection_slots,
     _checked_simplex,
     _edge_lengths,
-    _lengths_at,
+    _edge_pairs,
     _longest,
     _point,
     bisect_edge,
@@ -167,9 +170,9 @@ class RationalPatch:
     def eval(self, point) -> Fraction:
         """Exact value num(point) / den(point): ``_grid_value`` at the
         point's integer barycentric weights, from one linear solve."""
-        return _grid_value((self.num.nums, self.den.nums), (self.num.scale, self.den.scale),
-                           self.degree, self.dimension,
-                           _barycentric_weights(self.simplex, point))
+        return Fraction(*_grid_value((self.num.nums, self.den.nums),
+                                     (self.num.scale, self.den.scale), self.degree,
+                                     self.dimension, _barycentric_weights(self.simplex, point)))
 
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
@@ -212,33 +215,64 @@ class RationalPatch:
 class Piece:
     """One piece of a subdivision, as plain data.
 
-    ``rows`` are its reduced integer vertex rows over ``denom``, ``lists``
-    one integer numerator list per subdivided patch, ``cuts`` its bisections
-    since the run's root and ``lengths`` its squared edge lengths over
-    denom**2 in ``geometry._edge_pairs`` order: measured at a root (``of``),
-    carried by ``_refine_ints`` to every other piece.  All patches have one
-    degree k, and list l is over the root patch l's scale shifted left by
-    k * cuts.  The constructor checks
-    nothing: below a checked root every piece is a simplex (see
-    ``_refine_ints``).  ``patches`` builds checked objects, for a caller
-    that wants them; a run reads the rows and lists.
+    ``root`` is the run's root simplex as (integer vertex rows, denom), and
+    ``path`` the ``cuts`` bisections that lead from it to the piece, as one
+    integer with a digit base 2E (E = n(n+1)/2 edges) per bisection, the
+    first one most significant: the digit 2e + side names the edge of slot
+    e in ``geometry._edge_pairs`` order and the child that keeps v_i (side
+    0) or v_j (side 1).  ``lists`` are one integer numerator list per
+    subdivided patch, and ``lengths`` the squared edge lengths over
+    (root denom << cuts)**2 in ``_edge_pairs`` order: measured at a root
+    (``of``), carried by ``_refine_ints`` to every other piece.  All patches
+    have one degree k, and list l is over the root patch l's scale shifted
+    left by k * cuts.  The constructor checks nothing: below a checked root
+    every piece is a simplex (see ``_refine_ints``).
+
+    A run reads the lists and lengths alone.  ``rows`` and ``denom``, the
+    reduced vertex rows, replay the path through ``geometry._bisect_rows``
+    on first use and are kept; ``vertex``, ``signature`` and ``patches``
+    (checked objects, for a caller that wants them) read them.
     """
 
-    __slots__ = ("rows", "denom", "lists", "cuts", "lengths", "__weakref__")
+    __slots__ = ("root", "path", "lists", "cuts", "lengths", "_rows", "__weakref__")
 
-    def __init__(self, rows, denom: int, lists, cuts: int, lengths):
-        self.rows = rows
-        self.denom = denom
+    def __init__(self, root, path: int, lists, cuts: int, lengths):
+        self.root = root
+        self.path = path
         self.lists = lists
         self.cuts = cuts
         self.lengths = lengths
+        self._rows = None
 
     @classmethod
     def of(cls, patches: Tuple[BernsteinPatch, ...]) -> "Piece":
         """The root piece of patches over one (checked) simplex."""
         simplex = patches[0].simplex
-        return cls(simplex.ints, simplex.denom, tuple(p.nums for p in patches), 0,
+        return cls((simplex.ints, simplex.denom), 0, tuple(p.nums for p in patches), 0,
                    _edge_lengths(simplex.ints))
+
+    def _replayed(self):
+        """(rows, denom): the path's bisections of the root, replayed once."""
+        if self._rows is None:
+            rows, denom = self.root
+            pairs = _edge_pairs(len(rows) - 1)
+            digits, path, size = [], self.path, 2 * len(pairs)
+            for _ in range(self.cuts):
+                path, digit = divmod(path, size)
+                digits.append(digit)
+            for digit in reversed(digits):
+                children = _bisect_rows(rows, denom, *pairs[digit >> 1])
+                rows, denom = children[digit & 1], children[2]
+            self._rows = rows, denom
+        return self._rows
+
+    @property
+    def rows(self):
+        return self._replayed()[0]
+
+    @property
+    def denom(self) -> int:
+        return self._replayed()[1]
 
     def vertex(self, i: int) -> Point:
         return _point(self.rows[i], self.denom)
@@ -247,14 +281,14 @@ class Piece:
         """The piece's vertices as ``Fraction`` tuples, read from its rows:
         the deterministic tie key of best-first ``minimize``, equal to its
         simplex's ``vertices``."""
-        denom = self.denom
-        return tuple([_point(row, denom) for row in self.rows])
+        rows, denom = self._replayed()
+        return tuple([_point(row, denom) for row in rows])
 
     def patches(self, roots: Tuple[BernsteinPatch, ...]) -> Tuple[BernsteinPatch, ...]:
         """The piece's lists as patches over its simplex, rank-checked like
         every ``Simplex``, ``roots`` being the root patches they were split
         from."""
-        simplex = _checked_simplex(self.rows, self.denom)
+        simplex = _checked_simplex(*self._replayed())
         k = roots[0].degree
         return tuple(BernsteinPatch._from_ints(simplex, k, nums, root.scale << k * self.cuts)
                      for nums, root in zip(self.lists, roots))
@@ -270,17 +304,24 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     bisecting any piece whose squared diameter still exceeds a quarter of
     the round root's (a safety net; not observed for the tested
     dimensions).  A piece that is still too wide after 4 times the levels
-    plus 4 such extra halvings raises ``DegenerateSimplex``.  Children come
-    from ``geometry._bisect_rows`` (the rule ``bisect_edge`` uses) and
-    ``polypatch.split_nums`` (the rule ``split_edge`` uses), once per list.
-    The driver starts from one copy of ``piece.lengths`` and never changes
-    ``piece``.  A bisection measures the n edges at its midpoint, which both
-    children share, and the children copy every other length from their
-    parent (shifted left by 2 when the denominator doubles), as
-    ``geometry._bisection_slots`` lays out; each leaf keeps the list it
-    carried.  The longest edge is ``geometry._longest``, the first maximum.
-    Pieces are split left child first, so the leaves come in the order of
-    replacing each piece by its children in place.
+    plus 4 such extra halvings raises ``DegenerateSimplex``.  A child's
+    lists come from ``polypatch.split_nums`` (the rule ``split_edge`` uses),
+    once per list; its vertex rows are not formed, only its path and its
+    edge lengths.  The longest edge is ``geometry._longest``, the first
+    maximum.  Bisecting edge (i, j) at its midpoint m doubles the lengths'
+    denominator, so every length the children copy from their parent
+    shifts left by 2, and the n edges at m follow from the parent's lengths
+    by the median (Apollonius) rule, in the slots
+    ``geometry._bisection_slots`` gives:
+
+        4 |v_i - m|**2 = |v_i - v_j|**2,
+        4 |m - v_l|**2 = 2 |v_i - v_l|**2 + 2 |v_j - v_l|**2 - |v_i - v_j|**2,
+
+    so over the doubled denominator the half edge is the parent's integer
+    c = |v_i - v_j|**2 and each m - v_l is 2a + 2b - c, from the parent's
+    a = |v_i - v_l|**2 and b = |v_j - v_l|**2, exactly.  The driver never
+    changes ``piece``, and each leaf keeps the list it carried.  Pieces are split left child first, so the leaves come in the
+    order of replacing each piece by its children in place.
 
     No piece is rank-checked, because bisection keeps a simplex a simplex.
     Write E_i for the matrix of edge vectors v_l - v_i (l != i) of a
@@ -292,48 +333,47 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     c times from a root has |det| = |det(root)| / 2^c, which is nonzero
     when the root's is: the root's rank check covers every piece.
     """
-    n = len(piece.rows) - 1
+    root = piece.root
+    n = len(root[0]) - 1
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
     bisections = _bisection_slots(n)
-    # (rows, denom, lists, squared edge lengths, cuts, cuts in the round,
-    # the round's target squared diameter); the piece opens the first round.
-    stack = [(piece.rows, piece.denom, piece.lists, piece.lengths[:], piece.cuts, 0,
-              _quarter(max(piece.lengths), piece.denom))]
+    size = 2 * len(piece.lengths)
+    denom = root[1] << piece.cuts
+    # (path, lists, squared edge lengths over denom**2, cuts, denom, cuts
+    # in the round, the round's target squared diameter); the piece opens
+    # the first round.
+    stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, denom, 0,
+              _quarter(max(piece.lengths), denom))]
     leaves = []
     while stack:
-        rows, denom, lists, lengths, cuts, depth, target = stack.pop()
+        path, lists, lengths, cuts, denom, depth, target = stack.pop()
         c, e = _longest(lengths)
         if depth >= levels and not _wider(c, denom, target):
             if not _wider(c, denom, threshold):
-                leaves.append(Piece(rows, denom, lists, cuts, lengths))
+                leaves.append(Piece(root, path, lists, cuts, lengths))
                 continue
             target, depth = _quarter(c, denom), 0
         elif depth == budget:
             raise DegenerateSimplex("edge bisection failed to halve the diameter")
-        i, j, sources, slots_i, slots_j = bisections[e]
-        rows_i, rows_j, half = _bisect_rows(rows, denom, i, j)
-        if half != denom:
-            denom = half
-            lengths = [d << 2 for d in lengths]
-        # The parent's list is the driver's own (a copy, popped, or just
-        # shifted): the child that keeps v_i takes it over.
-        lengths_i, lengths_j = lengths, lengths[:]
-        for s, t, d in zip(slots_i, slots_j, _lengths_at(rows_i, j, sources)):
-            lengths_i[s] = d
-            lengths_j[t] = d
+        i, j, slots_i, slots_j = bisections[e]
+        lengths_i = [d << 2 for d in lengths]
+        lengths_j = lengths_i[:]
+        half = lengths_i[e] = lengths_j[e] = lengths[e]
+        for s, t in zip(slots_i, slots_j):
+            lengths_i[s] = lengths_j[t] = 2 * (lengths[s] + lengths[t]) - half
         table = split_table(k, n, i, j)
         lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
-        cuts, depth = cuts + 1, depth + 1
-        stack.append((rows_j, denom, lists_j, lengths_j, cuts, depth, target))
-        stack.append((rows_i, denom, lists_i, lengths_i, cuts, depth, target))
+        path, cuts, denom, depth = path * size + 2 * e, cuts + 1, denom << 1, depth + 1
+        stack.append((path + 1, lists_j, lengths_j, cuts, denom, depth, target))
+        stack.append((path, lists_i, lengths_i, cuts, denom, depth, target))
     return leaves
 
 
 def _split_round(piece: Piece, k: int) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
-    return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.denom))
+    return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.root[1] << piece.cuts))
 
 
 def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
@@ -344,15 +384,16 @@ def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
     return Fraction(nums[p] * t, dens[p] * s)
 
 
-def _grid_value(lists, scales: Tuple[int, int], k: int, n: int, weights) -> Fraction:
+def _grid_value(lists, scales: Tuple[int, int], k: int, n: int, weights) -> Tuple[int, int]:
     """The exact ratio at integer barycentric weights w (coordinates w / W
     for W = sum w) of degree-k numerator and denominator ``lists`` over an
-    n-simplex, over ``scales`` times one common factor; the grid point of
-    index alpha is w = alpha.  Both lists have degree k, so the factor W^k
-    of both ``_grid_sum`` results cancels, and so does the common factor."""
+    n-simplex, over ``scales`` times one common factor, as an unreduced
+    integer pair (a, b), b > 0; the grid point of index alpha is w = alpha.
+    Both lists have degree k, so the factor W^k of both ``_grid_sum``
+    results cancels, and so does the common factor."""
     nums, dens = lists
     s, t = scales
-    return Fraction(_grid_sum(nums, k, n, weights) * t, _grid_sum(dens, k, n, weights) * s)
+    return _grid_sum(nums, k, n, weights) * t, _grid_sum(dens, k, n, weights) * s
 
 
 def _min_position(nums, dens) -> int:

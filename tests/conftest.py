@@ -3,9 +3,11 @@
 Oracles here deliberately avoid the library code paths they are used to
 check: determinants and linear solves are re-implemented, expected Bernstein
 coefficients come from interpolation at grid points, extrema of corpus
-functions are closed-form by construction, and the subdivision driver's
-carried edge lengths are checked against a copy of it that measures every
-piece's edges afresh (``ref_refine_ints``).
+functions are closed-form by construction, the subdivision driver's
+carried edge lengths are checked against a copy of it that carries vertex
+rows and measures every piece's edges afresh (``ref_refine_ints``), and
+best-first ``minimize``'s integer keys against the ``Fraction`` keys they
+replaced (``ref_best_first_key``).
 """
 
 from contextlib import contextmanager
@@ -355,10 +357,11 @@ def ref_longest_ints(rows):
 
 def ref_refine_ints(piece, k, threshold):
     """``ratpatch._refine_ints`` as it was before it carried edge lengths:
-    every bisection child's edges are all measured afresh
+    every bisection child carries its vertex rows over their reduced
+    denominator, its edges are all measured afresh from them
     (``ref_longest_ints``), and every other step is the driver's.  Returns
-    the leaves as ``Piece`` records, each with its edges measured in full
-    (``ref_edge_lengths``)."""
+    each leaf's fields (rows, denom, lists, cuts, squared edge lengths over
+    denom**2, measured in full by ``ref_edge_lengths``)."""
     n = len(piece.rows) - 1
     levels = round_length(n)
     budget = 5 * levels + 4
@@ -377,7 +380,7 @@ def ref_refine_ints(piece, k, threshold):
         rows, denom, lists, longest, cuts, depth, target = stack.pop()
         if depth >= levels and not wider(longest, denom, target):
             if not wider(longest, denom, threshold):
-                leaves.append(Piece(rows, denom, lists, cuts, ref_edge_lengths(rows)))
+                leaves.append((rows, denom, lists, cuts, ref_edge_lengths(rows)))
                 continue
             target, depth = quarter(longest, denom), 0
         elif depth == budget:
@@ -390,6 +393,15 @@ def ref_refine_ints(piece, k, threshold):
         stack.append((rows_j, denom, lists_j, ref_longest_ints(rows_j), cuts, depth, target))
         stack.append((rows_i, denom, lists_i, ref_longest_ints(rows_i), cuts, depth, target))
     return leaves
+
+
+def ref_best_first_key(piece, scales):
+    """Best-first ``minimize``'s heap key as it was before it ordered by
+    integers: the piece's lower bound as a ``Fraction``, then its vertices
+    (``Piece.signature``), which break ties."""
+    nums, dens = piece.lists
+    s, t = scales
+    return min(F(a * t, b * s) for a, b in zip(nums, dens)), piece.signature()
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ tests, which no run keeps, are watched from outside the loop
 run holds none of the pieces it visited.  Spies check that a run does only
 the work its answer reads: ``minimize`` values a piece only when its lower
 bound is below the incumbent, each bisection splits one numerator list
-in the local certificate and two in ``minimize``, and each bisection
-measures n squared edge lengths, the edges at its midpoint.
+in the local certificate and two in ``minimize``, and a run measures edge
+lengths at its root only: no bisection measures one or forms vertex rows.
+Best-first's integer keys order pieces as the ``(Fraction, signature)``
+keys they replaced (``conftest.ref_best_first_key``), tied bounds
+included.
 
 ``ratpatch._refine_ints``, the one integer subdivision driver under all
 three, is checked the same way through ``conftest.refine``, which turns its
@@ -41,6 +44,7 @@ Below the root no piece passes the rank check again, and no run builds a
 
 import gc
 import heapq
+import random
 import weakref
 from fractions import Fraction as F
 
@@ -78,6 +82,7 @@ from conftest import (  # noqa: E402
     fn_dip,
     leaf_log,
     mul_terms,
+    ref_best_first_key,
     refine,
     watch_subdivide,
 )
@@ -306,6 +311,13 @@ TOUCH = (PowerPoly.univariate([F(1, 9), F(-2, 3), 1]), ONE, UNIT, F(0))
 HALF_TOUCH = (PowerPoly.univariate([F(1, 4), -1, 1]), ONE, UNIT, F(0))
 
 
+# 1/10 + (x - 1/3)^2 + (y - 1/3)^2 on the standard triangle: symmetric in
+# x <-> y, so the two children of its first bisection, mirror images, tie.
+SYMMETRIC = (PowerPoly(2, {(0, 0): F(29, 90), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                           (2, 0): 1, (0, 2): 1}),
+             PowerPoly.constant(2, 1), standard_simplex(2), F(1, 10))
+
+
 def _local_outcome(den, run):
     """(verdict, depth, leaves, witness, log) of ``run()``, a local
     certificate of a function over ``den``, with the (depth, simplex,
@@ -378,7 +390,11 @@ EPSILONS = st.sampled_from((F(1, 400), F(1, 40), F(1, 4000), F(1, 8), F(1, 2)))
 @example(DIP, F(1, 1000), None, "best-first")
 @example(HALF_TOUCH, F(1, 8), None, "best-first")
 @example(HALF_TOUCH, F(1, 8), None, "uniform")
+@example(SYMMETRIC, F(1, 128), None, "best-first")
+@example(SYMMETRIC, F(1, 128), None, "uniform")
 def test_minimize_matches_reference(problem, epsilon, budget, mode):
+    # SYMMETRIC's gap is exactly 1/128 after two rounds, which does not
+    # converge at epsilon 1/128: the gap must be below epsilon.
     num, den, simplex, _ = problem
     root = rational_patch(num, den, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
@@ -397,6 +413,56 @@ def test_minimize_matches_reference(problem, epsilon, budget, mode):
     got = {key: getattr(result, key) for key in want if key != "witness"}
     assert {**got, "witness": result.argmin_candidate} == want
     assert result.epsilon == epsilon
+
+
+def _ordered_both_ways(problem, rounds, order):
+    """The root and ``rounds`` split rounds of pieces of ``problem``, in
+    ``order`` (a shuffle), sorted by best-first's ``_Key`` and by the
+    ``(Fraction, signature)`` key it replaced, with the number of distinct
+    lower bounds among them."""
+    num, den, simplex, _ = problem
+    root = rational_patch(num, den, simplex)
+    k, (s, t) = root.degree, (root.num.scale, root.den.scale)
+    pieces = level = [ratpatch.Piece.of((root.num, root.den))]
+    for _ in range(rounds):
+        level = [child for piece in level for child in ratpatch._split_round(piece, k)]
+        pieces = pieces + level
+    order(pieces)
+
+    def key(piece):
+        nums, dens = piece.lists
+        p = ratpatch._min_position(nums, dens)
+        return optimize._Key(nums[p] * t, dens[p] * s, piece)
+
+    want = sorted(pieces, key=lambda piece: ref_best_first_key(piece, (s, t)))
+    bounds = {ref_best_first_key(piece, (s, t))[0] for piece in pieces}
+    return sorted(pieces, key=key), want, len(bounds), len(pieces)
+
+
+@settings(FRONTIER, max_examples=60)
+@given(problems(), st.integers(1, 2), st.randoms(use_true_random=False))
+@example(HALF_TOUCH, 2, random.Random(0))
+@example(SYMMETRIC, 2, random.Random(0))
+def test_best_first_keys_order_as_fraction_keys(problem, rounds, rng):
+    # Best-first keys a piece by its lower bound as an unreduced integer
+    # pair, compared by cross-multiplying, and reads the piece's vertices
+    # only on a tie.  Over the pieces of a few rounds, in any order, that
+    # sorts as the old key does.  A round makes 64 pieces in three
+    # variables, so those take one.
+    if problem[2].dimension == 3:
+        rounds = 1
+    got, want, _, _ = _ordered_both_ways(problem, rounds, rng.shuffle)
+    assert got == want
+
+
+@pytest.mark.parametrize("problem", [HALF_TOUCH, SYMMETRIC], ids=["half-touch", "symmetric"])
+def test_best_first_keys_break_ties_as_fraction_keys(problem):
+    # On these problems several pieces share a lower bound, so the order
+    # rests on the vertices: HALF_TOUCH's halves tie at 0, SYMMETRIC's
+    # mirror images pair up.
+    got, want, bounds, size = _ordered_both_ways(problem, 2, list.reverse)
+    assert bounds < size
+    assert got == want
 
 
 @pytest.mark.parametrize("mode", ["best-first", "uniform"])
@@ -439,16 +505,17 @@ def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, m
 ], ids=["certify_local-dip", "certify_local-2d", "best-first", "uniform"])
 def test_one_split_per_list_per_bisection(monkeypatch, run, lists):
     # The local certificate splits the numerator alone below its root;
-    # minimize splits numerator and denominator.
-    calls = {"split_nums": 0, "_bisect_rows": 0}
+    # minimize splits numerator and denominator.  Each bisection looks up
+    # its edge's split table once.
+    calls = {"split_nums": 0, "split_table": 0}
     for name in calls:
         def counted(*args, real=getattr(ratpatch, name), name=name):
             calls[name] += 1
             return real(*args)
         monkeypatch.setattr(ratpatch, name, counted)
     run()
-    assert calls["_bisect_rows"] > 0
-    assert calls["split_nums"] == lists * calls["_bisect_rows"]
+    assert calls["split_table"] > 0
+    assert calls["split_nums"] == lists * calls["split_table"]
 
 
 QUARTER = F(1, 4)
@@ -468,37 +535,48 @@ CLOSED_3D = closed_form_on(F(1, 200), 1, [1, 2, 3, 4], [F(1, 2), 0, 0],
     closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0], [0, 0])[:3], CLOSED_3D,
 ], ids=["n2", "n3"])
 def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
-    # A bisection changes only the n edges at its midpoint, so the driver
-    # measures those n squared lengths and carries the rest: n per
-    # bisection, plus all n(n+1)/2 of the root, once per run.  Every piece
-    # carries its lengths from one driver call to the next, so no call
-    # measures the piece it is handed; measuring every child afresh would
-    # be n(n+1) per bisection.  Every length is measured by
-    # ``geometry._lengths_at``, looked up in ``geometry`` (the root measure)
-    # and in ``ratpatch`` (the bisections).
+    # A bisection changes only the n edges at its midpoint, and the driver
+    # finds those from its parent's lengths by the median rule: a run
+    # measures the root's n(n+1)/2 lengths once (``geometry._lengths_at``)
+    # and no bisection measures one.  Nor does the driver form vertex
+    # rows: ``_bisect_rows`` runs only where a piece replays its path, for
+    # a witness or a tie, outside the driver.  Bisections are counted by
+    # their ``split_table`` lookups.
     n = problem[2].dimension
     counts = {"lengths": 0, "bisections": 0, "calls": 0}
+    inside = False
 
     def lengths_at(rows, m, others, real=geometry._lengths_at):
+        assert not inside, "a bisection measured an edge"
         counts["lengths"] += len(others)
         return real(rows, m, others)
 
     def bisect_rows(*args, real=ratpatch._bisect_rows):
+        assert not inside, "a bisection formed vertex rows"
+        return real(*args)
+
+    def split_table(*args, real=ratpatch.split_table):
         counts["bisections"] += 1
         return real(*args)
 
     def refine_ints(*args, real=ratpatch._refine_ints):
+        nonlocal inside
         counts["calls"] += 1
-        return real(*args)
+        inside = True
+        try:
+            return real(*args)
+        finally:
+            inside = False
 
+    monkeypatch.setattr(geometry, "_lengths_at", lengths_at)
     for module in (geometry, ratpatch):
-        monkeypatch.setattr(module, "_lengths_at", lengths_at)
-    monkeypatch.setattr(ratpatch, "_bisect_rows", bisect_rows)
+        monkeypatch.setattr(module, "_bisect_rows", bisect_rows)
+    monkeypatch.setattr(ratpatch, "split_table", split_table)
     for module in (certify, ratpatch):
         monkeypatch.setattr(module, "_refine_ints", refine_ints)
     run(problem)
     assert counts["bisections"] > counts["calls"] > 0
-    assert counts["lengths"] == n * counts["bisections"] + round_length(n)
+    assert counts["lengths"] == round_length(n)
 
 
 @pytest.mark.parametrize("problem", [

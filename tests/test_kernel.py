@@ -23,8 +23,9 @@ rounds cut short so that the guard must act.  The identity that lets
 pieces below a checked root go unchecked, that bisection halves
 |det(v_l - v_0)| exactly, is checked along bisection chains and on
 refinement leaves against a Fraction cofactor determinant.  The squared
-edge lengths the driver carries through bisection, measuring only the n
-edges at each new midpoint, are checked against a copy of the driver that
+edge lengths the driver carries through bisection by the median rule,
+forming no vertex rows, and the rows each leaf replays from its bisection
+path, are checked against a copy of the driver that carries rows and
 measures every child's edges afresh (``conftest.ref_refine_ints``).
 """
 
@@ -604,7 +605,7 @@ def test_grid_value_matches_eval(data):
             point = grid_point(alpha, k, piece.simplex)
             lists = piece.num.nums, piece.den.nums
             scales = piece.num.scale, piece.den.scale
-            assert ratpatch._grid_value(lists, scales, k, n, alpha) == piece.eval(point)
+            assert F(*ratpatch._grid_value(lists, scales, k, n, alpha)) == piece.eval(point)
 
 
 @KERNEL
@@ -761,13 +762,17 @@ def test_halving_guard_gives_up_on_a_non_shrinking_bisection(monkeypatch):
     f = rational_patch(one, one, standard_simplex(2))
     calls = []
 
-    def stuck(rows, denom, i, j):
-        # Without the guard's budget the driver would bisect forever.
+    def shortest(lengths):
+        # The diameter test reads the longest edge, but the bisection takes
+        # the shortest, (0, 1) on the standard triangle and then (v_0, m):
+        # every first child keeps v_0 and v_2, at distance 1, above a
+        # quarter of the squared diameter 2.  Without the guard's budget
+        # the driver would bisect forever.
         calls.append(1)
         assert len(calls) < 1000, "the halving guard never gave up"
-        return rows, rows, denom
+        return max(lengths), lengths.index(min(lengths))
 
-    monkeypatch.setattr(ratpatch, "_bisect_rows", stuck)
+    monkeypatch.setattr(ratpatch, "_longest", shortest)
     with pytest.raises(DegenerateSimplex, match="failed to halve"):
         f.split_round()
     with pytest.raises(DegenerateSimplex, match="failed to halve"):
@@ -861,19 +866,22 @@ def test_bisection_halves_the_edge_determinant(data):
     assert sum(F(1, 2 ** piece.cuts) for piece in leaves) == 1
 
 
-def _leaf_fields(piece):
-    return piece.rows, piece.denom, piece.lists, piece.cuts, piece.lengths
-
-
-def _assert_carried_lengths(root, k, threshold):
-    handed = root.lengths[:]
-    got = ratpatch._refine_ints(root, k, threshold)
-    assert [_leaf_fields(p) for p in got] == [
-        _leaf_fields(p) for p in ref_refine_ints(root, k, threshold)]
-    for piece in got:
-        assert piece.lengths == geometry._edge_lengths(piece.rows)
-    # The driver works on its own copy: the piece it was handed is as it was.
-    assert root.lengths == handed
+def _assert_carried_lengths(piece, k, threshold):
+    # The leaves against the row-carrying oracle: the same rows and
+    # denominator, replayed from each leaf's path, the same lists and cuts,
+    # and the same squared edge lengths as rationals, the driver's over
+    # (root denom << cuts)**2 and the oracle's over its reduced denom**2.
+    handed = piece.lengths[:]
+    got = ratpatch._refine_ints(piece, k, threshold)
+    want = ref_refine_ints(piece, k, threshold)
+    assert len(got) == len(want)
+    for leaf, (rows, denom, lists, cuts, lengths) in zip(got, want):
+        assert leaf.root is piece.root
+        assert (leaf.rows, leaf.denom, leaf.lists, leaf.cuts) == (rows, denom, lists, cuts)
+        scale = (leaf.root[1] << leaf.cuts) ** 2
+        assert [F(d, scale) for d in leaf.lengths] == [F(d, denom ** 2) for d in lengths]
+    # The driver works on its own lists: the piece it was handed is as it was.
+    assert piece.lengths == handed
     return got
 
 
@@ -881,12 +889,13 @@ def _assert_carried_lengths(root, k, threshold):
 @given(st.data())
 def test_carried_edge_lengths_match_measuring_every_child(data):
     # The driver carries each piece's squared edge lengths through
-    # bisection and measures only the n edges at the new midpoint; the
-    # oracle measures every child's edges afresh.  The leaves must be the
+    # bisection by the median rule, with no vertex rows; the oracle carries
+    # rows and measures every child's edges afresh.  The leaves must be the
     # same, integers and longest edges included.  Skewed roots meet odd
-    # midpoints, where the denominator doubles and every carried length is
-    # shifted; the standard simplex and its pieces tie several edges, where
-    # the first maximum must win; the scaling moves the root's denominator.
+    # midpoints, where the oracle's denominator doubles; the standard
+    # simplex and its pieces tie several edges, where the first maximum
+    # must win; the scaling moves the root's denominator.  A second call
+    # on the last leaf starts from a piece below the root, with a path.
     n = data.draw(st.integers(1, 3))
     simplex = data.draw(st.one_of(simplices(n), st.just(SKEWED[n])))
     scale = data.draw(st.sampled_from((F(1, 16), F(1, 3), 1, F(5, 2), 16)))
@@ -896,11 +905,15 @@ def test_carried_edge_lengths_match_measuring_every_child(data):
     lists = tuple(tuple(data.draw(st.lists(st.integers(-50, 50), min_size=size,
                                            max_size=size)))
                   for _ in range(data.draw(st.integers(1, 2))))
-    root = ratpatch.Piece(simplex.ints, simplex.denom, lists, 0,
+    root = ratpatch.Piece((simplex.ints, simplex.denom), 0, lists, 0,
                           geometry._edge_lengths(simplex.ints))
     # Two rounds or more below n = 3, where one round makes 64 pieces.
     threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
-    _assert_carried_lengths(root, k, (threshold.numerator, threshold.denominator))
+    leaves = _assert_carried_lengths(root, k, (threshold.numerator, threshold.denominator))
+    last = leaves[-1]
+    assert last.cuts > 0
+    _assert_carried_lengths(last, k, ratpatch._quarter(max(last.lengths),
+                                                       last.root[1] << last.cuts))
 
 
 def test_carried_edge_lengths_on_a_round_of_the_standard_4_simplex():

@@ -18,6 +18,8 @@ from bernbound import (
     rational_patch,
 )
 from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
+from bernbound.optimize import _upper_bound
+from bernbound.ratpatch import Piece, _min_position
 from conftest import fn_cert3, fn_dip, pinned_corpus
 
 UNIT = Simplex.from_interval(0, 1)
@@ -89,6 +91,20 @@ class TestLocalBounds:
             m, delta, witness = local_bounds(f)
             assert num.eval(witness) / den.eval(witness) == delta
             assert m <= delta
+
+
+    def test_upper_bound_only_below_the_incumbent(self):
+        # minimize values a piece only to lower its incumbent: an upper
+        # bound equal to it, here as an unreduced pair, is no improvement
+        # and keeps the incumbent's witness.
+        f = rational_patch(*fn_dip())
+        piece = Piece.of((f.num, f.den))
+        args = piece, f.degree, (f.num.scale, f.den.scale), _min_position(*piece.lists)
+        value, point = _upper_bound(*args)
+        assert (value, point) == local_bounds(f)[1:]
+        p, q = value.numerator, value.denominator
+        assert _upper_bound(*args, (2 * p, 2 * q)) is None
+        assert _upper_bound(*args, (2 * p + 1, 2 * q)) == (value, point)
 
 
 class TestMinimize:

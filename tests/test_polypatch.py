@@ -48,6 +48,17 @@ class TestPowerPoly:
         with pytest.raises(DimensionMismatch):
             PowerPoly.univariate([1, 2]).eval([1, 2])
 
+    @pytest.mark.parametrize("point", ["5", {"5": 1}, {0: 5}])
+    def test_string_or_object_point_rejected(self, point):
+        # A string iterates as its characters and an object as its keys;
+        # read that way, "5" gave 11 here.  The rule is the one a simplex
+        # applies to its vertices, so both raise the same error.
+        p = PowerPoly.univariate([1, 2])
+        with pytest.raises(TypeError, match="sequence of coordinates"):
+            p.eval(point)
+        with pytest.raises(TypeError, match="sequence of coordinates"):
+            Simplex([point, [1]])
+
     def test_degree_is_tight(self):
         p = PowerPoly(1, {(0,): 1, (3,): 0})
         assert p.degree == 0

@@ -394,7 +394,7 @@ def test_values_pickle_and_copy(duplicate):
         piece = ratpatch._split_round(piece, f.degree)[-1]
     again = duplicate(piece)
     assert type(again) is ratpatch.Piece
-    fields = ("rows", "denom", "lists", "cuts", "lengths")
+    fields = ("root", "path", "rows", "denom", "lists", "cuts", "lengths")
     assert [getattr(again, name) for name in fields] == [
         getattr(piece, name) for name in fields]
     assert (piece.cuts, piece.denom) == (2, 2)
