@@ -26,7 +26,7 @@ _EXPORTS = {
         "SimplexMismatch",
     ),
     "rationals": ("Interval", "parse_rational", "format_rational"),
-    "indexing": ("IndexSet", "binom_graded", "enumerate_indices"),
+    "indexing": ("binom_graded", "enumerate_indices"),
     "powerpoly": ("PowerPoly",),
     "geometry": (
         "Simplex",

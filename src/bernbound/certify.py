@@ -58,6 +58,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
 from .geometry import Simplex
+from .indexing import vertex_positions
 from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous, to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import (
@@ -188,7 +189,8 @@ def numerator_certifies(num: BernsteinPatch) -> bool:
     positive, read from the integer numerators: the scale is positive, so
     no coefficient is built."""
     nums = num.nums
-    return min(nums) >= 0 and all(nums[p] > 0 for p in num.index_set.vertex_positions())
+    return min(nums) >= 0 and all(nums[p] > 0
+                                  for p in vertex_positions(num.degree, num.dimension))
 
 
 def cert_predicate(f: RationalPatch) -> bool:
@@ -216,7 +218,7 @@ def _refuting_vertex(f: RationalPatch) -> Optional[Witness]:
 
     The ratio has its numerator coefficient's sign, so only the witness's
     value is built."""
-    vertices = f.num.index_set.vertex_positions()
+    vertices = vertex_positions(f.degree, f.dimension)
     i = _refuting_index(f.num.nums, vertices)
     if i is None:
         return None
@@ -250,7 +252,7 @@ def certify_sharpness(f: RationalPatch) -> CertificateReport:
     if sharp.min_sharp:
         vertex = f.simplex.vertex(sharp.min_vertex)
         return _report(Mode.SHARPNESS, start, Verdict.CERTIFIED, f.degree,
-                       Witness(vertex, min(f.ratios), "vertex"))
+                       Witness(vertex, f.enclosure().lo, "vertex"))
     return _report(Mode.SHARPNESS, start, Verdict.INCONCLUSIVE, f.degree)
 
 
@@ -326,7 +328,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     """``certify_local`` on its base-degree root patch."""
     start = time.perf_counter()
     k = root.degree
-    vertices = root.num.index_set.vertex_positions()
+    vertices = vertex_positions(k, root.dimension)
     certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 

@@ -135,8 +135,6 @@ def parse_problem(data: dict) -> ProblemSpec:
             domain = Simplex.from_interval(lo, hi)
         else:
             domain = Simplex.from_json(domain_data)
-    except UsageError:
-        raise
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'domain': {exc}") from exc
     return ProblemSpec(numerator, denominator, domain,

@@ -44,10 +44,9 @@ class DenominatorNotPositive(BernboundError):
     simplex, not that the denominator is non-positive as a function.
     """
 
-    def __init__(self, message, indices=(), simplex=None):
+    def __init__(self, message, indices=()):
         super().__init__(message)
         self.indices = tuple(indices)
-        self.simplex = simplex
 
 
 class NonPositiveClaim(InvalidArgument):

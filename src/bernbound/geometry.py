@@ -11,9 +11,9 @@ store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
 built on first use.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, checks affine independence on the integers and solves for
 barycentric coordinates; a point is read by ``rationals.parse_point``.
-One rule measures edges: ``_lengths_at`` gives integer squared lengths over
-denom**2, ``_edge_lengths`` all of a simplex's in ``_edge_pairs`` order, and
-``_longest`` takes their first maximum; a ``Simplex`` stores no measure.
+One rule measures edges: ``_edge_lengths`` gives a simplex's integer
+squared lengths over denom**2 in ``_edge_pairs`` order, and ``_longest``
+takes their first maximum; a ``Simplex`` stores no measure.
 The refinement driver (``ratpatch._refine_ints``) measures only its root:
 a bisection changes only the n edges at the new midpoint, which it derives
 from the parent's lengths by the median rule, in the slots
@@ -237,19 +237,13 @@ def _grid_point(alpha: Sequence[int], k: int, rows, denom: int) -> Point:
     return _point(coords, k * denom)
 
 
-def _lengths_at(rows, m: int, others) -> List[int]:
-    """Squared distances from row m to each row of ``others`` (indices), as
-    integers over denom**2: the one rule that measures an edge, run on a
-    subdivision's root only."""
-    point = rows[m]
-    return [sum([(a - b) ** 2 for a, b in zip(point, rows[l])]) for l in others]
-
-
 def _edge_lengths(rows) -> List[int]:
-    """The squared lengths of every edge of integer vertex rows, in the pair
-    order of ``_edge_pairs``: (0, 1), (0, 2), ..., (n - 1, n)."""
-    size = len(rows)
-    return [d for i in range(size - 1) for d in _lengths_at(rows, i, range(i + 1, size))]
+    """The squared lengths of every edge of integer vertex rows, as integers
+    over denom**2, in the pair order of ``_edge_pairs``: (0, 1), (0, 2),
+    ..., (n - 1, n).  The one rule that measures an edge, run on a
+    subdivision's root only."""
+    return [sum([(a - b) ** 2 for a, b in zip(rows[i], rows[j])])
+            for i, j in _edge_pairs(len(rows) - 1)]
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,9 @@ A multi-index ``alpha = (alpha_0, ..., alpha_n)``, a plain tuple of
 nonnegative integers, addresses one Bernstein coefficient of degree
 ``k = |alpha|`` over an ``n``-simplex.  The truncation dropping the 0th
 entry, ``alpha[1:]`` (written ``alpha_hat``), addresses power-basis
-exponents.  Everything here is exact integer arithmetic.
+exponents.  An index set is the cached tuple ``enumerate_indices`` returns,
+in the one canonical order, and ``vertex_positions`` gives the places of its
+vertex indices k e_i.  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
@@ -41,11 +43,8 @@ def binom_graded(k: int, bhat: Sequence[int]) -> int:
 
 
 def _hat_indices(total: int, length: int) -> Iterator[Tuple[int, ...]]:
-    """All length-tuples of nonnegative ints summing to total, lex ascending."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
+    """All length-tuples (length >= 1) of nonnegative ints summing to total,
+    lex ascending."""
     if length == 1:
         yield (total,)
         return
@@ -54,8 +53,9 @@ def _hat_indices(total: int, length: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-class IndexSet:
-    """All multi-indices of one degree over one simplex dimension.
+@lru_cache(maxsize=None)
+def enumerate_indices(degree: int, dimension: int) -> Tuple[Tuple[int, ...], ...]:
+    """All multi-indices of one degree over one simplex dimension (cached).
 
     Each index is a plain tuple (k - |alpha_hat|,) + alpha_hat.  The order
     is graded lexicographic on the truncation (alpha_1, ..., alpha_n) with
@@ -63,52 +63,21 @@ class IndexSet:
     first and lexicographically within each grade.  The order is total,
     deterministic, and the contract for every coefficient list in the package.
     """
-
-    __slots__ = ("degree", "dimension", "indices", "_positions", "_vertex_positions")
-
-    def __init__(self, degree: int, dimension: int):
-        if degree < 0:
-            raise ValueError(f"degree must be nonnegative, got {degree}")
-        if dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {dimension}")
-        self.degree = degree
-        self.dimension = dimension
-        indices = []
-        for grade in range(degree + 1):
-            for hat in _hat_indices(grade, dimension):
-                indices.append((degree - grade,) + hat)
-        self.indices = tuple(indices)
-        self._positions = {ix: pos for pos, ix in enumerate(self.indices)}
-        self._vertex_positions = None
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        return iter(self.indices)
-
-    def __getitem__(self, pos: int) -> Tuple[int, ...]:
-        return self.indices[pos]
-
-    def position(self, alpha: Sequence[int]) -> int:
-        """Position of a multi-index in canonical order."""
-        return self._positions[tuple(alpha)]
-
-    def vertex_positions(self) -> Tuple[int, ...]:
-        """Positions of the vertex indices k*e_i for i = 0..n (built on
-        first use)."""
-        if self._vertex_positions is None:
-            k, n = self.degree, self.dimension
-            self._vertex_positions = tuple(
-                self.position(tuple(k if c == i else 0 for c in range(n + 1)))
-                for i in range(n + 1))
-        return self._vertex_positions
+    if degree < 0:
+        raise ValueError(f"degree must be nonnegative, got {degree}")
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
+    return tuple((degree - grade,) + hat for grade in range(degree + 1)
+                 for hat in _hat_indices(grade, dimension))
 
 
 @lru_cache(maxsize=None)
-def enumerate_indices(degree: int, dimension: int) -> IndexSet:
-    """The canonical IndexSet of all |alpha| = degree indices (cached)."""
-    return IndexSet(degree, dimension)
+def vertex_positions(degree: int, dimension: int) -> Tuple[int, ...]:
+    """Positions of the vertex indices k*e_i for i = 0..n, in canonical
+    order (cached)."""
+    indices = enumerate_indices(degree, dimension)
+    return tuple(indices.index(tuple(degree if c == i else 0 for c in range(dimension + 1)))
+                 for i in range(dimension + 1))
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +121,7 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[array, ...]:
     entry keeps its value under elevation, so no caller looks for it.
 
     A hat's position does not depend on the degree (the order is graded on
-    the hat), so one hat-to-position map serves both degrees, and no
-    ``IndexSet`` is built.
+    the hat), so one hat-to-position map serves both degrees.
     """
     hats = [hat for grade in range(degree + 2)
             for hat in _hat_indices(grade, dimension)]
@@ -239,7 +207,7 @@ def second_difference_moves(
     gamma + e_i + e_{j-1}, gamma + e_{i-1} + e_j, gamma + e_{i-1} + e_{j-1}
     and gamma + e_i + e_j, where e_{-1} means e_dimension.
     """
-    pos = enumerate_indices(degree, dimension).position
+    position = {alpha: p for p, alpha in enumerate(enumerate_indices(degree, dimension))}
     keys = []
     columns = tuple(array("I") for _ in range(4))
 
@@ -247,13 +215,13 @@ def second_difference_moves(
         out = list(gamma)
         out[a] += 1
         out[b] += 1
-        return pos(out)
+        return position[tuple(out)]
 
     for gamma in enumerate_indices(degree - 2, dimension):
         for i in range(dimension + 1):
             prev_i = (i - 1) % (dimension + 1)
             for j in range(i + 1, dimension + 1):
-                keys.append((tuple(gamma), i, j))
+                keys.append((gamma, i, j))
                 for column, (a, b) in zip(columns, ((i, j - 1), (prev_i, j),
                                                     (prev_i, j - 1), (i, j))):
                     column.append(shifted(gamma, a, b))

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Tuple
 from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Simplex, _grid_point
-from .indexing import enumerate_indices
+from .indexing import enumerate_indices, vertex_positions
 from .powerpoly import PowerPoly
 from .ratpatch import (
     Piece,
@@ -122,14 +122,13 @@ def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
     cross-multiplying, so only the result becomes a ``Fraction``, and its
     point is read from the piece's rows."""
     n = len(piece.root[0]) - 1
-    indices = enumerate_indices(k, n)
     a = b = vertex = None
     if k >= 1:
-        argmin = indices[position]
+        argmin = enumerate_indices(k, n)[position]
         a, b = _grid_value(piece.lists, scales, k, n, argmin)
     nums, dens = piece.lists
     s, t = scales
-    for i, p in enumerate(indices.vertex_positions()):
+    for i, p in enumerate(vertex_positions(k, n)):
         c, d = nums[p] * t, dens[p] * s
         if a is None or c * b < a * d:
             a, b, vertex = c, d, i

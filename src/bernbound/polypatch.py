@@ -11,7 +11,7 @@ hinge on coefficient signs, so no floating arithmetic enters here.  A patch
 stores them as integer numerators ``nums`` over one shared positive integer
 denominator ``scale``, so elevation and edge splitting are integer
 arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
-view, built on first use.  Elevation has one rule, the homogeneous sum step
+view, built on each read.  Elevation has one rule, the homogeneous sum step
 (``_elevate_homogeneous``) that the global certificate scan runs on its own
 integers; ``elevate`` divides its result back to Bernstein numerators.  The
 step returns the elevated list alone: a vertex entry is a function value
@@ -35,7 +35,6 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 from .errors import DegreeTooLow, DimensionMismatch
 from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
 from .indexing import (
-    IndexSet,
     conversion_table,
     elevation_sums,
     enumerate_indices,
@@ -66,7 +65,7 @@ class BernsteinPatch:
     The coefficient at position p is ``nums[p] / scale`` with ``scale > 0``.
     """
 
-    __slots__ = ("simplex", "degree", "nums", "scale", "_coeffs", "__weakref__")
+    __slots__ = ("simplex", "degree", "nums", "scale", "__weakref__")
 
     def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
         values = tuple(parse_rational(c) for c in coeffs)
@@ -81,7 +80,6 @@ class BernsteinPatch:
         self.degree = degree
         self.nums = tuple(v.numerator * (scale // v.denominator) for v in values)
         self.scale = scale
-        self._coeffs = values
 
     @classmethod
     def _from_ints(cls, simplex: Simplex, degree: int, nums: Tuple[int, ...],
@@ -92,16 +90,14 @@ class BernsteinPatch:
         patch.degree = degree
         patch.nums = nums
         patch.scale = scale
-        patch._coeffs = None
         return patch
 
     @property
     def coeffs(self) -> Tuple[Fraction, ...]:
-        """The exact coefficients, in canonical index order."""
-        if self._coeffs is None:
-            scale = self.scale
-            self._coeffs = tuple(Fraction(a, scale) for a in self.nums)
-        return self._coeffs
+        """The exact coefficients, in canonical index order, built on each
+        read."""
+        scale = self.scale
+        return tuple([Fraction(a, scale) for a in self.nums])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BernsteinPatch):
@@ -124,12 +120,13 @@ class BernsteinPatch:
         return self.simplex.dimension
 
     @property
-    def index_set(self) -> IndexSet:
+    def index_set(self) -> Tuple[Tuple[int, ...], ...]:
         return enumerate_indices(self.degree, self.dimension)
 
     def enclosure(self) -> Interval:
         """[min coefficient, max coefficient]; contains the range over |V|."""
-        return Interval(min(self.coeffs), max(self.coeffs))
+        coeffs = self.coeffs
+        return Interval(min(coeffs), max(coeffs))
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
         """Exact value of the represented polynomial at a rational point,

@@ -41,10 +41,6 @@ def _integer(value, what: str) -> int:
     raise TypeError(f"{what} {value!r} is not an integer")
 
 
-def _exponent(value) -> int:
-    return _integer(value, "exponent")
-
-
 def _term_sort_key(item: Tuple[Exponents, Fraction]):
     exps, _ = item
     return (sum(exps), exps)
@@ -69,7 +65,7 @@ class PowerPoly:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
         cleaned: TermMap = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            exps = tuple(map(_exponent, exps))
+            exps = tuple([_integer(e, "exponent") for e in exps])
             if len(exps) != dimension:
                 raise DimensionMismatch(
                     f"exponent tuple {exps} does not have {dimension} entries"

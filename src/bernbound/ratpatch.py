@@ -65,7 +65,7 @@ from .geometry import (
     bisect_edge,
     round_length,
 )
-from .indexing import split_table
+from .indexing import split_table, vertex_positions
 from .polypatch import BernsteinPatch, _grid_sum, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, format_rational
@@ -120,15 +120,11 @@ class RationalPatch:
                 f"{self.den.degree}; elevate the lower-degree patch first"
             )
         if min(self.den.nums) <= 0:
-            offenders = [
-                tuple(alpha)
-                for alpha, c in zip(self.den.index_set, self.den.nums)
-                if c <= 0
-            ]
+            offenders = [alpha for alpha, c in zip(self.den.index_set, self.den.nums)
+                         if c <= 0]
             raise DenominatorNotPositive(
                 f"denominator patch has non-positive coefficients at {offenders}",
                 indices=offenders,
-                simplex=self.den.simplex,
             )
 
     @cached_property
@@ -152,11 +148,11 @@ class RationalPatch:
 
     def ratio(self, p: int) -> Fraction:
         """The ratio at position p, exactly, without building the others."""
-        return _ratio((self.num.nums, self.den.nums), (self.num.scale, self.den.scale), p)
+        return Fraction(self.num.nums[p] * self.den.scale, self.den.nums[p] * self.num.scale)
 
     def vertex_ratios(self) -> Tuple[Fraction, ...]:
         """Per-vertex ratios; these are true function values f(v_i)."""
-        return tuple(map(self.ratio, self.num.index_set.vertex_positions()))
+        return tuple(map(self.ratio, vertex_positions(self.degree, self.dimension)))
 
     @cached_property
     def _enclosure(self) -> Interval:
@@ -374,14 +370,6 @@ def _split_round(piece: Piece, k: int) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
     return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.root[1] << piece.cuts))
-
-
-def _ratio(lists, scales: Tuple[int, int], p: int) -> Fraction:
-    """The ratio at position p of numerator and denominator ``lists`` over
-    ``scales`` times one common factor, which cancels."""
-    nums, dens = lists
-    s, t = scales
-    return Fraction(nums[p] * t, dens[p] * s)
 
 
 def _grid_value(lists, scales: Tuple[int, int], k: int, n: int, weights) -> Tuple[int, int]:

@@ -27,7 +27,7 @@ from bernbound import (
 from bernbound import certify
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
 from bernbound.geometry import _bisect_rows, round_length
-from bernbound.indexing import split_table
+from bernbound.indexing import enumerate_indices, split_table, vertex_positions
 from bernbound.polypatch import split_nums
 from bernbound.ratpatch import Piece, RationalPatch, _refine_ints, rational_patch
 
@@ -291,6 +291,12 @@ def closed_form_on(m, s, weights, slopes, vertices):
     return PowerPoly(n, num), PowerPoly(n, den), Simplex(vertices), a
 
 
+def index_positions(k, n):
+    """Each degree-k multi-index over an n-simplex, mapped to its canonical
+    position."""
+    return {alpha: p for p, alpha in enumerate(enumerate_indices(k, n))}
+
+
 def mul_terms(a, b):
     """Product of two polynomials given as {exponents: coefficient} dicts."""
     out = {}
@@ -477,7 +483,7 @@ def leaf_log(den):
         if max(q) < 0:
             q = [-c for c in q]
         ratios = tuple(c / d for c, d in zip(num.coeffs, q))
-        refuted = any(ratios[p] <= 0 for p in num.index_set.vertex_positions())
+        refuted = any(ratios[p] <= 0 for p in vertex_positions(num.degree, num.dimension))
         log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted))
 
     certify._certify_local = caught
@@ -561,8 +567,6 @@ def bernstein_by_interpolation(poly, degree, simplex):
     and solves for the coefficients; independent of the conversion formula
     under test.
     """
-    from bernbound import enumerate_indices
-
     iset = enumerate_indices(degree, simplex.dimension)
     points = [grid_point(alpha, degree, simplex) for alpha in iset]
     matrix = []

@@ -240,6 +240,20 @@ class TestCertify:
         assert (apriori["D1"], apriori["D2"]) == ("418/3", "1300")
         assert len(calls) == 2
 
+    # 1 - x/2 on [0, 1]: its smallest coefficient, 1/2, sits at a vertex.
+    @pytest.mark.parametrize("mode, claims, out", [
+        ("sharpness", {}, "certified positivity by sharpness at degree 1\n"),
+        ("global", {"claimed_min": "1/4"}, "certified positivity at k=1\n"
+         "a-priori: {'D1': '1', 'degree_bound': 2, 'depth_bound': 0}\n"),
+    ], ids=["sharpness", "apriori"])
+    def test_certified_text(self, tmp_path, capsys, mode, claims, out):
+        spec = _write(tmp_path, "half.json", {
+            "numerator": {"dimension": 1, "terms": [
+                {"exponents": [0], "coeff": "1"}, {"exponents": [1], "coeff": "-1/2"}]},
+            "domain": {"interval": ["0", "1"]}, **claims})
+        assert main(["certify", spec, "--mode", mode]) == 0
+        assert capsys.readouterr().out == out
+
     def test_spec_n_max_zero_is_kept(self, tmp_path, capsys):
         spec = _write(tmp_path, "n0.json", {**DIP_SPEC, "n_max": 0})
         assert main(["certify", spec, "--mode", "local"]) == 2
@@ -310,6 +324,15 @@ class TestUsageAndErrors:
         spec = _write(tmp_path, "empty.json", {"domain": {"interval": ["0", "1"]}})
         assert main(["bounds", spec]) == 64
         assert "numerator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ("[1]", "problem spec must be a JSON object"),
+        ({"numerator": DIP_SPEC["numerator"]}, "spec field 'domain' is required"),
+    ], ids=["not-an-object", "no-domain"])
+    def test_spec_shape(self, tmp_path, capsys, data, message):
+        spec = _write(tmp_path, "shape.json", data)
+        assert main(["bounds", spec]) == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_dimension_disagreement(self, tmp_path, capsys):
         spec = _write(tmp_path, "dims.json", {

@@ -61,7 +61,6 @@ from bernbound import (  # noqa: E402
     cert_predicate,
     certify_local,
     certify_negative,
-    enumerate_indices,
     minimize,
     rational_patch,
 )
@@ -74,6 +73,7 @@ from bernbound.geometry import (  # noqa: E402
     round_length,
     standard_simplex,
 )
+from bernbound.indexing import vertex_positions  # noqa: E402
 from bernbound.optimize import apriori_steps, local_bounds  # noqa: E402
 from bernbound.ratpatch import convergence_constants  # noqa: E402
 from conftest import (  # noqa: E402
@@ -487,7 +487,7 @@ def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, m
     delta, want = None, []
     for piece in visited:
         position = ratpatch._min_position(*piece.lists)
-        m = ratpatch._ratio(piece.lists, scales, position)
+        m = F(piece.lists[0][position] * scales[1], piece.lists[1][position] * scales[0])
         d, _ = real(piece, root.degree, scales, position)
         if delta is None or m < delta:
             want.append(piece)
@@ -537,7 +537,7 @@ CLOSED_3D = closed_form_on(F(1, 200), 1, [1, 2, 3, 4], [F(1, 2), 0, 0],
 def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
     # A bisection changes only the n edges at its midpoint, and the driver
     # finds those from its parent's lengths by the median rule: a run
-    # measures the root's n(n+1)/2 lengths once (``geometry._lengths_at``)
+    # measures the root's n(n+1)/2 lengths once (``geometry._edge_lengths``)
     # and no bisection measures one.  Nor does the driver form vertex
     # rows: ``_bisect_rows`` runs only where a piece replays its path, for
     # a witness or a tie, outside the driver.  Bisections are counted by
@@ -546,10 +546,11 @@ def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
     counts = {"lengths": 0, "bisections": 0, "calls": 0}
     inside = False
 
-    def lengths_at(rows, m, others, real=geometry._lengths_at):
+    def edge_lengths(rows, real=geometry._edge_lengths):
         assert not inside, "a bisection measured an edge"
-        counts["lengths"] += len(others)
-        return real(rows, m, others)
+        lengths = real(rows)
+        counts["lengths"] += len(lengths)
+        return lengths
 
     def bisect_rows(*args, real=ratpatch._bisect_rows):
         assert not inside, "a bisection formed vertex rows"
@@ -568,8 +569,8 @@ def test_each_bisection_measures_n_edge_lengths(monkeypatch, problem, run):
         finally:
             inside = False
 
-    monkeypatch.setattr(geometry, "_lengths_at", lengths_at)
     for module in (geometry, ratpatch):
+        monkeypatch.setattr(module, "_edge_lengths", edge_lengths)
         monkeypatch.setattr(module, "_bisect_rows", bisect_rows)
     monkeypatch.setattr(ratpatch, "split_table", split_table)
     for module in (certify, ratpatch):
@@ -592,7 +593,7 @@ def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, proble
 
     def spy(piece, k, threshold):
         leaves = real(piece, k, threshold)
-        vertices = enumerate_indices(k, len(piece.rows) - 1).vertex_positions()
+        vertices = vertex_positions(k, len(piece.rows) - 1)
         refuting.append(any(leaf.lists[0][p] <= 0 for leaf in leaves for p in vertices))
         return leaves
 

@@ -142,6 +142,8 @@ class TestGridPoint:
             grid_point((1, 1), 3, Simplex.from_interval(0, 1))
         with pytest.raises(DegreeMismatch):
             grid_point((0, 0), 0, Simplex.from_interval(0, 1))
+        with pytest.raises(DegreeMismatch, match="does not fit dimension 1"):
+            grid_point((1, 1, 0), 2, Simplex.from_interval(0, 1))
 
 
 class TestDiameter:
@@ -198,6 +200,10 @@ class TestAffinePullback:
     def test_degree_preserved(self):
         p = PowerPoly.univariate([1, -5, 7])
         assert affine_pullback(Simplex.from_interval(2, 5), p).degree == 2
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch, match="2 variables, simplex has 1"):
+            affine_pullback(Simplex.from_interval(0, 1), PowerPoly(2, {(1, 0): 1}))
 
 
 class TestBisectEdge:

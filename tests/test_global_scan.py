@@ -40,6 +40,7 @@ from bernbound import (  # noqa: E402
     enumerate_indices,
 )
 from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.indexing import vertex_positions  # noqa: E402
 from bernbound.ratpatch import rational_patch  # noqa: E402
 from conftest import mul_terms  # noqa: E402
 
@@ -55,7 +56,7 @@ POSITIVE = st.builds(F, st.integers(1, 99), st.integers(1, 12))
 def _by_ratios(f):
     """The certificate read off the full ratio tuple: all ratios >= 0 and
     every vertex ratio > 0."""
-    vertices = f.num.index_set.vertex_positions()
+    vertices = vertex_positions(f.degree, f.dimension)
     return (all(r >= 0 for r in f.ratios)
             and all(f.ratios[p] > 0 for p in vertices))
 
@@ -219,11 +220,11 @@ def test_elevation_keeps_positive_patch_positive(n, k, steps, data):
     size = len(enumerate_indices(k, n))
     patch = BernsteinPatch(simplex, k, data.draw(
         st.lists(POSITIVE, min_size=size, max_size=size)))
-    vertex = [patch.coeffs[p] for p in patch.index_set.vertex_positions()]
+    vertex = [patch.coeffs[p] for p in vertex_positions(k, n)]
     for _ in range(steps):
         patch = patch.elevate()
         assert all(c > 0 for c in patch.coeffs)
-        assert [patch.coeffs[p] for p in patch.index_set.vertex_positions()] == vertex
+        assert [patch.coeffs[p] for p in vertex_positions(patch.degree, n)] == vertex
 
 
 def test_scan_elevates_the_numerator_only(monkeypatch):

@@ -5,9 +5,9 @@ from math import comb, factorial
 
 import pytest
 
-from bernbound import IndexSet, binom_graded, enumerate_indices
+from bernbound import binom_graded, enumerate_indices
 from bernbound.errors import OrderExceedsDegree
-from bernbound.indexing import elevation_sums
+from bernbound.indexing import elevation_sums, vertex_positions
 
 
 class TestBinomGraded:
@@ -38,13 +38,10 @@ class TestBinomGraded:
 
 class TestEnumerate:
     def test_univariate_degree_two(self):
-        iset = enumerate_indices(2, 1)
-        assert [tuple(a) for a in iset] == [(2, 0), (1, 1), (0, 2)]
-        assert len(iset) == 3
+        assert enumerate_indices(2, 1) == ((2, 0), (1, 1), (0, 2))
 
     def test_degree_zero(self):
-        iset = enumerate_indices(0, 3)
-        assert [tuple(a) for a in iset] == [(0, 0, 0, 0)]
+        assert enumerate_indices(0, 3) == ((0, 0, 0, 0),)
 
     def test_bivariate_count(self):
         assert len(enumerate_indices(2, 2)) == 6
@@ -66,31 +63,29 @@ class TestEnumerate:
             (1, 0, 2), (1, 1, 1), (1, 2, 0),
             (0, 0, 3), (0, 1, 2), (0, 2, 1), (0, 3, 0),
         ]
-        assert [tuple(a) for a in enumerate_indices(3, 2)] == expected
+        assert list(enumerate_indices(3, 2)) == expected
 
     def test_order_survives_serialization(self):
-        iset = enumerate_indices(4, 2)
-        dumped = json.dumps([list(a) for a in iset])
-        assert [tuple(a) for a in json.loads(dumped)] == [tuple(a) for a in iset]
+        indices = enumerate_indices(4, 2)
+        assert tuple(map(tuple, json.loads(json.dumps(indices)))) == indices
 
     def test_positions(self):
-        iset = enumerate_indices(3, 2)
-        for pos, alpha in enumerate(iset):
-            assert iset.position(alpha) == pos
-        assert iset.vertex_positions() == (
-            iset.position((3, 0, 0)),
-            iset.position((0, 3, 0)),
-            iset.position((0, 0, 3)),
-        )
+        # The vertex k e_i sits at its index's position; at degree 0 every
+        # vertex is the one index.
+        indices = enumerate_indices(3, 2)
+        assert len(set(indices)) == len(indices)
+        assert [indices[p] for p in vertex_positions(3, 2)] == [(3, 0, 0), (0, 3, 0), (0, 0, 3)]
+        assert vertex_positions(0, 2) == (0, 0, 0)
 
     def test_cached(self):
         assert enumerate_indices(3, 2) is enumerate_indices(3, 2)
+        assert vertex_positions(3, 2) is vertex_positions(3, 2)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            IndexSet(-1, 2)
+            enumerate_indices(-1, 2)
         with pytest.raises(ValueError):
-            IndexSet(2, 0)
+            enumerate_indices(2, 0)
 
 
 class TestElevationSums:
@@ -105,6 +100,6 @@ class TestElevationSums:
         sentinel = comb(degree + n, n)
         assert len(columns) == n + 1
         for i, column in enumerate(columns):
-            want = [below.position(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
+            want = [below.index(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
                     if beta[i] else sentinel for beta in above]
             assert list(column) == want

@@ -67,11 +67,11 @@ from bernbound.errors import (  # noqa: E402
     InvalidArgument,
 )
 from bernbound.geometry import barycentric  # noqa: E402
-from bernbound.indexing import multinomials  # noqa: E402
+from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
-from conftest import det, ref_refine_ints, refine  # noqa: E402
+from conftest import det, index_positions, ref_refine_ints, refine  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -85,30 +85,30 @@ NONNEGATIVE = st.one_of(st.just(F(0)), POSITIVE)
 
 
 def ref_elevate(coeffs, k, n):
-    src = enumerate_indices(k, n)
+    pos = index_positions(k, n)
     out = []
     for beta in enumerate_indices(k + 1, n):
         total = F(0)
         for i, bi in enumerate(beta):
             if bi:
                 lowered = beta[:i] + (bi - 1,) + beta[i + 1:]
-                total += bi * coeffs[src.position(lowered)]
+                total += bi * coeffs[pos[lowered]]
         out.append(total / (k + 1))
     return tuple(out)
 
 
 def ref_elevate_nums(nums, k, n):
     """Integer elevation: sum_i beta_i * nums_{beta - e_i}, over scale * (k + 1)."""
-    pos = enumerate_indices(k, n).position
+    pos = index_positions(k, n)
     out = []
     for beta in enumerate_indices(k + 1, n):
-        out.append(sum(bi * nums[pos(beta[:i] + (bi - 1,) + beta[i + 1:])]
+        out.append(sum(bi * nums[pos[beta[:i] + (bi - 1,) + beta[i + 1:]]]
                        for i, bi in enumerate(beta) if bi))
     return tuple(out)
 
 
 def ref_split(coeffs, k, n, i, j):
-    pos = enumerate_indices(k, n).position
+    pos = index_positions(k, n)
     left, right = [], []
     for alpha in enumerate_indices(k, n):
         ai, aj = alpha[i], alpha[j]
@@ -117,20 +117,20 @@ def ref_split(coeffs, k, n, i, j):
             moved = list(alpha)
             moved[i] += t
             moved[j] -= t
-            acc += comb(aj, t) * coeffs[pos(moved)]
+            acc += comb(aj, t) * coeffs[pos[tuple(moved)]]
         left.append(acc / 2 ** aj)
         acc = F(0)
         for u in range(ai + 1):
             moved = list(alpha)
             moved[i] -= u
             moved[j] += u
-            acc += comb(ai, u) * coeffs[pos(moved)]
+            acc += comb(ai, u) * coeffs[pos[tuple(moved)]]
         right.append(acc / 2 ** ai)
     return tuple(left), tuple(right)
 
 
 def ref_predicate(ratios, k, n):
-    vertices = enumerate_indices(k, n).vertex_positions()
+    vertices = vertex_positions(k, n)
     return all(r >= 0 for r in ratios) and all(ratios[p] > 0 for p in vertices)
 
 
@@ -180,13 +180,13 @@ def ref_to_bernstein_standard(poly, degree):
 
 
 def ref_second_differences(coeffs, k, n):
-    pos = enumerate_indices(k, n).position
+    pos = index_positions(k, n)
 
     def shifted(gamma, a, b):
         out = list(gamma)
         out[a] += 1
         out[b] += 1
-        return coeffs[pos(out)]
+        return coeffs[pos[tuple(out)]]
 
     items = []
     for gamma in enumerate_indices(k - 2, n):
@@ -289,7 +289,7 @@ def rational_patches(draw):
     predicate holds on them unless a zero interior entry is mishandled."""
     n, k, num = draw(patches(draw(st.sampled_from((SIGNED, NONNEGATIVE)))))
     if min(num) >= 0:
-        vertices = enumerate_indices(k, n).vertex_positions()
+        vertices = vertex_positions(k, n)
         num = tuple(c + (p in vertices) for p, c in enumerate(num))
     size = len(num)
     den = tuple(draw(st.lists(POSITIVE, min_size=size, max_size=size)))
@@ -330,7 +330,7 @@ def test_homogeneous_elevation_matches_patch_elevation(case, steps):
     patch = BernsteinPatch(standard_simplex(n), k, coeffs)
     base_scale = patch.scale
     c = _homogeneous(patch)
-    root_vertices = [c[p] for p in patch.index_set.vertex_positions()]
+    root_vertices = [c[p] for p in vertex_positions(patch.degree, patch.dimension)]
     vertices_pass = min(root_vertices) > 0
     for _ in range(steps):
         assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
@@ -340,7 +340,7 @@ def test_homogeneous_elevation_matches_patch_elevation(case, steps):
         assert c[-1] == 0 and len(c) == len(patch.nums) + 1
         assert all(a * patch.scale == b * w * base_scale for a, b, w in
                    zip(c, patch.nums, multinomials(patch.degree, n)))
-        assert [c[p] for p in patch.index_set.vertex_positions()] == root_vertices
+        assert [c[p] for p in vertex_positions(patch.degree, patch.dimension)] == root_vertices
         assert max(map(abs, c)) <= (n + 1) * peak
     assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
 
@@ -379,7 +379,7 @@ def test_ratios_and_predicate_match_reference(case, data):
         f = f.split_edge(i, j)[0]
     ratios = tuple(p / q for p, q in zip(num, den))
     assert f.ratios == ratios
-    vertices = enumerate_indices(k, n).vertex_positions()
+    vertices = vertex_positions(k, n)
     assert f.vertex_ratios() == tuple(ratios[p] for p in vertices)
     assert cert_predicate(f) == ref_predicate(ratios, k, n)
 
@@ -663,7 +663,7 @@ def test_leaf_tests_match_full_ratios(case, data):
     m = min(ratios)
     assert ratpatch._min_position(f.num.nums, f.den.nums) == ratios.index(m)
     assert local_bounds(f)[0] == m
-    vertices = enumerate_indices(k, n).vertex_positions()
+    vertices = vertex_positions(k, n)
     assert f.vertex_ratios() == tuple(ratios[p] for p in vertices)
     refute = _refuting_vertex(f)
     first = next((i for i, p in enumerate(vertices) if ratios[p] <= 0), None)

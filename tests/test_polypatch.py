@@ -23,6 +23,7 @@ from bernbound import (
     to_bernstein_standard,
 )
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch
+from bernbound.indexing import vertex_positions
 from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,
@@ -47,6 +48,14 @@ class TestPowerPoly:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             PowerPoly.univariate([1, 2]).eval([1, 2])
+
+    @pytest.mark.parametrize("dimension, terms, message", [
+        (0, {}, "dimension must be at least 1, got 0"),
+        (2, {(1, -1): 1}, r"negative exponent in \(1, -1\)"),
+    ], ids=["dimension", "exponent"])
+    def test_value_errors(self, dimension, terms, message):
+        with pytest.raises(ValueError, match=message):
+            PowerPoly(dimension, terms)
 
     @pytest.mark.parametrize("point", ["5", {"5": 1}, {0: 5}])
     def test_string_or_object_point_rejected(self, point):
@@ -213,7 +222,7 @@ class TestToBernstein:
             p = random_poly(rng, n, rng.randint(1, 3))
             k = p.degree + rng.randint(0, 2)
             patch = to_bernstein(p, k, simplex)
-            for i, pos in enumerate(patch.index_set.vertex_positions()):
+            for i, pos in enumerate(vertex_positions(patch.degree, patch.dimension)):
                 assert patch.coeffs[pos] == p.eval(simplex.vertex(i))
 
     def test_coefficient_count(self):
@@ -445,10 +454,9 @@ class TestPatchJson:
         patch = to_bernstein_standard(PowerPoly(2, {(1, 1): 1}), 2)
         dumped = patch.to_json()
         # coefficient list aligns with the canonical index enumeration
-        iset = enumerate_indices(2, 2)
-        assert len(dumped["coeffs"]) == len(iset)
-        pos = iset.position((0, 1, 1))
-        assert dumped["coeffs"][pos] == "1/2"
+        indices = enumerate_indices(2, 2)
+        assert len(dumped["coeffs"]) == len(indices)
+        assert dumped["coeffs"][indices.index((0, 1, 1))] == "1/2"
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
