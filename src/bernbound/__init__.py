@@ -34,7 +34,6 @@ _EXPORTS = {
         "barycentric",
         "bisect_edge",
         "diameter_sq",
-        "grid_point",
         "longest_edge",
         "round_length",
         "standard_simplex",

@@ -5,16 +5,16 @@ coefficient is nonnegative, and every vertex coefficient is strictly
 positive (vertex coefficients are true function values, so a non-positive
 one refutes positivity outright).  The denominator's coefficients are
 positive, so each ratio has its numerator coefficient's sign and the
-predicate reads the numerator alone (``numerator_certifies``, the oracle
-that applies both parts).  Certification proceeds either globally by degree
-elevation or locally by subdivision at fixed degree, each with an a-priori
-bound on the work needed when a positive lower bound for the function is
-known.  Elevation and de Casteljau splitting keep a positive denominator
-positive (every new coefficient is a positive-weight mean of old ones), so
-once the root's denominator is checked, the global scan elevates the
-numerator only and the local certificate splits the numerator only.  A
-refuting vertex's value divides its numerator coefficient by the root
-denominator evaluated at that vertex.
+predicate reads the numerator alone (``cert_predicate`` applies both
+parts).  Certification proceeds either globally by degree elevation or
+locally by subdivision at fixed degree, each with an a-priori bound on the
+work needed when a positive lower bound for the function is known.
+Elevation and de Casteljau splitting keep a positive denominator positive
+(every new coefficient is a positive-weight mean of old ones), so once the
+root's denominator is checked, the global scan elevates the numerator only
+and the local certificate splits the numerator only.  A refuting vertex's
+value divides its numerator coefficient by the root denominator evaluated
+at that vertex.
 
 The local certificate runs on ``ratpatch.Piece`` records below its root:
 the numerator's integer list, read for signs and the smallest entry.  No
@@ -184,23 +184,17 @@ class CertificateReport(NamedTuple):
         return out
 
 
-def numerator_certifies(num: BernsteinPatch) -> bool:
-    """Every coefficient nonnegative and every vertex coefficient strictly
-    positive, read from the integer numerators: the scale is positive, so
-    no coefficient is built."""
-    nums = num.nums
-    return min(nums) >= 0 and all(nums[p] > 0
-                                  for p in vertex_positions(num.degree, num.dimension))
-
-
 def cert_predicate(f: RationalPatch) -> bool:
     """All ratios nonnegative and every vertex ratio strictly positive.
 
     The denominator coefficients and both scales are positive, so each ratio
-    has the sign of its numerator coefficient: this is
-    ``numerator_certifies`` on the numerator, and builds no ratio.
+    has the sign of its numerator coefficient: the predicate reads the
+    numerator's integers, with the vertex scan ``_refuting_index`` that the
+    kernels run, and builds no ratio.
     """
-    return numerator_certifies(f.num)
+    nums = f.num.nums
+    return (min(nums) >= 0
+            and _refuting_index(nums, vertex_positions(f.degree, f.dimension)) is None)
 
 
 def _refuting_index(nums, vertices) -> Optional[int]:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BadEdge, DegenerateSimplex, DegreeMismatch, DimensionMismatch
+from .errors import BadEdge, DegenerateSimplex, DimensionMismatch
 from .powerpoly import PowerPoly, _pullback
 from .rationals import Rational, format_rational, parse_point
 
@@ -211,25 +211,13 @@ def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[in
     return lam
 
 
-def grid_point(alpha: Sequence[int], k: int, simplex: Simplex) -> Point:
-    """The point (alpha_0 v_0 + ... + alpha_n v_n) / k, exactly."""
-    if k < 1:
-        raise DegreeMismatch(f"grid points need degree >= 1, got {k}")
-    if sum(alpha) != k:
-        raise DegreeMismatch(f"|{tuple(alpha)}| != {k}")
-    n = simplex.dimension
-    if len(alpha) != n + 1:
-        raise DegreeMismatch(f"index {tuple(alpha)} does not fit dimension {n}")
-    return _grid_point(alpha, k, simplex.ints, simplex.denom)
-
-
 def _point(row: Sequence[int], denom: int) -> Point:
     """The point of an integer row over ``denom``."""
     return tuple([Fraction(x, denom) for x in row])
 
 
 def _grid_point(alpha: Sequence[int], k: int, rows, denom: int) -> Point:
-    """``grid_point`` of integer vertex rows over ``denom``, unchecked."""
+    """The point (alpha_0 v_0 + ... + alpha_n v_n) / k of rows over ``denom``."""
     coords = [0] * (len(rows) - 1)
     for a, row in zip(alpha, rows):
         if a:

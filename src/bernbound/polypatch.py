@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, lshift, mul, sub
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import DegreeTooLow, DimensionMismatch
 from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
@@ -42,7 +42,7 @@ from .indexing import (
     second_difference_moves,
     split_table,
 )
-from .powerpoly import PowerPoly, _integer
+from .powerpoly import PowerPoly
 from .rationals import Interval, Rational, format_rational, parse_rational
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
@@ -164,24 +164,17 @@ class BernsteinPatch:
         items = tuple(zip(keys, (Fraction(v, scale) for v in values)))
         return SecondDifferences(items, Fraction(max(map(abs, values)), scale))
 
-    def split_edge(
-        self,
-        i: int,
-        j: int,
-        children: Optional[Tuple[Simplex, Simplex]] = None,
-    ) -> Tuple["BernsteinPatch", "BernsteinPatch"]:
+    def split_edge(self, i: int, j: int) -> Tuple["BernsteinPatch", "BernsteinPatch"]:
         """Coefficient patches over the two midpoint children of edge (i, j).
 
         Univariate midpoint de Casteljau applied along the (i, j) barycentric
         direction; exactly equal to reconverting the polynomial on each child.
         Children are ordered as in ``bisect_edge``: the first keeps vertex v_i.
-        ``children`` passes that bisection in when the caller already has it.
 
         The coefficients split as integers through ``split_nums``, over the
         parent's scale shifted left by the degree.
         """
-        if children is None:
-            children = bisect_edge(self.simplex, i, j)
+        children = bisect_edge(self.simplex, i, j)
         k = self.degree
         left, right = split_nums(self.nums, split_table(k, self.dimension, i, j))
         scale = self.scale << k
@@ -196,14 +189,6 @@ class BernsteinPatch:
             "degree": self.degree,
             "coeffs": [format_rational(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "BernsteinPatch":
-        return cls(
-            Simplex.from_json(data["simplex"]),
-            _integer(data["degree"], "degree"),
-            tuple(parse_rational(c) for c in data["coeffs"]),
-        )
 
 
 def _grid_sum(nums: Sequence[int], degree: int, dimension: int,

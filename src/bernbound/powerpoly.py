@@ -8,13 +8,13 @@ floats and strings are rejected rather than truncated.
 Coefficients are stored as integers over one positive scale, reduced so that
 equal polynomials store equal integers; the ``Fraction`` terms are a view
 built on first use.  The constructor alone validates, parses and sums user
-terms (``from_json`` passes them on as given).  Composition with an affine map
-has one rule, ``_pullback``: multivariate Horner on integer linear forms
-over one denominator, giving packed integer terms with no ``Fraction`` per
-term.  ``polypatch.to_bernstein`` scatters those packed terms straight into
-its Bernstein grid; ``substitute_affine`` (rational arguments put over one
-denominator) and ``geometry.affine_pullback`` decode them into a
-``PowerPoly`` with ``_from_packed``.
+terms (``from_json`` checks only the JSON shape).  Composition with an
+affine map has one rule, ``_pullback``: multivariate Horner on integer
+linear forms over one denominator, giving packed integer terms with no
+``Fraction`` per term.  ``polypatch.to_bernstein`` scatters those packed
+terms straight into its Bernstein grid; ``substitute_affine`` (rational
+arguments put over one denominator) and ``geometry.affine_pullback`` decode
+them into a ``PowerPoly`` with ``_from_packed``.
 """
 
 from __future__ import annotations
@@ -205,9 +205,28 @@ class PowerPoly:
         }
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "PowerPoly":
-        return cls(data["dimension"],
-                   [(t["exponents"], t["coeff"]) for t in data.get("terms", [])])
+    def from_json(cls, data: dict) -> "PowerPoly":
+        """The polynomial of a ``to_json`` object.  A field of the wrong JSON
+        shape raises ``ValueError`` naming the field and the term's index."""
+        if not isinstance(data, dict):
+            raise ValueError(f"not a JSON object: {data!r}")
+        if "dimension" not in data:
+            raise ValueError("'dimension' is required")
+        terms = data.get("terms", [])
+        if not isinstance(terms, list):
+            raise ValueError(f"'terms' is not a JSON array: {terms!r}")
+        pairs = []
+        for i, term in enumerate(terms):
+            if not isinstance(term, dict):
+                raise ValueError(f"term {i} is not a JSON object: {term!r}")
+            for key in ("exponents", "coeff"):
+                if key not in term:
+                    raise ValueError(f"term {i}: {key!r} is required")
+            if not isinstance(term["exponents"], list):
+                raise ValueError(
+                    f"term {i}: 'exponents' is not a JSON array: {term['exponents']!r}")
+            pairs.append((term["exponents"], term["coeff"]))
+        return cls(data["dimension"], pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerPoly):

@@ -14,8 +14,8 @@ two ratios compare by cross-multiplying their numerators.  The leaf tests
 read only that: the certificate predicate and the refuting-vertex search
 read signs, ``_min_position`` finds the smallest ratio, ``_grid_value`` a
 grid value as an integer pair, and a ``Fraction`` is built only for a value
-that is returned (``ratio``, ``vertex_ratios``, ``eval``).  Patch methods
-and pieces share each rule.
+that is returned (``ratio``, ``vertex_ratios``).  Patch methods and pieces
+share each rule.
 The full per-index ``ratios`` tuple is the output view for enclosures and
 JSON, built on first use.  The convergence constants read the same
 integers: a ``Fraction`` per constant, none per coefficient.
@@ -54,7 +54,6 @@ from .errors import (
 from .geometry import (
     Point,
     Simplex,
-    _barycentric_weights,
     _bisect_rows,
     _bisection_slots,
     _checked_simplex,
@@ -62,7 +61,6 @@ from .geometry import (
     _edge_pairs,
     _longest,
     _point,
-    bisect_edge,
     round_length,
 )
 from .indexing import split_table, vertex_positions
@@ -163,13 +161,6 @@ class RationalPatch:
         Computed on first use, like ``ratios``."""
         return self._enclosure
 
-    def eval(self, point) -> Fraction:
-        """Exact value num(point) / den(point): ``_grid_value`` at the
-        point's integer barycentric weights, from one linear solve."""
-        return Fraction(*_grid_value((self.num.nums, self.den.nums),
-                                     (self.num.scale, self.den.scale), self.degree,
-                                     self.dimension, _barycentric_weights(self.simplex, point)))
-
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
         return RationalPatch(self.num.elevate(), self.den.elevate())
@@ -184,10 +175,10 @@ class RationalPatch:
                          min_vertex, max_vertex)
 
     def split_edge(self, i: int, j: int) -> Tuple["RationalPatch", "RationalPatch"]:
-        """Both patches split at the midpoint of edge (i, j), bisecting once."""
-        children = bisect_edge(self.simplex, i, j)
-        num_i, num_j = self.num.split_edge(i, j, children)
-        den_i, den_j = self.den.split_edge(i, j, children)
+        """Both patches split at the midpoint of edge (i, j), each bisecting
+        its own simplex."""
+        num_i, num_j = self.num.split_edge(i, j)
+        den_i, den_j = self.den.split_edge(i, j)
         return RationalPatch(num_i, den_i), RationalPatch(num_j, den_j)
 
     def split_round(self) -> List["RationalPatch"]:
@@ -498,11 +489,13 @@ def convergence_constants(
     default); its coefficients are those of the affinely pulled-back
     polynomials over the standard simplex.  ``degree`` is the working degree
     entering omega_prime (defaults to the base degree, the fixed-degree
-    setting).
+    setting); one below the base degree raises ``DegreeTooLow``.
     """
     n = f.dimension
     base = f.degree
     working = base if degree is None else degree
+    if working < base:
+        raise DegreeTooLow(f"working degree {working} below base degree {base}")
     num, den = f.num, f.den
     min_den = Fraction(min(den.nums), den.scale)
     # The largest |ratio|: |a|/b > |c|/d is |a|*d > |c|*b on the numerators.

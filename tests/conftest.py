@@ -20,7 +20,6 @@ from typing import NamedTuple, Tuple
 from bernbound import (
     PowerPoly,
     Simplex,
-    grid_point,
     standard_simplex,
     to_bernstein,
 )
@@ -501,6 +500,13 @@ def leaf_log(den):
 def encloses(outer, inner):
     """Whether the interval ``outer`` contains the interval ``inner``."""
     return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def grid_point(alpha, k, simplex):
+    """The grid point (alpha_0 v_0 + ... + alpha_n v_n) / k, from
+    ``simplex.vertices``."""
+    return tuple(sum(a * v[c] for a, v in zip(alpha, simplex.vertices)) / k
+                 for c in range(simplex.dimension))
 
 
 def det(matrix):

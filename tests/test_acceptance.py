@@ -33,7 +33,6 @@ from bernbound import (
     certify_global,
     certify_local,
     convergence_constants,
-    grid_point,
     minimize,
     rational_patch,
     standard_simplex,
@@ -44,6 +43,7 @@ from conftest import (
     encloses,
     fn_cert3,
     fn_dip,
+    grid_point,
     leaf_log,
     pinned_corpus,
     random_point_in,

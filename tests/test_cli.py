@@ -328,7 +328,23 @@ class TestUsageAndErrors:
     @pytest.mark.parametrize("data, message", [
         ("[1]", "problem spec must be a JSON object"),
         ({"numerator": DIP_SPEC["numerator"]}, "spec field 'domain' is required"),
-    ], ids=["not-an-object", "no-domain"])
+        ({**DIP_SPEC, "numerator": []}, "spec field 'numerator': not a JSON object: []"),
+        ({**DIP_SPEC, "numerator": {"dimension": 1, "terms": {"a": 1}}},
+         "spec field 'numerator': 'terms' is not a JSON array: {'a': 1}"),
+        ({**DIP_SPEC, "numerator": {"dimension": 1, "terms": [[0]]}},
+         "spec field 'numerator': term 0 is not a JSON object: [0]"),
+        ({**DIP_SPEC, "numerator": {"dimension": 1, "terms": [
+            {"exponents": [0], "coeff": "1"}, {"exponents": 0, "coeff": "1"}]}},
+         "spec field 'numerator': term 1: 'exponents' is not a JSON array: 0"),
+        ({**DIP_SPEC, "denominator": {"dimension": 1, "terms": [{"exponents": [0]}]}},
+         "spec field 'denominator': term 0: 'coeff' is required"),
+        ({**DIP_SPEC, "numerator": {"terms": DIP_SPEC["numerator"]["terms"]}},
+         "spec field 'numerator': 'dimension' is required"),
+        ({**DIP_SPEC, "domain": {"vertices": []}}, "spec field 'domain': empty vertex list"),
+        ({**DIP_SPEC, "domain": {"vertices": [["0"]]}},
+         "spec field 'domain': a simplex needs at least two vertices"),
+    ], ids=["not-an-object", "no-domain", "numerator-array", "terms-object", "term-array",
+            "exponents-integer", "no-coeff", "no-dimension", "no-vertices", "one-vertex"])
     def test_spec_shape(self, tmp_path, capsys, data, message):
         spec = _write(tmp_path, "shape.json", data)
         assert main(["bounds", spec]) == 64

@@ -48,7 +48,6 @@ from bernbound import (  # noqa: E402
     cert_predicate,
     diameter_sq,
     enumerate_indices,
-    grid_point,
     longest_edge,
     rational_patch,
     round_length,
@@ -56,10 +55,7 @@ from bernbound import (  # noqa: E402
     to_bernstein,
 )
 from bernbound import geometry, ratpatch  # noqa: E402
-from bernbound.certify import (  # noqa: E402
-    _refuting_vertex,
-    numerator_certifies,
-)
+from bernbound.certify import _refuting_vertex  # noqa: E402
 from bernbound.errors import (  # noqa: E402
     DegenerateSimplex,
     DenominatorNotPositive,
@@ -71,7 +67,7 @@ from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
-from conftest import det, index_positions, ref_refine_ints, refine  # noqa: E402
+from conftest import det, grid_point, index_positions, ref_refine_ints, refine  # noqa: E402
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -333,7 +329,7 @@ def test_homogeneous_elevation_matches_patch_elevation(case, steps):
     root_vertices = [c[p] for p in vertex_positions(patch.degree, patch.dimension)]
     vertices_pass = min(root_vertices) > 0
     for _ in range(steps):
-        assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
+        assert (vertices_pass and min(c) >= 0) == ref_predicate(patch.coeffs, patch.degree, n)
         peak = max(map(abs, c))
         c = _elevate_homogeneous(c, patch.degree, n)
         patch = patch.elevate()
@@ -342,7 +338,7 @@ def test_homogeneous_elevation_matches_patch_elevation(case, steps):
                    zip(c, patch.nums, multinomials(patch.degree, n)))
         assert [c[p] for p in vertex_positions(patch.degree, patch.dimension)] == root_vertices
         assert max(map(abs, c)) <= (n + 1) * peak
-    assert (vertices_pass and min(c) >= 0) == numerator_certifies(patch)
+    assert (vertices_pass and min(c) >= 0) == ref_predicate(patch.coeffs, patch.degree, n)
 
 
 @KERNEL
@@ -605,7 +601,8 @@ def test_grid_value_matches_eval(data):
             point = grid_point(alpha, k, piece.simplex)
             lists = piece.num.nums, piece.den.nums
             scales = piece.num.scale, piece.den.scale
-            assert F(*ratpatch._grid_value(lists, scales, k, n, alpha)) == piece.eval(point)
+            value = piece.num.eval(point) / piece.den.eval(point)
+            assert F(*ratpatch._grid_value(lists, scales, k, n, alpha)) == value
 
 
 @KERNEL

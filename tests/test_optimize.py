@@ -12,7 +12,6 @@ from bernbound import (
     Simplex,
     apriori_steps,
     convergence_constants,
-    grid_point,
     local_bounds,
     minimize,
     rational_patch,
@@ -20,7 +19,7 @@ from bernbound import (
 from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
 from bernbound.optimize import _upper_bound
 from bernbound.ratpatch import Piece, _min_position
-from conftest import fn_cert3, fn_dip, pinned_corpus
+from conftest import fn_cert3, fn_dip, grid_point, pinned_corpus
 
 UNIT = Simplex.from_interval(0, 1)
 
@@ -31,7 +30,7 @@ def _fraction_local_bounds(f):
     ratios = f.ratios
     m = min(ratios)
     point = grid_point(f.num.index_set[ratios.index(m)], f.degree, f.simplex)
-    delta, witness = f.eval(point), point
+    delta, witness = f.num.eval(point) / f.den.eval(point), point
     for i, value in enumerate(f.vertex_ratios()):
         if value < delta:
             delta, witness = value, f.simplex.vertex(i)

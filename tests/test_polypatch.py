@@ -15,7 +15,6 @@ from bernbound import (
     Simplex,
     convergence_constants,
     enumerate_indices,
-    grid_point,
     parse_rational,
     rational_patch,
     standard_simplex,
@@ -28,6 +27,7 @@ from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,
     encloses,
+    grid_point,
     random_fraction,
     random_point_in,
     random_poly,
@@ -67,6 +67,10 @@ class TestPowerPoly:
             p.eval(point)
         with pytest.raises(TypeError, match="sequence of coordinates"):
             Simplex([point, [1]])
+
+    def test_repr(self):
+        assert repr(PowerPoly.zero(2)) == "PowerPoly.zero(2)"
+        assert repr(PowerPoly.univariate([1, -5, 7])) == "1 + -5*x0 + 7*x0^2"
 
     def test_degree_is_tight(self):
         p = PowerPoly(1, {(0,): 1, (3,): 0})
@@ -242,7 +246,6 @@ class TestToBernstein:
             # Swapping two vertices flips the sign of the determinant.
             first, second, *rest = simplex.vertices
             swapped = Simplex([second, first, *rest])
-            den = PowerPoly(n, {(0,) * n: 3, (2,) + (0,) * (n - 1): 1})
             for p in (random_poly(rng, n, 3), random_poly(rng, n, 0)):
                 # Points of the simplex, then points that are mostly outside it.
                 points = [random_point_in(rng, simplex) for _ in range(10)]
@@ -251,11 +254,8 @@ class TestToBernstein:
                 for s, k in itertools.product((simplex, swapped),
                                               (p.degree, p.degree + 2)):
                     patch = to_bernstein(p, k, s)
-                    ratio = rational_patch(p, den, s, k) if k >= den.degree else None
                     for x in points:
                         assert patch.eval(x) == p.eval(x)
-                        if ratio is not None:
-                            assert ratio.eval(x) == p.eval(x) / den.eval(x)
 
 
 class TestEnclosureAndSoundness:
@@ -444,12 +444,6 @@ class TestSplitEdge:
 
 
 class TestPatchJson:
-    def test_round_trip(self):
-        patch = to_bernstein_standard(PowerPoly.univariate([1, -3, 5]), 2)
-        data = json.loads(json.dumps(patch.to_json()))
-        again = BernsteinPatch.from_json(data)
-        assert again == patch
-
     def test_canonical_coefficient_order(self):
         patch = to_bernstein_standard(PowerPoly(2, {(1, 1): 1}), 2)
         dumped = patch.to_json()
@@ -461,11 +455,3 @@ class TestPatchJson:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             BernsteinPatch(Simplex.from_interval(0, 1), 2, (F(1), F(2)))
-
-    @pytest.mark.parametrize("degree", [1.5, True, "1", 1.0])
-    def test_non_integer_degree_rejected(self, degree):
-        # int() would truncate each of these to degree 1 and load a patch.
-        data = to_bernstein_standard(PowerPoly.univariate([1, -3]), 1).to_json()
-        data["degree"] = degree
-        with pytest.raises(TypeError, match="degree"):
-            BernsteinPatch.from_json(data)

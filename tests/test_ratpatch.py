@@ -18,9 +18,10 @@ from bernbound import (
     rational_patch,
     to_bernstein_standard,
 )
-from bernbound import ratpatch
+from bernbound import geometry, ratpatch
 from bernbound.errors import (
     DegreeMismatch,
+    DegreeTooLow,
     DenominatorNotPositive,
     DimensionMismatch,
     SimplexMismatch,
@@ -99,10 +100,15 @@ class TestEnclosure:
         assert f.enclosure() == (F(0), F(3, 2))
 
     def test_eval(self):
+        # The integer grid value (``optimize._upper_bound``'s rule) at a
+        # point's barycentric weights is the function's exact value there.
         num, den, domain = fn_dip()
         f = rational_patch(num, den, domain)
+        lists, scales = (f.num.nums, f.den.nums), (f.num.scale, f.den.scale)
         for x in (F(-1), F(0), F(1, 3), F(1)):
-            assert f.eval([x]) == num.eval([x]) / den.eval([x])
+            weights = geometry._barycentric_weights(domain, [x])
+            value = F(*ratpatch._grid_value(lists, scales, 2, 1, weights))
+            assert value == num.eval([x]) / den.eval([x])
 
     @pytest.mark.parametrize("case", pinned_corpus()[:4])
     def test_dense_containment_univariate(self, case):
@@ -283,6 +289,17 @@ class TestConvergenceConstants:
         assert doubled.omega_prime == 2 * base.omega_prime
         assert doubled.omega == base.omega
 
+    def test_working_degree_below_base_rejected(self):
+        # omega' grows with the working degree, so a degree below the base
+        # (degree 2 here) would give too small a bound: 0 at degree 0 and a
+        # negative one below it.
+        f = rational_patch(*fn_dip())
+        for degree in (-3, 0, 1):
+            with pytest.raises(DegreeTooLow, match=f"^working degree {degree} below base"):
+                convergence_constants(f, degree)
+        for degree in (2, 5):
+            assert convergence_constants(f, degree).working_degree == degree
+
     def test_denominator_not_positive(self):
         with pytest.raises(DenominatorNotPositive):
             convergence_constants(rational_patch(
@@ -342,8 +359,9 @@ class TestJson:
         f = rational_patch(num, den, domain)
         data = json.loads(json.dumps(f.to_json()))
         assert data["ratios"] == ["13/10", "-1", "1/2"]
-        assert BernsteinPatch.from_json(data["num"]) == f.num
-        assert BernsteinPatch.from_json(data["den"]) == f.den
+        interval = {"vertices": [["-1"], ["1"]]}
+        assert data["num"] == {"simplex": interval, "degree": 2, "coeffs": ["13", "-6", "3"]}
+        assert data["den"] == {"simplex": interval, "degree": 2, "coeffs": ["10", "6", "6"]}
 
 
 class TestRecord:
@@ -371,6 +389,19 @@ class TestRecord:
                 delattr(f, name)
         assert f.ratios == (F(13, 10), F(-1), F(1, 2))
         assert f.num.degree == 2
+
+
+@pytest.mark.parametrize("value", [
+    Simplex.from_interval(0, 1),
+    BernsteinPatch(Simplex.from_interval(0, 1), 1, (1, 2)),
+    PowerPoly.zero(2),
+    ClaimedMinimum("1/3"),
+], ids=["simplex", "bernstein-patch", "power-poly", "claimed-minimum"])
+def test_never_equal_to_another_type(value):
+    # Each ``__eq__`` returns NotImplemented for a non-instance, so Python
+    # falls back to identity: == is False and != is True.
+    for other in (object(), None):
+        assert not value == other and value != other
 
 
 @pytest.mark.parametrize("duplicate", [

@@ -1,6 +1,8 @@
-"""Start-up: a command loads only the modules it runs, and the package
-exports its names lazily, each resolving to its defining module's object."""
+"""Start-up: a command loads only the modules it runs, the package
+exports its names lazily, each resolving to its defining module's object,
+and no module imports a name it never reads."""
 
+import ast
 import importlib
 import json
 import os
@@ -27,7 +29,7 @@ EXPORTS = {
     "powerpoly": ["PowerPoly"],
     "geometry": [
         "Simplex", "affine_pullback", "barycentric", "bisect_edge", "diameter_sq",
-        "grid_point", "longest_edge", "round_length", "standard_simplex",
+        "longest_edge", "round_length", "standard_simplex",
     ],
     "polypatch": [
         "BernsteinPatch", "SecondDifferences", "to_bernstein",
@@ -128,7 +130,7 @@ class TestStartUp:
 class TestExports:
     def test_names_resolve_to_their_modules(self):
         assert sorted(bernbound.__all__) == sorted(NAMES)
-        assert len(NAMES) == 55
+        assert len(NAMES) == 54
         for module, names in EXPORTS.items():
             owner = importlib.import_module(f"bernbound.{module}")
             assert getattr(bernbound, module) is owner
@@ -149,3 +151,24 @@ class TestExports:
         with pytest.raises(AttributeError,
                            match=r"^module 'bernbound' has no attribute 'nope'$"):
             bernbound.nope
+
+
+def _unread_imports(path):
+    """The names ``path`` imports (``__future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (SRC / "bernbound").glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.stem)
+def test_every_import_is_read(path):
+    # Each import costs start-up time, so a module imports only what it reads.
+    assert _unread_imports(path) == []
