@@ -18,11 +18,11 @@ step returns the elevated list alone: a vertex entry is a function value
 and keeps its value, so the scan decides the vertex part of the
 certificate once, at the root, and the step carries no vertex positions.
 Conversion from the power basis is one kernel, ``to_bernstein``: integer
-Horner pullback from the simplex's rows (skipped on the standard simplex),
-a table scatter into the grid, the edge split's de Casteljau triangle
-(``_triangle``) along each axis, and one gcd; second differences are
-integer too, building a ``Fraction`` only per returned entry, and ``eval``
-is one integer weighted sum (``_grid_sum``).
+Horner pullback from the simplex's rows, a table scatter into the grid,
+the edge split's de Casteljau triangle (``_triangle``) along each axis,
+and one gcd; second differences are integer too, building a ``Fraction``
+only per returned entry, and ``eval`` is one integer weighted sum
+(``_grid_sum``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .indexing import (
     second_difference_moves,
     split_table,
 )
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _integer
 from .rationals import Interval, Rational, format_rational, parse_rational
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
@@ -68,6 +68,7 @@ class BernsteinPatch:
     __slots__ = ("simplex", "degree", "nums", "scale", "__weakref__")
 
     def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
+        degree = _integer(degree, "degree")
         values = tuple(parse_rational(c) for c in coeffs)
         expected = len(enumerate_indices(degree, simplex.dimension))
         if len(values) != expected:
@@ -300,10 +301,8 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     One integer kernel.  The pullback to standard-simplex coordinates t is
     ``geometry._pulled_back``: Horner on the integer linear forms read from
     the simplex's rows, with no ``Fraction`` and no intermediate
-    ``PowerPoly``; on the standard simplex itself the polynomial's own terms
-    are the pulled-back terms.  Either way the terms A_beta over a scale S
-    give a_beta = A_beta / S, and over the standard simplex
-    b_alpha = sum over beta <= alpha_hat of
+    ``PowerPoly``.  Its terms A_beta over a scale S give a_beta = A_beta / S,
+    and over the standard simplex b_alpha = sum over beta <= alpha_hat of
     C(alpha_hat, beta) / C(degree, beta) * a_beta.
 
     With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
@@ -326,16 +325,10 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
         )
     width, table = conversion_table(degree, n)
-    if simplex == standard_simplex(n):
-        terms = [(sum(e << (width * j) for j, e in enumerate(exps)), c)
-                 for exps, c in poly.int_terms]
-        scale = poly.scale
-    else:
-        packed, scale = _pulled_back(simplex, poly, width)
-        terms = packed.items()
+    packed, scale = _pulled_back(simplex, poly, width)
     scale *= factorial(degree)
     grid = [0] * len(table)
-    for key, c in terms:
+    for key, c in packed.items():
         p, factor = table[key]
         grid[p] = c * factor
     for axis in range(1, n + 1):

@@ -27,6 +27,7 @@ from bernbound import (
 from bernbound import certify, polypatch
 from bernbound.certify import apriori_d1, apriori_d2
 from bernbound.cli import main
+from bernbound.indexing import vertex_positions
 from conftest import fn_cert3, fn_dip, rational_instances
 
 DIP_SPEC = {
@@ -55,6 +56,63 @@ CERT3_SPEC = {
     ]},
     "domain": {"interval": ["0", "1"]},
 }
+
+UNIT = {"interval": ["0", "1"]}
+TRIANGLE = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+
+
+def _problem(numerator, denominator, domain):
+    """A problem file's object from {exponents: coefficient} maps."""
+    n = len(next(iter(numerator)))
+    spec = {"numerator": PowerPoly(n, numerator).to_json(), "domain": domain}
+    if denominator:
+        spec["denominator"] = PowerPoly(n, denominator).to_json()
+    return spec
+
+
+# 1/10 - x/2 + x^2 + y^2: its minimum, 3/80, lies inside the triangle, so
+# both strategies split rounds before they bracket it.
+SPEC2 = _problem({(0, 0): "1/10", (1, 0): "-1/2", (2, 0): 1, (0, 2): 1}, None, TRIANGLE)
+# (6/25 - x + x^2 + y^2) / (1 + x) is refuted at a vertex of a piece below
+# the root: the witness's value divides the numerator piece's vertex
+# coefficient by the denominator there.
+REF3 = _problem({(0, 0): "6/25", (1, 0): -1, (2, 0): 1, (0, 2): 1},
+                {(0, 0): 1, (1, 0): 1}, TRIANGLE)
+# (x - 1/4) / (2 + x), negative at its root vertex: the local certificate
+# values the witness through the denominator's eval, the other modes from
+# the root ratio, and every mode prints the same witness.
+RAT1 = _problem({(0,): "-1/4", (1,): 1}, {(0,): 2, (1,): 1}, UNIT)
+# (x - 1/2)^2 touches zero inside the domain, so no degree certifies it.
+TOUCH = _problem({(0,): "1/4", (1,): -1, (2,): 1}, None, UNIT)
+# A non-constant denominator on a triangle with fractional vertices and no
+# edge on an axis: its vertex coefficients check the pullback of a general
+# simplex, and its minimum is at a vertex.
+TRI_DENOMINATOR = {(0, 0): 2, (1, 0): "1/2", (0, 1): "1/3"}
+TRI_DOMAIN = {"vertices": [["1/2", "-1/3"], ["5/2", "1/4"], ["-2/3", "3/2"]]}
+TRI = _problem({(0, 0): "1/3", (1, 0): -2, (1, 1): "5/7", (0, 2): 1},
+               TRI_DENOMINATOR, TRI_DOMAIN)
+# TRI's denominator and triangle with the minimum, 1/10 at (1, 1/2), inside:
+# both strategies split it, and their witnesses are points of pieces with
+# doubled denominators.
+TRI_MIN = _problem({(0, 0): "29/20", (1, 0): "-39/20", (0, 1): "-29/30", (2, 0): 1,
+                    (0, 2): 1}, TRI_DENOMINATOR, TRI_DOMAIN)
+# (q/2 + |x - a|^2) / q with q = 2 + x/2 + y/3 + z/5 and a = (1/2, 1/2, 1/2),
+# the one subdivision in three variables, on a tetrahedron with fractional
+# vertices and no edge on an axis; its minimum, 1/2, is at a inside it.
+# Depth d means pieces of squared diameter at most 4^-d in the domain's own
+# coordinates, and this domain's is about 8, so depth 1 would take four
+# rounds, 64^4 pieces.
+TET_MIN = _problem(
+    {(0, 0, 0): "7/4", (1, 0, 0): "-3/4", (0, 1, 0): "-5/6", (0, 0, 1): "-9/10",
+     (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
+    {(0, 0, 0): 2, (1, 0, 0): "1/2", (0, 1, 0): "1/3", (0, 0, 1): "1/5"},
+    {"vertices": [["1/3", "0", "-1/2"], ["7/4", "1/5", "0"], ["-1/6", "9/4", "1/3"],
+                  ["0", "-2/7", "5/3"]]})
+# 1/10 + (x - 1/3)^2 + (y - 1/3)^2 is symmetric in x <-> y: the mirror-image
+# children of its first round tie on their lower bounds, and best-first
+# orders them by their vertices.
+SYM = _problem({(0, 0): "29/90", (1, 0): "-2/3", (0, 1): "-2/3", (2, 0): 1, (0, 2): 1},
+               None, TRIANGLE)
 
 
 @pytest.fixture
@@ -219,11 +277,11 @@ class TestCertify:
     @pytest.mark.parametrize("mode", ["sharpness", "global", "local", "negative"])
     def test_sharpness_apriori_reuses_root_patch(self, mode, tmp_path, capsys,
                                                  monkeypatch):
-        # [-1, 1] is not the standard simplex, so every conversion of num or
-        # den pulls back once, through the conversion kernel's integer
-        # pullback.  The root converts num and den; the a-priori bounds read
-        # it, and D2 reads its numerator (both have degree 2).  Negative
-        # mode certifies on the root with its numerator negated.
+        # Every conversion of num or den pulls back once, through the
+        # conversion kernel's integer pullback.  The root converts num and
+        # den; the a-priori bounds read it, and D2 reads its numerator (both
+        # have degree 2).  Negative mode certifies on the root with its
+        # numerator negated.
         calls = []
         original = polypatch._pulled_back
 
@@ -533,19 +591,24 @@ class TestUsageAndErrors:
         else:
             assert f"error: {spec}: " in err
 
-    @pytest.mark.parametrize("argv", [["bounds"], ["bounds", "--json"],
-                                      ["minimize", "--eps", "1"],
-                                      ["minimize", "--eps", "1", "--json"]])
-    def test_value_beyond_float_range(self, tmp_path, capsys, argv):
-        # The exact value is rendered in the float style it overflows.
+    @pytest.mark.parametrize("argv, coeff, shown", [
+        (["bounds"], "1e309", "1e+309"),
+        (["bounds", "--json"], "1e309", "1e+309"),
+        (["minimize", "--eps", "1"], "1e309", "1e+309"),
+        (["minimize", "--eps", "1", "--json"], "1e309", "1e+309"),
+        (["bounds"], "1e-400", "1e-400"),
+    ], ids=["argv0", "argv1", "argv2", "argv3", "underflow"])
+    def test_value_beyond_float_range(self, tmp_path, capsys, argv, coeff, shown):
+        # The exact value is rendered in the float style it overflows or
+        # underflows.
         spec = _write(tmp_path, "huge.json", {
             "numerator": {"dimension": 1, "terms": [
-                {"exponents": [0], "coeff": "1e309"}]},
+                {"exponents": [0], "coeff": coeff}]},
             "domain": {"interval": ["0", "1"]},
         })
         assert main([argv[0], spec, *argv[1:]]) == 0
         out = capsys.readouterr().out
-        assert "1e+309" in out
+        assert shown in out
 
     @pytest.mark.parametrize("exponent", [1.5, 1.0, True, "2"])
     def test_non_integer_exponent(self, tmp_path, capsys, exponent):
@@ -805,3 +868,59 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
         del expected["wall_clock"], got["wall_clock"]
         assert got == expected
         assert code == {"certified": 0, "refuted": 1, "inconclusive": 2}[got["verdict"]]
+
+
+@pytest.mark.parametrize("spec, argv, code, out", [
+    pytest.param(REF3, ["certify", "--mode", "local"], 1,
+                 "refuted: f(1/2, 0) = -1/150 <= 0\n", id="REF3-local"),
+    *[pytest.param(RAT1, ["certify", "--mode", mode], 1, "refuted: f(0) = -1/8 <= 0\n",
+                   id=f"RAT1-{mode}") for mode in ("sharpness", "global", "local")],
+    pytest.param(TOUCH, ["certify", "--mode", "global", "--kmax", "4"], 2,
+                 "inconclusive at degree 4; raise the budget\n", id="TOUCH-global"),
+    pytest.param(TRI, ["certify", "--mode", "local"], 1,
+                 "refuted: f(1/2, -1/3) = -170/539 <= 0\n", id="TRI-local"),
+    pytest.param(TRI_MIN, ["certify", "--mode", "local"], 0,
+                 "certified positivity at depth 1, 64 leaves\n", id="TRI_MIN-local"),
+    pytest.param(TET_MIN, ["certify", "--mode", "local"], 0,
+                 "certified positivity at depth 0, 1 leaves\n", id="TET_MIN-local"),
+    *[pytest.param(SYM, ["minimize", "--eps", "1/100", "--strategy", strategy], 0,
+                   "lower: 67/720 ~ 0.0930556\nupper: 581/5760 ~ 0.100868\n"
+                   "witness: (5/16, 5/16)\ngap: 1/128 ~ 0.0078125 (target 1/100)\n"
+                   f"rounds used: 2 (a-priori sufficient: 5)\nleaves: {leaves}\n",
+                   id=f"SYM-{strategy}")
+      for strategy, leaves in (("best-first", 4), ("uniform", 64))],
+])
+def test_exact_text(tmp_path, capsys, spec, argv, code, out):
+    path = _write(tmp_path, "spec.json", spec)
+    assert main([argv[0], path, *argv[1:]]) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("spec, argv", [
+    pytest.param(TRI, ["bounds", "--degree", "6"], id="TRI-bounds"),
+    *[pytest.param(spec, ["minimize", "--eps", "1/100", "--strategy", strategy],
+                   id=f"{name}-{strategy}")
+      for name, spec in (("TRI", TRI), ("TRI_MIN", TRI_MIN), ("TET_MIN", TET_MIN),
+                         ("SPEC2", SPEC2))
+      for strategy in ("best-first", "uniform")],
+])
+def test_values_match_the_spec(tmp_path, capsys, spec, argv):
+    """Each value a report claims at a point is f there, recomputed from the
+    spec with ``PowerPoly.eval``: a vertex coefficient of ``bounds`` is f at
+    that vertex, and ``minimize``'s upper bound is f at its witness."""
+    path = _write(tmp_path, "spec.json", spec)
+    assert main([argv[0], path, *argv[1:], "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+
+    def f(x):
+        value = PowerPoly.from_json(spec["numerator"]).eval(x)
+        if "denominator" in spec:
+            value /= PowerPoly.from_json(spec["denominator"]).eval(x)
+        return value
+
+    if argv[0] == "bounds":
+        vertices = spec["domain"]["vertices"]
+        positions = vertex_positions(report["degree"], len(vertices) - 1)
+        assert [F(report["coefficients"][p]) for p in positions] == list(map(f, vertices))
+    else:
+        assert f(report["witness"]) == F(report["upper"]) >= F(report["lower"])

@@ -455,3 +455,15 @@ class TestPatchJson:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             BernsteinPatch(Simplex.from_interval(0, 1), 2, (F(1), F(2)))
+
+    @pytest.mark.parametrize("degree, error, message", [
+        (True, TypeError, "degree True is not an integer"),
+        (1.0, TypeError, "degree 1.0 is not an integer"),
+        (1.5, TypeError, "degree 1.5 is not an integer"),
+        ("1", TypeError, "degree '1' is not an integer"),
+        (-1, ValueError, "degree must be nonnegative, got -1"),
+    ])
+    def test_degree_must_be_a_nonnegative_integer(self, degree, error, message):
+        with pytest.raises(error) as info:
+            BernsteinPatch(Simplex.from_interval(0, 1), degree, (F(1), F(2)))
+        assert str(info.value) == message

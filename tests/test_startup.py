@@ -1,11 +1,13 @@
 """Start-up: a command loads only the modules it runs, the package
 exports its names lazily, each resolving to its defining module's object,
-and no module imports a name it never reads."""
+no module imports a name it never reads, and the console script names the
+CLI's entry point."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,3 +174,14 @@ def _unread_imports(path):
 def test_every_import_is_read(path):
     # Each import costs start-up time, so a module imports only what it reads.
     assert _unread_imports(path) == []
+
+
+def test_console_script_names_the_entry_point():
+    # The subprocess tests run main_entry through ``python -m bernbound.cli``;
+    # this checks that pyproject.toml points the ``bernbound`` script at it.
+    # Python 3.10 has no tomllib, so the line is read with a regex.
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^\[project\.scripts\]\nbernbound = "([\w.]+):(\w+)"$', text, re.M)
+    assert match, "no bernbound line under [project.scripts]"
+    assert match.groups() == ("bernbound.cli", "main_entry")
+    assert callable(getattr(importlib.import_module(match[1]), match[2]))
