@@ -23,7 +23,10 @@ vertex rows, replayed from its bisection path, for the witness.
 
 The vertex part is decided once per patch it concerns.  Each subdivision
 piece has its vertex coefficients scanned once (``_refuting_index``); a
-piece that survives certifies iff its smallest coefficient is nonnegative.
+piece that survives certifies iff its smallest coefficient is nonnegative
+(``_certifies``, the one rule behind ``cert_predicate`` and the test that
+settles a piece inside a split round, whose leaves are then counted, not
+cut).
 The global scan checks the root's vertices once: elevation never changes a
 vertex coefficient (it is the function's value there), so after that check
 each degree only asks whether its smallest entry is negative.
@@ -192,9 +195,13 @@ def cert_predicate(f: RationalPatch) -> bool:
     numerator's integers, with the vertex scan ``_refuting_index`` that the
     kernels run, and builds no ratio.
     """
-    nums = f.num.nums
-    return (min(nums) >= 0
-            and _refuting_index(nums, vertex_positions(f.degree, f.dimension)) is None)
+    return _certifies(f.num.nums, vertex_positions(f.degree, f.dimension))
+
+
+def _certifies(nums, vertices) -> bool:
+    """The certificate on a numerator list: no vertex coefficient (at the
+    positions ``vertices``) is non-positive and no coefficient is negative."""
+    return _refuting_index(nums, vertices) is None and min(nums) >= 0
 
 
 def _refuting_index(nums, vertices) -> Optional[int]:
@@ -308,8 +315,15 @@ def certify_local(
     one per step: a piece's vertex coefficients are scanned once, and a
     non-positive one refutes exactly (no later piece is tested or split); a
     piece that survives that scan is a certified leaf, and pruned, when its
-    smallest coefficient is nonnegative.  The run gives up when the
-    unresolved leaves reach depth n_max, which must be nonnegative.  Only
+    smallest coefficient is nonnegative.  The same certificate settles a
+    piece inside a split round: ``ratpatch._refine_ints`` cuts it no
+    further and returns it as one piece whose ``weight`` is the number of
+    leaves the split would have cut from it.  De Casteljau children are
+    positive-weight means of their parent, so each of those leaves would
+    certify; the report counts them all, and its verdict, depth, leaf count
+    and witness are those of the run that cuts every leaf.  The run gives
+    up when the unresolved leaves reach depth n_max, which must be
+    nonnegative.  Only
     the root is a rational patch, which checks the denominator; below it
     the pieces are plain records of the numerator's integers, whose signs
     are the function's.  A piece lives only until it is decided or split:
@@ -326,8 +340,11 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 
+    def settled(lists):
+        return _certifies(lists[0], vertices)
+
     def split(leaf, depth, key):
-        return _refine_ints(leaf, k, (1, 4 ** (depth + 1)))
+        return _refine_ints(leaf, k, (1, 4 ** (depth + 1)), settled)
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
@@ -339,9 +356,10 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         if i is not None:
             refuted = (depth, _vertex_witness(piece, vertices[i], i, root))
             return None
-        ok = min(nums) >= 0
-        certified += ok
-        return None if ok else depth
+        if min(nums) < 0:
+            return depth
+        certified += piece.weight
+        return None
 
     def stop(head, size):
         if refuted:

@@ -30,7 +30,9 @@ replays.  A bisection child of a simplex is a simplex (the identity in
 positive-weight means of its parent's, so a denominator that is positive at
 the root stays positive on every piece.  So the root's rank check and
 denominator check cover every piece, and neither runs again.  The local
-certificate, which reads numerator signs only, splits the numerator alone.
+certificate, which reads numerator signs only, splits the numerator alone,
+and stops cutting a piece inside a round once it certifies: that piece
+stands for the leaves below it (``Piece.weight``), which all certify too.
 ``RationalPatch.split_round`` turns one round's pieces back into checked
 patches, for callers that want objects.
 """
@@ -41,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     DegenerateSimplex,
@@ -215,20 +217,26 @@ class Piece:
     left by k * cuts.  The constructor checks nothing: below a checked root
     every piece is a simplex (see ``_refine_ints``).
 
+    ``weight`` is the number of leaves the piece stands for: 1, unless
+    ``_refine_ints`` settled it inside a round, when it counts the leaves
+    the rest of the refinement would have cut from it.
+
     A run reads the lists and lengths alone.  ``rows`` and ``denom``, the
     reduced vertex rows, replay the path through ``geometry._bisect_rows``
     on first use and are kept; ``vertex``, ``signature`` and ``patches``
     (checked objects, for a caller that wants them) read them.
     """
 
-    __slots__ = ("root", "path", "lists", "cuts", "lengths", "_rows", "__weakref__")
+    __slots__ = ("root", "path", "lists", "cuts", "lengths", "weight", "_rows",
+                 "__weakref__")
 
-    def __init__(self, root, path: int, lists, cuts: int, lengths):
+    def __init__(self, root, path: int, lists, cuts: int, lengths, weight: int = 1):
         self.root = root
         self.path = path
         self.lists = lists
         self.cuts = cuts
         self.lengths = lengths
+        self.weight = weight
         self._rows = None
 
     @classmethod
@@ -281,7 +289,8 @@ class Piece:
                      for nums, root in zip(self.lists, roots))
 
 
-def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece]:
+def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
+                 settled: Optional[Callable[[tuple], bool]] = None) -> List[Piece]:
     """The integer subdivision driver: at least one shrink round of
     ``piece``, then more on every piece whose squared diameter still exceeds
     the fraction ``threshold`` = (numerator, denominator), splitting each of
@@ -307,8 +316,18 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     so over the doubled denominator the half edge is the parent's integer
     c = |v_i - v_j|**2 and each m - v_l is 2a + 2b - c, from the parent's
     a = |v_i - v_l|**2 and b = |v_j - v_l|**2, exactly.  The driver never
-    changes ``piece``, and each leaf keeps the list it carried.  Pieces are split left child first, so the leaves come in the
-    order of replacing each piece by its children in place.
+    changes ``piece``, and each leaf keeps the list it carried.  Pieces are
+    split left child first, so the leaves come in the order of replacing
+    each piece by its children in place.
+
+    ``settled(lists)``, when given, names pieces whose leaves need no
+    lists; it must hold on every piece cut from one it holds on.  A piece
+    strictly inside a round (one that does not start it) on which it holds
+    is returned as it is, in the place of its first leaf, and not split.
+    The loop walks the rest of that piece's refinement on edge lengths
+    alone, with no lists and no path, and counts in the piece's ``weight``
+    the leaves it would have made.  Every other leaf has weight 1, so the
+    weights sum to the number of leaves of the run without ``settled``.
 
     No piece is rank-checked, because bisection keeps a simplex a simplex.
     Write E_i for the matrix of edge vectors v_l - v_i (l != i) of a
@@ -328,32 +347,44 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int]) -> List[Piece
     size = 2 * len(piece.lengths)
     denom = root[1] << piece.cuts
     # (path, lists, squared edge lengths over denom**2, cuts, denom, cuts
-    # in the round, the round's target squared diameter); the piece opens
-    # the first round.
+    # in the round, the round's target squared diameter, and the settled
+    # piece whose leaves an entry counts, or None); the piece opens the
+    # first round.  An entry below a settled piece has no path or lists.
     stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, denom, 0,
-              _quarter(max(piece.lengths), denom))]
+              _quarter(max(piece.lengths), denom), None)]
     leaves = []
     while stack:
-        path, lists, lengths, cuts, denom, depth, target = stack.pop()
+        path, lists, lengths, cuts, denom, depth, target, owner = stack.pop()
         c, e = _longest(lengths)
         if depth >= levels and not _wider(c, denom, target):
             if not _wider(c, denom, threshold):
-                leaves.append(Piece(root, path, lists, cuts, lengths))
+                if owner is None:
+                    leaves.append(Piece(root, path, lists, cuts, lengths))
+                else:
+                    owner.weight += 1
                 continue
             target, depth = _quarter(c, denom), 0
         elif depth == budget:
             raise DegenerateSimplex("edge bisection failed to halve the diameter")
+        if owner is None and depth and settled is not None and settled(lists):
+            owner = Piece(root, path, lists, cuts, lengths, 0)
+            leaves.append(owner)
         i, j, slots_i, slots_j = bisections[e]
         lengths_i = [d << 2 for d in lengths]
         lengths_j = lengths_i[:]
         half = lengths_i[e] = lengths_j[e] = lengths[e]
         for s, t in zip(slots_i, slots_j):
             lengths_i[s] = lengths_j[t] = 2 * (lengths[s] + lengths[t]) - half
-        table = split_table(k, n, i, j)
-        lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
-        path, cuts, denom, depth = path * size + 2 * e, cuts + 1, denom << 1, depth + 1
-        stack.append((path + 1, lists_j, lengths_j, cuts, denom, depth, target))
-        stack.append((path, lists_i, lengths_i, cuts, denom, depth, target))
+        cuts, denom, depth = cuts + 1, denom << 1, depth + 1
+        if owner is None:
+            table = split_table(k, n, i, j)
+            lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
+            path = path * size + 2 * e
+            stack.append((path + 1, lists_j, lengths_j, cuts, denom, depth, target, None))
+            stack.append((path, lists_i, lengths_i, cuts, denom, depth, target, None))
+        else:
+            stack.append((None, None, lengths_j, cuts, denom, depth, target, owner))
+            stack.append((None, None, lengths_i, cuts, denom, depth, target, owner))
     return leaves
 
 

@@ -442,12 +442,15 @@ def watch_subdivide(module, watch):
 
 
 class Leaf(NamedTuple):
-    """One piece the local certificate tested."""
+    """One piece the local certificate tested; ``weight`` is the number of
+    leaves it stands for (``Piece.weight``), 1 unless the split round that
+    made it settled it."""
 
     depth: int
     simplex: Simplex
     ratios: Tuple[Fraction, ...]
     certified: bool
+    weight: int
 
 
 @contextmanager
@@ -483,7 +486,8 @@ def leaf_log(den):
             q = [-c for c in q]
         ratios = tuple(c / d for c, d in zip(num.coeffs, q))
         refuted = any(ratios[p] <= 0 for p in vertex_positions(num.degree, num.dimension))
-        log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted))
+        log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted,
+                        piece.weight))
 
     certify._certify_local = caught
     try:
@@ -507,6 +511,12 @@ def grid_point(alpha, k, simplex):
     ``simplex.vertices``."""
     return tuple(sum(a * v[c] for a, v in zip(alpha, simplex.vertices)) / k
                  for c in range(simplex.dimension))
+
+
+def inside(inner, outer):
+    """Whether every vertex of the simplex ``inner`` lies in the simplex
+    ``outer``: all its barycentric coordinates there are nonnegative."""
+    return all(min(_barycentric_oracle(outer, v)) >= 0 for v in inner.vertices)
 
 
 def det(matrix):

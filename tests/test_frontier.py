@@ -10,12 +10,14 @@ count and witness, and each bracket's bounds, witness, rounds, leaves,
 convergence flag and a-priori rounds, for a converged run and for the
 partial result of ``BudgetExhausted``.  The pieces the local certificate
 tests, which no run keeps, are watched from outside the loop
-(``conftest.leaf_log``) and must match the reference's in order.  A finished
-run holds none of the pieces it visited.  Spies check that a run does only
-the work its answer reads: ``minimize`` values a piece only when its lower
-bound is below the incumbent, each bisection splits one numerator list
-in the local certificate and two in ``minimize``, and a run measures edge
-lengths at its root only: no bisection measures one or forms vertex rows.
+(``conftest.leaf_log``) and must match the reference's in order, a piece
+settled inside a split round standing for as many of the reference's
+certified leaves as its weight.  A finished run holds none of the pieces it
+visited.  Spies check that a run does only the work its answer reads:
+``minimize`` values a piece only when its lower bound is below the
+incumbent, each bisection splits one numerator list in the local
+certificate and two in ``minimize``, and a run measures edge lengths at its
+root only: no bisection measures one or forms vertex rows.
 Best-first's integer keys order pieces as the ``(Fraction, signature)``
 keys they replaced (``conftest.ref_best_first_key``), tied bounds
 included.
@@ -24,7 +26,8 @@ included.
 three, is checked the same way through ``conftest.refine``, which turns its
 leaves back into patches, against rounds of patch objects: each round
 single longest-edge ``split_edge`` calls plus the halving guard, and another
-round on every piece still wider than the threshold.
+round on every piece still wider than the threshold.  With the local
+certificate's ``settled`` rule it is checked against itself without one.
 
 Problems live on the standard n-simplex, n in {1, 2, 3}, shifted by an
 offset and scaled by 1, 1/4 or 4, and on the skewed triangle ``TRI``, whose
@@ -55,6 +58,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from bernbound import (  # noqa: E402
     PowerPoly,
+    RationalPatch,
     Simplex,
     Verdict,
     Witness,
@@ -80,6 +84,7 @@ from conftest import (  # noqa: E402
     closed_form,
     closed_form_on,
     fn_dip,
+    inside,
     leaf_log,
     mul_terms,
     ref_best_first_key,
@@ -319,13 +324,32 @@ SYMMETRIC = (PowerPoly(2, {(0, 0): F(29, 90), (1, 0): F(-2, 3), (0, 1): F(-2, 3)
 
 
 def _local_outcome(den, run):
-    """(verdict, depth, leaves, witness, log) of ``run()``, a local
-    certificate of a function over ``den``, with the (depth, simplex,
-    certified) of each piece it tested."""
+    """(verdict, depth, leaves, witness) of ``run()``, a local certificate
+    of a function over ``den``, the ``conftest.Leaf`` of each piece it
+    tested, and the report."""
     with leaf_log(den) as log:
         report = run()
-    return (report.verdict, report.depth_used, report.leaves, report.witness,
-            [(r.depth, r.simplex, r.certified) for r in log]), report
+    return (report.verdict, report.depth_used, report.leaves, report.witness), log, report
+
+
+def _assert_log_matches(log, want):
+    """The pieces a run tested against the reference's ``want`` log, in
+    order.  A piece of weight 1 is the next reference piece.  A piece of
+    weight w, settled inside a split round, stands for the next w: each
+    certified, at its depth and inside its simplex."""
+    at = 0
+    for leaf in log:
+        if leaf.weight == 1:
+            assert (leaf.depth, leaf.simplex, leaf.certified) == want[at]
+        else:
+            assert leaf.certified
+            stood_for = want[at:at + leaf.weight]
+            assert len(stood_for) == leaf.weight
+            for depth, simplex, certified in stood_for:
+                assert (depth, certified) == (leaf.depth, True)
+                assert inside(simplex, leaf.simplex)
+        at += leaf.weight
+    assert at == len(want)
 
 
 @FRONTIER
@@ -339,15 +363,17 @@ def test_certify_local_matches_reference(problem, n_max):
     num, den, simplex, _ = problem
     n_max = min(n_max, local_cap(simplex))
     root = rational_patch(num, den, simplex)
-    verdict, depth, leaves, witness, log = ref_certify_local(root, n_max)
-    got, _ = _local_outcome(den, lambda: certify_local(num, den, simplex, n_max))
-    assert got == (verdict, depth, leaves, witness, log)
-    got, negative = _local_outcome(den, lambda: certify_negative(
+    verdict, depth, leaves, witness, want = ref_certify_local(root, n_max)
+    got, log, _ = _local_outcome(den, lambda: certify_local(num, den, simplex, n_max))
+    assert got == (verdict, depth, leaves, witness)
+    _assert_log_matches(log, want)
+    got, log, negative = _local_outcome(den, lambda: certify_negative(
         num.negate(), den, simplex, via="local", n_max=n_max))
     if witness is not None:
         witness = Witness(witness.point, -witness.value, witness.kind)
     assert negative.negated
-    assert got == (verdict, depth, leaves, witness, log)
+    assert got == (verdict, depth, leaves, witness)
+    _assert_log_matches(log, want)
 
 
 # Thresholds as fractions of the widest piece's squared diameter after one
@@ -374,6 +400,50 @@ def test_refine_matches_reference(problem, pick):
     for leaf, ref in zip(got, want):
         for mine, theirs in ((leaf.num, ref.num), (leaf.den, ref.den)):
             assert (mine.nums, mine.scale) == (theirs.nums, theirs.scale)
+
+
+# 1/4 + |x - a|^2 / (1 + x/2) on the standard triangle: pieces certify
+# inside the first round already.
+POSITIVE_2D = (*closed_form(F(1, 4), 1, [1, 1, 1], [F(1, 2), 0], [0, 0])[:3], F(1, 4))
+
+
+@settings(FRONTIER, max_examples=50)
+@given(problems(), st.integers(0, 2))
+@example(POSITIVE_2D, 2)
+def test_settled_pieces_stand_for_the_leaves_they_hold(problem, pick):
+    # The driver with the local certificate's ``settled`` rule against the
+    # driver without it, on numerator and denominator, at the thresholds of
+    # ``test_refine_matches_reference``.  A weight-1 piece is the unpruned
+    # leaf in its place; a settled piece certifies and stands for the next
+    # ``weight`` unpruned leaves, each of which certifies and was cut from
+    # it: its path, less the digits of its extra cuts, is the piece's.
+    num, den, simplex, _ = problem
+    root = rational_patch(num, den, simplex)
+    roots = (root.num, root.den)
+    divisors = REFINE_DIVISORS[simplex.dimension]
+    widest = max(diameter_sq(piece.simplex) for piece in root.split_round())
+    threshold = widest / divisors[pick % len(divisors)]
+    threshold = threshold.numerator, threshold.denominator
+    k = root.degree
+    vertices = vertex_positions(k, simplex.dimension)
+    pruned = ratpatch._refine_ints(ratpatch.Piece.of(roots), k, threshold,
+                                   lambda lists: certify._certifies(lists[0], vertices))
+    full = ratpatch._refine_ints(ratpatch.Piece.of(roots), k, threshold)
+    assert sum(piece.weight for piece in pruned) == len(full)
+    size = 2 * len(pruned[0].lengths)
+    at = 0
+    for piece in pruned:
+        if piece.weight == 1:
+            leaf = full[at]
+            assert ((piece.path, piece.cuts, piece.lists, piece.lengths)
+                    == (leaf.path, leaf.cuts, leaf.lists, leaf.lengths))
+        else:
+            assert cert_predicate(RationalPatch(*piece.patches(roots)))
+            for leaf in full[at:at + piece.weight]:
+                assert leaf.cuts > piece.cuts
+                assert leaf.path // size ** (leaf.cuts - piece.cuts) == piece.path
+                assert cert_predicate(RationalPatch(*leaf.patches(roots)))
+        at += piece.weight
 
 
 EPSILONS = st.sampled_from((F(1, 400), F(1, 40), F(1, 4000), F(1, 8), F(1, 2)))
@@ -591,8 +661,8 @@ def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, proble
     real = certify._refine_ints
     refuting = []  # per split: whether a piece it made has a non-positive vertex
 
-    def spy(piece, k, threshold):
-        leaves = real(piece, k, threshold)
+    def spy(piece, k, threshold, settled):
+        leaves = real(piece, k, threshold, settled)
         vertices = vertex_positions(k, len(piece.rows) - 1)
         refuting.append(any(leaf.lists[0][p] <= 0 for leaf in leaves for p in vertices))
         return leaves
@@ -601,6 +671,34 @@ def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, proble
     report = certify_local(*problem, n_max=4)
     assert (report.verdict, report.depth_used) == (Verdict.REFUTED, 2)
     assert refuting.index(True) == len(refuting) - 1 > 0
+
+
+# 1/50 + |x - a|^2 / 64^2 with a = 64 * (1/3, 1/3) on the standard triangle
+# scaled by 64: the Bernstein coefficients of the unscaled problem, but depth
+# 1 asks for pieces of diameter 1/2, so the root's split makes 32,768 leaves.
+WIDE = closed_form_on(F(1, 50), F(1, 64 ** 2), [1, 1, 1], [0, 0],
+                      [[0, 0], [64, 0], [0, 64]])[:3]
+
+
+def test_wide_domain_counts_settled_leaves_without_cutting_them(monkeypatch):
+    # Pieces that certify inside the root's split are returned whole, each
+    # weighing the leaves the split would have cut from it, so the run holds
+    # 18 pieces, not 32,768 leaves' lists.
+    real = certify._refine_ints
+    splits = []
+
+    def spy(*args):
+        pieces = real(*args)
+        splits.append(pieces)
+        return pieces
+
+    monkeypatch.setattr(certify, "_refine_ints", spy)
+    report = certify_local(*WIDE, n_max=10)
+    assert (report.verdict, report.depth_used, report.leaves) == (
+        Verdict.CERTIFIED, 1, 32768)
+    root_split, = splits
+    assert len(root_split) == 18
+    assert sum(piece.weight for piece in root_split) == 32768
 
 
 DIP_DOMAIN = fn_dip()
