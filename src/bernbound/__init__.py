@@ -45,29 +45,30 @@ _EXPORTS = {
         "to_bernstein_standard",
     ),
     "ratpatch": (
+        "ClaimedMinimum",
         "ConvergenceConstants",
         "RationalPatch",
         "Sharpness",
+        "apriori_degree_omega",
+        "apriori_degree_pr",
+        "apriori_depth",
+        "apriori_steps",
         "convergence_constants",
         "rational_patch",
     ),
     "certify": (
         "AprioriInfo",
         "CertificateReport",
-        "ClaimedMinimum",
         "Mode",
         "Verdict",
         "Witness",
-        "apriori_degree_omega",
-        "apriori_degree_pr",
-        "apriori_depth",
         "cert_predicate",
         "certify_global",
         "certify_local",
         "certify_negative",
         "certify_sharpness",
     ),
-    "optimize": ("MinimizationResult", "apriori_steps", "local_bounds", "minimize"),
+    "optimize": ("MinimizationResult", "local_bounds", "minimize"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

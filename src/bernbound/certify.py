@@ -25,15 +25,15 @@ The vertex part is decided once per patch it concerns.  Each subdivision
 piece has its vertex coefficients scanned once (``_refuting_index``); a
 piece that survives certifies iff its smallest coefficient is nonnegative
 (``_certifies``, the one rule behind ``cert_predicate`` and the test that
-settles a piece inside a split round, whose leaves are then counted, not
-cut).
+settles a piece a split cuts, whose leaves are then counted, not cut).
 The global scan checks the root's vertices once: elevation never changes a
 vertex coefficient (it is the function's value there), so after that check
 each degree only asks whether its smallest entry is negative.
 
 Each public ``certify_*`` function, like the command line's ``certify``, is
 one call into ``_certify``, the one run that checks the budgets, converts,
-certifies and attaches the a-priori bounds of any claims.  Every report is
+certifies and attaches the a-priori bounds of any claims, which
+``ratpatch`` computes beside the convergence constants.  Every report is
 built by ``_report``, which times the kernel that asked for it.
 
 The global scan runs on homogeneous coefficients c_alpha = b_alpha *
@@ -56,24 +56,27 @@ from __future__ import annotations
 import time
 from enum import Enum
 from fractions import Fraction
-from math import floor
 from typing import NamedTuple, Optional, Tuple
 
-from .errors import DegreeTooLow, InvalidArgument, NonPositiveClaim
+from .errors import DegreeTooLow, InvalidArgument
 from .geometry import Simplex
 from .indexing import vertex_positions
-from .polypatch import BernsteinPatch, _elevate_homogeneous, _homogeneous, to_bernstein
+from .polypatch import _elevate_homogeneous, _homogeneous, to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import (
-    ConvergenceConstants,
+    ClaimedMinimum,
     Piece,
     RationalPatch,
     _refine_ints,
+    apriori_d1,
+    apriori_d2,
+    apriori_degree_omega,
+    apriori_depth,
     convergence_constants,
     rational_patch,
     subdivide,
 )
-from .rationals import Rational, float_str, format_rational, parse_rational
+from .rationals import Rational, float_str, format_rational
 
 # Default budgets: the global degree and the local depth.
 K_MAX, N_MAX = 30, 10
@@ -89,35 +92,6 @@ class Mode(str, Enum):
     SHARPNESS = "sharpness"
     GLOBAL_ELEVATION = "global-elevation"
     LOCAL_SUBDIVISION = "local-subdivision"
-
-
-class ClaimedMinimum:
-    """A positive lower bound for a function, supplied or optimizer-produced.
-
-    Read-only: setting or deleting ``value`` raises ``AttributeError``."""
-
-    def __init__(self, value: Rational):
-        value = parse_rational(value)
-        if value <= 0:
-            raise NonPositiveClaim(f"claimed minimum must be positive, got {value}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ClaimedMinimum is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ClaimedMinimum is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"ClaimedMinimum(value={self.value!r})"
 
 
 class Witness(NamedTuple):
@@ -316,7 +290,7 @@ def certify_local(
     non-positive one refutes exactly (no later piece is tested or split); a
     piece that survives that scan is a certified leaf, and pruned, when its
     smallest coefficient is nonnegative.  The same certificate settles a
-    piece inside a split round: ``ratpatch._refine_ints`` cuts it no
+    piece a split cuts: ``ratpatch._refine_ints`` cuts it no
     further and returns it as one piece whose ``weight`` is the number of
     leaves the split would have cut from it.  De Casteljau children are
     positive-weight means of their parent, so each of those leaves would
@@ -456,57 +430,3 @@ def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
         apriori = apriori._replace(d2=apriori_d2(num, pmin))
     return report._replace(apriori=apriori)
 
-
-def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:
-    """D1 = omega / fmin + 1."""
-    return constants.omega / fmin.value + 1
-
-
-def apriori_d2(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> Fraction:
-    """D2 = l(l-1)/2 * max|b| / pmin over the numerator's own-degree patch."""
-    degree = num_patch.degree
-    peak = max(abs(c) for c in num_patch.coeffs)
-    return Fraction(degree * (degree - 1), 2) * peak / pmin.value
-
-
-def apriori_degree_omega(
-    constants: ConvergenceConstants,
-    fmin: ClaimedMinimum,
-) -> int:
-    """Smallest degree strictly above D1 (and at least the function degree);
-    sufficient for the global certificate when fmin truly bounds the
-    function from below."""
-    return max(constants.base_degree, floor(apriori_d1(constants, fmin)) + 1)
-
-
-def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
-    """Dimension-independent degree bound from the numerator alone.
-
-    Takes the numerator's own-degree patch over the standard simplex and a
-    positive lower bound for the numerator; returns the smallest admissible
-    degree above D2.  For degree <= 1 the bound is vacuous and the function
-    degree itself suffices.
-    """
-    degree = num_patch.degree
-    if degree <= 1:
-        return degree
-    return max(degree, floor(apriori_d2(num_patch, pmin)) + 1)
-
-
-def apriori_depth(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> int:
-    """Smallest depth N with 2*omega_prime < fmin * 4^N.
-
-    Depth N leaves pieces of diameter h <= 2^-N, so this is 2*omega_prime *
-    h^2 < fmin at the widest such h, a squared form in which no irrational
-    square root enters; sufficient for the local certificate at that depth.
-    With 2*omega_prime / fmin = p/q in lowest terms and e = bit_length(p) -
-    bit_length(q), a positive p/q lies strictly between 2^(e-1) and
-    2^(e+1), so N is ceil(e/2) or one more: the search starts there and
-    takes at most two exact tests.
-    """
-    ratio = 2 * constants.omega_prime / fmin.value
-    p, q = ratio.numerator, ratio.denominator
-    depth = max(0, (p.bit_length() - q.bit_length() + 1) // 2)
-    while p >= q << (2 * depth):
-        depth += 1
-    return depth

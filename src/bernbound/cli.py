@@ -12,7 +12,8 @@ internal error, 141 standard output closed by its reader (128 + SIGPIPE, as
 a shell reports a process that signal ended; nothing is written to stderr).
 
 A command imports only the modules it runs: ``bounds`` loads neither
-``certify`` nor ``optimize``, and ``certify`` does not load ``optimize``.
+``certify`` nor ``optimize``, ``certify`` does not load ``optimize``, and
+``minimize`` does not load ``certify``.
 """
 
 from __future__ import annotations

@@ -114,11 +114,12 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[array, ...]:
 
     Homogeneous coefficients are c_alpha = b_alpha * multinomial(k; alpha);
     elevation maps them to c'_beta = sum over i with beta_i > 0 of
-    c_{beta - e_i}.  Returns one flat source array per slot i = 0..n,
+    c_{beta - e_i}.  Returns one flat signed source array per slot i = 1..n,
     indexed by position at degree + 1: the position of beta - e_i at
-    ``degree``, or the zero sentinel position len(c) = C(degree + n, n)
-    where beta_i = 0.  The table carries no vertex positions: a vertex
-    entry keeps its value under elevation, so no caller looks for it.
+    ``degree``, or -1, the caller's zero sentinel, where beta_i = 0.  Slot 0
+    needs none: its source is beta's own position, or the sentinel on the
+    top grade.  The table carries no vertex positions: a vertex entry keeps
+    its value under elevation, so no caller looks for it.
 
     A hat's position does not depend on the degree (the order is graded on
     the hat), so one hat-to-position map serves both degrees.
@@ -126,18 +127,9 @@ def elevation_sums(degree: int, dimension: int) -> Tuple[array, ...]:
     hats = [hat for grade in range(degree + 2)
             for hat in _hat_indices(grade, dimension)]
     position = {hat: pos for pos, hat in enumerate(hats)}
-    missing = comb(degree + dimension, dimension)
-    columns = []
-    for i in range(dimension + 1):
-        sources = array("I", [missing]) * len(hats)
-        for pos, hat in enumerate(hats):
-            if i == 0:
-                if sum(hat) <= degree:
-                    sources[pos] = pos
-            elif hat[i - 1]:
-                sources[pos] = position[hat[:i - 1] + (hat[i - 1] - 1,) + hat[i:]]
-        columns.append(sources)
-    return tuple(columns)
+    return tuple(array("l", [position[hat[:i] + (hat[i] - 1,) + hat[i + 1:]] if hat[i] else -1
+                             for hat in hats])
+                 for i in range(dimension))
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ Bounds stay unreduced integer pairs a / b, b > 0, and compare by
 cross-multiplying, with the incumbent too: a ``Fraction`` is built only for
 a new incumbent and for the bracket a run returns.  Subdividing shrinks
 the gap between the two; the bounds sandwich the true minimum at all times,
-and an a-priori round count suffices for any requested gap.
+and an a-priori round count (``ratpatch.apriori_steps``) suffices for any
+requested gap.  The minimizer imports nothing from the certifier.
 
 The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``,
 whose every step splits one leaf.  ``uniform`` keys a leaf by its depth, so
@@ -40,7 +41,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .certify import ClaimedMinimum, apriori_depth
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Simplex, _grid_point
 from .indexing import enumerate_indices, vertex_positions
@@ -51,6 +51,7 @@ from .ratpatch import (
     _grid_value,
     _min_position,
     _split_round,
+    apriori_steps,
     convergence_constants,
     rational_patch,
     subdivide,
@@ -165,19 +166,6 @@ class _Key:
         if left != right:
             return left < right
         return self.piece.signature() < other.piece.signature()
-
-
-def apriori_steps(constants, epsilon: Rational) -> int:
-    """Smallest round count N with 2*omega_prime < epsilon * 4^N.
-
-    Every round halves the diameter, as every depth step of the local
-    certificate does, so this is ``apriori_depth`` with the gap target in
-    place of the claimed minimum.
-    """
-    epsilon = parse_rational(epsilon)
-    if epsilon <= 0:
-        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
-    return apriori_depth(constants, ClaimedMinimum(epsilon))
 
 
 def minimize(

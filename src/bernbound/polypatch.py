@@ -250,15 +250,16 @@ def _elevate_homogeneous(c: List[int], degree: int, dimension: int) -> List[int]
     ``c`` holds the degree-``degree`` integers followed by the zero
     sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
     i with beta_i > 0, the sentinel standing in where beta_i = 0.  A vertex
-    entry keeps its value, c'_{(k+1) e_i} = c_{k e_i}.  For n = 1 that is
-    one Pascal row, c'_j = c_{j-1} + c_j, read off ``c`` without a table.
+    entry keeps its value, c'_{(k+1) e_i} = c_{k e_i}.  The i = 0 term is
+    c_beta itself, zero on the new top grade.  For n = 1 that is one Pascal
+    row, c'_j = c_{j-1} + c_j, read off ``c`` without a table.
     """
     if dimension == 1:
         return [c[0], *map(add, c, c[1:]), 0]
     sources = elevation_sums(degree, dimension)
     fetch = c.__getitem__
-    summed = map(fetch, sources[0])
-    for column in sources[1:]:
+    summed = c[:-1] + [0] * (len(sources[0]) + 1 - len(c))
+    for column in sources:
         summed = map(add, summed, map(fetch, column))
     return [*summed, 0]
 

@@ -31,10 +31,14 @@ positive-weight means of its parent's, so a denominator that is positive at
 the root stays positive on every piece.  So the root's rank check and
 denominator check cover every piece, and neither runs again.  The local
 certificate, which reads numerator signs only, splits the numerator alone,
-and stops cutting a piece inside a round once it certifies: that piece
+and stops cutting any piece of a split once it certifies: that piece
 stands for the leaves below it (``Piece.weight``), which all certify too.
 ``RationalPatch.split_round`` turns one round's pieces back into checked
 patches, for callers that want objects.
+
+The a-priori rules (D1, D2, the degrees above them, the local depth and
+``minimize``'s round count) read only the constants, or the numerator's
+patch, and a ``ClaimedMinimum``, so certifier and minimizer share them here.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
+from math import floor
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -51,6 +56,8 @@ from .errors import (
     DegreeTooLow,
     DenominatorNotPositive,
     DimensionMismatch,
+    NonPositiveClaim,
+    NonPositiveEpsilon,
     SimplexMismatch,
 )
 from .geometry import (
@@ -68,7 +75,7 @@ from .geometry import (
 from .indexing import split_table, vertex_positions
 from .polypatch import BernsteinPatch, _grid_sum, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
-from .rationals import Interval, format_rational
+from .rationals import Interval, Rational, format_rational, parse_rational
 
 
 class Sharpness(NamedTuple):
@@ -218,7 +225,7 @@ class Piece:
     every piece is a simplex (see ``_refine_ints``).
 
     ``weight`` is the number of leaves the piece stands for: 1, unless
-    ``_refine_ints`` settled it inside a round, when it counts the leaves
+    ``_refine_ints`` settled it inside a split, when it counts the leaves
     the rest of the refinement would have cut from it.
 
     A run reads the lists and lengths alone.  ``rows`` and ``denom``, the
@@ -321,9 +328,10 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     each piece by its children in place.
 
     ``settled(lists)``, when given, names pieces whose leaves need no
-    lists; it must hold on every piece cut from one it holds on.  A piece
-    strictly inside a round (one that does not start it) on which it holds
-    is returned as it is, in the place of its first leaf, and not split.
+    lists; it must hold on every piece cut from one it holds on.  Each
+    piece cut from ``piece``, round starts included (at n = 1 every cut
+    starts one), on which it holds is returned as it is, in the place of
+    its first leaf, and not split.
     The loop walks the rest of that piece's refinement on edge lengths
     alone, with no lists and no path, and counts in the piece's ``weight``
     the leaves it would have made.  Every other leaf has weight 1, so the
@@ -366,7 +374,7 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
             target, depth = _quarter(c, denom), 0
         elif depth == budget:
             raise DegenerateSimplex("edge bisection failed to halve the diameter")
-        if owner is None and depth and settled is not None and settled(lists):
+        if owner is None and cuts > piece.cuts and settled is not None and settled(lists):
             owner = Piece(root, path, lists, cuts, lengths, 0)
             leaves.append(owner)
         i, j, slots_i, slots_j = bisections[e]
@@ -551,3 +559,90 @@ def convergence_constants(
         base_degree=base,
         working_degree=working,
     )
+
+
+class ClaimedMinimum(NamedTuple("ClaimedMinimum", [("value", Fraction)])):
+    """A positive lower bound for a function, supplied or optimizer-produced.
+
+    A one-field named tuple: read-only, compared, hashed and printed as one.
+    Building it, by ``_replace`` too, parses the value and raises
+    ``NonPositiveClaim`` unless it is positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Rational):
+        value = parse_rational(value)
+        if value <= 0:
+            raise NonPositiveClaim(f"claimed minimum must be positive, got {value}")
+        return super().__new__(cls, value)
+
+    @classmethod
+    def _make(cls, values) -> "ClaimedMinimum":
+        return cls(*values)
+
+
+def apriori_d1(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> Fraction:
+    """D1 = omega / fmin + 1."""
+    return constants.omega / fmin.value + 1
+
+
+def apriori_d2(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> Fraction:
+    """D2 = l(l-1)/2 * max|b| / pmin over the numerator's own-degree patch,
+    read from its integers as one ``Fraction``."""
+    degree, claim = num_patch.degree, pmin.value
+    peak = max(map(abs, num_patch.nums))
+    return Fraction(degree * (degree - 1) * peak * claim.denominator,
+                    2 * num_patch.scale * claim.numerator)
+
+
+def apriori_degree_omega(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> int:
+    """Smallest degree strictly above D1 (and at least the function degree);
+    sufficient for the global certificate when fmin truly bounds the
+    function from below."""
+    return max(constants.base_degree, floor(apriori_d1(constants, fmin)) + 1)
+
+
+def apriori_degree_pr(num_patch: BernsteinPatch, pmin: ClaimedMinimum) -> int:
+    """Dimension-independent degree bound from the numerator alone.
+
+    Takes the numerator's own-degree patch over the standard simplex and a
+    positive lower bound for the numerator; returns the smallest admissible
+    degree above D2.  For degree <= 1 the bound is vacuous and the function
+    degree itself suffices.
+    """
+    degree = num_patch.degree
+    if degree <= 1:
+        return degree
+    return max(degree, floor(apriori_d2(num_patch, pmin)) + 1)
+
+
+def apriori_depth(constants: ConvergenceConstants, fmin: ClaimedMinimum) -> int:
+    """Smallest depth N with 2*omega_prime < fmin * 4^N.
+
+    Depth N leaves pieces of diameter h <= 2^-N, so this is 2*omega_prime *
+    h^2 < fmin at the widest such h, a squared form in which no irrational
+    square root enters; sufficient for the local certificate at that depth.
+    With 2*omega_prime / fmin = p/q in lowest terms and e = bit_length(p) -
+    bit_length(q), a positive p/q lies strictly between 2^(e-1) and
+    2^(e+1), so N is ceil(e/2) or one more: the search starts there and
+    takes at most two exact tests.
+    """
+    ratio = 2 * constants.omega_prime / fmin.value
+    p, q = ratio.numerator, ratio.denominator
+    depth = max(0, (p.bit_length() - q.bit_length() + 1) // 2)
+    while p >= q << (2 * depth):
+        depth += 1
+    return depth
+
+
+def apriori_steps(constants: ConvergenceConstants, epsilon: Rational) -> int:
+    """Smallest round count N with 2*omega_prime < epsilon * 4^N.
+
+    Every round halves the diameter, as every depth step of the local
+    certificate does, so this is ``apriori_depth`` with the gap target in
+    place of the claimed minimum.
+    """
+    epsilon = parse_rational(epsilon)
+    if epsilon <= 0:
+        raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    return apriori_depth(constants, ClaimedMinimum(epsilon))

@@ -497,6 +497,25 @@ def leaf_log(den):
         certify._certify_local = real
 
 
+def interval_leaves(log, num, den):
+    """A one-variable ``leaf_log`` with each settled record of weight w
+    replaced by the w equal intervals the split would have cut from it, at
+    its depth, each read from its own ``rational_patch``: the log of a run
+    that cuts every leaf."""
+    out = []
+    for rec in log:
+        if rec.weight == 1:
+            out.append(rec)
+            continue
+        lo, hi = sorted(v for v, in rec.simplex.vertices)
+        step = (hi - lo) / rec.weight
+        for i in range(rec.weight):
+            f = rational_patch(num, den, Simplex.from_interval(lo + i * step,
+                                                               lo + (i + 1) * step))
+            out.append(Leaf(rec.depth, f.simplex, f.ratios, certify.cert_predicate(f), 1))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

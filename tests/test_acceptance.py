@@ -44,6 +44,7 @@ from conftest import (
     fn_cert3,
     fn_dip,
     grid_point,
+    interval_leaves,
     leaf_log,
     pinned_corpus,
     random_point_in,
@@ -95,6 +96,12 @@ def test_03_local_certificate_subdivision_regression():
     assert report.verdict is Verdict.CERTIFIED
     assert report.depth_used == 2
     assert report.leaves == 5
+    # The run settles [-1, 0] inside the root's split and visits it once for
+    # its two depth-1 leaves, whose coefficients come from their own
+    # conversions here.
+    assert [(rec.simplex, rec.weight) for rec in log if rec.weight > 1] == [
+        (Simplex.from_interval(F(-1), F(0)), 2)]
+    log = interval_leaves(log, num, den)
 
     # published two-decimal tables truncate toward zero; the final printed
     # 0.4 is an erratum for the exact value 1/25 = 0.04

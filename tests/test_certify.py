@@ -35,7 +35,14 @@ from bernbound.errors import (
     InvalidArgument,
     NonPositiveClaim,
 )
-from conftest import fn_cert3, fn_dip, leaf_log, pinned_corpus, rational_instances
+from conftest import (
+    fn_cert3,
+    fn_dip,
+    interval_leaves,
+    leaf_log,
+    pinned_corpus,
+    rational_instances,
+)
 
 UNIT = Simplex.from_interval(0, 1)
 
@@ -124,15 +131,22 @@ class TestCertifyLocal:
     def test_reference_subdivision_trace(self):
         # depth-1 leaves are the four half-width pieces with the known
         # coefficient triples; only [0, 1/2] fails; its depth-2 halves
-        # certify, so the verdict arrives at depth 2 with 5 leaves.
+        # certify, so the verdict arrives at depth 2 with 5 leaves.  The
+        # root's split tests [-1, 0] on its way to the two left leaves, and
+        # it certifies, so the run visits it once for both; their triples
+        # are read from their own conversions (``interval_leaves``).
         num, den, domain = fn_dip()
         with leaf_log(den) as log:
             report = certify_local(num, den, domain, n_max=3)
         assert report.verdict is Verdict.CERTIFIED
         assert report.depth_used == 2
         assert report.leaves == 5
+        assert [(rec.simplex, rec.depth, rec.certified) for rec in log if rec.weight > 1] == [
+            (Simplex.from_interval(F(-1), F(0)), 1, True)]
+        assert sum(rec.weight for rec in log if rec.certified) == 5
 
-        by_simplex = {rec.simplex: rec for rec in log if rec.depth > 0}
+        by_simplex = {rec.simplex: rec for rec in interval_leaves(log, num, den)
+                      if rec.depth > 0}
         expected = {
             Simplex.from_interval(F(-1), F(-1, 2)):
                 ((F(13, 10), F(11, 12), F(7, 11)), True, 1),

@@ -25,9 +25,9 @@ from bernbound import (
     to_bernstein,
 )
 from bernbound import certify, polypatch
-from bernbound.certify import apriori_d1, apriori_d2
 from bernbound.cli import main
 from bernbound.indexing import vertex_positions
+from bernbound.ratpatch import apriori_d1, apriori_d2
 from conftest import fn_cert3, fn_dip, rational_instances
 
 DIP_SPEC = {

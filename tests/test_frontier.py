@@ -678,26 +678,33 @@ def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, proble
 # 1 asks for pieces of diameter 1/2, so the root's split makes 32,768 leaves.
 WIDE = closed_form_on(F(1, 50), F(1, 64 ** 2), [1, 1, 1], [0, 0],
                       [[0, 0], [64, 0], [0, 64]])[:3]
+# The same in one variable: 1/50 + ((x - s/3) / s)^2 on [0, s], s = 2^14.
+# Every bisection of an interval starts a round, so only a rule that tests
+# every piece the split cuts settles any of its 32,768 leaves.
+WIDE_1D = closed_form_on(F(1, 50), F(1, 4 ** 14), [2, 1], [0], [[0], [2 ** 14]])[:3]
 
 
-def test_wide_domain_counts_settled_leaves_without_cutting_them(monkeypatch):
+@pytest.mark.parametrize("problem, pieces", [(WIDE, 14), (WIDE_1D, 3)],
+                         ids=["triangle", "interval"])
+def test_wide_domain_counts_settled_leaves_without_cutting_them(monkeypatch, problem,
+                                                                 pieces):
     # Pieces that certify inside the root's split are returned whole, each
     # weighing the leaves the split would have cut from it, so the run holds
-    # 18 pieces, not 32,768 leaves' lists.
+    # a few pieces, not 32,768 leaves' lists.
     real = certify._refine_ints
     splits = []
 
     def spy(*args):
-        pieces = real(*args)
-        splits.append(pieces)
-        return pieces
+        leaves = real(*args)
+        splits.append(leaves)
+        return leaves
 
     monkeypatch.setattr(certify, "_refine_ints", spy)
-    report = certify_local(*WIDE, n_max=10)
+    report = certify_local(*problem, n_max=10)
     assert (report.verdict, report.depth_used, report.leaves) == (
         Verdict.CERTIFIED, 1, 32768)
     root_split, = splits
-    assert len(root_split) == 18
+    assert len(root_split) == pieces
     assert sum(piece.weight for piece in root_split) == 32768
 
 

@@ -92,14 +92,13 @@ class TestElevationSums:
     @pytest.mark.parametrize("n", range(1, 5))
     @pytest.mark.parametrize("degree", range(9))
     def test_columns_match_reference(self, n, degree):
-        # Column i at the position of beta (|beta| = degree + 1) holds the
-        # position of beta - e_i at ``degree``, or the sentinel
-        # C(degree + n, n) where beta_i = 0; the table holds nothing else.
+        # Column i - 1 at the position of beta (|beta| = degree + 1) holds
+        # the position of beta - e_i at ``degree``, for slots i = 1..n, or
+        # the sentinel -1 where beta_i = 0; the table holds nothing else.
         columns = elevation_sums(degree, n)
         below, above = enumerate_indices(degree, n), enumerate_indices(degree + 1, n)
-        sentinel = comb(degree + n, n)
-        assert len(columns) == n + 1
-        for i, column in enumerate(columns):
+        assert len(columns) == n
+        for i, column in enumerate(columns, 1):
             want = [below.index(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
-                    if beta[i] else sentinel for beta in above]
+                    if beta[i] else -1 for beta in above]
             assert list(column) == want

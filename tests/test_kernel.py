@@ -67,7 +67,14 @@ from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
 from bernbound.optimize import local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
-from conftest import det, grid_point, index_positions, ref_refine_ints, refine  # noqa: E402
+from conftest import (  # noqa: E402
+    det,
+    grid_point,
+    index_positions,
+    mul_terms,
+    ref_refine_ints,
+    refine,
+)
 
 KERNEL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -130,15 +137,6 @@ def ref_predicate(ratios, k, n):
     return all(r >= 0 for r in ratios) and all(ratios[p] > 0 for p in vertices)
 
 
-def _mul_terms(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            out[exp] = out.get(exp, F(0)) + ca * cb
-    return out
-
-
 def ref_substitute_affine(poly, origin, directions):
     """Every monomial re-expanded factor by factor."""
     m = len(directions)
@@ -155,7 +153,7 @@ def ref_substitute_affine(poly, origin, directions):
         prod = {zero_exp: coeff}
         for i, e in enumerate(exps):
             for _ in range(e):
-                prod = _mul_terms(prod, forms[i])
+                prod = mul_terms(prod, forms[i])
         for exp, c in prod.items():
             out[exp] = out.get(exp, F(0)) + c
     return PowerPoly(m, out)
