@@ -3,7 +3,12 @@
 A problem file is JSON with a numerator polynomial, an optional denominator
 (default 1), and a domain given either as a simplex or as an interval.
 Rational numbers are strings like "13/10" or "1.3" and are parsed exactly;
-floats in the output are renderings only.  Each value comes from its flag,
+floats in the output are renderings only.  A plain "p" or "p/q" is read on
+integers, and reports print ratios, patches and vertices from integer
+pairs, so neither reading nor writing builds a ``Fraction`` per
+coefficient.  A domain object needs "interval" or "vertices", and a
+degree too large to convert (``polypatch.MAX_COEFFICIENTS``) is a usage
+error.  Each value comes from its flag,
 else its spec field, else the library's default, and the library checks
 it: the command line keeps no rule of the method.  Exit codes: 0
 success/certified, 1 refuted, 2 inconclusive or budget exhausted, 64 usage
@@ -31,7 +36,7 @@ from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
 from .powerpoly import PowerPoly, _integer
 from .ratpatch import convergence_constants, rational_patch
-from .rationals import float_str, format_rational, parse_rational
+from .rationals import _float_ratio, _format_ratio, float_str, format_rational, parse_rational
 
 EXIT_CERTIFIED = 0
 EXIT_REFUTED = 1
@@ -118,12 +123,15 @@ def parse_problem(data: dict) -> ProblemSpec:
         if denominator.is_zero():
             raise UsageError("spec field 'denominator': the zero polynomial")
     else:
-        denominator = PowerPoly.constant(numerator.dimension, 1)
+        denominator = PowerPoly._from_ints(numerator.dimension,
+                                           (((0,) * numerator.dimension, 1),), 1)
     if "domain" not in data:
         raise UsageError("spec field 'domain' is required")
     domain_data = data["domain"]
+    if not isinstance(domain_data, dict) or not domain_data.keys() & {"interval", "vertices"}:
+        raise UsageError("spec field 'domain': need 'interval' or 'vertices'")
     try:
-        if isinstance(domain_data, dict) and "interval" in domain_data:
+        if "interval" in domain_data:
             interval = domain_data["interval"]
             if not isinstance(interval, list) or len(interval) != 2:
                 raise UsageError("spec field 'domain.interval': need a JSON array"
@@ -211,15 +219,17 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     f = base if degree is None else rational_patch(
         spec.numerator, spec.denominator, spec.domain, degree)
     constants = convergence_constants(base, f.degree)
+    enclosure = f.enclosure()
     sharp = f.sharpness()
     if args.json:
+        patch = f.to_json()
         report = {
             "degree": f.degree,
-            "coefficients": [format_rational(r) for r in f.ratios],
-            "coefficients_float": [float_str(r) for r in f.ratios],
+            "coefficients": patch["ratios"],
+            "coefficients_float": [_float_ratio(a, b) for a, b in f._ratio_pairs()],
             "enclosure": {
-                "lo": format_rational(f.enclosure().lo),
-                "hi": format_rational(f.enclosure().hi),
+                "lo": format_rational(enclosure.lo),
+                "hi": format_rational(enclosure.hi),
             },
             "sharpness": sharp._asdict(),
             "constants": {
@@ -228,13 +238,13 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
                 "omega_prime": format_rational(constants.omega_prime),
                 "min_den": format_rational(constants.min_den),
             },
-            "patch": f.to_json(),
+            "patch": patch,
         }
         print(json.dumps(report, indent=2))
         return EXIT_CERTIFIED
     print(f"degree: {f.degree}")
-    print("coefficients: " + ", ".join(format_rational(r) for r in f.ratios))
-    print(f"enclosure: {_format_interval(f.enclosure())}")
+    print("coefficients: " + ", ".join([_format_ratio(a, b) for a, b in f._ratio_pairs()]))
+    print(f"enclosure: {_format_interval(enclosure)}")
     min_note = f"yes (vertex {sharp.min_vertex})" if sharp.min_sharp else "no"
     max_note = f"yes (vertex {sharp.max_vertex})" if sharp.max_sharp else "no"
     print(f"min sharp: {min_note}")

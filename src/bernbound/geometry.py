@@ -10,7 +10,9 @@ coordinates over one positive denominator, reduced so that equal simplices
 store equal integers; the ``Fraction`` tuples in ``vertices`` are a view
 built on first use.  One fraction-free (Bareiss) elimination,
 ``_bareiss``, checks affine independence on the integers and solves for
-barycentric coordinates; a point is read by ``rationals.parse_point``.
+barycentric coordinates; a point, and each vertex, is read as integer
+pairs by ``rationals._point_ratios``, so no ``Fraction`` is built per
+coordinate.
 One rule measures edges: ``_edge_lengths`` gives a simplex's integer
 squared lengths over denom**2 in ``_edge_pairs`` order, and ``_longest``
 takes their first maximum; a ``Simplex`` stores no measure.
@@ -38,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DimensionMismatch
 from .powerpoly import PowerPoly, _pullback
-from .rationals import Rational, format_rational, parse_point
+from .rationals import Rational, _format_ratio, _point_ratios
 
 Point = Tuple[Fraction, ...]
 
@@ -56,7 +58,7 @@ class Simplex:
     __slots__ = ("ints", "denom", "_vertices")
 
     def __init__(self, vertices: Sequence[Sequence[Rational]]):
-        pts = tuple(parse_point(v) for v in vertices)
+        pts = [_point_ratios(v) for v in vertices]
         if not pts:
             raise DegenerateSimplex("empty vertex list")
         n = len(pts) - 1
@@ -66,10 +68,8 @@ class Simplex:
             raise DegenerateSimplex(
                 f"{n + 1} vertices must each have {n} coordinates"
             )
-        denom = lcm(*(c.denominator for p in pts for c in p))
-        ints = tuple(tuple([c.numerator * (denom // c.denominator) for c in p])
-                     for p in pts)
-        _setup(self, ints, denom, pts)
+        denom = lcm(*[q for p in pts for _, q in p])
+        _setup(self, tuple([tuple([a * (denom // q) for a, q in p]) for p in pts]), denom)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Simplex is immutable; cannot set {name!r}")
@@ -108,7 +108,7 @@ class Simplex:
 
     def to_json(self) -> dict:
         return {
-            "vertices": [[format_rational(c) for c in v] for v in self.vertices]
+            "vertices": [[_format_ratio(x, self.denom) for x in row] for row in self.ints]
         }
 
     @classmethod
@@ -121,19 +121,18 @@ class Simplex:
         return cls([[a], [b]])
 
 
-def _setup(simplex: Simplex, ints, denom: int, pts=None) -> None:
+def _setup(simplex: Simplex, ints, denom: int) -> None:
     """Check that the integer vertices ``ints`` over ``denom`` span a
     simplex (Bareiss elimination) and fill in ``simplex``.  Every
-    ``Simplex``, given or made by bisection, passes through here; ``pts`` is
-    the Fraction view when the caller already has it."""
+    ``Simplex``, given or made by bisection, passes through here."""
     put = object.__setattr__
     put(simplex, "ints", ints)
     put(simplex, "denom", denom)
-    put(simplex, "_vertices", pts)
+    put(simplex, "_vertices", None)
     v0 = ints[0]
     if _bareiss([[a - b for a, b in zip(vi, v0)] for vi in ints[1:]]) is None:
-        points = ", ".join(f"({', '.join(map(format_rational, v))})"
-                           for v in simplex.vertices)
+        points = ", ".join(f"({', '.join([_format_ratio(x, denom) for x in row])})"
+                           for row in ints)
         raise DegenerateSimplex(f"vertices are affinely dependent: ({points})")
 
 
@@ -192,11 +191,11 @@ def _barycentric_weights(simplex: Simplex, point: Sequence[Rational]) -> List[in
     an integer, and back substitution finds them with exact divisions.
     """
     n = simplex.dimension
-    x = parse_point(point)
+    x = _point_ratios(point)
     if len(x) != n:
         raise DimensionMismatch(f"point has {len(x)} coordinates, expected {n}")
-    scale = lcm(*(c.denominator for c in x))
-    rhs = [c.numerator * (scale // c.denominator) * simplex.denom for c in x]
+    scale = lcm(*[q for _, q in x])
+    rhs = [p * (scale // q) * simplex.denom for p, q in x]
     rows = [[1] * (n + 2)]
     for c in range(n):
         rows.append([scale * v[c] for v in simplex.ints] + [rhs[c]])

@@ -20,19 +20,22 @@ certificate once, at the root, and the step carries no vertex positions.
 Conversion from the power basis is one kernel, ``to_bernstein``: integer
 Horner pullback from the simplex's rows, a table scatter into the grid,
 the edge split's de Casteljau triangle (``_triangle``) along each axis,
-and one gcd; second differences are integer too, building a ``Fraction``
-only per returned entry, and ``eval`` is one integer weighted sum
-(``_grid_sum``).
+and one gcd.  It refuses a degree whose C(k + n, n) coefficients exceed
+``MAX_COEFFICIENTS`` (``InvalidArgument``) before it allocates any.  Second
+differences are integer too, building a ``Fraction`` only per returned
+entry, and ``eval`` is one integer weighted sum (``_grid_sum``).  The
+constructor reads coefficients as integer pairs and ``to_json`` prints
+them from ``nums`` over ``scale``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, lshift, mul, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .errors import DegreeTooLow, DimensionMismatch
+from .errors import DegreeTooLow, DimensionMismatch, InvalidArgument
 from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
 from .indexing import (
     conversion_table,
@@ -43,9 +46,14 @@ from .indexing import (
     split_table,
 )
 from .powerpoly import PowerPoly, _integer
-from .rationals import Interval, Rational, format_rational, parse_rational
+from .rationals import Interval, Rational, _format_ratio, _ratio
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
+
+# The most coefficients one conversion makes: C(k + n, n) at degree k over an
+# n-simplex.  It admits n = 5 at k = 33 (501,942) and refuses a runaway
+# degree before anything is allocated.
+MAX_COEFFICIENTS = 1 << 20
 
 
 class SecondDifferences(NamedTuple):
@@ -69,17 +77,17 @@ class BernsteinPatch:
 
     def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
         degree = _integer(degree, "degree")
-        values = tuple(parse_rational(c) for c in coeffs)
+        values = [_ratio(c) for c in coeffs]
         expected = len(enumerate_indices(degree, simplex.dimension))
         if len(values) != expected:
             raise ValueError(
                 f"degree-{degree} patch over a {simplex.dimension}-simplex "
                 f"needs {expected} coefficients, got {len(values)}"
             )
-        scale = lcm(*(v.denominator for v in values))
+        scale = lcm(*[q for _, q in values])
         self.simplex = simplex
         self.degree = degree
-        self.nums = tuple(v.numerator * (scale // v.denominator) for v in values)
+        self.nums = tuple([p * (scale // q) for p, q in values])
         self.scale = scale
 
     @classmethod
@@ -188,7 +196,7 @@ class BernsteinPatch:
         return {
             "simplex": self.simplex.to_json(),
             "degree": self.degree,
-            "coeffs": [format_rational(c) for c in self.coeffs],
+            "coeffs": [_format_ratio(a, self.scale) for a in self.nums],
         }
 
 
@@ -315,6 +323,9 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     (0, axis): the grid becomes the unshifted entries that ``split_nums``
     gathers for the child keeping v_0.  One gcd reduces the result, so the
     numerators and scale are canonical.
+
+    A degree with more than ``MAX_COEFFICIENTS`` coefficients raises
+    ``InvalidArgument`` before the grid is allocated.
     """
     n = simplex.dimension
     if poly.dimension != n:
@@ -324,6 +335,11 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     if degree < poly.degree:
         raise DegreeTooLow(
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
+        )
+    if (count := comb(degree + n, n)) > MAX_COEFFICIENTS:
+        raise InvalidArgument(
+            f"Bernstein degree {degree} over a {n}-simplex needs {count} coefficients,"
+            f" more than {MAX_COEFFICIENTS}"
         )
     width, table = conversion_table(degree, n)
     packed, scale = _pulled_back(simplex, poly, width)

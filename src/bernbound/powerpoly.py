@@ -8,13 +8,20 @@ floats and strings are rejected rather than truncated.
 Coefficients are stored as integers over one positive scale, reduced so that
 equal polynomials store equal integers; the ``Fraction`` terms are a view
 built on first use.  The constructor alone validates, parses and sums user
-terms (``from_json`` checks only the JSON shape).  Composition with an
-affine map has one rule, ``_pullback``: multivariate Horner on integer
-linear forms over one denominator, giving packed integer terms with no
-``Fraction`` per term.  ``polypatch.to_bernstein`` scatters those packed
-terms straight into its Bernstein grid; ``substitute_affine`` (rational
-arguments put over one denominator) and ``geometry.affine_pullback`` decode
-them into a ``PowerPoly`` with ``_from_packed``.
+terms (``from_json`` checks only the JSON shape), on integers: each
+coefficient is read as a reduced pair by ``rationals._ratio``, repeated
+exponents add as pairs, and ``_exponents`` checks a tuple of plain ints
+with one look at each entry, so a problem file's terms build no
+``Fraction``.  ``eval`` is one integer sum over the point's common
+denominator, and ``to_json`` prints each term from its integers.
+
+Composition with an affine map has one rule, ``_pullback``: multivariate
+Horner on integer linear forms over one denominator, giving packed integer
+terms with no ``Fraction`` per term.  ``polypatch.to_bernstein`` scatters
+those packed terms straight into its Bernstein grid; ``substitute_affine``
+(rational arguments put over one denominator) and
+``geometry.affine_pullback`` decode them into a ``PowerPoly`` with
+``_from_packed``.
 """
 
 from __future__ import annotations
@@ -25,10 +32,9 @@ from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, InvalidArgument
-from .rationals import Rational, format_rational, parse_point, parse_rational
+from .rationals import Rational, _format_ratio, _point_ratios, _ratio
 
 Exponents = Tuple[int, ...]
-TermMap = Dict[Exponents, Fraction]
 
 
 def _integer(value, what: str) -> int:
@@ -39,6 +45,28 @@ def _integer(value, what: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{what} {value!r} is not an integer")
+
+
+def _exponents(exps: Iterable, dimension: int) -> Exponents:
+    """``exps`` as a tuple of ``dimension`` non-negative integers.  Its
+    checks raise in order: an entry that is not an integer
+    (``TypeError``), the wrong length (``DimensionMismatch``), a negative
+    entry (``ValueError``).  A tuple of plain ``int`` entries, none
+    negative, of the right length passes them all after one look at each
+    entry."""
+    exps = tuple(exps)
+    if len(exps) == dimension:
+        for e in exps:
+            if e.__class__ is not int or e < 0:
+                break
+        else:
+            return exps
+    exps = tuple([_integer(e, "exponent") for e in exps])
+    if len(exps) != dimension:
+        raise DimensionMismatch(f"exponent tuple {exps} does not have {dimension} entries")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
 
 def _term_sort_key(item: Tuple[Exponents, Fraction]):
@@ -63,26 +91,24 @@ class PowerPoly:
         dimension = _integer(dimension, "dimension")
         if dimension < 1:
             raise ValueError(f"dimension must be at least 1, got {dimension}")
-        cleaned: TermMap = {}
+        cleaned: Dict[Exponents, Tuple[int, int]] = {}
         for exps, coeff in terms.items() if isinstance(terms, Mapping) else terms:
-            exps = tuple([_integer(e, "exponent") for e in exps])
-            if len(exps) != dimension:
-                raise DimensionMismatch(
-                    f"exponent tuple {exps} does not have {dimension} entries"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            value = parse_rational(coeff)
-            if value:
-                cleaned[exps] = cleaned[exps] + value if exps in cleaned else value
-        items = sorted(((e, c) for e, c in cleaned.items() if c), key=_term_sort_key)
-        scale = lcm(*(c.denominator for _, c in items))
+            exps = _exponents(exps, dimension)
+            p, q = _ratio(coeff)
+            if p:
+                if exps in cleaned:
+                    a, b = cleaned[exps]
+                    p, q = a * q + p * b, b * q
+                    g = gcd(p, q)
+                    p, q = p // g, q // g
+                cleaned[exps] = p, q
+        items = sorted([(sum(e), e, p, q) for e, (p, q) in cleaned.items() if p])
+        scale = lcm(*[q for *_, q in items])
         self.dimension = dimension
-        self.degree = sum(items[-1][0]) if items else 0
-        self.int_terms = tuple([(e, c.numerator * (scale // c.denominator))
-                                for e, c in items])
+        self.degree = items[-1][0] if items else 0
+        self.int_terms = tuple([(e, p * (scale // q)) for _, e, p, q in items])
         self.scale = scale
-        self._terms = tuple(items)
+        self._terms = None
 
     @classmethod
     def _from_ints(cls, dimension: int, int_terms, scale: int) -> "PowerPoly":
@@ -102,42 +128,45 @@ class PowerPoly:
 
     @classmethod
     def constant(cls, dimension: int, value: Rational) -> "PowerPoly":
-        return cls(dimension, {(0,) * dimension: parse_rational(value)})
+        return cls(dimension, {(0,) * dimension: value})
 
     @classmethod
     def univariate(cls, coeffs: Sequence[Rational]) -> "PowerPoly":
         """Build from ascending coefficients [a0, a1, ...] of a0 + a1*x + ..."""
-        return cls(1, {(i,): parse_rational(c) for i, c in enumerate(coeffs)})
+        return cls(1, {(i,): c for i, c in enumerate(coeffs)})
 
-    def _fractions(self) -> Tuple[Tuple[Exponents, Fraction], ...]:
+    def iter_terms(self) -> Iterable[Tuple[Exponents, Fraction]]:
         """The terms with exact ``Fraction`` coefficients, built on first
         use."""
         if self._terms is None:
             scale = self.scale
             self._terms = tuple([(e, Fraction(c, scale)) for e, c in self.int_terms])
-        return self._terms
-
-    def iter_terms(self) -> Iterable[Tuple[Exponents, Fraction]]:
-        return iter(self._fractions())
+        return iter(self._terms)
 
     def is_zero(self) -> bool:
         return not self.int_terms
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
-        """Exact value at a rational point (``parse_point``)."""
-        coords = parse_point(point)
+        """Exact value at a rational point (``rationals._point_ratios``): with
+        the coordinates X_i / D over one denominator, the integer
+        sum of c * prod X_i^e_i * D^(d - |e|) over scale * D^d, for the
+        degree d."""
+        coords = _point_ratios(point)
         if len(coords) != self.dimension:
             raise DimensionMismatch(
                 f"point has {len(coords)} coordinates, polynomial has {self.dimension}"
             )
-        total = Fraction(0)
-        for exps, coeff in self._fractions():
-            value = coeff
-            for x, e in zip(coords, exps):
+        denom = lcm(*[q for _, q in coords])
+        xs = [p * (denom // q) for p, q in coords]
+        degree = self.degree
+        total = 0
+        for exps, c in self.int_terms:
+            term = c * denom ** (degree - sum(exps))
+            for x, e in zip(xs, exps):
                 if e:
-                    value *= x ** e
-            total += value
-        return total
+                    term *= x ** e
+            total += term
+        return Fraction(total, self.scale * denom ** degree)
 
     def negate(self) -> "PowerPoly":
         return PowerPoly._from_ints(
@@ -167,13 +196,12 @@ class PowerPoly:
             if len(direction) != n:
                 raise DimensionMismatch(
                     f"direction has {len(direction)} entries, expected {n}")
-        values = [parse_rational(c) for c in origin]
-        rows = [[parse_rational(c) for c in direction] for direction in directions]
-        lcd = lcm(*(c.denominator for c in values),
-                  *(c.denominator for row in rows for c in row))
+        values = [_ratio(c) for c in origin]
+        rows = [[_ratio(c) for c in direction] for direction in directions]
+        lcd = lcm(*(q for _, q in values), *(q for row in rows for _, q in row))
 
         def lift(row):
-            return [c.numerator * (lcd // c.denominator) for c in row]
+            return [p * (lcd // q) for p, q in row]
 
         width = self.degree.bit_length()
         return PowerPoly._from_packed(
@@ -199,8 +227,8 @@ class PowerPoly:
         return {
             "dimension": self.dimension,
             "terms": [
-                {"exponents": list(exps), "coeff": format_rational(coeff)}
-                for exps, coeff in self._fractions()
+                {"exponents": list(exps), "coeff": _format_ratio(c, self.scale)}
+                for exps, c in self.int_terms
             ],
         }
 
@@ -241,13 +269,13 @@ class PowerPoly:
         if not self.int_terms:
             return f"PowerPoly.zero({self.dimension})"
         parts = []
-        for exps, coeff in self._fractions():
+        for exps, c in self.int_terms:
             mono = "*".join(
                 f"x{i}^{e}" if e > 1 else f"x{i}"
                 for i, e in enumerate(exps)
                 if e
             )
-            text = format_rational(coeff)
+            text = _format_ratio(c, self.scale)
             parts.append(f"{text}*{mono}" if mono else text)
         return " + ".join(parts)
 

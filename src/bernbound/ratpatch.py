@@ -15,10 +15,14 @@ read only that: the certificate predicate and the refuting-vertex search
 read signs, ``_min_position`` finds the smallest ratio, ``_grid_value`` a
 grid value as an integer pair, and a ``Fraction`` is built only for a value
 that is returned (``ratio``, ``vertex_ratios``).  Patch methods and pieces
-share each rule.
-The full per-index ``ratios`` tuple is the output view for enclosures and
-JSON, built on first use.  The convergence constants read the same
-integers: a ``Fraction`` per constant, none per coefficient.
+share each rule.  The enclosure is the ratios at the first smallest and
+first largest positions (``_min_position`` on the numerators and on their
+negations), and sharpness compares the vertex ratios with those two by
+cross-multiplying: two ``Fraction`` values, none per coefficient.  JSON
+prints each ratio from its integer pair (``_ratio_pairs``); the full
+per-index ``ratios`` tuple is a view built on first use.  The convergence
+constants read the same integers: a ``Fraction`` per constant, none per
+coefficient.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
 the root's integer vertex rows, a bisection path from it, one integer list
@@ -75,7 +79,7 @@ from .geometry import (
 from .indexing import split_table, vertex_positions
 from .polypatch import BernsteinPatch, _grid_sum, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
-from .rationals import Interval, Rational, format_rational, parse_rational
+from .rationals import Interval, Rational, _format_ratio, parse_rational
 
 
 class Sharpness(NamedTuple):
@@ -137,9 +141,13 @@ class RationalPatch:
     @cached_property
     def ratios(self) -> Tuple[Fraction, ...]:
         """Per-index ratios num/den, exactly, in canonical index order."""
+        return tuple([Fraction(a, b) for a, b in self._ratio_pairs()])
+
+    def _ratio_pairs(self) -> List[Tuple[int, int]]:
+        """Per-index ratios as unreduced integer pairs (a, b), b > 0, in
+        canonical index order: what an output prints, with no ``Fraction``."""
         t, s = self.den.scale, self.num.scale
-        return tuple([Fraction(a * t, b * s)
-                      for a, b in zip(self.num.nums, self.den.nums)])
+        return [(a * t, b * s) for a, b in zip(self.num.nums, self.den.nums)]
 
     @property
     def degree(self) -> int:
@@ -162,24 +170,33 @@ class RationalPatch:
         return tuple(map(self.ratio, vertex_positions(self.degree, self.dimension)))
 
     @cached_property
-    def _enclosure(self) -> Interval:
-        return Interval(min(self.ratios), max(self.ratios))
+    def _extremes(self) -> Tuple[int, int]:
+        """The first positions of the smallest and of the largest ratio,
+        found by cross-multiplying: the largest of a / b is the smallest of
+        -a / b."""
+        nums, dens = self.num.nums, self.den.nums
+        return _min_position(nums, dens), _min_position([-a for a in nums], dens)
 
     def enclosure(self) -> Interval:
         """[min ratio, max ratio]; contains the function's range over |V|.
-        Computed on first use, like ``ratios``."""
-        return self._enclosure
+        Two ``Fraction`` values, read at ``_extremes``."""
+        return Interval(*map(self.ratio, self._extremes))
 
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
         return RationalPatch(self.num.elevate(), self.den.elevate())
 
     def sharpness(self) -> Sharpness:
-        """An endpoint is exact iff it is attained at some vertex index."""
-        lo, hi = self.enclosure()
-        vertex = self.vertex_ratios()
-        min_vertex = next((i for i, r in enumerate(vertex) if r == lo), None)
-        max_vertex = next((i for i, r in enumerate(vertex) if r == hi), None)
+        """An endpoint is exact iff it is attained at some vertex index; the
+        witness is the first such vertex.  A vertex ratio equals an extreme
+        one when their numerators cross-multiply equal (both numerators are
+        over one scale)."""
+        nums, dens = self.num.nums, self.den.nums
+        positions = vertex_positions(self.degree, self.dimension)
+        min_vertex, max_vertex = [
+            next((i for i, v in enumerate(positions) if nums[v] * dens[p] == nums[p] * dens[v]),
+                 None)
+            for p in self._extremes]
         return Sharpness(min_vertex is not None, max_vertex is not None,
                          min_vertex, max_vertex)
 
@@ -204,7 +221,7 @@ class RationalPatch:
         return {
             "num": self.num.to_json(),
             "den": self.den.to_json(),
-            "ratios": [format_rational(r) for r in self.ratios],
+            "ratios": [_format_ratio(a, b) for a, b in self._ratio_pairs()],
         }
 
 

@@ -7,7 +7,9 @@ functions are closed-form by construction, the subdivision driver's
 carried edge lengths are checked against a copy of it that carries vertex
 rows and measures every piece's edges afresh (``ref_refine_ints``), and
 best-first ``minimize``'s integer keys against the ``Fraction`` keys they
-replaced (``ref_best_first_key``).
+replaced (``ref_best_first_key``), and the integer reader of problem
+files against the ``Fraction`` parser it sits in front of
+(``parse_rational_oracle``).
 """
 
 from contextlib import contextmanager
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 import random
+import sys
 from typing import NamedTuple, Tuple
 
 from bernbound import (
@@ -31,6 +34,31 @@ from bernbound.polypatch import split_nums
 from bernbound.ratpatch import Piece, RationalPatch, _refine_ints, rational_patch
 
 F = Fraction
+
+
+def parse_rational_oracle(value):
+    """The rational parser as a ``Fraction`` rule alone: ``"p/q"``,
+    decimals, exponents and ints, bools refused, and the interpreter's digit
+    limit on the exponent and on the reduced value (the library's
+    ``parse_rational`` before its strings were read on integers)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            _, marker, exponent = value.lower().rpartition("e")
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            if marker and limit and abs(int(exponent)) >= limit:
+                raise ValueError(f"10^|exponent| has more than {limit} digits")
+            parsed = Fraction(value.strip())
+            big = max(abs(parsed.numerator), parsed.denominator)
+            if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+                raise ValueError(f"more than {limit} digits")
+            return parsed
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational number: {value!r}") from exc
+    raise ValueError(f"not a rational number: {value!r}")
 
 
 # ---------------------------------------------------------------------------

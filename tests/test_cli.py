@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from bernbound import (
     to_bernstein,
 )
 from bernbound import certify, polypatch
-from bernbound.cli import main
+from bernbound.cli import main, parse_problem
 from bernbound.indexing import vertex_positions
 from bernbound.ratpatch import apriori_d1, apriori_d2
 from conftest import fn_cert3, fn_dip, rational_instances
@@ -401,8 +402,10 @@ class TestUsageAndErrors:
         ({**DIP_SPEC, "domain": {"vertices": []}}, "spec field 'domain': empty vertex list"),
         ({**DIP_SPEC, "domain": {"vertices": [["0"]]}},
          "spec field 'domain': a simplex needs at least two vertices"),
+        ({**DIP_SPEC, "domain": {}}, "spec field 'domain': need 'interval' or 'vertices'"),
     ], ids=["not-an-object", "no-domain", "numerator-array", "terms-object", "term-array",
-            "exponents-integer", "no-coeff", "no-dimension", "no-vertices", "one-vertex"])
+            "exponents-integer", "no-coeff", "no-dimension", "no-vertices", "one-vertex",
+            "domain-empty"])
     def test_spec_shape(self, tmp_path, capsys, data, message):
         spec = _write(tmp_path, "shape.json", data)
         assert main(["bounds", spec]) == 64
@@ -664,6 +667,24 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == (
             "error: Bernstein degree 1 below polynomial degree 3\n")
 
+    @pytest.mark.parametrize("argv, exponent", [
+        (["bounds", "--degree", "100000000"], 2),
+        (["certify", "--mode", "sharpness"], 100000000),
+    ], ids=["degree-flag", "spec-exponent"])
+    def test_conversion_size_cap(self, tmp_path, capsys, argv, exponent):
+        # Each asks for 10^8 + 1 Bernstein coefficients; the conversion
+        # refuses before it allocates any, as a usage error.  The cap admits
+        # n = 5 at degree 33.
+        spec = _write(tmp_path, "huge.json", {
+            "numerator": {"dimension": 1, "terms": [{"exponents": [exponent], "coeff": "1"}]},
+            "domain": {"interval": ["0", "1"]},
+        })
+        assert main([argv[0], spec, *argv[1:]]) == 64
+        assert capsys.readouterr().err == (
+            "error: Bernstein degree 100000000 over a 1-simplex needs 100000001"
+            f" coefficients, more than {polypatch.MAX_COEFFICIENTS}\n")
+        assert comb(38, 5) <= polypatch.MAX_COEFFICIENTS
+
     @pytest.mark.parametrize("mode", ["global", "negative"])
     def test_kmax_below_function_degree(self, dip_spec, capsys, mode):
         assert main(["certify", dip_spec, "--mode", mode, "--kmax", "1"]) == 64
@@ -924,3 +945,36 @@ def test_values_match_the_spec(tmp_path, capsys, spec, argv):
         assert [F(report["coefficients"][p]) for p in positions] == list(map(f, vertices))
     else:
         assert f(report["witness"]) == F(report["upper"]) >= F(report["lower"])
+
+
+@pytest.mark.parametrize("with_denominator", [True, False], ids=["denominator", "default-1"])
+def test_parse_problem_builds_no_fraction(monkeypatch, with_denominator):
+    """A spec whose coefficients and vertices are plain ``"p/q"`` strings is
+    read on integers: ``Fraction.__new__``, patched to count, is never
+    called.  A reader that goes back to a ``Fraction`` per term fails
+    here, with no timing."""
+    data = {
+        "numerator": {"dimension": 2, "terms": [
+            {"exponents": [0, 0], "coeff": "-55/32"}, {"exponents": [1, 0], "coeff": "6/4"},
+            {"exponents": [0, 1], "coeff": "7"}, {"exponents": [0, 0], "coeff": "1/3"}]},
+        "domain": {"vertices": [["-1/4", "-1/2"], ["1/2", "-3/4"], ["-1/4", "1/4"]]},
+    }
+    if with_denominator:
+        data["denominator"] = {"dimension": 2, "terms": [
+            {"exponents": [0, 0], "coeff": "14/3"}, {"exponents": [1, 1], "coeff": "-1/9"}]}
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    spec = parse_problem(data)
+    monkeypatch.undo()
+    assert built == []
+    assert spec.numerator == PowerPoly(2, {(0, 0): F(-133, 96), (1, 0): F(3, 2), (0, 1): 7})
+    assert spec.denominator == (PowerPoly(2, {(0, 0): F(14, 3), (1, 1): F(-1, 9)})
+                                if with_denominator else PowerPoly.constant(2, 1))
+    assert spec.domain == bernbound.Simplex(
+        [[F(-1, 4), F(-1, 2)], [F(1, 2), F(-3, 4)], [F(-1, 4), F(1, 4)]])

@@ -14,7 +14,8 @@ integer barycentric solve against Fraction Gauss-Jordan, the longest edge measur
 Fraction pair loop, and grid-point values from integer sums against
 evaluation through barycentric coordinates.  Integer vertices are checked
 against Fraction midpoints along bisection chains, the integer leaf tests
-(smallest ratio, vertex ratios, refuting vertex) against the full ratio
+(smallest ratio, vertex ratios, refuting vertex) and the cross-multiplied
+enclosure and sharpness (on patches full of ties) against the full ratio
 tuple, and the integer pullback result against the ``PowerPoly`` built from
 the Fraction reference.  One split round, run as an integer kernel on
 plain data, is checked against the chain of single edge splits it replaces
@@ -667,6 +668,45 @@ def test_leaf_tests_match_full_ratios(case, data):
     else:
         assert refute.point == f.simplex.vertices[first]
         assert refute.value == ratios[vertices[first]]
+
+
+@st.composite
+def tied_patches(draw):
+    """Rational patches whose ratios tie often: few distinct small values,
+    and some constant functions (num = c * den) or patches with one value
+    at every vertex."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    simplex = draw(simplices(n))
+    size = len(enumerate_indices(k, n))
+    den = draw(st.lists(st.sampled_from([F(1), F(2), F(1, 3)]), min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["free", "constant", "equal-vertices"]))
+    if shape == "constant":
+        c = draw(st.sampled_from([F(-1), F(0), F(3, 2)]))
+        num = [c * d for d in den]
+    else:
+        num = draw(st.lists(st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(5, 3)]),
+                            min_size=size, max_size=size))
+        if shape == "equal-vertices":
+            for p in vertex_positions(k, n):
+                num[p] = den[p] / 2
+    return RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
+
+
+@settings(KERNEL, max_examples=200)
+@given(tied_patches())
+def test_enclosure_and_sharpness_match_full_ratios(f):
+    # The cross-multiplied extremes against min and max over Fraction
+    # ratios, and each sharp vertex against the first vertex attaining it.
+    ratios = [a / b for a, b in zip(f.num.coeffs, f.den.coeffs)]
+    lo, hi = min(ratios), max(ratios)
+    assert f.enclosure() == (lo, hi)
+    assert f._extremes == (ratios.index(lo), ratios.index(hi))
+    vertex = [ratios[p] for p in vertex_positions(f.degree, f.dimension)]
+    min_vertex = vertex.index(lo) if lo in vertex else None
+    max_vertex = vertex.index(hi) if hi in vertex else None
+    assert f.sharpness() == (min_vertex is not None, max_vertex is not None,
+                             min_vertex, max_vertex)
 
 
 @st.composite
