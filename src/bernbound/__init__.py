@@ -22,11 +22,10 @@ _EXPORTS = {
         "InvalidArgument",
         "NonPositiveClaim",
         "NonPositiveEpsilon",
-        "OrderExceedsDegree",
         "SimplexMismatch",
     ),
     "rationals": ("Interval", "parse_rational", "format_rational"),
-    "indexing": ("binom_graded", "enumerate_indices"),
+    "indexing": ("enumerate_indices",),
     "powerpoly": ("PowerPoly",),
     "geometry": (
         "Simplex",

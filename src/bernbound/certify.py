@@ -61,7 +61,13 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import DegreeTooLow, InvalidArgument
 from .geometry import Simplex
 from .indexing import vertex_positions
-from .polypatch import _elevate_homogeneous, _homogeneous, to_bernstein
+from .polypatch import (
+    MAX_TRIANGLE,
+    _elevate_homogeneous,
+    _homogeneous,
+    _triangle_size,
+    to_bernstein,
+)
 from .powerpoly import PowerPoly
 from .ratpatch import (
     ClaimedMinimum,
@@ -244,7 +250,9 @@ def certify_global(
     value refutes immediately and is exact.  Elevation keeps those
     coefficients positive, so every ratio keeps its numerator coefficient's
     sign and the scan elevates the numerator alone, one degree at a time,
-    until none of its coefficients is negative or the degree reaches k_max.
+    until none of its coefficients is negative or the degree reaches k_max,
+    or the last degree the size cap admits (``polypatch.MAX_TRIANGLE``),
+    where the verdict is INCONCLUSIVE.
     The vertex coefficients, checked positive at the root, are function
     values and never change under elevation, so no later degree tests them.
     The scan holds the numerator's homogeneous coefficients b_alpha *
@@ -257,18 +265,21 @@ def certify_global(
 
 
 def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
-    """``certify_global`` on its base-degree root patch."""
+    """``certify_global`` on its base-degree root patch.  The scan stops
+    below any degree whose conversion triangle (``polypatch._triangle_size``)
+    the cap refuses: the elevation tables it caches on the way to degree k
+    hold at most n times that triangle's C(k + n + 1, n + 1) entries."""
     start = time.perf_counter()
     mode = Mode.GLOBAL_ELEVATION
     refute = _refuting_vertex(root)
     if refute is not None:
         return _report(mode, start, Verdict.REFUTED, root.degree, refute)
     c = _homogeneous(root.num)
-    degree = root.degree
+    degree, n = root.degree, root.dimension
     while min(c) < 0:
-        if degree == k_max:
-            return _report(mode, start, Verdict.INCONCLUSIVE, k_max)
-        c = _elevate_homogeneous(c, degree, root.dimension)
+        if degree == k_max or _triangle_size(degree + 1, n) > MAX_TRIANGLE:
+            return _report(mode, start, Verdict.INCONCLUSIVE, degree)
+        c = _elevate_homogeneous(c, degree, n)
         degree += 1
     return _report(mode, start, Verdict.CERTIFIED, degree)
 

@@ -7,14 +7,16 @@ floats in the output are renderings only.  A plain "p" or "p/q" is read on
 integers, and reports print ratios, patches and vertices from integer
 pairs, so neither reading nor writing builds a ``Fraction`` per
 coefficient.  A domain object needs "interval" or "vertices", and a
-degree too large to convert (``polypatch.MAX_COEFFICIENTS``) is a usage
-error.  Each value comes from its flag,
-else its spec field, else the library's default, and the library checks
-it: the command line keeps no rule of the method.  Exit codes: 0
-success/certified, 1 refuted, 2 inconclusive or budget exhausted, 64 usage
-error (including a value the library rejects as ``InvalidArgument``), 70
-internal error, 141 standard output closed by its reader (128 + SIGPIPE, as
-a shell reports a process that signal ended; nothing is written to stderr).
+degree too large to convert (``polypatch.MAX_TRIANGLE``) is a usage
+error.  Each spec field is read through one wrapper, ``_field``, which
+names the field in the message of any value its reader rejects.  Each
+value comes from its flag, else its spec field, else the library's
+default, and the library checks it: the command line keeps no rule of
+the method.  Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or
+budget exhausted, 64 usage error (including a value the library rejects as
+``InvalidArgument``), 70 internal error, 141 standard output closed by its
+reader (128 + SIGPIPE, as a shell reports a process that signal ended;
+nothing is written to stderr).
 
 A command imports only the modules it runs: ``bounds`` loads neither
 ``certify`` nor ``optimize``, ``certify`` does not load ``optimize``, and
@@ -70,45 +72,40 @@ class ProblemSpec(NamedTuple):
     claimed_numerator_min: Optional[Fraction] = None
 
 
-def _rational_field(data, key):
+def _field(data, key, read):
+    """``read(data[key])``; a value it rejects is a usage error naming the
+    spec field."""
     try:
-        return parse_rational(data[key])
-    except ValueError as exc:
-        raise UsageError(f"spec field {key!r}: {exc}") from exc
-
-
-def _positive_field(data, key):
-    value = _rational_field(data, key)
-    if value <= 0:
-        raise UsageError(f"spec field {key!r}: must be positive, got "
-                         f"{format_rational(value)}")
-    return value
-
-
-def _int_field(data, key):
-    value = data[key]
-    try:
-        return _integer(value, key)
-    except TypeError:
-        raise UsageError(f"spec field {key!r}: not an integer: {value!r}") from None
-
-
-def _poly_field(data, key):
-    try:
-        return PowerPoly.from_json(data[key])
+        return read(data[key])
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field {key!r}: {exc}") from exc
+
+
+def _int(value) -> int:
+    """A JSON integer, by ``powerpoly._integer``'s rule."""
+    try:
+        return _integer(value, "value")
+    except TypeError:
+        raise TypeError(f"not an integer: {value!r}") from None
+
+
+def _positive(value) -> Fraction:
+    """A rational (``parse_rational``) that must be positive."""
+    value = parse_rational(value)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {format_rational(value)}")
+    return value
 
 
 # The optional mode parameters: each spec field, named as its ProblemSpec
 # attribute, and its reader.
 _OPTIONAL_FIELDS = (
-    ("degree", _int_field),
-    ("k_max", _int_field),
-    ("n_max", _int_field),
-    ("eps", _rational_field),
-    ("claimed_min", _positive_field),
-    ("claimed_numerator_min", _positive_field),
+    ("degree", _int),
+    ("k_max", _int),
+    ("n_max", _int),
+    ("eps", parse_rational),
+    ("claimed_min", _positive),
+    ("claimed_numerator_min", _positive),
 )
 
 
@@ -117,9 +114,9 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise UsageError("problem spec must be a JSON object")
     if "numerator" not in data:
         raise UsageError("spec field 'numerator' is required")
-    numerator = _poly_field(data, "numerator")
+    numerator = _field(data, "numerator", PowerPoly.from_json)
     if "denominator" in data and data["denominator"] is not None:
-        denominator = _poly_field(data, "denominator")
+        denominator = _field(data, "denominator", PowerPoly.from_json)
         if denominator.is_zero():
             raise UsageError("spec field 'denominator': the zero polynomial")
     else:
@@ -147,7 +144,7 @@ def parse_problem(data: dict) -> ProblemSpec:
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'domain': {exc}") from exc
     return ProblemSpec(numerator, denominator, domain,
-                       **{key: read(data, key) for key, read in _OPTIONAL_FIELDS
+                       **{key: _field(data, key, read) for key, read in _OPTIONAL_FIELDS
                           if key in data})
 
 

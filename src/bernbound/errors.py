@@ -9,10 +9,6 @@ class InvalidArgument(BernboundError, ValueError):
     """The caller chose a value that the method does not accept."""
 
 
-class OrderExceedsDegree(BernboundError):
-    """A graded multinomial was requested with |beta| exceeding the degree."""
-
-
 class DegreeMismatch(BernboundError):
     """Two objects that must share a degree do not."""
 

@@ -6,7 +6,9 @@ nonnegative integers, addresses one Bernstein coefficient of degree
 entry, ``alpha[1:]`` (written ``alpha_hat``), addresses power-basis
 exponents.  An index set is the cached tuple ``enumerate_indices`` returns,
 in the one canonical order, and ``vertex_positions`` gives the places of its
-vertex indices k e_i.  Everything here is exact integer arithmetic.
+vertex indices k e_i.  ``multinomials`` is the one multinomial rule,
+k! / (alpha_0! ... alpha_n!) over a table of factorials, listed for a whole
+index set.  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
@@ -23,23 +25,10 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from math import comb, factorial
-from typing import Dict, Iterator, Sequence, Tuple
-
-from .errors import OrderExceedsDegree
-
-
-def binom_graded(k: int, bhat: Sequence[int]) -> int:
-    """Multinomial k! / (b_1! ... b_n! (k - |bhat|)!), exactly."""
-    total = sum(bhat)
-    if total > k:
-        raise OrderExceedsDegree(f"|{tuple(bhat)}| = {total} exceeds degree {k}")
-    result = 1
-    remaining = k
-    for b in bhat:
-        result *= comb(remaining, b)
-        remaining -= b
-    return result
+from itertools import accumulate
+from math import comb, factorial, prod
+from operator import mul
+from typing import Dict, Iterator, Tuple
 
 
 def _hat_indices(total: int, length: int) -> Iterator[Tuple[int, ...]]:
@@ -84,7 +73,8 @@ def vertex_positions(degree: int, dimension: int) -> Tuple[int, ...]:
 def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
     """The multinomial k! / (alpha_0! ... alpha_n!) of every index, in
     canonical order (cached)."""
-    return tuple(binom_graded(degree, alpha[1:])
+    factorials = [*accumulate(range(1, degree + 1), mul, initial=1)]
+    return tuple(factorials[degree] // prod([factorials[a] for a in alpha])
                  for alpha in enumerate_indices(degree, dimension))
 
 

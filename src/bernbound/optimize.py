@@ -12,8 +12,8 @@ lower bound is read first: when it already reaches the incumbent upper
 bound, no value on the node can lower the incumbent, so the node gets no
 grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
 read from the lists by one rule each: ``ratpatch._min_position`` for the
-lower bound, ``_upper_bound`` (with ``_grid_value``) for the upper bound
-and its point; ``local_bounds`` runs the same rules on a
+lower bound, ``_upper_bound`` (grid value and vertex values) for the upper
+bound and its point; ``local_bounds`` runs the same rules on a
 ``RationalPatch``.
 Bounds stay unreduced integer pairs a / b, b > 0, and compare by
 cross-multiplying, with the incumbent too: a ``Fraction`` is built only for
@@ -44,11 +44,11 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Simplex, _grid_point
 from .indexing import enumerate_indices, vertex_positions
+from .polypatch import _grid_sum
 from .powerpoly import PowerPoly
 from .ratpatch import (
     Piece,
     RationalPatch,
-    _grid_value,
     _min_position,
     _split_round,
     apriori_steps,
@@ -118,17 +118,20 @@ def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
     piece whose numerator and denominator lists are over ``scales`` times a
     common factor, ``position`` being the first position of its smallest
     ratio; None when it does not lie below the fraction ``below`` = (a, b),
-    b > 0, if given.  The grid value is ``_grid_value`` of both lists at
-    that position's index.  The candidates compare as integer pairs by
-    cross-multiplying, so only the result becomes a ``Fraction``, and its
-    point is read from the piece's rows."""
+    b > 0, if given.  The grid value is the ratio of both lists'
+    ``polypatch._grid_sum`` at that position's index alpha, the integer
+    barycentric weights of its grid point: each sum is over its list's
+    scale times k^k times the common factor, and those last two cancel.
+    The candidates compare as integer pairs by cross-multiplying, so only
+    the result becomes a ``Fraction``, and its point is read from the
+    piece's rows."""
     n = len(piece.root[0]) - 1
+    nums, dens = piece.lists
+    s, t = scales
     a = b = vertex = None
     if k >= 1:
         argmin = enumerate_indices(k, n)[position]
-        a, b = _grid_value(piece.lists, scales, k, n, argmin)
-    nums, dens = piece.lists
-    s, t = scales
+        a, b = _grid_sum(nums, k, n, argmin) * t, _grid_sum(dens, k, n, argmin) * s
     for i, p in enumerate(vertex_positions(k, n)):
         c, d = nums[p] * t, dens[p] * s
         if a is None or c * b < a * d:

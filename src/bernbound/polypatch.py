@@ -20,12 +20,13 @@ certificate once, at the root, and the step carries no vertex positions.
 Conversion from the power basis is one kernel, ``to_bernstein``: integer
 Horner pullback from the simplex's rows, a table scatter into the grid,
 the edge split's de Casteljau triangle (``_triangle``) along each axis,
-and one gcd.  It refuses a degree whose C(k + n, n) coefficients exceed
-``MAX_COEFFICIENTS`` (``InvalidArgument``) before it allocates any.  Second
-differences are integer too, building a ``Fraction`` only per returned
-entry, and ``eval`` is one integer weighted sum (``_grid_sum``).  The
-constructor reads coefficients as integer pairs and ``to_json`` prints
-them from ``nums`` over ``scale``.
+and one gcd.  It refuses a degree whose triangle, C(k + n + 1, n + 1)
+entries (``_triangle_size``), exceeds ``MAX_TRIANGLE`` (``InvalidArgument``)
+before it allocates any, and the global scan stops at the last degree the
+cap admits.  Second differences are integer too, building a ``Fraction``
+only per returned entry, and ``eval`` is one integer weighted sum
+(``_grid_sum``).  The constructor reads coefficients as integer pairs and
+``to_json`` prints them from ``nums`` over ``scale``.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ from .rationals import Interval, Rational, _format_ratio, _ratio
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
 
-# The most coefficients one conversion makes: C(k + n, n) at degree k over an
-# n-simplex.  It admits n = 5 at k = 33 (501,942) and refuses a runaway
-# degree before anything is allocated.
-MAX_COEFFICIENTS = 1 << 20
+# The most entries of one conversion's de Casteljau triangle, C(k + n + 1,
+# n + 1) at degree k over an n-simplex (``_triangle_size``), which
+# ``split_table`` caches as positions too.  It admits n = 5 at k = 33
+# (3,262,623) and refuses a runaway degree before anything is allocated.
+MAX_TRIANGLE = 1 << 22
 
 
 class SecondDifferences(NamedTuple):
@@ -127,10 +129,6 @@ class BernsteinPatch:
     @property
     def dimension(self) -> int:
         return self.simplex.dimension
-
-    @property
-    def index_set(self) -> Tuple[Tuple[int, ...], ...]:
-        return enumerate_indices(self.degree, self.dimension)
 
     def enclosure(self) -> Interval:
         """[min coefficient, max coefficient]; contains the range over |V|."""
@@ -283,6 +281,13 @@ def _triangle(nums: Sequence[int], levels) -> List[int]:
     return triangle
 
 
+def _triangle_size(degree: int, dimension: int) -> int:
+    """The entries of ``_triangle`` on the levels of a degree-``degree``
+    ``split_table`` over a ``dimension``-simplex, C(k + n + 1, n + 1): a
+    line of m + 1 coefficients along the edge adds C(m + 2, 2) entries."""
+    return comb(degree + dimension + 1, dimension + 1)
+
+
 def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Midpoint de Casteljau on integer numerators through an
     ``indexing.split_table``: the two children's numerators, over 2^k times
@@ -324,7 +329,7 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     gathers for the child keeping v_0.  One gcd reduces the result, so the
     numerators and scale are canonical.
 
-    A degree with more than ``MAX_COEFFICIENTS`` coefficients raises
+    A degree whose triangle has more than ``MAX_TRIANGLE`` entries raises
     ``InvalidArgument`` before the grid is allocated.
     """
     n = simplex.dimension
@@ -336,10 +341,10 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
         raise DegreeTooLow(
             f"Bernstein degree {degree} below polynomial degree {poly.degree}"
         )
-    if (count := comb(degree + n, n)) > MAX_COEFFICIENTS:
+    if (size := _triangle_size(degree, n)) > MAX_TRIANGLE:
         raise InvalidArgument(
-            f"Bernstein degree {degree} over a {n}-simplex needs {count} coefficients,"
-            f" more than {MAX_COEFFICIENTS}"
+            f"Bernstein degree {degree} over a {n}-simplex needs a conversion triangle"
+            f" of {size} entries, more than {MAX_TRIANGLE}"
         )
     width, table = conversion_table(degree, n)
     packed, scale = _pulled_back(simplex, poly, width)

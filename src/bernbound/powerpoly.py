@@ -69,11 +69,6 @@ def _exponents(exps: Iterable, dimension: int) -> Exponents:
     return exps
 
 
-def _term_sort_key(item: Tuple[Exponents, Fraction]):
-    exps, _ = item
-    return (sum(exps), exps)
-
-
 class PowerPoly:
     """Polynomial sum of ``coeff * x^exponents`` terms over n variables.
 
@@ -217,7 +212,7 @@ class PowerPoly:
         items = sorted(
             [(tuple([(key >> (width * j)) & mask for j in range(dimension)]), c)
              for key, c in packed.items() if c],
-            key=_term_sort_key)
+            key=lambda item: (sum(item[0]), item[0]))
         common = gcd(scale, *(c for _, c in items))
         if common > 1:
             items = [(e, c // common) for e, c in items]

@@ -12,17 +12,16 @@ Both patches hold integer numerators over a positive shared scale each (see
 ``polypatch``), so a ratio's sign is its numerator coefficient's sign and
 two ratios compare by cross-multiplying their numerators.  The leaf tests
 read only that: the certificate predicate and the refuting-vertex search
-read signs, ``_min_position`` finds the smallest ratio, ``_grid_value`` a
-grid value as an integer pair, and a ``Fraction`` is built only for a value
-that is returned (``ratio``, ``vertex_ratios``).  Patch methods and pieces
-share each rule.  The enclosure is the ratios at the first smallest and
-first largest positions (``_min_position`` on the numerators and on their
-negations), and sharpness compares the vertex ratios with those two by
-cross-multiplying: two ``Fraction`` values, none per coefficient.  JSON
+read signs, ``_min_position`` finds the smallest ratio, and a ``Fraction``
+is built only for a value that is returned (``ratio``).  Patch methods and
+pieces share each rule.  The enclosure is the ratios at the first smallest
+and first largest positions (``_min_position`` on the numerators and on
+their negations), and sharpness compares the vertex ratios with those two
+by cross-multiplying: two ``Fraction`` values, none per coefficient.  JSON
 prints each ratio from its integer pair (``_ratio_pairs``); the full
 per-index ``ratios`` tuple is a view built on first use.  The convergence
-constants read the same integers: a ``Fraction`` per constant, none per
-coefficient.
+constants read the same integers, zeta through ``_min_position`` on the
+negated magnitudes: a ``Fraction`` per constant, none per coefficient.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
 the root's integer vertex rows, a bisection path from it, one integer list
@@ -76,8 +75,8 @@ from .geometry import (
     _point,
     round_length,
 )
-from .indexing import split_table, vertex_positions
-from .polypatch import BernsteinPatch, _grid_sum, _second_difference_sup, split_nums, to_bernstein
+from .indexing import enumerate_indices, split_table, vertex_positions
+from .polypatch import BernsteinPatch, _second_difference_sup, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, Rational, _format_ratio, parse_rational
 
@@ -131,8 +130,8 @@ class RationalPatch:
                 f"{self.den.degree}; elevate the lower-degree patch first"
             )
         if min(self.den.nums) <= 0:
-            offenders = [alpha for alpha, c in zip(self.den.index_set, self.den.nums)
-                         if c <= 0]
+            offenders = [alpha for alpha, c in zip(
+                enumerate_indices(self.degree, self.dimension), self.den.nums) if c <= 0]
             raise DenominatorNotPositive(
                 f"denominator patch has non-positive coefficients at {offenders}",
                 indices=offenders,
@@ -164,10 +163,6 @@ class RationalPatch:
     def ratio(self, p: int) -> Fraction:
         """The ratio at position p, exactly, without building the others."""
         return Fraction(self.num.nums[p] * self.den.scale, self.den.nums[p] * self.num.scale)
-
-    def vertex_ratios(self) -> Tuple[Fraction, ...]:
-        """Per-vertex ratios; these are true function values f(v_i)."""
-        return tuple(map(self.ratio, vertex_positions(self.degree, self.dimension)))
 
     @cached_property
     def _extremes(self) -> Tuple[int, int]:
@@ -370,16 +365,16 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
     bisections = _bisection_slots(n)
     size = 2 * len(piece.lengths)
-    denom = root[1] << piece.cuts
-    # (path, lists, squared edge lengths over denom**2, cuts, denom, cuts
-    # in the round, the round's target squared diameter, and the settled
-    # piece whose leaves an entry counts, or None); the piece opens the
-    # first round.  An entry below a settled piece has no path or lists.
-    stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, denom, 0,
-              _quarter(max(piece.lengths), denom), None)]
+    # (path, lists, squared edge lengths over (root denom << cuts)**2, cuts,
+    # cuts in the round, the round's target squared diameter, and the
+    # settled piece whose leaves an entry counts, or None); the piece opens
+    # the first round.  An entry below a settled piece has no path or lists.
+    stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, 0,
+              _quarter(max(piece.lengths), root[1] << piece.cuts), None)]
     leaves = []
     while stack:
-        path, lists, lengths, cuts, denom, depth, target, owner = stack.pop()
+        path, lists, lengths, cuts, depth, target, owner = stack.pop()
+        denom = root[1] << cuts
         c, e = _longest(lengths)
         if depth >= levels and not _wider(c, denom, target):
             if not _wider(c, denom, threshold):
@@ -400,16 +395,16 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
         half = lengths_i[e] = lengths_j[e] = lengths[e]
         for s, t in zip(slots_i, slots_j):
             lengths_i[s] = lengths_j[t] = 2 * (lengths[s] + lengths[t]) - half
-        cuts, denom, depth = cuts + 1, denom << 1, depth + 1
+        cuts, depth = cuts + 1, depth + 1
         if owner is None:
             table = split_table(k, n, i, j)
             lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
             path = path * size + 2 * e
-            stack.append((path + 1, lists_j, lengths_j, cuts, denom, depth, target, None))
-            stack.append((path, lists_i, lengths_i, cuts, denom, depth, target, None))
+            stack.append((path + 1, lists_j, lengths_j, cuts, depth, target, None))
+            stack.append((path, lists_i, lengths_i, cuts, depth, target, None))
         else:
-            stack.append((None, None, lengths_j, cuts, denom, depth, target, owner))
-            stack.append((None, None, lengths_i, cuts, denom, depth, target, owner))
+            stack.append((None, None, lengths_j, cuts, depth, target, owner))
+            stack.append((None, None, lengths_i, cuts, depth, target, owner))
     return leaves
 
 
@@ -417,18 +412,6 @@ def _split_round(piece: Piece, k: int) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
     return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.root[1] << piece.cuts))
-
-
-def _grid_value(lists, scales: Tuple[int, int], k: int, n: int, weights) -> Tuple[int, int]:
-    """The exact ratio at integer barycentric weights w (coordinates w / W
-    for W = sum w) of degree-k numerator and denominator ``lists`` over an
-    n-simplex, over ``scales`` times one common factor, as an unreduced
-    integer pair (a, b), b > 0; the grid point of index alpha is w = alpha.
-    Both lists have degree k, so the factor W^k of both ``_grid_sum``
-    results cancels, and so does the common factor."""
-    nums, dens = lists
-    s, t = scales
-    return _grid_sum(nums, k, n, weights) * t, _grid_sum(dens, k, n, weights) * s
 
 
 def _min_position(nums, dens) -> int:
@@ -554,12 +537,8 @@ def convergence_constants(
         raise DegreeTooLow(f"working degree {working} below base degree {base}")
     num, den = f.num, f.den
     min_den = Fraction(min(den.nums), den.scale)
-    # The largest |ratio|: |a|/b > |c|/d is |a|*d > |c|*b on the numerators.
-    top, bottom = 0, 1
-    for a, b in zip(num.nums, den.nums):
-        if abs(a) * bottom > top * b:
-            top, bottom = abs(a), b
-    zeta = Fraction(top * den.scale, bottom * num.scale)
+    # The largest |ratio| is the first smallest of -|a| / b.
+    zeta = abs(f.ratio(_min_position([-abs(a) for a in num.nums], den.nums)))
     mixed = _second_difference_sup(num) + zeta * _second_difference_sup(den)
     omega = Fraction(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
     omega_prime = (

@@ -33,6 +33,7 @@ from bernbound import (
     certify_global,
     certify_local,
     convergence_constants,
+    enumerate_indices,
     minimize,
     rational_patch,
     standard_simplex,
@@ -236,7 +237,7 @@ def test_08_control_net_deviation_bound():
             patch = to_bernstein_standard(p, k)
             deviation = max(
                 abs(p.eval(grid_point(alpha, k, patch.simplex)) - coeff)
-                for alpha, coeff in zip(patch.index_set, patch.coeffs)
+                for alpha, coeff in zip(enumerate_indices(k, n), patch.coeffs)
             )
             if deviation > bound:
                 violations += 1

@@ -85,6 +85,9 @@ REF3 = _problem({(0, 0): "6/25", (1, 0): -1, (2, 0): 1, (0, 2): 1},
 RAT1 = _problem({(0,): "-1/4", (1,): 1}, {(0,): 2, (1,): 1}, UNIT)
 # (x - 1/2)^2 touches zero inside the domain, so no degree certifies it.
 TOUCH = _problem({(0,): "1/4", (1,): -1, (2,): 1}, None, UNIT)
+# (x + y - 1/3)^2 touches zero on a segment inside the triangle.
+TOUCH2 = _problem({(0, 0): "1/9", (1, 0): "-2/3", (0, 1): "-2/3", (2, 0): 1, (1, 1): 2,
+                   (0, 2): 1}, None, TRIANGLE)
 # A non-constant denominator on a triangle with fractional vertices and no
 # edge on an axis: its vertex coefficients check the pullback of a general
 # simplex, and its minimum is at a vertex.
@@ -667,23 +670,24 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == (
             "error: Bernstein degree 1 below polynomial degree 3\n")
 
-    @pytest.mark.parametrize("argv, exponent", [
-        (["bounds", "--degree", "100000000"], 2),
-        (["certify", "--mode", "sharpness"], 100000000),
-    ], ids=["degree-flag", "spec-exponent"])
-    def test_conversion_size_cap(self, tmp_path, capsys, argv, exponent):
-        # Each asks for 10^8 + 1 Bernstein coefficients; the conversion
-        # refuses before it allocates any, as a usage error.  The cap admits
-        # n = 5 at degree 33.
+    @pytest.mark.parametrize("argv, exponent, degree", [
+        (["bounds", "--degree", "100000000"], 2, 100000000),
+        (["certify", "--mode", "sharpness"], 100000000, 100000000),
+        (["bounds", "--degree", "1000000"], 2, 1000000),
+    ], ids=["degree-flag", "spec-exponent", "degree-million"])
+    def test_conversion_size_cap(self, tmp_path, capsys, argv, exponent, degree):
+        # Each asks for a de Casteljau triangle of C(degree + 2, 2) entries
+        # on an interval; the conversion refuses before it allocates any, as
+        # a usage error.  The cap admits n = 5 at degree 33.
         spec = _write(tmp_path, "huge.json", {
             "numerator": {"dimension": 1, "terms": [{"exponents": [exponent], "coeff": "1"}]},
             "domain": {"interval": ["0", "1"]},
         })
         assert main([argv[0], spec, *argv[1:]]) == 64
         assert capsys.readouterr().err == (
-            "error: Bernstein degree 100000000 over a 1-simplex needs 100000001"
-            f" coefficients, more than {polypatch.MAX_COEFFICIENTS}\n")
-        assert comb(38, 5) <= polypatch.MAX_COEFFICIENTS
+            f"error: Bernstein degree {degree} over a 1-simplex needs a conversion triangle"
+            f" of {comb(degree + 2, 2)} entries, more than {polypatch.MAX_TRIANGLE}\n")
+        assert comb(33 + 6, 6) <= polypatch.MAX_TRIANGLE
 
     @pytest.mark.parametrize("mode", ["global", "negative"])
     def test_kmax_below_function_degree(self, dip_spec, capsys, mode):
@@ -898,6 +902,12 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
                    id=f"RAT1-{mode}") for mode in ("sharpness", "global", "local")],
     pytest.param(TOUCH, ["certify", "--mode", "global", "--kmax", "4"], 2,
                  "inconclusive at degree 4; raise the budget\n", id="TOUCH-global"),
+    # A k_max past the size cap: the scan stops at the last degree whose
+    # conversion triangle the cap admits, C(2896, 2) and C(294, 3) entries.
+    pytest.param(TOUCH, ["certify", "--mode", "global", "--kmax", "100000000"], 2,
+                 "inconclusive at degree 2894; raise the budget\n", id="TOUCH-global-cap"),
+    pytest.param(TOUCH2, ["certify", "--mode", "global", "--kmax", "100000000"], 2,
+                 "inconclusive at degree 291; raise the budget\n", id="TOUCH2-global-cap"),
     pytest.param(TRI, ["certify", "--mode", "local"], 1,
                  "refuted: f(1/2, -1/3) = -170/539 <= 0\n", id="TRI-local"),
     pytest.param(TRI_MIN, ["certify", "--mode", "local"], 0,

@@ -5,25 +5,30 @@ from math import comb, factorial
 
 import pytest
 
-from bernbound import binom_graded, enumerate_indices
-from bernbound.errors import OrderExceedsDegree
-from bernbound.indexing import elevation_sums, vertex_positions
+from bernbound import enumerate_indices
+from bernbound.indexing import elevation_sums, multinomials, vertex_positions
+from conftest import _multinomial
+
+
+def _graded(k, bhat):
+    """The multinomial k! / (b_1! ... b_n! (k - |bhat|)!) of the index
+    (k - |bhat|,) + bhat, read from ``multinomials``."""
+    alpha = (k - sum(bhat),) + tuple(bhat)
+    return multinomials(k, len(bhat))[enumerate_indices(k, len(bhat)).index(alpha)]
 
 
 class TestBinomGraded:
+    """The graded multinomial of an index, as ``multinomials`` lists it."""
+
     def test_univariate(self):
-        assert binom_graded(2, (1,)) == 2
+        assert _graded(2, (1,)) == 2
 
     def test_trivial(self):
-        assert binom_graded(3, (0,)) == 1
+        assert _graded(3, (0,)) == 1
 
     def test_multinomial(self):
         # 4! / (2! * 1! * 1!)
-        assert binom_graded(4, (2, 1)) == 12
-
-    def test_order_exceeds(self):
-        with pytest.raises(OrderExceedsDegree):
-            binom_graded(2, (2, 1))
+        assert _graded(4, (2, 1)) == 12
 
     @pytest.mark.parametrize("k", range(13))
     def test_factorial_cross_check(self, k):
@@ -33,7 +38,13 @@ class TestBinomGraded:
                 expected = factorial(k) // (
                     factorial(b1) * factorial(b2) * factorial(k - b1 - b2)
                 )
-                assert binom_graded(k, (b1, b2)) == expected
+                assert _graded(k, (b1, b2)) == expected
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("k", range(13))
+    def test_matches_oracle(self, k, n):
+        assert multinomials(k, n) == tuple(
+            _multinomial(k, alpha) for alpha in enumerate_indices(k, n))
 
 
 class TestEnumerate:

@@ -44,7 +44,6 @@ from bernbound import (  # noqa: E402
     RationalPatch,
     Simplex,
     affine_pullback,
-    binom_graded,
     bisect_edge,
     cert_predicate,
     diameter_sq,
@@ -65,10 +64,11 @@ from bernbound.errors import (  # noqa: E402
 )
 from bernbound.geometry import barycentric  # noqa: E402
 from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
-from bernbound.optimize import local_bounds  # noqa: E402
+from bernbound.optimize import _upper_bound, local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
 from conftest import (  # noqa: E402
+    _multinomial,
     det,
     grid_point,
     index_positions,
@@ -169,7 +169,7 @@ def ref_to_bernstein_standard(poly, degree):
         total = F(0)
         for bhat, coeff in poly.iter_terms():
             if all(b <= a for b, a in zip(bhat, ahat)):
-                total += F(prod(map(comb, ahat, bhat)), binom_graded(degree, bhat)) * coeff
+                total += F(prod(map(comb, ahat, bhat)), _multinomial(degree, bhat)) * coeff
         out.append(total)
     return tuple(out)
 
@@ -375,7 +375,7 @@ def test_ratios_and_predicate_match_reference(case, data):
     ratios = tuple(p / q for p, q in zip(num, den))
     assert f.ratios == ratios
     vertices = vertex_positions(k, n)
-    assert f.vertex_ratios() == tuple(ratios[p] for p in vertices)
+    assert tuple(map(f.ratio, vertices)) == tuple(ratios[p] for p in vertices)
     assert cert_predicate(f) == ref_predicate(ratios, k, n)
 
 
@@ -595,13 +595,20 @@ def test_grid_value_matches_eval(data):
     den = data.draw(st.lists(POSITIVE, min_size=size, max_size=size))
     f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
     i, j = _edge(data.draw, n)
+    # ``_upper_bound`` at any position p: the least of the value at the
+    # grid point of index p and the vertex values, the grid point winning
+    # ties, each read as the function's exact value there.
     for piece in (f, *f.split_edge(i, j)):
-        for alpha in enumerate_indices(k, n):
+        scales = piece.num.scale, piece.den.scale
+        vertices = piece.simplex.vertices
+        values = [piece.num.eval(v) / piece.den.eval(v) for v in vertices]
+        for p, alpha in enumerate(enumerate_indices(k, n)):
             point = grid_point(alpha, k, piece.simplex)
-            lists = piece.num.nums, piece.den.nums
-            scales = piece.num.scale, piece.den.scale
             value = piece.num.eval(point) / piece.den.eval(point)
-            assert F(*ratpatch._grid_value(lists, scales, k, n, alpha)) == value
+            if min(values) < value:
+                value, point = min(values), vertices[values.index(min(values))]
+            assert _upper_bound(ratpatch.Piece.of((piece.num, piece.den)), k, scales,
+                                p) == (value, point)
 
 
 @KERNEL
@@ -660,7 +667,7 @@ def test_leaf_tests_match_full_ratios(case, data):
     assert ratpatch._min_position(f.num.nums, f.den.nums) == ratios.index(m)
     assert local_bounds(f)[0] == m
     vertices = vertex_positions(k, n)
-    assert f.vertex_ratios() == tuple(ratios[p] for p in vertices)
+    assert tuple(map(f.ratio, vertices)) == tuple(ratios[p] for p in vertices)
     refute = _refuting_vertex(f)
     first = next((i for i, p in enumerate(vertices) if ratios[p] <= 0), None)
     if first is None:
@@ -829,6 +836,26 @@ def test_convergence_constants_match_reference(case, lift, split):
     assert (c.zeta, c.omega, c.omega_prime, c.min_den) == ref_convergence_constants(
         f, k + lift)
     assert (c.base_degree, c.working_degree) == (k, k + lift)
+
+
+@KERNEL
+@given(st.data())
+def test_zeta_tie_of_opposite_signs_matches_reference(data):
+    # The largest |ratio| attained at two entries of opposite sign, in
+    # either order: zeta is that magnitude, as the reference's max reads it.
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 4))
+    size = len(enumerate_indices(k, n))
+    num = data.draw(st.lists(SIGNED, min_size=size, max_size=size))
+    den = data.draw(st.lists(POSITIVE, min_size=size, max_size=size))
+    p, q = data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    top = 1 + max(abs(a / b) for a, b in zip(num, den))
+    num[p], num[q] = top * den[p], -top * den[q]
+    simplex = standard_simplex(n)
+    f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
+    c = ratpatch.convergence_constants(f)
+    assert c.zeta == top
+    assert (c.zeta, c.omega, c.omega_prime, c.min_den) == ref_convergence_constants(f, k)
 
 
 @KERNEL

@@ -12,11 +12,13 @@ from bernbound import (
     Simplex,
     apriori_steps,
     convergence_constants,
+    enumerate_indices,
     local_bounds,
     minimize,
     rational_patch,
 )
 from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
+from bernbound.indexing import vertex_positions
 from bernbound.optimize import _upper_bound
 from bernbound.ratpatch import Piece, _min_position
 from conftest import fn_cert3, fn_dip, grid_point, pinned_corpus
@@ -29,9 +31,10 @@ def _fraction_local_bounds(f):
     point through its barycentric coordinates."""
     ratios = f.ratios
     m = min(ratios)
-    point = grid_point(f.num.index_set[ratios.index(m)], f.degree, f.simplex)
+    alpha = enumerate_indices(f.degree, f.dimension)[ratios.index(m)]
+    point = grid_point(alpha, f.degree, f.simplex)
     delta, witness = f.num.eval(point) / f.den.eval(point), point
-    for i, value in enumerate(f.vertex_ratios()):
+    for i, value in enumerate(map(f.ratio, vertex_positions(f.degree, f.dimension))):
         if value < delta:
             delta, witness = value, f.simplex.vertex(i)
     return m, delta, witness

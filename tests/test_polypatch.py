@@ -13,6 +13,8 @@ from bernbound import (
     BernsteinPatch,
     PowerPoly,
     Simplex,
+    Verdict,
+    certify_global,
     convergence_constants,
     enumerate_indices,
     parse_rational,
@@ -21,8 +23,9 @@ from bernbound import (
     to_bernstein,
     to_bernstein_standard,
 )
-from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch
-from bernbound.indexing import vertex_positions
+from bernbound import certify, polypatch
+from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch, InvalidArgument
+from bernbound.indexing import split_table, vertex_positions
 from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,
@@ -209,13 +212,38 @@ class TestToBernstein:
         patch = to_bernstein(q, 2, Simplex.from_interval(-1, 1))
         assert patch.coeffs == (F(10), F(6), F(6))
 
+    def test_size_cap_boundary(self, monkeypatch):
+        # ``_triangle_size`` counts the entries ``_triangle`` builds along an
+        # axis.  At a cap of exactly C(4 + 3, 3), degree 4 over a triangle
+        # converts, degree 5 is refused before anything is built, and the
+        # global scan of (x + y - 1/3)^2, which no degree certifies, stops
+        # at degree 4 although k_max is higher.
+        for n in range(1, 6):
+            for k in range(7):
+                levels, _, _ = split_table(k, n, 0, n)
+                size = len(enumerate_indices(k, n))
+                assert (len(polypatch._triangle([0] * size, levels))
+                        == polypatch._triangle_size(k, n))
+        cap = polypatch._triangle_size(4, 2)
+        monkeypatch.setattr(polypatch, "MAX_TRIANGLE", cap)
+        monkeypatch.setattr(certify, "MAX_TRIANGLE", cap)
+        p = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                          (2, 0): 1, (1, 1): 2, (0, 2): 1})
+        triangle = standard_simplex(2)
+        assert to_bernstein(p, 4, triangle).degree == 4
+        with pytest.raises(InvalidArgument, match=r"^Bernstein degree 5 over a 2-simplex"
+                           r" needs a conversion triangle of 56 entries, more than 35$"):
+            to_bernstein(p, 5, triangle)
+        report = certify_global(p, PowerPoly.constant(2, 1), triangle, 100)
+        assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 4)
+
     def test_linear_equals_grid_values(self):
         rng = random.Random(7)
         simplex = random_simplex(rng, 2)
         p = PowerPoly(2, {(1, 0): F(3), (0, 1): F(-2), (0, 0): F(1, 2)})
         k = 3
         patch = to_bernstein(p, k, simplex)
-        for alpha, coeff in zip(patch.index_set, patch.coeffs):
+        for alpha, coeff in zip(enumerate_indices(k, patch.dimension), patch.coeffs):
             assert coeff == p.eval(grid_point(alpha, k, simplex))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -395,7 +423,7 @@ class TestDiscretizationBound:
                 patch = to_bernstein_standard(p, k)
                 deviation = max(
                     abs(p.eval(grid_point(alpha, k, patch.simplex)) - coeff)
-                    for alpha, coeff in zip(patch.index_set, patch.coeffs)
+                    for alpha, coeff in zip(enumerate_indices(k, patch.dimension), patch.coeffs)
                 )
                 assert deviation <= bound
 
@@ -419,7 +447,7 @@ class TestSplitEdge:
         p = PowerPoly(2, {(1, 0): 1, (0, 1): -1, (0, 0): F(1, 4)})
         patch = to_bernstein_standard(p, 2)
         for child in patch.split_edge(1, 2):
-            for alpha, coeff in zip(child.index_set, child.coeffs):
+            for alpha, coeff in zip(enumerate_indices(2, 2), child.coeffs):
                 assert coeff == p.eval(grid_point(alpha, 2, child.simplex))
 
     def test_bad_edge(self):

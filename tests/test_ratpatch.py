@@ -18,7 +18,7 @@ from bernbound import (
     rational_patch,
     to_bernstein_standard,
 )
-from bernbound import geometry, ratpatch
+from bernbound import geometry, polypatch, ratpatch
 from bernbound.errors import (
     DegreeMismatch,
     DegreeTooLow,
@@ -100,14 +100,15 @@ class TestEnclosure:
         assert f.enclosure() == (F(0), F(3, 2))
 
     def test_eval(self):
-        # The integer grid value (``optimize._upper_bound``'s rule) at a
-        # point's barycentric weights is the function's exact value there.
+        # The pair of integer grid sums (``optimize._upper_bound``'s rule)
+        # at a point's barycentric weights, each times the other list's
+        # scale, is the function's exact value there.
         num, den, domain = fn_dip()
         f = rational_patch(num, den, domain)
-        lists, scales = (f.num.nums, f.den.nums), (f.num.scale, f.den.scale)
         for x in (F(-1), F(0), F(1, 3), F(1)):
             weights = geometry._barycentric_weights(domain, [x])
-            value = F(*ratpatch._grid_value(lists, scales, 2, 1, weights))
+            value = F(polypatch._grid_sum(f.num.nums, 2, 1, weights) * f.den.scale,
+                      polypatch._grid_sum(f.den.nums, 2, 1, weights) * f.num.scale)
             assert value == num.eval([x]) / den.eval([x])
 
     @pytest.mark.parametrize("case", pinned_corpus()[:4])

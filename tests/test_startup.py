@@ -24,10 +24,10 @@ EXPORTS = {
         "BadEdge", "BernboundError", "BudgetExhausted", "DegenerateSimplex",
         "DegreeMismatch", "DegreeTooLow", "DenominatorNotPositive",
         "DimensionMismatch", "InvalidArgument", "NonPositiveClaim",
-        "NonPositiveEpsilon", "OrderExceedsDegree", "SimplexMismatch",
+        "NonPositiveEpsilon", "SimplexMismatch",
     ],
     "rationals": ["Interval", "parse_rational", "format_rational"],
-    "indexing": ["binom_graded", "enumerate_indices"],
+    "indexing": ["enumerate_indices"],
     "powerpoly": ["PowerPoly"],
     "geometry": [
         "Simplex", "affine_pullback", "barycentric", "bisect_edge", "diameter_sq",
@@ -132,7 +132,7 @@ class TestStartUp:
 class TestExports:
     def test_names_resolve_to_their_modules(self):
         assert sorted(bernbound.__all__) == sorted(NAMES)
-        assert len(NAMES) == 54
+        assert len(NAMES) == 52
         for module, names in EXPORTS.items():
             owner = importlib.import_module(f"bernbound.{module}")
             assert getattr(bernbound, module) is owner
@@ -174,6 +174,30 @@ def _unread_imports(path):
 def test_every_import_is_read(path):
     # Each import costs start-up time, so a module imports only what it reads.
     assert _unread_imports(path) == []
+
+
+def _orphan_helpers(paths):
+    """The top-level private functions and classes (dunder names aside) of
+    the modules ``paths`` that no code in them reads outside the helper's
+    own definition, as ``module.name``."""
+    helpers, reads = {}, []
+    for path in paths:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name.startswith("_")
+                    and not name.startswith("__")):
+                helpers[name] = f"{path.stem}.{name}"
+            reads.append((name, {n.id if isinstance(n, ast.Name) else n.attr
+                                 for n in ast.walk(node)
+                                 if isinstance(n, (ast.Name, ast.Attribute))}))
+    return sorted(where for name, where in helpers.items()
+                  if not any(name in names for owner, names in reads if owner != name))
+
+
+def test_every_private_helper_is_read():
+    # A private helper serves the library alone, so one that nothing in
+    # the library reads (say, after its last caller inlined it) is dead.
+    assert _orphan_helpers(sorted((SRC / "bernbound").glob("*.py"))) == []
 
 
 def test_console_script_names_the_entry_point():
