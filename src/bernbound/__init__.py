@@ -27,22 +27,8 @@ _EXPORTS = {
     "rationals": ("Interval", "parse_rational", "format_rational"),
     "indexing": ("enumerate_indices",),
     "powerpoly": ("PowerPoly",),
-    "geometry": (
-        "Simplex",
-        "affine_pullback",
-        "barycentric",
-        "bisect_edge",
-        "diameter_sq",
-        "longest_edge",
-        "round_length",
-        "standard_simplex",
-    ),
-    "polypatch": (
-        "BernsteinPatch",
-        "SecondDifferences",
-        "to_bernstein",
-        "to_bernstein_standard",
-    ),
+    "geometry": ("Simplex", "barycentric", "round_length", "standard_simplex"),
+    "polypatch": ("BernsteinPatch", "to_bernstein"),
     "ratpatch": (
         "ClaimedMinimum",
         "ConvergenceConstants",
@@ -61,13 +47,12 @@ _EXPORTS = {
         "Mode",
         "Verdict",
         "Witness",
-        "cert_predicate",
         "certify_global",
         "certify_local",
         "certify_negative",
         "certify_sharpness",
     ),
-    "optimize": ("MinimizationResult", "local_bounds", "minimize"),
+    "optimize": ("MinimizationResult", "minimize"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli")

@@ -6,9 +6,12 @@ positive (vertex coefficients are true function values, so a non-positive
 one refutes positivity outright).  The denominator's coefficients are
 positive, so each ratio has its numerator coefficient's sign and the
 predicate reads the numerator alone (``cert_predicate`` applies both
-parts).  Certification proceeds either globally by degree elevation or
-locally by subdivision at fixed degree, each with an a-priori bound on the
-work needed when a positive lower bound for the function is known.
+parts to one patch; it is not exported, since the kernels run its rule on
+their own integers, and stays for ``bench/tracing.py`` until ROADMAP item
+16, and as a test oracle).  Certification proceeds either globally by
+degree elevation or locally by subdivision at fixed degree, each with an
+a-priori bound on the work needed when a positive lower bound for the
+function is known.
 Elevation and de Casteljau splitting keep a positive denominator positive
 (every new coefficient is a positive-weight mean of old ones), so once the
 root's denominator is checked, the global scan elevates the numerator only
@@ -173,7 +176,8 @@ def cert_predicate(f: RationalPatch) -> bool:
     The denominator coefficients and both scales are positive, so each ratio
     has the sign of its numerator coefficient: the predicate reads the
     numerator's integers, with the vertex scan ``_refuting_index`` that the
-    kernels run, and builds no ratio.
+    kernels run, and builds no ratio.  Unexported; kept for
+    ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
     return _certifies(f.num.nums, vertex_positions(f.degree, f.dimension))
 

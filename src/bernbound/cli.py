@@ -253,8 +253,11 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
     return EXIT_CERTIFIED
 
 
-def _print_certificate(report, as_json: bool) -> int:
+def _print_certificate(report, as_json: bool, k_max: int) -> int:
+    """Print a report; a global scan that stopped below ``k_max`` stopped
+    at the size cap, which no budget lifts, and its hint says so."""
     from .certify import Mode, Verdict
+    from .polypatch import MAX_TRIANGLE
 
     if as_json:
         print(json.dumps(report.to_json(), indent=2))
@@ -277,7 +280,13 @@ def _print_certificate(report, as_json: bool) -> int:
             where = (f"depth {report.depth_used}"
                      if report.mode is Mode.LOCAL_SUBDIVISION
                      else f"degree {report.degree_used}")
-            hint = "" if report.mode is Mode.SHARPNESS else "; raise the budget"
+            if report.mode is Mode.SHARPNESS:
+                hint = ""
+            elif report.mode is Mode.GLOBAL_ELEVATION and report.degree_used < k_max:
+                hint = (f"; degree {report.degree_used + 1} exceeds the size cap of"
+                        f" {MAX_TRIANGLE} conversion-triangle entries")
+            else:
+                hint = "; raise the budget"
             print(f"inconclusive at {where}{hint}")
         if report.apriori is not None:
             print(f"a-priori: {report.apriori.to_json()}")
@@ -292,7 +301,7 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     negative = args.mode == "negative"
     if args.via is not None and not negative:
         raise UsageError(f"--via needs --mode negative, not --mode {args.mode}")
-    from .certify import _certify
+    from .certify import K_MAX, _certify
 
     budgets = {"k_max": spec.k_max if args.kmax is None else args.kmax,
                "n_max": spec.n_max if args.nmax is None else args.nmax}
@@ -301,7 +310,8 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
         (args.via or "global") if negative else args.mode, negate=negative,
         claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min,
         **{key: value for key, value in budgets.items() if value is not None})
-    return _print_certificate(report, args.json)
+    k_max = budgets["k_max"]
+    return _print_certificate(report, args.json, K_MAX if k_max is None else k_max)
 
 
 def cmd_minimize(spec: ProblemSpec, args) -> int:

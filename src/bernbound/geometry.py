@@ -2,8 +2,14 @@
 points, diameters, affine pullback to the standard simplex, and edge
 bisection.
 
-The pullback (``_pulled_back``) hands the integer rows, v_0 and v_i - v_0
-over ``denom``, to the one Horner rule ``powerpoly._pullback``.
+The pullback has one Horner rule, ``powerpoly._pullback``: the conversion
+(``polypatch.to_bernstein``) hands it the integer rows, v_0 and v_i - v_0
+over ``denom``, and ``affine_pullback`` is ``PowerPoly.substitute_affine``
+on the vertices.  ``affine_pullback``, ``bisect_edge``, ``longest_edge``
+and ``diameter_sq`` are not exported: the library reads only
+``bisect_edge`` (in ``BernsteinPatch.split_edge``), and they stay here for
+``bench/tracing.py``, which looks each up in this module, until ROADMAP
+item 16, and as test oracles.
 
 All geometry is exact.  A ``Simplex`` stores its vertices as integer
 coordinates over one positive denominator, reduced so that equal simplices
@@ -36,10 +42,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BadEdge, DegenerateSimplex, DimensionMismatch
-from .powerpoly import PowerPoly, _pullback
+from .powerpoly import PowerPoly
 from .rationals import Rational, _format_ratio, _point_ratios
 
 Point = Tuple[Fraction, ...]
@@ -269,39 +275,34 @@ def _longest(lengths: List[int]) -> Tuple[int, int]:
 
 
 def diameter_sq(simplex: Simplex) -> Fraction:
-    """Max squared Euclidean distance over vertex pairs, exactly."""
+    """Max squared Euclidean distance over vertex pairs, exactly.
+    Unexported; kept for ``bench/tracing.py`` until ROADMAP item 16, and as
+    a test oracle."""
     return Fraction(_longest(_edge_lengths(simplex.ints))[0], simplex.denom ** 2)
 
 
 def longest_edge(simplex: Simplex) -> Tuple[int, int]:
-    """The (i, j) pair of the longest edge; lowest (i, j) breaks ties."""
+    """The (i, j) pair of the longest edge; lowest (i, j) breaks ties.
+    Unexported; kept for ``bench/tracing.py`` until ROADMAP item 16, and as
+    a test oracle."""
     return _edge_pairs(simplex.dimension)[_longest(_edge_lengths(simplex.ints))[1]]
 
 
 def affine_pullback(simplex: Simplex, poly: PowerPoly) -> PowerPoly:
-    """Compose poly with the map t -> v_0 + sum_i t_i (v_i - v_0).
+    """Compose poly with the map t -> v_0 + sum_i t_i (v_i - v_0):
+    ``PowerPoly.substitute_affine`` on the simplex's vertices.
 
     The result represents poly on |simplex| in standard-simplex coordinates;
-    coefficients stay exact and the degree is preserved.  The map is read
-    from the simplex's integer rows (``_pulled_back``).
+    coefficients stay exact and the degree is preserved.  Unexported; kept
+    for ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
     n = simplex.dimension
     if poly.dimension != n:
         raise DimensionMismatch(
             f"polynomial has {poly.dimension} variables, simplex has {n}"
         )
-    width = poly.degree.bit_length()
-    return PowerPoly._from_packed(n, width, *_pulled_back(simplex, poly, width))
-
-
-def _pulled_back(simplex: Simplex, poly: PowerPoly,
-                 width: int) -> Tuple[Dict[int, int], int]:
-    """``powerpoly._pullback`` of poly on the map t -> v_0 + sum_i t_i
-    (v_i - v_0), straight from the integer rows over ``simplex.denom``: the
-    origin row v_0 and the direction rows v_i - v_0."""
-    v0 = simplex.ints[0]
-    return _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)] for vi in simplex.ints[1:]],
-                     simplex.denom, width)
+    v0, *others = simplex.vertices
+    return poly.substitute_affine(v0, [[a - b for a, b in zip(v, v0)] for v in others])
 
 
 def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
@@ -309,6 +310,8 @@ def bisect_edge(simplex: Simplex, i: int, j: int) -> Tuple[Simplex, Simplex]:
 
     Returns (simplex with v_j -> m, simplex with v_i -> m); the first child
     keeps vertex v_i.  Their union is |simplex| with disjoint interiors.
+    Unexported; ``BernsteinPatch.split_edge`` reads it, and it is kept for
+    ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
     n = simplex.dimension
     if not (0 <= i < j <= n):

@@ -14,7 +14,9 @@ grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
 read from the lists by one rule each: ``ratpatch._min_position`` for the
 lower bound, ``_upper_bound`` (grid value and vertex values) for the upper
 bound and its point; ``local_bounds`` runs the same rules on a
-``RationalPatch``.
+``RationalPatch`` (not exported: ``minimize`` does not call it, and it
+stays for ``bench/tracing.py`` until ROADMAP item 16, and as a test
+oracle).
 Bounds stay unreduced integer pairs a / b, b > 0, and compare by
 cross-multiplying, with the incumbent too: a ``Fraction`` is built only for
 a new incumbent and for the bracket a run returns.  Subdividing shrinks
@@ -42,7 +44,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
-from .geometry import Simplex, _grid_point
+from .geometry import Point, Simplex, _grid_point
 from .indexing import enumerate_indices, vertex_positions
 from .polypatch import _grid_sum
 from .powerpoly import PowerPoly
@@ -57,8 +59,6 @@ from .ratpatch import (
     subdivide,
 )
 from .rationals import Rational, float_str, format_rational, parse_rational
-
-Point = Tuple[Fraction, ...]
 
 
 class MinimizationResult(NamedTuple):
@@ -105,7 +105,8 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     the function's value at the grid point of the minimizing index (taken
     from its barycentric coordinates alpha / k) and the vertex ratios (all
     true function values).  Ties break in canonical index
-    order, so results are deterministic.
+    order, so results are deterministic.  Unexported; kept for
+    ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
     position = _min_position(f.num.nums, f.den.nums)
     return (f.ratio(position), *_upper_bound(

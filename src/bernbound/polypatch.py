@@ -27,6 +27,10 @@ cap admits.  Second differences are integer too, building a ``Fraction``
 only per returned entry, and ``eval`` is one integer weighted sum
 (``_grid_sum``).  The constructor reads coefficients as integer pairs and
 ``to_json`` prints them from ``nums`` over ``scale``.
+``to_bernstein_standard`` and ``SecondDifferences`` are not exported: no
+library code calls them (only the traced ``second_differences`` returns
+the latter), and they stay here for ``bench/tracing.py`` until ROADMAP
+item 16, and as test oracles.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from operator import add, lshift, mul, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import DegreeTooLow, DimensionMismatch, InvalidArgument
-from .geometry import Simplex, _barycentric_weights, _pulled_back, bisect_edge, standard_simplex
+from .geometry import Simplex, _barycentric_weights, bisect_edge, standard_simplex
 from .indexing import (
     conversion_table,
     elevation_sums,
@@ -46,7 +50,7 @@ from .indexing import (
     second_difference_moves,
     split_table,
 )
-from .powerpoly import PowerPoly, _integer
+from .powerpoly import PowerPoly, _integer, _pullback
 from .rationals import Interval, Rational, _format_ratio, _ratio
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
@@ -62,7 +66,9 @@ class SecondDifferences(NamedTuple):
     """Discrete second differences of a coefficient net and their sup norm.
 
     One entry per (gamma, i, j) with |gamma| = k - 2 and 0 <= i < j <= n;
-    the sup norm is the exact maximum absolute entry.
+    the sup norm is the exact maximum absolute entry.  Unexported; the
+    traced ``BernsteinPatch.second_differences`` returns it, and it is kept
+    for ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
 
     items: Tuple[Tuple[DiffKey, Fraction], ...]
@@ -305,7 +311,9 @@ def split_nums(nums: Sequence[int], table) -> Tuple[Tuple[int, ...], Tuple[int, 
 
 def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     """Bernstein coefficients of poly at the given degree over the standard
-    simplex: ``to_bernstein`` on ``standard_simplex(poly.dimension)``."""
+    simplex: ``to_bernstein`` on ``standard_simplex(poly.dimension)``.
+    Unexported; kept for ``bench/tracing.py`` until ROADMAP item 16, and as
+    a test oracle."""
     return to_bernstein(poly, degree, standard_simplex(poly.dimension))
 
 
@@ -313,11 +321,12 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     """Bernstein patch of poly at the given degree over a simplex, exactly.
 
     One integer kernel.  The pullback to standard-simplex coordinates t is
-    ``geometry._pulled_back``: Horner on the integer linear forms read from
-    the simplex's rows, with no ``Fraction`` and no intermediate
-    ``PowerPoly``.  Its terms A_beta over a scale S give a_beta = A_beta / S,
-    and over the standard simplex b_alpha = sum over beta <= alpha_hat of
-    C(alpha_hat, beta) / C(degree, beta) * a_beta.
+    ``powerpoly._pullback`` on the simplex's rows, the origin v_0 and the
+    directions v_i - v_0 over ``simplex.denom``: Horner on integer linear
+    forms, with no ``Fraction`` and no intermediate ``PowerPoly``.  Its
+    terms A_beta over a scale S give a_beta = A_beta / S, and over the
+    standard simplex b_alpha = sum over beta <= alpha_hat of C(alpha_hat,
+    beta) / C(degree, beta) * a_beta.
 
     With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
     a binomial transform, one axis at a time, of the integers
@@ -347,7 +356,9 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
             f" of {size} entries, more than {MAX_TRIANGLE}"
         )
     width, table = conversion_table(degree, n)
-    packed, scale = _pulled_back(simplex, poly, width)
+    v0 = simplex.ints[0]
+    packed, scale = _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)]
+                                         for vi in simplex.ints[1:]], simplex.denom, width)
     scale *= factorial(degree)
     grid = [0] * len(table)
     for key, c in packed.items():

@@ -18,10 +18,10 @@ denominator, and ``to_json`` prints each term from its integers.
 Composition with an affine map has one rule, ``_pullback``: multivariate
 Horner on integer linear forms over one denominator, giving packed integer
 terms with no ``Fraction`` per term.  ``polypatch.to_bernstein`` scatters
-those packed terms straight into its Bernstein grid; ``substitute_affine``
-(rational arguments put over one denominator) and
-``geometry.affine_pullback`` decode them into a ``PowerPoly`` with
-``_from_packed``.
+those packed terms straight into its Bernstein grid, and
+``substitute_affine`` (rational arguments put over one denominator, the
+rule behind ``geometry.affine_pullback`` too) decodes them into a
+``PowerPoly`` with ``_from_packed``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from bernbound import (
     apriori_degree_pr,
     apriori_depth,
     apriori_steps,
-    cert_predicate,
     certify_global,
     certify_local,
     convergence_constants,
@@ -38,8 +37,9 @@ from bernbound import (
     rational_patch,
     standard_simplex,
     to_bernstein,
-    to_bernstein_standard,
 )
+from bernbound.certify import cert_predicate
+from bernbound.polypatch import to_bernstein_standard
 from conftest import (
     encloses,
     fn_cert3,

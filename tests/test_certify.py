@@ -18,7 +18,6 @@ from bernbound import (
     apriori_degree_omega,
     apriori_degree_pr,
     apriori_depth,
-    cert_predicate,
     certify_global,
     certify_local,
     certify_negative,
@@ -26,15 +25,16 @@ from bernbound import (
     convergence_constants,
     minimize,
     rational_patch,
-    to_bernstein_standard,
 )
 from bernbound import certify
+from bernbound.certify import cert_predicate
 from bernbound.errors import (
     DegreeTooLow,
     DenominatorNotPositive,
     InvalidArgument,
     NonPositiveClaim,
 )
+from bernbound.polypatch import to_bernstein_standard
 from conftest import (
     fn_cert3,
     fn_dip,

@@ -287,13 +287,13 @@ class TestCertify:
         # have degree 2).  Negative mode certifies on the root with its
         # numerator negated.
         calls = []
-        original = polypatch._pulled_back
+        original = polypatch._pullback
 
-        def counting(simplex, poly, width):
+        def counting(poly, *rows):
             calls.append(poly)
-            return original(simplex, poly, width)
+            return original(poly, *rows)
 
-        monkeypatch.setattr(polypatch, "_pulled_back", counting)
+        monkeypatch.setattr(polypatch, "_pullback", counting)
         spec = _write(tmp_path, "claimed.json", {
             **DIP_SPEC, "claimed_min": "1/100", "claimed_numerator_min": "1/100"})
         expected = {"sharpness": 2, "global": 2, "local": 0, "negative": 1}[mode]
@@ -903,11 +903,14 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
     pytest.param(TOUCH, ["certify", "--mode", "global", "--kmax", "4"], 2,
                  "inconclusive at degree 4; raise the budget\n", id="TOUCH-global"),
     # A k_max past the size cap: the scan stops at the last degree whose
-    # conversion triangle the cap admits, C(2896, 2) and C(294, 3) entries.
+    # conversion triangle the cap admits, C(2896, 2) and C(294, 3) entries,
+    # and no budget goes further, so the hint names the cap.
     pytest.param(TOUCH, ["certify", "--mode", "global", "--kmax", "100000000"], 2,
-                 "inconclusive at degree 2894; raise the budget\n", id="TOUCH-global-cap"),
+                 "inconclusive at degree 2894; degree 2895 exceeds the size cap of"
+                 " 4194304 conversion-triangle entries\n", id="TOUCH-global-cap"),
     pytest.param(TOUCH2, ["certify", "--mode", "global", "--kmax", "100000000"], 2,
-                 "inconclusive at degree 291; raise the budget\n", id="TOUCH2-global-cap"),
+                 "inconclusive at degree 291; degree 292 exceeds the size cap of"
+                 " 4194304 conversion-triangle entries\n", id="TOUCH2-global-cap"),
     pytest.param(TRI, ["certify", "--mode", "local"], 1,
                  "refuted: f(1/2, -1/3) = -170/539 <= 0\n", id="TRI-local"),
     pytest.param(TRI_MIN, ["certify", "--mode", "local"], 0,
@@ -924,6 +927,36 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
 def test_exact_text(tmp_path, capsys, spec, argv, code, out):
     path = _write(tmp_path, "spec.json", spec)
     assert main([argv[0], path, *argv[1:]]) == code
+    assert capsys.readouterr().out == out
+
+
+CAP_HINT = ("inconclusive at degree 4; degree 5 exceeds the size cap of 35"
+            " conversion-triangle entries\n")
+BUDGET_HINT = "inconclusive at degree {}; raise the budget\n"
+
+
+@pytest.mark.parametrize("k_max, argv, out", [
+    pytest.param(None, [], CAP_HINT, id="default-budget"),
+    pytest.param(4, [], BUDGET_HINT.format(4), id="spec-at-cap"),
+    pytest.param(100, [], CAP_HINT, id="spec-past-cap"),
+    pytest.param(100, ["--kmax", "4"], BUDGET_HINT.format(4), id="flag-at-cap"),
+    pytest.param(None, ["--kmax", "3"], BUDGET_HINT.format(3), id="flag-below-cap"),
+    pytest.param(None, ["--mode", "negative", "--via", "global"], CAP_HINT,
+                 id="negative-default-budget"),
+])
+def test_cap_hint_reads_the_budget_in_force(tmp_path, capsys, monkeypatch, k_max, argv,
+                                            out):
+    # With the cap at C(4 + 3, 3) = 35 the scan of (x + y - 1/3)^2 stops at
+    # degree 4.  The hint names the cap when the k_max in force (flag, else
+    # spec, else certify.K_MAX) is above that, and the budget otherwise.
+    cap = polypatch._triangle_size(4, 2)
+    monkeypatch.setattr(polypatch, "MAX_TRIANGLE", cap)
+    monkeypatch.setattr(certify, "MAX_TRIANGLE", cap)
+    spec = dict(TOUCH2, k_max=k_max) if k_max is not None else dict(TOUCH2)
+    if "negative" in argv:
+        spec["numerator"] = PowerPoly.from_json(TOUCH2["numerator"]).negate().to_json()
+    argv = argv if "--mode" in argv else ["--mode", "global", *argv]
+    assert main(["certify", _write(tmp_path, "spec.json", spec), *argv]) == 2
     assert capsys.readouterr().out == out
 
 

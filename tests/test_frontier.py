@@ -62,14 +62,13 @@ from bernbound import (  # noqa: E402
     Simplex,
     Verdict,
     Witness,
-    cert_predicate,
     certify_local,
     certify_negative,
     minimize,
     rational_patch,
 )
 from bernbound import certify, geometry, optimize, ratpatch  # noqa: E402
-from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.certify import _refuting_vertex, cert_predicate  # noqa: E402
 from bernbound.errors import BudgetExhausted  # noqa: E402
 from bernbound.geometry import (  # noqa: E402
     diameter_sq,

@@ -8,11 +8,7 @@ import pytest
 from bernbound import (
     PowerPoly,
     Simplex,
-    affine_pullback,
     barycentric,
-    bisect_edge,
-    diameter_sq,
-    longest_edge,
     rational_patch,
     round_length,
     standard_simplex,
@@ -23,6 +19,7 @@ from bernbound.errors import (
     DegenerateSimplex,
     DimensionMismatch,
 )
+from bernbound.geometry import affine_pullback, bisect_edge, diameter_sq, longest_edge
 from conftest import random_point_in, random_simplex, simplex_volume_scaled
 
 

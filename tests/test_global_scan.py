@@ -34,12 +34,11 @@ from bernbound import (  # noqa: E402
     Simplex,
     Verdict,
     Witness,
-    cert_predicate,
     certify_global,
     certify_negative,
     enumerate_indices,
 )
-from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.certify import _refuting_vertex, cert_predicate  # noqa: E402
 from bernbound.indexing import vertex_positions  # noqa: E402
 from bernbound.ratpatch import rational_patch  # noqa: E402
 from conftest import mul_terms  # noqa: E402

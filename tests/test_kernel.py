@@ -43,26 +43,27 @@ from bernbound import (  # noqa: E402
     PowerPoly,
     RationalPatch,
     Simplex,
-    affine_pullback,
-    bisect_edge,
-    cert_predicate,
-    diameter_sq,
     enumerate_indices,
-    longest_edge,
     rational_patch,
     round_length,
     standard_simplex,
     to_bernstein,
 )
 from bernbound import geometry, ratpatch  # noqa: E402
-from bernbound.certify import _refuting_vertex  # noqa: E402
+from bernbound.certify import _refuting_vertex, cert_predicate  # noqa: E402
 from bernbound.errors import (  # noqa: E402
     DegenerateSimplex,
     DenominatorNotPositive,
     DimensionMismatch,
     InvalidArgument,
 )
-from bernbound.geometry import barycentric  # noqa: E402
+from bernbound.geometry import (  # noqa: E402
+    affine_pullback,
+    barycentric,
+    bisect_edge,
+    diameter_sq,
+    longest_edge,
+)
 from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
 from bernbound.optimize import _upper_bound, local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402

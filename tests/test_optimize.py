@@ -13,13 +13,12 @@ from bernbound import (
     apriori_steps,
     convergence_constants,
     enumerate_indices,
-    local_bounds,
     minimize,
     rational_patch,
 )
 from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
 from bernbound.indexing import vertex_positions
-from bernbound.optimize import _upper_bound
+from bernbound.optimize import _upper_bound, local_bounds
 from bernbound.ratpatch import Piece, _min_position
 from conftest import fn_cert3, fn_dip, grid_point, pinned_corpus
 

@@ -21,11 +21,11 @@ from bernbound import (
     rational_patch,
     standard_simplex,
     to_bernstein,
-    to_bernstein_standard,
 )
 from bernbound import certify, polypatch
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch, InvalidArgument
 from bernbound.indexing import split_table, vertex_positions
+from bernbound.polypatch import to_bernstein_standard
 from bernbound.rationals import float_str
 from conftest import (
     bernstein_by_interpolation,

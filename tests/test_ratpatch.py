@@ -16,7 +16,6 @@ from bernbound import (
     Simplex,
     convergence_constants,
     rational_patch,
-    to_bernstein_standard,
 )
 from bernbound import geometry, polypatch, ratpatch
 from bernbound.errors import (
@@ -26,6 +25,7 @@ from bernbound.errors import (
     DimensionMismatch,
     SimplexMismatch,
 )
+from bernbound.polypatch import to_bernstein_standard
 from conftest import encloses, fn_cert3, fn_dip, pinned_corpus, rational_instances
 
 
