@@ -8,7 +8,11 @@ exponents.  An index set is the cached tuple ``enumerate_indices`` returns,
 in the one canonical order, and ``vertex_positions`` gives the places of its
 vertex indices k e_i.  ``multinomials`` is the one multinomial rule,
 k! / (alpha_0! ... alpha_n!) over a table of factorials, listed for a whole
-index set.  Everything here is exact integer arithmetic.
+index set.  ``weight_row`` is the one rule that values a coefficient list
+at integer barycentric weights w: multinomial(k; beta) * prod w_i^beta_i
+over the index set, so a list's value is one dot product with it.
+``grid_row`` caches it at each grid point, w = alpha, per (degree,
+dimension, position).  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
@@ -28,7 +32,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, prod
 from operator import mul
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 
 def _hat_indices(total: int, length: int) -> Iterator[Tuple[int, ...]]:
@@ -76,6 +80,26 @@ def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
     factorials = [*accumulate(range(1, degree + 1), mul, initial=1)]
     return tuple(factorials[degree] // prod([factorials[a] for a in alpha])
                  for alpha in enumerate_indices(degree, dimension))
+
+
+def weight_row(degree: int, dimension: int, weights: Sequence[int]) -> Tuple[int, ...]:
+    """multinomial(k; beta) * prod w_i^beta_i of every index beta of degree
+    k = ``degree``, in canonical order, for integer barycentric weights w.
+
+    The dot product of a degree-k patch's numerators over ``scale`` with it
+    is scale * W^k * p(w / W), W = sum(w), as |beta| = k."""
+    powers = [[w ** e for e in range(degree + 1)] for w in weights]
+    return tuple([m * prod(map(list.__getitem__, powers, beta))
+                  for beta, m in zip(enumerate_indices(degree, dimension),
+                                     multinomials(degree, dimension))])
+
+
+@lru_cache(maxsize=None)
+def grid_row(degree: int, dimension: int, position: int) -> Tuple[int, ...]:
+    """``weight_row`` at the grid point of the index at ``position``, whose
+    weights are the index alpha itself, W = k (cached): the row that values
+    a list there without coordinates or a linear solve."""
+    return weight_row(degree, dimension, enumerate_indices(degree, dimension)[position])
 
 
 @lru_cache(maxsize=None)

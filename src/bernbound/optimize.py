@@ -12,14 +12,18 @@ lower bound is read first: when it already reaches the incumbent upper
 bound, no value on the node can lower the incumbent, so the node gets no
 grid or vertex value (``_upper_bound`` runs only below it).  The bounds are
 read from the lists by one rule each: ``ratpatch._min_position`` for the
-lower bound, ``_upper_bound`` (grid value and vertex values) for the upper
-bound and its point; ``local_bounds`` runs the same rules on a
+lower bound, ``_upper_bound`` for the upper bound and the grid position
+that attains it (a grid value, one dot product of each list with the
+cached ``indexing.grid_row``, and the vertex values), and ``_witness`` for
+that position's point; ``local_bounds`` runs the same rules on a
 ``RationalPatch`` (not exported: ``minimize`` does not call it, and it
 stays for ``bench/tracing.py`` until ROADMAP item 16, and as a test
 oracle).
 Bounds stay unreduced integer pairs a / b, b > 0, and compare by
-cross-multiplying, with the incumbent too: a ``Fraction`` is built only for
-a new incumbent and for the bracket a run returns.  Subdividing shrinks
+cross-multiplying, with the incumbent too: ``minimize`` keeps the
+incumbent as its pair, its piece and its grid position, and builds a
+``Fraction`` and the witness point once, for the result it returns or
+raises with ``BudgetExhausted``.  Subdividing shrinks
 the gap between the two; the bounds sandwich the true minimum at all times,
 and an a-priori round count (``ratpatch.apriori_steps``) suffices for any
 requested gap.  The minimizer imports nothing from the certifier.
@@ -33,20 +37,21 @@ leaf's vertices only to break a tie, the order of (lower bound, simplex);
 it drops leaves that cannot beat the incumbent, parks those at the depth
 budget, and stops on the least of the incumbent, the frontier's head and
 the parked bounds.  Only the root is a ``RationalPatch``; no piece below it
-becomes a ``Simplex`` or a patch, and a witness is read from its replayed
-rows.  Neither keeps a per-step record: a piece lives until it is dropped,
-parked (only the least parked bound and their count are kept) or split.
+becomes a ``Simplex`` or a patch, and the one witness is read from its
+piece's replayed rows.  Neither keeps a per-step record: a piece lives
+until it is dropped, parked (only the least parked bound and their count
+are kept) or split.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Tuple
 
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Point, Simplex, _grid_point
-from .indexing import enumerate_indices, vertex_positions
-from .polypatch import _grid_sum
+from .indexing import enumerate_indices, grid_row, vertex_positions
 from .powerpoly import PowerPoly
 from .ratpatch import (
     Piece,
@@ -109,39 +114,50 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     ``bench/tracing.py`` until ROADMAP item 16, and as a test oracle.
     """
     position = _min_position(f.num.nums, f.den.nums)
-    return (f.ratio(position), *_upper_bound(
-        Piece.of((f.num, f.den)), f.degree, (f.num.scale, f.den.scale), position))
+    piece = Piece.of((f.num, f.den))
+    a, b, where = _upper_bound(piece, f.degree, (f.num.scale, f.den.scale), position)
+    return f.ratio(position), Fraction(a, b), _witness(piece, f.degree, where)
 
 
 def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
-                 below: Optional[Tuple[int, int]] = None) -> Optional[Tuple[Fraction, Point]]:
-    """The upper bound of ``local_bounds`` and its point, for a degree-k
-    piece whose numerator and denominator lists are over ``scales`` times a
+                 below: Optional[Tuple[int, int]] = None) -> Optional[Tuple[int, int, int]]:
+    """The upper bound of ``local_bounds`` as an unreduced pair (a, b),
+    b > 0, and the grid position where it is attained, for a degree-k piece
+    whose numerator and denominator lists are over ``scales`` times a
     common factor, ``position`` being the first position of its smallest
     ratio; None when it does not lie below the fraction ``below`` = (a, b),
-    b > 0, if given.  The grid value is the ratio of both lists'
-    ``polypatch._grid_sum`` at that position's index alpha, the integer
-    barycentric weights of its grid point: each sum is over its list's
-    scale times k^k times the common factor, and those last two cancel.
-    The candidates compare as integer pairs by cross-multiplying, so only
-    the result becomes a ``Fraction``, and its point is read from the
-    piece's rows."""
+    b > 0, if given.  The grid value is the ratio of both lists' dot
+    products with ``indexing.grid_row`` at ``position``: each is over its
+    list's scale times k^k times the common factor, and those last two
+    cancel.  A vertex value is attained at the vertex's own position, and
+    replaces the grid value only when it is smaller.  The candidates
+    compare as integer pairs by cross-multiplying, so no ``Fraction`` and
+    no point is built (``_witness`` reads the point)."""
     n = len(piece.root[0]) - 1
     nums, dens = piece.lists
     s, t = scales
-    a = b = vertex = None
+    a = b = None
+    where = position
     if k >= 1:
-        argmin = enumerate_indices(k, n)[position]
-        a, b = _grid_sum(nums, k, n, argmin) * t, _grid_sum(dens, k, n, argmin) * s
-    for i, p in enumerate(vertex_positions(k, n)):
+        row = grid_row(k, n, position)
+        a, b = sum(map(mul, nums, row)) * t, sum(map(mul, dens, row)) * s
+    for p in vertex_positions(k, n):
         c, d = nums[p] * t, dens[p] * s
         if a is None or c * b < a * d:
-            a, b, vertex = c, d, i
+            a, b, where = c, d, p
     if below is not None and a * below[1] >= below[0] * b:
         return None
-    if vertex is None:
-        return Fraction(a, b), _grid_point(argmin, k, piece.rows, piece.denom)
-    return Fraction(a, b), piece.vertex(vertex)
+    return a, b, where
+
+
+def _witness(piece: Piece, k: int, where: int) -> Point:
+    """The point of the index alpha at grid position ``where`` of a degree-k
+    piece, read from its rows: vertex i when alpha = k e_i (and vertex 0
+    at k = 0), else the grid point alpha / k."""
+    alpha = enumerate_indices(k, len(piece.root[0]) - 1)[where]
+    if k in alpha:
+        return piece.vertex(alpha.index(k))
+    return _grid_point(alpha, k, piece.rows, piece.denom)
 
 
 def _least(*pairs) -> Optional[Tuple[int, int]]:
@@ -201,37 +217,39 @@ def minimize(
     k, scales = root.degree, (root.num.scale, root.den.scale)
     s, t = scales
     en, ed = epsilon.numerator, epsilon.denominator
-    # The incumbent upper bound delta = dn / dd and its witness; bounds
-    # compare with it as integers.
-    delta = witness = dn = dd = None
+    # The incumbent upper bound dn / dd, unreduced, and the piece and grid
+    # position of its witness; bounds compare with it as integers.
+    dn = dd = best = where = None
     lowest = {}  # uniform: the smallest (a, b) lower bound at each depth not yet settled
     parked = None  # best-first: the smallest (a, b) bound of the leaves held at the budget depth
     held = 0  # best-first: how many leaves are held there
     deepest = 0  # best-first: the depth of the deepest split piece
 
     def bounds(piece):
-        # The lower bound a / b first: at a / b >= delta every value on the
-        # piece is at least delta, so its upper bound could not lower delta.
-        nonlocal delta, witness, dn, dd
+        # The lower bound a / b first: at a / b >= dn / dd every value on the
+        # piece is at least dn / dd, so its upper bound could not lower it.
+        nonlocal dn, dd, best, where
         nums, dens = piece.lists
         position = _min_position(nums, dens)
         a, b = nums[position] * t, dens[position] * s
-        if delta is None or a * dd < dn * b:
+        if dn is None or a * dd < dn * b:
             found = _upper_bound(piece, k, scales, position,
-                                 None if delta is None else (dn, dd))
+                                 None if dn is None else (dn, dd))
             if found is not None:
-                delta, witness = found
-                dn, dd = delta.numerator, delta.denominator
+                dn, dd, where = found
+                best = piece
         return a, b
 
     def settle(lower, steps, leaves, exhausted):
-        # Converged when delta - a / b < epsilon, on integers.
+        # Converged when dn / dd - a / b < epsilon, on integers; the result
+        # builds the incumbent's Fraction and witness.
         a, b = lower
         converged = (dn * b - a * dd) * ed < en * dd * b
         if not (converged or exhausted):
             return None
-        result = MinimizationResult(Fraction(a, b), delta, witness, epsilon, steps, leaves,
-                                    converged, planned)
+        delta = Fraction(dn, dd)
+        result = MinimizationResult(Fraction(a, b), delta, _witness(best, k, where), epsilon,
+                                    steps, leaves, converged, planned)
         if converged:
             return result
         raise BudgetExhausted(f"gap {float_str(delta - result.lower)} at budget {budget}",

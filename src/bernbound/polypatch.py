@@ -24,9 +24,9 @@ and one gcd.  It refuses a degree whose triangle, C(k + n + 1, n + 1)
 entries (``_triangle_size``), exceeds ``MAX_TRIANGLE`` (``InvalidArgument``)
 before it allocates any, and the global scan stops at the last degree the
 cap admits.  Second differences are integer too, building a ``Fraction``
-only per returned entry, and ``eval`` is one integer weighted sum
-(``_grid_sum``).  The constructor reads coefficients as integer pairs and
-``to_json`` prints them from ``nums`` over ``scale``.
+only per returned entry, and ``eval`` is one integer dot product with
+the point's ``indexing.weight_row``.  The constructor reads coefficients
+as integer pairs and ``to_json`` prints them from ``nums`` over ``scale``.
 ``to_bernstein_standard`` and ``SecondDifferences`` are not exported: no
 library code calls them (only the traced ``second_differences`` returns
 the latter), and they stay here for ``bench/tracing.py`` until ROADMAP
@@ -49,6 +49,7 @@ from .indexing import (
     multinomials,
     second_difference_moves,
     split_table,
+    weight_row,
 )
 from .powerpoly import PowerPoly, _integer, _pullback
 from .rationals import Interval, Rational, _format_ratio, _ratio
@@ -143,10 +144,12 @@ class BernsteinPatch:
 
     def eval(self, point: Sequence[Rational]) -> Fraction:
         """Exact value of the represented polynomial at a rational point,
-        inside the simplex or not: ``_grid_sum`` at the point's integer
-        barycentric weights w, over scale * (sum w)^k."""
+        inside the simplex or not: the numerators' dot product with the
+        ``weight_row`` of the point's integer barycentric weights w, over
+        scale * (sum w)^k.  The row is built for the point, uncached."""
         weights = _barycentric_weights(self.simplex, point)
-        return Fraction(_grid_sum(self.nums, self.degree, self.dimension, weights),
+        row = weight_row(self.degree, self.dimension, weights)
+        return Fraction(sum(map(mul, self.nums, row)),
                         self.scale * sum(weights) ** self.degree)
 
     def elevate(self) -> "BernsteinPatch":
@@ -202,29 +205,6 @@ class BernsteinPatch:
             "degree": self.degree,
             "coeffs": [_format_ratio(a, self.scale) for a in self.nums],
         }
-
-
-def _grid_sum(nums: Sequence[int], degree: int, dimension: int,
-              weights: Sequence[int]) -> int:
-    """The integer scale * W^k * p(weights / W) of the numerators ``nums``
-    of a degree-k patch (k = ``degree``) over a ``dimension``-simplex, for
-    integer barycentric weights with W = sum(weights) != 0.
-
-    At barycentric coordinates w / W the value is
-    sum nums[beta] * multinomial(k; beta) * prod w_i^beta_i over
-    scale * W^k, as |beta| = k.  Grid points are the case w = alpha,
-    W = k, which needs no coordinates and no linear solve.
-    """
-    powers = [[a ** e for e in range(degree + 1)] for a in weights]
-    total = 0
-    for beta, num, weight in zip(enumerate_indices(degree, dimension), nums,
-                                 multinomials(degree, dimension)):
-        if num:
-            term = num * weight
-            for row, b in zip(powers, beta):
-                term *= row[b]
-            total += term
-    return total
 
 
 def _second_difference_ints(patch: BernsteinPatch) -> Tuple[tuple, List[int]]:

@@ -35,7 +35,8 @@ the root stays positive on every piece.  So the root's rank check and
 denominator check cover every piece, and neither runs again.  The local
 certificate, which reads numerator signs only, splits the numerator alone,
 and stops cutting any piece of a split once it certifies: that piece
-stands for the leaves below it (``Piece.weight``), which all certify too.
+stands for the leaves below it (``Piece.weight``), which all certify too,
+and their count is memoised on edge lengths, not walked leaf by leaf.
 ``RationalPatch.split_round`` turns one round's pieces back into checked
 patches, for callers that want objects.
 
@@ -344,10 +345,13 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     piece cut from ``piece``, round starts included (at n = 1 every cut
     starts one), on which it holds is returned as it is, in the place of
     its first leaf, and not split.
-    The loop walks the rest of that piece's refinement on edge lengths
-    alone, with no lists and no path, and counts in the piece's ``weight``
-    the leaves it would have made.  Every other leaf has weight 1, so the
-    weights sum to the number of leaves of the run without ``settled``.
+    Its ``weight`` counts the leaves the rest of its refinement would have
+    made.  That count reads edge lengths alone, with no lists and no path:
+    the leaves below an entry depend only on its lengths, cuts, round depth
+    and round target, so it is memoised on them within the call, and a
+    shape that recurs at one level is counted once.  Every other leaf has
+    weight 1, so the weights sum to the number of leaves of the run without
+    ``settled``.
 
     No piece is rank-checked, because bisection keeps a simplex a simplex.
     Write E_i for the matrix of edge vectors v_l - v_i (l != i) of a
@@ -365,46 +369,66 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
     bisections = _bisection_slots(n)
     size = 2 * len(piece.lengths)
-    # (path, lists, squared edge lengths over (root denom << cuts)**2, cuts,
-    # cuts in the round, the round's target squared diameter, and the
-    # settled piece whose leaves an entry counts, or None); the piece opens
-    # the first round.  An entry below a settled piece has no path or lists.
-    stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, 0,
-              _quarter(max(piece.lengths), root[1] << piece.cuts), None)]
-    leaves = []
-    while stack:
-        path, lists, lengths, cuts, depth, target, owner = stack.pop()
+    counts = {}  # (lengths, cuts, depth, target) of a cut entry -> its leaves
+
+    def cut(lengths, cuts, depth, target):
+        # None for a leaf; else the slot of the edge to cut, the children's
+        # depth and round target, and their lengths over the doubled
+        # denominator, by the median rule.
         denom = root[1] << cuts
         c, e = _longest(lengths)
         if depth >= levels and not _wider(c, denom, target):
             if not _wider(c, denom, threshold):
-                if owner is None:
-                    leaves.append(Piece(root, path, lists, cuts, lengths))
-                else:
-                    owner.weight += 1
-                continue
+                return None
             target, depth = _quarter(c, denom), 0
         elif depth == budget:
             raise DegenerateSimplex("edge bisection failed to halve the diameter")
-        if owner is None and cuts > piece.cuts and settled is not None and settled(lists):
-            owner = Piece(root, path, lists, cuts, lengths, 0)
-            leaves.append(owner)
-        i, j, slots_i, slots_j = bisections[e]
+        _, _, slots_i, slots_j = bisections[e]
         lengths_i = [d << 2 for d in lengths]
         lengths_j = lengths_i[:]
         half = lengths_i[e] = lengths_j[e] = lengths[e]
         for s, t in zip(slots_i, slots_j):
             lengths_i[s] = lengths_j[t] = 2 * (lengths[s] + lengths[t]) - half
-        cuts, depth = cuts + 1, depth + 1
-        if owner is None:
+        return e, depth + 1, target, lengths_i, lengths_j
+
+    def weight(step, cuts):
+        # The leaves below both children of an entry with ``cuts`` cuts,
+        # ``step`` being its cut; a child that is cut again is counted once
+        # per key.
+        _, depth, target, lengths_i, lengths_j = step
+        total = 0
+        for half in (lengths_i, lengths_j):
+            below = cut(half, cuts + 1, depth, target)
+            if below is None:
+                total += 1
+                continue
+            key = (tuple(half), cuts + 1, depth, target)
+            if key not in counts:
+                counts[key] = weight(below, cuts + 1)
+            total += counts[key]
+        return total
+
+    # (path, lists, squared edge lengths over (root denom << cuts)**2, cuts,
+    # cuts in the round, the round's target squared diameter); the piece
+    # opens the first round.
+    stack = [(piece.path, piece.lists, piece.lengths, piece.cuts, 0,
+              _quarter(max(piece.lengths), root[1] << piece.cuts))]
+    leaves = []
+    while stack:
+        path, lists, lengths, cuts, depth, target = stack.pop()
+        step = cut(lengths, cuts, depth, target)
+        if step is None:
+            leaves.append(Piece(root, path, lists, cuts, lengths))
+        elif cuts > piece.cuts and settled is not None and settled(lists):
+            leaves.append(Piece(root, path, lists, cuts, lengths, weight(step, cuts)))
+        else:
+            e, depth, target, lengths_i, lengths_j = step
+            i, j, _, _ = bisections[e]
             table = split_table(k, n, i, j)
             lists_i, lists_j = zip(*[split_nums(nums, table) for nums in lists])
-            path = path * size + 2 * e
-            stack.append((path + 1, lists_j, lengths_j, cuts, depth, target, None))
-            stack.append((path, lists_i, lengths_i, cuts, depth, target, None))
-        else:
-            stack.append((None, None, lengths_j, cuts, depth, target, owner))
-            stack.append((None, None, lengths_i, cuts, depth, target, owner))
+            path, cuts = path * size + 2 * e, cuts + 1
+            stack.append((path + 1, lists_j, lengths_j, cuts, depth, target))
+            stack.append((path, lists_i, lengths_i, cuts, depth, target))
     return leaves
 
 

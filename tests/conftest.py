@@ -560,6 +560,23 @@ def grid_point(alpha, k, simplex):
                  for c in range(simplex.dimension))
 
 
+def ref_grid_sum(nums, degree, dimension, weights):
+    """The integer scale * W^k * p(weights / W) of the numerators ``nums``
+    of a degree-k patch over a ``dimension``-simplex, for integer
+    barycentric weights with W = sum(weights), by a loop over the indices:
+    sum nums[beta] * multinomial(k; beta) * prod w_i^beta_i, rebuilt on
+    every call (the grid valuer before ``indexing.weight_row``)."""
+    powers = [[a ** e for e in range(degree + 1)] for a in weights]
+    total = 0
+    for beta, num in zip(enumerate_indices(degree, dimension), nums):
+        if num:
+            term = num * _multinomial(degree, beta)
+            for row, b in zip(powers, beta):
+                term *= row[b]
+            total += term
+    return total
+
+
 def inside(inner, outer):
     """Whether every vertex of the simplex ``inner`` lies in the simplex
     ``outer``: all its barycentric coordinates there are nonnegative."""

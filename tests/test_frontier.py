@@ -557,12 +557,41 @@ def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, m
     for piece in visited:
         position = ratpatch._min_position(*piece.lists)
         m = F(piece.lists[0][position] * scales[1], piece.lists[1][position] * scales[0])
-        d, _ = real(piece, root.degree, scales, position)
+        a, b, _ = real(piece, root.degree, scales, position)
+        d = F(a, b)
         if delta is None or m < delta:
             want.append(piece)
             delta = d if delta is None else min(delta, d)
     assert len(valued) == len(want) < len(visited)
     assert all(a is b for a, b in zip(valued, want))
+
+
+@pytest.mark.parametrize("mode", ["best-first", "uniform"])
+@pytest.mark.parametrize("problem, epsilon, budget", [
+    (DIP, F(1, 1000), None),
+    (TOUCH, F(1, 1000), None),
+    (DIP, F(1, 10 ** 9), 2),
+    (TOUCH, F(1, 10 ** 9), 2),
+    (closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0], [0, 0]), F(1, 100), None),
+    (closed_form(F(1, 20), 1, [1, 1, 1], [F(1, 2), 0], [0, 0]), F(1, 10 ** 9), 2),
+], ids=["dip-converged", "touch-converged", "dip-exhausted", "touch-exhausted",
+        "2d-converged", "2d-exhausted"])
+def test_minimize_forms_one_witness_point(monkeypatch, problem, epsilon, budget, mode):
+    # The incumbent is an integer pair, its piece and a grid position, so
+    # however often it is replaced, one point is formed: the witness of the
+    # result returned, or carried by ``BudgetExhausted``.
+    formed = []
+    grid_point, vertex = optimize._grid_point, ratpatch.Piece.vertex
+    monkeypatch.setattr(optimize, "_grid_point",
+                        lambda *args: formed.append(args) or grid_point(*args))
+    monkeypatch.setattr(ratpatch.Piece, "vertex",
+                        lambda piece, i: formed.append(i) or vertex(piece, i))
+    try:
+        result = minimize(*problem[:3], epsilon, budget=budget, mode=mode)
+    except BudgetExhausted as error:
+        result = error.partial
+    assert result.converged == (budget is None)
+    assert len(formed) == 1
 
 
 @pytest.mark.parametrize("run, lists", [
@@ -705,6 +734,23 @@ def test_wide_domain_counts_settled_leaves_without_cutting_them(monkeypatch, pro
     root_split, = splits
     assert len(root_split) == pieces
     assert sum(piece.weight for piece in root_split) == 32768
+
+
+def test_wide_domain_counts_settled_leaves_once_per_shape(monkeypatch):
+    # The triangle scaled by 128 settles 262,144 leaves at depth 1.  Below a
+    # settled piece the leaf count is memoised on each entry's lengths,
+    # cuts and round, so the driver measures a longest edge a few times per
+    # level; walking every leaf below the settled pieces measured 524,287.
+    wide = closed_form_on(F(1, 50), F(1, 128 ** 2), [1, 1, 1], [0, 0],
+                          [[0, 0], [128, 0], [0, 128]])[:3]
+    real = ratpatch._longest
+    calls = []
+    monkeypatch.setattr(ratpatch, "_longest",
+                        lambda lengths: calls.append(None) or real(lengths))
+    report = certify_local(*wide, n_max=10)
+    assert (report.verdict, report.depth_used, report.leaves) == (
+        Verdict.CERTIFIED, 1, 262144)
+    assert len(calls) < 1000
 
 
 DIP_DOMAIN = fn_dip()

@@ -32,6 +32,7 @@ measures every child's edges afresh (``conftest.ref_refine_ints``).
 
 from fractions import Fraction as F
 from math import comb, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -64,8 +65,8 @@ from bernbound.geometry import (  # noqa: E402
     diameter_sq,
     longest_edge,
 )
-from bernbound.indexing import multinomials, vertex_positions  # noqa: E402
-from bernbound.optimize import _upper_bound, local_bounds  # noqa: E402
+from bernbound.indexing import grid_row, multinomials, vertex_positions  # noqa: E402
+from bernbound.optimize import _upper_bound, _witness, local_bounds  # noqa: E402
 from bernbound.polypatch import _elevate_homogeneous, _homogeneous  # noqa: E402
 from bernbound.ratpatch import _wider  # noqa: E402
 from conftest import (  # noqa: E402
@@ -74,6 +75,7 @@ from conftest import (  # noqa: E402
     grid_point,
     index_positions,
     mul_terms,
+    ref_grid_sum,
     ref_refine_ints,
     refine,
 )
@@ -585,6 +587,38 @@ def test_longest_edge_matches_reference(data):
         simplex = data.draw(st.sampled_from(bisect_edge(simplex, *edge)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@settings(KERNEL, max_examples=3)
+@given(st.data())
+def test_grid_row_matches_the_grid_sum_loop(k, n, data):
+    # One cached row per grid position: its dot product with a list is the
+    # per-call loop's integer grid sum at that index.
+    indices = enumerate_indices(k, n)
+    nums = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=len(indices),
+                              max_size=len(indices)))
+    for p, alpha in enumerate(indices):
+        assert sum(map(mul, nums, grid_row(k, n, p))) == ref_grid_sum(nums, k, n, alpha)
+
+
+@KERNEL
+@given(st.data())
+def test_eval_matches_the_grid_sum_loop(data):
+    # ``BernsteinPatch.eval`` dots an uncached row at the point's integer
+    # barycentric weights: the loop's sum over scale * (sum w)^k, at points
+    # inside the simplex or not.
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 6))
+    simplex = data.draw(simplices(n))
+    size = len(enumerate_indices(k, n))
+    patch = BernsteinPatch(simplex, k, data.draw(st.lists(SIGNED, min_size=size,
+                                                          max_size=size)))
+    point = data.draw(st.lists(SIGNED, min_size=n, max_size=n))
+    weights = geometry._barycentric_weights(simplex, point)
+    assert patch.eval(point) == F(ref_grid_sum(patch.nums, k, n, weights),
+                                  patch.scale * sum(weights) ** k)
+
+
 @KERNEL
 @given(st.data())
 def test_grid_value_matches_eval(data):
@@ -608,8 +642,9 @@ def test_grid_value_matches_eval(data):
             value = piece.num.eval(point) / piece.den.eval(point)
             if min(values) < value:
                 value, point = min(values), vertices[values.index(min(values))]
-            assert _upper_bound(ratpatch.Piece.of((piece.num, piece.den)), k, scales,
-                                p) == (value, point)
+            record = ratpatch.Piece.of((piece.num, piece.den))
+            a, b, where = _upper_bound(record, k, scales, p)
+            assert (F(a, b), _witness(record, k, where)) == (value, point)
 
 
 @KERNEL

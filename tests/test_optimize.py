@@ -18,7 +18,7 @@ from bernbound import (
 )
 from bernbound.errors import BudgetExhausted, NonPositiveClaim, NonPositiveEpsilon
 from bernbound.indexing import vertex_positions
-from bernbound.optimize import _upper_bound, local_bounds
+from bernbound.optimize import _upper_bound, _witness, local_bounds
 from bernbound.ratpatch import Piece, _min_position
 from conftest import fn_cert3, fn_dip, grid_point, pinned_corpus
 
@@ -101,11 +101,12 @@ class TestLocalBounds:
         f = rational_patch(*fn_dip())
         piece = Piece.of((f.num, f.den))
         args = piece, f.degree, (f.num.scale, f.den.scale), _min_position(*piece.lists)
-        value, point = _upper_bound(*args)
+        a, b, where = _upper_bound(*args)
+        value, point = F(a, b), _witness(piece, f.degree, where)
         assert (value, point) == local_bounds(f)[1:]
         p, q = value.numerator, value.denominator
         assert _upper_bound(*args, (2 * p, 2 * q)) is None
-        assert _upper_bound(*args, (2 * p + 1, 2 * q)) == (value, point)
+        assert _upper_bound(*args, (2 * p + 1, 2 * q)) == (a, b, where)
 
 
 class TestMinimize:

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -17,7 +18,7 @@ from bernbound import (
     convergence_constants,
     rational_patch,
 )
-from bernbound import geometry, polypatch, ratpatch
+from bernbound import geometry, ratpatch
 from bernbound.errors import (
     DegreeMismatch,
     DegreeTooLow,
@@ -25,6 +26,7 @@ from bernbound.errors import (
     DimensionMismatch,
     SimplexMismatch,
 )
+from bernbound.indexing import weight_row
 from bernbound.polypatch import to_bernstein_standard
 from conftest import encloses, fn_cert3, fn_dip, pinned_corpus, rational_instances
 
@@ -100,15 +102,16 @@ class TestEnclosure:
         assert f.enclosure() == (F(0), F(3, 2))
 
     def test_eval(self):
-        # The pair of integer grid sums (``optimize._upper_bound``'s rule)
-        # at a point's barycentric weights, each times the other list's
-        # scale, is the function's exact value there.
+        # The pair of dot products with one weight row
+        # (``optimize._upper_bound``'s rule) at a point's barycentric
+        # weights, each times the other list's scale, is the function's
+        # exact value there.
         num, den, domain = fn_dip()
         f = rational_patch(num, den, domain)
         for x in (F(-1), F(0), F(1, 3), F(1)):
-            weights = geometry._barycentric_weights(domain, [x])
-            value = F(polypatch._grid_sum(f.num.nums, 2, 1, weights) * f.den.scale,
-                      polypatch._grid_sum(f.den.nums, 2, 1, weights) * f.num.scale)
+            row = weight_row(2, 1, geometry._barycentric_weights(domain, [x]))
+            value = F(sum(map(mul, f.num.nums, row)) * f.den.scale,
+                      sum(map(mul, f.den.nums, row)) * f.num.scale)
             assert value == num.eval([x]) / den.eval([x])
 
     @pytest.mark.parametrize("case", pinned_corpus()[:4])
