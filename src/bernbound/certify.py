@@ -270,9 +270,10 @@ def certify_global(
 
 def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
     """``certify_global`` on its base-degree root patch.  The scan stops
-    below any degree whose conversion triangle (``polypatch._triangle_size``)
-    the cap refuses: the elevation tables it caches on the way to degree k
-    hold at most n times that triangle's C(k + n + 1, n + 1) entries."""
+    below any degree the conversion's cap refuses
+    (``polypatch._triangle_size``): scan and conversion run the same
+    elevation step, whose tables cached on the way to degree k hold
+    C(k + n + 1, n + 1) - 1 entries per slot, n slots."""
     start = time.perf_counter()
     mode = Mode.GLOBAL_ELEVATION
     refute = _refuting_vertex(root)

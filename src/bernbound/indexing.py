@@ -21,8 +21,10 @@ splitting) and stored as flat integer arrays.  The elevation table holds
 source positions only: elevation keeps every vertex entry's value, so the
 certificate decides the vertex part once at the root and reads no vertex
 position per degree.  The power-to-Bernstein conversion scatters its terms
-through ``conversion_table`` and reuses the edge-splitting table of each
-edge (0, axis).
+to their hat positions through ``conversion_table`` and then runs on the
+elevation table alone: the graded order puts a hat at the same position at
+every degree, so a grade added at one degree stays in place as the list
+grows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import mul
 from typing import Dict, Iterator, Sequence, Tuple
 
@@ -103,23 +105,18 @@ def grid_row(degree: int, dimension: int, position: int) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def conversion_table(degree: int, dimension: int) -> Tuple[int, Dict[int, Tuple[int, int]]]:
-    """Scatter table for power-to-Bernstein conversion at ``degree``.
+def conversion_table(degree: int, dimension: int) -> Tuple[int, Dict[int, int]]:
+    """Scatter table for power-to-Bernstein conversion of a polynomial of
+    degree ``degree``.
 
     Returns the key width w = degree.bit_length() and a map from the packed
     key sum_j beta_j << (w * j) of every power-basis exponent beta with
-    |beta| <= degree to (position, factor): the canonical position of the
-    index (degree - |beta|,) + beta and the factor
-    beta! (degree - |beta|)! = degree! / multinomial(degree; index).
+    |beta| <= degree to the canonical position of its hat beta, which is
+    the position of (m - |beta|,) + beta at every degree m >= |beta|.
     """
     width = degree.bit_length()
-    total = factorial(degree)
-    table = {}
-    for pos, (alpha, weight) in enumerate(zip(enumerate_indices(degree, dimension),
-                                              multinomials(degree, dimension))):
-        key = sum(e << (width * j) for j, e in enumerate(alpha[1:]))
-        table[key] = (pos, total // weight)
-    return width, table
+    return width, {sum(e << (width * j) for j, e in enumerate(alpha[1:])): pos
+                   for pos, alpha in enumerate(enumerate_indices(degree, dimension))}
 
 
 @lru_cache(maxsize=None)

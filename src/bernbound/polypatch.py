@@ -17,16 +17,21 @@ integers; ``elevate`` divides its result back to Bernstein numerators.  The
 step returns the elevated list alone: a vertex entry is a function value
 and keeps its value, so the scan decides the vertex part of the
 certificate once, at the root, and the step carries no vertex positions.
-Conversion from the power basis is one kernel, ``to_bernstein``: integer
-Horner pullback from the simplex's rows, a table scatter into the grid,
-the edge split's de Casteljau triangle (``_triangle``) along each axis,
-and one gcd.  It refuses a degree whose triangle, C(k + n + 1, n + 1)
-entries (``_triangle_size``), exceeds ``MAX_TRIANGLE`` (``InvalidArgument``)
-before it allocates any, and the global scan stops at the last degree the
-cap admits.  Second differences are integer too, building a ``Fraction``
-only per returned entry, and ``eval`` is one integer dot product with
-the point's ``indexing.weight_row``.  The constructor reads coefficients
-as integer pairs and ``to_json`` prints them from ``nums`` over ``scale``.
+Conversion from the power basis, ``to_bernstein``, runs on that same step:
+integer Horner pullback from the simplex's rows, a table scatter of the
+terms to their hat positions, homogeneous Horner grade by grade (Polya's
+multiplication by x_0 + ... + x_n), elevation to the target degree, one
+factorial scaling of the final grid and one gcd.  Conversion and scan
+thus reach degree k through the same cached elevation tables, C(k + n +
+1, n + 1) - 1 entries per slot (``_triangle_size`` counts C(k + n + 1,
+n + 1)); the conversion refuses a degree past ``MAX_TRIANGLE``
+(``InvalidArgument``) before it allocates anything, and the global scan
+stops at the last degree the cap admits.  The de Casteljau triangle
+(``_triangle``) serves the edge split alone.  Second differences are
+integer too, building a ``Fraction`` only per returned entry, and
+``eval`` is one integer dot product with the point's
+``indexing.weight_row``.  The constructor reads coefficients as integer
+pairs and ``to_json`` prints them from ``nums`` over ``scale``.
 ``to_bernstein_standard`` and ``SecondDifferences`` are not exported: no
 library code calls them (only the traced ``second_differences`` returns
 the latter), and they stay here for ``bench/tracing.py`` until ROADMAP
@@ -56,10 +61,11 @@ from .rationals import Interval, Rational, _format_ratio, _ratio
 
 DiffKey = Tuple[Tuple[int, ...], int, int]
 
-# The most entries of one conversion's de Casteljau triangle, C(k + n + 1,
-# n + 1) at degree k over an n-simplex (``_triangle_size``), which
-# ``split_table`` caches as positions too.  It admits n = 5 at k = 33
-# (3,262,623) and refuses a runaway degree before anything is allocated.
+# The cap on C(k + n + 1, n + 1) at degree k over an n-simplex
+# (``_triangle_size``).  Conversion and global scan alike reach degree k
+# on the elevation step, whose cached tables then hold C(k + n + 1, n + 1)
+# - 1 entries per slot.  It admits n = 5 at k = 33 (3,262,623) and refuses
+# a runaway degree before anything is allocated.
 MAX_TRIANGLE = 1 << 22
 
 
@@ -268,9 +274,11 @@ def _triangle(nums: Sequence[int], levels) -> List[int]:
 
 
 def _triangle_size(degree: int, dimension: int) -> int:
-    """The entries of ``_triangle`` on the levels of a degree-``degree``
-    ``split_table`` over a ``dimension``-simplex, C(k + n + 1, n + 1): a
-    line of m + 1 coefficients along the edge adds C(m + 2, 2) entries."""
+    """C(k + n + 1, n + 1) at degree k over an n-simplex, the quantity
+    ``MAX_TRIANGLE`` caps: one more than the entries per slot of the
+    elevation tables of degrees 0..k - 1, sum_j C(j + 1 + n, n), which a
+    conversion or scan to degree k caches, and the entries of ``_triangle``
+    on a degree-k ``split_table``."""
     return comb(degree + dimension + 1, dimension + 1)
 
 
@@ -300,26 +308,28 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
 def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
     """Bernstein patch of poly at the given degree over a simplex, exactly.
 
-    One integer kernel.  The pullback to standard-simplex coordinates t is
-    ``powerpoly._pullback`` on the simplex's rows, the origin v_0 and the
-    directions v_i - v_0 over ``simplex.denom``: Horner on integer linear
-    forms, with no ``Fraction`` and no intermediate ``PowerPoly``.  Its
-    terms A_beta over a scale S give a_beta = A_beta / S, and over the
-    standard simplex b_alpha = sum over beta <= alpha_hat of C(alpha_hat,
-    beta) / C(degree, beta) * a_beta.
+    One integer kernel on the global scan's elevation step.  The pullback to
+    standard-simplex coordinates t is ``powerpoly._pullback`` on the
+    simplex's rows, the origin v_0 and the directions v_i - v_0 over
+    ``simplex.denom``: Horner on integer linear forms, with no ``Fraction``
+    and no intermediate ``PowerPoly``.  Its terms A_beta over a scale S are
+    scattered through ``indexing.conversion_table`` to the positions of
+    their hats beta, which are the same at every degree.
 
-    With 1 / C(degree, beta) = beta! (degree - |beta|)! / degree! the sum is
-    a binomial transform, one axis at a time, of the integers
-    A_beta * beta! * (degree - |beta|)!, scattered into the grid through
-    ``indexing.conversion_table``; b_alpha is the result over S * degree!.
-    Along each axis the transform g(x) = sum_b C(x, b) f(b) is the first
-    entry of the x-th level of the de Casteljau triangle of the edge
-    (0, axis): the grid becomes the unshifted entries that ``split_nums``
-    gathers for the child keeping v_0.  One gcd reduces the result, so the
-    numerators and scale are canonical.
+    With x_0 = 1 - |t| and x_hat = t the grade-j slice p_j of the terms is
+    homogeneous of degree j, and homogeneous Horner, h <- E(h) + p_j for
+    j = 1..d (d the polynomial's degree), where E is
+    ``_elevate_homogeneous`` (multiplication by x_0 + ... + x_n), gives the
+    homogeneous coefficients c_alpha = b_alpha * multinomial(d; alpha) over
+    S.  The same step elevates them from d to ``degree`` = k, and
+    b_alpha = c_alpha * alpha! / k!, with alpha! = k! / multinomial(k;
+    alpha) read from ``indexing.multinomials``.  One gcd reduces the
+    result, so the numerators and scale are canonical.  Only the final grid
+    carries factorials.
 
-    A degree whose triangle has more than ``MAX_TRIANGLE`` entries raises
-    ``InvalidArgument`` before the grid is allocated.
+    A degree whose elevation tables, C(k + n + 1, n + 1) - 1 entries per
+    slot (``_triangle_size``), exceed ``MAX_TRIANGLE`` raises
+    ``InvalidArgument`` before anything is allocated.
     """
     n = simplex.dimension
     if poly.dimension != n:
@@ -335,19 +345,23 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
             f"Bernstein degree {degree} over a {n}-simplex needs a conversion triangle"
             f" of {size} entries, more than {MAX_TRIANGLE}"
         )
-    width, table = conversion_table(degree, n)
+    width, table = conversion_table(poly.degree, n)
     v0 = simplex.ints[0]
     packed, scale = _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)]
                                          for vi in simplex.ints[1:]], simplex.denom, width)
-    scale *= factorial(degree)
-    grid = [0] * len(table)
+    terms = [0] * len(table)
     for key, c in packed.items():
-        p, factor = table[key]
-        grid[p] = c * factor
-    for axis in range(1, n + 1):
-        levels, (left, _), _ = split_table(degree, n, 0, axis)
-        grid = [*map(_triangle(grid, levels).__getitem__, left)]
-    common = gcd(scale, *grid)
+        terms[table[key]] = c
+    h = [terms[0], 0]
+    for j in range(degree):
+        grade = len(h) - 1
+        h = _elevate_homogeneous(h, j, n)
+        if j < poly.degree:
+            h[grade:-1] = map(add, h[grade:-1], terms[grade:len(h) - 1])
+    total = factorial(degree)
+    scale *= total
+    nums = [c * (total // m) for c, m in zip(h, multinomials(degree, n))]
+    common = gcd(scale, *nums)
     return BernsteinPatch._from_ints(simplex, degree,
-                                     tuple([v // common for v in grid]),
+                                     tuple([v // common for v in nums]),
                                      scale // common)

@@ -9,13 +9,15 @@ rows and measures every piece's edges afresh (``ref_refine_ints``), and
 best-first ``minimize``'s integer keys against the ``Fraction`` keys they
 replaced (``ref_best_first_key``), and the integer reader of problem
 files against the ``Fraction`` parser it sits in front of
-(``parse_rational_oracle``).
+(``parse_rational_oracle``), and the conversion on the global scan's
+elevation step against the factorial binomial transform on the edge
+split's de Casteljau triangle it replaced (``ref_to_bernstein``).
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd
 import random
 import sys
 from typing import NamedTuple, Tuple
@@ -29,8 +31,9 @@ from bernbound import (
 from bernbound import certify
 from bernbound.errors import DegenerateSimplex, DenominatorNotPositive
 from bernbound.geometry import _bisect_rows, round_length
-from bernbound.indexing import enumerate_indices, split_table, vertex_positions
-from bernbound.polypatch import split_nums
+from bernbound.indexing import enumerate_indices, multinomials, split_table, vertex_positions
+from bernbound.polypatch import BernsteinPatch, _triangle, split_nums
+from bernbound.powerpoly import _pullback
 from bernbound.ratpatch import Piece, RationalPatch, _refine_ints, rational_patch
 
 F = Fraction
@@ -638,6 +641,39 @@ def _multinomial(k, alpha):
         result *= comb(remaining, a)
         remaining -= a
     return result
+
+
+def ref_to_bernstein(poly, degree, simplex):
+    """``to_bernstein`` as a binomial transform: the pulled-back terms
+    A_beta over S, each times beta! (degree - |beta|)!, scattered into the
+    grid; along each axis the transform g(x) = sum_b C(x, b) f(b) is the
+    first entry of the x-th level of the de Casteljau triangle of the edge
+    (0, axis), read for the child keeping v_0; b_alpha is the result over
+    S * degree!, reduced by one gcd.  Every triangle entry carries the
+    factorials, about log2(degree!) bits."""
+    n = simplex.dimension
+    width = degree.bit_length()
+    total = factorial(degree)
+    table = {}
+    for pos, (alpha, weight) in enumerate(zip(enumerate_indices(degree, n),
+                                              multinomials(degree, n))):
+        key = sum(e << (width * j) for j, e in enumerate(alpha[1:]))
+        table[key] = (pos, total // weight)
+    v0 = simplex.ints[0]
+    packed, scale = _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)]
+                                         for vi in simplex.ints[1:]], simplex.denom, width)
+    scale *= total
+    grid = [0] * len(table)
+    for key, c in packed.items():
+        p, factor = table[key]
+        grid[p] = c * factor
+    for axis in range(1, n + 1):
+        levels, (left, _), _ = split_table(degree, n, 0, axis)
+        grid = [*map(_triangle(grid, levels).__getitem__, left)]
+    common = gcd(scale, *grid)
+    return BernsteinPatch._from_ints(simplex, degree,
+                                     tuple([v // common for v in grid]),
+                                     scale // common)
 
 
 def bernstein_by_interpolation(poly, degree, simplex):

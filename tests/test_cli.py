@@ -25,7 +25,7 @@ from bernbound import (
     rational_patch,
     to_bernstein,
 )
-from bernbound import certify, polypatch
+from bernbound import certify, cli, polypatch
 from bernbound.cli import main, parse_problem
 from bernbound.indexing import vertex_positions
 from bernbound.ratpatch import apriori_d1, apriori_d2
@@ -839,6 +839,20 @@ def test_closed_stdout_exits_141(unbuffered):
         proc.stdout.close()
         _, err = proc.communicate(json.dumps(spec).encode(), timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("error, cause", [(MemoryError(), "MemoryError"),
+                                          (RuntimeError("boom"), "boom")],
+                         ids=["empty-text", "with-text"])
+def test_internal_error_names_its_cause(dip_spec, capsys, monkeypatch, error, cause):
+    """The last-resort handler prints the exception's text, or its type
+    where the text is empty, as ``str(MemoryError())`` is."""
+    def fail(spec, args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    assert main(["bounds", dip_spec]) == 70
+    assert capsys.readouterr().err == f"internal error: {cause}\n"
 
 
 @pytest.mark.parametrize("claims", [{}, {"claimed_min": "1/100"},

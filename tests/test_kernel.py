@@ -5,9 +5,11 @@ The references below are the plain exact formulas, one ``Fraction`` per
 coefficient and a dict lookup per index move.  The kernel under test stores
 integer numerators over one shared scale, elevates through gather tables
 (and, in the global scan, as homogeneous integers by plain sums), splits by
-integer de Casteljau, pulls back by integer Horner, converts by an
-integer binomial transform (pullback and conversion fused in one kernel,
-checked against the two-stage Fraction path) and reads second differences
+integer de Casteljau, pulls back by integer Horner, converts by
+integer homogeneous Horner on the elevation step (pullback and conversion
+fused in one kernel, checked against the two-stage Fraction path and
+against the binomial transform it replaced, ``conftest.ref_to_bernstein``)
+and reads second differences
 through a position table; every result must be exactly equal.  The simplex geometry under the
 split layer is checked the same way: the integer rank check and the
 integer barycentric solve against Fraction Gauss-Jordan, the longest edge measured on integers against a
@@ -77,6 +79,7 @@ from conftest import (  # noqa: E402
     mul_terms,
     ref_grid_sum,
     ref_refine_ints,
+    ref_to_bernstein,
     refine,
 )
 
@@ -439,6 +442,27 @@ def test_to_bernstein_matches_reference(data):
     assert patch.degree == degree
     assert patch.scale == scale
     assert patch.nums == tuple(c.numerator * (scale // c.denominator) for c in want)
+
+
+@settings(KERNEL, max_examples=150)
+@given(st.data())
+def test_to_bernstein_matches_the_binomial_transform(data):
+    # Homogeneous Horner on the elevation step against the factorial
+    # binomial transform on de Casteljau triangles: the same canonical
+    # numerators and scale, bit for bit, for n = 1..5 over rational
+    # simplices with negative coordinates and non-unit denominators.
+    n = data.draw(st.integers(1, 5))
+    poly = data.draw(polys(n, 4))
+    degree = poly.degree + data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(st.lists(SIGNED, min_size=n, max_size=n),
+                              min_size=n + 1, max_size=n + 1))
+    try:
+        simplex = Simplex(rows)
+    except DegenerateSimplex:
+        assume(False)
+    patch = to_bernstein(poly, degree, simplex)
+    want = ref_to_bernstein(poly, degree, simplex)
+    assert (patch.nums, patch.scale) == (want.nums, want.scale)
 
 
 @KERNEL

@@ -5,7 +5,9 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -24,7 +26,7 @@ from bernbound import (
 )
 from bernbound import certify, polypatch
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch, InvalidArgument
-from bernbound.indexing import split_table, vertex_positions
+from bernbound.indexing import elevation_sums, split_table, vertex_positions
 from bernbound.polypatch import to_bernstein_standard
 from bernbound.rationals import float_str
 from conftest import (
@@ -236,6 +238,36 @@ class TestToBernstein:
             to_bernstein(p, 5, triangle)
         report = certify_global(p, PowerPoly.constant(2, 1), triangle, 100)
         assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 4)
+
+    def test_size_cap_counts_elevation_table_entries(self):
+        # Converting or scanning to degree k elevates through the tables of
+        # degrees 0..k-1, which hold C(k + n + 1, n + 1) - 1 entries per
+        # slot, one fewer than the triangle the cap counts.
+        for n in range(1, 6):
+            for k in range(7):
+                assert (sum(len(elevation_sums(j, n)[0]) for j in range(k))
+                        == polypatch._triangle_size(k, n) - 1)
+
+    def test_high_degree_conversion_stays_small(self):
+        # (1 + x)^1000 on [0, 1] has the coefficients 2^j over scale 1.
+        # Only the final grid of 1,001 entries carries factorials, about
+        # log2(1000!) bits each, so the traced peak is a few MiB; a kernel
+        # whose intermediate entries carry them needs hundreds.
+        k = 1000
+        poly = PowerPoly.univariate([comb(k, j) for j in range(k + 1)])
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            patch = to_bernstein(poly, k, Simplex.from_interval(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert patch.scale == 1
+        assert patch.nums == tuple(1 << j for j in range(k + 1))
+        assert peak < 32 << 20
 
     def test_linear_equals_grid_values(self):
         rng = random.Random(7)
