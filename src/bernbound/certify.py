@@ -233,11 +233,11 @@ def certify_sharpness(f: RationalPatch) -> CertificateReport:
     refute = _refuting_vertex(f)
     if refute is not None:
         return _report(Mode.SHARPNESS, start, Verdict.REFUTED, f.degree, refute)
-    sharp = f.sharpness()
-    if sharp.min_sharp:
-        vertex = f.simplex.vertex(sharp.min_vertex)
+    p = f._min_pos
+    i = f._vertex_at(p)
+    if i is not None:
         return _report(Mode.SHARPNESS, start, Verdict.CERTIFIED, f.degree,
-                       Witness(vertex, f.enclosure().lo, "vertex"))
+                       Witness(f.simplex.vertex(i), f.ratio(p), "vertex"))
     return _report(Mode.SHARPNESS, start, Verdict.INCONCLUSIVE, f.degree)
 
 

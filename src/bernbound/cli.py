@@ -12,7 +12,9 @@ error.  Each spec field is read through one wrapper, ``_field``, which
 names the field in the message of any value its reader rejects.  Each
 value comes from its flag, else its spec field, else the library's
 default, and the library checks it: the command line keeps no rule of
-the method.  Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or
+the method.  ``--json`` prints the report as one JSON line, which the
+standard library's C encoder writes; ``python -m json.tool`` indents it.
+Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or
 budget exhausted, 64 usage error (including a value the library rejects as
 ``InvalidArgument``), 70 internal error, 141 standard output closed by its
 reader (128 + SIGPIPE, as a shell reports a process that signal ended;
@@ -237,7 +239,7 @@ def cmd_bounds(spec: ProblemSpec, args) -> int:
             },
             "patch": patch,
         }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
         return EXIT_CERTIFIED
     print(f"degree: {f.degree}")
     print("coefficients: " + ", ".join([_format_ratio(a, b) for a, b in f._ratio_pairs()]))
@@ -260,7 +262,7 @@ def _print_certificate(report, as_json: bool, k_max: int) -> int:
     from .polypatch import MAX_TRIANGLE
 
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json()))
     else:
         claim = "negativity" if report.negated else "positivity"
         if report.verdict is Verdict.CERTIFIED:
@@ -331,7 +333,7 @@ def cmd_minimize(spec: ProblemSpec, args) -> int:
         result = exc.partial
         exhausted = True
     if args.json:
-        print(json.dumps(result.to_json(), indent=2))
+        print(json.dumps(result.to_json()))
     else:
         print(f"lower: {format_rational(result.lower)} ~ {float_str(result.lower)}")
         print(f"upper: {format_rational(result.upper)} ~ {float_str(result.upper)}")

@@ -17,7 +17,9 @@ is built only for a value that is returned (``ratio``).  Patch methods and
 pieces share each rule.  The enclosure is the ratios at the first smallest
 and first largest positions (``_min_position`` on the numerators and on
 their negations), and sharpness compares the vertex ratios with those two
-by cross-multiplying: two ``Fraction`` values, none per coefficient.  JSON
+by cross-multiplying: two ``Fraction`` values, none per coefficient.  Each
+side's position is cached on its own, so the sharpness certificate, which
+reads the smallest ratio alone, never finds the largest.  JSON
 prints each ratio from its integer pair (``_ratio_pairs``); the full
 per-index ``ratios`` tuple is a view built on first use.  The convergence
 constants read the same integers, zeta through ``_min_position`` on the
@@ -166,17 +168,29 @@ class RationalPatch:
         return Fraction(self.num.nums[p] * self.den.scale, self.den.nums[p] * self.num.scale)
 
     @cached_property
-    def _extremes(self) -> Tuple[int, int]:
-        """The first positions of the smallest and of the largest ratio,
-        found by cross-multiplying: the largest of a / b is the smallest of
-        -a / b."""
+    def _min_pos(self) -> int:
+        """The first position of the smallest ratio, found by
+        cross-multiplying."""
+        return _min_position(self.num.nums, self.den.nums)
+
+    @cached_property
+    def _max_pos(self) -> int:
+        """The first position of the largest ratio: the largest of a / b is
+        the smallest of -a / b."""
+        return _min_position([-a for a in self.num.nums], self.den.nums)
+
+    def _vertex_at(self, p: int) -> Optional[int]:
+        """The first vertex whose ratio equals the ratio at position p, or
+        None.  The ratios are equal when their numerators cross-multiply
+        equal (both numerators are over one scale)."""
         nums, dens = self.num.nums, self.den.nums
-        return _min_position(nums, dens), _min_position([-a for a in nums], dens)
+        return next((i for i, v in enumerate(vertex_positions(self.degree, self.dimension))
+                     if nums[v] * dens[p] == nums[p] * dens[v]), None)
 
     def enclosure(self) -> Interval:
         """[min ratio, max ratio]; contains the function's range over |V|.
-        Two ``Fraction`` values, read at ``_extremes``."""
-        return Interval(*map(self.ratio, self._extremes))
+        Two ``Fraction`` values, read at ``_min_pos`` and ``_max_pos``."""
+        return Interval(self.ratio(self._min_pos), self.ratio(self._max_pos))
 
     def elevate(self) -> "RationalPatch":
         """Elevate both patches one degree; the enclosure nests inside."""
@@ -184,15 +198,8 @@ class RationalPatch:
 
     def sharpness(self) -> Sharpness:
         """An endpoint is exact iff it is attained at some vertex index; the
-        witness is the first such vertex.  A vertex ratio equals an extreme
-        one when their numerators cross-multiply equal (both numerators are
-        over one scale)."""
-        nums, dens = self.num.nums, self.den.nums
-        positions = vertex_positions(self.degree, self.dimension)
-        min_vertex, max_vertex = [
-            next((i for i, v in enumerate(positions) if nums[v] * dens[p] == nums[p] * dens[v]),
-                 None)
-            for p in self._extremes]
+        witness is the first such vertex (``_vertex_at``)."""
+        min_vertex, max_vertex = self._vertex_at(self._min_pos), self._vertex_at(self._max_pos)
         return Sharpness(min_vertex is not None, max_vertex is not None,
                          min_vertex, max_vertex)
 

@@ -26,7 +26,7 @@ from bernbound import (
     minimize,
     rational_patch,
 )
-from bernbound import certify
+from bernbound import certify, ratpatch
 from bernbound.certify import cert_predicate
 from bernbound.errors import (
     DegreeTooLow,
@@ -87,6 +87,18 @@ class TestCertifySharpness:
         assert report.verdict is Verdict.REFUTED
         assert report.witness.value == F(-1)
         assert report.witness.point == (F(0),)
+
+    @pytest.mark.parametrize("make", [lambda: _ratio_patch([F(1, 2), 1, 2]),
+                                      lambda: rational_patch(*fn_dip())],
+                             ids=["certified", "inconclusive"])
+    def test_finds_the_smallest_ratio_alone(self, monkeypatch, make):
+        # The certificate reads one side of the enclosure: one search for
+        # the smallest ratio, none for the largest.
+        f, calls, search = make(), [], ratpatch._min_position
+        monkeypatch.setattr(ratpatch, "_min_position",
+                            lambda nums, dens: calls.append(1) or search(nums, dens))
+        certify_sharpness(f)
+        assert len(calls) == 1
 
 
 class TestCertifyGlobal:

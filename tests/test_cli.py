@@ -29,6 +29,7 @@ from bernbound import certify, cli, polypatch
 from bernbound.cli import main, parse_problem
 from bernbound.indexing import vertex_positions
 from bernbound.ratpatch import apriori_d1, apriori_d2
+from bernbound.rationals import float_str, format_rational
 from conftest import fn_cert3, fn_dip, rational_instances
 
 DIP_SPEC = {
@@ -139,11 +140,13 @@ def _write(tmp_path, name, data):
     return str(path)
 
 
+# CERT3 with its numerator negated: negative on [0, 1].
+NEG_CERT3 = {**CERT3_SPEC, "numerator": PowerPoly.from_json(CERT3_SPEC["numerator"])
+             .negate().to_json()}
+
+
 def _negated_cert3(tmp_path):
-    negated = json.loads(json.dumps(CERT3_SPEC))
-    for term in negated["numerator"]["terms"]:
-        term["coeff"] = str(-F(term["coeff"]))
-    return _write(tmp_path, "negcert.json", negated)
+    return _write(tmp_path, "negcert.json", NEG_CERT3)
 
 
 class TestBounds:
@@ -907,6 +910,71 @@ def test_certify_matches_the_library(tmp_path, capsys, mode, claims):
         del expected["wall_clock"], got["wall_clock"]
         assert got == expected
         assert code == {"certified": 0, "refuted": 1, "inconclusive": 2}[got["verdict"]]
+
+
+def _library_report(spec, argv) -> dict:
+    """What the library reports for a command line, as ``to_json()`` gives
+    it: for ``bounds`` the report ``cmd_bounds`` assembles from the patch,
+    its enclosure, sharpness and constants."""
+    num, den, domain = parse_problem(spec)[:3]
+    command, flags = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    if command == "bounds":
+        base = rational_patch(num, den, domain)
+        f = (base if "--degree" not in flags
+             else rational_patch(num, den, domain, int(flags["--degree"])))
+        constants = convergence_constants(base, f.degree)
+        patch = f.to_json()
+        return {
+            "degree": f.degree,
+            "coefficients": patch["ratios"],
+            "coefficients_float": [float_str(r) for r in f.ratios],
+            "enclosure": {end: format_rational(value)
+                          for end, value in f.enclosure()._asdict().items()},
+            "sharpness": f.sharpness()._asdict(),
+            "constants": {name: format_rational(getattr(constants, name))
+                          for name in ("zeta", "omega", "omega_prime", "min_den")},
+            "patch": patch,
+        }
+    if command == "minimize":
+        budget = int(flags["--budget"]) if "--budget" in flags else None
+        try:
+            return bernbound.minimize(num, den, domain, F(flags["--eps"]), budget).to_json()
+        except bernbound.BudgetExhausted as exc:
+            return exc.partial.to_json()
+    mode, n_max = flags["--mode"], int(flags.get("--nmax", certify.N_MAX))
+    return {
+        "sharpness": lambda: certify_sharpness(rational_patch(num, den, domain)),
+        "global": lambda: certify_global(num, den, domain, certify.K_MAX),
+        "local": lambda: certify_local(num, den, domain, n_max),
+        "negative": lambda: certify_negative(num, den, domain, flags.get("--via", "global"),
+                                             n_max=n_max),
+    }[mode]().to_json()
+
+
+@pytest.mark.parametrize("spec, argv, code", [
+    pytest.param(DIP_SPEC, ["bounds"], 0, id="bounds"),
+    pytest.param(CERT3_SPEC, ["bounds", "--degree", "3"], 0, id="bounds-degree"),
+    pytest.param(DIP_SPEC, ["certify", "--mode", "sharpness"], 2, id="sharpness"),
+    pytest.param(CERT3_SPEC, ["certify", "--mode", "global"], 0, id="global"),
+    pytest.param(DIP_SPEC, ["certify", "--mode", "local", "--nmax", "5"], 0, id="local"),
+    pytest.param(NEG_CERT3, ["certify", "--mode", "negative"], 0, id="negative"),
+    pytest.param(NEG_CERT3, ["certify", "--mode", "negative", "--via", "local"], 0,
+                 id="negative-via-local"),
+    pytest.param(DIP_SPEC, ["minimize", "--eps", "1/1000"], 0, id="minimize"),
+    pytest.param(DIP_SPEC, ["minimize", "--eps", "1/100000000", "--budget", "1"], 2,
+                 id="minimize-exhausted"),
+])
+def test_json_report_is_one_line(tmp_path, capsys, spec, argv, code):
+    """``--json`` prints the library's report as one line, the standard
+    library's unindented encoding; only the wall clock differs."""
+    assert main([argv[0], _write(tmp_path, "spec.json", spec), *argv[1:], "--json"]) == code
+    out = capsys.readouterr().out
+    got = json.loads(out)
+    assert out == json.dumps(got) + "\n"
+    expected = json.loads(json.dumps(_library_report(spec, argv)))
+    got.pop("wall_clock", None)
+    expected.pop("wall_clock", None)
+    assert got == expected
 
 
 @pytest.mark.parametrize("spec, argv, code, out", [

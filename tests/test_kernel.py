@@ -768,7 +768,7 @@ def test_enclosure_and_sharpness_match_full_ratios(f):
     ratios = [a / b for a, b in zip(f.num.coeffs, f.den.coeffs)]
     lo, hi = min(ratios), max(ratios)
     assert f.enclosure() == (lo, hi)
-    assert f._extremes == (ratios.index(lo), ratios.index(hi))
+    assert (f._min_pos, f._max_pos) == (ratios.index(lo), ratios.index(hi))
     vertex = [ratios[p] for p in vertex_positions(f.degree, f.dimension)]
     min_vertex = vertex.index(lo) if lo in vertex else None
     max_vertex = vertex.index(hi) if hi in vertex else None
