@@ -39,15 +39,10 @@ certifies and attaches the a-priori bounds of any claims, which
 ``ratpatch`` computes beside the convergence constants.  Every report is
 built by ``_report``, which times the kernel that asked for it.
 
-The global scan runs on homogeneous coefficients c_alpha = b_alpha *
-multinomial(k; alpha), kept as integers over the base patch's scale.  They
-elevate by plain sums (``polypatch._elevate_homogeneous``, the step
-``BernsteinPatch.elevate`` takes too), c'_beta = sum over i with beta_i > 0 of
-c_{beta - e_i}: no weights, no new scale, and each step grows the largest
-integer by at most a factor n + 1.  Multinomials are positive, so every c
-has its Bernstein coefficient's sign, and the vertex entries are the vertex
-coefficients themselves, c_{k e_i} = c_{(k+1) e_i} (Polya's multiplication
-by (x_0 + ... + x_n)^N in homogeneous form).
+The global scan is Polya's multiplication by (x_0 + ... + x_n)^N on the
+numerator's homogeneous coefficients: ``polypatch._polya_scan`` holds the
+loop, its stopping degree and the size cap, and ``polypatch``'s docstring
+explains the sums.
 
 Outcomes are three-valued: a budget is mandatory because a function that
 merely touches zero admits no finite certificate, so loops must be allowed
@@ -64,13 +59,7 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import DegreeTooLow, InvalidArgument
 from .geometry import Simplex
 from .indexing import vertex_positions
-from .polypatch import (
-    MAX_TRIANGLE,
-    _elevate_homogeneous,
-    _homogeneous,
-    _triangle_size,
-    to_bernstein,
-)
+from .polypatch import _polya_scan, to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import (
     ClaimedMinimum,
@@ -255,38 +244,27 @@ def certify_global(
     coefficients positive, so every ratio keeps its numerator coefficient's
     sign and the scan elevates the numerator alone, one degree at a time,
     until none of its coefficients is negative or the degree reaches k_max,
-    or the last degree the size cap admits (``polypatch.MAX_TRIANGLE``),
-    where the verdict is INCONCLUSIVE.
-    The vertex coefficients, checked positive at the root, are function
-    values and never change under elevation, so no later degree tests them.
-    The scan holds the numerator's homogeneous coefficients b_alpha *
-    multinomial(k; alpha) as integers over the base scale; they have the
-    coefficients' signs and elevate by integer sums alone, so no patch is
-    built per degree.  Termination before k_max is guaranteed only for
-    strictly positive functions.
+    or the last degree the size cap admits, where the verdict is
+    INCONCLUSIVE (``polypatch._polya_scan``, which builds no patch per
+    degree).  The vertex coefficients, checked positive at the root, are
+    function values and never change under elevation, so no later degree
+    tests them.  Termination before k_max is guaranteed only for strictly
+    positive functions.
     """
     return _certify(pnum, pden, simplex, "global", k_max=k_max)
 
 
 def _certify_global(root: RationalPatch, k_max: int) -> CertificateReport:
-    """``certify_global`` on its base-degree root patch.  The scan stops
-    below any degree the conversion's cap refuses
-    (``polypatch._triangle_size``): scan and conversion run the same
-    elevation step, whose tables cached on the way to degree k hold
-    C(k + n + 1, n + 1) - 1 entries per slot, n slots."""
+    """``certify_global`` on its base-degree root patch: the vertex check,
+    then ``polypatch._polya_scan`` on the numerator."""
     start = time.perf_counter()
     mode = Mode.GLOBAL_ELEVATION
     refute = _refuting_vertex(root)
     if refute is not None:
         return _report(mode, start, Verdict.REFUTED, root.degree, refute)
-    c = _homogeneous(root.num)
-    degree, n = root.degree, root.dimension
-    while min(c) < 0:
-        if degree == k_max or _triangle_size(degree + 1, n) > MAX_TRIANGLE:
-            return _report(mode, start, Verdict.INCONCLUSIVE, degree)
-        c = _elevate_homogeneous(c, degree, n)
-        degree += 1
-    return _report(mode, start, Verdict.CERTIFIED, degree)
+    degree, certified = _polya_scan(root.num, k_max)
+    verdict = Verdict.CERTIFIED if certified else Verdict.INCONCLUSIVE
+    return _report(mode, start, verdict, degree)
 
 
 def certify_local(

@@ -303,17 +303,15 @@ def cmd_certify(spec: ProblemSpec, args) -> int:
     negative = args.mode == "negative"
     if args.via is not None and not negative:
         raise UsageError(f"--via needs --mode negative, not --mode {args.mode}")
-    from .certify import K_MAX, _certify
+    from .certify import K_MAX, N_MAX, _certify
 
-    budgets = {"k_max": spec.k_max if args.kmax is None else args.kmax,
-               "n_max": spec.n_max if args.nmax is None else args.nmax}
+    k_max = next(v for v in (args.kmax, spec.k_max, K_MAX) if v is not None)
+    n_max = next(v for v in (args.nmax, spec.n_max, N_MAX) if v is not None)
     report = _certify(
         spec.numerator, spec.denominator, spec.domain,
-        (args.via or "global") if negative else args.mode, negate=negative,
-        claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min,
-        **{key: value for key, value in budgets.items() if value is not None})
-    k_max = budgets["k_max"]
-    return _print_certificate(report, args.json, K_MAX if k_max is None else k_max)
+        (args.via or "global") if negative else args.mode, k_max, n_max, negate=negative,
+        claimed_min=spec.claimed_min, claimed_numerator_min=spec.claimed_numerator_min)
+    return _print_certificate(report, args.json, k_max)
 
 
 def cmd_minimize(spec: ProblemSpec, args) -> int:

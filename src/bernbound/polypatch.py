@@ -11,12 +11,23 @@ hinge on coefficient signs, so no floating arithmetic enters here.  A patch
 stores them as integer numerators ``nums`` over one shared positive integer
 denominator ``scale``, so elevation and edge splitting are integer
 arithmetic with no gcd per operation; ``coeffs`` is the exact ``Fraction``
-view, built on each read.  Elevation has one rule, the homogeneous sum step
-(``_elevate_homogeneous``) that the global certificate scan runs on its own
-integers; ``elevate`` divides its result back to Bernstein numerators.  The
-step returns the elevated list alone: a vertex entry is a function value
-and keeps its value, so the scan decides the vertex part of the
-certificate once, at the root, and the step carries no vertex positions.
+view, built on each read.
+
+Elevation has one rule, the homogeneous sum step
+(``_elevate_homogeneous``).  It runs on the homogeneous coefficients
+c_alpha = b_alpha * multinomial(k; alpha) (``_homogeneous``), integers over
+the patch's scale with the coefficients' signs, as c'_beta = sum over i
+with beta_i > 0 of c_{beta - e_i}: no weights, no new scale, and each step
+grows the largest integer by at most a factor n + 1.  This is Polya's
+multiplication by x_0 + ... + x_n in homogeneous form.  ``elevate`` divides
+its result back to Bernstein numerators.  The global certificate's scan,
+``_polya_scan``, takes the step on a numerator until no entry is negative,
+so it stops at the first degree whose coefficients certify, at k_max, or
+at the size cap below.  The step returns the elevated list alone: a vertex
+entry is a function value and keeps its value, c_{(k+1) e_i} = c_{k e_i},
+so the scan's caller decides the vertex part of the certificate once, at
+the root, and the step carries no vertex positions.
+
 Conversion from the power basis, ``to_bernstein``, runs on that same step:
 integer Horner pullback from the simplex's rows, a table scatter of the
 terms to their hat positions, homogeneous Horner grade by grade (Polya's
@@ -25,9 +36,10 @@ factorial scaling of the final grid and one gcd.  Conversion and scan
 thus reach degree k through the same cached elevation tables, C(k + n +
 1, n + 1) - 1 entries per slot (``_triangle_size`` counts C(k + n + 1,
 n + 1)); the conversion refuses a degree past ``MAX_TRIANGLE``
-(``InvalidArgument``) before it allocates anything, and the global scan
-stops at the last degree the cap admits.  The de Casteljau triangle
-(``_triangle``) serves the edge split alone.  Second differences are
+(``InvalidArgument``) before it allocates anything, and ``_polya_scan``
+stops at the last degree the cap admits.  This module holds the cap's one
+binding, so a patched ``MAX_TRIANGLE`` moves both.  The de Casteljau
+triangle (``_triangle``) serves the edge split alone.  Second differences are
 integer too, building a ``Fraction`` only per returned entry, and
 ``eval`` is one integer dot product with the point's
 ``indexing.weight_row``.  The constructor reads coefficients as integer
@@ -260,6 +272,25 @@ def _elevate_homogeneous(c: List[int], degree: int, dimension: int) -> List[int]
     for column in sources:
         summed = map(add, summed, map(fetch, column))
     return [*summed, 0]
+
+
+def _polya_scan(patch: BernsteinPatch, k_max: int) -> Tuple[int, bool]:
+    """Polya's scan of the global certificate: (degree, certified).
+
+    From ``patch``'s degree, one ``_elevate_homogeneous`` step per degree
+    until no homogeneous coefficient is negative (certified) or the degree
+    reaches ``k_max`` or the last degree whose ``_triangle_size`` fits under
+    ``MAX_TRIANGLE`` (not certified).  The caller checks the vertex part:
+    vertex entries never change.
+    """
+    c = _homogeneous(patch)
+    degree, n = patch.degree, patch.dimension
+    while min(c) < 0:
+        if degree == k_max or _triangle_size(degree + 1, n) > MAX_TRIANGLE:
+            return degree, False
+        c = _elevate_homogeneous(c, degree, n)
+        degree += 1
+    return degree, True
 
 
 def _triangle(nums: Sequence[int], levels) -> List[int]:

@@ -1033,7 +1033,6 @@ def test_cap_hint_reads_the_budget_in_force(tmp_path, capsys, monkeypatch, k_max
     # spec, else certify.K_MAX) is above that, and the budget otherwise.
     cap = polypatch._triangle_size(4, 2)
     monkeypatch.setattr(polypatch, "MAX_TRIANGLE", cap)
-    monkeypatch.setattr(certify, "MAX_TRIANGLE", cap)
     spec = dict(TOUCH2, k_max=k_max) if k_max is not None else dict(TOUCH2)
     if "negative" in argv:
         spec["numerator"] = PowerPoly.from_json(TOUCH2["numerator"]).negate().to_json()

@@ -21,6 +21,8 @@ arise; the rest are sparse polynomials with signed coefficients.
 """
 
 from fractions import Fraction as F
+from math import comb
+from unittest import mock
 
 import pytest
 
@@ -37,6 +39,8 @@ from bernbound import (  # noqa: E402
     certify_global,
     certify_negative,
     enumerate_indices,
+    polypatch,
+    standard_simplex,
 )
 from bernbound.certify import _refuting_vertex, cert_predicate  # noqa: E402
 from bernbound.indexing import vertex_positions  # noqa: E402
@@ -241,3 +245,43 @@ def test_scan_elevates_the_numerator_only(monkeypatch):
     for problem, outcome in zip((CERTIFIED_AT_K_MAX, TRIANGLE), want):
         report = certify_global(*problem)
         assert (report.verdict, report.degree_used) == outcome
+
+
+def _last_degree_under(cap, n, base):
+    """The last degree k from ``base`` on whose C(k + n + 1, n + 1) is at
+    most ``cap``."""
+    k = base
+    while comb(k + n + 2, n + 1) <= cap:
+        k += 1
+    return k
+
+
+@SCAN
+@given(problems(), st.integers(0, 2), st.booleans())
+def test_certify_global_stops_at_the_cap(problem, above, slack):
+    # The cap admits the base degree and ``above`` more; with ``slack`` it
+    # sits one entry below the next degree's count, else exactly at its own.
+    num, den, simplex, k_max = problem
+    n, base = simplex.dimension, max(num.degree, den.degree)
+    top = base + above
+    cap = comb(top + n + 2, n + 1) - 1 if slack else comb(top + n + 1, n + 1)
+    assert _last_degree_under(cap, n, base) == top
+    want = ref_certify_global(num, den, simplex, min(k_max, top))
+    with mock.patch.object(polypatch, "MAX_TRIANGLE", cap):
+        report = certify_global(num, den, simplex, k_max)
+        negative = certify_negative(num.negate(), den, simplex, via="global",
+                                    k_max=k_max)
+    assert _outcome(report) == want
+    witness = want[2] and Witness(want[2].point, -want[2].value, want[2].kind)
+    assert _outcome(negative) == (*want[:2], witness)
+
+
+def test_scan_reads_the_cap_polypatch_holds(monkeypatch):
+    # (x + y - 1/3)^2 vanishes inside the triangle, so no degree certifies
+    # it.  Under a cap of C(4 + 3, 3) = 35, patched in ``polypatch`` alone,
+    # the scan stops at degree 4 although k_max is 40.
+    monkeypatch.setattr(polypatch, "MAX_TRIANGLE", polypatch._triangle_size(4, 2))
+    p = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                      (2, 0): 1, (1, 1): 2, (0, 2): 1})
+    report = certify_global(p, PowerPoly.constant(2, 1), standard_simplex(2), 40)
+    assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 4)

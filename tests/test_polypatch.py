@@ -24,7 +24,7 @@ from bernbound import (
     standard_simplex,
     to_bernstein,
 )
-from bernbound import certify, polypatch
+from bernbound import polypatch
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch, InvalidArgument
 from bernbound.indexing import elevation_sums, split_table, vertex_positions
 from bernbound.polypatch import to_bernstein_standard
@@ -228,7 +228,6 @@ class TestToBernstein:
                         == polypatch._triangle_size(k, n))
         cap = polypatch._triangle_size(4, 2)
         monkeypatch.setattr(polypatch, "MAX_TRIANGLE", cap)
-        monkeypatch.setattr(certify, "MAX_TRIANGLE", cap)
         p = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
                           (2, 0): 1, (1, 1): 2, (0, 2): 1})
         triangle = standard_simplex(2)
