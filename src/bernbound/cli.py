@@ -33,13 +33,14 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import __version__
 from .errors import BernboundError, BudgetExhausted, InvalidArgument
 from .geometry import Simplex
+from .polypatch import _elevate_to
 from .powerpoly import PowerPoly, _integer
-from .ratpatch import convergence_constants, rational_patch
+from .ratpatch import RationalPatch, convergence_constants, rational_patch
 from .rationals import _float_ratio, _format_ratio, float_str, format_rational, parse_rational
 
 EXIT_CERTIFIED = 0
@@ -174,9 +175,9 @@ def load_problem(path: str) -> ProblemSpec:
 
 
 @lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged."""
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The argument parser and each command's parser, by name, built once
+    per process; parsing leaves them unchanged."""
     parser = _Parser(prog="bernbound", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bernbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -203,7 +204,22 @@ def _build_parser() -> _Parser:
     p_min.add_argument("--eps", help="target gap (exact rational, e.g. 1/1000)")
     p_min.add_argument("--budget", type=int, help="subdivision round budget")
     p_min.add_argument("--strategy", choices=["best-first", "uniform"], default="best-first")
-    return parser
+    return parser, {"bounds": p_bounds, "certify": p_cert, "minimize": p_min}
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it.  A known command's
+    arguments go to its own parser alone, which is what the full parser
+    hands them to; anything else (no arguments, ``--help``, ``--version``,
+    an unknown command) goes through the full parser."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args = commands[argv[0]].parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _format_interval(interval) -> str:
@@ -213,10 +229,12 @@ def _format_interval(interval) -> str:
 
 
 def cmd_bounds(spec: ProblemSpec, args) -> int:
+    """The report at the function's degree, or at a requested degree, to
+    which the base patch is elevated rather than converted again."""
     base = rational_patch(spec.numerator, spec.denominator, spec.domain)
     degree = args.degree if args.degree is not None else spec.degree
-    f = base if degree is None else rational_patch(
-        spec.numerator, spec.denominator, spec.domain, degree)
+    f = base if degree is None else RationalPatch(_elevate_to(base.num, degree),
+                                                  _elevate_to(base.den, degree))
     constants = convergence_constants(base, f.degree)
     enclosure = f.enclosure()
     sharp = f.sharpness()
@@ -347,9 +365,8 @@ def cmd_minimize(spec: ProblemSpec, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         spec = load_problem(args.spec)
         command = {"bounds": cmd_bounds, "certify": cmd_certify,
                    "minimize": cmd_minimize}[args.command]

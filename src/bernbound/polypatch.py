@@ -31,14 +31,18 @@ the root, and the step carries no vertex positions.
 Conversion from the power basis, ``to_bernstein``, runs on that same step:
 integer Horner pullback from the simplex's rows, a table scatter of the
 terms to their hat positions, homogeneous Horner grade by grade (Polya's
-multiplication by x_0 + ... + x_n), elevation to the target degree, one
-factorial scaling of the final grid and one gcd.  Conversion and scan
-thus reach degree k through the same cached elevation tables, C(k + n +
-1, n + 1) - 1 entries per slot (``_triangle_size`` counts C(k + n + 1,
-n + 1)); the conversion refuses a degree past ``MAX_TRIANGLE``
-(``InvalidArgument``) before it allocates anything, and ``_polya_scan``
-stops at the last degree the cap admits.  This module holds the cap's one
-binding, so a patched ``MAX_TRIANGLE`` moves both.  The de Casteljau
+multiplication by x_0 + ... + x_n), then one tail, ``_from_homogeneous``:
+elevation to the target degree, one factorial scaling of the final grid
+and one gcd.  ``_elevate_to`` runs the same tail on a patch's homogeneous
+coefficients, so a patch reaches a higher degree without a second
+conversion; a constant skips both, its patch being N copies of itself.
+Conversion and scan thus reach degree k through the same cached elevation
+tables, C(k + n + 1, n + 1) - 1 entries per slot (``_triangle_size``
+counts C(k + n + 1, n + 1)); ``_check_degree`` refuses a degree past
+``MAX_TRIANGLE`` (``InvalidArgument``) before anything is allocated, and
+``_polya_scan`` stops at the last degree the cap admits.  This module
+holds the cap's one binding, so a patched ``MAX_TRIANGLE`` moves both.
+The de Casteljau
 triangle (``_triangle``) serves the edge split alone.  Second differences are
 integer too, building a ``Fraction`` only per returned entry, and
 ``eval`` is one integer dot product with the point's
@@ -238,15 +242,6 @@ def _second_difference_ints(patch: BernsteinPatch) -> Tuple[tuple, List[int]]:
                           map(add, map(fetch, minus_a), map(fetch, minus_b))))
 
 
-def _second_difference_sup(patch: BernsteinPatch) -> Fraction:
-    """The sup norm of ``second_differences``, and 0 below degree 2, with
-    one ``Fraction`` built."""
-    if patch.degree < 2:
-        return Fraction(0)
-    _, values = _second_difference_ints(patch)
-    return Fraction(max(map(abs, values)), patch.scale)
-
-
 def _homogeneous(patch: BernsteinPatch) -> List[int]:
     """The integers nums_alpha * multinomial(k; alpha), then a zero sentinel.
 
@@ -336,6 +331,51 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
     return to_bernstein(poly, degree, standard_simplex(poly.dimension))
 
 
+def _check_degree(degree: int, low: int, dimension: int) -> None:
+    """Refuse a Bernstein degree below ``low`` (``DegreeTooLow``) or one
+    whose elevation tables, C(k + n + 1, n + 1) - 1 entries per slot
+    (``_triangle_size``), exceed ``MAX_TRIANGLE`` (``InvalidArgument``),
+    before anything is allocated."""
+    if degree < low:
+        raise DegreeTooLow(f"Bernstein degree {degree} below polynomial degree {low}")
+    if (size := _triangle_size(degree, dimension)) > MAX_TRIANGLE:
+        raise InvalidArgument(
+            f"Bernstein degree {degree} over a {dimension}-simplex needs a conversion"
+            f" triangle of {size} entries, more than {MAX_TRIANGLE}"
+        )
+
+
+def _from_homogeneous(simplex: Simplex, h: List[int], grade: int, degree: int,
+                      scale: int) -> BernsteinPatch:
+    """The canonical patch at ``degree`` of the homogeneous coefficients
+    ``h`` of degree ``grade`` (followed by the zero sentinel) over
+    ``scale``: ``_elevate_homogeneous`` from ``grade`` to ``degree`` = k,
+    then b_alpha = c_alpha * alpha! / k!, with alpha! = k! /
+    multinomial(k; alpha) read from ``indexing.multinomials``, and one gcd.
+    Only this final grid carries factorials."""
+    n = simplex.dimension
+    for j in range(grade, degree):
+        h = _elevate_homogeneous(h, j, n)
+    total = factorial(degree)
+    scale *= total
+    nums = [c * (total // m) for c, m in zip(h, multinomials(degree, n))]
+    common = gcd(scale, *nums)
+    return BernsteinPatch._from_ints(simplex, degree,
+                                     tuple([v // common for v in nums]),
+                                     scale // common)
+
+
+def _elevate_to(patch: BernsteinPatch, degree: int) -> BernsteinPatch:
+    """``patch`` at a degree at or above its own, through
+    ``_from_homogeneous`` on its homogeneous coefficients: the canonical
+    numerators and scale that converting its polynomial at ``degree``
+    gives.  ``_check_degree`` runs first, with the patch's degree as the
+    polynomial degree."""
+    _check_degree(degree, patch.degree, patch.dimension)
+    return _from_homogeneous(patch.simplex, _homogeneous(patch), patch.degree, degree,
+                             patch.scale)
+
+
 def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
     """Bernstein patch of poly at the given degree over a simplex, exactly.
 
@@ -352,30 +392,24 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     j = 1..d (d the polynomial's degree), where E is
     ``_elevate_homogeneous`` (multiplication by x_0 + ... + x_n), gives the
     homogeneous coefficients c_alpha = b_alpha * multinomial(d; alpha) over
-    S.  The same step elevates them from d to ``degree`` = k, and
-    b_alpha = c_alpha * alpha! / k!, with alpha! = k! / multinomial(k;
-    alpha) read from ``indexing.multinomials``.  One gcd reduces the
-    result, so the numerators and scale are canonical.  Only the final grid
-    carries factorials.
+    S.  ``_from_homogeneous`` elevates them from d to ``degree`` by the
+    same step and divides them back to canonical Bernstein numerators, as
+    ``_elevate_to`` does for a patch.
 
-    A degree whose elevation tables, C(k + n + 1, n + 1) - 1 entries per
-    slot (``_triangle_size``), exceed ``MAX_TRIANGLE`` raises
-    ``InvalidArgument`` before anything is allocated.
+    ``_check_degree`` refuses a degree below d or past ``MAX_TRIANGLE``
+    before anything is allocated.  A constant (d = 0) then needs none of
+    this: every numerator is its reduced integer over its scale, and the
+    zero polynomial is 0 over 1.
     """
     n = simplex.dimension
     if poly.dimension != n:
         raise DimensionMismatch(
             f"polynomial has {poly.dimension} variables, simplex has {n}"
         )
-    if degree < poly.degree:
-        raise DegreeTooLow(
-            f"Bernstein degree {degree} below polynomial degree {poly.degree}"
-        )
-    if (size := _triangle_size(degree, n)) > MAX_TRIANGLE:
-        raise InvalidArgument(
-            f"Bernstein degree {degree} over a {n}-simplex needs a conversion triangle"
-            f" of {size} entries, more than {MAX_TRIANGLE}"
-        )
+    _check_degree(degree, poly.degree, n)
+    if not poly.degree:
+        c, scale = (poly.int_terms[0][1], poly.scale) if poly.int_terms else (0, 1)
+        return BernsteinPatch._from_ints(simplex, degree, (c,) * comb(degree + n, n), scale)
     width, table = conversion_table(poly.degree, n)
     v0 = simplex.ints[0]
     packed, scale = _pullback(poly, v0, [[a - b for a, b in zip(vi, v0)]
@@ -384,15 +418,8 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
     for key, c in packed.items():
         terms[table[key]] = c
     h = [terms[0], 0]
-    for j in range(degree):
+    for j in range(poly.degree):
         grade = len(h) - 1
         h = _elevate_homogeneous(h, j, n)
-        if j < poly.degree:
-            h[grade:-1] = map(add, h[grade:-1], terms[grade:len(h) - 1])
-    total = factorial(degree)
-    scale *= total
-    nums = [c * (total // m) for c, m in zip(h, multinomials(degree, n))]
-    common = gcd(scale, *nums)
-    return BernsteinPatch._from_ints(simplex, degree,
-                                     tuple([v // common for v in nums]),
-                                     scale // common)
+        h[grade:-1] = map(add, h[grade:-1], terms[grade:len(h) - 1])
+    return _from_homogeneous(simplex, h, poly.degree, degree, scale)

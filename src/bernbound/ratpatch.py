@@ -23,7 +23,8 @@ reads the smallest ratio alone, never finds the largest.  JSON
 prints each ratio from its integer pair (``_ratio_pairs``); the full
 per-index ``ratios`` tuple is a view built on first use.  The convergence
 constants read the same integers, zeta through ``_min_position`` on the
-negated magnitudes: a ``Fraction`` per constant, none per coefficient.
+negated magnitudes, and the second differences' integer maxima: each
+constant is one ``Fraction`` built from integers.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
 the root's integer vertex rows, a bisection path from it, one integer list
@@ -79,7 +80,7 @@ from .geometry import (
     round_length,
 )
 from .indexing import enumerate_indices, split_table, vertex_positions
-from .polypatch import BernsteinPatch, _second_difference_sup, split_nums, to_bernstein
+from .polypatch import BernsteinPatch, _second_difference_ints, split_nums, to_bernstein
 from .powerpoly import PowerPoly
 from .rationals import Interval, Rational, _format_ratio, parse_rational
 
@@ -567,17 +568,23 @@ def convergence_constants(
     if working < base:
         raise DegreeTooLow(f"working degree {working} below base degree {base}")
     num, den = f.num, f.den
-    min_den = Fraction(min(den.nums), den.scale)
-    # The largest |ratio| is the first smallest of -|a| / b.
-    zeta = abs(f.ratio(_min_position([-abs(a) for a in num.nums], den.nums)))
-    mixed = _second_difference_sup(num) + zeta * _second_difference_sup(den)
-    omega = Fraction(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
-    omega_prime = (
-        working
-        * Fraction(n * n * (n + 1) * (n + 2) ** 2 * (n + 3), 576)
-        / min_den
-        * mixed
-    )
+    s, t = num.scale, den.scale
+    # The largest |ratio|, a / b over s / t, is the first smallest of -|a| / b.
+    p = _min_position([-abs(a) for a in num.nums], den.nums)
+    a, b = abs(num.nums[p]), den.nums[p]
+    m = min(den.nums)
+    if base < 2:
+        sup_p = sup_q = 0
+    else:
+        sup_p, sup_q = [max(map(abs, _second_difference_ints(g)[1])) for g in (num, den)]
+    # mixed = sup_p / s + zeta * sup_q / t = (sup_p * b + a * sup_q) / (b * s),
+    # and 1 / min_den = t / m: each constant is one integer ratio.
+    top, bottom = (sup_p * b + a * sup_q) * t, b * s * m
+    zeta = Fraction(a * t, b * s)
+    min_den = Fraction(m, t)
+    omega = Fraction(n * (n + 2) * base * (base - 1) * top, 24 * bottom)
+    omega_prime = Fraction(
+        working * n * n * (n + 1) * (n + 2) ** 2 * (n + 3) * top, 576 * bottom)
     return ConvergenceConstants(
         zeta=zeta,
         omega=omega,

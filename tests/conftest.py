@@ -11,7 +11,10 @@ replaced (``ref_best_first_key``), and the integer reader of problem
 files against the ``Fraction`` parser it sits in front of
 (``parse_rational_oracle``), and the conversion on the global scan's
 elevation step against the factorial binomial transform on the edge
-split's de Casteljau triangle it replaced (``ref_to_bernstein``).
+split's de Casteljau triangle it replaced (``ref_to_bernstein``), and the
+integer convergence constants against the ``Fraction`` formula, one
+``Fraction`` per coefficient and per second difference
+(``ref_convergence_constants``).
 """
 
 from contextlib import contextmanager
@@ -698,3 +701,45 @@ def bernstein_by_interpolation(poly, degree, simplex):
         matrix.append(row)
     values = [poly.eval(point) for point in points]
     return tuple(_solve_fraction_system(matrix, values))
+
+
+def ref_second_differences(coeffs, k, n):
+    """The (key, value) entries of ``second_differences`` and their sup
+    norm, one ``Fraction`` per entry."""
+    pos = index_positions(k, n)
+
+    def shifted(gamma, a, b):
+        out = list(gamma)
+        out[a] += 1
+        out[b] += 1
+        return coeffs[pos[tuple(out)]]
+
+    items = []
+    for gamma in enumerate_indices(k - 2, n):
+        for i in range(n + 1):
+            prev_i = (i - 1) % (n + 1)
+            for j in range(i + 1, n + 1):
+                value = (shifted(gamma, i, j - 1) + shifted(gamma, prev_i, j)
+                         - shifted(gamma, prev_i, j - 1) - shifted(gamma, i, j))
+                items.append(((tuple(gamma), i, j), value))
+    return tuple(items), max((abs(v) for _, v in items), default=F(0))
+
+
+def ref_convergence_constants(f, degree=None):
+    """``convergence_constants`` by the plain formula: (zeta, omega,
+    omega_prime, min_den, base degree, working degree), one ``Fraction``
+    per coefficient and per second difference."""
+    n, base = f.dimension, f.degree
+    degree = base if degree is None else degree
+    min_den = min(f.den.coeffs)
+    zeta = max(abs(r) for r in f.ratios)
+    if base >= 2:
+        norm_p = ref_second_differences(f.num.coeffs, base, n)[1]
+        norm_q = ref_second_differences(f.den.coeffs, base, n)[1]
+    else:
+        norm_p = norm_q = F(0)
+    mixed = norm_p + zeta * norm_q
+    omega = F(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
+    omega_prime = (degree * F(n * n * (n + 1) * (n + 2) ** 2 * (n + 3), 576)
+                   / min_den * mixed)
+    return zeta, omega, omega_prime, min_den, base, degree

@@ -820,6 +820,85 @@ def test_successive_calls_match_fresh_processes(dip_spec, cert3_spec, capsys):
     assert codes == [0, 0, 0, 0, 64, 0, 0, 0]
 
 
+# Command lines for the dispatch: each command with valid arguments, a bad
+# flag or value, a missing spec, help after a command, and the lines only
+# the full parser reads.
+DISPATCH = [
+    ["bounds", "p.json"],
+    ["bounds", "-", "--json", "--degree", "3"],
+    ["bounds", "p.json", "--deg", "3"],
+    ["certify", "p.json", "--mode", "local", "--nmax", "2", "--json"],
+    ["certify", "-", "--mode", "negative", "--via", "local", "--kmax", "5"],
+    ["minimize", "p.json", "--eps", "1/10", "--budget", "3", "--strategy", "uniform"],
+    ["bounds", "p.json", "--threads", "1"],
+    ["bounds", "p.json", "--degree", "three"],
+    ["certify", "p.json", "--mode", "bogus"],
+    ["certify", "p.json", "--kmax", "1.5"],
+    ["minimize", "p.json", "--strategy", "depth"],
+    ["minimize", "p.json", "--budget"],
+    ["bounds"],
+    ["certify", "--mode", "global"],
+    ["minimize", "--eps", "1/10"],
+    ["bounds", "-h"],
+    ["certify", "p.json", "--help"],
+    ["minimize", "-h"],
+    ["--version"],
+    [],
+    ["-h"],
+    ["nosuch", "p.json"],
+    ["--json", "bounds", "p.json"],
+    ["bounds", "p.json", "--version"],
+    ["bounds", "--version"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What parsing ``argv`` gives: a namespace, a usage error's text or an
+    exit code, with everything printed."""
+    try:
+        outcome = ("namespace", vars(parse(argv)))
+    except cli.UsageError as exc:
+        outcome = ("usage", str(exc))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("from_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("argv", DISPATCH, ids=[" ".join(a) or "empty" for a in DISPATCH])
+def test_dispatch_matches_the_full_parser(capsys, monkeypatch, argv, from_sys_argv):
+    """``main`` hands a known command's arguments to that command's parser
+    alone; its namespace, usage error or help output is what the full
+    parser gives for the same line, read from ``sys.argv`` when ``argv``
+    is None."""
+    parser = cli._build_parser()[0]
+    if from_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["bernbound", *argv])
+    line = None if from_sys_argv else list(argv)
+    assert (_parse_outcome(cli._parse_args, line, capsys)
+            == _parse_outcome(parser.parse_args, line, capsys))
+
+
+def test_a_command_line_is_parsed_once(dip_spec, monkeypatch):
+    # The full parser would hand the arguments to the command's parser; the
+    # dispatch goes there directly.
+    def fail(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(cli._build_parser()[0], "parse_known_args", fail)
+    assert vars(cli._parse_args(["bounds", dip_spec])) == {
+        "spec": dip_spec, "json": False, "degree": None, "command": "bounds"}
+
+
+def test_main_reads_sys_argv(dip_spec, capsys, monkeypatch):
+    argv = ["bounds", dip_spec, "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["bernbound", *argv])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exits_141(unbuffered):
     """A reader that closes standard output before any is written, as
@@ -975,6 +1054,33 @@ def test_json_report_is_one_line(tmp_path, capsys, spec, argv, code):
     got.pop("wall_clock", None)
     expected.pop("wall_clock", None)
     assert got == expected
+
+
+# x / (-1 - x^2): every denominator coefficient is negative, so both
+# patches are negated at the base degree and at every degree above it.
+NEG_DEN = _problem({(1,): 1}, {(0,): -1, (2,): -1}, UNIT)
+
+
+@pytest.mark.parametrize("source", ["flag", "spec"])
+@pytest.mark.parametrize("lift", [0, 1, 7])
+@pytest.mark.parametrize("spec", [DIP_SPEC, NEG_DEN, TRI, TET_MIN],
+                         ids=["interval", "negated", "triangle", "tetrahedron"])
+def test_degree_elevates_the_base_patch(tmp_path, capsys, spec, lift, source):
+    """``--degree D``, or a spec ``degree``, elevates the base-degree patch:
+    the report equals the one built from ``rational_patch`` at D."""
+    num, den = parse_problem(spec)[:2]
+    degree = max(num.degree, den.degree) + lift
+    if source == "flag":
+        argv = ["bounds", _write(tmp_path, "spec.json", spec), "--degree", str(degree)]
+    else:
+        argv = ["bounds", _write(tmp_path, "spec.json", {**spec, "degree": degree})]
+    assert main([*argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    got = json.loads(out)
+    assert out == json.dumps(got) + "\n"
+    expected = _library_report(spec, ["bounds", "--degree", str(degree)])
+    assert got == json.loads(json.dumps(expected))
+    assert got["degree"] == degree
 
 
 @pytest.mark.parametrize("spec, argv, code, out", [

@@ -77,8 +77,10 @@ from conftest import (  # noqa: E402
     grid_point,
     index_positions,
     mul_terms,
+    ref_convergence_constants,
     ref_grid_sum,
     ref_refine_ints,
+    ref_second_differences,
     ref_to_bernstein,
     refine,
 )
@@ -178,44 +180,6 @@ def ref_to_bernstein_standard(poly, degree):
                 total += F(prod(map(comb, ahat, bhat)), _multinomial(degree, bhat)) * coeff
         out.append(total)
     return tuple(out)
-
-
-def ref_second_differences(coeffs, k, n):
-    pos = index_positions(k, n)
-
-    def shifted(gamma, a, b):
-        out = list(gamma)
-        out[a] += 1
-        out[b] += 1
-        return coeffs[pos[tuple(out)]]
-
-    items = []
-    for gamma in enumerate_indices(k - 2, n):
-        for i in range(n + 1):
-            prev_i = (i - 1) % (n + 1)
-            for j in range(i + 1, n + 1):
-                value = (shifted(gamma, i, j - 1) + shifted(gamma, prev_i, j)
-                         - shifted(gamma, prev_i, j - 1) - shifted(gamma, i, j))
-                items.append(((tuple(gamma), i, j), value))
-    return tuple(items), max((abs(v) for _, v in items), default=F(0))
-
-
-def ref_convergence_constants(f, degree):
-    """(zeta, omega, omega_prime, min_den) by the plain formula: one
-    ``Fraction`` per coefficient and per second difference."""
-    n, base = f.dimension, f.degree
-    min_den = min(f.den.coeffs)
-    zeta = max(abs(r) for r in f.ratios)
-    if base >= 2:
-        norm_p = ref_second_differences(f.num.coeffs, base, n)[1]
-        norm_q = ref_second_differences(f.den.coeffs, base, n)[1]
-    else:
-        norm_p = norm_q = F(0)
-    mixed = norm_p + zeta * norm_q
-    omega = F(n * (n + 2) * base * (base - 1), 24) / min_den * mixed
-    omega_prime = (degree * F(n * n * (n + 1) * (n + 2) ** 2 * (n + 3), 576)
-                   / min_den * mixed)
-    return zeta, omega, omega_prime, min_den
 
 
 def ref_longest(simplex):
@@ -463,6 +427,27 @@ def test_to_bernstein_matches_the_binomial_transform(data):
     patch = to_bernstein(poly, degree, simplex)
     want = ref_to_bernstein(poly, degree, simplex)
     assert (patch.nums, patch.scale) == (want.nums, want.scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("value", [F(0), F(-7), F(22, 7), F(-(10**40 + 1), 3**50)],
+                         ids=["zero", "negative", "non-integer", "large-scale"])
+def test_constant_conversion_matches_the_binomial_transform(n, value):
+    # A constant's patch is N copies of its reduced integer over its scale,
+    # with no elevation; the binomial transform builds it the long way.  The
+    # second constant is library-made, by the pullback's decoder.
+    simplex = Simplex([[F(i - 2 * j, j + 2) + (i == j + 1) for j in range(n)]
+                       for i in range(n + 1)])
+    constant = PowerPoly.constant(n, value)
+    shifted = constant.substitute_affine([F(1, 3)] * n,
+                                         [[int(i == j) for j in range(n)] for i in range(n)])
+    for poly in (constant, shifted):
+        for k in range(13):
+            patch = to_bernstein(poly, k, simplex)
+            want = ref_to_bernstein(poly, k, simplex)
+            assert (patch.degree, patch.nums, patch.scale) == (k, want.nums, want.scale)
+            assert patch.scale == value.denominator
+            assert patch.nums == (value.numerator,) * comb(k + n, n)
 
 
 @KERNEL
@@ -893,8 +878,7 @@ def test_convergence_constants_match_reference(case, lift, split):
     if split:
         f = f.split_edge(*longest_edge(simplex))[1]
     c = ratpatch.convergence_constants(f, k + lift)
-    assert (c.zeta, c.omega, c.omega_prime, c.min_den) == ref_convergence_constants(
-        f, k + lift)
+    assert c == ref_convergence_constants(f, k + lift)
     assert (c.base_degree, c.working_degree) == (k, k + lift)
 
 
@@ -915,7 +899,29 @@ def test_zeta_tie_of_opposite_signs_matches_reference(data):
     f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
     c = ratpatch.convergence_constants(f)
     assert c.zeta == top
-    assert (c.zeta, c.omega, c.omega_prime, c.min_den) == ref_convergence_constants(f, k)
+    assert c == ref_convergence_constants(f)
+
+
+@settings(KERNEL, max_examples=150)
+@given(st.data())
+def test_convergence_constants_match_the_fraction_formula(data):
+    # The integer constants against the plain ``Fraction`` formula, all six
+    # fields: degrees 0 and 1 take the branch without second differences,
+    # numerators are negative or of mixed sign, a denominator's smallest
+    # coefficient may be tiny beside the others, and the working degree may
+    # lie above the base.
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(0, 5))
+    size = len(enumerate_indices(k, n))
+    sign = data.draw(st.sampled_from((SIGNED, NONZERO, st.builds(lambda x: -abs(x), SIGNED))))
+    num = data.draw(st.lists(sign, min_size=size, max_size=size))
+    den = data.draw(st.lists(POSITIVE, min_size=size, max_size=size))
+    if data.draw(st.booleans()):
+        den[data.draw(st.integers(0, size - 1))] = F(1, 10 ** data.draw(st.integers(6, 30)))
+    working = k + data.draw(st.integers(0, 4))
+    simplex = standard_simplex(n)
+    f = RationalPatch(BernsteinPatch(simplex, k, num), BernsteinPatch(simplex, k, den))
+    assert ratpatch.convergence_constants(f, working) == ref_convergence_constants(f, working)
 
 
 @KERNEL

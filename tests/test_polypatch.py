@@ -235,6 +235,12 @@ class TestToBernstein:
         with pytest.raises(InvalidArgument, match=r"^Bernstein degree 5 over a 2-simplex"
                            r" needs a conversion triangle of 56 entries, more than 35$"):
             to_bernstein(p, 5, triangle)
+        # A constant, converted without elevation, meets the same cap.
+        constant = PowerPoly.constant(2, F(-5, 3))
+        assert to_bernstein(constant, 4, triangle).nums == (-5,) * 15
+        with pytest.raises(InvalidArgument, match=r"^Bernstein degree 5 over a 2-simplex"
+                           r" needs a conversion triangle of 56 entries, more than 35$"):
+            to_bernstein(constant, 5, triangle)
         report = certify_global(p, PowerPoly.constant(2, 1), triangle, 100)
         assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 4)
 
