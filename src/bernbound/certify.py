@@ -20,9 +20,10 @@ value divides its numerator coefficient by the root denominator evaluated
 at that vertex.
 
 The local certificate runs on ``ratpatch.Piece`` records below its root:
-the numerator's integer list, read for signs and the smallest entry.  No
-piece becomes a ``Simplex`` or a patch, and only a refuting piece forms its
-vertex rows, replayed from its bisection path, for the witness.
+the numerator's integer list, read for signs and the smallest entry.  Only
+a refuting piece forms its vertex rows, replayed from its bisection path,
+and becomes a patch (``Piece.patches``, over the scale its root holds), for
+the witness.
 
 The vertex part is decided once per patch it concerns.  Each subdivision
 piece has its vertex coefficients scanned once (``_refuting_index``); a
@@ -59,7 +60,7 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import DegreeTooLow, InvalidArgument
 from .geometry import Simplex
 from .indexing import vertex_positions
-from .polypatch import _polya_scan, to_bernstein
+from .polypatch import BernsteinPatch, _polya_scan, to_bernstein
 from .powerpoly import PowerPoly
 from .ratpatch import (
     ClaimedMinimum,
@@ -312,7 +313,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         return _certifies(lists[0], vertices)
 
     def split(leaf, depth, key):
-        return _refine_ints(leaf, k, (1, 4 ** (depth + 1)), settled)
+        return _refine_ints(leaf, (1, 4 ** (depth + 1)), settled)
 
     def visit(piece, depth):
         nonlocal certified, last, refuted
@@ -322,7 +323,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         nums, = piece.lists
         i = _refuting_index(nums, vertices)
         if i is not None:
-            refuted = (depth, _vertex_witness(piece, vertices[i], i, root))
+            refuted = (depth, _vertex_witness(piece, vertices[i], i, root.den))
             return None
         if min(nums) < 0:
             return depth
@@ -344,15 +345,13 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     return subdivide(Piece.of((root.num,)), split, visit, stop)
 
 
-def _vertex_witness(piece: Piece, p: int, i: int, root: RationalPatch) -> Witness:
-    """The witness at vertex i, position p, of a numerator piece split from
-    ``root``: num(v_i), over the root's numerator scale shifted by the
-    piece's cuts, over den(v_i), the root's denominator evaluated there
-    once."""
+def _vertex_witness(piece: Piece, p: int, i: int, den: BernsteinPatch) -> Witness:
+    """The witness at vertex i, position p, of a numerator piece: num(v_i),
+    read from the piece's own patch, over den(v_i), the root denominator
+    patch ``den`` evaluated there once."""
+    num, = piece.patches()
     vertex = piece.vertex(i)
-    scale = root.num.scale << root.degree * piece.cuts
-    return Witness(vertex, Fraction(piece.lists[0][p], scale) / root.den.eval(vertex),
-                   "vertex")
+    return Witness(vertex, Fraction(num.nums[p], num.scale) / den.eval(vertex), "vertex")
 
 
 def certify_negative(

@@ -130,6 +130,8 @@ def parse_problem(data: dict) -> ProblemSpec:
     domain_data = data["domain"]
     if not isinstance(domain_data, dict) or not domain_data.keys() & {"interval", "vertices"}:
         raise UsageError("spec field 'domain': need 'interval' or 'vertices'")
+    if domain_data.keys() >= {"interval", "vertices"}:
+        raise UsageError("spec field 'domain': need 'interval' or 'vertices', not both")
     try:
         if "interval" in domain_data:
             interval = domain_data["interval"]
@@ -143,7 +145,11 @@ def parse_problem(data: dict) -> ProblemSpec:
                 )
             domain = Simplex.from_interval(lo, hi)
         else:
-            domain = Simplex.from_json(domain_data)
+            vertices = domain_data["vertices"]
+            if not (isinstance(vertices, list) and all(isinstance(v, list) for v in vertices)):
+                raise UsageError("spec field 'domain.vertices': need a JSON array of"
+                                 f" coordinate arrays, got {vertices!r}")
+            domain = Simplex(vertices)
     except (KeyError, ValueError, TypeError, BernboundError) as exc:
         raise UsageError(f"spec field 'domain': {exc}") from exc
     return ProblemSpec(numerator, denominator, domain,

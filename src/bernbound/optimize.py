@@ -3,8 +3,9 @@
 Every node carries the rational Bernstein coefficients of the function over
 its subsimplex at the function's own degree (the degree never changes
 during minimization), as a ``ratpatch.Piece``: the numerator and
-denominator integer lists, and a bisection path whose vertex rows are
-formed only for a witness or a tie.
+denominator integer lists, the root it shares with the whole run, which
+holds that degree and both root scales, and a bisection path whose vertex
+rows are formed only for a witness or a tie.
 The minimum coefficient of a node is a certified lower bound for the
 function there; evaluating the function at the minimizing grid point or at a
 vertex yields a true function value and hence an upper bound.  A node's
@@ -115,27 +116,28 @@ def local_bounds(f: RationalPatch) -> Tuple[Fraction, Fraction, Point]:
     """
     position = _min_position(f.num.nums, f.den.nums)
     piece = Piece.of((f.num, f.den))
-    a, b, where = _upper_bound(piece, f.degree, (f.num.scale, f.den.scale), position)
-    return f.ratio(position), Fraction(a, b), _witness(piece, f.degree, where)
+    a, b, where = _upper_bound(piece, position)
+    return f.ratio(position), Fraction(a, b), _witness(piece, where)
 
 
-def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
+def _upper_bound(piece: Piece, position: int,
                  below: Optional[Tuple[int, int]] = None) -> Optional[Tuple[int, int, int]]:
     """The upper bound of ``local_bounds`` as an unreduced pair (a, b),
-    b > 0, and the grid position where it is attained, for a degree-k piece
-    whose numerator and denominator lists are over ``scales`` times a
-    common factor, ``position`` being the first position of its smallest
-    ratio; None when it does not lie below the fraction ``below`` = (a, b),
-    b > 0, if given.  The grid value is the ratio of both lists' dot
-    products with ``indexing.grid_row`` at ``position``: each is over its
-    list's scale times k^k times the common factor, and those last two
-    cancel.  A vertex value is attained at the vertex's own position, and
-    replaces the grid value only when it is smaller.  The candidates
-    compare as integer pairs by cross-multiplying, so no ``Fraction`` and
-    no point is built (``_witness`` reads the point)."""
-    n = len(piece.root[0]) - 1
+    b > 0, and the grid position where it is attained, for a piece whose
+    numerator and denominator lists are over its root's scales (s, t)
+    shifted by k * cuts, k the root's degree, ``position`` being the first
+    position of its smallest ratio; None when it does not lie below the
+    fraction ``below`` = (a, b), b > 0, if given.  The grid value is the
+    ratio of both lists' dot products with ``indexing.grid_row`` at
+    ``position``: each is over its list's scale times k^k, shifted by the
+    same k * cuts, and those last two cancel.  A vertex value is attained
+    at the vertex's own position, and replaces the grid value only when it
+    is smaller.  The candidates compare as integer pairs by
+    cross-multiplying, so no ``Fraction`` and no point is built
+    (``_witness`` reads the point)."""
+    root_rows, _, k, (s, t) = piece.root
+    n = len(root_rows) - 1
     nums, dens = piece.lists
-    s, t = scales
     a = b = None
     where = position
     if k >= 1:
@@ -150,11 +152,12 @@ def _upper_bound(piece: Piece, k: int, scales: Tuple[int, int], position: int,
     return a, b, where
 
 
-def _witness(piece: Piece, k: int, where: int) -> Point:
-    """The point of the index alpha at grid position ``where`` of a degree-k
-    piece, read from its rows: vertex i when alpha = k e_i (and vertex 0
-    at k = 0), else the grid point alpha / k."""
-    alpha = enumerate_indices(k, len(piece.root[0]) - 1)[where]
+def _witness(piece: Piece, where: int) -> Point:
+    """The point of the index alpha at grid position ``where`` of a piece
+    whose root has degree k, read from its rows: vertex i when
+    alpha = k e_i (and vertex 0 at k = 0), else the grid point alpha / k."""
+    root_rows, _, k, _ = piece.root
+    alpha = enumerate_indices(k, len(root_rows) - 1)[where]
     if k in alpha:
         return piece.vertex(alpha.index(k))
     return _grid_point(alpha, k, piece.rows, piece.denom)
@@ -214,8 +217,8 @@ def minimize(
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)
-    k, scales = root.degree, (root.num.scale, root.den.scale)
-    s, t = scales
+    top = Piece.of((root.num, root.den))
+    s, t = top.root[3]
     en, ed = epsilon.numerator, epsilon.denominator
     # The incumbent upper bound dn / dd, unreduced, and the piece and grid
     # position of its witness; bounds compare with it as integers.
@@ -233,8 +236,7 @@ def minimize(
         position = _min_position(nums, dens)
         a, b = nums[position] * t, dens[position] * s
         if dn is None or a * dd < dn * b:
-            found = _upper_bound(piece, k, scales, position,
-                                 None if dn is None else (dn, dd))
+            found = _upper_bound(piece, position, None if dn is None else (dn, dd))
             if found is not None:
                 dn, dd, where = found
                 best = piece
@@ -248,7 +250,7 @@ def minimize(
         if not (converged or exhausted):
             return None
         delta = Fraction(dn, dd)
-        result = MinimizationResult(Fraction(a, b), delta, _witness(best, k, where), epsilon,
+        result = MinimizationResult(Fraction(a, b), delta, _witness(best, where), epsilon,
                                     steps, leaves, converged, planned)
         if converged:
             return result
@@ -278,15 +280,14 @@ def minimize(
             parked, held = _least(parked, (key.a, key.b)), held + 1
             return ()
         deepest = max(deepest, depth + 1)
-        return _split_round(piece, k)
+        return _split_round(piece)
 
     def stop_best(head, size):
         lower = _least((dn, dd), head and (head[0].a, head[0].b), parked)
         return settle(lower, deepest, size + held, head is None)
 
-    top = Piece.of((root.num, root.den))
     if mode == "uniform":
-        return subdivide(top, lambda piece, depth, key: _split_round(piece, k),
+        return subdivide(top, lambda piece, depth, key: _split_round(piece),
                          visit_uniform, stop_uniform)
     return subdivide(top, split_best, visit_best, stop_best)
 

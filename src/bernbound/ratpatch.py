@@ -27,10 +27,11 @@ negated magnitudes, and the second differences' integer maxima: each
 constant is one ``Fraction`` built from integers.
 
 Subdivision runs below one checked root.  Its pieces are ``Piece`` records:
-the root's integer vertex rows, a bisection path from it, one integer list
-per patch and the squared edge lengths, which a run measures once, at the
-root, and carries on integers by the median rule; no ``Simplex``, no patch
-object, and no vertex rows until something reads them, when the path
+the root they all share (its integer vertex rows, their denominator, the
+degree and the root patches' scales), a bisection path from it, one integer
+list per patch and the squared edge lengths, which a run measures once, at
+the root, and carries on integers by the median rule; no ``Simplex``, no
+patch object, and no vertex rows until something reads them, when the path
 replays.  A bisection child of a simplex is a simplex (the identity in
 ``_refine_ints``), and a de Casteljau child's coefficients are
 positive-weight means of its parent's, so a denominator that is positive at
@@ -217,9 +218,8 @@ class RationalPatch:
         checked ``RationalPatch``.  Every returned child has diameter at
         most half the parent's.  It equals repeated ``split_edge`` on the
         longest edge, with the same leaves, order and integers."""
-        roots = (self.num, self.den)
-        return [RationalPatch(*piece.patches(roots))
-                for piece in _split_round(Piece.of(roots), self.degree)]
+        return [RationalPatch(*piece.patches())
+                for piece in _split_round(Piece.of((self.num, self.den)))]
 
     def to_json(self) -> dict:
         return {
@@ -232,18 +232,20 @@ class RationalPatch:
 class Piece:
     """One piece of a subdivision, as plain data.
 
-    ``root`` is the run's root simplex as (integer vertex rows, denom), and
-    ``path`` the ``cuts`` bisections that lead from it to the piece, as one
-    integer with a digit base 2E (E = n(n+1)/2 edges) per bisection, the
-    first one most significant: the digit 2e + side names the edge of slot
-    e in ``geometry._edge_pairs`` order and the child that keeps v_i (side
-    0) or v_j (side 1).  ``lists`` are one integer numerator list per
-    subdivided patch, and ``lengths`` the squared edge lengths over
+    ``root`` is the run's root, one tuple every piece of the run shares:
+    (integer vertex rows, denom, degree k, scales), the scales being the
+    root patches' own, one per subdivided patch.  ``path`` is the ``cuts``
+    bisections that lead from the root to the piece, as one integer with a
+    digit base 2E (E = n(n+1)/2 edges) per bisection, the first one most
+    significant: the digit 2e + side names the edge of slot e in
+    ``geometry._edge_pairs`` order and the child that keeps v_i (side 0) or
+    v_j (side 1).  ``lists`` are one integer numerator list per subdivided
+    patch, and ``lengths`` the squared edge lengths over
     (root denom << cuts)**2 in ``_edge_pairs`` order: measured at a root
-    (``of``), carried by ``_refine_ints`` to every other piece.  All patches
-    have one degree k, and list l is over the root patch l's scale shifted
-    left by k * cuts.  The constructor checks nothing: below a checked root
-    every piece is a simplex (see ``_refine_ints``).
+    (``of``), carried by ``_refine_ints`` to every other piece.  Every list
+    has the root's degree k, and list l is over scale l shifted left by
+    k * cuts (``patches``).  The constructor checks nothing: below a
+    checked root every piece is a simplex (see ``_refine_ints``).
 
     ``weight`` is the number of leaves the piece stands for: 1, unless
     ``_refine_ints`` settled it inside a split, when it counts the leaves
@@ -269,15 +271,16 @@ class Piece:
 
     @classmethod
     def of(cls, patches: Tuple[BernsteinPatch, ...]) -> "Piece":
-        """The root piece of patches over one (checked) simplex."""
-        simplex = patches[0].simplex
-        return cls((simplex.ints, simplex.denom), 0, tuple(p.nums for p in patches), 0,
-                   _edge_lengths(simplex.ints))
+        """The root piece of patches of one degree over one (checked)
+        simplex."""
+        simplex, k = patches[0].simplex, patches[0].degree
+        root = simplex.ints, simplex.denom, k, tuple(p.scale for p in patches)
+        return cls(root, 0, tuple(p.nums for p in patches), 0, _edge_lengths(simplex.ints))
 
     def _replayed(self):
         """(rows, denom): the path's bisections of the root, replayed once."""
         if self._rows is None:
-            rows, denom = self.root
+            rows, denom, _, _ = self.root
             pairs = _edge_pairs(len(rows) - 1)
             digits, path, size = [], self.path, 2 * len(pairs)
             for _ in range(self.cuts):
@@ -307,22 +310,23 @@ class Piece:
         rows, denom = self._replayed()
         return tuple([_point(row, denom) for row in rows])
 
-    def patches(self, roots: Tuple[BernsteinPatch, ...]) -> Tuple[BernsteinPatch, ...]:
+    def patches(self) -> Tuple[BernsteinPatch, ...]:
         """The piece's lists as patches over its simplex, rank-checked like
-        every ``Simplex``, ``roots`` being the root patches they were split
-        from."""
+        every ``Simplex``: the one place that shifts a root scale by the
+        piece's cuts."""
         simplex = _checked_simplex(*self._replayed())
-        k = roots[0].degree
-        return tuple(BernsteinPatch._from_ints(simplex, k, nums, root.scale << k * self.cuts)
-                     for nums, root in zip(self.lists, roots))
+        _, _, k, scales = self.root
+        return tuple(BernsteinPatch._from_ints(simplex, k, nums, scale << k * self.cuts)
+                     for nums, scale in zip(self.lists, scales))
 
 
-def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
+def _refine_ints(piece: Piece, threshold: Tuple[int, int],
                  settled: Optional[Callable[[tuple], bool]] = None) -> List[Piece]:
     """The integer subdivision driver: at least one shrink round of
     ``piece``, then more on every piece whose squared diameter still exceeds
     the fraction ``threshold`` = (numerator, denominator), splitting each of
-    its degree-k lists along.  Returns the leaves as ``Piece`` records.
+    its lists along at the degree k its root holds.  Returns the leaves as
+    ``Piece`` records, which share the piece's ``root``.
 
     A round applies n(n+1)/2 levels of longest-edge bisection, then keeps
     bisecting any piece whose squared diameter still exceeds a quarter of
@@ -372,7 +376,7 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     when the root's is: the root's rank check covers every piece.
     """
     root = piece.root
-    n = len(root[0]) - 1
+    n, k = len(root[0]) - 1, root[2]
     levels = round_length(n)
     budget = 5 * levels + 4  # the levels, then 4 * levels + 4 halvings
     bisections = _bisection_slots(n)
@@ -440,10 +444,10 @@ def _refine_ints(piece: Piece, k: int, threshold: Tuple[int, int],
     return leaves
 
 
-def _split_round(piece: Piece, k: int) -> List[Piece]:
+def _split_round(piece: Piece) -> List[Piece]:
     """One shrink round of a piece: ``_refine_ints`` at a quarter of its own
     squared diameter, the rule of ``RationalPatch.split_round``."""
-    return _refine_ints(piece, k, _quarter(max(piece.lengths), piece.root[1] << piece.cuts))
+    return _refine_ints(piece, _quarter(max(piece.lengths), piece.root[1] << piece.cuts))
 
 
 def _min_position(nums, dens) -> int:

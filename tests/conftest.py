@@ -369,10 +369,9 @@ def refine(patch, threshold_sq):
     denominator together, each leaf turned back into a checked
     ``RationalPatch``.  The tests check it against repeated ``split_edge``
     on the longest edge."""
-    roots = (patch.num, patch.den)
     threshold = threshold_sq.numerator, threshold_sq.denominator
-    return [RationalPatch(*piece.patches(roots))
-            for piece in _refine_ints(Piece.of(roots), patch.degree, threshold)]
+    return [RationalPatch(*piece.patches())
+            for piece in _refine_ints(Piece.of((patch.num, patch.den)), threshold)]
 
 
 def ref_edge_lengths(rows):
@@ -394,14 +393,15 @@ def ref_longest_ints(rows):
     return best
 
 
-def ref_refine_ints(piece, k, threshold):
+def ref_refine_ints(piece, threshold):
     """``ratpatch._refine_ints`` as it was before it carried edge lengths:
     every bisection child carries its vertex rows over their reduced
     denominator, its edges are all measured afresh from them
     (``ref_longest_ints``), and every other step is the driver's.  Returns
     each leaf's fields (rows, denom, lists, cuts, squared edge lengths over
-    denom**2, measured in full by ``ref_edge_lengths``)."""
-    n = len(piece.rows) - 1
+    denom**2, measured in full by ``ref_edge_lengths``).  The lists split at
+    the degree the piece's root holds."""
+    n, k = len(piece.rows) - 1, piece.root[2]
     levels = round_length(n)
     budget = 5 * levels + 4
 
@@ -495,26 +495,20 @@ def leaf_log(den):
     and no vertex refutes it.
 
     The run splits its numerator alone, as plain pieces below its root
-    rational patch, which the log catches from ``certify._certify_local``.
-    Each record turns its piece back into the numerator patch on a checked
-    simplex (``Piece.patches`` over the root's numerator) and divides its
-    coefficients by an independent conversion of ``den`` on that simplex.
+    rational patch.  Each record turns its piece back into the numerator
+    patch on a checked simplex (``Piece.patches``, at the degree and scale
+    the piece's root holds) and divides its coefficients by an independent
+    conversion of ``den`` on that simplex.
     A denominator whose coefficients are all negative was negated with the
     numerator at the root, so its conversion is negated too."""
     log = []
     refuted = False
-    roots = []
-    real = certify._certify_local
-
-    def caught(root, n_max):
-        roots.append(root.num)
-        return real(root, n_max)
 
     def record(piece, depth, key):
         nonlocal refuted
         if refuted:
             return
-        num, = piece.patches(roots[-1:])
+        num, = piece.patches()
         q = to_bernstein(den, num.degree, num.simplex).coeffs
         if max(q) < 0:
             q = [-c for c in q]
@@ -523,12 +517,8 @@ def leaf_log(den):
         log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted,
                         piece.weight))
 
-    certify._certify_local = caught
-    try:
-        with watch_subdivide(certify, record):
-            yield log
-    finally:
-        certify._certify_local = real
+    with watch_subdivide(certify, record):
+        yield log
 
 
 def interval_leaves(log, num, den):

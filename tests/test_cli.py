@@ -409,9 +409,11 @@ class TestUsageAndErrors:
         ({**DIP_SPEC, "domain": {"vertices": [["0"]]}},
          "spec field 'domain': a simplex needs at least two vertices"),
         ({**DIP_SPEC, "domain": {}}, "spec field 'domain': need 'interval' or 'vertices'"),
+        ({**DIP_SPEC, "domain": {"interval": ["0", "1"], "vertices": [["5"], ["6"]]}},
+         "spec field 'domain': need 'interval' or 'vertices', not both"),
     ], ids=["not-an-object", "no-domain", "numerator-array", "terms-object", "term-array",
             "exponents-integer", "no-coeff", "no-dimension", "no-vertices", "one-vertex",
-            "domain-empty"])
+            "domain-empty", "domain-both"])
     def test_spec_shape(self, tmp_path, capsys, data, message):
         spec = _write(tmp_path, "shape.json", data)
         assert main(["bounds", spec]) == 64
@@ -442,23 +444,39 @@ class TestUsageAndErrors:
         })
         assert main(["bounds", spec]) == 64
 
-    @pytest.mark.parametrize("domain", [
-        {"interval": "01"},
-        {"interval": {"0": 1, "1": 2}},
-        {"vertices": "01"},
-        {"vertices": ["0", "1"]},
-        {"vertices": [{"0": "7"}, {"1": "9"}]},
+    @pytest.mark.parametrize("domain, message", [
+        ({"interval": "01"}, "'domain.interval': need a JSON array [a, b], got '01'"),
+        ({"interval": {"0": 1, "1": 2}},
+         "'domain.interval': need a JSON array [a, b], got {'0': 1, '1': 2}"),
+        ({"vertices": "01"},
+         "'domain.vertices': need a JSON array of coordinate arrays, got '01'"),
+        ({"vertices": ["0", "1"]},
+         "'domain.vertices': need a JSON array of coordinate arrays, got ['0', '1']"),
+        ({"vertices": [{"0": "7"}, {"1": "9"}]},
+         "'domain.vertices': need a JSON array of coordinate arrays,"
+         " got [{'0': '7'}, {'1': '9'}]"),
+        ({"vertices": 5}, "'domain.vertices': need a JSON array of coordinate arrays, got 5"),
+        ({"vertices": None},
+         "'domain.vertices': need a JSON array of coordinate arrays, got None"),
+        ({"vertices": [5, 6]},
+         "'domain.vertices': need a JSON array of coordinate arrays, got [5, 6]"),
+        ({"vertices": "ab"},
+         "'domain.vertices': need a JSON array of coordinate arrays, got 'ab'"),
+        ({"vertices": {"0": 1}},
+         "'domain.vertices': need a JSON array of coordinate arrays, got {'0': 1}"),
     ], ids=["interval-string", "interval-object", "vertices-string", "vertex-strings",
-            "vertex-objects"])
-    def test_malformed_domain(self, tmp_path, capsys, domain):
+            "vertex-objects", "vertices-number", "vertices-null", "vertex-numbers",
+            "vertices-text", "vertices-object"])
+    def test_malformed_domain(self, tmp_path, capsys, domain, message):
         # Neither a string nor an object is read one item at a time as
-        # coordinates.
+        # coordinates, and the message names the field, not Python's view
+        # of the value.
         spec = _write(tmp_path, "domain.json", {
             "numerator": {"dimension": 1, "terms": [{"exponents": [1], "coeff": "1"}]},
             "domain": domain,
         })
         assert main(["bounds", spec]) == 64
-        assert "spec field 'domain" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: spec field {message}\n"
 
     def test_missing_file(self, capsys):
         assert main(["bounds", "/nonexistent/path.json"]) == 64

@@ -423,11 +423,10 @@ def test_settled_pieces_stand_for_the_leaves_they_hold(problem, pick):
     widest = max(diameter_sq(piece.simplex) for piece in root.split_round())
     threshold = widest / divisors[pick % len(divisors)]
     threshold = threshold.numerator, threshold.denominator
-    k = root.degree
-    vertices = vertex_positions(k, simplex.dimension)
-    pruned = ratpatch._refine_ints(ratpatch.Piece.of(roots), k, threshold,
+    vertices = vertex_positions(root.degree, simplex.dimension)
+    pruned = ratpatch._refine_ints(ratpatch.Piece.of(roots), threshold,
                                    lambda lists: certify._certifies(lists[0], vertices))
-    full = ratpatch._refine_ints(ratpatch.Piece.of(roots), k, threshold)
+    full = ratpatch._refine_ints(ratpatch.Piece.of(roots), threshold)
     assert sum(piece.weight for piece in pruned) == len(full)
     size = 2 * len(pruned[0].lengths)
     at = 0
@@ -437,11 +436,11 @@ def test_settled_pieces_stand_for_the_leaves_they_hold(problem, pick):
             assert ((piece.path, piece.cuts, piece.lists, piece.lengths)
                     == (leaf.path, leaf.cuts, leaf.lists, leaf.lengths))
         else:
-            assert cert_predicate(RationalPatch(*piece.patches(roots)))
+            assert cert_predicate(RationalPatch(*piece.patches()))
             for leaf in full[at:at + piece.weight]:
                 assert leaf.cuts > piece.cuts
                 assert leaf.path // size ** (leaf.cuts - piece.cuts) == piece.path
-                assert cert_predicate(RationalPatch(*leaf.patches(roots)))
+                assert cert_predicate(RationalPatch(*leaf.patches()))
         at += piece.weight
 
 
@@ -491,10 +490,10 @@ def _ordered_both_ways(problem, rounds, order):
     lower bounds among them."""
     num, den, simplex, _ = problem
     root = rational_patch(num, den, simplex)
-    k, (s, t) = root.degree, (root.num.scale, root.den.scale)
+    s, t = root.num.scale, root.den.scale
     pieces = level = [ratpatch.Piece.of((root.num, root.den))]
     for _ in range(rounds):
-        level = [child for piece in level for child in ratpatch._split_round(piece, k)]
+        level = [child for piece in level for child in ratpatch._split_round(piece)]
         pieces = pieces + level
     order(pieces)
 
@@ -551,13 +550,12 @@ def test_minimize_values_only_pieces_below_the_incumbent(monkeypatch, problem, m
             minimize(*problem[:3], F(1, 1000), budget=3, mode=mode)
         except BudgetExhausted:
             pass
-    root = rational_patch(*problem[:3])
-    scales = root.num.scale, root.den.scale
     delta, want = None, []
     for piece in visited:
+        s, t = piece.root[3]
         position = ratpatch._min_position(*piece.lists)
-        m = F(piece.lists[0][position] * scales[1], piece.lists[1][position] * scales[0])
-        a, b, _ = real(piece, root.degree, scales, position)
+        m = F(piece.lists[0][position] * t, piece.lists[1][position] * s)
+        a, b, _ = real(piece, position)
         d = F(a, b)
         if delta is None or m < delta:
             want.append(piece)
@@ -689,9 +687,9 @@ def test_refuted_run_splits_nothing_after_the_refuting_piece(monkeypatch, proble
     real = certify._refine_ints
     refuting = []  # per split: whether a piece it made has a non-positive vertex
 
-    def spy(piece, k, threshold, settled):
-        leaves = real(piece, k, threshold, settled)
-        vertices = vertex_positions(k, len(piece.rows) - 1)
+    def spy(piece, threshold, settled):
+        leaves = real(piece, threshold, settled)
+        vertices = vertex_positions(piece.root[2], len(piece.rows) - 1)
         refuting.append(any(leaf.lists[0][p] <= 0 for leaf in leaves for p in vertices))
         return leaves
 

@@ -643,7 +643,6 @@ def test_grid_value_matches_eval(data):
     # grid point of index p and the vertex values, the grid point winning
     # ties, each read as the function's exact value there.
     for piece in (f, *f.split_edge(i, j)):
-        scales = piece.num.scale, piece.den.scale
         vertices = piece.simplex.vertices
         values = [piece.num.eval(v) / piece.den.eval(v) for v in vertices]
         for p, alpha in enumerate(enumerate_indices(k, n)):
@@ -652,8 +651,8 @@ def test_grid_value_matches_eval(data):
             if min(values) < value:
                 value, point = min(values), vertices[values.index(min(values))]
             record = ratpatch.Piece.of((piece.num, piece.den))
-            a, b, where = _upper_bound(record, k, scales, p)
-            assert (F(a, b), _witness(record, k, where)) == (value, point)
+            a, b, where = _upper_bound(record, p)
+            assert (F(a, b), _witness(record, where)) == (value, point)
 
 
 @KERNEL
@@ -936,9 +935,9 @@ def test_numerator_refinement_matches_rational_refinement(case, divisor):
     if simplex.dimension == 3:
         divisor = 4
     threshold = diameter_sq(simplex) / divisor
-    pieces = ratpatch._refine_ints(ratpatch.Piece.of((f.num,)), k,
+    pieces = ratpatch._refine_ints(ratpatch.Piece.of((f.num,)),
                                    (threshold.numerator, threshold.denominator))
-    got = [piece.patches((f.num,))[0] for piece in pieces]
+    got = [piece.patches()[0] for piece in pieces]
     want = [leaf.num for leaf in refine(f, threshold)]
     assert [leaf.simplex for leaf in got] == [leaf.simplex for leaf in want]
     for mine, theirs in zip(got, want):
@@ -987,21 +986,21 @@ def test_bisection_halves_the_edge_determinant(data):
         check(rows, denom, cuts)
     one = to_bernstein(PowerPoly.constant(n, 1), 1, simplex)
     threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
-    leaves = ratpatch._refine_ints(ratpatch.Piece.of((one,)), 1,
+    leaves = ratpatch._refine_ints(ratpatch.Piece.of((one,)),
                                    (threshold.numerator, threshold.denominator))
     for piece in leaves:
         check(piece.rows, piece.denom, piece.cuts)
     assert sum(F(1, 2 ** piece.cuts) for piece in leaves) == 1
 
 
-def _assert_carried_lengths(piece, k, threshold):
+def _assert_carried_lengths(piece, threshold):
     # The leaves against the row-carrying oracle: the same rows and
     # denominator, replayed from each leaf's path, the same lists and cuts,
     # and the same squared edge lengths as rationals, the driver's over
     # (root denom << cuts)**2 and the oracle's over its reduced denom**2.
     handed = piece.lengths[:]
-    got = ratpatch._refine_ints(piece, k, threshold)
-    want = ref_refine_ints(piece, k, threshold)
+    got = ratpatch._refine_ints(piece, threshold)
+    want = ref_refine_ints(piece, threshold)
     assert len(got) == len(want)
     for leaf, (rows, denom, lists, cuts, lengths) in zip(got, want):
         assert leaf.root is piece.root
@@ -1033,15 +1032,15 @@ def test_carried_edge_lengths_match_measuring_every_child(data):
     lists = tuple(tuple(data.draw(st.lists(st.integers(-50, 50), min_size=size,
                                            max_size=size)))
                   for _ in range(data.draw(st.integers(1, 2))))
-    root = ratpatch.Piece((simplex.ints, simplex.denom), 0, lists, 0,
+    root = ratpatch.Piece((simplex.ints, simplex.denom, k, (1,) * len(lists)), 0, lists, 0,
                           geometry._edge_lengths(simplex.ints))
     # Two rounds or more below n = 3, where one round makes 64 pieces.
     threshold = diameter_sq(simplex) / data.draw(st.sampled_from((4, 16) if n < 3 else (4,)))
-    leaves = _assert_carried_lengths(root, k, (threshold.numerator, threshold.denominator))
+    leaves = _assert_carried_lengths(root, (threshold.numerator, threshold.denominator))
     last = leaves[-1]
     assert last.cuts > 0
-    _assert_carried_lengths(last, k, ratpatch._quarter(max(last.lengths),
-                                                       last.root[1] << last.cuts))
+    _assert_carried_lengths(last, ratpatch._quarter(max(last.lengths),
+                                                    last.root[1] << last.cuts))
 
 
 def test_carried_edge_lengths_on_a_round_of_the_standard_4_simplex():
@@ -1051,5 +1050,5 @@ def test_carried_edge_lengths_on_a_round_of_the_standard_4_simplex():
     linear = to_bernstein(PowerPoly(4, {(0, 0, 0, 0): 1, (1, 0, 0, 0): 2, (0, 0, 0, 1): -3}),
                           1, simplex)
     root = ratpatch.Piece.of((linear,))
-    leaves = _assert_carried_lengths(root, 1, ratpatch._quarter(max(root.lengths), root.denom))
+    leaves = _assert_carried_lengths(root, ratpatch._quarter(max(root.lengths), root.denom))
     assert len(leaves) == 1024

@@ -100,9 +100,9 @@ class TestLocalBounds:
         # and keeps the incumbent's witness.
         f = rational_patch(*fn_dip())
         piece = Piece.of((f.num, f.den))
-        args = piece, f.degree, (f.num.scale, f.den.scale), _min_position(*piece.lists)
+        args = piece, _min_position(*piece.lists)
         a, b, where = _upper_bound(*args)
-        value, point = F(a, b), _witness(piece, f.degree, where)
+        value, point = F(a, b), _witness(piece, where)
         assert (value, point) == local_bounds(f)[1:]
         p, q = value.numerator, value.denominator
         assert _upper_bound(*args, (2 * p, 2 * q)) is None

@@ -7,7 +7,9 @@ conclude, and each verdict must match the sign of m; both ``minimize``
 strategies must bracket m and a dense-sample minimum.  The local
 certificate splits its numerator alone, so on every piece it tests the
 denominator must stay positive and the numerator must be the conversion on
-that piece, in one to three variables.  Conversion at a degree must give
+that piece, in one to three variables.  Every piece of either ``minimize``
+strategy must hold the run's root, and its numerator and denominator
+patches must be the conversions on that piece.  Conversion at a degree must give
 the patch that elevation reaches, in one to three variables.  Given the
 true minimum as a claim, each a-priori bound must suffice on domains scaled
 from 1/16 to 16 times the standard simplex, in one to three variables.
@@ -38,8 +40,8 @@ from bernbound import (  # noqa: E402
     standard_simplex,
     to_bernstein,
 )
-from bernbound import certify  # noqa: E402
-from bernbound.errors import DenominatorNotPositive  # noqa: E402
+from bernbound import certify, optimize  # noqa: E402
+from bernbound.errors import BudgetExhausted, DenominatorNotPositive  # noqa: E402
 from bernbound.geometry import diameter_sq  # noqa: E402
 from conftest import (  # noqa: E402
     closed_form,
@@ -121,14 +123,39 @@ def test_local_pieces_keep_a_positive_denominator(problem):
     # kernel's numerator must be the conversion of the numerator.
     num, den, simplex, _, _ = problem
     k = max(num.degree, den.degree)
-    root = rational_patch(num, den, simplex).num
     pieces = []
     with watch_subdivide(certify, lambda piece, depth, key: pieces.append(piece)):
         certify_local(num, den, simplex, {1: 3, 2: 2, 3: 1}[simplex.dimension])
     for piece in pieces:
-        patch, = piece.patches((root,))
+        patch, = piece.patches()
         assert min(to_bernstein(den, k, patch.simplex).nums) > 0
         assert patch == to_bernstein(num, k, patch.simplex)
+
+
+@PROPERTY
+@given(problems((1, 2, 3)), st.sampled_from(("best-first", "uniform")))
+def test_minimize_pieces_carry_their_root(problem, mode):
+    # Every piece of a ``minimize`` run holds the run's one root, which
+    # carries the degree and both scales: turned back into patches, each
+    # piece's numerator and denominator lists, the denominator's included,
+    # must be the conversions of the problem on its simplex.  The closed
+    # forms' denominators are Bernstein-positive, so the root is not
+    # negated.  The budget keeps the conversions few.
+    num, den, simplex, _, _ = problem
+    k = max(num.degree, den.degree)
+    pieces = []
+    with watch_subdivide(optimize, lambda piece, depth, key: pieces.append(piece)):
+        try:
+            minimize(num, den, simplex, F(1, 10 ** 6), {1: 4, 2: 2, 3: 1}[simplex.dimension],
+                     mode)
+        except BudgetExhausted:
+            pass
+    assert len(pieces) > 1
+    for piece in pieces:
+        assert piece.root is pieces[0].root
+        numerator, denominator = piece.patches()
+        assert numerator == to_bernstein(num, k, numerator.simplex)
+        assert denominator == to_bernstein(den, k, denominator.simplex)
 
 
 @PROPERTY

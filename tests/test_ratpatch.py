@@ -426,7 +426,7 @@ def test_values_pickle_and_copy(duplicate):
         assert hash(again) == hash(value)
     piece = ratpatch.Piece.of((f.num, f.den))
     for _ in range(2):
-        piece = ratpatch._split_round(piece, f.degree)[-1]
+        piece = ratpatch._split_round(piece)[-1]
     again = duplicate(piece)
     assert type(again) is ratpatch.Piece
     fields = ("root", "path", "rows", "denom", "lists", "cuts", "lengths")
