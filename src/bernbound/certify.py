@@ -146,18 +146,11 @@ class CertificateReport(NamedTuple):
     wall_clock: float = 0.0
 
     def to_json(self) -> dict:
-        out = {
-            "verdict": self.verdict.value,
-            "mode": self.mode.value,
-            "degree_used": self.degree_used,
-            "depth_used": self.depth_used,
-            "witness": self.witness.to_json() if self.witness else None,
-            "leaves": self.leaves,
-            "apriori": self.apriori.to_json() if self.apriori else None,
-            "negated": self.negated,
-            "wall_clock": self.wall_clock,
-        }
-        return out
+        # ``_asdict`` lists the fields in order; the keywords replace values
+        # in place, so the keys keep that order.
+        return dict(self._asdict(), verdict=self.verdict.value, mode=self.mode.value,
+                    witness=self.witness and self.witness.to_json(),
+                    apriori=self.apriori and self.apriori.to_json())
 
 
 def cert_predicate(f: RationalPatch) -> bool:

@@ -175,7 +175,7 @@ def load_problem(path: str) -> ProblemSpec:
         raise UsageError(
             f"{source}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit or nesting limit
         raise UsageError(f"{source}: {exc}") from exc
     return parse_problem(data)
 

@@ -16,15 +16,17 @@ dimension, position).  Everything here is exact integer arithmetic.
 
 The index-move tables for degree elevation (by homogeneous sums), edge
 splitting and second differences live here too, next to the index order
-they encode; they are built once per degree and dimension (and edge, for
-splitting) and stored as flat integer arrays.  The elevation table holds
-source positions only: elevation keeps every vertex entry's value, so the
+they encode, stored as flat integer arrays.  The split and difference
+tables are built once per degree and dimension (and edge, for splitting).
+The elevation table is one per dimension, grown a grade at a time: the
+graded order puts a hat at the same position at every degree, so the table
+to one degree is a prefix of the table to the next.  It holds source
+positions only: elevation keeps every vertex entry's value, so the
 certificate decides the vertex part once at the root and reads no vertex
 position per degree.  The power-to-Bernstein conversion scatters its terms
 to their hat positions through ``conversion_table`` and then runs on the
-elevation table alone: the graded order puts a hat at the same position at
-every degree, so a grade added at one degree stays in place as the list
-grows.
+elevation table alone, so a grade added at one degree stays in place as
+the list grows.
 """
 
 from __future__ import annotations
@@ -119,28 +121,47 @@ def conversion_table(degree: int, dimension: int) -> Tuple[int, Dict[int, int]]:
                    for pos, alpha in enumerate(enumerate_indices(degree, dimension))}
 
 
-@lru_cache(maxsize=None)
+# Per dimension, the top grade held and the grown ``elevation_sums`` columns.
+_SUMS: Dict[int, Tuple[int, Tuple[array, ...]]] = {}
+
+
 def elevation_sums(degree: int, dimension: int) -> Tuple[array, ...]:
     """Gather table for elevating homogeneous coefficients by plain sums.
 
     Homogeneous coefficients are c_alpha = b_alpha * multinomial(k; alpha);
     elevation maps them to c'_beta = sum over i with beta_i > 0 of
     c_{beta - e_i}.  Returns one flat signed source array per slot i = 1..n,
-    indexed by position at degree + 1: the position of beta - e_i at
-    ``degree``, or -1, the caller's zero sentinel, where beta_i = 0.  Slot 0
-    needs none: its source is beta's own position, or the sentinel on the
-    top grade.  The table carries no vertex positions: a vertex entry keeps
-    its value under elevation, so no caller looks for it.
+    indexed by position: the position of beta - e_i, or -1, the caller's
+    zero sentinel, where beta_i = 0.  Slot 0 needs none: its source is
+    beta's own position, or the sentinel on the top grade.  The table
+    carries no vertex positions: a vertex entry keeps its value under
+    elevation, so no caller looks for it.
 
     A hat's position does not depend on the degree (the order is graded on
-    the hat), so one hat-to-position map serves both degrees.
+    the hat), so the table to any degree is a prefix of the table to a
+    higher one.  The cache holds one table per dimension, grown in place a
+    grade at a time: the arrays returned cover at least every position at
+    degree + 1, and the caller reads the prefix it needs.
     """
-    hats = [hat for grade in range(degree + 2)
-            for hat in _hat_indices(grade, dimension)]
-    position = {hat: pos for pos, hat in enumerate(hats)}
-    return tuple(array("l", [position[hat[:i] + (hat[i] - 1,) + hat[i + 1:]] if hat[i] else -1
-                             for hat in hats])
-                 for i in range(dimension))
+    grown = _SUMS.get(dimension)
+    if grown is None or grown[0] <= degree:
+        top, columns = grown or (0, tuple(array("l", [-1]) for _ in range(dimension)))
+        for grade in range(top + 1, degree + 2):
+            # Grade g's sources are the positions of grade g - 1, from
+            # C(g - 2 + n, n), and it is written to its own positions, from
+            # C(g - 1 + n, n), not appended: a growth that an exception cut
+            # short, or one in another thread, leaves only correct entries
+            # and no column shorter.
+            below = {hat: pos for pos, hat in enumerate(_hat_indices(grade - 1, dimension),
+                                                        comb(grade - 2 + dimension, dimension))}
+            hats = [*_hat_indices(grade, dimension)]
+            start = comb(grade - 1 + dimension, dimension)
+            for i, column in enumerate(columns):
+                column[start:start + len(hats)] = array(
+                    "l", [below[hat[:i] + (hat[i] - 1,) + hat[i + 1:]] if hat[i] else -1
+                          for hat in hats])
+        grown = _SUMS[dimension] = (degree + 1, columns)
+    return grown[1]
 
 
 @lru_cache(maxsize=None)

@@ -36,14 +36,15 @@ elevation to the target degree, one factorial scaling of the final grid
 and one gcd.  ``_elevate_to`` runs the same tail on a patch's homogeneous
 coefficients, so a patch reaches a higher degree without a second
 conversion; a constant skips both, its patch being N copies of itself.
-Conversion and scan thus reach degree k through the same cached elevation
-tables, C(k + n + 1, n + 1) - 1 entries per slot (``_triangle_size``
-counts C(k + n + 1, n + 1)); ``_check_degree`` refuses a degree past
-``MAX_TRIANGLE`` (``InvalidArgument``) before anything is allocated, and
-``_polya_scan`` stops at the last degree the cap admits.  This module
-holds the cap's one binding, so a patched ``MAX_TRIANGLE`` moves both.
-The de Casteljau
-triangle (``_triangle``) serves the edge split alone.  Second differences are
+Conversion and scan thus reach degree k through the same elevation table,
+which the cache holds once per dimension, grown a grade at a time; their
+steps read C(k + n + 1, n + 1) - 1 of its entries per slot
+(``_triangle_size`` counts C(k + n + 1, n + 1)).  ``_check_degree``
+refuses a degree past ``MAX_TRIANGLE`` (``InvalidArgument``) before
+anything is allocated, and ``_polya_scan`` stops at the last degree the
+cap admits.  This module holds the cap's one binding, so a patched
+``MAX_TRIANGLE`` moves both.  The de Casteljau triangle (``_triangle``)
+serves the edge split alone.  Second differences are
 integer too, building a ``Fraction`` only per returned entry, and
 ``eval`` is one integer dot product with the point's
 ``indexing.weight_row``.  The constructor reads coefficients as integer
@@ -79,9 +80,10 @@ DiffKey = Tuple[Tuple[int, ...], int, int]
 
 # The cap on C(k + n + 1, n + 1) at degree k over an n-simplex
 # (``_triangle_size``).  Conversion and global scan alike reach degree k
-# on the elevation step, whose cached tables then hold C(k + n + 1, n + 1)
-# - 1 entries per slot.  It admits n = 5 at k = 33 (3,262,623) and refuses
-# a runaway degree before anything is allocated.
+# on the elevation step, whose steps from degrees 0..k - 1 read
+# C(k + n + 1, n + 1) - 1 entries per slot of the dimension's one grown
+# table.  It admits n = 5 at k = 33 (3,262,623) and refuses a runaway
+# degree before anything is allocated.
 MAX_TRIANGLE = 1 << 22
 
 
@@ -256,15 +258,18 @@ def _elevate_homogeneous(c: List[int], degree: int, dimension: int) -> List[int]
     sentinel, and so does the result; c'_beta sums c_{beta - e_i} over the
     i with beta_i > 0, the sentinel standing in where beta_i = 0.  A vertex
     entry keeps its value, c'_{(k+1) e_i} = c_{k e_i}.  The i = 0 term is
-    c_beta itself, zero on the new top grade.  For n = 1 that is one Pascal
-    row, c'_j = c_{j-1} + c_j, read off ``c`` without a table.
+    c_beta itself, zero on the new top grade, whose C(k + n, n - 1) entries
+    pad the list.  The other terms gather through the one grown
+    ``indexing.elevation_sums`` table of the dimension, which may reach past
+    degree k + 1: ``map`` stops at the length of the padded list, so a step
+    reads only the prefix it needs.  For n = 1 the step is one Pascal row,
+    c'_j = c_{j-1} + c_j, read off ``c`` without a table.
     """
     if dimension == 1:
         return [c[0], *map(add, c, c[1:]), 0]
-    sources = elevation_sums(degree, dimension)
     fetch = c.__getitem__
-    summed = c[:-1] + [0] * (len(sources[0]) + 1 - len(c))
-    for column in sources:
+    summed = c[:-1] + [0] * comb(degree + dimension, dimension - 1)
+    for column in elevation_sums(degree, dimension):
         summed = map(add, summed, map(fetch, column))
     return [*summed, 0]
 
@@ -301,10 +306,10 @@ def _triangle(nums: Sequence[int], levels) -> List[int]:
 
 def _triangle_size(degree: int, dimension: int) -> int:
     """C(k + n + 1, n + 1) at degree k over an n-simplex, the quantity
-    ``MAX_TRIANGLE`` caps: one more than the entries per slot of the
-    elevation tables of degrees 0..k - 1, sum_j C(j + 1 + n, n), which a
-    conversion or scan to degree k caches, and the entries of ``_triangle``
-    on a degree-k ``split_table``."""
+    ``MAX_TRIANGLE`` caps: one more than the table entries per slot,
+    sum_j C(j + 1 + n, n), that the elevation steps from degrees 0..k - 1
+    of a conversion or scan to degree k read, and the entries of
+    ``_triangle`` on a degree-k ``split_table``."""
     return comb(degree + dimension + 1, dimension + 1)
 
 
@@ -333,9 +338,9 @@ def to_bernstein_standard(poly: PowerPoly, degree: int) -> BernsteinPatch:
 
 def _check_degree(degree: int, low: int, dimension: int) -> None:
     """Refuse a Bernstein degree below ``low`` (``DegreeTooLow``) or one
-    whose elevation tables, C(k + n + 1, n + 1) - 1 entries per slot
-    (``_triangle_size``), exceed ``MAX_TRIANGLE`` (``InvalidArgument``),
-    before anything is allocated."""
+    whose ``_triangle_size`` C(k + n + 1, n + 1), one more than the table
+    entries per slot that the elevation steps to degree k read, exceeds
+    ``MAX_TRIANGLE`` (``InvalidArgument``), before anything is allocated."""
     if degree < low:
         raise DegreeTooLow(f"Bernstein degree {degree} below polynomial degree {low}")
     if (size := _triangle_size(degree, dimension)) > MAX_TRIANGLE:

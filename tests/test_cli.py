@@ -618,6 +618,15 @@ class TestUsageAndErrors:
         else:
             assert f"error: {spec}: " in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, json_flag):
+        # json.loads raises RecursionError, not a ValueError, here.
+        spec = _write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)
+        assert main(["bounds", spec, *json_flag]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {spec}: maximum recursion depth exceeded")
+
     @pytest.mark.parametrize("argv, coeff, shown", [
         (["bounds"], "1e309", "1e+309"),
         (["bounds", "--json"], "1e309", "1e+309"),

@@ -1,11 +1,15 @@
 """Multi-index arithmetic, enumeration, and ordering guarantees."""
 
 import json
+import random
+import sys
+import threading
+from array import array
 from math import comb, factorial
 
 import pytest
 
-from bernbound import enumerate_indices
+from bernbound import enumerate_indices, indexing
 from bernbound.indexing import elevation_sums, multinomials, vertex_positions
 from conftest import _multinomial
 
@@ -99,17 +103,87 @@ class TestEnumerate:
             enumerate_indices(2, 0)
 
 
+def _reference_sums(degree, n):
+    """Column i - 1 at the position of beta (|beta| <= degree + 1): the
+    position of beta - e_i, for slots i = 1..n, or the sentinel -1 where
+    beta_i = 0."""
+    below = {alpha: pos for pos, alpha in enumerate(enumerate_indices(degree, n))}
+    return [[below[beta[:i] + (beta[i] - 1,) + beta[i + 1:]] if beta[i] else -1
+             for beta in enumerate_indices(degree + 1, n)] for i in range(1, n + 1)]
+
+
 class TestElevationSums:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("degree", range(9))
     def test_columns_match_reference(self, n, degree):
-        # Column i - 1 at the position of beta (|beta| = degree + 1) holds
-        # the position of beta - e_i at ``degree``, for slots i = 1..n, or
-        # the sentinel -1 where beta_i = 0; the table holds nothing else.
+        # The table may have grown past degree + 1 for an earlier caller:
+        # its prefix up to degree + 1 is the reference.
         columns = elevation_sums(degree, n)
-        below, above = enumerate_indices(degree, n), enumerate_indices(degree + 1, n)
         assert len(columns) == n
-        for i, column in enumerate(columns, 1):
-            want = [below.index(beta[:i] + (beta[i] - 1,) + beta[i + 1:])
-                    if beta[i] else -1 for beta in above]
-            assert list(column) == want
+        for column, want in zip(columns, _reference_sums(degree, n)):
+            assert list(column[:len(want)]) == want
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_grown_in_shuffled_order(self, monkeypatch, n):
+        # From an empty cache, degrees requested in any order give one table
+        # per dimension, grown in place just far enough for the highest.
+        monkeypatch.setattr(indexing, "_SUMS", {})
+        degrees = list(range(12))
+        random.Random(n).shuffle(degrees)
+        first = elevation_sums(degrees[0], n)
+        for seen, degree in enumerate(degrees, 1):
+            columns = elevation_sums(degree, n)
+            assert columns is first
+            top = max(degrees[:seen])
+            assert [list(column) for column in columns] == _reference_sums(top, n)
+
+    def test_growth_cut_short_is_redone(self, monkeypatch):
+        # An exception between two slots' writes leaves one slot a grade
+        # longer than the table records; the next growth rewrites it.
+        monkeypatch.setattr(indexing, "_SUMS", {})
+        elevation_sums(3, 3)
+        calls = []
+
+        def failing(typecode, items):
+            calls.append(typecode)
+            if len(calls) == 2:
+                raise MemoryError
+            return array(typecode, items)
+
+        monkeypatch.setattr(indexing, "array", failing)
+        with pytest.raises(MemoryError):
+            elevation_sums(5, 3)
+        monkeypatch.setattr(indexing, "array", array)
+        columns = elevation_sums(6, 3)
+        assert [list(column) for column in columns] == _reference_sums(6, 3)
+
+    def test_growth_from_threads(self, monkeypatch):
+        # Threads growing one table at once, switching as often as the
+        # interpreter lets them, each get columns that cover their degree,
+        # and every entry ends correct.
+        short = []
+
+        def scan(first):
+            try:
+                for k in range(first, 40, 4):
+                    if min(map(len, elevation_sums(k, 3))) < comb(k + 4, 3):
+                        short.append(k)
+            except Exception as exc:  # checked below, not lost with the thread
+                short.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                monkeypatch.setattr(indexing, "_SUMS", {})
+                threads = [threading.Thread(target=scan, args=(first,)) for first in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert short == []
+                assert ([list(column) for column in elevation_sums(39, 3)]
+                        == _reference_sums(39, 3))
+        finally:
+            sys.setswitchinterval(interval)

@@ -26,7 +26,7 @@ from bernbound import (
 )
 from bernbound import polypatch
 from bernbound.errors import BadEdge, DegreeTooLow, DimensionMismatch, InvalidArgument
-from bernbound.indexing import elevation_sums, split_table, vertex_positions
+from bernbound.indexing import elevation_sums, multinomials, split_table, vertex_positions
 from bernbound.polypatch import to_bernstein_standard
 from bernbound.rationals import float_str
 from conftest import (
@@ -244,14 +244,42 @@ class TestToBernstein:
         report = certify_global(p, PowerPoly.constant(2, 1), triangle, 100)
         assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 4)
 
-    def test_size_cap_counts_elevation_table_entries(self):
-        # Converting or scanning to degree k elevates through the tables of
-        # degrees 0..k-1, which hold C(k + n + 1, n + 1) - 1 entries per
-        # slot, one fewer than the triangle the cap counts.
+    def test_size_cap_counts_elevation_table_entries(self, monkeypatch):
+        # Converting or scanning to degree k takes the steps from degrees
+        # 0..k-1, which read C(k + n + 1, n + 1) - 1 entries per slot of the
+        # grown table, one fewer than the triangle the cap counts, however
+        # far the table has grown.  The n = 1 step reads no table.
+        reads = {}
+
+        def counted(slot, column):
+            for source in column:
+                reads[slot] = reads.get(slot, 0) + 1
+                yield source
+
+        monkeypatch.setattr(polypatch, "elevation_sums", lambda degree, n: [
+            counted(slot, column) for slot, column in enumerate(elevation_sums(degree, n))])
+        elevation_sums(20, 5)  # far past the degrees below
         for n in range(1, 6):
             for k in range(7):
-                assert (sum(len(elevation_sums(j, n)[0]) for j in range(k))
-                        == polypatch._triangle_size(k, n) - 1)
+                reads.clear()
+                h = [1, 0]
+                for j in range(k):
+                    h = polypatch._elevate_homogeneous(h, j, n)
+                assert h == [*multinomials(k, n), 0]
+                want = polypatch._triangle_size(k, n) - 1
+                assert reads == ({slot: want for slot in range(n)} if n > 1 and k else {})
+
+    def test_capped_scan_keeps_one_table(self):
+        # The scan of (x + y - 1/3)^2, which no degree certifies, stops at
+        # degree 291, the last the cap admits over a triangle.  Its 291
+        # steps leave one table per slot, grown through grade 291.
+        p = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                          (2, 0): 1, (1, 1): 2, (0, 2): 1})
+        report = certify_global(p, PowerPoly.constant(2, 1), standard_simplex(2), 10 ** 8)
+        assert (report.verdict, report.degree_used) == (Verdict.INCONCLUSIVE, 291)
+        columns = elevation_sums(3, 2)
+        assert columns is elevation_sums(200, 2)
+        assert [len(column) for column in columns] == [42778] * 2  # C(293, 2)
 
     def test_high_degree_conversion_stays_small(self):
         # (1 + x)^1000 on [0, 1] has the coefficients 2^j over scale 1.

@@ -208,6 +208,20 @@ PIECE_BITS, DEGREE_CAP = 12, 60
 # certify nothing there; at 2^-d the bound is depth 2.
 @example((*closed_form(F(1, 100), F(1, 4), [1, 2], [F(0)], [F(0)]), F(1, 100)), F(1, 16))
 def test_apriori_bounds_suffice_on_scaled_domains(problem, scale):
+    _check_apriori_bounds(problem, scale)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(problems((4,), (F(1, 100), F(1, 20), F(1, 4), F(1))),
+       st.sampled_from((F(1, 16), F(1, 4), F(1), F(4), F(16))))
+def test_apriori_bounds_suffice_in_four_variables(problem, scale):
+    # The same checks over 4-simplices, with fewer examples.  PIECE_BITS
+    # admits at most three rounds there, so it is mostly the global scan
+    # that is checked.
+    _check_apriori_bounds(problem, scale)
+
+
+def _check_apriori_bounds(problem, scale):
     # With the true minimum m as the claim on f, the local certificate
     # certifies at ``apriori_depth``, the global scan at
     # ``apriori_degree_omega``, and uniform ``minimize`` to a gap of m
