@@ -61,7 +61,7 @@ from .errors import DegreeTooLow, InvalidArgument
 from .geometry import Simplex
 from .indexing import vertex_positions
 from .polypatch import BernsteinPatch, _polya_scan, to_bernstein
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _integer
 from .ratpatch import (
     ClaimedMinimum,
     Piece,
@@ -371,17 +371,21 @@ def _certify(pnum: PowerPoly, pden: PowerPoly, simplex: Simplex, via: str,
     """The one certification run: convert, certify, report.
 
     The arguments are checked before any conversion, so their errors come
-    ahead of a denominator that is not Bernstein-positive: ``n_max``,
+    ahead of a denominator that is not Bernstein-positive: ``k_max`` and
+    ``n_max`` must be integers (``TypeError`` for a float, a bool or a
+    string; the scan and the subdivision loop stop on equality with their
+    budget, which a float never meets), then ``n_max`` nonnegative,
     ``k_max`` against the function degree (global only), ``via``, then the
-    claims, each of which must be positive.  With ``negate`` the certificate
-    runs on the root with its numerator negated (the conversion's gcd is
-    sign-blind, so these are the integers of -pnum) and the witness value
-    gets the function's sign back.  Claims add a-priori bounds read from the
-    un-negated root: D1, degree and depth from ``claimed_min``; D2 from
-    ``claimed_numerator_min`` over the numerator's own-degree patch, which
-    is ``root.num`` (up to a sign D2 does not see) when the numerator has
-    the root's degree.
+    claims, each of which must be positive.  With ``negate`` the
+    certificate runs on the root with its numerator negated (the
+    conversion's gcd is sign-blind, so these are the integers of -pnum) and
+    the witness value gets the function's sign back.  Claims add a-priori
+    bounds read from the un-negated root: D1, degree and depth from
+    ``claimed_min``; D2 from ``claimed_numerator_min`` over the numerator's
+    own-degree patch, which is ``root.num`` (up to a sign D2 does not see)
+    when the numerator has the root's degree.
     """
+    k_max, n_max = _integer(k_max, "k_max"), _integer(n_max, "n_max")
     if n_max < 0:
         raise InvalidArgument(f"n_max must be nonnegative, got {n_max}")
     degree = max(pnum.degree, pden.degree)

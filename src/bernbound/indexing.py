@@ -8,7 +8,9 @@ exponents.  An index set is the cached tuple ``enumerate_indices`` returns,
 in the one canonical order, and ``vertex_positions`` gives the places of its
 vertex indices k e_i.  ``multinomials`` is the one multinomial rule,
 k! / (alpha_0! ... alpha_n!) over a table of factorials, listed for a whole
-index set.  ``weight_row`` is the one rule that values a coefficient list
+index set and cached as one tuple per degree and dimension; it reads the
+order uncached, so elevation and conversion, which need only it, cache no
+index tuples.  ``weight_row`` is the one rule that values a coefficient list
 at integer barycentric weights w: multinomial(k; beta) * prod w_i^beta_i
 over the index set, so a list's value is one dot product with it.
 ``grid_row`` caches it at each grid point, w = alpha, per (degree,
@@ -80,10 +82,15 @@ def vertex_positions(degree: int, dimension: int) -> Tuple[int, ...]:
 @lru_cache(maxsize=None)
 def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
     """The multinomial k! / (alpha_0! ... alpha_n!) of every index, in
-    canonical order (cached)."""
+    canonical order (cached).
+
+    The indices come from ``enumerate_indices``'s uncached rule (its
+    ``__wrapped__``), so the order is written once and a degree that only
+    elevation or conversion reaches leaves one tuple of integers cached
+    here, not a tuple of index tuples there as well."""
     factorials = [*accumulate(range(1, degree + 1), mul, initial=1)]
     return tuple(factorials[degree] // prod([factorials[a] for a in alpha])
-                 for alpha in enumerate_indices(degree, dimension))
+                 for alpha in enumerate_indices.__wrapped__(degree, dimension))
 
 
 def weight_row(degree: int, dimension: int, weights: Sequence[int]) -> Tuple[int, ...]:

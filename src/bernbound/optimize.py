@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import BudgetExhausted, InvalidArgument, NonPositiveEpsilon
 from .geometry import Point, Simplex, _grid_point
 from .indexing import enumerate_indices, grid_row, vertex_positions
-from .powerpoly import PowerPoly
+from .powerpoly import PowerPoly, _integer
 from .ratpatch import (
     Piece,
     RationalPatch,
@@ -204,8 +204,9 @@ def minimize(
     ``uniform`` splits every leaf each round; ``best-first`` splits the leaf
     with the smallest lower bound (see the module docstring).  Both stop as
     soon as the bracket is narrower than epsilon.  ``budget``, if given, is a
-    nonnegative cap on rounds (node depth for best-first); reaching it first
-    raises BudgetExhausted carrying the partial result.  Ties in the
+    nonnegative integer cap on rounds (node depth for best-first; a float, a
+    bool or a string raises ``TypeError``); reaching it first raises
+    BudgetExhausted carrying the partial result.  Ties in the
     best-first queue break on the lexicographically smallest simplex.
     """
     epsilon = parse_rational(epsilon)
@@ -213,7 +214,7 @@ def minimize(
         raise NonPositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     if mode not in ("best-first", "uniform"):
         raise InvalidArgument(f"unknown mode: {mode!r}")
-    if budget is not None and budget < 0:
+    if budget is not None and (budget := _integer(budget, "budget")) < 0:
         raise InvalidArgument(f"budget must be nonnegative, got {budget}")
     root = rational_patch(pnum, pden, simplex)
     planned = apriori_steps(convergence_constants(root), epsilon)

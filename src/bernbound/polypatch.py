@@ -19,14 +19,14 @@ c_alpha = b_alpha * multinomial(k; alpha) (``_homogeneous``), integers over
 the patch's scale with the coefficients' signs, as c'_beta = sum over i
 with beta_i > 0 of c_{beta - e_i}: no weights, no new scale, and each step
 grows the largest integer by at most a factor n + 1.  This is Polya's
-multiplication by x_0 + ... + x_n in homogeneous form.  ``elevate`` divides
-its result back to Bernstein numerators.  The global certificate's scan,
-``_polya_scan``, takes the step on a numerator until no entry is negative,
-so it stops at the first degree whose coefficients certify, at k_max, or
-at the size cap below.  The step returns the elevated list alone: a vertex
-entry is a function value and keeps its value, c_{(k+1) e_i} = c_{k e_i},
-so the scan's caller decides the vertex part of the certificate once, at
-the root, and the step carries no vertex positions.
+multiplication by x_0 + ... + x_n in homogeneous form.  The global
+certificate's scan, ``_polya_scan``, takes the step on a numerator until no
+entry is negative, so it stops at the first degree whose coefficients
+certify, at k_max, or at the size cap below.  The step returns the
+elevated list alone: a vertex entry is a function value and keeps its
+value, c_{(k+1) e_i} = c_{k e_i}, so the scan's caller decides the vertex
+part of the certificate once, at the root, and the step carries no vertex
+positions.
 
 Conversion from the power basis, ``to_bernstein``, runs on that same step:
 integer Horner pullback from the simplex's rows, a table scatter of the
@@ -35,11 +35,14 @@ multiplication by x_0 + ... + x_n), then one tail, ``_from_homogeneous``:
 elevation to the target degree, one factorial scaling of the final grid
 and one gcd.  ``_elevate_to`` runs the same tail on a patch's homogeneous
 coefficients, so a patch reaches a higher degree without a second
-conversion; a constant skips both, its patch being N copies of itself.
-Conversion and scan thus reach degree k through the same elevation table,
-which the cache holds once per dimension, grown a grade at a time; their
-steps read C(k + n + 1, n + 1) - 1 of its entries per slot
-(``_triangle_size`` counts C(k + n + 1, n + 1)).  ``_check_degree``
+conversion, and ``elevate`` is ``_elevate_to`` one degree up: one rule
+elevates a patch everywhere, and its numerators come back reduced, equal to
+the conversion's at that degree.  A constant's conversion skips both, its
+patch being N copies of itself.  Conversion, ``elevate`` and scan thus
+reach degree k through the same elevation table, which the cache holds
+once per dimension, grown a grade at a time; their steps read
+C(k + n + 1, n + 1) - 1 of its entries per slot (``_triangle_size`` counts
+C(k + n + 1, n + 1)).  ``_check_degree``
 refuses a degree past ``MAX_TRIANGLE`` (``InvalidArgument``) before
 anything is allocated, and ``_polya_scan`` stops at the last degree the
 cap admits.  This module holds the cap's one binding, so a patched
@@ -179,17 +182,12 @@ class BernsteinPatch:
     def elevate(self) -> "BernsteinPatch":
         """Same polynomial one degree higher; the enclosure never widens.
 
-        One homogeneous sum step, then back to Bernstein numerators: with
-        multinomial(k; beta - e_i) = multinomial(k + 1; beta) * beta_i /
-        (k + 1), the elevated numerator c'_beta * (k + 1) /
-        multinomial(k + 1; beta) is sum_i beta_i * nums_{beta - e_i}, over
-        scale * (k + 1), and the division is exact.
+        ``_elevate_to`` one degree up: the conversion's tail, so the
+        numerators and scale come back reduced, equal to converting the
+        polynomial at degree k + 1, and ``_check_degree`` refuses a degree
+        past ``MAX_TRIANGLE`` as conversion does.
         """
-        k, n = self.degree, self.dimension
-        c = _elevate_homogeneous(_homogeneous(self), k, n)
-        up = k + 1
-        nums = tuple([a * up // w for a, w in zip(c, multinomials(up, n))])
-        return BernsteinPatch._from_ints(self.simplex, up, nums, self.scale * up)
+        return _elevate_to(self, self.degree + 1)
 
     def negate(self) -> "BernsteinPatch":
         """The patch of -p: every numerator negated, over the same scale."""

@@ -518,7 +518,8 @@ def rational_patch(
     """Build the rational patch of pnum/pden over a simplex.
 
     Both polynomials are converted at the common degree (their maximum degree
-    by default), so no elevation mismatch can arise.  When every denominator
+    by default), so no elevation mismatch can arise; ``to_bernstein`` refuses
+    a degree below either one's (``DegreeTooLow``).  When every denominator
     coefficient is negative, both patches are negated: f = (-pnum)/(-pden)
     is then in the positive-denominator form.
     """
@@ -526,10 +527,7 @@ def rational_patch(
         raise DimensionMismatch(
             f"numerator has {pnum.dimension} variables, denominator {pden.dimension}"
         )
-    base = max(pnum.degree, pden.degree)
-    if degree is not None and degree < base:
-        raise DegreeTooLow(f"Bernstein degree {degree} below polynomial degree {base}")
-    k = base if degree is None else degree
+    k = max(pnum.degree, pden.degree) if degree is None else degree
     num, den = to_bernstein(pnum, k, simplex), to_bernstein(pden, k, simplex)
     if max(den.nums) < 0:
         num, den = num.negate(), den.negate()

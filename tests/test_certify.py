@@ -26,7 +26,7 @@ from bernbound import (
     minimize,
     rational_patch,
 )
-from bernbound import certify, ratpatch
+from bernbound import certify, optimize, ratpatch
 from bernbound.certify import cert_predicate
 from bernbound.errors import (
     DegreeTooLow,
@@ -292,6 +292,43 @@ class TestClaimsCheckedFirst:
             certify._certify(num, den, UNIT, "global", claimed_min=1)
         with pytest.raises(NonPositiveClaim):
             certify._certify(num, den, UNIT, "global", **{claim: 0})
+
+
+class TestBudgetsAreIntegers:
+    """A budget is read as an integer before any conversion.  The scan and
+    the subdivision loop stop on equality with their budget, which a float
+    never meets, and a bool is no depth.  1 + x on [0, 1] decides at once,
+    so a budget taken as given would return a report instead of raising."""
+
+    BAD = [12.5, True, "3"]
+
+    @pytest.fixture(autouse=True)
+    def no_conversion(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("converted before the budget was checked")
+
+        monkeypatch.setattr(certify, "rational_patch", unreachable)
+        monkeypatch.setattr(optimize, "rational_patch", unreachable)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_certify(self, bad):
+        num, den = PowerPoly.univariate([1, 1]), PowerPoly.constant(1, 1)
+        with pytest.raises(TypeError, match=rf"^k_max {bad!r} is not an integer$"):
+            certify_global(num, den, UNIT, k_max=bad)
+        with pytest.raises(TypeError, match=rf"^n_max {bad!r} is not an integer$"):
+            certify_local(num, den, UNIT, n_max=bad)
+        for via in ("sharpness", "global", "local"):
+            with pytest.raises(TypeError, match="is not an integer"):
+                certify_negative(num.negate(), den, UNIT, via=via, k_max=bad)
+            with pytest.raises(TypeError, match="is not an integer"):
+                certify_negative(num.negate(), den, UNIT, via=via, n_max=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("mode", ["best-first", "uniform"])
+    def test_minimize(self, bad, mode):
+        num, den = PowerPoly.univariate([1, 1]), PowerPoly.constant(1, 1)
+        with pytest.raises(TypeError, match=rf"^budget {bad!r} is not an integer$"):
+            minimize(num, den, UNIT, F(1, 10), budget=bad, mode=mode)
 
 
 # Problems whose root has a non-positive vertex value, with the first such
@@ -603,3 +640,7 @@ class TestRecordTypes:
         with pytest.raises(AttributeError):
             del claim.value
         assert claim.value == F(1, 2)
+        # A copy is built through the constructor, so it parses and checks.
+        assert claim._replace(value="3/4") == ClaimedMinimum(F(3, 4))
+        with pytest.raises(NonPositiveClaim):
+            claim._replace(value=-1)

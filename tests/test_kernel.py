@@ -33,7 +33,7 @@ measures every child's edges afresh (``conftest.ref_refine_ints``).
 """
 
 from fractions import Fraction as F
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -276,10 +276,13 @@ def test_elevate_matches_reference(case, steps):
         up = patch.elevate()
         assert up.degree == k + step + 1
         assert up.coeffs == coeffs
-        # The homogeneous sum step divided back by multinomial(k + 1; beta)
-        # gives the weighted rule's integers, over the same scale.
-        assert up.nums == ref_elevate_nums(patch.nums, patch.degree, n)
-        assert up.scale == patch.scale * (patch.degree + 1)
+        # The weighted rule's integers, over scale * (k + 1), equal the
+        # elevated patch by value; the conversion's tail returns them
+        # reduced.
+        want = ref_elevate_nums(patch.nums, patch.degree, n)
+        over = patch.scale * (patch.degree + 1)
+        assert all(a * over == b * up.scale for a, b in zip(up.nums, want))
+        assert gcd(up.scale, *up.nums) == 1
         patch = up
 
 

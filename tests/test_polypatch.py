@@ -425,6 +425,34 @@ class TestElevate:
                 assert encloses(previous, current)
                 previous = current
 
+    def test_chain_stays_reduced_and_caches_no_indices(self):
+        # 148 steps of (x + y - 1/3)^2 over the triangle, degree 2 -> 150,
+        # end at the conversion's own patch.  Each step runs the
+        # conversion's tail, so the integers stay reduced (14 bits here,
+        # where a scale multiplied by k + 1 per step reaches 874 bits), and
+        # reading the multinomials adds no index tuples to
+        # ``enumerate_indices``.
+        num = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
+                            (2, 0): 1, (1, 1): 2, (0, 2): 1})
+        den = PowerPoly.constant(2, 1)
+        f = rational_patch(num, den, standard_simplex(2))
+        cached = enumerate_indices.cache_info().currsize
+        for _ in range(148):
+            f = f.elevate()
+            for patch in (f.num, f.den):
+                assert max(abs(a) for a in (patch.scale, *patch.nums)).bit_length() < 64
+        assert enumerate_indices.cache_info().currsize == cached
+        assert f == rational_patch(num, den, standard_simplex(2), 150)
+
+    def test_size_cap(self):
+        # Degree 2894 is the last the cap admits on an interval; elevation
+        # refuses 2895 as conversion does, before anything is allocated.
+        patch = to_bernstein(PowerPoly.constant(1, 1), 2894, Simplex.from_interval(0, 1))
+        with pytest.raises(InvalidArgument, match=r"^Bernstein degree 2895 over a 1-simplex"
+                           r" needs a conversion triangle of 4194856 entries, more than"
+                           r" 4194304$"):
+            patch.elevate()
+
 
 class TestSecondDifferences:
     def test_univariate(self):

@@ -75,6 +75,16 @@ class TestMakeRational:
             rational_patch(PowerPoly.univariate([1, 1]), PowerPoly.constant(2, 1),
                            Simplex.from_interval(0, 1))
 
+    @pytest.mark.parametrize("higher", ["numerator", "denominator"])
+    def test_degree_below_the_polynomials(self, higher):
+        # The conversion of the higher-degree polynomial refuses the degree.
+        pair = [PowerPoly.univariate([1, 0, 1]), PowerPoly.constant(1, 1)]
+        if higher == "denominator":
+            pair.reverse()
+        with pytest.raises(DegreeTooLow,
+                           match=r"^Bernstein degree 1 below polynomial degree 2$"):
+            rational_patch(*pair, Simplex.from_interval(0, 1), 1)
+
     def test_simplex_mismatch(self):
         a = Simplex.from_interval(0, 1)
         b = Simplex.from_interval(0, 2)
