@@ -8,8 +8,12 @@ integers, and reports print ratios, patches and vertices from integer
 pairs, so neither reading nor writing builds a ``Fraction`` per
 coefficient.  A domain object needs "interval" or "vertices", and a
 degree too large to convert (``polypatch.MAX_TRIANGLE``) is a usage
-error.  Each spec field is read through one wrapper, ``_field``, which
-names the field in the message of any value its reader rejects.  Each
+error.  Each spec field, the domain included, is read through one
+wrapper, ``_field``, which names the field in the message of any value
+its reader rejects.  The default denominator is the constant 1 over the
+domain's dimension, built once the domain is read: nothing here is sized
+by the numerator's dimension, which conversion compares with the
+domain's (``DimensionMismatch``, exit 64).  Each
 value comes from its flag, else its spec field, else the library's
 default, and the library checks it: the command line keeps no rule of
 the method.  ``--json`` prints the report as one JSON line, which the
@@ -112,46 +116,45 @@ _OPTIONAL_FIELDS = (
 )
 
 
+def _domain(value) -> Simplex:
+    """A domain object: an "interval" [a, b] with a < b, or "vertices"."""
+    if not isinstance(value, dict) or not value.keys() & {"interval", "vertices"}:
+        raise ValueError("need 'interval' or 'vertices'")
+    if value.keys() >= {"interval", "vertices"}:
+        raise ValueError("need 'interval' or 'vertices', not both")
+    if "interval" in value:
+        interval = value["interval"]
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise UsageError("spec field 'domain.interval': need a JSON array"
+                             f" [a, b], got {interval!r}")
+        lo, hi = map(parse_rational, interval)
+        if not lo < hi:
+            raise UsageError(f"spec field 'domain.interval': need a < b, got [{lo}, {hi}]")
+        return Simplex.from_interval(lo, hi)
+    vertices = value["vertices"]
+    if not (isinstance(vertices, list) and all(isinstance(v, list) for v in vertices)):
+        raise UsageError("spec field 'domain.vertices': need a JSON array of"
+                         f" coordinate arrays, got {vertices!r}")
+    return Simplex(vertices)
+
+
 def parse_problem(data: dict) -> ProblemSpec:
     if not isinstance(data, dict):
         raise UsageError("problem spec must be a JSON object")
     if "numerator" not in data:
         raise UsageError("spec field 'numerator' is required")
     numerator = _field(data, "numerator", PowerPoly.from_json)
-    if "denominator" in data and data["denominator"] is not None:
+    denominator = None
+    if data.get("denominator") is not None:
         denominator = _field(data, "denominator", PowerPoly.from_json)
         if denominator.is_zero():
             raise UsageError("spec field 'denominator': the zero polynomial")
-    else:
-        denominator = PowerPoly._from_ints(numerator.dimension,
-                                           (((0,) * numerator.dimension, 1),), 1)
     if "domain" not in data:
         raise UsageError("spec field 'domain' is required")
-    domain_data = data["domain"]
-    if not isinstance(domain_data, dict) or not domain_data.keys() & {"interval", "vertices"}:
-        raise UsageError("spec field 'domain': need 'interval' or 'vertices'")
-    if domain_data.keys() >= {"interval", "vertices"}:
-        raise UsageError("spec field 'domain': need 'interval' or 'vertices', not both")
-    try:
-        if "interval" in domain_data:
-            interval = domain_data["interval"]
-            if not isinstance(interval, list) or len(interval) != 2:
-                raise UsageError("spec field 'domain.interval': need a JSON array"
-                                 f" [a, b], got {interval!r}")
-            lo, hi = map(parse_rational, interval)
-            if not lo < hi:
-                raise UsageError(
-                    f"spec field 'domain.interval': need a < b, got [{lo}, {hi}]"
-                )
-            domain = Simplex.from_interval(lo, hi)
-        else:
-            vertices = domain_data["vertices"]
-            if not (isinstance(vertices, list) and all(isinstance(v, list) for v in vertices)):
-                raise UsageError("spec field 'domain.vertices': need a JSON array of"
-                                 f" coordinate arrays, got {vertices!r}")
-            domain = Simplex(vertices)
-    except (KeyError, ValueError, TypeError, BernboundError) as exc:
-        raise UsageError(f"spec field 'domain': {exc}") from exc
+    domain = _field(data, "domain", _domain)
+    if denominator is None:
+        n = domain.dimension
+        denominator = PowerPoly._from_ints(n, (((0,) * n, 1),), 1)
     return ProblemSpec(numerator, denominator, domain,
                        **{key: _field(data, key, read) for key, read in _OPTIONAL_FIELDS
                           if key in data})

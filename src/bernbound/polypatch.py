@@ -32,10 +32,12 @@ Conversion from the power basis, ``to_bernstein``, runs on that same step:
 integer Horner pullback from the simplex's rows, a table scatter of the
 terms to their hat positions, homogeneous Horner grade by grade (Polya's
 multiplication by x_0 + ... + x_n), then one tail, ``_from_homogeneous``:
-elevation to the target degree, one factorial scaling of the final grid
-and one gcd.  ``_elevate_to`` runs the same tail on a patch's homogeneous
-coefficients, so a patch reaches a higher degree without a second
-conversion, and ``elevate`` is ``_elevate_to`` one degree up: one rule
+elevation to the target degree k, one scaling of the final grid by
+k!/base! and one gcd.  ``_elevate_to`` runs the same tail on a patch's
+homogeneous coefficients, so a patch reaches a higher degree without a
+second conversion; there base is the patch's degree, so a step from k to
+k + 1 scales by k + 1 where conversion (base 0) scales by k!.  ``elevate``
+is ``_elevate_to`` one degree up: one rule
 elevates a patch everywhere, and its numerators come back reduced, equal to
 the conversion's at that degree.  A constant's conversion skips both, its
 patch being N copies of itself.  Conversion, ``elevate`` and scan thus
@@ -51,7 +53,8 @@ serves the edge split alone.  Second differences are
 integer too, building a ``Fraction`` only per returned entry, and
 ``eval`` is one integer dot product with the point's
 ``indexing.weight_row``.  The constructor reads coefficients as integer
-pairs and ``to_json`` prints them from ``nums`` over ``scale``.
+pairs, counts them against C(k + n, n) without building an index set, and
+``to_json`` prints them from ``nums`` over ``scale``.
 ``to_bernstein_standard`` and ``SecondDifferences`` are not exported: no
 library code calls them (only the traced ``second_differences`` returns
 the latter), and they stay here for ``bench/tracing.py`` until ROADMAP
@@ -61,7 +64,7 @@ item 16, and as test oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm, perm
 from operator import add, lshift, mul, sub
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -70,7 +73,6 @@ from .geometry import Simplex, _barycentric_weights, bisect_edge, standard_simpl
 from .indexing import (
     conversion_table,
     elevation_sums,
-    enumerate_indices,
     multinomials,
     second_difference_moves,
     split_table,
@@ -114,7 +116,9 @@ class BernsteinPatch:
     def __init__(self, simplex: Simplex, degree: int, coeffs: Sequence[Rational]):
         degree = _integer(degree, "degree")
         values = [_ratio(c) for c in coeffs]
-        expected = len(enumerate_indices(degree, simplex.dimension))
+        if degree < 0:
+            raise ValueError(f"degree must be nonnegative, got {degree}")
+        expected = comb(degree + simplex.dimension, simplex.dimension)
         if len(values) != expected:
             raise ValueError(
                 f"degree-{degree} patch over a {simplex.dimension}-simplex "
@@ -349,19 +353,25 @@ def _check_degree(degree: int, low: int, dimension: int) -> None:
 
 
 def _from_homogeneous(simplex: Simplex, h: List[int], grade: int, degree: int,
-                      scale: int) -> BernsteinPatch:
+                      scale: int, base: int) -> BernsteinPatch:
     """The canonical patch at ``degree`` of the homogeneous coefficients
     ``h`` of degree ``grade`` (followed by the zero sentinel) over
     ``scale``: ``_elevate_homogeneous`` from ``grade`` to ``degree`` = k,
-    then b_alpha = c_alpha * alpha! / k!, with alpha! = k! /
-    multinomial(k; alpha) read from ``indexing.multinomials``, and one gcd.
-    Only this final grid carries factorials."""
+    then b_alpha = c_alpha * f / multinomial(k; alpha) over ``scale`` * f,
+    with f = k! / base! and the multinomials read from
+    ``indexing.multinomials``, and one gcd.  The division is exact because
+    the coefficients were a patch at degree ``base`` over ``scale``: base 0
+    for a conversion, where f = k! and c_alpha * alpha! is an integer, and
+    the patch's own degree for ``_elevate_to``, where a degree-base patch
+    elevated to k has C(k, base) times its coefficients integer over
+    ``scale``, and C(k, base) divides k! / base!.  So a one-degree
+    ``elevate`` scales by k, not k!."""
     n = simplex.dimension
     for j in range(grade, degree):
         h = _elevate_homogeneous(h, j, n)
-    total = factorial(degree)
-    scale *= total
-    nums = [c * (total // m) for c, m in zip(h, multinomials(degree, n))]
+    f = perm(degree, degree - base)
+    scale *= f
+    nums = [c * f // m for c, m in zip(h, multinomials(degree, n))]
     common = gcd(scale, *nums)
     return BernsteinPatch._from_ints(simplex, degree,
                                      tuple([v // common for v in nums]),
@@ -376,7 +386,7 @@ def _elevate_to(patch: BernsteinPatch, degree: int) -> BernsteinPatch:
     polynomial degree."""
     _check_degree(degree, patch.degree, patch.dimension)
     return _from_homogeneous(patch.simplex, _homogeneous(patch), patch.degree, degree,
-                             patch.scale)
+                             patch.scale, patch.degree)
 
 
 def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPatch:
@@ -425,4 +435,4 @@ def to_bernstein(poly: PowerPoly, degree: int, simplex: Simplex) -> BernsteinPat
         grade = len(h) - 1
         h = _elevate_homogeneous(h, j, n)
         h[grade:-1] = map(add, h[grade:-1], terms[grade:len(h) - 1])
-    return _from_homogeneous(simplex, h, poly.degree, degree, scale)
+    return _from_homogeneous(simplex, h, poly.degree, degree, scale, 0)

@@ -522,8 +522,13 @@ def rational_patch(
     a degree below either one's (``DegreeTooLow``).  When every denominator
     coefficient is negative, both patches are negated: f = (-pnum)/(-pden)
     is then in the positive-denominator form.
+
+    A numerator of another dimension than the simplex's is named against
+    the simplex (``to_bernstein``'s ``DimensionMismatch``); a denominator
+    of another dimension than a fitting numerator's is named against the
+    numerator, before anything is converted.
     """
-    if pnum.dimension != pden.dimension:
+    if pnum.dimension == simplex.dimension != pden.dimension:
         raise DimensionMismatch(
             f"numerator has {pnum.dimension} variables, denominator {pden.dimension}"
         )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -948,6 +949,26 @@ def test_closed_stdout_exits_141(unbuffered):
         proc.stdout.close()
         _, err = proc.communicate(json.dumps(spec).encode(), timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["certify"], ["certify", "--mode", "local"],
+                                  ["minimize", "--eps", "1/10"]],
+                         ids=["bounds", "certify", "local", "minimize"])
+def test_huge_dimension_is_a_usage_error(argv):
+    """A numerator of 10^10 variables over an interval exits 64 with the
+    conversion's message under 256 MiB of address space: no tuple is sized
+    by its dimension before the domain's dimension is compared with it."""
+    src = str(Path(bernbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    spec = {"numerator": {"dimension": 10**10, "terms": []},
+            "domain": {"interval": ["0", "1"]}}
+    limit = 256 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "bernbound.cli", argv[0], "-", *argv[1:]], env=env,
+        input=json.dumps(spec), capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        64, "", "error: polynomial has 10000000000 variables, simplex has 1\n")
 
 
 @pytest.mark.parametrize("error, cause", [(MemoryError(), "MemoryError"),

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction as F
 from math import comb
 
@@ -105,6 +106,17 @@ class TestPowerPoly:
                 from_terms(1, ([0], "1"), ([exponent], "1"))
         with pytest.raises(DimensionMismatch):
             from_terms(2, ([0, 1], "1"), ([1], "1"))
+
+    def test_integer_exponent_of_another_class(self):
+        # An exponent that is an integer but not an ``int`` takes the slow
+        # path of ``_exponents`` and is stored as a plain ``int``.
+        class E(IntEnum):
+            TWO = 2
+
+        p = PowerPoly(1, {(E.TWO,): 1})
+        assert p == PowerPoly(1, {(2,): 1})
+        [((exponent,), _)] = p.int_terms
+        assert exponent.__class__ is int
 
     def test_negate(self):
         p = PowerPoly.univariate([1, -5, 7])
@@ -576,6 +588,14 @@ class TestPatchJson:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             BernsteinPatch(Simplex.from_interval(0, 1), 2, (F(1), F(2)))
+
+    def test_bad_length_counted_not_enumerated(self):
+        # The length is C(k + n, n); no index set of the degree is built.
+        cached = enumerate_indices.cache_info().currsize
+        with pytest.raises(ValueError, match=r"^degree-1000000000 patch over a 1-simplex"
+                                             r" needs 1000000001 coefficients, got 2$"):
+            BernsteinPatch(Simplex.from_interval(0, 1), 10**9, (F(1), F(2)))
+        assert enumerate_indices.cache_info().currsize == cached
 
     @pytest.mark.parametrize("degree, error, message", [
         (True, TypeError, "degree True is not an integer"),

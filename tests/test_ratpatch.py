@@ -75,6 +75,18 @@ class TestMakeRational:
             rational_patch(PowerPoly.univariate([1, 1]), PowerPoly.constant(2, 1),
                            Simplex.from_interval(0, 1))
 
+    @pytest.mark.parametrize("num, den_dim, message", [
+        (PowerPoly.constant(1, 1), 2, "numerator has 1 variables, denominator 2"),
+        (PowerPoly.constant(2, 1), 1, "polynomial has 2 variables, simplex has 1"),
+        # Past the size cap, so a conversion would raise InvalidArgument.
+        (PowerPoly(1, {(3000,): 1}), 2, "numerator has 1 variables, denominator 2"),
+    ], ids=["denominator", "numerator", "before-conversion"])
+    def test_dimension_mismatch_message(self, num, den_dim, message):
+        # A numerator that does not fit the simplex is named against it;
+        # a denominator that does not fit the numerator, against that.
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            rational_patch(num, PowerPoly.constant(den_dim, 1), Simplex.from_interval(0, 1))
+
     @pytest.mark.parametrize("higher", ["numerator", "denominator"])
     def test_degree_below_the_polynomials(self, higher):
         # The conversion of the higher-degree polynomial refuses the degree.
