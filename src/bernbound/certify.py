@@ -283,13 +283,16 @@ def certify_local(
     leaves the split would have cut from it.  De Casteljau children are
     positive-weight means of their parent, so each of those leaves would
     certify; the report counts them all, and its verdict, depth, leaf count
-    and witness are those of the run that cuts every leaf.  The run gives
-    up when the unresolved leaves reach depth n_max, which must be
-    nonnegative.  Only
+    and witness are those of the run that cuts every leaf.  A piece at
+    depth n_max, which must be nonnegative, is never split: one that
+    neither certifies nor refutes is counted, not queued, and the run gives
+    up, INCONCLUSIVE at depth n_max, when the frontier is empty and that
+    count is not zero.  Only
     the root is a rational patch, which checks the denominator; below it
     the pieces are plain records of the numerator's integers, whose signs
-    are the function's.  A piece lives only until it is decided or split:
-    the report counts certified leaves and keeps none.
+    are the function's.  A piece lives only until it is decided or split,
+    or counted at depth n_max: the report counts certified leaves and
+    keeps none.
     """
     return _certify(pnum, pden, simplex, "local", n_max=n_max)
 
@@ -299,7 +302,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     start = time.perf_counter()
     k = root.degree
     vertices = vertex_positions(k, root.dimension)
-    certified = last = 0
+    certified = last = held = 0  # held: the unresolved pieces at depth n_max
     refuted = None  # (depth, witness) of the refuting piece
 
     def settled(lists):
@@ -309,7 +312,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         return _refine_ints(leaf, (1, 4 ** (depth + 1)), settled)
 
     def visit(piece, depth):
-        nonlocal certified, last, refuted
+        nonlocal certified, last, refuted, held
         if refuted:
             return None
         last = depth
@@ -318,20 +321,23 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         if i is not None:
             refuted = (depth, _vertex_witness(piece, vertices[i], i, root.den))
             return None
-        if min(nums) < 0:
+        if min(nums) >= 0:
+            certified += piece.weight
+        elif depth < n_max:
             return depth
-        certified += piece.weight
+        else:
+            held += 1
         return None
 
     def stop(head, size):
         if refuted:
             verdict, (depth, witness) = Verdict.REFUTED, refuted
-        elif head is None:
-            verdict, depth, witness = Verdict.CERTIFIED, last, None
-        elif head[1] == n_max:
+        elif head is not None:
+            return None
+        elif held:
             verdict, depth, witness = Verdict.INCONCLUSIVE, n_max, None
         else:
-            return None
+            verdict, depth, witness = Verdict.CERTIFIED, last, None
         return _report(Mode.LOCAL_SUBDIVISION, start, verdict, root.degree,
                        witness, depth, certified)
 

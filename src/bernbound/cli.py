@@ -20,9 +20,10 @@ the method.  ``--json`` prints the report as one JSON line, which the
 standard library's C encoder writes; ``python -m json.tool`` indents it.
 Exit codes: 0 success/certified, 1 refuted, 2 inconclusive or
 budget exhausted, 64 usage error (including a value the library rejects as
-``InvalidArgument``), 70 internal error, 141 standard output closed by its
-reader (128 + SIGPIPE, as a shell reports a process that signal ended;
-nothing is written to stderr).
+``InvalidArgument``), 70 internal error, out of memory included (reported
+once the run's frames are freed, so the report cannot run out again), 141
+standard output closed by its reader (128 + SIGPIPE, as a shell reports a
+process that signal ended; nothing is written to stderr).
 
 A command imports only the modules it runs: ``bounds`` loads neither
 ``certify`` nor ``optimize``, ``certify`` does not load ``optimize``, and
@@ -396,10 +397,16 @@ def main(argv=None) -> int:
     except BernboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        # Reported below: in here the traceback still holds the run's
+        # frames, and the pieces they hold, so printing could run out again.
+        pass
     except Exception as exc:
-        # An exception without text (``MemoryError()``) is named by its type.
+        # An exception without text is named by its type.
         print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
+    print("internal error: MemoryError", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def main_entry() -> None:

@@ -32,16 +32,19 @@ requested gap.  The minimizer imports nothing from the certifier.
 The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``,
 whose every step splits one leaf.  ``uniform`` keys a leaf by its depth, so
 the leaves split level by level; it settles once per level, when the level's
-first piece heads the frontier, on the level's smallest lower bound.
+first piece heads the frontier, on the level's smallest lower bound.  A
+leaf at the depth budget is valued and counted at its visit but not
+queued, so the budget level settles when the frontier is empty.
 ``best-first`` keys a leaf by its lower bound (``_Key``), which reads the
 leaf's vertices only to break a tie, the order of (lower bound, simplex);
 it drops leaves that cannot beat the incumbent, parks those at the depth
-budget, and stops on the least of the incumbent, the frontier's head and
-the parked bounds.  Only the root is a ``RationalPatch``; no piece below it
-becomes a ``Simplex`` or a patch, and the one witness is read from its
-piece's replayed rows.  Neither keeps a per-step record: a piece lives
-until it is dropped, parked (only the least parked bound and their count
-are kept) or split.
+budget when they head the frontier (the drop-or-park test reads the
+incumbent then), and stops on the least of the incumbent, the frontier's
+head and the parked bounds.  Only the root is a ``RationalPatch``; no piece
+below it becomes a ``Simplex`` or a patch, and the one witness is read from
+its piece's replayed rows.  Neither keeps a per-step record: a piece lives
+until it is dropped, parked or counted at the budget (only the least bound
+there and the count are kept) or split.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def minimize(
     dn = dd = best = where = None
     lowest = {}  # uniform: the smallest (a, b) lower bound at each depth not yet settled
     parked = None  # best-first: the smallest (a, b) bound of the leaves held at the budget depth
-    held = 0  # best-first: how many leaves are held there
+    held = 0  # leaves held at the budget depth: parked by best-first, never queued by uniform
     deepest = 0  # best-first: the depth of the deepest split piece
 
     def bounds(piece):
@@ -259,15 +262,18 @@ def minimize(
                               partial=result)
 
     def visit_uniform(piece, depth):
+        nonlocal held
         lowest[depth] = _least(lowest.get(depth), bounds(piece))
+        if depth == budget:
+            held += 1
+            return None
         return depth
 
     def stop_uniform(head, size):
-        rounds = head[1]
+        rounds = budget if head is None else head[1]
         if rounds not in lowest:
             return None
-        return settle(lowest.pop(rounds), rounds, size,
-                      budget is not None and rounds >= budget)
+        return settle(lowest.pop(rounds), rounds, size + held, head is None)
 
     def visit_best(piece, depth):
         a, b = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root

@@ -478,7 +478,9 @@ def subdivide(root, split, visit, stop):
     and visits, at depth + 1, the pieces of its ``split(piece, depth,
     key)``.  Tied keys come out first in, first out, so with key = depth a
     level is complete, every piece of it visited and none split, when its
-    first piece is the head.
+    first piece is the head: uniform ``minimize`` settles each level there.
+    A run with a depth budget keys no piece at that depth, which would
+    never be split, so its last level ends on an empty frontier.
     """
     frontier: list = []  # a heap of (key, seq, depth, piece)
     seq = count()  # keeps tied keys in insertion order

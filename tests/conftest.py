@@ -491,8 +491,8 @@ class Leaf(NamedTuple):
 def leaf_log(den):
     """The pieces one ``certify_local`` run inside the block tests, as
     ``Leaf`` records in visit order, up to and including the first piece
-    with a refuting vertex.  A piece is certified when its visit drops it
-    and no vertex refutes it.
+    with a refuting vertex.  A piece is certified when none of its ratios is
+    negative and no vertex refutes it.
 
     The run splits its numerator alone, as plain pieces below its root
     rational patch.  Each record turns its piece back into the numerator
@@ -514,7 +514,7 @@ def leaf_log(den):
             q = [-c for c in q]
         ratios = tuple(c / d for c, d in zip(num.coeffs, q))
         refuted = any(ratios[p] <= 0 for p in vertex_positions(num.degree, num.dimension))
-        log.append(Leaf(depth, num.simplex, ratios, key is None and not refuted,
+        log.append(Leaf(depth, num.simplex, ratios, min(ratios) >= 0 and not refuted,
                         piece.weight))
 
     with watch_subdivide(certify, record):

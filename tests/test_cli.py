@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: output, exit codes, JSON reports."""
 
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -983,6 +985,35 @@ def test_internal_error_names_its_cause(dip_spec, capsys, monkeypatch, error, ca
     monkeypatch.setattr(cli, "cmd_bounds", fail)
     assert main(["bounds", dip_spec]) == 70
     assert capsys.readouterr().err == f"internal error: {cause}\n"
+
+
+def test_out_of_memory_is_reported_once_the_run_is_freed(dip_spec, monkeypatch):
+    """A command that runs out of memory exits 70, never 1 (refuted): its
+    report is printed only once the traceback, and the pieces its frames
+    hold, are gone.  The command keeps a weakly referenced local, and a
+    standard error that runs out of memory too while that local lives
+    stands for a report that could not be printed beside the run."""
+    class Pieces:
+        pass
+
+    held = []
+
+    def command(spec, args):
+        pieces = Pieces()
+        held.append(weakref.ref(pieces))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            if held[0]() is not None:
+                raise MemoryError
+            return super().write(text)
+
+    err = Stderr()
+    monkeypatch.setattr(cli, "cmd_bounds", command)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["bounds", dip_spec]) == 70
+    assert err.getvalue() == "internal error: MemoryError\n"
 
 
 @pytest.mark.parametrize("claims", [{}, {"claimed_min": "1/100"},

@@ -16,8 +16,9 @@ certified leaves as its weight.  A finished run holds none of the pieces it
 visited.  Spies check that a run does only the work its answer reads:
 ``minimize`` values a piece only when its lower bound is below the
 incumbent, each bisection splits one numerator list in the local
-certificate and two in ``minimize``, and a run measures edge lengths at its
-root only: no bisection measures one or forms vertex rows.
+certificate and two in ``minimize``, a run measures edge lengths at its
+root only (no bisection measures one or forms vertex rows), and a run with
+a depth budget queues no piece at that depth.
 Best-first's integer keys order pieces as the ``(Fraction, signature)``
 keys they replaced (``conftest.ref_best_first_key``), tied bounds
 included.
@@ -95,7 +96,9 @@ FRONTIER = settings(max_examples=120, deadline=None, derandomize=True, database=
 
 # Deepest local certificate and uniform round count per dimension: a round
 # makes 2, 8 or 64 pieces for n = 1, 2, 3, so depth 3 in three variables
-# would hold 262,144 leaves.
+# would visit 262,144 leaves.  A run queues none at its budget depth, so it
+# holds at most the 4,096 pieces of depth 2, but the reference loops below
+# hold each whole level they build, as patches.
 DEPTH_CAP = {1: 3, 2: 3, 3: 1}
 
 
@@ -798,6 +801,69 @@ def test_finished_run_retains_no_piece(module, run):
     gc.collect()
     assert result is not None and len(pieces) > 1
     assert sum(ref() is not None for ref in pieces) == 0
+
+
+def _partial(*args, **kwargs):
+    """The partial result of a ``minimize`` run that exhausts its budget."""
+    with pytest.raises(BudgetExhausted) as caught:
+        minimize(*args, **kwargs)
+    return caught.value.partial
+
+
+# (x + y - 1/3)^2 on the standard triangle: zero on a segment inside it, so
+# the pieces that cross it never certify.
+PLANE_2D = (PowerPoly(2, mul_terms(*[{(0, 0): F(-1, 3), (1, 0): 1, (0, 1): 1}] * 2)),
+            PowerPoly.constant(2, 1), standard_simplex(2))
+
+
+@pytest.mark.parametrize("module, run, budget", [
+    (certify, lambda: certify_local(*TOUCH[:3], n_max=3), 3),
+    (certify, lambda: certify_negative(TOUCH[0].negate(), *TOUCH[1:3], via="local",
+                                       n_max=3), 3),
+    (certify, lambda: certify_local(*PLANE_2D, n_max=2), 2),
+    (optimize, lambda: _partial(*DIP[:3], F(1, 10 ** 12), budget=3, mode="uniform"), 3),
+    (optimize, lambda: _partial(*PLANE_2D, F(1, 10 ** 12), budget=2, mode="uniform"), 2),
+], ids=["certify_local-touch", "certify_negative-touch", "certify_local-2d",
+        "uniform-dip", "uniform-2d"])
+def test_no_piece_at_the_budget_depth_is_queued(module, run, budget):
+    # A piece visited at the depth budget is never split, so the run counts
+    # it and drops it: no level waits on the frontier for a split that
+    # never comes.  Each run here ends at its budget, so that level is
+    # visited and some of its pieces are unresolved.
+    keys = []
+    with watch_subdivide(module, lambda piece, depth, key:
+                         depth == budget and keys.append(key)):
+        result = run()
+    assert getattr(result, "verdict", Verdict.INCONCLUSIVE) is Verdict.INCONCLUSIVE
+    assert keys and keys == [None] * len(keys)
+
+
+def test_uniform_budget_holds_one_level_below_it(monkeypatch):
+    # (x - 1/5)^2 (1 + x + y + z)^8 + 1/100 over 1 + x^2 + y + z on the
+    # standard 3-simplex at budget 2: a round makes 64 pieces, so level 1
+    # is the 64 pieces the frontier holds at most, and the 4,096 of level 2
+    # are counted as they are visited.
+    n = 3
+    unit = [tuple(int(c == i) for c in range(n)) for i in range(n)]
+    zero = (0,) * n
+    terms = {zero: F(1, 25), (1, 0, 0): F(-2, 5), (2, 0, 0): 1}
+    for _ in range(8):
+        terms = mul_terms(terms, {zero: 1, **{e: 1 for e in unit}})
+    terms[zero] += F(1, 100)
+    num = PowerPoly(n, terms)
+    den = PowerPoly(n, {zero: 1, (2, 0, 0): 1, unit[1]: 1, unit[2]: 1})
+    real, sizes = optimize.subdivide, []
+
+    def spy(root, split, visit, stop):
+        return real(root, split, visit, lambda head, size: sizes.append(size)
+                    or stop(head, size))
+
+    monkeypatch.setattr(optimize, "subdivide", spy)
+    result = _partial(num, den, standard_simplex(n), F(1, 10 ** 12), budget=2,
+                      mode="uniform")
+    assert (result.lower, result.upper, result.steps, result.leaves) == (
+        F(-232, 4415), F(1, 184), 2, 4096)
+    assert max(sizes) == 64
 
 
 @pytest.mark.parametrize("call", [
