@@ -397,15 +397,13 @@ def main(argv=None) -> int:
     except BernboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except MemoryError:
-        # Reported below: in here the traceback still holds the run's
-        # frames, and the pieces they hold, so printing could run out again.
-        pass
     except Exception as exc:
-        # An exception without text is named by its type.
-        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_INTERNAL
-    print("internal error: MemoryError", file=sys.stderr)
+        # An exception without text (``MemoryError()``) is named by its
+        # type.  It is printed below: in here the traceback still holds the
+        # run's frames, and the pieces they hold, so printing could run out
+        # of memory again.
+        message = str(exc) or type(exc).__name__
+    print(f"internal error: {message}", file=sys.stderr)
     return EXIT_INTERNAL
 
 

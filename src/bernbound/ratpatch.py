@@ -479,8 +479,9 @@ def subdivide(root, split, visit, stop):
     key)``.  Tied keys come out first in, first out, so with key = depth a
     level is complete, every piece of it visited and none split, when its
     first piece is the head: uniform ``minimize`` settles each level there.
-    A run with a depth budget keys no piece at that depth, which would
-    never be split, so its last level ends on an empty frontier.
+    The local certificate and uniform ``minimize`` key no piece at their
+    depth budget, which would never be split, so their last level ends on
+    an empty frontier.
     """
     frontier: list = []  # a heap of (key, seq, depth, piece)
     seq = count()  # keeps tied keys in insertion order
