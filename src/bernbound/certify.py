@@ -284,10 +284,10 @@ def certify_local(
     positive-weight means of their parent, so each of those leaves would
     certify; the report counts them all, and its verdict, depth, leaf count
     and witness are those of the run that cuts every leaf.  A piece at
-    depth n_max, which must be nonnegative, is never split: one that
-    neither certifies nor refutes is counted, not queued, and the run gives
-    up, INCONCLUSIVE at depth n_max, when the frontier is empty and that
-    count is not zero.  Only
+    depth n_max, which must be nonnegative, is never split: the loop, which
+    owns the depth budget, counts one that neither certifies nor refutes
+    instead of queueing it, and the run gives up, INCONCLUSIVE at depth
+    n_max, when the frontier is empty and that count is not zero.  Only
     the root is a rational patch, which checks the denominator; below it
     the pieces are plain records of the numerator's integers, whose signs
     are the function's.  A piece lives only until it is decided or split,
@@ -302,7 +302,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
     start = time.perf_counter()
     k = root.degree
     vertices = vertex_positions(k, root.dimension)
-    certified = last = held = 0  # held: the unresolved pieces at depth n_max
+    certified = last = 0
     refuted = None  # (depth, witness) of the refuting piece
 
     def settled(lists):
@@ -312,7 +312,7 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         return _refine_ints(leaf, (1, 4 ** (depth + 1)), settled)
 
     def visit(piece, depth):
-        nonlocal certified, last, refuted, held
+        nonlocal certified, last, refuted
         if refuted:
             return None
         last = depth
@@ -321,12 +321,9 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
         if i is not None:
             refuted = (depth, _vertex_witness(piece, vertices[i], i, root.den))
             return None
-        if min(nums) >= 0:
-            certified += piece.weight
-        elif depth < n_max:
+        if min(nums) < 0:
             return depth
-        else:
-            held += 1
+        certified += piece.weight
         return None
 
     def stop(head, size):
@@ -334,14 +331,14 @@ def _certify_local(root: RationalPatch, n_max: int) -> CertificateReport:
             verdict, (depth, witness) = Verdict.REFUTED, refuted
         elif head is not None:
             return None
-        elif held:
+        elif size:  # the unresolved pieces counted at depth n_max
             verdict, depth, witness = Verdict.INCONCLUSIVE, n_max, None
         else:
             verdict, depth, witness = Verdict.CERTIFIED, last, None
         return _report(Mode.LOCAL_SUBDIVISION, start, verdict, root.degree,
                        witness, depth, certified)
 
-    return subdivide(Piece.of((root.num,)), split, visit, stop)
+    return subdivide(Piece.of((root.num,)), split, visit, stop, n_max)
 
 
 def _vertex_witness(piece: Piece, p: int, i: int, den: BernsteinPatch) -> Witness:

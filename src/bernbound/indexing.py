@@ -8,11 +8,13 @@ exponents.  An index set is the cached tuple ``enumerate_indices`` returns,
 in the one canonical order, and ``vertex_positions`` gives the places of its
 vertex indices k e_i.  ``multinomials`` is the one multinomial rule,
 k! / (alpha_0! ... alpha_n!) over a table of factorials, listed for a whole
-index set and cached as one tuple per degree and dimension; it reads the
-order uncached, so elevation and conversion, which need only it, cache no
-index tuples.  ``weight_row`` is the one rule that values a coefficient list
-at integer barycentric weights w: multinomial(k; beta) * prod w_i^beta_i
-over the index set, so a list's value is one dot product with it.
+index set and cached as one tuple per degree and dimension, for the 32
+most recent (degree, dimension) pairs only, so a chain of elevations keeps
+a bounded set of degrees.  It reads the order uncached, so elevation and
+conversion, which need only it, cache no index tuples.  ``weight_row`` is
+the one rule that values a coefficient list at integer barycentric weights
+w: multinomial(k; beta) * prod w_i^beta_i over the index set, so a list's
+value is one dot product with it.
 ``grid_row`` caches it at each grid point, w = alpha, per (degree,
 dimension, position).  Everything here is exact integer arithmetic.
 
@@ -79,10 +81,12 @@ def vertex_positions(degree: int, dimension: int) -> Tuple[int, ...]:
                  for i in range(dimension + 1))
 
 
-@lru_cache(maxsize=None)
+# The benchmark's pools read at most 24 distinct (degree, dimension) keys
+# (its ``cli_bounds`` workload), so none misses more than with no bound.
+@lru_cache(maxsize=32)
 def multinomials(degree: int, dimension: int) -> Tuple[int, ...]:
     """The multinomial k! / (alpha_0! ... alpha_n!) of every index, in
-    canonical order (cached).
+    canonical order (the 32 most recent keys cached).
 
     The indices come from ``enumerate_indices``'s uncached rule (its
     ``__wrapped__``), so the order is written once and a degree that only

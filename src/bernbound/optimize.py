@@ -30,21 +30,20 @@ and an a-priori round count (``ratpatch.apriori_steps``) suffices for any
 requested gap.  The minimizer imports nothing from the certifier.
 
 The strategies are keys and stop rules of one loop, ``ratpatch.subdivide``,
-whose every step splits one leaf.  ``uniform`` keys a leaf by its depth, so
-the leaves split level by level; it settles once per level, when the level's
-first piece heads the frontier, on the level's smallest lower bound.  A
-leaf at the depth budget is valued and counted at its visit but not
-queued, so the budget level settles when the frontier is empty.
-``best-first`` keys a leaf by its lower bound (``_Key``), which reads the
-leaf's vertices only to break a tie, the order of (lower bound, simplex);
-it drops leaves that cannot beat the incumbent, parks those at the depth
-budget when they head the frontier (the drop-or-park test reads the
-incumbent then), and stops on the least of the incumbent, the frontier's
-head and the parked bounds.  Only the root is a ``RationalPatch``; no piece
-below it becomes a ``Simplex`` or a patch, and the one witness is read from
-its piece's replayed rows.  Neither keeps a per-step record: a piece lives
-until it is dropped, parked or counted at the budget (only the least bound
-there and the count are kept) or split.
+whose every step splits one leaf, and which owns the depth budget: a leaf
+keyed at the budget depth is counted there, not queued.  ``uniform`` keys a
+leaf by its depth, so the leaves split level by level; it settles once per
+level, when the level's first piece heads the frontier, on the level's
+smallest lower bound, and the budget level, valued as it is visited, when
+the frontier is empty.  ``best-first`` keys a leaf by its lower bound
+(``_Key``), which reads the leaf's vertices only to break a tie, the order
+of (lower bound, simplex); it drops leaves that cannot beat the incumbent,
+keeps the least bound of the leaves it keys at the budget depth, and stops
+on the least of the incumbent, the frontier's head and that bound.  Only
+the root is a ``RationalPatch``; no piece below it becomes a ``Simplex`` or
+a patch, and the one witness is read from its piece's replayed rows.
+Neither keeps a per-step record: a piece lives until it is dropped, split
+or counted at the budget (only the least bound there is kept).
 """
 
 from __future__ import annotations
@@ -179,8 +178,9 @@ def _least(*pairs) -> Optional[Tuple[int, int]]:
 class _Key:
     """A best-first key: the lower bound a / b (b > 0, unreduced) of
     ``piece``.  Keys order by cross-multiplying, and tied bounds by the
-    pieces' ``signature``, built only then: the order of the (bound,
-    signature) tuple."""
+    pieces' vertex rows, replayed only then, each entry multiplied by the
+    other piece's denominator: the order of the (bound, vertices) tuple,
+    with no ``Fraction``."""
 
     __slots__ = ("a", "b", "piece")
 
@@ -191,7 +191,9 @@ class _Key:
         left, right = self.a * other.b, other.a * self.b
         if left != right:
             return left < right
-        return self.piece.signature() < other.piece.signature()
+        d, e = self.piece.denom, other.piece.denom
+        return ([[x * e for x in row] for row in self.piece.rows]
+                < [[x * d for x in row] for row in other.piece.rows])
 
 
 def minimize(
@@ -208,9 +210,10 @@ def minimize(
     with the smallest lower bound (see the module docstring).  Both stop as
     soon as the bracket is narrower than epsilon.  ``budget``, if given, is a
     nonnegative integer cap on rounds (node depth for best-first; a float, a
-    bool or a string raises ``TypeError``); reaching it first raises
-    BudgetExhausted carrying the partial result.  Ties in the
-    best-first queue break on the lexicographically smallest simplex.
+    bool or a string raises ``TypeError``), which ``ratpatch.subdivide``
+    enforces; reaching it first raises BudgetExhausted carrying the partial
+    result.  Ties in the best-first queue break on the lexicographically
+    smallest simplex.
     """
     epsilon = parse_rational(epsilon)
     if epsilon <= 0:
@@ -228,8 +231,7 @@ def minimize(
     # position of its witness; bounds compare with it as integers.
     dn = dd = best = where = None
     lowest = {}  # uniform: the smallest (a, b) lower bound at each depth not yet settled
-    parked = None  # best-first: the smallest (a, b) bound of the leaves held at the budget depth
-    held = 0  # leaves held at the budget depth: parked by best-first, never queued by uniform
+    at_budget = None  # best-first: the least (a, b) bound of the leaves keyed at the budget depth
     deepest = 0  # best-first: the depth of the deepest split piece
 
     def bounds(piece):
@@ -262,39 +264,37 @@ def minimize(
                               partial=result)
 
     def visit_uniform(piece, depth):
-        nonlocal held
         lowest[depth] = _least(lowest.get(depth), bounds(piece))
-        if depth == budget:
-            held += 1
-            return None
         return depth
 
     def stop_uniform(head, size):
         rounds = budget if head is None else head[1]
         if rounds not in lowest:
             return None
-        return settle(lowest.pop(rounds), rounds, size + held, head is None)
+        return settle(lowest.pop(rounds), rounds, size, head is None)
 
     def visit_best(piece, depth):
+        nonlocal at_budget
         a, b = bounds(piece)  # drop a piece that cannot beat the incumbent; keep the root
-        return None if depth and a * dd >= dn * b else _Key(a, b, piece)
+        if depth and a * dd >= dn * b:
+            return None
+        if depth == budget:  # counted by the loop, never split: its bound stays in the bracket
+            at_budget = _least(at_budget, (a, b))
+        return _Key(a, b, piece)
 
     def split_best(piece, depth, key):
-        nonlocal deepest, parked, held
+        nonlocal deepest
         if key.a * dd >= dn * key.b:
-            return ()
-        if budget is not None and depth >= budget:
-            parked, held = _least(parked, (key.a, key.b)), held + 1
             return ()
         deepest = max(deepest, depth + 1)
         return _split_round(piece)
 
     def stop_best(head, size):
-        lower = _least((dn, dd), head and (head[0].a, head[0].b), parked)
-        return settle(lower, deepest, size + held, head is None)
+        lower = _least((dn, dd), head and (head[0].a, head[0].b), at_budget)
+        return settle(lower, deepest, size, head is None)
 
     if mode == "uniform":
         return subdivide(top, lambda piece, depth, key: _split_round(piece),
-                         visit_uniform, stop_uniform)
-    return subdivide(top, split_best, visit_best, stop_best)
+                         visit_uniform, stop_uniform, budget)
+    return subdivide(top, split_best, visit_best, stop_best, budget)
 

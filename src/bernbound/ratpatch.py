@@ -253,8 +253,9 @@ class Piece:
 
     A run reads the lists and lengths alone.  ``rows`` and ``denom``, the
     reduced vertex rows, replay the path through ``geometry._bisect_rows``
-    on first use and are kept; ``vertex``, ``signature`` and ``patches``
-    (checked objects, for a caller that wants them) read them.
+    on first use and are kept; ``vertex``, best-first ``minimize``'s tie
+    break and ``patches`` (checked objects, for a caller that wants them)
+    read them.
     """
 
     __slots__ = ("root", "path", "lists", "cuts", "lengths", "weight", "_rows",
@@ -302,13 +303,6 @@ class Piece:
 
     def vertex(self, i: int) -> Point:
         return _point(self.rows[i], self.denom)
-
-    def signature(self) -> Tuple[Point, ...]:
-        """The piece's vertices as ``Fraction`` tuples, read from its rows:
-        the deterministic tie key of best-first ``minimize``, equal to its
-        simplex's ``vertices``."""
-        rows, denom = self._replayed()
-        return tuple([_point(row, denom) for row in rows])
 
     def patches(self) -> Tuple[BernsteinPatch, ...]:
         """The piece's lists as patches over its simplex, rank-checked like
@@ -462,9 +456,10 @@ def _min_position(nums, dens) -> int:
     return best
 
 
-def subdivide(root, split, visit, stop):
+def subdivide(root, split, visit, stop, budget=None):
     """The subdivision loop behind ``certify_local`` and both ``minimize``
-    strategies, which differ only in the four callbacks.  A piece here is a
+    strategies, which differ only in the four callbacks and pass their
+    depth budget (``n_max``, ``budget``) as ``budget``.  A piece here is a
     ``Piece`` from ``_refine_ints``: one list, the numerator's, for the
     local certificate, and two, numerator and denominator, for
     ``minimize``.
@@ -479,21 +474,28 @@ def subdivide(root, split, visit, stop):
     key)``.  Tied keys come out first in, first out, so with key = depth a
     level is complete, every piece of it visited and none split, when its
     first piece is the head: uniform ``minimize`` settles each level there.
-    The local certificate and uniform ``minimize`` key no piece at their
-    depth budget, which would never be split, so their last level ends on
-    an empty frontier.
+
+    The loop owns the depth budget: a piece keyed at depth ``budget`` would
+    never be split, so it is counted, not queued, and ``size`` is the
+    frontier plus those counted pieces.  A run that reaches its budget
+    therefore ends on an empty frontier, holding at most the level above
+    it, whatever its keys.
     """
     frontier: list = []  # a heap of (key, seq, depth, piece)
     seq = count()  # keeps tied keys in insertion order
+    counted = 0  # pieces keyed at the budget depth
 
     def offer(piece, depth):
+        nonlocal counted
         key = visit(piece, depth)
-        if key is not None:
+        if key is not None and depth == budget:
+            counted += 1
+        elif key is not None:
             heappush(frontier, (key, next(seq), depth, piece))
 
     offer(root, 0)
     while (result := stop((frontier[0][0], frontier[0][2]) if frontier else None,
-                          len(frontier))) is None:
+                          len(frontier) + counted)) is None:
         key, _, depth, parent = heappop(frontier)
         for piece in split(parent, depth, key):
             offer(piece, depth + 1)

@@ -437,10 +437,12 @@ def ref_refine_ints(piece, threshold):
 def ref_best_first_key(piece, scales):
     """Best-first ``minimize``'s heap key as it was before it ordered by
     integers: the piece's lower bound as a ``Fraction``, then its vertices
-    (``Piece.signature``), which break ties."""
+    as ``Fraction`` tuples, built here from its rows and denominator, which
+    break ties."""
     nums, dens = piece.lists
     s, t = scales
-    return min(F(a * t, b * s) for a, b in zip(nums, dens)), piece.signature()
+    vertices = tuple(tuple(F(x, piece.denom) for x in row) for row in piece.rows)
+    return min(F(a * t, b * s) for a, b in zip(nums, dens)), vertices
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +453,13 @@ def ref_best_first_key(piece, scales):
 def watch_subdivide(module, watch):
     """Run ``module.subdivide``, the name a caller of the loop looks up, with
     ``watch(piece, depth, key)`` called after every ``visit`` with the key
-    it returned.  Fails if the loop never ran under the spy, so a spy on the
-    wrong name cannot pass with nothing watched."""
+    it returned, and the caller's depth budget passed on.  Fails if the loop
+    never ran under the spy, so a spy on the wrong name cannot pass with
+    nothing watched."""
     real = module.subdivide
     calls = 0
 
-    def spy(root, split, visit, stop):
+    def spy(root, split, visit, stop, budget=None):
         nonlocal calls
         calls += 1
 
@@ -465,7 +468,7 @@ def watch_subdivide(module, watch):
             watch(piece, depth, key)
             return key
 
-        return real(root, split, watched, stop)
+        return real(root, split, watched, stop, budget)
 
     module.subdivide = spy
     try:

@@ -443,7 +443,8 @@ class TestElevate:
         # conversion's tail, so the integers stay reduced (14 bits here,
         # where a scale multiplied by k + 1 per step reaches 874 bits), and
         # reading the multinomials adds no index tuples to
-        # ``enumerate_indices``.
+        # ``enumerate_indices``.  Of the 149 degrees' multinomial tuples it
+        # reads, the cache keeps the 32 most recent (degree, dimension) keys.
         num = PowerPoly(2, {(0, 0): F(1, 9), (1, 0): F(-2, 3), (0, 1): F(-2, 3),
                             (2, 0): 1, (1, 1): 2, (0, 2): 1})
         den = PowerPoly.constant(2, 1)
@@ -454,6 +455,7 @@ class TestElevate:
             for patch in (f.num, f.den):
                 assert max(abs(a) for a in (patch.scale, *patch.nums)).bit_length() < 64
         assert enumerate_indices.cache_info().currsize == cached
+        assert multinomials.cache_info().currsize <= 32
         assert f == rational_patch(num, den, standard_simplex(2), 150)
 
     def test_size_cap(self):
